@@ -10,11 +10,12 @@ the adjusted proximal sampler's acceptance constants.
 
 from __future__ import annotations
 
-import heapq
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 from scipy.optimize import linprog
 from scipy.special import expit
 
@@ -176,11 +177,11 @@ def tv_distance(p: np.ndarray, q: np.ndarray) -> float:
 def wasserstein_hamming(p: np.ndarray, q: np.ndarray) -> float:
     """Exact 1-Wasserstein distance under the Hamming metric.
 
-    Hamming distance is the graph metric of the hypercube, so optimal
-    transport between p and q is a min-cost flow on the hypercube graph
-    (2^d nodes, unit-cost edges, supplies p - q), solved here by successive
-    shortest paths with node potentials. Each augmentation runs one Dijkstra
-    on reduced costs and exhausts at least one surplus or deficit node.
+    Hamming distance is the graph metric of the hypercube, so W1 is the
+    Kantorovich dual max <f, p - q> over potentials f that change by at most
+    1 across every edge. Product laws take the closed form sum_i |P_i - Q_i|
+    of their coordinate marginals; all other pairs solve the dual LP (see
+    `_transport_values`).
     """
     p = _require_distribution(p, "p")
     q = _require_distribution(q, "q")
@@ -192,83 +193,111 @@ def wasserstein_hamming(p: np.ndarray, q: np.ndarray) -> float:
         raise ValueError(f"length {n} is not a power of two")
     if abs(float((p - q).sum())) > 1e-10:
         raise ValueError("supplies are unbalanced beyond 1e-10")
+    return float(_transport_values(p[None, :], q[None, :])[0])
 
-    supply_tol = 1e-15
-    flow_tol = 1e-18
+
+# supply entries this small are roundoff, not mass to move
+_SUPPLY_TOL = 1e-15
+# L1 distance from the product of its own marginals below which a row is a
+# product law; the closed form is then within d times this of the exact W1
+_PRODUCT_TOL = 1e-13
+# HiGHS working memory grows with the LP, so one call stacks at most this
+# many potentials: 4 pairs at d = 6, one pair from d = 8 on
+_LP_MAX_VARS = 256
+
+
+def _product_residual(rows: np.ndarray, marginals: np.ndarray) -> np.ndarray:
+    """L1 distance of each row from the product law of its P(x_i = +1)."""
+    prod = np.ones((rows.shape[0], 1))
+    for i in range(marginals.shape[1]):
+        m = marginals[:, i:i + 1]
+        # bit i is the most significant so far: its 0-half comes first
+        prod = np.concatenate([prod * (1.0 - m), prod * m], axis=1)
+    return np.abs(rows - prod).sum(axis=1)
+
+
+def _adjacent_pairs(d: int) -> np.ndarray:
+    """(k, k + 2^i) for every edge of the d-cube, by coordinate i, then k."""
+    ks = np.arange(1 << d)
+    lo = np.concatenate([ks[(ks >> i) & 1 == 0] for i in range(d)])
+    return np.stack([lo, lo | (1 << np.repeat(np.arange(d), 1 << (d - 1)))], axis=1)
+
+
+@functools.lru_cache(maxsize=None)
+def _edge_lp(d: int, blocks: int):
+    """Constraints +-(f(k) - f(k ^ e_i)) <= 1 on every hypercube edge, for
+    `blocks` independent copies of the cube, and bounds pinning f(0) = 0 in
+    each copy."""
+    n = 1 << d
+    edges = _adjacent_pairs(d)
+    e = edges.shape[0]
+    incidence = sparse.csr_array(
+        (np.tile([1.0, -1.0], e), (np.repeat(np.arange(e), 2), edges.ravel())), shape=(e, n))
+    a = sparse.kron(sparse.eye_array(blocks), sparse.vstack([incidence, -incidence]),
+                    format="csr")
+    bounds = np.full((blocks * n, 2), [-np.inf, np.inf])
+    bounds[::n] = 0.0
+    return a, np.ones(a.shape[0]), bounds
+
+
+def _dual_lp_values(b: np.ndarray) -> np.ndarray:
+    """Kantorovich dual of each row of supplies b, as one block-diagonal LP.
+
+    The edge constraint matrix is totally unimodular, so HiGHS's optimal
+    vertex has integer potentials; they are rounded and the value is
+    <round(f), b>, a feasible dual and hence exact to summation roundoff.
+    """
+    blocks, n = b.shape
+    a, ub, bounds = _edge_lp(n.bit_length() - 1, blocks)
+    # the dual feasibility tolerance is absolute: scaling each block's largest
+    # supply to 1e6 puts it at 1e-16 of that supply
+    cost = -(1e6 * b / np.abs(b).max(axis=1, keepdims=True)).ravel()
+    res = linprog(cost, A_ub=a, b_ub=ub, bounds=bounds, method="highs-ds",
+                  options={"primal_feasibility_tolerance": 1e-10,
+                           "dual_feasibility_tolerance": 1e-10})
+    if not res.success:
+        raise NumericalError(f"transport dual LP failed: {res.message}")
+    f = res.x.reshape(blocks, n)
+    f_int = np.round(f)
+    off = float(np.abs(f - f_int).max())
+    if off > 1e-6:
+        raise NumericalError(f"transport dual potentials are {off:.1e} from integers",
+                             residual=off)
+    return (f_int * b).sum(axis=1)
+
+
+def _transport_values(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Exact Hamming W1 between the rows of two (m, 2^d) arrays.
+
+    Each pair takes one of three paths: a pair whose supplies p - q vanish
+    (entries up to 1e-15 are zeroed) is exactly 0; a pair of product laws
+    is sum_i |P_i - Q_i|; every other pair goes to the dual LP, several
+    pairs to a HiGHS call.
+    """
+    m, n = p.shape
+    d = n.bit_length() - 1
     b = p - q
-    b[np.abs(b) <= supply_tol] = 0.0
-    if not b.any():
-        return 0.0
-
-    phi = np.zeros(n)
-    # net flow from node k toward k ^ (1 << i); antisymmetric across the edge
-    flow = np.zeros((n, d))
-    bits = [1 << i for i in range(d)]
-    total_cost = 0.0
-    inf = math.inf
-
-    max_rounds = 8 * n + 64
-    for _ in range(max_rounds):
-        sources = np.flatnonzero(b > supply_tol)
-        if sources.size == 0 or not (b < -supply_tol).any():
-            break
-        s = int(sources[np.argmax(b[sources])])
-
-        dist = np.full(n, inf)
-        parent = np.full(n, -1, dtype=np.int64)
-        dist[s] = 0.0
-        heap = [(0.0, s)]
-        target = -1
-        while heap:
-            du, u = heapq.heappop(heap)
-            if du > dist[u]:
-                continue
-            if b[u] < -supply_tol:
-                target = u
-                break
-            pu = phi[u]
-            for i in range(d):
-                v = u ^ bits[i]
-                cost = -1.0 if flow[u, i] < -flow_tol else 1.0
-                nd = du + max(cost + pu - phi[v], 0.0)
-                if nd < dist[v] - 1e-15:
-                    dist[v] = nd
-                    parent[v] = u
-                    heapq.heappush(heap, (nd, v))
-        if target < 0:
-            break  # residual imbalance below the contract tolerance
-        d_t = dist[target]
-        phi += np.minimum(dist, d_t)
-
-        # walk back, collect the path and its bottleneck
-        amount = min(float(b[s]), -float(b[target]))
-        path = []
-        v = target
-        while v != s:
-            u = int(parent[v])
-            i = (u ^ v).bit_length() - 1
-            residual = flow[u, i] < -flow_tol
-            if residual:
-                amount = min(amount, -float(flow[u, i]))
-            path.append((u, v, i, residual))
-            v = u
-        for u, v, i, residual in path:
-            flow[u, i] += amount
-            flow[v, i] -= amount
-            total_cost += -amount if residual else amount
-        b[s] -= amount
-        b[target] += amount
-    else:
-        raise NumericalError("min-cost flow failed to drain supplies",
-                             residual=float(np.abs(b).sum()))
-    return total_cost
+    b[np.abs(b) <= _SUPPLY_TOL] = 0.0
+    values = np.zeros(m)
+    live = b.any(axis=1)
+    plus = (all_signs(d) > 0).astype(np.float64)
+    mp, mq = p @ plus, q @ plus
+    product = (live & (_product_residual(p, mp) <= _PRODUCT_TOL)
+               & (_product_residual(q, mq) <= _PRODUCT_TOL))
+    values[product] = np.abs(mp[product] - mq[product]).sum(axis=1)
+    rest = np.flatnonzero(live & ~product)
+    per_call = max(1, _LP_MAX_VARS >> d)
+    for start in range(0, rest.size, per_call):
+        idx = rest[start:start + per_call]
+        values[idx] = _dual_lp_values(b[idx])
+    return values
 
 
 def wasserstein_hamming_lp(p: np.ndarray, q: np.ndarray) -> float:
     """Reference transport value from the full coupling linear program.
 
     Enumerates all 4^d coupling entries with marginal equality constraints;
-    exponentially large, so it only exists to anchor the flow solver at
+    exponentially large, so it only exists to anchor the transport solver at
     small dimension.
     """
     p = _require_distribution(p, "p")
@@ -320,37 +349,29 @@ class ContractionCertificate:
 
 def contraction_certificate(kernel: KernelMatrix,
                             all_pairs: bool = False) -> ContractionCertificate:
-    """One transport solve per hypercube edge; kappa is the worst ratio."""
+    """One transport solve per hypercube edge, all in one batch; kappa is the
+    worst ratio."""
     d = kernel.dim
     if d > CONTRACTION_DIM_CAP:
         raise CapabilityError(
             f"contraction certificates capped at d <= {CONTRACTION_DIM_CAP}, got {d}")
     t = kernel.probs
-    pairs = []
-    values = []
-    for i in range(d):
-        bit = 1 << i
-        for k in range(1 << d):
-            if k & bit:
-                continue
-            pairs.append((k, k | bit))
-            values.append(wasserstein_hamming(t[k], t[k | bit]))
-    values = np.asarray(values)
-    pairs = np.asarray(pairs, dtype=np.int64)
+    pairs = _adjacent_pairs(d)
+    values = _transport_values(t[pairs[:, 0]], t[pairs[:, 1]])
     top = int(np.argmax(values))
     kappa = float(values[top])
     if all_pairs:
         if d > 5:
             raise CapabilityError("exhaustive pair validation capped at d <= 5")
-        n = 1 << d
-        for a in range(n):
-            for c in range(a + 1, n):
-                ell = (a ^ c).bit_count()
-                w = wasserstein_hamming(t[a], t[c])
-                if w > kappa * ell + 1e-9:
-                    raise NumericalError(
-                        f"pair ({a}, {c}) violates the flip-path bound: "
-                        f"W = {w:.6e} > kappa * ell = {kappa * ell:.6e}")
+        a, c = np.triu_indices(1 << d, 1)
+        ell = np.bitwise_count(a ^ c)
+        w = _transport_values(t[a], t[c])
+        bad = np.flatnonzero(w > kappa * ell + 1e-9)
+        if bad.size:
+            j = bad[0]
+            raise NumericalError(
+                f"pair ({a[j]}, {c[j]}) violates the flip-path bound: "
+                f"W = {w[j]:.6e} > kappa * ell = {kappa * ell[j]:.6e}")
     return ContractionCertificate(kappa, (int(pairs[top, 0]), int(pairs[top, 1])),
                                   pairs, values, all_pairs)
 

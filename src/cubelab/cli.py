@@ -125,8 +125,9 @@ def _build_kernel(model, sampler, score_kind, eta):
 
 
 def analyze_row(model: TargetModel, sampler: str, score_kind: str | None,
-                eta: float, with_kappa: bool = True) -> dict:
-    """All exact diagnostics for one (sampler, score, eta) configuration.
+                eta: float, with_kappa: bool = True) -> tuple[dict, np.ndarray]:
+    """All exact diagnostics for one (sampler, score, eta) configuration,
+    and the stationary law they were computed from.
 
     The contraction factor costs one transport solve per hypercube edge and
     dominates everything else; `with_kappa=False` leaves its column empty.
@@ -174,7 +175,7 @@ def analyze_row(model: TargetModel, sampler: str, score_kind: str | None,
         "dmaps_rejection": report.dmaps_rejection,
         "dmaps_rate": report.dmaps_rate.value,
     })
-    return row
+    return row, pi
 
 
 def _manifest(args, extra=None) -> dict:
@@ -215,7 +216,7 @@ def _emit(args, rows, columns, payload_name):
 
 def _sweep_task(task):
     model, sampler, score_kind, eta, with_kappa = task
-    return analyze_row(model, sampler, score_kind, eta, with_kappa)
+    return analyze_row(model, sampler, score_kind, eta, with_kappa)[0]
 
 
 def cmd_analyze(args) -> int:
@@ -223,17 +224,10 @@ def cmd_analyze(args) -> int:
     etas = _etas(args)
     if len(etas) != 1:
         raise ParameterError("analyze takes a single --eta; use sweep for grids")
-    row = analyze_row(model, args.sampler, args.score, etas[0])
+    row, pi = analyze_row(model, args.sampler, args.score, etas[0])
     if getattr(args, "format", "csv") == "json":
         from .models import exact_target
 
-        kernel = _build_kernel(model, args.sampler,
-                               None if args.sampler in ("gibbs", "prox") else args.score,
-                               etas[0])
-        try:
-            pi = analysis.stationary(kernel)
-        except NumericalError as err:
-            pi = err.best
         doc = {"manifest": _jsonable(_manifest(args)),
                "results": _jsonable(row),
                "stationary": _jsonable(pi),

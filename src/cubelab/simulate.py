@@ -293,13 +293,18 @@ def run_chain(cfg: ChainConfig, dump_path: str | None = None) -> SimResult:
         steps_per_second=total_steps / elapsed if elapsed > 0 else math.inf)
 
 
+# draws per block of `sample_transitions`; bounds its (block, d) temporaries
+_DRAW_BLOCK = 65_536
+
+
 def sample_transitions(model: TargetModel, sampler: str, score: str | None,
                        eta: float, x: BitState, n: int,
                        rng: np.random.Generator) -> np.ndarray:
     """n independent one-step draws from a fixed state, as next-state indices.
 
     Vectorized across draws (there is no sequential dependence), which is
-    what makes million-sample kernel-row checks affordable. Table
+    what makes million-sample kernel-row checks affordable. Draws are made
+    in blocks of `_DRAW_BLOCK`, so memory stays flat in n. Table
     dimensions only.
     """
     d = model.dim
@@ -308,7 +313,16 @@ def sample_transitions(model: TargetModel, sampler: str, score: str | None,
     if x.dim != d:
         raise ValueError("state dimension does not match the model")
     st = _TableStepper(model, sampler, score, eta)
-    k = x.bits
+    return np.concatenate([_transition_block(st, x.bits, min(_DRAW_BLOCK, n - start), rng)
+                           for start in range(0, max(n, 1), _DRAW_BLOCK)])
+
+
+def _transition_block(st: _TableStepper, k: int, n: int,
+                      rng: np.random.Generator) -> np.ndarray:
+    """n one-step draws from state k, drawing uniforms in the order an
+    unblocked call of that size would."""
+    d = st.d
+    sampler = st.sampler
     if sampler == "gibbs":
         flip_words = np.concatenate([st.pow2, [np.int64(0)]])
         i = np.searchsorted(st.cum[k], rng.random(n), side="right")

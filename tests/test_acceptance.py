@@ -192,7 +192,7 @@ def test_criterion_5_contraction_certificates():
             "(1 - 2 sigma(-2/eta)) * (1 - sigma(-2/eta - 2 beta) - "
             "sigma(-2/eta + 2 beta)), whose contraction margin scales like "
             "exp(-2/eta), strictly less than the claimed exp(-1/eta)/2 for "
-            "eta below ~0.6. The flow solver agrees with the coupling LP to "
+            "eta below ~0.6. The transport solver agrees with the coupling LP to "
             "1e-9 on these rows, so the measurement stands:\n  "
             + "\n  ".join(failures))
     assert evaluated > 0
@@ -250,7 +250,7 @@ def test_criterion_7_transport_oracle_agreement():
         gap = abs(wasserstein_hamming(p, q) - wasserstein_hamming_lp(p, q))
         worst = max(worst, gap)
         assert gap <= 1e-9
-    _line(7, "PASS", f"flow vs coupling LP within {worst:.2e} on 100 pairs at d=3")
+    _line(7, "PASS", f"transport vs coupling LP within {worst:.2e} on 100 pairs at d=3")
 
 
 def test_criterion_8_spectral_oracle():

@@ -29,7 +29,7 @@ from cubelab.kernels import (
 )
 from cubelab.models import BitsMixture, CurieWeiss, IndependentBits, IsingGrid, exact_target
 from cubelab.scores import ScoreField
-from cubelab.statespace import hamming, state_of
+from cubelab.statespace import all_signs, hamming, state_of
 
 
 # ---------------------------------------------------------------------------
@@ -163,10 +163,36 @@ def test_wasserstein_fuzz_against_lp():
     for k in (0, 7, 31):
         cases.append((t[k], t[k ^ 1]))
         cases.append((t[k], t[k ^ 16]))
+    # product-law rows, which take the closed form sum_i |P_i - Q_i|
+    t = dula_matrix(model, ScoreField(model, "glauber"), 0.4).probs
+    cases += [(t[0], t[1]), (t[5], t[5 ^ 8]), (t[3], t[28])]
+    bits = IndependentBits(0.5, 6)
+    t = dups_matrix(bits, ScoreField(bits, "stein"), 0.4).probs
+    cases += [(t[0], t[32]), (t[9], t[9 ^ 4])]
+    # a near-product row just past the product-law tolerance goes to the LP
+    bump = np.zeros(64)
+    bump[np.argsort(t[9])[-2:]] = (1e-9, -1e-9)
+    cases.append((t[9] + bump, t[9 ^ 4]))
     for p, q in cases:
-        flow = wasserstein_hamming(p, q)
+        w = wasserstein_hamming(p, q)
         ref = wasserstein_hamming_lp(p, q)
-        assert flow == pytest.approx(ref, abs=2e-9), (flow, ref)
+        assert w == pytest.approx(ref, abs=2e-9), (w, ref)
+
+
+@pytest.mark.parametrize("d", [7, 8, 9, 10])
+def test_transport_lp_matches_product_form_on_dula_rows(d, monkeypatch):
+    # dula rows are product laws, so W1 = sum_i |P_i - Q_i| exactly; a
+    # negative tolerance sends every pair through the dual LP instead
+    monkeypatch.setattr(analysis, "_PRODUCT_TOL", -1.0)
+    plus = (all_signs(d) > 0).astype(np.float64)
+    grids = {7: (1, 7), 8: (2, 4), 9: (3, 3), 10: (2, 5)}
+    rng = np.random.default_rng(d)
+    for model in (CurieWeiss(0.2, 0.1, d), IsingGrid(*grids[d], 0.4, 0.1)):
+        t = dula_matrix(model, ScoreField(model, "glauber"), 0.5).probs
+        for k in (0, int(rng.integers(1, 1 << d))):
+            for other in (k ^ 1 << int(rng.integers(d)), int(rng.integers(1 << d))):
+                exact = float(np.abs((t[k] - t[other]) @ plus).sum())
+                assert wasserstein_hamming(t[k], t[other]) == pytest.approx(exact, abs=1e-12)
 
 
 def test_unbalanced_supplies_rejected():
@@ -228,6 +254,18 @@ def test_gibbs_contraction_matches_bound_on_bits():
         bound = analysis.gibbs_contraction_bound(4, eta, 0.0)
         assert cert.kappa <= bound + 1e-12
         assert cert.kappa == pytest.approx(bound, abs=1e-12)  # tight here
+
+
+@pytest.mark.parametrize("eta", [0.2, 0.4, 0.8])
+def test_dups_kappa_closed_form_on_bits(eta):
+    # the constant-score counterexample quoted by acceptance criterion 5
+    beta = 0.5
+    model = IndependentBits(beta, 6)
+    closed = ((1 - 2 * expit(-2 / eta))
+              * (1 - expit(-2 / eta - 2 * beta) - expit(-2 / eta + 2 * beta)))
+    for kind in ("stein", "glauber"):
+        cert = contraction_certificate(dups_matrix(model, ScoreField(model, kind), eta))
+        assert cert.kappa == pytest.approx(closed, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------

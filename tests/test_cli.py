@@ -60,6 +60,21 @@ def test_analyze_json_structure(tmp_path, capsys):
     assert "cubelab" in doc["versions"]
 
 
+def test_analyze_json_solves_stationary_once(tmp_path, capsys, monkeypatch):
+    from cubelab import analysis
+
+    calls = []
+    solve = analysis.stationary
+    monkeypatch.setattr(analysis, "stationary",
+                        lambda kernel, *a, **kw: calls.append(1) or solve(kernel, *a, **kw))
+    code, _, _ = run_cli(capsys, "analyze", "--model", "bits", "--beta", "0.5",
+                         "--dim", "3", "--sampler", "dmaps", "--score", "glauber",
+                         "--eta", "0.5", "--format", "json",
+                         "--out", str(tmp_path / "r.json"))
+    assert code == 0
+    assert len(calls) == 1
+
+
 def test_sweep_rows_and_gibbs_score_column(tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     code, _, _ = run_cli(capsys, "sweep", "--model", "bits", "--beta", "0.3",

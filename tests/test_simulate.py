@@ -142,6 +142,26 @@ def test_sample_transitions_matches_row():
     assert (np.abs(freq - row) <= 5 * sigma + 1e-12).all()
 
 
+@pytest.mark.parametrize("sampler,score", [
+    ("gibbs", None), ("dula", "glauber"), ("dmala", "glauber"), ("dups", "stein"),
+    ("dmaps", "glauber")])
+def test_sample_transitions_across_blocks(sampler, score):
+    # one draw past the first block of 65,536
+    model = BitsMixture(0.4, 4)
+    n = 65_537
+
+    def draw(count):
+        return sample_transitions(model, sampler, score, 0.5, state_of(6, 4), count,
+                                  np.random.default_rng(3))
+
+    nxt = draw(n)
+    assert nxt.shape == (n,)
+    assert ((nxt >= 0) & (nxt < 16)).all()
+    np.testing.assert_array_equal(nxt, draw(n))
+    # the first block is drawn exactly as an unblocked call of its size
+    np.testing.assert_array_equal(nxt[:n - 1], draw(n - 1))
+
+
 def test_dump_file(tmp_path):
     path = tmp_path / "samples.csv"
     cfg = _cfg(steps=200, burn_in=20, thinning=10, chains=2)
