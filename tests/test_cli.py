@@ -65,8 +65,12 @@ def test_analyze_json_solves_stationary_once(tmp_path, capsys, monkeypatch):
 
     calls = []
     solve = analysis.stationary
-    monkeypatch.setattr(analysis, "stationary",
-                        lambda kernel, *a, **kw: calls.append(1) or solve(kernel, *a, **kw))
+
+    def counted(kernel, *args, **kwargs):
+        calls.append(kernel)
+        return solve(kernel, *args, **kwargs)
+
+    monkeypatch.setattr(analysis, "stationary", counted)
     code, _, _ = run_cli(capsys, "analyze", "--model", "bits", "--beta", "0.5",
                          "--dim", "3", "--sampler", "dmaps", "--score", "glauber",
                          "--eta", "0.5", "--format", "json",
