@@ -141,6 +141,8 @@ def analyze_row(model: TargetModel, sampler: str, score_kind: str | None,
     try:
         pi = analysis.stationary(kernel)
     except NumericalError as err:
+        print(f"cubelab: {sampler} eta={eta!r}: {err}; using its best iterate "
+              f"(residual {err.residual:.3e})", file=sys.stderr)
         pi = err.best
     spectrum = analysis.spectral_summary(kernel, pi)
     row = {
@@ -364,12 +366,12 @@ def cmd_ctmc(args) -> int:
     rng = np.random.default_rng(args.seed)
     x0 = BitState(int(rng.integers(0, 1 << model.dim)), model.dim)
     traj = ctmc.ctmc_simulate(ctmc.glauber_rates(model), x0, args.horizon, rng)
-    rows = [{"time": 0.0, "state": f"{x0.bits:x}",
-             "magnetization": float(x0.signs().sum()) / model.dim}]
-    for j, t in enumerate(traj.times):
-        state = traj.state_at(j + 1)
-        rows.append({"time": float(t), "state": f"{state.bits:x}",
-                     "magnetization": float(state.signs().sum()) / model.dim})
+    d = model.dim
+    # int64 first: 2 p - d wraps around in the uint8 that bitwise_count returns
+    plus = np.bitwise_count(traj.states).astype(np.int64)
+    rows = [{"time": t, "state": f"{k:x}", "magnetization": mag}
+            for t, k, mag in zip([0.0] + traj.times.tolist(), traj.states.tolist(),
+                                 ((2 * plus - d) / d).tolist())]
     _emit(args, rows, ["time", "state", "magnetization"], "trajectory")
     return 0
 

@@ -1,4 +1,4 @@
-"""The five samplers as single-step transitions and exact dense matrices.
+"""The five samplers as batched transitions and exact dense matrices.
 
 Samplers
 --------
@@ -23,6 +23,10 @@ Samplers
 draws from the target tilted toward z; it is reversible for the target and
 serves as the small-step reference for dups.
 
+Each sampler's step is written once, as a method of `Stepper` that moves a
+whole batch of states on pre-drawn uniforms; the `*_step` functions run it
+on a single state.
+
 Flip probabilities are computed directly through a numerically stable
 sigmoid: eta = 0.05 already gives exp(-2/eta) ~ 4e-18, far below where
 normalizing raw exponentials would underflow.
@@ -31,14 +35,15 @@ normalizing raw exponentials would underflow.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
+from scipy.special import expit, log_expit
 
 from .errors import CapabilityError, ParameterError
 from .models import TargetModel
-from .scores import ScoreField, glauber_score, tabulate_scores
+from .scores import ScoreField, tabulate_scores
 from .statespace import BitState, all_signs
 
 # dense kernels hold 4^d doubles: d = 12 is ~134 MB and the practical top
@@ -122,13 +127,6 @@ def _check_state(model: TargetModel, x: BitState) -> None:
         raise ValueError(f"state dimension {x.dim} != model dimension {model.dim}")
 
 
-def _pack_flips(flips: np.ndarray) -> int:
-    word = 0
-    for i in np.flatnonzero(flips):
-        word |= 1 << int(i)
-    return word
-
-
 def _product_log_kernel(flip_probs: np.ndarray) -> np.ndarray:
     """Log of the row-wise product law for independent per-coordinate flips.
 
@@ -206,15 +204,7 @@ def _gibbs_step_size(model: TargetModel, eta: float) -> float:
 def gibbs_step(model: TargetModel, x: BitState, eta: float,
                rng: np.random.Generator) -> StepOutcome:
     """One damped resampling step: flip at most one coordinate."""
-    _check_state(model, x)
-    h = _gibbs_step_size(model, eta)
-    g = glauber_score(model, x)
-    s = x.signs().astype(np.float64)
-    probs = h * expit(-2.0 * s * g)
-    u = rng.random()
-    i = int(np.searchsorted(np.cumsum(probs), u, side="right"))
-    nxt = x.flip(i) if i < model.dim else x
-    return StepOutcome(nxt, True, nxt)
+    return _step_once(model, "gibbs", None, x, eta, rng)
 
 
 def gibbs_matrix(model: TargetModel, eta: float) -> KernelMatrix:
@@ -237,13 +227,7 @@ def _dula_flip_probs(score: ScoreField, eta: float) -> np.ndarray:
 def dula_step(model: TargetModel, score: ScoreField, x: BitState, eta: float,
               rng: np.random.Generator) -> StepOutcome:
     """Flip every coordinate independently, tilted by the score."""
-    _check_state(model, x)
-    _check_eta(eta)
-    s = x.signs().astype(np.float64)
-    q = expit(-2.0 / eta - s * score(x))
-    flips = rng.random(model.dim) < q
-    nxt = BitState(x.bits ^ _pack_flips(flips), model.dim)
-    return StepOutcome(nxt, True, nxt)
+    return _step_once(model, "dula", score, x, eta, rng)
 
 
 def dula_matrix(model: TargetModel, score: ScoreField, eta: float) -> KernelMatrix:
@@ -260,23 +244,7 @@ def dmala_step(model: TargetModel, score: ScoreField, x: BitState, eta: float,
     The acceptance ratio uses the factorized proposal, so one step costs
     O(d) score and log-weight evaluations, never a sum over states.
     """
-    _check_state(model, x)
-    _check_eta(eta)
-    d = model.dim
-    s = x.signs().astype(np.float64)
-    q_fwd = expit(-2.0 / eta - s * score(x))
-    flips = rng.random(d) < q_fwd
-    prop = BitState(x.bits ^ _pack_flips(flips), d)
-    if prop.bits == x.bits:
-        return StepOutcome(x, True, prop)
-    s_prop = prop.signs().astype(np.float64)
-    q_rev = expit(-2.0 / eta - s_prop * score(prop))
-    with np.errstate(divide="ignore"):
-        log_fwd = np.where(flips, np.log(q_fwd), np.log1p(-q_fwd)).sum()
-        log_rev = np.where(flips, np.log(q_rev), np.log1p(-q_rev)).sum()
-    log_a = model.log_weight(prop) - model.log_weight(x) + log_rev - log_fwd
-    accepted = log_a >= 0.0 or rng.random() < math.exp(log_a)
-    return StepOutcome(prop if accepted else x, accepted, prop)
+    return _step_once(model, "dmala", score, x, eta, rng)
 
 
 def dmala_matrix(model: TargetModel, score: ScoreField, eta: float) -> KernelMatrix:
@@ -313,15 +281,7 @@ def _stage_one_log_kernel(dim: int, eta: float) -> np.ndarray:
 def dups_step(model: TargetModel, score: ScoreField, x: BitState, eta: float,
               rng: np.random.Generator) -> StepOutcome:
     """Both half-steps of the unadjusted proximal sampler."""
-    _check_state(model, x)
-    _check_eta(eta)
-    d = model.dim
-    a = _stage_one_flip_prob(eta)
-    z = BitState(x.bits ^ _pack_flips(rng.random(d) < a), d)
-    sz = z.signs().astype(np.float64)
-    q2 = expit(-2.0 / eta - 2.0 * sz * score(z))
-    nxt = BitState(z.bits ^ _pack_flips(rng.random(d) < q2), d)
-    return StepOutcome(nxt, True, nxt, auxiliary=z)
+    return _step_once(model, "dups", score, x, eta, rng)
 
 
 def dups_matrix(model: TargetModel, score: ScoreField, eta: float) -> KernelMatrix:
@@ -335,20 +295,7 @@ def dups_matrix(model: TargetModel, score: ScoreField, eta: float) -> KernelMatr
 def dmaps_step(model: TargetModel, score: ScoreField, x: BitState, eta: float,
                rng: np.random.Generator) -> StepOutcome:
     """The dups stages plus the stagewise Metropolis accept/reject."""
-    _check_state(model, x)
-    _check_eta(eta)
-    d = model.dim
-    a = _stage_one_flip_prob(eta)
-    z = BitState(x.bits ^ _pack_flips(rng.random(d) < a), d)
-    sz = z.signs().astype(np.float64)
-    q2 = expit(-2.0 / eta - 2.0 * sz * score(z))
-    prop = BitState(z.bits ^ _pack_flips(rng.random(d) < q2), d)
-    if prop.bits == x.bits:
-        return StepOutcome(x, True, prop, auxiliary=z)
-    moved = x.signs().astype(np.float64) - prop.signs().astype(np.float64)
-    log_a = model.log_weight(prop) - model.log_weight(x) + float(moved @ score(z))
-    accepted = log_a >= 0.0 or rng.random() < math.exp(log_a)
-    return StepOutcome(prop if accepted else x, accepted, prop, auxiliary=z)
+    return _step_once(model, "dmaps", score, x, eta, rng)
 
 
 def _dmaps_flux(model: TargetModel, score: ScoreField, eta: float) -> np.ndarray:
@@ -404,3 +351,149 @@ def prox_exact_matrix(model: TargetModel, eta: float) -> KernelMatrix:
     v /= v.sum(axis=1, keepdims=True)
     stage1 = np.exp(_stage_one_log_kernel(model.dim, eta))
     return KernelMatrix(stage1 @ v, eta, "prox")
+
+
+# ---------------------------------------------------------------------------
+# batched steps
+
+
+class Stepper:
+    """One sampler's transition, applied to a whole batch of states at once.
+
+    States carry any leading batch shape. A step reads a `(..., m)` block of
+    uniforms on [0, 1), with m = `uniforms_per_step` fixed per sampler:
+    gibbs 1, dula d, dmala d + 1, dups 2d, dmaps 2d + 1; the two leading
+    shapes broadcast, so one state with n rows of uniforms makes n draws.
+    With `tables=True` states are packed int64 words and every per-state
+    quantity is read from a table over all 2^d states; otherwise states are
+    float arrays of +-1 coordinates, shaped (..., d), and the same
+    quantities come from the model's closed forms at any dimension.
+
+    `prepare(u)` turns a block of uniforms into step operands, doing the
+    path-independent work (stage-one flips, logs of acceptance uniforms) for
+    the whole block at once; `step(states, *operands)` returns
+    `(next, accepted, proposal, auxiliary)`.
+    """
+
+    def __init__(self, model: TargetModel, sampler: str, score: ScoreField | None,
+                 eta: float, tables: bool):
+        _check_eta(eta)
+        d = model.dim
+        if sampler == "gibbs":
+            self.h = _gibbs_step_size(model, eta)
+            score = ScoreField(model, "glauber")
+        elif score is None:
+            raise ParameterError(f"sampler {sampler!r} needs a score field")
+        self.uniforms_per_step = {"gibbs": 1, "dula": d, "dmala": d + 1,
+                                  "dups": 2 * d, "dmaps": 2 * d + 1}[sampler]
+        self.sampler = sampler
+        self.dim = d
+        self.eta = eta
+        self.model = model
+        self.step = getattr(self, "_" + sampler)
+        if tables:
+            signs = all_signs(d).astype(np.float64)
+            features = self._features(signs, score.table())
+            # every feature of a state sits in one table row, read by a single take
+            self._table = np.hstack([f.reshape(len(signs), -1) for f in features])
+            widths = [f[0].size for f in features]
+            starts = np.cumsum([0] + widths)
+            self._columns = [slice(a, a + w) if f.ndim == 2 else a
+                             for f, a, w in zip(features, starts, widths)]
+            pow2 = np.int64(1) << np.arange(d, dtype=np.int64)
+            self._at = self._table_row
+            self._log_weight = model.log_weight_signs(signs).__getitem__
+            self._pack = lambda flips: flips @ pow2
+            self._flip = operator.xor
+            # np.where is slow on the scalar states of a single chain
+            self._select = lambda ok, new, old: (np.where(ok, new, old) if ok.ndim
+                                                 else new if ok else old)
+        else:
+            self._at = lambda x: self._features(x, score.signs(x))
+            self._log_weight = model.log_weight_signs
+            self._pack = lambda flips: flips
+            self._flip = lambda x, flips: np.where(flips, -x, x)
+            self._select = lambda ok, new, old: np.where(ok[..., None], new, old)
+
+    def _table_row(self, k):
+        row = self._table.take(k, axis=0)
+        return [row[..., c] for c in self._columns]
+
+    def _features(self, signs: np.ndarray, score: np.ndarray) -> tuple:
+        """The per-state arrays a step reads, for (..., d) signs and their scores."""
+        tilt = signs * score
+        if self.sampler == "gibbs":
+            cum = np.cumsum(self.h * expit(-2.0 * tilt), axis=-1)
+            # with a leading 0, the flipped coordinate is where `cum <= u` turns false
+            return (np.concatenate([np.zeros_like(cum[..., :1]), cum], axis=-1),)
+        if self.sampler == "dula":
+            return (expit(-2.0 / self.eta - tilt),)
+        if self.sampler == "dmala":
+            # per coordinate log q - log(1 - q) is the logit, so a proposal's log
+            # probability is sum_i log(1 - q_i) + flips . logit
+            logit = -2.0 / self.eta - tilt
+            base = self.model.log_weight_signs(signs) + log_expit(-logit).sum(axis=-1)
+            return expit(logit), logit, base
+        q2 = expit(-2.0 / self.eta - 2.0 * tilt)
+        return (q2,) if self.sampler == "dups" else (q2, 2.0 * tilt)
+
+    def prepare(self, u: np.ndarray) -> tuple:
+        """Step operands from `(..., m)` uniforms, with the same leading shape."""
+        d = self.dim
+        if self.sampler in ("gibbs", "dula"):
+            return (u,)
+        with np.errstate(divide="ignore"):
+            log_accept = np.log(u[..., -1])
+        if self.sampler == "dmala":
+            return u[..., :d], log_accept
+        flips1 = u[..., :d] < _stage_one_flip_prob(self.eta)
+        if self.sampler == "dups":
+            return self._pack(flips1), u[..., d:]
+        return self._pack(flips1), flips1.astype(np.float64), u[..., d:2 * d], log_accept
+
+    def _gibbs(self, x, u):
+        (cum,) = self._at(x)
+        below = cum <= u
+        nxt = self._flip(x, self._pack(below[..., :-1] ^ below[..., 1:]))
+        return nxt, True, nxt, None
+
+    def _dula(self, x, u):
+        (q,) = self._at(x)
+        nxt = self._flip(x, self._pack(u < q))
+        return nxt, True, nxt, None
+
+    def _dmala(self, x, u, log_u):
+        q, logit, base = self._at(x)
+        flips = u < q
+        prop = self._flip(x, self._pack(flips))
+        _, logit_rev, base_rev = self._at(prop)
+        ok = log_u < base_rev - base + np.vecdot(flips, logit_rev - logit)
+        return self._select(ok, prop, x), ok, prop, None
+
+    def _dups(self, x, word1, u):
+        z = self._flip(x, word1)
+        (q2,) = self._at(z)
+        nxt = self._flip(z, self._pack(u < q2))
+        return nxt, True, nxt, z
+
+    def _dmaps(self, x, word1, flips1, u, log_u):
+        z = self._flip(x, word1)
+        q2, tilt2 = self._at(z)
+        flips2 = u < q2
+        prop = self._flip(z, self._pack(flips2))
+        # x - prop = 2 z (flips2 - flips1), so (x - prop) . s(z) needs no signs of x
+        log_a = (self._log_weight(prop) - self._log_weight(x)
+                 + np.vecdot(flips2 - flips1, tilt2))
+        ok = log_u < log_a
+        return self._select(ok, prop, x), ok, prop, z
+
+
+def _step_once(model: TargetModel, sampler: str, score: ScoreField | None, x: BitState,
+               eta: float, rng: np.random.Generator) -> StepOutcome:
+    """One step from x through the closed-form stepper, on fresh uniforms."""
+    _check_state(model, x)
+    st = Stepper(model, sampler, score, eta, tables=False)
+    u = rng.random(st.uniforms_per_step)
+    nxt, ok, prop, aux = st.step(x.signs().astype(np.float64), *st.prepare(u))
+    return StepOutcome(BitState.from_signs(nxt), bool(ok), BitState.from_signs(prop),
+                       None if aux is None else BitState.from_signs(aux))

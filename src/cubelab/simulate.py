@@ -1,13 +1,19 @@
 """Seeded Monte Carlo chain runner with streaming estimators.
 
-Dimensions up to `TABLE_DIM_CAP` run on packed integer states against
-precomputed per-state tables (the hot path for the simulation/matrix
-consistency checks); beyond that, states are +-1 coordinate vectors and
-scores are evaluated per step from the model's closed forms.
+All chains of a run advance in lockstep, one batched `kernels.Stepper` step
+at a time. Dimensions up to `TABLE_DIM_CAP` run on packed integer states
+against precomputed per-state tables (the hot path for the
+simulation/matrix consistency checks); beyond that, states are +-1
+coordinate vectors and scores are evaluated per step from the model's
+closed forms.
 
 Chains are reproducible: the 64-bit config seed feeds a numpy SeedSequence
 whose spawned children, one per chain index, drive independent PCG64
-generators. Identical config and seed give identical estimators.
+generators. Each chain draws its initial state and then a fixed number of
+uniforms per step (gibbs 1, dula d, dmala d + 1, dups 2d, dmaps 2d + 1)
+from its own generator only, in blocks of whole steps, so its path does not
+depend on how many chains run beside it. Identical config and seed give
+identical estimators.
 """
 
 from __future__ import annotations
@@ -18,11 +24,11 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import ParameterError
+from .kernels import Stepper
 from .models import TargetModel
-from .scores import SCORE_KINDS, score_signs, tabulate_scores
+from .scores import SCORE_KINDS, ScoreField
 from .statespace import BitState, all_signs
 
 TABLE_DIM_CAP = 12
@@ -88,213 +94,110 @@ class SimResult:
     steps_per_second: float = 0.0
 
 
-class _TableStepper:
-    """Per-state tables and scalar steps for packed integer states."""
-
-    def __init__(self, model: TargetModel, sampler: str, score: str | None, eta: float):
-        d = model.dim
-        self.d = d
-        self.sampler = sampler
-        signs = all_signs(d).astype(np.float64)
-        self.signs = signs
-        self.pow2 = (np.int64(1) << np.arange(d, dtype=np.int64))
-        self.row_sum = signs.sum(axis=1)
-        self.plus = (signs > 0)
-        if sampler == "gibbs":
-            g = tabulate_scores(model, "glauber")
-            h = math.exp(-2.0 / eta)
-            self.cum = np.cumsum(h * expit(-2.0 * signs * g), axis=1)
-        else:
-            tab = tabulate_scores(model, score)
-            self.tab = tab
-            if sampler in ("dula", "dmala"):
-                self.q = expit(-2.0 / eta - signs * tab)
-            else:
-                self.a = float(expit(-2.0 / eta))
-                self.q2 = expit(-2.0 / eta - 2.0 * signs * tab)
-            if sampler in ("dmala", "dmaps"):
-                self.lw = model.log_weight_signs(signs)
-            if sampler == "dmala":
-                with np.errstate(divide="ignore"):
-                    self.logq = np.log(self.q)
-                    self.log1mq = np.log1p(-self.q)
-
-    def initial(self, rng: np.random.Generator) -> int:
-        return int(rng.integers(0, 1 << self.d))
-
-    def step(self, k: int, rng: np.random.Generator) -> tuple[int, bool]:
-        if self.sampler == "gibbs":
-            i = int(np.searchsorted(self.cum[k], rng.random(), side="right"))
-            return (k ^ (1 << i), True) if i < self.d else (k, True)
-        if self.sampler == "dula":
-            word = int((rng.random(self.d) < self.q[k]) @ self.pow2)
-            return k ^ word, True
-        if self.sampler == "dmala":
-            flips = rng.random(self.d) < self.q[k]
-            word = int(flips @ self.pow2)
-            if word == 0:
-                return k, True
-            k2 = k ^ word
-            log_fwd = np.where(flips, self.logq[k], self.log1mq[k]).sum()
-            log_rev = np.where(flips, self.logq[k2], self.log1mq[k2]).sum()
-            log_a = self.lw[k2] - self.lw[k] + log_rev - log_fwd
-            if log_a >= 0.0 or rng.random() < math.exp(log_a):
-                return k2, True
-            return k, False
-        # two-stage samplers
-        z = k ^ int((rng.random(self.d) < self.a) @ self.pow2)
-        k2 = z ^ int((rng.random(self.d) < self.q2[z]) @ self.pow2)
-        if self.sampler == "dups":
-            return k2, True
-        if k2 == k:
-            return k, True
-        log_a = self.lw[k2] - self.lw[k] + (self.signs[k] - self.signs[k2]) @ self.tab[z]
-        if log_a >= 0.0 or rng.random() < math.exp(log_a):
-            return k2, True
-        return k, False
-
-    def magnetization_sum(self, k: int) -> float:
-        return float(self.row_sum[k])
-
-    def plus_mask(self, k: int) -> np.ndarray:
-        return self.plus[k]
-
-    def pack(self, k: int) -> int:
-        return k
+# uniforms each chain draws per block of `run_chain`; bounds memory at any d
+_UNIFORM_BLOCK = 1 << 14
 
 
-class _VectorStepper:
-    """Per-step score evaluation on +-1 coordinate vectors, for large d."""
-
-    def __init__(self, model: TargetModel, sampler: str, score: str | None, eta: float):
-        self.model = model
-        self.sampler = sampler
-        self.score = score
-        self.eta = eta
-        self.d = model.dim
-        self.h = math.exp(-2.0 / eta)
-        self.a = float(expit(-2.0 / eta))
-
-    def initial(self, rng: np.random.Generator) -> np.ndarray:
-        return (rng.integers(0, 2, self.d) * 2 - 1).astype(np.float64)
-
-    def _flip_probs(self, x: np.ndarray, doubled: bool) -> np.ndarray:
-        s = score_signs(self.model, self.score, x)
-        scale = 2.0 if doubled else 1.0
-        return expit(-2.0 / self.eta - scale * x * s)
-
-    def step(self, x: np.ndarray, rng: np.random.Generator) -> tuple[np.ndarray, bool]:
-        m = self.model
-        if self.sampler == "gibbs":
-            g = m.glauber_score_signs(x)
-            cum = np.cumsum(self.h * expit(-2.0 * x * g))
-            i = int(np.searchsorted(cum, rng.random(), side="right"))
-            if i < self.d:
-                x = x.copy()
-                x[i] = -x[i]
-            return x, True
-        if self.sampler in ("dula", "dmala"):
-            q = self._flip_probs(x, doubled=False)
-            flips = rng.random(self.d) < q
-            prop = np.where(flips, -x, x)
-            if self.sampler == "dula":
-                return prop, True
-            if not flips.any():
-                return x, True
-            with np.errstate(divide="ignore"):
-                log_fwd = np.where(flips, np.log(q), np.log1p(-q)).sum()
-                q_rev = self._flip_probs(prop, doubled=False)
-                log_rev = np.where(flips, np.log(q_rev), np.log1p(-q_rev)).sum()
-            log_a = float(m.log_weight_signs(prop) - m.log_weight_signs(x)
-                          + log_rev - log_fwd)
-            if log_a >= 0.0 or rng.random() < math.exp(log_a):
-                return prop, True
-            return x, False
-        z = np.where(rng.random(self.d) < self.a, -x, x)
-        prop = np.where(rng.random(self.d) < self._flip_probs(z, doubled=True), -z, z)
-        if self.sampler == "dups":
-            return prop, True
-        if np.array_equal(prop, x):
-            return x, True
-        sz = score_signs(self.model, self.score, z)
-        log_a = float(m.log_weight_signs(prop) - m.log_weight_signs(x) + (x - prop) @ sz)
-        if log_a >= 0.0 or rng.random() < math.exp(log_a):
-            return prop, True
-        return x, False
-
-    def magnetization_sum(self, x: np.ndarray) -> float:
-        return float(x.sum())
-
-    def plus_mask(self, x: np.ndarray) -> np.ndarray:
-        return x > 0
-
-    def pack(self, x: np.ndarray) -> int:
-        word = 0
-        for i in np.flatnonzero(x > 0):
-            word |= 1 << int(i)
-        return word
+def _stepper(model: TargetModel, sampler: str, score: str | None, eta: float,
+             tables: bool) -> Stepper:
+    field = None if sampler == "gibbs" else ScoreField(model, score)
+    return Stepper(model, sampler, field, eta, tables)
 
 
 def run_chain(cfg: ChainConfig, dump_path: str | None = None) -> SimResult:
-    """Run every chain of the config and return streaming estimators.
+    """Run every chain of the config in lockstep and return streaming estimators.
 
     With `dump_path`, each retained sample is also written as a CSV row
     (chain, step, packed state as hex, magnetization); meant for small runs.
     """
     d = cfg.model.dim
+    chains = cfg.chains
     table_mode = d <= TABLE_DIM_CAP
-    stepper = (_TableStepper if table_mode else _VectorStepper)(
-        cfg.model, cfg.sampler, cfg.score, cfg.eta)
+    st = _stepper(cfg.model, cfg.sampler, cfg.score, cfg.eta, table_mode)
+    m = st.uniforms_per_step
+    block = max(1, _UNIFORM_BLOCK // m)
     retained_per_chain = 1 + (cfg.steps - cfg.burn_in - 1) // cfg.thinning
 
-    mean_mag = np.zeros(cfg.chains)
-    marginals = np.zeros((cfg.chains, d))
-    hist = np.zeros((cfg.chains, d + 1), dtype=np.int64)
-    acc_frac = np.zeros(cfg.chains)
-    counts = np.zeros((cfg.chains, 1 << d), dtype=np.int64) if table_mode else None
-    dump_rows = [] if dump_path is not None else None
-
     started = time.perf_counter()
-    children = np.random.SeedSequence(cfg.seed).spawn(cfg.chains)
-    for c in range(cfg.chains):
-        rng = np.random.default_rng(children[c])
-        state = stepper.initial(rng)
-        accepted = 0
-        mag_acc = 0.0
-        for t in range(cfg.steps):
-            state, ok = stepper.step(state, rng)
-            accepted += ok
-            if t >= cfg.burn_in and (t - cfg.burn_in) % cfg.thinning == 0:
-                s = stepper.magnetization_sum(state)
-                mag_acc += s
-                marginals[c] += stepper.plus_mask(state)
-                hist[c, int(round((s + d) / 2))] += 1
-                if counts is not None:
-                    counts[c, state] += 1
-                if dump_rows is not None:
-                    dump_rows.append((c, t, f"{stepper.pack(state):x}", s / d))
-        mean_mag[c] = mag_acc / (retained_per_chain * d)
-        acc_frac[c] = accepted / cfg.steps
-    marginals /= retained_per_chain
+    rngs = [np.random.default_rng(child)
+            for child in np.random.SeedSequence(cfg.seed).spawn(chains)]
+    if table_mode:
+        states = np.array([rng.integers(0, 1 << d) for rng in rngs], dtype=np.int64)
+        counts = np.zeros((chains, 1 << d), dtype=np.int64)
+    else:
+        states = np.array([rng.integers(0, 2, d) * 2 - 1 for rng in rngs], dtype=np.float64)
+        plus_counts = np.zeros((chains, d), dtype=np.int64)
+        hist = np.zeros((chains, d + 1), dtype=np.int64)
+    # a single chain steps on unbatched states, whose table reads are cheaper
+    if chains == 1:
+        states = states[0]
+    trace = np.empty((block,) + states.shape, dtype=states.dtype)
+    oks = np.empty((block, chains), dtype=bool)
+    accepted = np.zeros(chains, dtype=np.int64)
+    dumped = [] if dump_path is not None else None
+
+    for t0 in range(0, cfg.steps, block):
+        n = min(block, cfg.steps - t0)
+        u = np.stack([rng.random((n, m)) for rng in rngs], axis=1)
+        for t, operands in enumerate(zip(*st.prepare(u[:, 0] if chains == 1 else u))):
+            states, ok, _, _ = st.step(states, *operands)
+            trace[t] = states
+            oks[t] = ok
+        accepted += oks[:n].sum(axis=0)
+        steps = np.arange(t0, t0 + n)
+        steps = steps[(steps >= cfg.burn_in) & ((steps - cfg.burn_in) % cfg.thinning == 0)]
+        kept = trace[steps - t0].reshape(steps.size, chains, *([] if table_mode else [d]))
+        if table_mode:
+            counts += np.bincount((kept + (np.arange(chains) << d)).ravel(),
+                                  minlength=chains << d).reshape(chains, 1 << d)
+        else:
+            kept = kept > 0
+            plus_counts += kept.sum(axis=0)
+            hist += np.bincount((kept.sum(axis=2) + (d + 1) * np.arange(chains)).ravel(),
+                                minlength=chains * (d + 1)).reshape(chains, d + 1)
+        if dumped is not None:
+            dumped.append((steps, kept))
+
+    if table_mode:
+        plus_table = all_signs(d) > 0
+        plus_counts = counts @ plus_table
+        hist = counts @ (plus_table.sum(axis=1)[:, None] == np.arange(d + 1))
+    magnetization = hist @ (2 * np.arange(d + 1) - d)
     elapsed = time.perf_counter() - started
 
-    if dump_rows is not None:
-        with open(dump_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["chain", "step", "state", "magnetization"])
-            writer.writerows(dump_rows)
+    if dumped is not None:
+        _write_dump(dump_path, dumped, d)
 
-    total_steps = cfg.steps * cfg.chains
+    total_steps = cfg.steps * chains
     return SimResult(
-        dim=d, retained=retained_per_chain, mean_magnetization=mean_mag,
-        marginals=marginals, magnetization_histogram=hist,
-        acceptance_fraction=acc_frac, state_counts=counts,
+        dim=d, retained=retained_per_chain,
+        mean_magnetization=magnetization / (retained_per_chain * d),
+        marginals=plus_counts / retained_per_chain, magnetization_histogram=hist,
+        acceptance_fraction=accepted / cfg.steps,
+        state_counts=counts if table_mode else None,
         elapsed_seconds=elapsed,
         steps_per_second=total_steps / elapsed if elapsed > 0 else math.inf)
 
 
-# draws per block of `sample_transitions`; bounds its (block, d) temporaries
-_DRAW_BLOCK = 65_536
+def _write_dump(path: str, dumped: list, d: int) -> None:
+    """Retained samples in chain-major order, from (steps, states) blocks whose
+    states are packed words or masks of the +1 coordinates."""
+    steps = np.concatenate([s for s, _ in dumped])
+    kept = np.concatenate([k for _, k in dumped])
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["chain", "step", "state", "magnetization"])
+        for c in range(kept.shape[1]):
+            for t, state in zip(steps.tolist(), kept[:, c]):
+                word = int(state) if state.ndim == 0 else int.from_bytes(
+                    np.packbits(state, bitorder="little").tobytes(), "little")
+                writer.writerow((c, t, f"{word:x}", (2 * word.bit_count() - d) / d))
+
+
+# draws per block of `sample_transitions`; a block holds all m uniforms of
+# each draw plus per-draw table rows, and this size keeps those temporaries
+# within ~10 MB at d = 10
+_DRAW_BLOCK = 16_384
 
 
 def sample_transitions(model: TargetModel, sampler: str, score: str | None,
@@ -302,47 +205,21 @@ def sample_transitions(model: TargetModel, sampler: str, score: str | None,
                        rng: np.random.Generator) -> np.ndarray:
     """n independent one-step draws from a fixed state, as next-state indices.
 
-    Vectorized across draws (there is no sequential dependence), which is
-    what makes million-sample kernel-row checks affordable. Draws are made
-    in blocks of `_DRAW_BLOCK`, so memory stays flat in n. Table
-    dimensions only.
+    All draws are one batched step from x (there is no sequential
+    dependence), which is what makes million-sample kernel-row checks
+    affordable. Draws are made in blocks of `_DRAW_BLOCK`, so memory stays
+    flat in n. Table dimensions only.
     """
     d = model.dim
     if d > TABLE_DIM_CAP:
         raise ParameterError(f"transition sampling capped at d <= {TABLE_DIM_CAP}")
     if x.dim != d:
         raise ValueError("state dimension does not match the model")
-    st = _TableStepper(model, sampler, score, eta)
-    return np.concatenate([_transition_block(st, x.bits, min(_DRAW_BLOCK, n - start), rng)
-                           for start in range(0, max(n, 1), _DRAW_BLOCK)])
-
-
-def _transition_block(st: _TableStepper, k: int, n: int,
-                      rng: np.random.Generator) -> np.ndarray:
-    """n one-step draws from state k, drawing uniforms in the order an
-    unblocked call of that size would."""
-    d = st.d
-    sampler = st.sampler
-    if sampler == "gibbs":
-        flip_words = np.concatenate([st.pow2, [np.int64(0)]])
-        i = np.searchsorted(st.cum[k], rng.random(n), side="right")
-        return k ^ flip_words[i]
-    if sampler in ("dula", "dmala"):
-        flips = rng.random((n, d)) < st.q[k]
-        nxt = k ^ (flips @ st.pow2)
-        if sampler == "dula":
-            return nxt
-        log_fwd = np.where(flips, st.logq[k], st.log1mq[k]).sum(axis=1)
-        log_rev = np.where(flips, st.logq[nxt], st.log1mq[nxt]).sum(axis=1)
-        log_a = st.lw[nxt] - st.lw[k] + log_rev - log_fwd
-        accept = np.log(rng.random(n)) < log_a
-        return np.where(accept, nxt, k)
-    z = k ^ ((rng.random((n, d)) < st.a) @ st.pow2)
-    flips2 = rng.random((n, d)) < st.q2[z]
-    nxt = z ^ (flips2 @ st.pow2)
-    if sampler == "dups":
-        return nxt
-    moved = st.signs[k][None, :] - st.signs[nxt]
-    log_a = st.lw[nxt] - st.lw[k] + (moved * st.tab[z]).sum(axis=1)
-    accept = np.log(rng.random(n)) < log_a
-    return np.where(accept, nxt, k)
+    st = _stepper(model, sampler, score, eta, tables=True)
+    out = []
+    for start in range(0, max(n, 1), _DRAW_BLOCK):
+        size = min(_DRAW_BLOCK, n - start)
+        u = rng.random((size, st.uniforms_per_step))
+        # one state against a block of uniforms broadcasts to a block of draws
+        out.append(st.step(np.int64(x.bits), *st.prepare(u))[0])
+    return np.concatenate(out)

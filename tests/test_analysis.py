@@ -266,6 +266,9 @@ def test_dups_kappa_closed_form_on_bits(eta):
     for kind in ("stein", "glauber"):
         cert = contraction_certificate(dups_matrix(model, ScoreField(model, kind), eta))
         assert cert.kappa == pytest.approx(closed, abs=1e-12)
+        # every adjacent pair ties in real arithmetic: the witness is the first
+        assert cert.kappa == cert.pair_values.max()
+        assert cert.witness == tuple(cert.pairs[0])
 
 
 # ---------------------------------------------------------------------------

@@ -79,6 +79,29 @@ def test_analyze_json_solves_stationary_once(tmp_path, capsys, monkeypatch):
     assert len(calls) == 1
 
 
+def test_analyze_reports_stationary_fallback(capsys, monkeypatch):
+    from cubelab import analysis
+    from cubelab.errors import NumericalError
+
+    args = ["analyze", "--model", "bits", "--beta", "0.5", "--dim", "3",
+            "--sampler", "dmala", "--score", "glauber", "--eta", "0.5"]
+    code, solved, err = run_cli(capsys, *args)
+    assert code == 0 and err == ""
+    solve = analysis.stationary
+
+    def stalled(kernel, *a, **kw):
+        error = NumericalError("stationary iteration stalled", residual=2.5e-11)
+        error.best = solve(kernel, *a, **kw)
+        raise error
+
+    monkeypatch.setattr(analysis, "stationary", stalled)
+    code, fallback, err = run_cli(capsys, *args)
+    assert code == 0
+    assert fallback == solved
+    assert len(err.splitlines()) == 1
+    assert "best iterate" in err and "2.500e-11" in err
+
+
 def test_sweep_rows_and_gibbs_score_column(tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     code, _, _ = run_cli(capsys, "sweep", "--model", "bits", "--beta", "0.3",
@@ -183,23 +206,30 @@ def test_capability_error_exit_code(capsys):
 
 
 def test_simulate_csv(tmp_path, capsys):
-    out = tmp_path / "chains.csv"
+    out, dump = tmp_path / "chains.csv", tmp_path / "dump.csv"
     args = ["simulate", "--model", "curieweiss", "--beta", "0.2", "--b", "0",
             "--dim", "4", "--sampler", "dmaps", "--score", "glauber",
             "--eta", "0.5", "--steps", "2000", "--burn-in", "100",
-            "--thin", "4", "--chains", "3", "--seed", "5", "--out", str(out)]
+            "--thin", "4", "--chains", "3", "--seed", "5", "--out", str(out),
+            "--dump", str(dump)]
     assert run_cli(capsys, *args)[0] == 0
     with open(out) as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == 3
     assert set(rows[0]) >= {"chain", "retained", "mean_magnetization",
                             "acceptance_fraction", "marginal_0", "hist_0"}
-    first = out.read_bytes()
+    first, first_dump = out.read_bytes(), dump.read_bytes()
     assert run_cli(capsys, *args)[0] == 0
     assert out.read_bytes() == first
+    assert dump.read_bytes() == first_dump
 
 
 def test_ctmc_csv(tmp_path, capsys):
+    from cubelab.cli import _fmt
+    from cubelab.ctmc import ctmc_simulate, glauber_rates
+    from cubelab.models import IndependentBits
+    from cubelab.statespace import BitState
+
     out = tmp_path / "traj.csv"
     args = ["ctmc", "--model", "bits", "--beta", "0.3", "--dim", "3",
             "--horizon", "25", "--seed", "11", "--out", str(out)]
@@ -211,6 +241,17 @@ def test_ctmc_csv(tmp_path, capsys):
     assert times == sorted(times) and times[-1] <= 25.0
     for r in rows:
         assert 0 <= int(r["state"], 16) < 8
+    # the file equals the one written from each state's own signs
+    rng = np.random.default_rng(11)
+    x0 = BitState(int(rng.integers(0, 8)), 3)
+    traj = ctmc_simulate(glauber_rates(IndependentBits(0.3, 3)), x0, 25.0, rng)
+    lines = ["time,state,magnetization"]
+    for j, t in enumerate([0.0, *traj.times]):
+        state = traj.state_at(j)
+        lines.append(f"{_fmt(float(t))},{state.bits:x},"
+                     f"{_fmt(float(state.signs().sum()) / 3)}")
+    assert any(float(r["magnetization"]) < 0 for r in rows)
+    assert out.read_text() == "\n".join(lines) + "\n"
 
 
 def test_bounds_output(capsys):

@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
+from cubelab import kernels, simulate
 from cubelab.errors import ParameterError
-from cubelab.kernels import dula_matrix, gibbs_matrix
+from cubelab.kernels import Stepper, dula_matrix, gibbs_matrix
 from cubelab.models import BitsMixture, CurieWeiss, IndependentBits, IsingGrid, exact_target
 from cubelab.scores import ScoreField
-from cubelab.simulate import ChainConfig, _VectorStepper, run_chain, sample_transitions
+from cubelab.simulate import ChainConfig, run_chain, sample_transitions
 from cubelab.statespace import state_of
 
 
@@ -34,6 +35,30 @@ def test_different_seed_differs():
     a = run_chain(_cfg())
     b = run_chain(_cfg(seed=43))
     assert not np.array_equal(a.state_counts, b.state_counts)
+
+
+@pytest.mark.parametrize("sampler,score", [
+    ("gibbs", None), ("dula", "glauber"), ("dmala", "glauber"), ("dups", "stein"),
+    ("dmaps", "glauber")])
+@pytest.mark.parametrize("dim", [4, 16], ids=["table", "vector"])
+def test_chains_are_separate_substreams(sampler, score, dim):
+    """Chain c draws only from substream c, so the first chains of a larger
+    run reproduce a smaller run bit for bit; a single chain, which steps on
+    unbatched states, included."""
+    def run(chains):
+        return run_chain(_cfg(model=CurieWeiss(0.1, 0.5, dim), sampler=sampler,
+                              score=score, eta=0.45, steps=1500, burn_in=100,
+                              chains=chains))
+
+    runs = {c: run(c) for c in (4, 2, 1)}
+    for c in (2, 1):
+        for field in ("mean_magnetization", "marginals", "magnetization_histogram",
+                      "acceptance_fraction", "state_counts"):
+            big, small = getattr(runs[4], field), getattr(runs[c], field)
+            if small is None:
+                assert big is None and dim > 12
+            else:
+                np.testing.assert_array_equal(big[:c], small, err_msg=field)
 
 
 def test_uniform_target_marginals():
@@ -110,25 +135,25 @@ def test_state_occupancy_matches_stationary():
     assert (np.abs(freq - pi) <= 4 * sigma + 1e-12).all(), np.abs(freq - pi) / sigma
 
 
-def test_vector_stepper_matches_kernel_row():
-    """The large-dimension path must realize the same one-step law."""
-    from cubelab.kernels import dups_matrix
-
-    model = CurieWeiss(0.2, 0.0, 4)
+@pytest.mark.parametrize("sampler,score", [
+    ("gibbs", None), ("dula", "glauber"), ("dmala", "gibbs"), ("dups", "glauber"),
+    ("dmaps", "stein")])
+def test_closed_form_step_matches_kernel_row(sampler, score):
+    """The large-dimension path, run at d=4, must realize the dense kernel row."""
+    model = CurieWeiss(0.2, 0.1, 4)
     eta = 0.6
-    stepper = _VectorStepper(model, "dups", "glauber", eta)
-    row = dups_matrix(model, ScoreField(model, "glauber"), eta).probs[9]
-    rng = np.random.default_rng(17)
-    start = state_of(9, 4).signs().astype(np.float64)
-    counts = np.zeros(16)
-    n = 20000
-    for _ in range(n):
-        nxt, ok = stepper.step(start, rng)
-        assert ok
-        counts[stepper.pack(nxt)] += 1
-    freq = counts / n
+    field = None if score is None else ScoreField(model, score)
+    kernel = (gibbs_matrix(model, eta) if sampler == "gibbs" else
+              getattr(kernels, f"{sampler}_matrix")(model, field, eta))
+    row = kernel.probs[9]
+    st = Stepper(model, sampler, field, eta, tables=False)
+    n = 40_000
+    start = np.tile(state_of(9, 4).signs().astype(np.float64), (n, 1))
+    u = np.random.default_rng(17).random((n, st.uniforms_per_step))
+    nxt = st.step(start, *st.prepare(u))[0]
+    freq = np.bincount((nxt > 0) @ (1 << np.arange(4)), minlength=16) / n
     sigma = np.sqrt(row * (1 - row) / n)
-    assert (np.abs(freq - row) <= 5 * sigma + 1e-12).all()
+    assert (np.abs(freq - row) <= 5 * sigma + 1e-12).all(), (freq, row)
 
 
 def test_sample_transitions_matches_row():
@@ -146,9 +171,9 @@ def test_sample_transitions_matches_row():
     ("gibbs", None), ("dula", "glauber"), ("dmala", "glauber"), ("dups", "stein"),
     ("dmaps", "glauber")])
 def test_sample_transitions_across_blocks(sampler, score):
-    # one draw past the first block of 65,536
+    # one draw past the first block
     model = BitsMixture(0.4, 4)
-    n = 65_537
+    n = simulate._DRAW_BLOCK + 1
 
     def draw(count):
         return sample_transitions(model, sampler, score, 0.5, state_of(6, 4), count,
