@@ -31,6 +31,13 @@ CONTRACTION_DIM_CAP = 8
 # the full-sum Metropolis reference enumerates 2^d auxiliary states per pair
 MH_ORACLE_DIM_CAP = 6
 DIRECT_SOLVE_DIM_CAP = 6
+# `stationary` stops once || pi t - pi ||_1 is below this, squaring the
+# kernel at most this many times
+STATIONARY_TOL = 1e-13
+STATIONARY_MAX_DOUBLINGS = 60
+# detailed-balance residual below which `spectral_summary` treats a kernel
+# as reversible
+REVERSIBILITY_TOL = 1e-10
 
 
 def _require_distribution(p: np.ndarray, name: str) -> np.ndarray:
@@ -48,8 +55,7 @@ def _require_distribution(p: np.ndarray, name: str) -> np.ndarray:
 # stationary distributions
 
 
-def stationary(kernel: KernelMatrix, tol: float = 1e-13,
-               max_doublings: int = 60) -> np.ndarray:
+def stationary(kernel: KernelMatrix) -> np.ndarray:
     """Left fixed vector of a row-stochastic kernel by power iteration.
 
     Plain iterations handle fast-mixing kernels; for sticky ones (spectral
@@ -74,10 +80,10 @@ def stationary(kernel: KernelMatrix, tol: float = 1e-13,
         if moved < 1e-16:
             break
     res = float(np.abs(pi @ t - pi).sum())
-    if res <= tol:
+    if res <= STATIONARY_TOL:
         return pi
     m = t.copy()
-    for _ in range(max_doublings):
+    for _ in range(STATIONARY_MAX_DOUBLINGS):
         m = m @ m
         m /= m.sum(axis=1, keepdims=True)  # absorb roundoff drift
         nxt = pi @ m
@@ -85,12 +91,12 @@ def stationary(kernel: KernelMatrix, tol: float = 1e-13,
         moved = float(np.abs(nxt - pi).sum())
         pi = nxt
         res = float(np.abs(pi @ t - pi).sum())
-        if res <= tol and moved < 1e-14:
+        if res <= STATIONARY_TOL and moved < 1e-14:
             return pi
-    if res <= tol:
+    if res <= STATIONARY_TOL:
         return pi
     err = NumericalError(
-        f"stationary iteration stalled at residual {res:.3e} (target {tol:.1e})",
+        f"stationary iteration stalled at residual {res:.3e} (target {STATIONARY_TOL:.1e})",
         residual=res)
     err.best = pi
     raise err
@@ -133,12 +139,11 @@ class SpectralSummary:
     reversible: bool
 
 
-def spectral_summary(kernel: KernelMatrix, pi: np.ndarray | None = None,
-                     reversibility_tol: float = 1e-10) -> SpectralSummary:
+def spectral_summary(kernel: KernelMatrix, pi: np.ndarray | None = None) -> SpectralSummary:
     """Spectral gap summary of a kernel.
 
     Kernels detected as reversible (detailed-balance residual against their
-    stationary vector below `reversibility_tol`) are symmetrized by the
+    stationary vector below `REVERSIBILITY_TOL`) are symmetrized by the
     stationary similarity transform and handed to a symmetric eigensolver;
     all others go through the dense nonsymmetric path. A unit lambda2 is
     reported with an infinite relaxation time.
@@ -147,7 +152,7 @@ def spectral_summary(kernel: KernelMatrix, pi: np.ndarray | None = None,
     if pi is None:
         pi = stationary(kernel)
     db = detailed_balance_residual(kernel, pi)
-    reversible = db <= reversibility_tol
+    reversible = db <= REVERSIBILITY_TOL
     if reversible:
         root = np.sqrt(pi)
         sym = (root[:, None] / root[None, :]) * t
@@ -636,8 +641,34 @@ class CertResult:
 FLOAT_GUARD = 1e-12
 
 
-def run_certificates(model: TargetModel, score_kind: str, eta: float,
-                     guard: float = FLOAT_GUARD) -> list[CertResult]:
+# certificate, sampler, bound, observable, dimension cap, in output order; a
+# kappa is checked against a rate of the bound report, a stationary W1 against
+# an error, the dmaps rejection mass against the dmaps rejection bound
+_CERTIFICATE_PLAN = (
+    ("gibbs_contraction", "gibbs", "gibbs", "kappa", CONTRACTION_DIM_CAP),
+    ("dula_contraction", "dula", "dula", "kappa", CONTRACTION_DIM_CAP),
+    ("dula_contraction_small_step", "dula", "dula_small_step", "kappa", CONTRACTION_DIM_CAP),
+    ("dups_contraction", "dups", "dups", "kappa", CONTRACTION_DIM_CAP),
+    ("dups_contraction_small_step", "dups", "dups_small_step", "kappa", CONTRACTION_DIM_CAP),
+    ("dula_stationary_error", "dula", "dula_small_step", "stationary_w1", _k.MAX_MATRIX_DIM),
+    ("dups_stationary_error", "dups", "dups_small_step", "stationary_w1", _k.MAX_MATRIX_DIM),
+    ("dmaps_acceptance_mass", "dmaps", "dmaps", "rejection", _k.MAX_MATRIX_DIM),
+)
+
+
+def _skip_reason(entry: BoundEntry, report: BoundReport, dim_cap: int) -> str:
+    """Why a bound cannot be checked for the report's configuration, or ""."""
+    if entry.required_score not in (None, report.score_kind):
+        return f"requires the {entry.required_score} score"
+    unmet = [c for c in entry.conditions if not report.flags[c]]
+    if unmet:
+        return "precondition unmet: " + ", ".join(unmet)
+    if report.dim > dim_cap:
+        return f"dimension {report.dim} above cap {dim_cap}"
+    return ""
+
+
+def run_certificates(model: TargetModel, score_kind: str, eta: float) -> list[CertResult]:
     """Check every bound whose preconditions hold for this configuration.
 
     Contraction certificates compare the adjacent-pair kappa of the built
@@ -645,71 +676,36 @@ def run_certificates(model: TargetModel, score_kind: str, eta: float,
     compare the exact Wasserstein distance of the kernel's stationary law to
     the target against the closed-form error. Bounds gated on a different
     score kind, a failed flag, or a dimension cap are reported as skips
-    with the reason.
+    with the reason. Each kernel and each observable is computed once.
     """
     report = bounds_report(model, score_kind, eta)
     field = ScoreField(model, score_kind)
     target = exact_target(model)
-    matrix_cache: dict[str, KernelMatrix] = {}
-    kappa_cache: dict[str, float] = {}
-
-    def matrix(sampler: str) -> KernelMatrix:
-        if sampler not in matrix_cache:
-            if sampler == "gibbs":
-                matrix_cache[sampler] = _k.gibbs_matrix(model, eta)
-            elif sampler == "dula":
-                matrix_cache[sampler] = _k.dula_matrix(model, field, eta)
-            else:
-                matrix_cache[sampler] = _k.dups_matrix(model, field, eta)
-        return matrix_cache[sampler]
-
-    def kappa(sampler: str) -> float:
-        if sampler not in kappa_cache:
-            kappa_cache[sampler] = contraction_certificate(matrix(sampler)).kappa
-        return kappa_cache[sampler]
-
+    families = {"kappa": report.rates, "stationary_w1": report.errors,
+                "rejection": {"dmaps": BoundEntry(report.dmaps_rejection, (), "stein",
+                                                  score_kind == "stein",
+                                                  report.dmaps_rejection >= 1.0)}}
+    built: dict[str, KernelMatrix] = {}
+    observed: dict[tuple[str, str], float] = {}
     results = []
-
-    def evaluate(name, sampler, entry, observe, dim_cap):
-        if entry.required_score is not None and entry.required_score != score_kind:
+    for name, sampler, bound, observable, dim_cap in _CERTIFICATE_PLAN:
+        entry = families[observable][bound]
+        reason = _skip_reason(entry, report, dim_cap)
+        if reason:
             results.append(CertResult(name, sampler, score_kind, eta, "skip",
-                                      bound=entry.value,
-                                      reason=f"requires the {entry.required_score} score"))
-            return
-        unmet = [c for c in entry.conditions if not report.flags[c]]
-        if unmet:
-            results.append(CertResult(name, sampler, score_kind, eta, "skip",
-                                      bound=entry.value,
-                                      reason="precondition unmet: " + ", ".join(unmet)))
-            return
-        if model.dim > dim_cap:
-            results.append(CertResult(name, sampler, score_kind, eta, "skip",
-                                      bound=entry.value,
-                                      reason=f"dimension {model.dim} above cap {dim_cap}"))
-            return
-        observed = observe()
-        ok = observed <= entry.value + guard
-        results.append(CertResult(name, sampler, score_kind, eta,
-                                  "pass" if ok else "fail", observed, entry.value))
-
-    evaluate("gibbs_contraction", "gibbs", report.rates["gibbs"],
-             lambda: kappa("gibbs"), CONTRACTION_DIM_CAP)
-    evaluate("dula_contraction", "dula", report.rates["dula"],
-             lambda: kappa("dula"), CONTRACTION_DIM_CAP)
-    evaluate("dula_contraction_small_step", "dula", report.rates["dula_small_step"],
-             lambda: kappa("dula"), CONTRACTION_DIM_CAP)
-    evaluate("dups_contraction", "dups", report.rates["dups"],
-             lambda: kappa("dups"), CONTRACTION_DIM_CAP)
-    evaluate("dups_contraction_small_step", "dups", report.rates["dups_small_step"],
-             lambda: kappa("dups"), CONTRACTION_DIM_CAP)
-    evaluate("dula_stationary_error", "dula", report.errors["dula_small_step"],
-             lambda: wasserstein_hamming(stationary(matrix("dula")), target),
-             _k.MAX_MATRIX_DIM)
-    evaluate("dups_stationary_error", "dups", report.errors["dups_small_step"],
-             lambda: wasserstein_hamming(stationary(matrix("dups")), target),
-             _k.MAX_MATRIX_DIM)
-    evaluate("dmaps_acceptance_mass", "dmaps",
-             BoundEntry(report.dmaps_rejection, (), "stein", score_kind == "stein",
-                        report.dmaps_rejection >= 1.0),
-             lambda: dmaps_empirical_delta(model, field, eta), _k.MAX_MATRIX_DIM)
+                                      bound=entry.value, reason=reason))
+            continue
+        key = (observable, sampler)
+        if key not in observed:
+            if observable == "rejection":
+                observed[key] = dmaps_empirical_delta(model, field, eta)
+            else:
+                if sampler not in built:
+                    built[sampler] = _k.kernel_matrix(model, sampler, field, eta)
+                observed[key] = (contraction_certificate(built[sampler]).kappa
+                                 if observable == "kappa"
+                                 else wasserstein_hamming(stationary(built[sampler]), target))
+        ok = observed[key] <= entry.value + FLOAT_GUARD
+        results.append(CertResult(name, sampler, score_kind, eta, "pass" if ok else "fail",
+                                  observed[key], entry.value))
     return results

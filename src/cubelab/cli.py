@@ -19,8 +19,9 @@ import numpy as np
 
 from . import __version__, analysis, ctmc, kernels, simulate
 from .errors import CapabilityError, NumericalError, ParameterError
-from .kernels import SAMPLER_IDS
-from .models import BitsMixture, CurieWeiss, IndependentBits, IsingGrid, TargetModel
+from .kernels import SAMPLER_IDS, SCORE_FREE, STEP_SAMPLERS
+from .models import (BitsMixture, CurieWeiss, IndependentBits, IsingGrid, TargetModel,
+                     exact_target)
 from .scores import SCORE_KINDS, ScoreField
 from .statespace import BitState
 
@@ -113,15 +114,16 @@ def _etas(args) -> list[float]:
     return [args.eta]
 
 
-def _build_kernel(model, sampler, score_kind, eta):
-    if sampler == "gibbs":
-        return kernels.gibbs_matrix(model, eta)
-    if sampler == "prox":
-        return kernels.prox_exact_matrix(model, eta)
-    field = ScoreField(model, score_kind)
-    builder = {"dula": kernels.dula_matrix, "dmala": kernels.dmala_matrix,
-               "dups": kernels.dups_matrix, "dmaps": kernels.dmaps_matrix}[sampler]
-    return builder(model, field, eta)
+def _report_columns(report: analysis.BoundReport) -> dict:
+    """A bound report as flat columns, in the order of the `bounds` CSV."""
+    row = {"beta1": report.beta1, "beta2": report.beta2,
+           "min_alignment": report.min_alignment}
+    row.update({f"flag_{k}": v for k, v in report.flags.items()})
+    row.update({f"rate_{k}": e.value for k, e in report.rates.items()})
+    row.update({f"err_{k}": e.value for k, e in report.errors.items()})
+    row.update(dmaps_lipschitz=report.dmaps_lipschitz,
+               dmaps_rejection=report.dmaps_rejection, dmaps_rate=report.dmaps_rate.value)
+    return row
 
 
 def analyze_row(model: TargetModel, sampler: str, score_kind: str | None,
@@ -132,11 +134,10 @@ def analyze_row(model: TargetModel, sampler: str, score_kind: str | None,
     The contraction factor costs one transport solve per hypercube edge and
     dominates everything else; `with_kappa=False` leaves its column empty.
     """
-    from .models import exact_target
-
-    if sampler in ("gibbs", "prox"):
+    if sampler in SCORE_FREE:
         score_kind = None
-    kernel = _build_kernel(model, sampler, score_kind, eta)
+    field = None if score_kind is None else ScoreField(model, score_kind)
+    kernel = kernels.kernel_matrix(model, sampler, field, eta)
     target = exact_target(model)
     try:
         pi = analysis.stationary(kernel)
@@ -160,33 +161,14 @@ def analyze_row(model: TargetModel, sampler: str, score_kind: str | None,
                   else ""),
         "stationary_residual": float(np.abs(pi @ kernel.probs - pi).sum()),
     }
-    report = analysis.bounds_report(model, score_kind or "glauber", eta)
-    row.update({
-        "beta1": report.beta1,
-        "beta2": report.beta2,
-        "rate_gibbs": report.rates["gibbs"].value,
-        "rate_dula": report.rates["dula"].value,
-        "rate_dula_small_step": report.rates["dula_small_step"].value,
-        "rate_dups": report.rates["dups"].value,
-        "rate_dups_small_step": report.rates["dups_small_step"].value,
-        "err_dula_small_step": report.errors["dula_small_step"].value,
-        "err_dups_small_step": report.errors["dups_small_step"].value,
-        "err_dula_static": report.errors["dula_static"].value,
-        "err_dups_static": report.errors["dups_static"].value,
-        "dmaps_lipschitz": report.dmaps_lipschitz,
-        "dmaps_rejection": report.dmaps_rejection,
-        "dmaps_rate": report.dmaps_rate.value,
-    })
-    return row, pi
+    row.update(_report_columns(analysis.bounds_report(model, score_kind or "glauber", eta)))
+    return {c: row[c] for c in ANALYZE_COLUMNS}, pi
 
 
-def _manifest(args, extra=None) -> dict:
+def _manifest(args) -> dict:
     fields = vars(args).copy()
     fields.pop("func", None)
-    manifest = {k: v for k, v in sorted(fields.items()) if v is not None}
-    if extra:
-        manifest.update(extra)
-    return manifest
+    return {k: v for k, v in sorted(fields.items()) if v is not None}
 
 
 def _versions() -> dict:
@@ -197,12 +179,14 @@ def _versions() -> dict:
             "python": ".".join(map(str, sys.version_info[:3]))}
 
 
-def _emit(args, rows, columns, payload_name):
+def _emit(args, rows, columns, payload: dict):
+    """CSV of `rows` by `columns`, or JSON of the manifest, the `payload`
+    entries and the versions, to `--out` or stdout."""
     out = getattr(args, "out", None)
     fmt = getattr(args, "format", "csv")
     if fmt == "json":
         doc = {"manifest": _jsonable(_manifest(args)),
-               payload_name: _jsonable(rows),
+               **{k: _jsonable(v) for k, v in payload.items()},
                "versions": _versions()}
         text = json.dumps(doc, indent=2) + "\n"
     else:
@@ -227,29 +211,19 @@ def cmd_analyze(args) -> int:
     if len(etas) != 1:
         raise ParameterError("analyze takes a single --eta; use sweep for grids")
     row, pi = analyze_row(model, args.sampler, args.score, etas[0])
+    payload = {"results": row}
     if getattr(args, "format", "csv") == "json":
-        from .models import exact_target
-
-        doc = {"manifest": _jsonable(_manifest(args)),
-               "results": _jsonable(row),
-               "stationary": _jsonable(pi),
-               "target": _jsonable(exact_target(model)),
-               "versions": _versions()}
-        text = json.dumps(doc, indent=2) + "\n"
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
-    else:
-        _emit(args, [row], ANALYZE_COLUMNS, "results")
+        payload.update(stationary=pi, target=exact_target(model))
+    _emit(args, [row], ANALYZE_COLUMNS, payload)
     return 0
 
 
 def _split(value: str, allowed, what: str) -> list[str]:
-    names = [v.strip() for v in value.split(",") if v.strip()]
     if value.strip() == "all":
         return list(allowed)
+    names = [v.strip() for v in value.split(",") if v.strip()]
+    if not names:
+        raise ParameterError(f"empty {what} list, expected names from {allowed} or 'all'")
     for name in names:
         if name not in allowed:
             raise ParameterError(f"unknown {what} {name!r}, expected one of {allowed}")
@@ -262,21 +236,18 @@ def cmd_sweep(args) -> int:
     samplers = _split(args.sampler, SAMPLER_IDS, "sampler")
     scores = _split(args.score, SCORE_KINDS, "score")
     with_kappa = not args.skip_kappa
-    tasks = []
-    for eta in etas:
-        for sampler in samplers:
-            if sampler in ("gibbs", "prox"):
-                tasks.append((model, sampler, None, eta, with_kappa))
-            else:
-                tasks.extend((model, sampler, kind, eta, with_kappa)
-                             for kind in scores)
+    tasks = [(model, sampler, kind, eta, with_kappa)
+             for eta in etas for sampler in samplers
+             for kind in ([None] if sampler in SCORE_FREE else scores)]
     if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        # with the fork start method the pool starts every worker at its first
+        # submit, so it gets no more workers than there are rows
+        with ProcessPoolExecutor(max_workers=min(args.jobs, len(tasks))) as pool:
             rows = list(pool.map(_sweep_task, tasks))
     else:
         rows = [_sweep_task(t) for t in tasks]
     rows.sort(key=lambda r: (r["eta"], r["sampler"], r["score"]))
-    _emit(args, rows, ANALYZE_COLUMNS, "results")
+    _emit(args, rows, ANALYZE_COLUMNS, {"results": rows})
     return 0
 
 
@@ -284,18 +255,9 @@ def cmd_check(args) -> int:
     model = build_model(args)
     etas = _etas(args)
     scores = _split(args.score, SCORE_KINDS, "score")
-    rows = []
-    failed = False
-    for eta in etas:
-        for kind in scores:
-            for cert in analysis.run_certificates(model, kind, eta):
-                rows.append({
-                    "status": cert.status.upper(), "certificate": cert.certificate,
-                    "sampler": cert.sampler, "score": cert.score or "",
-                    "eta": cert.eta, "observed": cert.observed,
-                    "bound": cert.bound, "reason": cert.reason,
-                })
-                failed |= cert.status == "fail"
+    rows = [{**vars(cert), "status": cert.status.upper(), "score": cert.score or ""}
+            for eta in etas for kind in scores
+            for cert in analysis.run_certificates(model, kind, eta)]
     for row in rows:
         obs = "" if row["observed"] is None else f" observed={_fmt(row['observed'])}"
         bnd = "" if row["bound"] is None else f" bound={_fmt(row['bound'])}"
@@ -306,30 +268,18 @@ def cmd_check(args) -> int:
         with open(args.out, "w") as fh:
             writer = csv.writer(fh)
             writer.writerow(CHECK_COLUMNS)
-            for row in rows:
-                writer.writerow([_fmt(row[c]) for c in CHECK_COLUMNS])
-    return 1 if failed else 0
+            writer.writerows([_fmt(row[c]) for c in CHECK_COLUMNS] for row in rows)
+    return 1 if any(row["status"] == "FAIL" for row in rows) else 0
 
 
 def cmd_bounds(args) -> int:
     model = build_model(args)
     etas = _etas(args)
-    rows = []
-    for eta in etas:
-        for kind in _split(args.score, SCORE_KINDS, "score"):
-            report = analysis.bounds_report(model, kind, eta)
-            row = {"eta": eta, "score": kind, "dim": report.dim,
-                   "beta1": report.beta1, "beta2": report.beta2,
-                   "min_alignment": report.min_alignment}
-            row.update({f"flag_{k}": v for k, v in report.flags.items()})
-            row.update({f"rate_{k}": e.value for k, e in report.rates.items()})
-            row.update({f"err_{k}": e.value for k, e in report.errors.items()})
-            row["dmaps_lipschitz"] = report.dmaps_lipschitz
-            row["dmaps_rejection"] = report.dmaps_rejection
-            row["dmaps_rate"] = report.dmaps_rate.value
-            rows.append(row)
-    columns = list(rows[0].keys())
-    _emit(args, rows, columns, "bounds")
+    scores = _split(args.score, SCORE_KINDS, "score")
+    rows = [{"eta": eta, "score": kind, "dim": model.dim,
+             **_report_columns(analysis.bounds_report(model, kind, eta))}
+            for eta in etas for kind in scores]
+    _emit(args, rows, list(rows[0]), {"bounds": rows})
     return 0
 
 
@@ -338,9 +288,8 @@ def cmd_simulate(args) -> int:
     etas = _etas(args)
     if len(etas) != 1:
         raise ParameterError("simulate takes a single --eta")
-    score = None if args.sampler == "gibbs" else args.score
     cfg = simulate.ChainConfig(
-        sampler=args.sampler, model=model, score=score, eta=etas[0],
+        sampler=args.sampler, model=model, score=args.score, eta=etas[0],
         steps=args.steps, burn_in=args.burn_in, thinning=args.thin,
         chains=args.chains, seed=args.seed)
     result = simulate.run_chain(cfg, dump_path=args.dump)
@@ -357,7 +306,7 @@ def cmd_simulate(args) -> int:
         row.update({f"hist_{u}": int(result.magnetization_histogram[c, u])
                     for u in range(d + 1)})
         rows.append(row)
-    _emit(args, rows, columns, "chains")
+    _emit(args, rows, columns, {"chains": rows})
     return 0
 
 
@@ -372,7 +321,7 @@ def cmd_ctmc(args) -> int:
     rows = [{"time": t, "state": f"{k:x}", "magnetization": mag}
             for t, k, mag in zip([0.0] + traj.times.tolist(), traj.states.tolist(),
                                  ((2 * plus - d) / d).tolist())]
-    _emit(args, rows, ["time", "state", "magnetization"], "trajectory")
+    _emit(args, rows, ["time", "state", "magnetization"], {"trajectory": rows})
     return 0
 
 
@@ -442,8 +391,7 @@ def make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="seeded Monte Carlo chains")
     _add_model_flags(p)
     _add_eta_flags(p)
-    p.add_argument("--sampler", required=True,
-                   choices=["gibbs", "dula", "dmala", "dups", "dmaps"])
+    p.add_argument("--sampler", required=True, choices=STEP_SAMPLERS)
     p.add_argument("--score", choices=SCORE_KINDS, default="glauber")
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--burn-in", type=int, default=0)

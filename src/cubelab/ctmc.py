@@ -17,7 +17,7 @@ import numpy as np
 from .errors import ParameterError
 from .kernels import GeneratorMatrix, KernelMatrix
 from .models import TargetModel
-from .scores import glauber_score, tabulate_scores
+from .scores import MAX_TABLE_DIM, glauber_score, tabulate_scores
 from .statespace import BitState, all_signs
 
 RateFunction = Callable[[BitState], np.ndarray]
@@ -40,15 +40,15 @@ class Trajectory:
         return BitState(int(self.states[j]), self.dim)
 
 
-def glauber_rates(model: TargetModel, tabulate: bool = True) -> RateFunction:
+def glauber_rates(model: TargetModel) -> RateFunction:
     """Per-coordinate flip rates sigma(-2 x_i g(x)_i) for the given target.
 
-    With `tabulate` (the default at small d) the rates are precomputed for
-    every state, which makes long runs cheap.
+    Up to the score-table cap the rates are precomputed for every state,
+    which makes long runs cheap; above it they are evaluated per state.
     """
     from scipy.special import expit
 
-    if tabulate and model.dim <= 16:
+    if model.dim <= MAX_TABLE_DIM:
         tab = tabulate_scores(model, "glauber")
         signs = all_signs(model.dim).astype(np.float64)
         rates = expit(-2.0 * signs * tab)

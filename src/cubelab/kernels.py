@@ -25,7 +25,8 @@ serves as the small-step reference for dups.
 
 Each sampler's step is written once, as a method of `Stepper` that moves a
 whole batch of states on pre-drawn uniforms; the `*_step` functions run it
-on a single state.
+on a single state. `kernel_matrix` is the one place that maps a sampler name
+to its dense builder.
 
 Flip probabilities are computed directly through a numerically stable
 sigmoid: eta = 0.05 already gives exp(-2/eta) ~ 4e-18, far below where
@@ -49,7 +50,11 @@ from .statespace import BitState, all_signs
 # dense kernels hold 4^d doubles: d = 12 is ~134 MB and the practical top
 MAX_MATRIX_DIM = 12
 
-SAMPLER_IDS = ("gibbs", "dula", "dmala", "dups", "dmaps", "prox")
+# samplers with a step; prox exists as a dense matrix only
+STEP_SAMPLERS = ("gibbs", "dula", "dmala", "dups", "dmaps")
+SAMPLER_IDS = STEP_SAMPLERS + ("prox",)
+# samplers built from the target alone, with no score field
+SCORE_FREE = ("gibbs", "prox")
 
 
 @dataclass(frozen=True)
@@ -353,6 +358,27 @@ def prox_exact_matrix(model: TargetModel, eta: float) -> KernelMatrix:
     return KernelMatrix(stage1 @ v, eta, "prox")
 
 
+def kernel_matrix(model: TargetModel, sampler: str, score: ScoreField | None,
+                  eta: float) -> KernelMatrix:
+    """The dense kernel of any sampler in `SAMPLER_IDS`.
+
+    `score` is ignored for the `SCORE_FREE` samplers and required otherwise.
+    """
+    if sampler == "gibbs":
+        return gibbs_matrix(model, eta)
+    if sampler == "prox":
+        return prox_exact_matrix(model, eta)
+    # looked up per call, so that a builder replaced at run time (by a tracer
+    # or a test) is the one called
+    builders = {"dula": dula_matrix, "dmala": dmala_matrix, "dups": dups_matrix,
+                "dmaps": dmaps_matrix}
+    if sampler not in builders:
+        raise ParameterError(f"unknown sampler {sampler!r}, expected one of {SAMPLER_IDS}")
+    if score is None:
+        raise ParameterError(f"sampler {sampler!r} needs a score field")
+    return builders[sampler](model, score, eta)
+
+
 # ---------------------------------------------------------------------------
 # batched steps
 
@@ -377,6 +403,9 @@ class Stepper:
 
     def __init__(self, model: TargetModel, sampler: str, score: ScoreField | None,
                  eta: float, tables: bool):
+        if sampler not in STEP_SAMPLERS:
+            raise ParameterError(
+                f"sampler {sampler!r} has no step, expected one of {STEP_SAMPLERS}")
         _check_eta(eta)
         d = model.dim
         if sampler == "gibbs":

@@ -19,22 +19,17 @@ identical estimators.
 from __future__ import annotations
 
 import csv
-import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ParameterError
-from .kernels import Stepper
+from .kernels import SCORE_FREE, STEP_SAMPLERS, Stepper, _check_eta, _gibbs_step_size
 from .models import TargetModel
 from .scores import SCORE_KINDS, ScoreField
 from .statespace import BitState, all_signs
 
 TABLE_DIM_CAP = 12
-
-_SCORE_SAMPLERS = ("dula", "dmala", "dups", "dmaps")
-_CHAIN_SAMPLERS = ("gibbs",) + _SCORE_SAMPLERS
 
 
 @dataclass(frozen=True)
@@ -52,16 +47,14 @@ class ChainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.sampler not in _CHAIN_SAMPLERS:
+        if self.sampler not in STEP_SAMPLERS:
             raise ParameterError(f"unknown sampler {self.sampler!r}")
-        if self.sampler in _SCORE_SAMPLERS and self.score not in SCORE_KINDS:
+        if self.sampler not in SCORE_FREE and self.score not in SCORE_KINDS:
             raise ParameterError(
                 f"sampler {self.sampler!r} needs a score kind from {SCORE_KINDS}")
-        if not (self.eta > 0.0) or not math.isfinite(self.eta):
-            raise ParameterError(f"step size must be positive, got {self.eta}")
-        if self.sampler == "gibbs" and math.exp(-2.0 / self.eta) > 1.0 / self.model.dim:
-            raise ParameterError(
-                "gibbs requires exp(-2/eta) <= 1/d; lower eta or the dimension")
+        _check_eta(self.eta)
+        if self.sampler == "gibbs":
+            _gibbs_step_size(self.model, self.eta)
         if not self.steps > self.burn_in >= 0:
             raise ParameterError(
                 f"need steps > burn_in >= 0, got steps={self.steps} burn_in={self.burn_in}")
@@ -79,8 +72,7 @@ class SimResult:
     counts retained samples with u coordinates equal to +1;
     `state_counts` is the retained-state occupancy at table dimensions and
     None otherwise. Acceptance is counted over every step of the chain and
-    is identically 1 for the unadjusted samplers. Timing fields are
-    informational and excluded from any notion of result equality.
+    is identically 1 for the unadjusted samplers.
     """
 
     dim: int
@@ -90,8 +82,6 @@ class SimResult:
     magnetization_histogram: np.ndarray
     acceptance_fraction: np.ndarray
     state_counts: np.ndarray | None
-    elapsed_seconds: float = 0.0
-    steps_per_second: float = 0.0
 
 
 # uniforms each chain draws per block of `run_chain`; bounds memory at any d
@@ -100,7 +90,7 @@ _UNIFORM_BLOCK = 1 << 14
 
 def _stepper(model: TargetModel, sampler: str, score: str | None, eta: float,
              tables: bool) -> Stepper:
-    field = None if sampler == "gibbs" else ScoreField(model, score)
+    field = None if sampler in SCORE_FREE else ScoreField(model, score)
     return Stepper(model, sampler, field, eta, tables)
 
 
@@ -118,7 +108,6 @@ def run_chain(cfg: ChainConfig, dump_path: str | None = None) -> SimResult:
     block = max(1, _UNIFORM_BLOCK // m)
     retained_per_chain = 1 + (cfg.steps - cfg.burn_in - 1) // cfg.thinning
 
-    started = time.perf_counter()
     rngs = [np.random.default_rng(child)
             for child in np.random.SeedSequence(cfg.seed).spawn(chains)]
     if table_mode:
@@ -163,20 +152,16 @@ def run_chain(cfg: ChainConfig, dump_path: str | None = None) -> SimResult:
         plus_counts = counts @ plus_table
         hist = counts @ (plus_table.sum(axis=1)[:, None] == np.arange(d + 1))
     magnetization = hist @ (2 * np.arange(d + 1) - d)
-    elapsed = time.perf_counter() - started
 
     if dumped is not None:
         _write_dump(dump_path, dumped, d)
 
-    total_steps = cfg.steps * chains
     return SimResult(
         dim=d, retained=retained_per_chain,
         mean_magnetization=magnetization / (retained_per_chain * d),
         marginals=plus_counts / retained_per_chain, magnetization_histogram=hist,
         acceptance_fraction=accepted / cfg.steps,
-        state_counts=counts if table_mode else None,
-        elapsed_seconds=elapsed,
-        steps_per_second=total_steps / elapsed if elapsed > 0 else math.inf)
+        state_counts=counts if table_mode else None)
 
 
 def _write_dump(path: str, dumped: list, d: int) -> None:

@@ -432,3 +432,83 @@ def test_certificates_report_known_small_step_violation():
     assert small.observed > small.bound
     # the regular-score rate for the same kernel does hold
     assert by_name["dups_contraction"].status == "pass"
+
+
+def test_run_certificates_plan_order_and_skip_reasons():
+    """The certificate rows, their order and the skip reasons are part of the
+    `check` output; every skip rule appears across these two configurations."""
+    names = ["gibbs_contraction", "dula_contraction", "dula_contraction_small_step",
+             "dups_contraction", "dups_contraction_small_step", "dula_stationary_error",
+             "dups_stationary_error", "dmaps_acceptance_mass"]
+    expected = {
+        (IndependentBits(0.05, 9), "glauber", 0.8): [
+            ("gibbs", "skip", "dimension 9 above cap 8"),
+            ("dula", "skip", "dimension 9 above cap 8"),
+            ("dula", "skip", "requires the gibbs score"),
+            ("dups", "skip", "dimension 9 above cap 8"),
+            ("dups", "skip", "dimension 9 above cap 8"),
+            ("dula", "skip", "requires the gibbs score"),
+            ("dups", "pass", ""),
+            ("dmaps", "skip", "requires the stein score")],
+        (CurieWeiss(0.2, 0.1, 5), "gibbs", 0.5): [
+            ("gibbs", "skip", "requires the glauber score"),
+            ("dula", "skip", "precondition unmet: 2d_beta2_le_exp_neg_beta1"),
+            ("dula", "skip", "precondition unmet: 4d_beta2_le_1"),
+            ("dups", "skip", "precondition unmet: 4d_beta2_exp4beta1_le_1"),
+            ("dups", "skip", "precondition unmet: 8d_beta2_le_1"),
+            ("dula", "skip", "precondition unmet: 4d_beta2_le_1"),
+            ("dups", "skip", "requires the glauber score"),
+            ("dmaps", "skip", "requires the stein score")],
+    }
+    for (model, kind, eta), rows in expected.items():
+        results = run_certificates(model, kind, eta)
+        assert [r.certificate for r in results] == names
+        assert [(r.sampler, r.status, r.reason) for r in results] == rows
+        for r in results:
+            assert (r.score, r.eta) == (kind, eta)
+            assert (r.observed is None) == (r.status == "skip")
+            assert r.bound is not None
+
+
+def test_run_certificates_builds_each_kernel_and_kappa_once(monkeypatch):
+    """dula and dups each back two contraction rows and a stationary row."""
+    from cubelab import kernels
+
+    counts = {}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] = counts.get(name, 0) + 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("gibbs_matrix", "dula_matrix", "dups_matrix"):
+        monkeypatch.setattr(kernels, name, counted(name, getattr(kernels, name)))
+    monkeypatch.setattr(analysis, "contraction_certificate",
+                        counted("kappa", analysis.contraction_certificate))
+    results = run_certificates(IndependentBits(0.5, 4), "glauber", 0.4)
+    assert [r.status for r in results] == ["pass", "pass", "skip", "pass", "fail",
+                                           "skip", "pass", "skip"]
+    assert counts == {"gibbs_matrix": 1, "dula_matrix": 1, "dups_matrix": 1, "kappa": 3}
+
+
+def test_kernel_matrix_equals_direct_builders():
+    from cubelab.errors import ParameterError
+    from cubelab.kernels import (SAMPLER_IDS, SCORE_FREE, dmala_matrix, kernel_matrix,
+                                 prox_exact_matrix)
+
+    model = CurieWeiss(0.3, 0.2, 4)
+    field = ScoreField(model, "stein")
+    direct = {"gibbs": gibbs_matrix(model, 0.4), "prox": prox_exact_matrix(model, 0.4),
+              "dula": dula_matrix(model, field, 0.4), "dmala": dmala_matrix(model, field, 0.4),
+              "dups": dups_matrix(model, field, 0.4), "dmaps": dmaps_matrix(model, field, 0.4)}
+    assert set(direct) == set(SAMPLER_IDS)
+    for sampler, want in direct.items():
+        for score in (field, None) if sampler in SCORE_FREE else (field,):
+            got = kernel_matrix(model, sampler, score, 0.4)
+            assert np.array_equal(got.probs, want.probs), sampler
+            assert (got.sampler, got.score, got.eta) == (want.sampler, want.score, want.eta)
+    with pytest.raises(ParameterError, match="needs a score field"):
+        kernel_matrix(model, "dula", None, 0.4)
+    with pytest.raises(ParameterError, match="unknown sampler"):
+        kernel_matrix(model, "warp", field, 0.4)

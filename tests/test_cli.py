@@ -261,3 +261,72 @@ def test_bounds_output(capsys):
     header, row = out.strip().split("\n")
     cols = header.split(",")
     assert "beta2" in cols and "flag_8d_beta2_le_1" in cols and "dmaps_rate" in cols
+
+
+@pytest.mark.parametrize("argv", [
+    ["bounds", "--score", ""],
+    ["bounds", "--score", ","],
+    ["check", "--score", ""],
+    ["sweep", "--sampler", ""],
+    ["sweep", "--score", " , "],
+])
+def test_empty_name_lists_are_parameter_errors(capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--model", "bits", "--beta", "0.3",
+                             "--dim", "3", "--eta", "0.5")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("parameter error: empty")
+
+
+def test_sweep_forks_no_more_workers_than_rows(tmp_path, capsys, monkeypatch):
+    from cubelab import cli
+
+    created = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            created.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    base = ["sweep", "--model", "bits", "--beta", "0.3", "--dim", "3", "--eta", "0.5",
+            "--skip-kappa", "--sampler", "gibbs,dula", "--score", "stein,gibbs"]
+    code, _, _ = run_cli(capsys, *base, "--jobs", "64", "--out", str(tmp_path / "a.csv"))
+    assert code == 0 and created == [3]
+    code, _, _ = run_cli(capsys, *base, "--jobs", "2", "--out", str(tmp_path / "b.csv"))
+    assert code == 0 and created == [3, 2]
+    assert (tmp_path / "a.csv").read_text() == (tmp_path / "b.csv").read_text()
+
+
+@pytest.mark.parametrize("sampler,score", [("dmala", "stein"), ("prox", "glauber")])
+def test_analyze_row_keys_are_the_columns(sampler, score):
+    from cubelab.cli import analyze_row
+    from cubelab.models import CurieWeiss
+
+    row, _ = analyze_row(CurieWeiss(0.2, 0.1, 3), sampler, score, 0.5, with_kappa=False)
+    assert list(row) == ANALYZE_COLUMNS
+
+
+def test_bounds_header_is_fixed(capsys):
+    code, out, _ = run_cli(capsys, "bounds", "--model", "bits", "--beta", "0.3",
+                           "--dim", "3", "--eta", "0.5", "--score", "gibbs,stein")
+    assert code == 0
+    header, *rows = out.strip().split("\n")
+    assert header.split(",") == [
+        "eta", "score", "dim", "beta1", "beta2", "min_alignment",
+        "flag_d_beta2_le_1", "flag_4d_beta2_le_1", "flag_8d_beta2_le_1",
+        "flag_2d_beta2_le_exp_neg_beta1", "flag_4d_beta2_exp4beta1_le_1",
+        "flag_step_le_inv_d", "flag_alignment_ge_neg_half_inv_eta",
+        "flag_shifted_step_le_inv_d", "rate_gibbs", "rate_dula", "rate_dula_small_step",
+        "rate_dups", "rate_dups_small_step", "err_dula_small_step", "err_dups_small_step",
+        "err_dula_static", "err_dups_static", "dmaps_lipschitz", "dmaps_rejection",
+        "dmaps_rate"]
+    assert [r.split(",")[1] for r in rows] == ["gibbs", "stein"]

@@ -215,3 +215,21 @@ def test_config_validation():
         _cfg(sampler="dula", score=None)
     with pytest.raises(ParameterError):
         _cfg(sampler="warp")
+
+
+def test_gibbs_config_reports_the_step_size():
+    with pytest.raises(ParameterError, match=r"exp\(-2/2.0\) = 0.367879 > 1/6"):
+        _cfg(sampler="gibbs", model=IndependentBits(0.1, 6), eta=2.0)
+    with pytest.raises(ParameterError, match="positive and finite"):
+        _cfg(eta=math.inf)
+
+
+@pytest.mark.parametrize("sampler", ["prox", "warp"])
+def test_samplers_without_a_step_are_parameter_errors(sampler):
+    model = IndependentBits(0.3, 3)
+    x = state_of(5, 3)
+    with pytest.raises(ParameterError, match="has no step"):
+        sample_transitions(model, sampler, "glauber", 0.5, x, 10, np.random.default_rng(0))
+    with pytest.raises(ParameterError, match="has no step"):
+        kernels._step_once(model, sampler, ScoreField(model, "glauber"), x, 0.5,
+                           np.random.default_rng(0))
