@@ -44,6 +44,7 @@ def _require_distribution(p: np.ndarray, name: str) -> np.ndarray:
     p = np.asarray(p, dtype=np.float64)
     if p.ndim != 1:
         raise ValueError(f"{name} must be one-dimensional")
+    _k._require_finite(p, name)
     if p.min() < -1e-12:
         raise ValueError(f"{name} has a negative entry: {p.min():.3e}")
     if abs(p.sum() - 1.0) > 1e-9:
@@ -508,8 +509,11 @@ class BoundReport:
     dmaps_rate: BoundEntry
 
 
-def bounds_report(model: TargetModel, score_kind: str, eta: float) -> BoundReport:
+def bounds_report(model: TargetModel, score: ScoreField | str, eta: float) -> BoundReport:
     """Evaluate every closed-form rate and error bound with computed flags.
+
+    `score` is the model's `ScoreField`, whose table a caller that also
+    builds kernels shares, or a score kind to build one from.
 
     beta2 here is the non-flipped-coordinate smoothness constant (see
     `smooth_beta_constants`): the contraction and error arguments only ever
@@ -519,7 +523,10 @@ def bounds_report(model: TargetModel, score_kind: str, eta: float) -> BoundRepor
     constant targets included.
     """
     _k._check_eta(eta)
-    field = ScoreField(model, score_kind)
+    field = ScoreField(model, score) if isinstance(score, str) else score
+    if field.model != model:
+        raise ValueError(f"{field!r} is not a score field of {model!r}")
+    score_kind = field.kind
     consts = smooth_beta_constants(field)
     beta1, beta2 = consts.beta1, consts.beta2
     d = model.dim
@@ -678,8 +685,8 @@ def run_certificates(model: TargetModel, score_kind: str, eta: float) -> list[Ce
     score kind, a failed flag, or a dimension cap are reported as skips
     with the reason. Each kernel and each observable is computed once.
     """
-    report = bounds_report(model, score_kind, eta)
     field = ScoreField(model, score_kind)
+    report = bounds_report(model, field, eta)
     target = exact_target(model)
     families = {"kappa": report.rates, "stationary_w1": report.errors,
                 "rejection": {"dmaps": BoundEntry(report.dmaps_rejection, (), "stein",

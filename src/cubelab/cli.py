@@ -161,7 +161,7 @@ def analyze_row(model: TargetModel, sampler: str, score_kind: str | None,
                   else ""),
         "stationary_residual": float(np.abs(pi @ kernel.probs - pi).sum()),
     }
-    row.update(_report_columns(analysis.bounds_report(model, score_kind or "glauber", eta)))
+    row.update(_report_columns(analysis.bounds_report(model, field or "glauber", eta)))
     return {c: row[c] for c in ANALYZE_COLUMNS}, pi
 
 

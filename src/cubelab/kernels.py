@@ -57,6 +57,16 @@ SAMPLER_IDS = STEP_SAMPLERS + ("prox",)
 SCORE_FREE = ("gibbs", "prox")
 
 
+def _require_finite(a: np.ndarray, name: str) -> None:
+    """Raise ValueError naming the first NaN or infinite entry of `a`, which
+    every later comparison with it would silently pass."""
+    bad = np.argwhere(~np.isfinite(a))
+    if len(bad):
+        at = tuple(int(i) for i in bad[0])
+        raise ValueError(f"{name} has a non-finite entry {a[at]} at index "
+                         f"{at[0] if a.ndim == 1 else at}")
+
+
 @dataclass(frozen=True)
 class KernelMatrix:
     """Dense row-stochastic one-step law of a sampler at one step size."""
@@ -70,6 +80,7 @@ class KernelMatrix:
         p = self.probs
         if p.ndim != 2 or p.shape[0] != p.shape[1]:
             raise ValueError("kernel matrix must be square")
+        _require_finite(p, "kernel")
         if p.min() < -1e-12:
             raise ValueError(f"kernel has a negative entry: {p.min()}")
         err = np.abs(p.sum(axis=1) - 1.0).max()
@@ -92,6 +103,7 @@ class GeneratorMatrix:
         q = self.rates
         if q.ndim != 2 or q.shape[0] != q.shape[1]:
             raise ValueError("generator matrix must be square")
+        _require_finite(q, "generator")
         scale = max(1.0, float(np.abs(q).max()))
         if np.abs(q.sum(axis=1)).max() > 1e-12 * scale * q.shape[0]:
             raise ValueError("generator rows must sum to zero")
@@ -303,13 +315,28 @@ def dmaps_step(model: TargetModel, score: ScoreField, x: BitState, eta: float,
     return _step_once(model, "dmaps", score, x, eta, rng)
 
 
+# a z whose phi_z spans more than this keeps the exp-of-differences form: past
+# it u_z = exp(phi_z - max phi_z) nears the subnormals and 1 / u_z overflows
+_PHI_SPAN = 700.0
+# bytes of one row tile of the dmaps flux and of its buffer (L2-sized)
+_FLUX_TILE_BYTES = 1 << 18
+
+
 def _dmaps_flux(model: TargetModel, score: ScoreField, eta: float) -> np.ndarray:
     """Accepted flux of the adjusted two-stage kernel, before the rejected
     mass is folded onto the diagonal.
 
-    For each z the acceptance factorizes through phi_z(y) = log w(y) - y^T s(z):
-    A_z(x'|x) = min{1, exp(phi_z(x') - phi_z(x))}. The z loop keeps the cost
-    at O(8^d) time but only O(4^d) memory.
+    flux(x, x') = sum_z T1(x, z) T2(z, x') A_z(x'|x), where the acceptance
+    factorizes through phi_z(y) = log w(y) - y^T s(z):
+    A_z(x'|x) = min{1, exp(phi_z(x') - phi_z(x))}. With
+    u_z = exp(phi_z - max phi_z) this is min{u_z(x'), u_z(x)} / u_z(x), so a
+    z adds (T1(., z) / u_z)[:, None] * min.outer(u_z, u_z) * T2(z, .)[None, :]
+    and needs no exponential over pairs. A z whose phi_z spans more than
+    `_PHI_SPAN` would underflow u_z and make 0 * inf; it keeps the form
+    exp(min(phi_z(x') - phi_z(x), 0)). The cost is O(8^d) time; the memory
+    is flux and three other 2^d x 2^d arrays (T2, u and T1 / u) plus one
+    buffer of `_FLUX_TILE_BYTES`: the z loop runs over one row tile of flux
+    at a time, so that the tile and the buffer stay in cache.
     """
     _check_matrix_dim(model.dim)
     _check_eta(eta)
@@ -317,20 +344,40 @@ def _dmaps_flux(model: TargetModel, score: ScoreField, eta: float) -> np.ndarray
     signs = all_signs(model.dim).astype(np.float64)
     lw = model.log_weight_signs(signs)
     tab = score.table()
-    stage1 = np.exp(_stage_one_log_kernel(model.dim, eta))
     stage2 = np.exp(_product_log_kernel(_stage_two_flip_probs(score, eta)))
+    # phi[z, y] = phi_z(y) - max phi_z, then u in place
+    phi = tab @ signs.T
+    np.subtract(lw, phi, out=phi)
+    phi -= phi.max(axis=1, keepdims=True)
+    factored = phi.min(axis=1) >= -_PHI_SPAN
+    u = np.exp(phi, out=phi)
+    # T1 is symmetric, so row z holds T1(., z); factored rows become T1(., z) / u_z
+    col = np.exp(_stage_one_log_kernel(model.dim, eta))
+    np.divide(col, u, out=col, where=factored[:, None])
+    rows = max(1, _FLUX_TILE_BYTES // (8 * n))
     flux = np.zeros((n, n))
-    for z in range(n):
-        phi = lw - signs @ tab[z]
-        accept = np.exp(np.minimum(phi[None, :] - phi[:, None], 0.0))
-        flux += (stage1[:, z][:, None] * stage2[z][None, :]) * accept
+    buf = np.empty((min(rows, n), n))
+    for r in range(0, n, rows):
+        tile = flux[r:r + rows]
+        b = buf[:len(tile)]
+        for z, fast in enumerate(factored.tolist()):
+            if fast:
+                np.minimum.outer(u[z, r:r + rows], u[z], out=b)
+            else:
+                phi_z = lw - signs @ tab[z]
+                np.exp(np.minimum(phi_z[None, :] - phi_z[r:r + rows, None], 0.0), out=b)
+            b *= col[z, r:r + rows, None]
+            b *= stage2[z]
+            tile += b
     return flux
 
 
 def dmaps_matrix(model: TargetModel, score: ScoreField, eta: float) -> KernelMatrix:
     """Exact adjusted two-stage kernel, summed over all auxiliary states.
 
-    Rejected mass lands on the diagonal.
+    Rejected mass lands on the diagonal. The flux comes from `_dmaps_flux`:
+    O(8^d) time with no exponential over pairs of states for any z whose
+    phi_z spans at most `_PHI_SPAN`, and the memory of a few dense kernels.
     """
     probs = _dmaps_flux(model, score, eta)
     n = probs.shape[0]

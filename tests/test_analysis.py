@@ -203,6 +203,18 @@ def test_unbalanced_supplies_rejected():
         wasserstein_hamming(p, q / q.sum() + 1e-9)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_distributions_reject_non_finite_entries(bad):
+    p = np.full(4, 0.25)
+    q = p.copy()
+    q[3] = bad
+    for fn in (tv_distance, wasserstein_hamming, wasserstein_hamming_lp):
+        with pytest.raises(ValueError, match="q has a non-finite entry .* at index 3"):
+            fn(p, q)
+    with pytest.raises(ValueError, match="non-finite"):
+        detailed_balance_residual(gibbs_matrix(IndependentBits(0.3, 2), 0.4), q)
+
+
 def test_tv_examples():
     p = np.zeros(4)
     p[0] = 1.0
@@ -325,6 +337,14 @@ def test_bounds_report_requires_matching_score():
     rep2 = bounds_report(IndependentBits(0.3, 4), "gibbs", 0.4)
     assert rep2.rates["dula_small_step"].applicable
     assert not rep2.rates["gibbs"].applicable
+
+
+def test_bounds_report_takes_the_callers_score_field():
+    model = CurieWeiss(0.3, 0.1, 4)
+    field = ScoreField(model, "stein")
+    assert bounds_report(model, field, 0.4) == bounds_report(model, "stein", 0.4)
+    with pytest.raises(ValueError, match="is not a score field of"):
+        bounds_report(CurieWeiss(0.3, 0.2, 4), field, 0.4)
 
 
 # ---------------------------------------------------------------------------

@@ -330,3 +330,26 @@ def test_bounds_header_is_fixed(capsys):
         "err_dula_static", "err_dups_static", "dmaps_lipschitz", "dmaps_rejection",
         "dmaps_rate"]
     assert [r.split(",")[1] for r in rows] == ["gibbs", "stein"]
+
+
+@pytest.mark.parametrize("call", ["analyze_row", "run_certificates"])
+def test_scored_rows_tabulate_each_score_once(call, monkeypatch):
+    """The kernels and the bound report of one scored row share one table."""
+    from cubelab import analysis, cli, kernels, scores
+    from cubelab.models import CurieWeiss
+
+    kinds = []
+
+    def counted(model, kind):
+        kinds.append(kind)
+        return tabulate(model, kind)
+
+    tabulate = scores.tabulate_scores
+    monkeypatch.setattr(scores, "tabulate_scores", counted)
+    monkeypatch.setattr(kernels, "tabulate_scores", counted)
+    model = CurieWeiss(0.2, 0.1, 4)
+    if call == "analyze_row":
+        cli.analyze_row(model, "dmaps", "stein", 0.4)
+    else:
+        analysis.run_certificates(model, "stein", 0.4)
+    assert kinds == ["stein"]

@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
+from cubelab import kernels
 from cubelab.errors import ParameterError
 from cubelab.kernels import (
+    GeneratorMatrix,
+    KernelMatrix,
     dmala_matrix,
     dmala_step,
     dmaps_matrix,
@@ -23,7 +26,7 @@ from cubelab.kernels import (
 )
 from cubelab.models import BitsMixture, CurieWeiss, IndependentBits, IsingGrid, exact_target
 from cubelab.scores import ScoreField, glauber_score
-from cubelab.statespace import hamming, state_of
+from cubelab.statespace import all_signs, hamming, state_of
 
 SMALL_MODELS = [
     IndependentBits(0.5, 3),
@@ -301,6 +304,62 @@ def test_prox_exact_reversible_and_stochastic():
     t = prox_exact_matrix(model, 0.4)
     np.testing.assert_allclose(t.probs.sum(axis=1), 1.0, atol=1e-12)
     assert detailed_balance_residual(t, p) <= 1e-12
+
+
+def _dmaps_flux_reference(model, score, eta):
+    """The dmaps flux by the per-z formula: one exp over all pairs per z."""
+    n = 1 << model.dim
+    signs = all_signs(model.dim).astype(np.float64)
+    lw = model.log_weight_signs(signs)
+    tab = score.table()
+    stage1 = np.exp(kernels._stage_one_log_kernel(model.dim, eta))
+    stage2 = np.exp(kernels._product_log_kernel(kernels._stage_two_flip_probs(score, eta)))
+    flux = np.zeros((n, n))
+    for z in range(n):
+        phi = lw - signs @ tab[z]
+        accept = np.exp(np.minimum(phi[None, :] - phi[:, None], 0.0))
+        flux += (stage1[:, z][:, None] * stage2[z][None, :]) * accept
+    return flux
+
+
+@pytest.mark.parametrize("model", SMALL_MODELS + [IsingGrid(2, 4, 0.3, 0.05),
+                                                  BitsMixture(0.5, 8)])
+def test_dmaps_flux_matches_per_z_reference(model):
+    for kind in ("stein", "gibbs", "glauber"):
+        field = ScoreField(model, kind)
+        for eta in (0.2, 0.5, 1.0):
+            got = kernels._dmaps_flux(model, field, eta)
+            want = _dmaps_flux_reference(model, field, eta)
+            assert np.abs(got - want).max() <= 1e-14, (kind, eta)
+
+
+@pytest.mark.parametrize("model", [CurieWeiss(25.0, 0.0, 6), IsingGrid(2, 3, 40.0, 0.0)])
+@pytest.mark.parametrize("kind", ["glauber", "stein"])
+def test_dmaps_flux_falls_back_where_exp_underflows(model, kind, monkeypatch):
+    """phi_z spans over a thousand here, so exp(phi_z - max) underflows to 0."""
+    from cubelab.analysis import dmaps_empirical_delta
+
+    field = ScoreField(model, kind)
+    t = dmaps_matrix(model, field, 0.5)
+    assert np.isfinite(t.probs).all()
+    flux = kernels._dmaps_flux(model, field, 0.5)
+    assert np.abs(flux - _dmaps_flux_reference(model, field, 0.5)).max() <= 1e-14
+    assert 0.0 <= dmaps_empirical_delta(model, field, 0.5) <= 1.0
+    # the configuration does need the fallback: factorizing every z gives NaN
+    monkeypatch.setattr(kernels, "_PHI_SPAN", math.inf)
+    with np.errstate(all="ignore"):
+        assert np.isnan(kernels._dmaps_flux(model, field, 0.5)).any()
+
+
+def test_dense_matrices_reject_non_finite_entries():
+    p = np.full((4, 4), 0.25)
+    p[1, 2] = np.nan
+    with pytest.raises(ValueError, match=r"non-finite entry nan at index \(1, 2\)"):
+        KernelMatrix(p, 0.5, "dula")
+    q = np.zeros((4, 4))
+    q[3, 0] = np.inf
+    with pytest.raises(ValueError, match=r"non-finite entry inf at index \(3, 0\)"):
+        GeneratorMatrix(q)
 
 
 # ---------------------------------------------------------------------------
