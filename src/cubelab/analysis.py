@@ -20,14 +20,21 @@ from scipy.optimize import linprog
 from scipy.special import expit
 
 from . import kernels as _k
-from .errors import CapabilityError, NumericalError
+from .errors import CapabilityError, NumericalError, ParameterError
 from .kernels import KernelMatrix
 from .models import TargetModel, exact_target
 from .scores import ScoreField, smooth_beta_constants
 from .statespace import all_signs
 
-# each adjacent pair costs one optimal-transport solve
+# a certificate costs one optimal-transport solve per orbit of hypercube
+# edges under the target's declared symmetries: every edge when it declares
+# none, about d orbits on the exchangeable models
 CONTRACTION_DIM_CAP = 8
+# exhaustive flip-path validation solves every pair of states
+ALL_PAIRS_DIM_CAP = 5
+# largest entrywise |K[g][:, g] - K| a declared symmetry g may leave; kernels
+# built from invariant targets stay within 1e-14
+SYMMETRY_TOL = 1e-13
 # the full-sum Metropolis reference enumerates 2^d auxiliary states per pair
 MH_ORACLE_DIM_CAP = 6
 DIRECT_SOLVE_DIM_CAP = 6
@@ -341,9 +348,13 @@ def detailed_balance_residual(kernel: KernelMatrix, p: np.ndarray) -> float:
 class ContractionCertificate:
     """Empirical contraction factor over Hamming-adjacent state pairs.
 
-    kappa bounds the Wasserstein ratio for every pair by the triangle
-    inequality along a flip path; `all_pairs_checked` records whether that
-    implication was verified exhaustively.
+    `pair_values[j]` is the exact W1 between the kernel rows of `pairs[j]`,
+    and kappa is its max, which bounds the Wasserstein ratio for every pair
+    by the triangle inequality along a flip path; `all_pairs_checked`
+    records whether that implication was verified exhaustively.
+    `solved_on[j]` is the index of the pair whose transport solve gave
+    `pair_values[j]`: j itself, or the lowest-index pair of its orbit under
+    the declared symmetries. None means every pair was solved.
     """
 
     kappa: float
@@ -351,26 +362,89 @@ class ContractionCertificate:
     pairs: np.ndarray
     pair_values: np.ndarray
     all_pairs_checked: bool = False
+    solved_on: np.ndarray | None = None
 
 
-def contraction_certificate(kernel: KernelMatrix,
-                            all_pairs: bool = False) -> ContractionCertificate:
-    """One transport solve per hypercube edge, all in one batch; kappa is the
-    worst ratio."""
+def _checked_isometry(t: np.ndarray, sigma, flip_mask: int) -> np.ndarray:
+    """Image g(k) of every state word under the isometry (sigma, flip_mask),
+    after checking that the kernel t commutes with it: t[g(x), g(y)] = t[x, y]."""
+    n = t.shape[0]
+    d = n.bit_length() - 1
+    if sorted(sigma) != list(range(d)) or not 0 <= flip_mask < n:
+        raise ParameterError(
+            f"({sigma}, {flip_mask}) is not an isometry of the {d}-cube")
+    ks = np.arange(n)
+    img = np.zeros_like(ks)
+    for i, j in enumerate(sigma):
+        img |= ((ks >> i) & 1) << j
+    img ^= flip_mask
+    dev = float(np.abs(t[np.ix_(img, img)] - t).max())
+    if dev > SYMMETRY_TOL:
+        raise NumericalError(
+            f"kernel breaks the declared symmetry (sigma={tuple(sigma)}, "
+            f"flip_mask={flip_mask:#x}) by {dev:.3e} > {SYMMETRY_TOL:.0e}", residual=dev)
+    return img
+
+
+def _edge_orbits(d: int, images: list[np.ndarray]) -> np.ndarray:
+    """Lowest index in each edge's orbit under the group that the state maps
+    `images` generate, with edges indexed as in `_adjacent_pairs(d)`."""
+    pairs = _adjacent_pairs(d)
+    steps = []
+    for img in images:
+        a, b = img[pairs[:, 0]], img[pairs[:, 1]]
+        j = np.bitwise_count((a ^ b) - 1).astype(np.int64)  # the coordinate it flips
+        lo = np.minimum(a, b)
+        # rank of lo among the words with bit j clear
+        fwd = (j << (d - 1)) | (lo & ((1 << j) - 1)) | ((lo >> (j + 1)) << j)
+        inv = np.empty_like(fwd)
+        inv[fwd] = np.arange(fwd.size)
+        steps += [fwd, inv]
+    # labels only ever move to a smaller index in the same orbit, and stop
+    # once no generator step lowers one: then each orbit carries its minimum
+    labels = np.arange(pairs.shape[0])
+    while True:
+        nxt = labels
+        for step in steps:
+            nxt = np.minimum(nxt, nxt[step])
+        if np.array_equal(nxt, labels):
+            return labels
+        labels = nxt
+
+
+def contraction_certificate(kernel: KernelMatrix, all_pairs: bool = False,
+                            symmetries: tuple = ()) -> ContractionCertificate:
+    """Worst adjacent-pair W1 of a kernel, from one transport solve per orbit
+    of hypercube edges.
+
+    `symmetries` are cube isometries `(sigma, flip_mask)`, as declared by
+    `TargetModel.symmetries`. Each is first checked on the kernel itself,
+    and one it breaks by more than `SYMMETRY_TOL` raises NumericalError
+    before any solve. A symmetry maps every edge to one with the same W1,
+    so only the lowest-index edge of each orbit is solved, all in one
+    batch, and its value is copied to the rest of the orbit; with none,
+    every edge is its own orbit. `all_pairs=True` then checks the
+    flip-path bound W <= kappa * Hamming against the exact W1 of every pair
+    of states, at d <= `ALL_PAIRS_DIM_CAP`.
+    """
     d = kernel.dim
     if d > CONTRACTION_DIM_CAP:
         raise CapabilityError(
             f"contraction certificates capped at d <= {CONTRACTION_DIM_CAP}, got {d}")
+    if all_pairs and d > ALL_PAIRS_DIM_CAP:
+        raise CapabilityError(
+            f"exhaustive pair validation capped at d <= {ALL_PAIRS_DIM_CAP}, got {d}")
     t = kernel.probs
     pairs = _adjacent_pairs(d)
-    values = _transport_values(t[pairs[:, 0]], t[pairs[:, 1]])
+    solved_on = _edge_orbits(d, [_checked_isometry(t, sigma, mask) for sigma, mask in symmetries])
+    reps = np.flatnonzero(solved_on == np.arange(pairs.shape[0]))
+    values = _transport_values(t[pairs[reps, 0]], t[pairs[reps, 1]])
+    values = values[np.searchsorted(reps, solved_on)]
     kappa = float(values.max())
     # pairs that tie in real arithmetic differ in the last ulps; the lowest
     # index among them is a witness that noise cannot move
     top = int(np.argmax(values >= kappa - 1e-12 * max(1.0, kappa)))
     if all_pairs:
-        if d > 5:
-            raise CapabilityError("exhaustive pair validation capped at d <= 5")
         a, c = np.triu_indices(1 << d, 1)
         ell = np.bitwise_count(a ^ c)
         w = _transport_values(t[a], t[c])
@@ -381,7 +455,7 @@ def contraction_certificate(kernel: KernelMatrix,
                 f"pair ({a[j]}, {c[j]}) violates the flip-path bound: "
                 f"W = {w[j]:.6e} > kappa * ell = {kappa * ell[j]:.6e}")
     return ContractionCertificate(kappa, (int(pairs[top, 0]), int(pairs[top, 1])),
-                                  pairs, values, all_pairs)
+                                  pairs, values, all_pairs, solved_on)
 
 
 # ---------------------------------------------------------------------------
@@ -709,7 +783,8 @@ def run_certificates(model: TargetModel, score_kind: str, eta: float) -> list[Ce
             else:
                 if sampler not in built:
                     built[sampler] = _k.kernel_matrix(model, sampler, field, eta)
-                observed[key] = (contraction_certificate(built[sampler]).kappa
+                observed[key] = (contraction_certificate(built[sampler],
+                                                         symmetries=model.symmetries()).kappa
                                  if observable == "kappa"
                                  else wasserstein_hamming(stationary(built[sampler]), target))
         ok = observed[key] <= entry.value + FLOAT_GUARD

@@ -131,12 +131,15 @@ def analyze_row(model: TargetModel, sampler: str, score_kind: str | None,
     """All exact diagnostics for one (sampler, score, eta) configuration,
     and the stationary law they were computed from.
 
-    The contraction factor costs one transport solve per hypercube edge and
-    dominates everything else; `with_kappa=False` leaves its column empty.
+    The contraction factor costs one transport solve per orbit of hypercube
+    edges under `model.symmetries()` (every edge of a target that declares
+    none) and dominates everything else; `with_kappa=False` leaves its
+    column empty. A score-free row reports its bounds for the glauber
+    score, whose table gibbs shares.
     """
     if sampler in SCORE_FREE:
         score_kind = None
-    field = None if score_kind is None else ScoreField(model, score_kind)
+    field = ScoreField(model, score_kind or "glauber")
     kernel = kernels.kernel_matrix(model, sampler, field, eta)
     target = exact_target(model)
     try:
@@ -156,12 +159,12 @@ def analyze_row(model: TargetModel, sampler: str, score_kind: str | None,
         "lambda2": spectrum.lambda2,
         "t_rel": spectrum.t_rel,
         "db_residual": analysis.detailed_balance_residual(kernel, target),
-        "kappa": (analysis.contraction_certificate(kernel).kappa
+        "kappa": (analysis.contraction_certificate(kernel, symmetries=model.symmetries()).kappa
                   if with_kappa and model.dim <= analysis.CONTRACTION_DIM_CAP
                   else ""),
         "stationary_residual": float(np.abs(pi @ kernel.probs - pi).sum()),
     }
-    row.update(_report_columns(analysis.bounds_report(model, field or "glauber", eta)))
+    row.update(_report_columns(analysis.bounds_report(model, field, eta)))
     return {c: row[c] for c in ANALYZE_COLUMNS}, pi
 
 

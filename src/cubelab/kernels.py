@@ -183,10 +183,15 @@ def _popcount_matrix(dim: int) -> np.ndarray:
 # generators
 
 
-def glauber_generator(model: TargetModel) -> GeneratorMatrix:
-    """Single-flip rate matrix with rates sigma(-2 x_i g(x)_i)."""
+def glauber_generator(model: TargetModel, score: ScoreField | None = None) -> GeneratorMatrix:
+    """Single-flip rate matrix with rates sigma(-2 x_i g(x)_i).
+
+    A glauber `score` field of `model` lends its table; without one, or
+    with any other field, the glauber table is built here.
+    """
     _check_matrix_dim(model.dim)
-    tab = tabulate_scores(model, "glauber")
+    shared = score is not None and score.kind == "glauber" and score.model == model
+    tab = score.table() if shared else tabulate_scores(model, "glauber")
     signs = all_signs(model.dim).astype(np.float64)
     return GeneratorMatrix(_single_flip_matrix(expit(-2.0 * signs * tab)))
 
@@ -224,11 +229,13 @@ def gibbs_step(model: TargetModel, x: BitState, eta: float,
     return _step_once(model, "gibbs", None, x, eta, rng)
 
 
-def gibbs_matrix(model: TargetModel, eta: float) -> KernelMatrix:
-    """The damped single-flip kernel, built literally as I + h Q."""
+def gibbs_matrix(model: TargetModel, eta: float,
+                 score: ScoreField | None = None) -> KernelMatrix:
+    """The damped single-flip kernel, built literally as I + h Q; `score`
+    is passed to `glauber_generator`."""
     _check_matrix_dim(model.dim)
     h = _gibbs_step_size(model, eta)
-    q = glauber_generator(model).rates
+    q = glauber_generator(model, score).rates
     return KernelMatrix(np.eye(q.shape[0]) + h * q, eta, "gibbs")
 
 
@@ -409,10 +416,12 @@ def kernel_matrix(model: TargetModel, sampler: str, score: ScoreField | None,
                   eta: float) -> KernelMatrix:
     """The dense kernel of any sampler in `SAMPLER_IDS`.
 
-    `score` is ignored for the `SCORE_FREE` samplers and required otherwise.
+    `score` is required for the samplers outside `SCORE_FREE`. Of those
+    inside, prox ignores it and gibbs only borrows the table of a glauber
+    field.
     """
     if sampler == "gibbs":
-        return gibbs_matrix(model, eta)
+        return gibbs_matrix(model, eta, score)
     if sampler == "prox":
         return prox_exact_matrix(model, eta)
     # looked up per call, so that a builder replaced at run time (by a tracer

@@ -41,6 +41,15 @@ class TargetModel:
         """Gradient of this model's smooth continuation of the log-density."""
         raise NotImplementedError
 
+    def symmetries(self) -> tuple[tuple[tuple[int, ...], int], ...]:
+        """Generators of cube isometries that leave the log weight unchanged.
+
+        Each generator is `(sigma, flip_mask)`: state word k maps to the word
+        with bit sigma[i] equal to bit i of k, XORed with `flip_mask`. The
+        default declares none.
+        """
+        return ()
+
     def log_weight(self, x: BitState) -> float:
         if x.dim != self.dim:
             raise ValueError(f"state dimension {x.dim} != model dimension {self.dim}")
@@ -58,6 +67,16 @@ class TargetModel:
 def _check_dim(dim: int) -> None:
     if dim < 1:
         raise ParameterError(f"dimension must be positive, got {dim}")
+
+
+def _exchangeable(dim: int, global_flip: bool) -> tuple:
+    """The d-1 adjacent transpositions, which generate every coordinate
+    permutation, and optionally the global flip."""
+    ident = list(range(dim))
+    gens = [(tuple(ident[:i] + [i + 1, i] + ident[i + 2:]), 0) for i in range(dim - 1)]
+    if global_flip:
+        gens.append((tuple(ident), (1 << dim) - 1))
+    return tuple(gens)
 
 
 @dataclass(frozen=True)
@@ -78,6 +97,9 @@ class IndependentBits(TargetModel):
         return np.full(signs.shape, self.beta, dtype=np.float64)
 
     stein_score_signs = glauber_score_signs
+
+    def symmetries(self):
+        return _exchangeable(self.dim, self.beta == 0)
 
     @property
     def name(self):
@@ -118,6 +140,9 @@ class BitsMixture(TargetModel):
         signs = np.asarray(signs, dtype=np.float64)
         s = signs.sum(axis=-1, keepdims=True)
         return np.broadcast_to(self.beta * np.tanh(self.beta * s), signs.shape).copy()
+
+    def symmetries(self):
+        return _exchangeable(self.dim, True)
 
     @property
     def name(self):
@@ -178,6 +203,25 @@ class IsingGrid(TargetModel):
     # and single-flip scores coincide
     stein_score_signs = glauber_score_signs
 
+    def symmetries(self):
+        """Row and column reflections, the transpose of a square grid, the
+        cyclic shift along each periodic axis of length >= 3, and the
+        global flip at zero field."""
+        r, c = np.divmod(np.arange(self.dim), self.cols)
+        maps = [(self.rows - 1 - r, c), (r, self.cols - 1 - c)]
+        if self.rows == self.cols:
+            maps.append((c, r))
+        if self.periodic and self.rows >= 3:
+            maps.append(((r + 1) % self.rows, c))
+        if self.periodic and self.cols >= 3:
+            maps.append((r, (c + 1) % self.cols))
+        ident = tuple(range(self.dim))
+        sigmas = (tuple(int(k) for k in rr * self.cols + cc) for rr, cc in maps)
+        gens = [(sigma, 0) for sigma in sigmas if sigma != ident]
+        if self.h == 0:
+            gens.append((ident, (1 << self.dim) - 1))
+        return tuple(gens)
+
     @property
     def name(self):
         return "ising"
@@ -211,6 +255,9 @@ class CurieWeiss(TargetModel):
         signs = np.asarray(signs, dtype=np.float64)
         s = signs.sum(axis=-1, keepdims=True)
         return np.broadcast_to(2.0 * self.beta * (s - self.b), signs.shape).copy()
+
+    def symmetries(self):
+        return _exchangeable(self.dim, self.b == 0)
 
     @property
     def name(self):

@@ -19,16 +19,17 @@ from cubelab.analysis import (
     wasserstein_hamming,
     wasserstein_hamming_lp,
 )
-from cubelab.errors import CapabilityError
+from cubelab.errors import CapabilityError, NumericalError, ParameterError
 from cubelab.kernels import (
     KernelMatrix,
     dmaps_matrix,
     dula_matrix,
     dups_matrix,
     gibbs_matrix,
+    kernel_matrix,
 )
 from cubelab.models import BitsMixture, CurieWeiss, IndependentBits, IsingGrid, exact_target
-from cubelab.scores import ScoreField
+from cubelab.scores import SCORE_KINDS, ScoreField
 from cubelab.statespace import all_signs, hamming, state_of
 
 
@@ -253,10 +254,24 @@ def test_contraction_certificate_flip_path_bound():
     assert hamming(state_of(a, 4), state_of(b, 4)) == 1
 
 
-def test_contraction_certificate_dimension_cap():
+@pytest.fixture
+def solves(monkeypatch):
+    """The row count of every `_transport_values` call."""
+    rows = []
+    solve = analysis._transport_values
+    monkeypatch.setattr(analysis, "_transport_values",
+                        lambda p, q: rows.append(p.shape[0]) or solve(p, q))
+    return rows
+
+
+def test_contraction_certificate_dimension_cap(solves):
     model = IsingGrid(3, 3, 0.4, 0.1)
     with pytest.raises(CapabilityError):
         contraction_certificate(gibbs_matrix(model, 0.5))
+    # the exhaustive validation cap is checked before any edge is solved
+    with pytest.raises(CapabilityError, match="exhaustive"):
+        contraction_certificate(gibbs_matrix(IndependentBits(0.5, 6), 0.5), all_pairs=True)
+    assert solves == []
 
 
 def test_gibbs_contraction_matches_bound_on_bits():
@@ -281,6 +296,114 @@ def test_dups_kappa_closed_form_on_bits(eta):
         # every adjacent pair ties in real arithmetic: the witness is the first
         assert cert.kappa == cert.pair_values.max()
         assert cert.witness == tuple(cert.pairs[0])
+
+
+# every family, with a square grid, periodic rings and zero-field variants
+SYMMETRIC_MODELS = [
+    IndependentBits(0.5, 4), IndependentBits(0.0, 4), BitsMixture(0.5, 5),
+    CurieWeiss(0.2, 0.3, 4), CurieWeiss(0.3, 0.0, 5),
+    IsingGrid(2, 2, 0.4, 0.1), IsingGrid(2, 2, 0.4, 0.0),
+    IsingGrid(1, 3, 0.4, 0.1, periodic=True), IsingGrid(1, 4, 0.3, 0.0, periodic=True),
+]
+KERNEL_CONFIGS = [("gibbs", None), ("prox", None)] + [
+    (sampler, kind) for sampler in ("dula", "dmala", "dups", "dmaps") for kind in SCORE_KINDS]
+
+
+def _isometry_deviation(t, sigma, mask):
+    """max |t[g x, g y] - t[x, y]|, with g built state by state."""
+    d = len(sigma)
+    g = [sum(((k >> i) & 1) << j for i, j in enumerate(sigma)) ^ mask for k in range(1 << d)]
+    return np.abs(t[np.ix_(g, g)] - t).max()
+
+
+@pytest.mark.parametrize("model", SYMMETRIC_MODELS, ids=repr)
+def test_orbit_reduced_certificate_matches_every_edge_solved(model):
+    for sampler, kind in KERNEL_CONFIGS:
+        kernel = kernel_matrix(model, sampler, kind and ScoreField(model, kind), 0.6)
+        for sigma, mask in model.symmetries():
+            assert _isometry_deviation(kernel.probs, sigma, mask) <= 1e-13, (sampler, kind)
+        full = contraction_certificate(kernel)
+        reduced = contraction_certificate(kernel, symmetries=model.symmetries())
+        tag = (sampler, kind)
+        assert np.array_equal(full.solved_on, np.arange(len(full.pairs))), tag
+        assert np.array_equal(reduced.pairs, full.pairs)
+        assert reduced.witness == full.witness, tag
+        assert abs(reduced.kappa - full.kappa) <= 1e-12, tag
+        assert np.abs(reduced.pair_values - full.pair_values).max() <= 1e-12, tag
+        # every value was solved on the lowest-index pair of its orbit
+        assert (reduced.solved_on <= np.arange(len(full.pairs))).all()
+        assert np.array_equal(reduced.solved_on[reduced.solved_on], reduced.solved_on)
+
+
+def test_periodic_square_grid_symmetries_hold_on_its_kernels():
+    """Above the certificate cap, but its reflections, transpose, cyclic
+    shifts and global flip are declared all the same."""
+    model = IsingGrid(3, 3, 0.3, 0.0, periodic=True)
+    field = ScoreField(model, "stein")
+    for sampler in ("gibbs", "prox", "dups"):
+        kernel = kernel_matrix(model, sampler, field, 0.6)
+        for sigma, mask in model.symmetries():
+            assert _isometry_deviation(kernel.probs, sigma, mask) <= 1e-13, sampler
+
+
+@pytest.mark.parametrize("model, orbits", [
+    (IndependentBits(0.5, 6), 6), (CurieWeiss(0.2, 0.0, 5), 3), (IsingGrid(2, 3, 0.4, 0.1), 52),
+], ids=repr)
+def test_edge_orbit_counts(model, orbits, solves):
+    kernel = dups_matrix(model, ScoreField(model, "stein"), 0.8)
+    cert = contraction_certificate(kernel, symmetries=model.symmetries())
+    assert np.unique(cert.solved_on).size == orbits
+    assert solves == [orbits]
+    full = contraction_certificate(kernel)
+    assert full.witness == cert.witness
+    assert np.abs(full.pair_values - cert.pair_values).max() <= 1e-12
+
+
+@pytest.mark.parametrize("model, generator", [
+    (IsingGrid(2, 3, 0.4, 0.1), ((1, 0, 2, 3, 4, 5), 0)),  # a transposition
+    (CurieWeiss(0.2, 0.3, 4), ((0, 1, 2, 3), 0b1111)),  # the global flip at b != 0
+    (IsingGrid(2, 2, 0.4, 0.1), ((0, 1, 2, 3), 0b1111)),  # the global flip at h != 0
+], ids=repr)
+def test_broken_symmetry_raises_before_any_solve(model, generator, solves):
+    kernel = dups_matrix(model, ScoreField(model, "glauber"), 0.6)
+    with pytest.raises(NumericalError, match="breaks the declared symmetry") as err:
+        contraction_certificate(kernel, symmetries=model.symmetries() + (generator,))
+    assert err.value.residual > 1e-13
+    assert solves == []
+
+
+def test_malformed_symmetry_is_rejected():
+    model = IndependentBits(0.5, 3)
+    kernel = gibbs_matrix(model, 0.5)
+    for generator in [((0, 0, 1), 0), ((0, 1), 0), ((0, 1, 2), 8), ((0, 1, 2), -1)]:
+        with pytest.raises(ParameterError):
+            contraction_certificate(kernel, symmetries=(generator,))
+
+
+@pytest.mark.parametrize("model", [
+    BitsMixture(0.5, 5), CurieWeiss(0.2, 0.3, 5), IsingGrid(2, 2, 0.4, 0.1)], ids=repr)
+def test_orbit_reduced_kappa_bounds_every_pair(model):
+    """The exhaustive flip-path check holds against the copied edge values."""
+    for sampler in ("dups", "dmaps"):
+        kernel = kernel_matrix(model, sampler, ScoreField(model, "glauber"), 0.6)
+        cert = contraction_certificate(kernel, all_pairs=True, symmetries=model.symmetries())
+        assert cert.all_pairs_checked
+        assert np.unique(cert.solved_on).size < len(cert.pairs)
+
+
+def test_run_certificates_solves_orbit_representatives_only(solves, monkeypatch):
+    model = BitsMixture(0.1, 5)
+    kappas = []
+    certify = analysis.contraction_certificate
+    monkeypatch.setattr(analysis, "contraction_certificate",
+                        lambda *a, **kw: kappas.append(kw) or certify(*a, **kw))
+    results = run_certificates(model, "glauber", 0.8)
+    assert kappas and all(kw == {"symmetries": model.symmetries()} for kw in kappas)
+    # three edge orbits at d = 5 (the number of +1 among the other four
+    # coordinates, up to the global flip), and one row per stationary W1
+    stationary_rows = sum(r.observed is not None and "stationary" in r.certificate
+                          for r in results)
+    assert sorted(solves) == [1] * stationary_rows + [3] * len(kappas)
 
 
 # ---------------------------------------------------------------------------

@@ -332,11 +332,13 @@ def test_bounds_header_is_fixed(capsys):
     assert [r.split(",")[1] for r in rows] == ["gibbs", "stein"]
 
 
-@pytest.mark.parametrize("call", ["analyze_row", "run_certificates"])
+@pytest.mark.parametrize("call", ["analyze_row", "run_certificates", "analyze_row_gibbs",
+                                  "run_certificates_glauber"])
 def test_scored_rows_tabulate_each_score_once(call, monkeypatch):
-    """The kernels and the bound report of one scored row share one table."""
+    """The kernels and the bound report of one row share one table; a gibbs
+    kernel shares the glauber table of the bound report."""
     from cubelab import analysis, cli, kernels, scores
-    from cubelab.models import CurieWeiss
+    from cubelab.models import BitsMixture, CurieWeiss, IndependentBits
 
     kinds = []
 
@@ -350,6 +352,11 @@ def test_scored_rows_tabulate_each_score_once(call, monkeypatch):
     model = CurieWeiss(0.2, 0.1, 4)
     if call == "analyze_row":
         cli.analyze_row(model, "dmaps", "stein", 0.4)
-    else:
+    elif call == "run_certificates":
         analysis.run_certificates(model, "stein", 0.4)
-    assert kinds == ["stein"]
+    elif call == "analyze_row_gibbs":
+        cli.analyze_row(BitsMixture(0.5, 4), "gibbs", None, 0.3)
+    else:
+        results = analysis.run_certificates(IndependentBits(0.5, 4), "glauber", 0.4)
+        assert results[0].certificate == "gibbs_contraction" and results[0].status == "pass"
+    assert kinds == ["glauber" if call.endswith(("gibbs", "glauber")) else "stein"]

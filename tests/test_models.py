@@ -113,3 +113,24 @@ def test_dimension_mismatch_and_cap():
         model.log_weight(state_of(0, 4))
     with pytest.raises(CapabilityError):
         exact_target(IndependentBits(0.1, 31))
+
+
+@pytest.mark.parametrize("model, count", [
+    (IndependentBits(0.5, 4), 3), (IndependentBits(0.0, 4), 4), (BitsMixture(0.5, 4), 4),
+    (CurieWeiss(0.3, 0.5, 4), 3), (CurieWeiss(0.3, 0.0, 4), 4),
+    (IsingGrid(2, 3, 0.3, -0.2), 2), (IsingGrid(2, 3, 0.3, -0.2, periodic=True), 3),
+    (IsingGrid(2, 2, 0.4, 0.0), 4), (IsingGrid(3, 3, 0.4, 0.1, periodic=True), 5),
+    (IsingGrid(1, 4, 0.4, 0.1), 1), (IndependentBits(0.5, 1), 0),
+], ids=repr)
+def test_declared_symmetries_preserve_the_log_weight(model, count):
+    gens = model.symmetries()
+    assert len(gens) == count
+    signs = all_signs(model.dim).astype(np.float64)
+    lw = model.log_weight_signs(signs)
+    for sigma, mask in gens:
+        assert sorted(sigma) == list(range(model.dim)) and 0 <= mask < 1 << model.dim
+        # coordinate i moves to sigma[i], then every coordinate in the mask flips
+        moved = np.empty_like(signs)
+        moved[:, list(sigma)] = signs
+        moved *= 1 - 2 * ((mask >> np.arange(model.dim)) & 1)
+        assert np.abs(model.log_weight_signs(moved) - lw).max() <= 1e-12, (sigma, mask)
