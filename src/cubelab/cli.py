@@ -315,9 +315,11 @@ def cmd_simulate(args) -> int:
 
 def cmd_ctmc(args) -> int:
     model = build_model(args)
+    # the rates check the dimension cap before anything is drawn
+    rates = ctmc.glauber_rates(model)
     rng = np.random.default_rng(args.seed)
     x0 = BitState(int(rng.integers(0, 1 << model.dim)), model.dim)
-    traj = ctmc.ctmc_simulate(ctmc.glauber_rates(model), x0, args.horizon, rng)
+    traj = ctmc.ctmc_simulate(rates, x0, args.horizon, rng)
     d = model.dim
     # int64 first: 2 p - d wraps around in the uint8 that bitwise_count returns
     plus = np.bitwise_count(traj.states).astype(np.int64)

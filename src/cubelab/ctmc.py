@@ -14,13 +14,23 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import CapabilityError, ParameterError
 from .kernels import GeneratorMatrix, KernelMatrix
 from .models import TargetModel
-from .scores import MAX_TABLE_DIM, glauber_score, tabulate_scores
+from .scores import MAX_TABLE_DIM, tabulate_scores
 from .statespace import BitState, all_signs
 
 RateFunction = Callable[[BitState], np.ndarray]
+
+# trajectories store each visited state as a packed int64 word
+MAX_WORD_DIM = 63
+
+
+def _check_word_dim(dim: int) -> None:
+    if dim > MAX_WORD_DIM:
+        raise CapabilityError(
+            f"jump trajectories store packed int64 words, capped at d <= {MAX_WORD_DIM}, "
+            f"got {dim}")
 
 
 @dataclass(frozen=True)
@@ -44,22 +54,30 @@ def glauber_rates(model: TargetModel) -> RateFunction:
     """Per-coordinate flip rates sigma(-2 x_i g(x)_i) for the given target.
 
     Up to the score-table cap the rates are precomputed for every state,
-    which makes long runs cheap; above it they are evaluated per state.
+    which makes long runs cheap; above it they are evaluated per state from
+    the model's closed-form glauber score.
     """
     from scipy.special import expit
 
+    _check_word_dim(model.dim)
     if model.dim <= MAX_TABLE_DIM:
         tab = tabulate_scores(model, "glauber")
         signs = all_signs(model.dim).astype(np.float64)
         rates = expit(-2.0 * signs * tab)
         rates.setflags(write=False)
         return lambda x: rates[x.bits]
-    return lambda x: expit(-2.0 * x.signs() * glauber_score(model, x))
+
+    def rates_at(x: BitState) -> np.ndarray:
+        signs = x.signs().astype(np.float64)
+        return expit(-2.0 * signs * model.glauber_score_signs(signs))
+
+    return rates_at
 
 
 def ctmc_simulate(rates: RateFunction, x0: BitState, horizon: float,
                   rng: np.random.Generator) -> Trajectory:
     """Simulate the jump process started at x0 up to the given horizon."""
+    _check_word_dim(x0.dim)
     if not (horizon > 0.0) or not math.isfinite(horizon):
         raise ParameterError(f"horizon must be positive and finite, got {horizon}")
     times: list[float] = []

@@ -453,8 +453,17 @@ class Stepper:
 
     `prepare(u)` turns a block of uniforms into step operands, doing the
     path-independent work (stage-one flips, logs of acceptance uniforms) for
-    the whole block at once; `step(states, *operands)` returns
-    `(next, accepted, proposal, auxiliary)`.
+    the whole block at once; `step(states, *operands, carry=None)` returns
+    `(next, accepted, proposal, auxiliary, carry)`.
+
+    The carry holds what the Metropolis-adjusted samplers already know about
+    the next states: dmala's features and dmaps's log weight, taken from the
+    proposal where it was accepted and from the current state elsewhere.
+    Passing it back into the next step lets vector mode evaluate each
+    proposal's closed forms once and never re-evaluate the current state's;
+    without it (a one-shot step) they are evaluated afresh, to the same
+    floats. In table mode re-reading a row with one take measured no slower
+    than carrying it, so the table carry is None.
     """
 
     def __init__(self, model: TargetModel, sampler: str, score: ScoreField | None,
@@ -493,12 +502,17 @@ class Stepper:
             # np.where is slow on the scalar states of a single chain
             self._select = lambda ok, new, old: (np.where(ok, new, old) if ok.ndim
                                                  else new if ok else old)
+            self._keep = lambda ok, new, old: None
         else:
             self._at = lambda x: self._features(x, score.signs(x))
             self._log_weight = model.log_weight_signs
             self._pack = lambda flips: flips
             self._flip = lambda x, flips: np.where(flips, -x, x)
             self._select = lambda ok, new, old: np.where(ok[..., None], new, old)
+            # per-state arrays shaped like ok (log weights) or like the states
+            self._keep = lambda ok, new, old: tuple(
+                np.where(ok if a.ndim == ok.ndim else ok[..., None], a, b)
+                for a, b in zip(new, old))
 
     def _table_row(self, k):
         row = self._table.take(k, axis=0)
@@ -536,41 +550,44 @@ class Stepper:
             return self._pack(flips1), u[..., d:]
         return self._pack(flips1), flips1.astype(np.float64), u[..., d:2 * d], log_accept
 
-    def _gibbs(self, x, u):
+    def _gibbs(self, x, u, carry=None):
         (cum,) = self._at(x)
         below = cum <= u
         nxt = self._flip(x, self._pack(below[..., :-1] ^ below[..., 1:]))
-        return nxt, True, nxt, None
+        return nxt, True, nxt, None, None
 
-    def _dula(self, x, u):
+    def _dula(self, x, u, carry=None):
         (q,) = self._at(x)
         nxt = self._flip(x, self._pack(u < q))
-        return nxt, True, nxt, None
+        return nxt, True, nxt, None, None
 
-    def _dmala(self, x, u, log_u):
-        q, logit, base = self._at(x)
+    def _dmala(self, x, u, log_u, carry=None):
+        here = self._at(x) if carry is None else carry
+        q, logit, base = here
         flips = u < q
         prop = self._flip(x, self._pack(flips))
-        _, logit_rev, base_rev = self._at(prop)
+        there = self._at(prop)
+        _, logit_rev, base_rev = there
         ok = log_u < base_rev - base + np.vecdot(flips, logit_rev - logit)
-        return self._select(ok, prop, x), ok, prop, None
+        return self._select(ok, prop, x), ok, prop, None, self._keep(ok, there, here)
 
-    def _dups(self, x, word1, u):
+    def _dups(self, x, word1, u, carry=None):
         z = self._flip(x, word1)
         (q2,) = self._at(z)
         nxt = self._flip(z, self._pack(u < q2))
-        return nxt, True, nxt, z
+        return nxt, True, nxt, z, None
 
-    def _dmaps(self, x, word1, flips1, u, log_u):
+    def _dmaps(self, x, word1, flips1, u, log_u, carry=None):
         z = self._flip(x, word1)
         q2, tilt2 = self._at(z)
         flips2 = u < q2
         prop = self._flip(z, self._pack(flips2))
+        here = (self._log_weight(x),) if carry is None else carry
+        there = (self._log_weight(prop),)
         # x - prop = 2 z (flips2 - flips1), so (x - prop) . s(z) needs no signs of x
-        log_a = (self._log_weight(prop) - self._log_weight(x)
-                 + np.vecdot(flips2 - flips1, tilt2))
+        log_a = there[0] - here[0] + np.vecdot(flips2 - flips1, tilt2)
         ok = log_u < log_a
-        return self._select(ok, prop, x), ok, prop, z
+        return self._select(ok, prop, x), ok, prop, z, self._keep(ok, there, here)
 
 
 def _step_once(model: TargetModel, sampler: str, score: ScoreField | None, x: BitState,
@@ -579,6 +596,6 @@ def _step_once(model: TargetModel, sampler: str, score: ScoreField | None, x: Bi
     _check_state(model, x)
     st = Stepper(model, sampler, score, eta, tables=False)
     u = rng.random(st.uniforms_per_step)
-    nxt, ok, prop, aux = st.step(x.signs().astype(np.float64), *st.prepare(u))
+    nxt, ok, prop, aux, _ = st.step(x.signs().astype(np.float64), *st.prepare(u))
     return StepOutcome(BitState.from_signs(nxt), bool(ok), BitState.from_signs(prop),
                        None if aux is None else BitState.from_signs(aux))

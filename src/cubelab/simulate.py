@@ -4,8 +4,10 @@ All chains of a run advance in lockstep, one batched `kernels.Stepper` step
 at a time. Dimensions up to `TABLE_DIM_CAP` run on packed integer states
 against precomputed per-state tables (the hot path for the
 simulation/matrix consistency checks); beyond that, states are +-1
-coordinate vectors and scores are evaluated per step from the model's
-closed forms.
+coordinate vectors, and each step evaluates the model's closed forms once,
+on the proposals. The accepted states' features (dmala's score and log
+weight, dmaps's log weight) are carried to the next step in the stepper's
+carry, not evaluated again.
 
 Chains are reproducible: the 64-bit config seed feeds a numpy SeedSequence
 whose spawned children, one per chain index, drive independent PCG64
@@ -124,12 +126,14 @@ def run_chain(cfg: ChainConfig, dump_path: str | None = None) -> SimResult:
     oks = np.empty((block, chains), dtype=bool)
     accepted = np.zeros(chains, dtype=np.int64)
     dumped = [] if dump_path is not None else None
+    carry = None
 
     for t0 in range(0, cfg.steps, block):
         n = min(block, cfg.steps - t0)
         u = np.stack([rng.random((n, m)) for rng in rngs], axis=1)
         for t, operands in enumerate(zip(*st.prepare(u[:, 0] if chains == 1 else u))):
-            states, ok, _, _ = st.step(states, *operands)
+            # positional: a keyword argument costs a dict per step
+            states, ok, _, _, carry = st.step(states, *operands, carry)
             trace[t] = states
             oks[t] = ok
         accepted += oks[:n].sum(axis=0)

@@ -254,6 +254,20 @@ def test_ctmc_csv(tmp_path, capsys):
     assert out.read_text() == "\n".join(lines) + "\n"
 
 
+def test_ctmc_above_the_packed_word_cap_is_a_capability_error(tmp_path, capsys):
+    """Trajectory states are int64 words: d = 64 exits 3 before anything is
+    drawn, while d = 63 still runs."""
+    base = ["ctmc", "--model", "curieweiss", "--beta", "0.005", "--horizon", "0.05"]
+    code, out, err = run_cli(capsys, *base, "--dim", "64")
+    assert code == 3 and out == ""
+    assert "capability error" in err and "d <= 63" in err
+    path = tmp_path / "traj.csv"
+    assert run_cli(capsys, *base, "--dim", "63", "--out", str(path))[0] == 0
+    with open(path) as fh:
+        rows = list(csv.DictReader(fh))
+    assert rows and all(0 <= int(r["state"], 16) < 1 << 63 for r in rows)
+
+
 def test_bounds_output(capsys):
     code, out, _ = run_cli(capsys, "bounds", "--model", "mixture", "--beta", "0.4",
                            "--dim", "4", "--score", "glauber", "--eta", "0.5")

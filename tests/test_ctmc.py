@@ -20,9 +20,10 @@ from cubelab.kernels import (
     glauber_generator,
     prox_exact_matrix,
 )
-from cubelab.models import BitsMixture, IndependentBits, IsingGrid, exact_target
-from cubelab.scores import ScoreField
-from cubelab.statespace import hamming, state_of
+from cubelab.errors import CapabilityError
+from cubelab.models import BitsMixture, CurieWeiss, IndependentBits, IsingGrid, exact_target
+from cubelab.scores import ScoreField, glauber_score
+from cubelab.statespace import BitState, hamming, state_of
 
 
 def test_glauber_rates_uniform_target():
@@ -122,3 +123,24 @@ def test_bad_horizon_and_negative_rates():
     with pytest.raises(ParameterError):
         ctmc_simulate(lambda x: np.array([-1.0, 0.0, 0.0]), state_of(0, 3), 1.0,
                       np.random.default_rng(1))
+
+
+@pytest.mark.parametrize("model", [
+    IndependentBits(0.3, 20), BitsMixture(0.2, 20), IsingGrid(4, 5, 0.3, 0.1, periodic=True),
+    CurieWeiss(0.05, 0.7, 20)], ids=["bits", "mixture", "ising", "curieweiss"])
+def test_closed_form_rates_match_the_definition(model):
+    """Above the score-table cap the rates come from the model's closed-form
+    glauber score; they agree with the per-coordinate definition."""
+    rates = glauber_rates(model)
+    rng = np.random.default_rng(20)
+    for k in [0, (1 << 20) - 1, *rng.integers(0, 1 << 20, 30).tolist()]:
+        x = BitState(k, 20)
+        expected = expit(-2.0 * x.signs() * glauber_score(model, x))
+        np.testing.assert_allclose(rates(x), expected, rtol=0, atol=1e-12)
+
+
+def test_trajectories_above_the_packed_word_cap_are_capability_errors():
+    with pytest.raises(CapabilityError, match="d <= 63"):
+        glauber_rates(IndependentBits(0.1, 64))
+    with pytest.raises(CapabilityError, match="d <= 63"):
+        ctmc_simulate(lambda x: np.ones(64), BitState(0, 64), 1.0, np.random.default_rng(1))

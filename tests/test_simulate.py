@@ -61,6 +61,77 @@ def test_chains_are_separate_substreams(sampler, score, dim):
                 np.testing.assert_array_equal(big[:c], small, err_msg=field)
 
 
+class _ReferenceStepper(Stepper):
+    """The adjusted steps without a carry: every step evaluates the current
+    state's features afresh. Kept as the oracle for the carried steps."""
+
+    def _dmala(self, x, u, log_u, carry=None):
+        q, logit, base = self._at(x)
+        flips = u < q
+        prop = self._flip(x, self._pack(flips))
+        _, logit_rev, base_rev = self._at(prop)
+        ok = log_u < base_rev - base + np.vecdot(flips, logit_rev - logit)
+        return self._select(ok, prop, x), ok, prop, None, None
+
+    def _dmaps(self, x, word1, flips1, u, log_u, carry=None):
+        z = self._flip(x, word1)
+        q2, tilt2 = self._at(z)
+        flips2 = u < q2
+        prop = self._flip(z, self._pack(flips2))
+        log_a = (self._log_weight(prop) - self._log_weight(x)
+                 + np.vecdot(flips2 - flips1, tilt2))
+        ok = log_u < log_a
+        return self._select(ok, prop, x), ok, prop, z, None
+
+
+@pytest.mark.parametrize("chains", [1, 3])
+@pytest.mark.parametrize("score", ["glauber", "gibbs", "stein"])
+@pytest.mark.parametrize("sampler", ["dmala", "dmaps"])
+@pytest.mark.parametrize("model", [CurieWeiss(0.06, 0.5, 16), BitsMixture(0.2, 24)],
+                         ids=["d16", "d24"])
+def test_carried_features_reproduce_the_reference_stepper(model, sampler, score, chains,
+                                                          monkeypatch):
+    """Carrying the accepted state's features changes no float: the vector-mode
+    estimators equal those of the re-evaluating stepper bit for bit, over more
+    than one block of uniforms, on a single unbatched chain and on a batch."""
+    cfg = ChainConfig(sampler, model, score, 1.0, steps=1200, burn_in=100, thinning=3,
+                      chains=chains, seed=5)
+    carried = run_chain(cfg)
+    monkeypatch.setattr(simulate, "Stepper", _ReferenceStepper)
+    reference = run_chain(cfg)
+    for field in ("mean_magnetization", "marginals", "magnetization_histogram",
+                  "acceptance_fraction"):
+        np.testing.assert_array_equal(getattr(carried, field), getattr(reference, field),
+                                      err_msg=field)
+    assert carried.state_counts is None
+    # both branches of the accept test are taken on every chain
+    assert 0 < carried.acceptance_fraction.min() <= carried.acceptance_fraction.max() < 1
+
+
+@pytest.mark.parametrize("chains", [1, 3])
+@pytest.mark.parametrize("sampler", ["dmala", "dmaps"])
+def test_vector_steps_evaluate_each_state_once(sampler, chains, monkeypatch):
+    """Lockstep vector-mode steps evaluate the closed forms on each proposal
+    only, plus once on the initial states: steps + 1 log weights for both
+    adjusted samplers, and steps + 1 scores for dmala (dmaps scores the
+    auxiliary state, once per step)."""
+    calls = {"score": 0, "log_weight": 0}
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(ScoreField, "signs", counting("score", ScoreField.signs))
+    monkeypatch.setattr(CurieWeiss, "log_weight_signs",
+                        counting("log_weight", CurieWeiss.log_weight_signs))
+    steps = 1500
+    run_chain(ChainConfig(sampler, CurieWeiss(0.02, 0.3, 20), "glauber", 0.5, steps=steps,
+                          chains=chains, seed=1))
+    assert calls == {"score": steps + (sampler == "dmala"), "log_weight": steps + 1}
+
+
 def test_uniform_target_marginals():
     cfg = _cfg(model=IndependentBits(0.0, 4), sampler="dups", score="stein",
                steps=20000, burn_in=1000, thinning=5, chains=2, seed=7)
