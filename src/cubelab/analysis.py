@@ -583,11 +583,9 @@ class BoundReport:
     dmaps_rate: BoundEntry
 
 
-def bounds_report(model: TargetModel, score: ScoreField | str, eta: float) -> BoundReport:
-    """Evaluate every closed-form rate and error bound with computed flags.
-
-    `score` is the model's `ScoreField`, whose table a caller that also
-    builds kernels shares, or a score kind to build one from.
+def bounds_report(model: TargetModel, score_kind: str, eta: float) -> BoundReport:
+    """Evaluate every closed-form rate and error bound with computed flags
+    for the model's score of the given kind.
 
     beta2 here is the non-flipped-coordinate smoothness constant (see
     `smooth_beta_constants`): the contraction and error arguments only ever
@@ -597,10 +595,7 @@ def bounds_report(model: TargetModel, score: ScoreField | str, eta: float) -> Bo
     constant targets included.
     """
     _k._check_eta(eta)
-    field = ScoreField(model, score) if isinstance(score, str) else score
-    if field.model != model:
-        raise ValueError(f"{field!r} is not a score field of {model!r}")
-    score_kind = field.kind
+    field = ScoreField(model, score_kind)
     consts = smooth_beta_constants(field)
     beta1, beta2 = consts.beta1, consts.beta2
     d = model.dim
@@ -760,7 +755,7 @@ def run_certificates(model: TargetModel, score_kind: str, eta: float) -> list[Ce
     with the reason. Each kernel and each observable is computed once.
     """
     field = ScoreField(model, score_kind)
-    report = bounds_report(model, field, eta)
+    report = bounds_report(model, score_kind, eta)
     target = exact_target(model)
     families = {"kappa": report.rates, "stationary_w1": report.errors,
                 "rejection": {"dmaps": BoundEntry(report.dmaps_rejection, (), "stein",

@@ -135,11 +135,11 @@ def analyze_row(model: TargetModel, sampler: str, score_kind: str | None,
     edges under `model.symmetries()` (every edge of a target that declares
     none) and dominates everything else; `with_kappa=False` leaves its
     column empty. A score-free row reports its bounds for the glauber
-    score, whose table gibbs shares.
+    score.
     """
     if sampler in SCORE_FREE:
         score_kind = None
-    field = ScoreField(model, score_kind or "glauber")
+    field = ScoreField(model, score_kind) if score_kind else None
     kernel = kernels.kernel_matrix(model, sampler, field, eta)
     target = exact_target(model)
     try:
@@ -164,7 +164,7 @@ def analyze_row(model: TargetModel, sampler: str, score_kind: str | None,
                   else ""),
         "stationary_residual": float(np.abs(pi @ kernel.probs - pi).sum()),
     }
-    row.update(_report_columns(analysis.bounds_report(model, field, eta)))
+    row.update(_report_columns(analysis.bounds_report(model, score_kind or "glauber", eta)))
     return {c: row[c] for c in ANALYZE_COLUMNS}, pi
 
 

@@ -17,7 +17,7 @@ import numpy as np
 from .errors import CapabilityError, ParameterError
 from .kernels import GeneratorMatrix, KernelMatrix
 from .models import TargetModel
-from .scores import MAX_TABLE_DIM, tabulate_scores
+from .scores import MAX_TABLE_DIM, ScoreField
 from .statespace import BitState, all_signs
 
 RateFunction = Callable[[BitState], np.ndarray]
@@ -61,7 +61,7 @@ def glauber_rates(model: TargetModel) -> RateFunction:
 
     _check_word_dim(model.dim)
     if model.dim <= MAX_TABLE_DIM:
-        tab = tabulate_scores(model, "glauber")
+        tab = ScoreField(model, "glauber").table()
         signs = all_signs(model.dim).astype(np.float64)
         rates = expit(-2.0 * signs * tab)
         rates.setflags(write=False)
@@ -86,9 +86,10 @@ def ctmc_simulate(rates: RateFunction, x0: BitState, horizon: float,
     t = 0.0
     while True:
         r = np.asarray(rates(x), dtype=np.float64)
-        if r.min() < 0.0:
-            raise ParameterError("rates must be nonnegative")
         total = float(r.sum())
+        # a NaN or inf total would never pass the horizon
+        if not (r.min() >= 0.0 and math.isfinite(total)):
+            raise ParameterError("rates must be finite and nonnegative")
         if total <= 0.0:
             break
         t += rng.exponential(1.0 / total)

@@ -44,7 +44,7 @@ from scipy.special import expit, log_expit
 
 from .errors import CapabilityError, ParameterError
 from .models import TargetModel
-from .scores import ScoreField, tabulate_scores
+from .scores import ScoreField
 from .statespace import BitState, all_signs
 
 # dense kernels hold 4^d doubles: d = 12 is ~134 MB and the practical top
@@ -183,15 +183,10 @@ def _popcount_matrix(dim: int) -> np.ndarray:
 # generators
 
 
-def glauber_generator(model: TargetModel, score: ScoreField | None = None) -> GeneratorMatrix:
-    """Single-flip rate matrix with rates sigma(-2 x_i g(x)_i).
-
-    A glauber `score` field of `model` lends its table; without one, or
-    with any other field, the glauber table is built here.
-    """
+def glauber_generator(model: TargetModel) -> GeneratorMatrix:
+    """Single-flip rate matrix with rates sigma(-2 x_i g(x)_i)."""
     _check_matrix_dim(model.dim)
-    shared = score is not None and score.kind == "glauber" and score.model == model
-    tab = score.table() if shared else tabulate_scores(model, "glauber")
+    tab = ScoreField(model, "glauber").table()
     signs = all_signs(model.dim).astype(np.float64)
     return GeneratorMatrix(_single_flip_matrix(expit(-2.0 * signs * tab)))
 
@@ -229,13 +224,11 @@ def gibbs_step(model: TargetModel, x: BitState, eta: float,
     return _step_once(model, "gibbs", None, x, eta, rng)
 
 
-def gibbs_matrix(model: TargetModel, eta: float,
-                 score: ScoreField | None = None) -> KernelMatrix:
-    """The damped single-flip kernel, built literally as I + h Q; `score`
-    is passed to `glauber_generator`."""
+def gibbs_matrix(model: TargetModel, eta: float) -> KernelMatrix:
+    """The damped single-flip kernel, built literally as I + h Q."""
     _check_matrix_dim(model.dim)
     h = _gibbs_step_size(model, eta)
-    q = glauber_generator(model, score).rates
+    q = glauber_generator(model).rates
     return KernelMatrix(np.eye(q.shape[0]) + h * q, eta, "gibbs")
 
 
@@ -416,12 +409,11 @@ def kernel_matrix(model: TargetModel, sampler: str, score: ScoreField | None,
                   eta: float) -> KernelMatrix:
     """The dense kernel of any sampler in `SAMPLER_IDS`.
 
-    `score` is required for the samplers outside `SCORE_FREE`. Of those
-    inside, prox ignores it and gibbs only borrows the table of a glauber
-    field.
+    `score` is required for the samplers outside `SCORE_FREE` and ignored
+    by the two inside it.
     """
     if sampler == "gibbs":
-        return gibbs_matrix(model, eta, score)
+        return gibbs_matrix(model, eta)
     if sampler == "prox":
         return prox_exact_matrix(model, eta)
     # looked up per call, so that a builder replaced at run time (by a tracer

@@ -24,7 +24,9 @@ class TargetModel:
 
     Subclasses provide `log_weight_signs` (the unnormalized log-density),
     plus closed-form single-flip and smooth-continuation gradients used by
-    the score machinery. Instances are immutable and evaluation is pure.
+    the score machinery. Instances are frozen dataclasses with finite
+    parameters: immutable and hashable, so equal instances share one
+    memoized score table per kind. Evaluation is pure.
     """
 
     dim: int
@@ -59,14 +61,16 @@ class TargetModel:
     def name(self) -> str:
         raise NotImplementedError
 
-    def params(self) -> dict:
-        """Named numeric parameters, as exposed on the command line."""
-        raise NotImplementedError
-
 
 def _check_dim(dim: int) -> None:
     if dim < 1:
         raise ParameterError(f"dimension must be positive, got {dim}")
+
+
+def _check_finite(**params: float) -> None:
+    for name, value in params.items():
+        if not math.isfinite(value):
+            raise ParameterError(f"{name} must be finite, got {value}")
 
 
 def _exchangeable(dim: int, global_flip: bool) -> tuple:
@@ -88,6 +92,7 @@ class IndependentBits(TargetModel):
 
     def __post_init__(self):
         _check_dim(self.dim)
+        _check_finite(beta=self.beta)
 
     def log_weight_signs(self, signs):
         return self.beta * np.asarray(signs, dtype=np.float64).sum(axis=-1)
@@ -105,9 +110,6 @@ class IndependentBits(TargetModel):
     def name(self):
         return "bits"
 
-    def params(self):
-        return {"beta": self.beta, "dim": self.dim}
-
 
 @dataclass(frozen=True)
 class BitsMixture(TargetModel):
@@ -122,6 +124,7 @@ class BitsMixture(TargetModel):
 
     def __post_init__(self):
         _check_dim(self.dim)
+        _check_finite(beta=self.beta)
 
     def _branch_logsum(self, s):
         return np.logaddexp(self.beta * s, -self.beta * s) - math.log(2.0)
@@ -148,9 +151,6 @@ class BitsMixture(TargetModel):
     def name(self):
         return "mixture"
 
-    def params(self):
-        return {"beta": self.beta, "dim": self.dim}
-
 
 @dataclass(frozen=True)
 class IsingGrid(TargetModel):
@@ -170,6 +170,7 @@ class IsingGrid(TargetModel):
     def __post_init__(self):
         if self.rows < 1 or self.cols < 1:
             raise ParameterError(f"grid must be at least 1x1, got {self.rows}x{self.cols}")
+        _check_finite(J=self.J, h=self.h)
 
     @property
     def dim(self) -> int:
@@ -226,10 +227,6 @@ class IsingGrid(TargetModel):
     def name(self):
         return "ising"
 
-    def params(self):
-        return {"rows": self.rows, "cols": self.cols, "J": self.J, "h": self.h,
-                "periodic": self.periodic}
-
 
 @dataclass(frozen=True)
 class CurieWeiss(TargetModel):
@@ -241,6 +238,7 @@ class CurieWeiss(TargetModel):
 
     def __post_init__(self):
         _check_dim(self.dim)
+        _check_finite(beta=self.beta, b=self.b)
 
     def log_weight_signs(self, signs):
         s = np.asarray(signs, dtype=np.float64).sum(axis=-1)
@@ -262,9 +260,6 @@ class CurieWeiss(TargetModel):
     @property
     def name(self):
         return "curieweiss"
-
-    def params(self):
-        return {"beta": self.beta, "b": self.b, "dim": self.dim}
 
 
 def exact_target(model: TargetModel) -> np.ndarray:

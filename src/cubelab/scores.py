@@ -11,11 +11,12 @@ A score assigns each state a vector s(x) in R^d:
   log weight. The continuation is a per-model choice, not canonical.
 
 Tables over all 2^d states back the dense kernel builders and the constant
-evaluators; they are built once and marked read-only.
+evaluators; they are built once per (model, kind) and marked read-only.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,7 +72,8 @@ def tabulate_scores(model: TargetModel, kind: str) -> np.ndarray:
 
     The glauber rows come from log-weight differences over the enumerated
     state table (the defining formula), the gibbs rows from transforming
-    them, the stein rows from the model's closed form.
+    them, the stein rows from the model's closed form. Each call builds
+    afresh; `ScoreField.table()` is the memoized route.
     """
     d = model.dim
     if d > MAX_TABLE_DIM:
@@ -95,11 +97,20 @@ def tabulate_scores(model: TargetModel, kind: str) -> np.ndarray:
     return tab
 
 
+# a table depends on the (model, kind) pair alone, so equal models share one;
+# sixteen d = 16 tables hold ~134 MB
+@functools.lru_cache(maxsize=16)
+def _memo_table(model: TargetModel, kind: str) -> np.ndarray:
+    # looked up per call, so a replaced `tabulate_scores` counts real builds
+    return tabulate_scores(model, kind)
+
+
 class ScoreField:
     """One (model, kind) pair with lazy tabulation.
 
-    Evaluation is pure; the table is built on first use and shared
-    read-only, since kernel and bound evaluators query it heavily.
+    Evaluation is pure. `table()` reads a bounded memo keyed on the
+    (model, kind) pair, so every field of equal models shares one read-only
+    table, built on first use, without the fields being passed around.
     """
 
     def __init__(self, model: TargetModel, kind: str):
@@ -107,7 +118,6 @@ class ScoreField:
             raise ParameterError(f"unknown score kind {kind!r}, expected one of {SCORE_KINDS}")
         self.model = model
         self.kind = kind
-        self._table: np.ndarray | None = None
 
     def __call__(self, x: BitState) -> np.ndarray:
         if self.kind == "glauber":
@@ -120,9 +130,7 @@ class ScoreField:
         return score_signs(self.model, self.kind, signs)
 
     def table(self) -> np.ndarray:
-        if self._table is None:
-            self._table = tabulate_scores(self.model, self.kind)
-        return self._table
+        return _memo_table(self.model, self.kind)
 
     def __repr__(self):
         return f"ScoreField({self.model!r}, {self.kind!r})"

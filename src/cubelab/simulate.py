@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import CapabilityError, ParameterError
 from .kernels import SCORE_FREE, STEP_SAMPLERS, Stepper, _check_eta, _gibbs_step_size
 from .models import TargetModel
 from .scores import SCORE_KINDS, ScoreField
@@ -201,7 +201,7 @@ def sample_transitions(model: TargetModel, sampler: str, score: str | None,
     """
     d = model.dim
     if d > TABLE_DIM_CAP:
-        raise ParameterError(f"transition sampling capped at d <= {TABLE_DIM_CAP}")
+        raise CapabilityError(f"transition sampling capped at d <= {TABLE_DIM_CAP}, got {d}")
     if x.dim != d:
         raise ValueError("state dimension does not match the model")
     st = _stepper(model, sampler, score, eta, tables=True)

@@ -462,14 +462,6 @@ def test_bounds_report_requires_matching_score():
     assert not rep2.rates["gibbs"].applicable
 
 
-def test_bounds_report_takes_the_callers_score_field():
-    model = CurieWeiss(0.3, 0.1, 4)
-    field = ScoreField(model, "stein")
-    assert bounds_report(model, field, 0.4) == bounds_report(model, "stein", 0.4)
-    with pytest.raises(ValueError, match="is not a score field of"):
-        bounds_report(CurieWeiss(0.3, 0.2, 4), field, 0.4)
-
-
 # ---------------------------------------------------------------------------
 # adjusted-kernel diagnostics
 

@@ -346,23 +346,30 @@ def test_bounds_header_is_fixed(capsys):
     assert [r.split(",")[1] for r in rows] == ["gibbs", "stein"]
 
 
-@pytest.mark.parametrize("call", ["analyze_row", "run_certificates", "analyze_row_gibbs",
-                                  "run_certificates_glauber"])
-def test_scored_rows_tabulate_each_score_once(call, monkeypatch):
-    """The kernels and the bound report of one row share one table; a gibbs
-    kernel shares the glauber table of the bound report."""
-    from cubelab import analysis, cli, kernels, scores
-    from cubelab.models import BitsMixture, CurieWeiss, IndependentBits
+@pytest.fixture
+def tabulated(monkeypatch):
+    """The kinds of the score tables built from here on, one per build."""
+    from cubelab import scores
 
     kinds = []
+    tabulate = scores.tabulate_scores
 
     def counted(model, kind):
         kinds.append(kind)
         return tabulate(model, kind)
 
-    tabulate = scores.tabulate_scores
     monkeypatch.setattr(scores, "tabulate_scores", counted)
-    monkeypatch.setattr(kernels, "tabulate_scores", counted)
+    return kinds
+
+
+@pytest.mark.parametrize("call", ["analyze_row", "run_certificates", "analyze_row_gibbs",
+                                  "run_certificates_glauber"])
+def test_scored_rows_tabulate_each_score_once(call, tabulated):
+    """The kernels and the bound report of one row share one table; a gibbs
+    kernel shares the glauber table of the bound report."""
+    from cubelab import analysis, cli
+    from cubelab.models import BitsMixture, CurieWeiss, IndependentBits
+
     model = CurieWeiss(0.2, 0.1, 4)
     if call == "analyze_row":
         cli.analyze_row(model, "dmaps", "stein", 0.4)
@@ -373,4 +380,30 @@ def test_scored_rows_tabulate_each_score_once(call, monkeypatch):
     else:
         results = analysis.run_certificates(IndependentBits(0.5, 4), "glauber", 0.4)
         assert results[0].certificate == "gibbs_contraction" and results[0].status == "pass"
-    assert kinds == ["glauber" if call.endswith(("gibbs", "glauber")) else "stein"]
+    assert tabulated == ["glauber" if call.endswith(("gibbs", "glauber")) else "stein"]
+
+
+def test_diagnose_sweep_tabulates_each_score_once(capsys, tabulated):
+    """Twenty sweep rows over two step sizes read two score tables: every
+    row of a kind shares the memoized table of the same model."""
+    code, out, _ = run_cli(capsys, "sweep", "--model", "mixture", "--beta", "0.5", "--dim", "8",
+                           "--eta-grid", "0.3:0.6:2", "--sampler", "all",
+                           "--score", "stein,glauber", "--skip-kappa")
+    assert code == 0 and len(out.strip().split("\n")) == 21
+    assert sorted(tabulated) == ["glauber", "stein"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--model", "bits", "--beta", "nan", "--dim", "3", "--sampler", "dups",
+     "--eta", "0.4"],
+    ["check", "--model", "curieweiss", "--beta", "0.1", "--b", "inf", "--dim", "3",
+     "--eta", "0.4"],
+    ["simulate", "--model", "ising", "--rows", "2", "--cols", "2", "--J", "nan",
+     "--sampler", "dula", "--eta", "0.4", "--steps", "10"],
+    ["bounds", "--model", "mixture", "--beta", "inf", "--dim", "3", "--eta", "0.4"],
+    ["ctmc", "--model", "bits", "--beta", "nan", "--dim", "3", "--horizon", "1"],
+])
+def test_non_finite_model_parameters_are_parameter_errors(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "parameter error" in err and "must be finite" in err

@@ -20,7 +20,7 @@ from cubelab.kernels import (
     glauber_generator,
     prox_exact_matrix,
 )
-from cubelab.errors import CapabilityError
+from cubelab.errors import CapabilityError, ParameterError
 from cubelab.models import BitsMixture, CurieWeiss, IndependentBits, IsingGrid, exact_target
 from cubelab.scores import ScoreField, glauber_score
 from cubelab.statespace import BitState, hamming, state_of
@@ -144,3 +144,19 @@ def test_trajectories_above_the_packed_word_cap_are_capability_errors():
         glauber_rates(IndependentBits(0.1, 64))
     with pytest.raises(CapabilityError, match="d <= 63"):
         ctmc_simulate(lambda x: np.ones(64), BitState(0, 64), 1.0, np.random.default_rng(1))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_ctmc_rejects_non_finite_rates(bad):
+    """A NaN or inf total rate never passes the horizon; the first call must
+    already raise, so a second call fails the test instead of looping."""
+    calls = []
+
+    def rates(x):
+        calls.append(x)
+        if len(calls) > 1:
+            raise RuntimeError("rates called past a non-finite total")
+        return np.array([0.5, bad, 0.5])
+
+    with pytest.raises(ParameterError, match="finite and nonnegative"):
+        ctmc_simulate(rates, BitState(0, 3), 1.0, np.random.default_rng(0))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
-from cubelab.errors import CapabilityError
+from cubelab.errors import CapabilityError, ParameterError
 from cubelab.models import BitsMixture, CurieWeiss, IndependentBits, IsingGrid, exact_target
 from cubelab.statespace import all_signs, state_of
 
@@ -134,3 +134,17 @@ def test_declared_symmetries_preserve_the_log_weight(model, count):
         moved[:, list(sigma)] = signs
         moved *= 1 - 2 * ((mask >> np.arange(model.dim)) & 1)
         assert np.abs(model.log_weight_signs(moved) - lw).max() <= 1e-12, (sigma, mask)
+
+
+@pytest.mark.parametrize("make, name", [
+    (lambda v: IndependentBits(v, 3), "beta"),
+    (lambda v: BitsMixture(v, 3), "beta"),
+    (lambda v: IsingGrid(2, 2, v), "J"),
+    (lambda v: IsingGrid(2, 2, 0.3, v), "h"),
+    (lambda v: CurieWeiss(v, 0.0, 3), "beta"),
+    (lambda v: CurieWeiss(0.1, v, 3), "b"),
+])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_parameters_are_rejected(make, name, value):
+    with pytest.raises(ParameterError, match=f"^{name} must be finite"):
+        make(value)

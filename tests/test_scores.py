@@ -148,3 +148,14 @@ def test_glauber_stein_gap_is_bounded():
     for model in (IndependentBits(0.5, 4), IsingGrid(2, 2, 0.6, 0.1)):
         gap = np.abs(tabulate_scores(model, "glauber") - tabulate_scores(model, "stein"))
         assert gap.max() < 1e-11
+
+
+def test_equal_models_share_one_memoized_table():
+    a, b = IsingGrid(2, 2, 0.6, 0.1), IsingGrid(2, 2, 0.6, 0.1)
+    assert a is not b
+    assert ScoreField(a, "stein").table() is ScoreField(b, "stein").table()
+    assert ScoreField(a, "stein").table() is not ScoreField(a, "glauber").table()
+    assert ScoreField(a, "stein").table() is not ScoreField(IsingGrid(2, 2, 0.6, 0.2),
+                                                           "stein").table()
+    # the public builder stays uncached
+    assert tabulate_scores(a, "stein") is not tabulate_scores(a, "stein")

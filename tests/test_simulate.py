@@ -6,7 +6,7 @@ import pytest
 from scipy.special import expit
 
 from cubelab import kernels, simulate
-from cubelab.errors import ParameterError
+from cubelab.errors import CapabilityError, ParameterError
 from cubelab.kernels import Stepper, dula_matrix, gibbs_matrix
 from cubelab.models import BitsMixture, CurieWeiss, IndependentBits, IsingGrid, exact_target
 from cubelab.scores import ScoreField
@@ -303,4 +303,11 @@ def test_samplers_without_a_step_are_parameter_errors(sampler):
         sample_transitions(model, sampler, "glauber", 0.5, x, 10, np.random.default_rng(0))
     with pytest.raises(ParameterError, match="has no step"):
         kernels._step_once(model, sampler, ScoreField(model, "glauber"), x, 0.5,
+                           np.random.default_rng(0))
+
+
+def test_sample_transitions_above_the_table_cap_is_a_capability_error():
+    model = IndependentBits(0.3, simulate.TABLE_DIM_CAP + 1)
+    with pytest.raises(CapabilityError, match="transition sampling capped"):
+        sample_transitions(model, "dula", "glauber", 0.5, state_of(0, model.dim), 10,
                            np.random.default_rng(0))
