@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 from scipy.optimize import linprog
-from scipy.special import expit
+from scipy.special import expit, logit
 
 from . import kernels as _k
 from .errors import CapabilityError, NumericalError, ParameterError
@@ -220,13 +220,9 @@ _LP_MAX_VARS = 256
 
 
 def _product_residual(rows: np.ndarray, marginals: np.ndarray) -> np.ndarray:
-    """L1 distance of each row from the product law of its P(x_i = +1)."""
-    prod = np.ones((rows.shape[0], 1))
-    for i in range(marginals.shape[1]):
-        m = marginals[:, i:i + 1]
-        # bit i is the most significant so far: its 0-half comes first
-        prod = np.concatenate([prod * (1.0 - m), prod * m], axis=1)
-    return np.abs(rows - prod).sum(axis=1)
+    """L1 distance of each row from the product law of its P(x_i = +1), which
+    is the law of the flip pattern from the all-(-1) state 0."""
+    return np.abs(rows - np.exp(_k._flip_log_probs(logit(marginals)))).sum(axis=1)
 
 
 def _adjacent_pairs(d: int) -> np.ndarray:
@@ -319,7 +315,7 @@ def wasserstein_hamming_lp(p: np.ndarray, q: np.ndarray) -> float:
     d = n.bit_length() - 1
     if d > MH_ORACLE_DIM_CAP:
         raise CapabilityError(f"coupling LP capped at d <= {MH_ORACLE_DIM_CAP}")
-    cost = _k._popcount_matrix(d).astype(np.float64).ravel()
+    cost = np.bitwise_count(np.arange(n)[:, None] ^ np.arange(n)).astype(np.float64).ravel()
     row_marginals = np.kron(np.eye(n), np.ones(n))
     col_marginals = np.kron(np.ones(n), np.eye(n))
     a_eq = np.vstack([row_marginals, col_marginals])
@@ -354,7 +350,8 @@ class ContractionCertificate:
     records whether that implication was verified exhaustively.
     `solved_on[j]` is the index of the pair whose transport solve gave
     `pair_values[j]`: j itself, or the lowest-index pair of its orbit under
-    the declared symmetries. None means every pair was solved.
+    the declared symmetries. `contraction_certificate` always fills it; with
+    no symmetries every entry is its own index.
     """
 
     kappa: float
@@ -501,7 +498,10 @@ def dups_stationary_error_bound(dim: int, eta: float) -> float:
 
 def dula_static_error_bound(dim: int, beta1: float) -> float:
     """Step-size-free error bound 2d (2d beta1 e^{2 beta1} + sqrt(d beta1 e^{2 beta1}))."""
-    g = dim * beta1 * math.exp(2.0 * beta1)
+    try:
+        g = dim * beta1 * math.exp(2.0 * beta1)
+    except OverflowError:  # beta1 past ~355: the bound is inf, hence vacuous
+        return math.inf
     return 2.0 * dim * (2.0 * g + math.sqrt(g))
 
 
@@ -608,7 +608,7 @@ def bounds_report(model: TargetModel, score_kind: str, eta: float) -> BoundRepor
         "4d_beta2_le_1": 4.0 * d * beta2 <= 1.0,
         "8d_beta2_le_1": 8.0 * d * beta2 <= 1.0,
         "2d_beta2_le_exp_neg_beta1": 2.0 * d * beta2 <= math.exp(-beta1),
-        "4d_beta2_exp4beta1_le_1": 4.0 * d * beta2 * math.exp(4.0 * beta1) <= 1.0,
+        "4d_beta2_exp4beta1_le_1": 4.0 * d * beta2 <= math.exp(-4.0 * beta1),
         "step_le_inv_d": h <= 1.0 / d,
         "alignment_ge_neg_half_inv_eta": min_alignment >= -1.0 / (2.0 * eta),
         "shifted_step_le_inv_d": math.exp(-2.0 / eta - 2.0 * beta1) <= 1.0 / d,
@@ -683,14 +683,11 @@ def naive_mh_oracle(model: TargetModel, score: ScoreField, eta: float) -> Kernel
         raise CapabilityError(
             f"full-sum Metropolis reference capped at d <= {MH_ORACLE_DIM_CAP}")
     _k._check_eta(eta)
-    two_stage = _k.dups_matrix(model, score, eta).probs
+    # an entry that underflowed to 0 is a move never proposed: log -inf
+    with np.errstate(divide="ignore"):
+        log_t = np.log(_k.dups_matrix(model, score, eta).probs)
     lw = model.log_weight_signs(all_signs(model.dim).astype(np.float64))
-    log_t = np.log(two_stage)
-    log_a = (lw[None, :] - lw[:, None]) + (log_t.T - log_t)
-    probs = two_stage * np.exp(np.minimum(log_a, 0.0))
-    n = probs.shape[0]
-    probs[np.arange(n), np.arange(n)] += 1.0 - probs.sum(axis=1)
-    return KernelMatrix(probs, eta, "mh_oracle", score.kind)
+    return _k._with_rejections(_k._metropolis_flux(log_t, lw), eta, "mh_oracle", score.kind)
 
 
 # ---------------------------------------------------------------------------

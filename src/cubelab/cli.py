@@ -96,7 +96,9 @@ def parse_eta_grid(grid: str) -> list[float]:
     scale = parts[3] if len(parts) == 4 else "linear"
     if scale not in ("log", "linear"):
         raise ParameterError(f"bad eta grid scale {scale!r}")
-    if count < 1 or lo <= 0 or hi < lo:
+    kernels._check_eta(lo)
+    kernels._check_eta(hi)
+    if count < 1 or hi < lo:
         raise ParameterError(f"bad eta grid {grid!r}: need 0 < min <= max, count >= 1")
     if count == 1:
         return [lo]
@@ -109,8 +111,7 @@ def _etas(args) -> list[float]:
         return parse_eta_grid(args.eta_grid)
     if getattr(args, "eta", None) is None:
         raise ParameterError("provide --eta or --eta-grid")
-    if args.eta <= 0:
-        raise ParameterError(f"eta must be positive, got {args.eta}")
+    kernels._check_eta(args.eta)
     return [args.eta]
 
 

@@ -28,9 +28,10 @@ whole batch of states on pre-drawn uniforms; the `*_step` functions run it
 on a single state. `kernel_matrix` is the one place that maps a sampler name
 to its dense builder.
 
-Flip probabilities are computed directly through a numerically stable
-sigmoid: eta = 0.05 already gives exp(-2/eta) ~ 4e-18, far below where
-normalizing raw exponentials would underflow.
+Every dense law of independent flips is summed in log-odds form by
+`_flip_log_kernel`, never from the log of a flip probability, so the kernels
+stay finite for every eta > 0, also where exp(-2/eta) underflows or a flip
+probability rounds to 1. dmala and dmaps share one rejected-mass fold.
 """
 
 from __future__ import annotations
@@ -144,23 +145,45 @@ def _check_state(model: TargetModel, x: BitState) -> None:
         raise ValueError(f"state dimension {x.dim} != model dimension {model.dim}")
 
 
-def _product_log_kernel(flip_probs: np.ndarray) -> np.ndarray:
-    """Log of the row-wise product law for independent per-coordinate flips.
+def _flip_log_probs(logit: np.ndarray) -> np.ndarray:
+    """Log-probability of every flip pattern, for rows of per-coordinate log-odds.
 
-    flip_probs[k, i] is the probability that coordinate i flips when the
-    chain sits at state k; entry (k, j) of the result sums log q or
-    log(1 - q) according to which bits differ between k and j.
+    logit[k, i] is the log-odds that coordinate i flips; entry (k, j) of the
+    result sums log sigma(logit[k, i]) over the set bits i of pattern j and
+    log sigma(-logit[k, i]) over the rest, so no flip probability is ever
+    rounded to 0 or 1 before its log is taken.
     """
-    n, d = flip_probs.shape
-    ks = np.arange(n)
-    with np.errstate(divide="ignore"):
-        logq = np.log(flip_probs)
-        log1mq = np.log1p(-flip_probs)
-    out = np.zeros((n, n))
-    for i in range(d):
-        differs = (((ks[:, None] ^ ks[None, :]) >> i) & 1).astype(bool)
-        out += np.where(differs, logq[:, i][:, None], log1mq[:, i][:, None])
+    flip, stay = log_expit(logit), log_expit(-logit)
+    out = np.zeros((logit.shape[0], 1))
+    for i in range(logit.shape[1]):
+        # bit i is the most significant so far: its 0-half comes first
+        out = np.concatenate([out + stay[:, i:i + 1], out + flip[:, i:i + 1]], axis=1)
     return out
+
+
+def _flip_log_kernel(logit: np.ndarray) -> np.ndarray:
+    """Dense log kernel of independent flips: entry (k, j) is the log-probability
+    of the pattern k ^ j under row k of `logit`, or under its only row when
+    the rates are the same at every state."""
+    ks = np.arange(1 << logit.shape[1])
+    patterns = ks[:, None] ^ ks[None, :]
+    f = _flip_log_probs(logit)
+    return f[0][patterns] if len(f) == 1 else f[ks[:, None], patterns]
+
+
+def _metropolis_flux(log_t: np.ndarray, lw: np.ndarray) -> np.ndarray:
+    """Accepted flux min{t(x'|x), t(x|x') w(x') / w(x)} of the proposal with
+    log kernel `log_t` against the target with log weights `lw`."""
+    return np.exp(np.minimum(log_t, log_t.T + (lw[None, :] - lw[:, None])))
+
+
+def _with_rejections(flux: np.ndarray, eta: float, sampler: str,
+                     score: str | None) -> KernelMatrix:
+    """The kernel with accepted flux `flux` and the rejected mass of each row
+    on its diagonal."""
+    n = flux.shape[0]
+    flux[np.arange(n), np.arange(n)] += 1.0 - flux.sum(axis=1)
+    return KernelMatrix(flux, eta, sampler, score)
 
 
 def _single_flip_matrix(rates: np.ndarray) -> np.ndarray:
@@ -172,11 +195,6 @@ def _single_flip_matrix(rates: np.ndarray) -> np.ndarray:
         q[ks, ks ^ (1 << i)] = rates[:, i]
     q[ks, ks] = -q.sum(axis=1)
     return q
-
-
-def _popcount_matrix(dim: int) -> np.ndarray:
-    ks = np.arange(1 << dim, dtype=np.uint32)
-    return np.bitwise_count(ks[:, None] ^ ks[None, :]).astype(np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -236,9 +254,10 @@ def gibbs_matrix(model: TargetModel, eta: float) -> KernelMatrix:
 # independent-flip sampler and its Metropolis adjustment
 
 
-def _dula_flip_probs(score: ScoreField, eta: float) -> np.ndarray:
+def _score_log_kernel(score: ScoreField, eta: float, scale: float) -> np.ndarray:
+    """Log kernel flipping coordinate i of x with log-odds -2/eta - scale x_i s(x)_i."""
     signs = all_signs(score.model.dim).astype(np.float64)
-    return expit(-2.0 / eta - signs * score.table())
+    return _flip_log_kernel(-2.0 / eta - scale * signs * score.table())
 
 
 def dula_step(model: TargetModel, score: ScoreField, x: BitState, eta: float,
@@ -250,8 +269,7 @@ def dula_step(model: TargetModel, score: ScoreField, x: BitState, eta: float,
 def dula_matrix(model: TargetModel, score: ScoreField, eta: float) -> KernelMatrix:
     _check_matrix_dim(model.dim)
     _check_eta(eta)
-    probs = np.exp(_product_log_kernel(_dula_flip_probs(score, eta)))
-    return KernelMatrix(probs, eta, "dula", score.kind)
+    return KernelMatrix(np.exp(_score_log_kernel(score, eta, 1.0)), eta, "dula", score.kind)
 
 
 def dmala_step(model: TargetModel, score: ScoreField, x: BitState, eta: float,
@@ -267,32 +285,18 @@ def dmala_step(model: TargetModel, score: ScoreField, x: BitState, eta: float,
 def dmala_matrix(model: TargetModel, score: ScoreField, eta: float) -> KernelMatrix:
     _check_matrix_dim(model.dim)
     _check_eta(eta)
-    log_t = _product_log_kernel(_dula_flip_probs(score, eta))
     lw = model.log_weight_signs(all_signs(model.dim).astype(np.float64))
-    log_a = (lw[None, :] - lw[:, None]) + (log_t.T - log_t)
-    probs = np.exp(log_t) * np.exp(np.minimum(log_a, 0.0))
-    n = probs.shape[0]
-    probs[np.arange(n), np.arange(n)] += 1.0 - probs.sum(axis=1)
-    return KernelMatrix(probs, eta, "dmala", score.kind)
+    return _with_rejections(_metropolis_flux(_score_log_kernel(score, eta, 1.0), lw), eta,
+                            "dmala", score.kind)
 
 
 # ---------------------------------------------------------------------------
 # two-stage proximal samplers
 
 
-def _stage_one_flip_prob(eta: float) -> float:
-    return float(expit(-2.0 / eta))
-
-
-def _stage_two_flip_probs(score: ScoreField, eta: float) -> np.ndarray:
-    signs = all_signs(score.model.dim).astype(np.float64)
-    return expit(-2.0 / eta - 2.0 * signs * score.table())
-
-
 def _stage_one_log_kernel(dim: int, eta: float) -> np.ndarray:
-    a = _stage_one_flip_prob(eta)
-    ham = _popcount_matrix(dim)
-    return ham * math.log(a) + (dim - ham) * math.log1p(-a)
+    """Log kernel flipping every coordinate with log-odds -2/eta, whatever the target."""
+    return _flip_log_kernel(np.full((1, dim), -2.0 / eta))
 
 
 def dups_step(model: TargetModel, score: ScoreField, x: BitState, eta: float,
@@ -305,7 +309,7 @@ def dups_matrix(model: TargetModel, score: ScoreField, eta: float) -> KernelMatr
     _check_matrix_dim(model.dim)
     _check_eta(eta)
     stage1 = np.exp(_stage_one_log_kernel(model.dim, eta))
-    stage2 = np.exp(_product_log_kernel(_stage_two_flip_probs(score, eta)))
+    stage2 = np.exp(_score_log_kernel(score, eta, 2.0))
     return KernelMatrix(stage1 @ stage2, eta, "dups", score.kind)
 
 
@@ -344,7 +348,7 @@ def _dmaps_flux(model: TargetModel, score: ScoreField, eta: float) -> np.ndarray
     signs = all_signs(model.dim).astype(np.float64)
     lw = model.log_weight_signs(signs)
     tab = score.table()
-    stage2 = np.exp(_product_log_kernel(_stage_two_flip_probs(score, eta)))
+    stage2 = np.exp(_score_log_kernel(score, eta, 2.0))
     # phi[z, y] = phi_z(y) - max phi_z, then u in place
     phi = tab @ signs.T
     np.subtract(lw, phi, out=phi)
@@ -379,10 +383,7 @@ def dmaps_matrix(model: TargetModel, score: ScoreField, eta: float) -> KernelMat
     O(8^d) time with no exponential over pairs of states for any z whose
     phi_z spans at most `_PHI_SPAN`, and the memory of a few dense kernels.
     """
-    probs = _dmaps_flux(model, score, eta)
-    n = probs.shape[0]
-    probs[np.arange(n), np.arange(n)] += 1.0 - probs.sum(axis=1)
-    return KernelMatrix(probs, eta, "dmaps", score.kind)
+    return _with_rejections(_dmaps_flux(model, score, eta), eta, "dmaps", score.kind)
 
 
 def prox_exact_matrix(model: TargetModel, eta: float) -> KernelMatrix:
@@ -395,14 +396,13 @@ def prox_exact_matrix(model: TargetModel, eta: float) -> KernelMatrix:
     _check_matrix_dim(model.dim)
     _check_eta(eta)
     lw = model.log_weight_signs(all_signs(model.dim).astype(np.float64))
-    ham = _popcount_matrix(model.dim)
-    # z^T x' = d - 2 * hamming(z, x') up to a per-row constant
-    log_v = lw[None, :] - 2.0 * ham / eta
+    log_t1 = _stage_one_log_kernel(model.dim, eta)
+    # z^T x' / eta = -2 hamming(z, x') / eta up to a constant, and so is log T1(z, x')
+    log_v = lw[None, :] + log_t1
     log_v -= log_v.max(axis=1, keepdims=True)
     v = np.exp(log_v)
     v /= v.sum(axis=1, keepdims=True)
-    stage1 = np.exp(_stage_one_log_kernel(model.dim, eta))
-    return KernelMatrix(stage1 @ v, eta, "prox")
+    return KernelMatrix(np.exp(log_t1) @ v, eta, "prox")
 
 
 def kernel_matrix(model: TargetModel, sampler: str, score: ScoreField | None,
@@ -537,7 +537,7 @@ class Stepper:
             log_accept = np.log(u[..., -1])
         if self.sampler == "dmala":
             return u[..., :d], log_accept
-        flips1 = u[..., :d] < _stage_one_flip_prob(self.eta)
+        flips1 = u[..., :d] < expit(-2.0 / self.eta)
         if self.sampler == "dups":
             return self._pack(flips1), u[..., d:]
         return self._pack(flips1), flips1.astype(np.float64), u[..., d:2 * d], log_accept

@@ -56,6 +56,15 @@ def test_power_iteration_agrees_with_direct_solve():
             assert np.abs(pi @ t.probs - pi).sum() <= 1e-13
 
 
+def test_stationary_stalls_on_a_periodic_kernel():
+    # the star's centre and leaves alternate, so no iterate is stationary
+    star = np.array([[0, 1 / 3, 1 / 3, 1 / 3], [1, 0, 0, 0], [1, 0, 0, 0], [1, 0, 0, 0]])
+    with pytest.raises(NumericalError, match="stalled") as err:
+        stationary(KernelMatrix(star, 1.0, "gibbs"))
+    assert err.value.residual == pytest.approx(1.0)
+    np.testing.assert_allclose(err.value.best, np.full(4, 0.25), atol=1e-15)
+
+
 def test_stationary_sticky_kernel():
     # spectral gap around 1e-5: plain iteration cannot get there, squaring can
     model = IsingGrid(2, 2, 0.4, 0.1)
@@ -197,11 +206,17 @@ def test_transport_lp_matches_product_form_on_dula_rows(d, monkeypatch):
 
 
 def test_unbalanced_supplies_rejected():
+    # both pass the 1e-9 normalization check, but their masses are 5e-10 apart
     p = np.full(8, 1 / 8)
     q = p.copy()
     q[0] += 5e-10
-    with pytest.raises(ValueError):
-        wasserstein_hamming(p, q / q.sum() + 1e-9)
+    with pytest.raises(ValueError, match="unbalanced"):
+        wasserstein_hamming(p, q)
+
+
+def test_wasserstein_needs_a_power_of_two_length():
+    with pytest.raises(ValueError, match="length 6 is not a power of two"):
+        wasserstein_hamming(np.full(6, 1 / 6), np.full(6, 1 / 6))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -431,6 +446,8 @@ def test_bound_formula_values():
     assert analysis.dmaps_contraction_bound(eps, d, eta, b1, b2) == pytest.approx(
         1 - eps + delta + d * analysis.dmaps_acceptance_lipschitz(d, eta, b1, b2),
         rel=1e-12)
+    # e^{2 beta1} overflows a double past beta1 ~ 355: the bound is inf, not an error
+    assert analysis.dula_static_error_bound(5, 400.0) == math.inf
 
 
 def test_bounds_report_flags_and_vacuity():
@@ -490,6 +507,13 @@ def test_naive_mh_oracle():
     assert tv_distance(stationary(oracle), exact_target(model)) <= 1e-9
     stagewise = dmaps_matrix(model, field, 0.5)
     assert np.abs(oracle.probs - stagewise.probs).max() > 1e-6
+
+
+def test_naive_mh_oracle_where_two_stage_entries_underflow():
+    # at eta = 0.002 every move of the two-stage kernel rounds to probability 0
+    model = IndependentBits(0.5, 3)
+    oracle = naive_mh_oracle(model, ScoreField(model, "glauber"), 0.002)
+    np.testing.assert_array_equal(oracle.probs, np.eye(8))
 
 
 def test_naive_mh_oracle_cap():

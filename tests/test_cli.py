@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 
 import numpy as np
 import pytest
@@ -28,6 +29,9 @@ def test_eta_grid_parsing():
         parse_eta_grid("0.1:1")
     with pytest.raises(ParameterError):
         parse_eta_grid("0.1:1:5:cubic")
+    for grid in ("0.1:inf:2", "nan:1:2", "0.1:nan:2"):
+        with pytest.raises(ParameterError, match="positive and finite"):
+            parse_eta_grid(grid)
 
 
 def test_analyze_csv_deterministic(capsys):
@@ -407,3 +411,33 @@ def test_non_finite_model_parameters_are_parameter_errors(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
     assert "parameter error" in err and "must be finite" in err
+
+
+@pytest.mark.parametrize("argv", [
+    # a flip probability saturates to 1 at every state
+    ["--model", "curieweiss", "--beta", "8", "--b", "0", "--dim", "5", "--sampler", "dmala",
+     "--score", "glauber", "--eta", "0.8"],
+    # exp(-2/eta) = e^-1000 underflows
+    *[["--model", "bits", "--beta", "0.5", "--dim", "3", "--sampler", s, "--eta", "0.002"]
+      for s in ("dups", "dmala", "dmaps", "prox")],
+])
+def test_analyze_in_the_small_step_and_saturated_regimes(capsys, argv):
+    code, out, err = run_cli(capsys, "analyze", *argv)
+    assert code == 0, err
+    header, row = out.strip().split("\n")
+    values = dict(zip(header.split(","), row.split(",")))
+    for column in ("w_to_target", "tv_to_target", "lambda2", "db_residual", "kappa",
+                   "stationary_residual"):
+        assert math.isfinite(float(values[column])), column
+
+
+@pytest.mark.parametrize("command", ["bounds", "check"])
+def test_bounds_flags_survive_large_beta1(capsys, command):
+    # beta1 = 200: exp(4 beta1) overflows a double
+    code, out, err = run_cli(capsys, command, "--model", "curieweiss", "--beta", "25",
+                             "--b", "0", "--dim", "5", "--eta", "0.5", "--score", "glauber")
+    assert code == 0, err
+    if command == "bounds":
+        header, row = out.strip().split("\n")
+        values = dict(zip(header.split(","), row.split(",")))
+        assert values["flag_4d_beta2_exp4beta1_le_1"] == "False"

@@ -306,14 +306,26 @@ def test_prox_exact_reversible_and_stochastic():
     assert detailed_balance_residual(t, p) <= 1e-12
 
 
+def _flip_law(logit):
+    """Dense law of independent flips, built coordinate by coordinate: from
+    state k, coordinate i flips with probability expit(logit[k, i])."""
+    n, d = logit.shape
+    ks = np.arange(n)
+    law = np.ones((n, n))
+    for i in range(d):
+        differs = ((ks[:, None] ^ ks[None, :]) >> i) & 1 == 1
+        law *= np.where(differs, expit(logit[:, i:i + 1]), expit(-logit[:, i:i + 1]))
+    return law
+
+
 def _dmaps_flux_reference(model, score, eta):
     """The dmaps flux by the per-z formula: one exp over all pairs per z."""
     n = 1 << model.dim
     signs = all_signs(model.dim).astype(np.float64)
     lw = model.log_weight_signs(signs)
     tab = score.table()
-    stage1 = np.exp(kernels._stage_one_log_kernel(model.dim, eta))
-    stage2 = np.exp(kernels._product_log_kernel(kernels._stage_two_flip_probs(score, eta)))
+    stage1 = _flip_law(np.full((n, model.dim), -2.0 / eta))
+    stage2 = _flip_law(-2.0 / eta - 2.0 * signs * tab)
     flux = np.zeros((n, n))
     for z in range(n):
         phi = lw - signs @ tab[z]
@@ -349,6 +361,35 @@ def test_dmaps_flux_falls_back_where_exp_underflows(model, kind, monkeypatch):
     monkeypatch.setattr(kernels, "_PHI_SPAN", math.inf)
     with np.errstate(all="ignore"):
         assert np.isnan(kernels._dmaps_flux(model, field, 0.5)).any()
+
+
+def test_dmala_matrix_where_flip_probabilities_saturate():
+    # glauber scores of CurieWeiss(8, 0, 5) reach 64, so expit(-2/eta - x_i s_i)
+    # rounds to 1 at every state
+    from cubelab.analysis import detailed_balance_residual
+
+    model = CurieWeiss(8.0, 0.0, 5)
+    t = dmala_matrix(model, ScoreField(model, "glauber"), 0.8)
+    assert np.abs(t.probs.sum(axis=1) - 1.0).max() <= 1e-12
+    assert detailed_balance_residual(t, exact_target(model)) <= 1e-12
+
+
+@pytest.mark.parametrize("sampler", ["dula", "dmala", "dups", "dmaps", "prox"])
+def test_kernels_stay_finite_where_the_stage_one_rate_underflows(sampler):
+    # exp(-2/eta) = e^-1000: the flip rate of stage one is below the subnormals
+    model = IndependentBits(0.5, 3)
+    t = kernels.kernel_matrix(model, sampler, ScoreField(model, "glauber"), 0.002)
+    np.testing.assert_allclose(t.probs, np.eye(8), atol=1e-12)
+
+
+@pytest.mark.parametrize("probs,message", [
+    (np.full((2, 4), 0.25), "must be square"),
+    (np.array([[1.5, -0.5], [0.0, 1.0]]), "negative entry"),
+    (np.array([[0.5, 0.4], [0.0, 1.0]]), "rows sum to 1 only within"),
+])
+def test_kernel_matrix_rejects_non_kernels(probs, message):
+    with pytest.raises(ValueError, match=message):
+        KernelMatrix(probs, 0.5, "dula")
 
 
 def test_dense_matrices_reject_non_finite_entries():
