@@ -38,10 +38,8 @@ SYMMETRY_TOL = 1e-13
 # the full-sum Metropolis reference enumerates 2^d auxiliary states per pair
 MH_ORACLE_DIM_CAP = 6
 DIRECT_SOLVE_DIM_CAP = 6
-# `stationary` stops once || pi t - pi ||_1 is below this, squaring the
-# kernel at most this many times
-STATIONARY_TOL = 1e-13
-STATIONARY_MAX_DOUBLINGS = 60
+# `stationary` eliminates states in blocks of this many, one matrix product each
+_GTH_BLOCK = 32
 # detailed-balance residual below which `spectral_summary` treats a kernel
 # as reversible
 REVERSIBILITY_TOL = 1e-10
@@ -64,70 +62,61 @@ def _require_distribution(p: np.ndarray, name: str) -> np.ndarray:
 
 
 def stationary(kernel: KernelMatrix) -> np.ndarray:
-    """Left fixed vector of a row-stochastic kernel by power iteration.
+    """Stationary law by Grassmann-Taksar-Heyman state reduction (1985).
 
-    Plain iterations handle fast-mixing kernels; for sticky ones (spectral
-    gaps down to ~1e-12) the operator is repeatedly squared, which keeps the
-    iterate count logarithmic in the gap. The residual || pi t - pi ||_1 is
-    always measured against the original kernel, and iteration continues
-    past the residual target until the iterate itself stops moving, so the
-    returned vector is stationary to machine precision rather than merely
-    within the residual tolerance.
-
-    Raises NumericalError (with the best residual attached, plus the best
-    iterate on its `best` attribute) if the target is never reached.
+    States are eliminated from the top index down, each one's off-diagonal
+    moves spread over the states below it in proportion to its outflow
+    (the pivot); the law is then rebuilt from state 0 up. Nothing is
+    subtracted, so every entry keeps a small relative error however sticky
+    or periodic the kernel is. A zero pivot means the kernel is reducible
+    in double precision and raises NumericalError.
     """
-    t = kernel.probs
-    n = t.shape[0]
-    pi = np.full(n, 1.0 / n)
-    for _ in range(50):
-        nxt = pi @ t
-        nxt /= nxt.sum()
-        moved = float(np.abs(nxt - pi).sum())
-        pi = nxt
-        if moved < 1e-16:
-            break
-    res = float(np.abs(pi @ t - pi).sum())
-    if res <= STATIONARY_TOL:
-        return pi
-    m = t.copy()
-    for _ in range(STATIONARY_MAX_DOUBLINGS):
-        m = m @ m
-        m /= m.sum(axis=1, keepdims=True)  # absorb roundoff drift
-        nxt = pi @ m
-        nxt /= nxt.sum()
-        moved = float(np.abs(nxt - pi).sum())
-        pi = nxt
-        res = float(np.abs(pi @ t - pi).sum())
-        if res <= STATIONARY_TOL and moved < 1e-14:
-            return pi
-    if res <= STATIONARY_TOL:
-        return pi
-    err = NumericalError(
-        f"stationary iteration stalled at residual {res:.3e} (target {STATIONARY_TOL:.1e})",
-        residual=res)
-    err.best = pi
-    raise err
+    a = np.array(kernel.probs, dtype=np.float64)
+    np.fill_diagonal(a, 0.0)
+    n = a.shape[0]
+    for hi in range(n, 0, -_GTH_BLOCK):
+        lo = max(hi - _GTH_BLOCK, 0)
+        for k in range(hi - 1, max(lo - 1, 0), -1):
+            pivot = a[k, :k].sum()
+            if not pivot > 0.0:
+                raise NumericalError(
+                    f"{kernel.sampler} kernel at eta={kernel.eta:g} is reducible in "
+                    f"double precision: state {k} has no path to states 0..{k - 1}")
+            a[:k, k] /= pivot
+            a[lo:k, :k] += a[lo:k, k, None] * a[k, :k]
+            a[:lo, lo:k] += a[:lo, k, None] * a[k, lo:k]
+        a[:lo, :lo] += a[:lo, lo:hi] @ a[lo:hi, :lo]
+    pi = np.zeros(n)
+    pi[0] = 1.0
+    for lo in range(0, n, _GTH_BLOCK):
+        hi = min(lo + _GTH_BLOCK, n)
+        pi[lo:hi] += pi[:lo] @ a[:lo, lo:hi]
+        for k in range(max(lo, 1), hi):
+            pi[k] += pi[lo:k] @ a[lo:k, k]
+        pi[:hi] /= pi[:hi].sum()  # keeps the unnormalized law in range
+    if not np.isfinite(pi).all():
+        raise NumericalError("stationary law overflowed in GTH back-substitution")
+    return pi
 
 
 def stationary_direct(kernel: KernelMatrix) -> np.ndarray:
     """Stationary vector by a dense linear solve; cross-check at small d.
 
-    Replaces one row of (t^T - I) with the normalization constraint. Kept
-    separate from the iterative path because near-singular systems can
-    trip the pivoting; the iterative solver is the production route.
+    Replaces one row of (t^T - I) with the normalization constraint. The
+    solve subtracts, so near-singular systems can lose every digit; a
+    non-finite entry or one below -1e-12 raises NumericalError.
     """
     if kernel.dim > DIRECT_SOLVE_DIM_CAP:
         raise CapabilityError(
             f"direct stationary solve capped at d <= {DIRECT_SOLVE_DIM_CAP}")
-    t = kernel.probs
-    n = t.shape[0]
-    a = t.T - np.eye(n)
+    n = kernel.probs.shape[0]
+    a = kernel.probs.T - np.eye(n)
     a[-1, :] = 1.0
-    rhs = np.zeros(n)
-    rhs[-1] = 1.0
-    pi = np.linalg.solve(a, rhs)
-    return pi / pi.sum()
+    pi = np.linalg.solve(a, np.eye(n)[-1])
+    pi /= pi.sum()
+    if not np.isfinite(pi).all() or pi.min() < -1e-12:
+        raise NumericalError(f"direct stationary solve lost precision: min {pi.min():.3e}")
+    return pi
 
 
 # ---------------------------------------------------------------------------
@@ -154,20 +143,28 @@ def spectral_summary(kernel: KernelMatrix, pi: np.ndarray | None = None) -> Spec
     stationary vector below `REVERSIBILITY_TOL`) are symmetrized by the
     stationary similarity transform and handed to a symmetric eigensolver;
     all others go through the dense nonsymmetric path. A unit lambda2 is
-    reported with an infinite relaxation time.
+    reported with an infinite relaxation time. A reversible kernel whose
+    stationary law underflows to 0 somewhere, or an eigensolver that does
+    not converge, raises NumericalError.
     """
     t = kernel.probs
     if pi is None:
         pi = stationary(kernel)
     db = detailed_balance_residual(kernel, pi)
     reversible = db <= REVERSIBILITY_TOL
+    if reversible and not pi.min() > 0.0:
+        raise NumericalError(f"stationary law underflows to 0 at {np.sum(pi <= 0.0)} "
+                             "states, so the symmetrized kernel is undefined")
     if reversible:
         root = np.sqrt(pi)
         sym = (root[:, None] / root[None, :]) * t
-        sym = 0.5 * (sym + sym.T)
-        mods = np.abs(np.linalg.eigvalsh(sym))
+        matrix, eigenvalues = 0.5 * (sym + sym.T), np.linalg.eigvalsh
     else:
-        mods = np.abs(np.linalg.eigvals(t))
+        matrix, eigenvalues = t, np.linalg.eigvals
+    try:
+        mods = np.abs(eigenvalues(matrix))
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"eigensolver failed: {exc}") from exc
     mods.sort()
     lam2 = min(float(mods[-2]), 1.0)
     t_rel = math.inf if lam2 >= 1.0 - 1e-15 else 1.0 / (1.0 - lam2)

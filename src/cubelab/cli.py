@@ -1,9 +1,10 @@
 """Command-line front end: analyze | sweep | check | simulate | ctmc | bounds.
 
-Exit codes: 0 success, 1 certificate failure, 2 parameter error,
-3 capability (dimension cap) error. Every CSV has a fixed header and
-deterministic row order; identical manifests and seeds give byte-identical
-output files.
+Exit codes: 0 success, 1 certificate failure or numerical error (such as
+a reducible kernel), 2 parameter error, 3 capability (dimension cap)
+error; each error prints one line to stderr. Every CSV has a fixed header
+and deterministic row order; identical manifests and seeds give
+byte-identical output files.
 """
 
 from __future__ import annotations
@@ -143,12 +144,7 @@ def analyze_row(model: TargetModel, sampler: str, score_kind: str | None,
     field = ScoreField(model, score_kind) if score_kind else None
     kernel = kernels.kernel_matrix(model, sampler, field, eta)
     target = exact_target(model)
-    try:
-        pi = analysis.stationary(kernel)
-    except NumericalError as err:
-        print(f"cubelab: {sampler} eta={eta!r}: {err}; using its best iterate "
-              f"(residual {err.residual:.3e})", file=sys.stderr)
-        pi = err.best
+    pi = analysis.stationary(kernel)
     spectrum = analysis.spectral_summary(kernel, pi)
     row = {
         "eta": eta,
@@ -428,6 +424,9 @@ def main(argv=None) -> int:
     except CapabilityError as exc:
         print(f"capability error: {exc}", file=sys.stderr)
         return 3
+    except NumericalError as exc:
+        print(f"numerical error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -1,7 +1,8 @@
 """Error types shared across the package.
 
 The CLI maps these onto exit codes: parameter errors exit 2, capability
-(dimension-cap) errors exit 3, certificate failures exit 1.
+(dimension-cap) errors exit 3, numerical errors and certificate failures
+exit 1. Each typed error prints one line to stderr.
 """
 
 from __future__ import annotations
@@ -16,10 +17,12 @@ class CapabilityError(RuntimeError):
 
 
 class NumericalError(RuntimeError):
-    """An iterative routine failed to reach its accuracy target.
+    """A numerical routine cannot give a trustworthy result: a reducible
+    kernel, a failed eigensolver or LP, a direct solve that lost its
+    precision, a kernel that breaks a declared symmetry.
 
     Attributes:
-        residual: The best residual achieved before giving up, when known.
+        residual: The size of the failure, when known.
     """
 
     def __init__(self, message: str, residual: float | None = None):

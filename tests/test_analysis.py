@@ -46,7 +46,7 @@ def test_gibbs_stationary_equals_target(model):
     assert tv_distance(stationary(t), exact_target(model)) <= 1e-12
 
 
-def test_power_iteration_agrees_with_direct_solve():
+def test_gth_agrees_with_direct_solve():
     for model in (BitsMixture(0.5, 5), IsingGrid(2, 3, 0.4, 0.1)):
         for eta in (0.3, 0.7):
             t = dups_matrix(model, ScoreField(model, "stein"), eta)
@@ -56,17 +56,36 @@ def test_power_iteration_agrees_with_direct_solve():
             assert np.abs(pi @ t.probs - pi).sum() <= 1e-13
 
 
-def test_stationary_stalls_on_a_periodic_kernel():
-    # the star's centre and leaves alternate, so no iterate is stationary
+def test_stationary_of_a_periodic_kernel():
+    # the star's centre and leaves alternate, so no power of the kernel
+    # converges, but the law is still (1/2, 1/6, 1/6, 1/6)
     star = np.array([[0, 1 / 3, 1 / 3, 1 / 3], [1, 0, 0, 0], [1, 0, 0, 0], [1, 0, 0, 0]])
-    with pytest.raises(NumericalError, match="stalled") as err:
-        stationary(KernelMatrix(star, 1.0, "gibbs"))
-    assert err.value.residual == pytest.approx(1.0)
-    np.testing.assert_allclose(err.value.best, np.full(4, 0.25), atol=1e-15)
+    pi = stationary(KernelMatrix(star, 1.0, "gibbs"))
+    np.testing.assert_allclose(pi, [1 / 2, 1 / 6, 1 / 6, 1 / 6], rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("sampler", ["gibbs", "dmala"])
+def test_stationary_of_a_metastable_kernel(sampler):
+    # both samplers are reversible for the target, which is then an
+    # independent oracle; the chain crosses between its two modes so rarely
+    # that a small residual || pi K - pi || does not pin their split
+    model = CurieWeiss(3.0, 0.2, 6)
+    field = ScoreField(model, "glauber") if sampler == "dmala" else None
+    pi = stationary(kernel_matrix(model, sampler, field, 0.5))
+    assert tv_distance(pi, exact_target(model)) <= 1e-15
+
+
+def test_stationary_direct_rejects_a_result_that_lost_precision():
+    # the linear solve subtracts, and on this kernel returns an entry of -0.62
+    model = CurieWeiss(1.0, 0.2, 6)
+    kernel = kernel_matrix(model, "dmala", ScoreField(model, "glauber"), 0.5)
+    with pytest.raises(NumericalError, match="lost precision"):
+        stationary_direct(kernel)
+    assert tv_distance(stationary(kernel), exact_target(model)) <= 1e-12
 
 
 def test_stationary_sticky_kernel():
-    # spectral gap around 1e-5: plain iteration cannot get there, squaring can
+    # spectral gap around 1e-5
     model = IsingGrid(2, 2, 0.4, 0.1)
     t = gibbs_matrix(model, 0.2)
     pi = stationary(t)
@@ -75,6 +94,17 @@ def test_stationary_sticky_kernel():
 
 # ---------------------------------------------------------------------------
 # spectra
+
+
+def test_eigensolver_failure_is_a_numerical_error(monkeypatch):
+    kernel = gibbs_matrix(IndependentBits(0.5, 3), 0.5)
+
+    def diverge(matrix):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", diverge)
+    with pytest.raises(NumericalError, match="eigensolver failed"):
+        spectral_summary(kernel)
 
 
 def test_gibbs_spectrum_tensorizes_on_bits():

@@ -83,29 +83,6 @@ def test_analyze_json_solves_stationary_once(tmp_path, capsys, monkeypatch):
     assert len(calls) == 1
 
 
-def test_analyze_reports_stationary_fallback(capsys, monkeypatch):
-    from cubelab import analysis
-    from cubelab.errors import NumericalError
-
-    args = ["analyze", "--model", "bits", "--beta", "0.5", "--dim", "3",
-            "--sampler", "dmala", "--score", "glauber", "--eta", "0.5"]
-    code, solved, err = run_cli(capsys, *args)
-    assert code == 0 and err == ""
-    solve = analysis.stationary
-
-    def stalled(kernel, *a, **kw):
-        error = NumericalError("stationary iteration stalled", residual=2.5e-11)
-        error.best = solve(kernel, *a, **kw)
-        raise error
-
-    monkeypatch.setattr(analysis, "stationary", stalled)
-    code, fallback, err = run_cli(capsys, *args)
-    assert code == 0
-    assert fallback == solved
-    assert len(err.splitlines()) == 1
-    assert "best iterate" in err and "2.500e-11" in err
-
-
 def test_sweep_rows_and_gibbs_score_column(tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     code, _, _ = run_cli(capsys, "sweep", "--model", "bits", "--beta", "0.3",
@@ -417,18 +394,39 @@ def test_non_finite_model_parameters_are_parameter_errors(capsys, argv):
     # a flip probability saturates to 1 at every state
     ["--model", "curieweiss", "--beta", "8", "--b", "0", "--dim", "5", "--sampler", "dmala",
      "--score", "glauber", "--eta", "0.8"],
-    # exp(-2/eta) = e^-1000 underflows
-    *[["--model", "bits", "--beta", "0.5", "--dim", "3", "--sampler", s, "--eta", "0.002"]
+    # each row moves with probability 1e-87 to 1e-85; err_dups_small_step is 4.0e-42
+    *[["--model", "curieweiss", "--beta", "0.2", "--b", "0", "--dim", "6", "--sampler", s,
+       "--eta", "0.01"]
       for s in ("dups", "dmala", "dmaps", "prox")],
 ])
 def test_analyze_in_the_small_step_and_saturated_regimes(capsys, argv):
     code, out, err = run_cli(capsys, "analyze", *argv)
-    assert code == 0, err
+    assert code == 0 and err == ""
     header, row = out.strip().split("\n")
     values = dict(zip(header.split(","), row.split(",")))
     for column in ("w_to_target", "tv_to_target", "lambda2", "db_residual", "kappa",
                    "stationary_residual"):
         assert math.isfinite(float(values[column])), column
+    # every sampler here is reversible for the target
+    assert float(values["tv_to_target"]) <= 1e-15
+
+
+@pytest.mark.parametrize("argv, message", [
+    # exp(-2/eta) = e^-1000 underflows, so the kernel is the identity
+    *[(["analyze", "--model", "bits", "--beta", "0.5", "--dim", "3", "--sampler", s,
+        "--eta", "0.002"], f"{s} kernel at eta=0.002 is reducible in double precision")
+      for s in ("dups", "dmala", "dmaps", "prox")],
+    (["check", "--model", "bits", "--beta", "0.5", "--dim", "3", "--eta", "0.002",
+      "--score", "glauber"], "kernel at eta=0.002 is reducible in double precision"),
+    # the stationary law is 0.0 at 14 of 16 states
+    (["analyze", "--model", "curieweiss", "--beta", "60", "--b", "0.5", "--dim", "4",
+      "--sampler", "prox", "--eta", "0.02"], "stationary law underflows to 0"),
+])
+def test_numerical_errors_exit_1_with_one_stderr_line(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("numerical error: ") and message in err
 
 
 @pytest.mark.parametrize("command", ["bounds", "check"])
