@@ -311,6 +311,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_ctmc(args) -> int:
+    if args.seed < 0:
+        raise ParameterError(f"seed must be >= 0, got {args.seed}")
     model = build_model(args)
     # the rates check the dimension cap before anything is drawn
     rates = ctmc.glauber_rates(model)

@@ -64,6 +64,8 @@ class ChainConfig:
             raise ParameterError(f"thinning must be >= 1, got {self.thinning}")
         if self.chains < 1:
             raise ParameterError(f"chains must be >= 1, got {self.chains}")
+        if self.seed < 0:
+            raise ParameterError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(eq=False)
@@ -204,6 +206,8 @@ def sample_transitions(model: TargetModel, sampler: str, score: str | None,
         raise CapabilityError(f"transition sampling capped at d <= {TABLE_DIM_CAP}, got {d}")
     if x.dim != d:
         raise ValueError("state dimension does not match the model")
+    if n < 0:
+        raise ParameterError(f"draw count must be >= 0, got {n}")
     st = _stepper(model, sampler, score, eta, tables=True)
     out = []
     for start in range(0, max(n, 1), _DRAW_BLOCK):

@@ -235,6 +235,29 @@ def test_ctmc_csv(tmp_path, capsys):
     assert out.read_text() == "\n".join(lines) + "\n"
 
 
+def test_ctmc_same_seed_writes_identical_files(tmp_path, capsys):
+    args = ["ctmc", "--model", "bits", "--beta", "0.3", "--dim", "10", "--horizon", "3000",
+            "--seed", "7"]
+    first, second = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert run_cli(capsys, *args, "--out", str(first))[0] == 0
+    assert run_cli(capsys, *args, "--out", str(second))[0] == 0
+    # several blocks of drawn randomness
+    assert len(first.read_text().splitlines()) > 3 * 4096
+    assert first.read_bytes() == second.read_bytes()
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--model", "bits", "--beta", "0.3", "--dim", "3", "--sampler", "dula",
+     "--eta", "0.5", "--steps", "10", "--seed", "-1"],
+    ["ctmc", "--model", "bits", "--beta", "0.3", "--dim", "3", "--horizon", "1",
+     "--seed", "-1"],
+], ids=["simulate", "ctmc"])
+def test_negative_seed_is_a_parameter_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == "parameter error: seed must be >= 0, got -1\n"
+
+
 def test_ctmc_above_the_packed_word_cap_is_a_capability_error(tmp_path, capsys):
     """Trajectory states are int64 words: d = 64 exits 3 before anything is
     drawn, while d = 63 still runs."""

@@ -160,3 +160,84 @@ def test_ctmc_rejects_non_finite_rates(bad):
 
     with pytest.raises(ParameterError, match="finite and nonnegative"):
         ctmc_simulate(rates, BitState(0, 3), 1.0, np.random.default_rng(0))
+
+
+def test_jump_laws_match_the_rates_at_visited_states():
+    """At each of the most visited states the flipped coordinate has law
+    r_i / total and the holding time has mean 1 / total, within 5 sigma."""
+    model = IsingGrid(2, 2, 0.4, 0.1)
+    rates = glauber_rates(model)
+    traj = ctmc_simulate(rates, state_of(0, 4), 2e4, np.random.default_rng(41))
+    # the state each jump leaves, how long it was held, and the coordinate flipped
+    left = traj.states[:-1]
+    held = traj.times - np.concatenate(([0.0], traj.times[:-1]))
+    flipped = np.log2(traj.states[1:] ^ traj.states[:-1]).astype(int)
+    for k in np.argsort(np.bincount(left, minlength=16))[-4:]:
+        r = rates(state_of(int(k), 4))
+        total = r.sum()
+        at = left == k
+        n = int(at.sum())
+        assert n > 1000
+        freq = np.bincount(flipped[at], minlength=4) / n
+        p = r / total
+        assert (np.abs(freq - p) <= 5.0 * np.sqrt(p * (1 - p) / n)).all(), (k, freq, p)
+        assert abs(held[at].mean() - 1.0 / total) <= 5.0 / (total * math.sqrt(n))
+
+
+def test_rates_are_evaluated_once_per_distinct_state():
+    model = IsingGrid(2, 4, 0.2, 0.1)
+    table = glauber_rates(model)
+    calls = []
+
+    def rates(x):
+        calls.append(x.bits)
+        return table(x)
+
+    traj = ctmc_simulate(rates, state_of(0, 8), 2e3, np.random.default_rng(3))
+    # most jumps enter a state visited before
+    assert traj.times.size > 10 * len(calls)
+    assert sorted(calls) == np.unique(traj.states).tolist()
+
+
+def test_trajectories_stay_valid_across_memo_evictions(monkeypatch):
+    """At d = 20 the run visits more distinct states than the memo holds;
+    the path is still single-flip, increasing, reproducible, and the same as
+    with a memo that is never cleared."""
+    from cubelab import ctmc
+
+    rates = glauber_rates(IndependentBits(0.2, 20))
+    x0 = state_of(12345, 20)
+
+    def run():
+        return ctmc_simulate(rates, x0, 800.0, np.random.default_rng(8))
+
+    traj = run()
+    assert np.unique(traj.states).size > ctmc._LAW_MEMO
+    assert (np.diff(traj.times) > 0).all() and traj.times[-1] <= 800.0
+    steps = traj.states[1:] ^ traj.states[:-1]
+    assert ((steps > 0) & (steps & (steps - 1) == 0)).all()
+    again = run()
+    np.testing.assert_array_equal(traj.times, again.times)
+    np.testing.assert_array_equal(traj.states, again.states)
+    monkeypatch.setattr(ctmc, "_LAW_MEMO", 1 << 30)
+    unbounded = run()
+    np.testing.assert_array_equal(traj.times, unbounded.times)
+    np.testing.assert_array_equal(traj.states, unbounded.states)
+
+
+def test_occupation_measure_matches_a_per_state_sum():
+    traj = ctmc_simulate(glauber_rates(BitsMixture(0.5, 4)), state_of(3, 4), 300.0,
+                         np.random.default_rng(17))
+    bounds = [0.0, *traj.times.tolist(), traj.horizon]
+    expected = np.zeros(16)
+    for j, k in enumerate(traj.states.tolist()):
+        expected[k] += bounds[j + 1] - bounds[j]
+    np.testing.assert_allclose(occupation_measure(traj), expected / traj.horizon,
+                               rtol=1e-12, atol=1e-15)
+
+
+def test_occupation_measure_above_the_exact_cap_is_a_capability_error():
+    traj = ctmc_simulate(glauber_rates(IndependentBits(0.1, 40)), state_of(0, 40), 0.5,
+                         np.random.default_rng(2))
+    with pytest.raises(CapabilityError, match="d <= 30"):
+        occupation_measure(traj)

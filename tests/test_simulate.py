@@ -286,6 +286,8 @@ def test_config_validation():
         _cfg(sampler="dula", score=None)
     with pytest.raises(ParameterError):
         _cfg(sampler="warp")
+    with pytest.raises(ParameterError, match="seed must be >= 0, got -1"):
+        _cfg(seed=-1)
 
 
 def test_gibbs_config_reports_the_step_size():
@@ -311,3 +313,12 @@ def test_sample_transitions_above_the_table_cap_is_a_capability_error():
     with pytest.raises(CapabilityError, match="transition sampling capped"):
         sample_transitions(model, "dula", "glauber", 0.5, state_of(0, model.dim), 10,
                            np.random.default_rng(0))
+
+
+def test_negative_draw_count_is_a_parameter_error():
+    model = IndependentBits(0.3, 3)
+    with pytest.raises(ParameterError, match="draw count must be >= 0, got -1"):
+        sample_transitions(model, "dula", "glauber", 0.5, state_of(0, 3), -1,
+                           np.random.default_rng(0))
+    assert sample_transitions(model, "dula", "glauber", 0.5, state_of(0, 3), 0,
+                              np.random.default_rng(0)).size == 0
