@@ -20,11 +20,11 @@ from scipy.optimize import linprog
 from scipy.special import expit, logit
 
 from . import kernels as _k
-from .errors import CapabilityError, NumericalError, ParameterError
-from .kernels import KernelMatrix
+from .errors import CapabilityError, NumericalError
+from .kernels import SYMMETRY_TOL, KernelMatrix
 from .models import TargetModel, exact_target
 from .scores import ScoreField, smooth_beta_constants
-from .statespace import all_signs
+from .statespace import all_signs, isometry_images, orbit_minima
 
 # a certificate costs one optimal-transport solve per orbit of hypercube
 # edges under the target's declared symmetries: every edge when it declares
@@ -32,9 +32,6 @@ from .statespace import all_signs
 CONTRACTION_DIM_CAP = 8
 # exhaustive flip-path validation solves every pair of states
 ALL_PAIRS_DIM_CAP = 5
-# largest entrywise |K[g][:, g] - K| a declared symmetry g may leave; kernels
-# built from invariant targets stay within 1e-14
-SYMMETRY_TOL = 1e-13
 # the full-sum Metropolis reference enumerates 2^d auxiliary states per pair
 MH_ORACLE_DIM_CAP = 6
 DIRECT_SOLVE_DIM_CAP = 6
@@ -362,16 +359,7 @@ class ContractionCertificate:
 def _checked_isometry(t: np.ndarray, sigma, flip_mask: int) -> np.ndarray:
     """Image g(k) of every state word under the isometry (sigma, flip_mask),
     after checking that the kernel t commutes with it: t[g(x), g(y)] = t[x, y]."""
-    n = t.shape[0]
-    d = n.bit_length() - 1
-    if sorted(sigma) != list(range(d)) or not 0 <= flip_mask < n:
-        raise ParameterError(
-            f"({sigma}, {flip_mask}) is not an isometry of the {d}-cube")
-    ks = np.arange(n)
-    img = np.zeros_like(ks)
-    for i, j in enumerate(sigma):
-        img |= ((ks >> i) & 1) << j
-    img ^= flip_mask
+    img = isometry_images(t.shape[0].bit_length() - 1, sigma, flip_mask)
     dev = float(np.abs(t[np.ix_(img, img)] - t).max())
     if dev > SYMMETRY_TOL:
         raise NumericalError(
@@ -384,26 +372,14 @@ def _edge_orbits(d: int, images: list[np.ndarray]) -> np.ndarray:
     """Lowest index in each edge's orbit under the group that the state maps
     `images` generate, with edges indexed as in `_adjacent_pairs(d)`."""
     pairs = _adjacent_pairs(d)
-    steps = []
+    maps = []
     for img in images:
         a, b = img[pairs[:, 0]], img[pairs[:, 1]]
         j = np.bitwise_count((a ^ b) - 1).astype(np.int64)  # the coordinate it flips
         lo = np.minimum(a, b)
         # rank of lo among the words with bit j clear
-        fwd = (j << (d - 1)) | (lo & ((1 << j) - 1)) | ((lo >> (j + 1)) << j)
-        inv = np.empty_like(fwd)
-        inv[fwd] = np.arange(fwd.size)
-        steps += [fwd, inv]
-    # labels only ever move to a smaller index in the same orbit, and stop
-    # once no generator step lowers one: then each orbit carries its minimum
-    labels = np.arange(pairs.shape[0])
-    while True:
-        nxt = labels
-        for step in steps:
-            nxt = np.minimum(nxt, nxt[step])
-        if np.array_equal(nxt, labels):
-            return labels
-        labels = nxt
+        maps.append((j << (d - 1)) | (lo & ((1 << j) - 1)) | ((lo >> (j + 1)) << j))
+    return orbit_minima(pairs.shape[0], maps)
 
 
 def contraction_certificate(kernel: KernelMatrix, all_pairs: bool = False,
@@ -665,8 +641,9 @@ def dmaps_empirical_delta(model: TargetModel, score: ScoreField, eta: float) -> 
     1 - min over starting states of the summed accepted flux; always in
     [0, 1] since the acceptance is a probability.
     """
-    flux = _k._dmaps_flux(model, score, eta)
-    return float(1.0 - flux.sum(axis=1).min())
+    # row sums are constant on an orbit of the target's symmetries
+    _, rows, _ = _k._dmaps_orbit_flux(model, score, eta)
+    return float(1.0 - rows.sum(axis=1).min())
 
 
 def naive_mh_oracle(model: TargetModel, score: ScoreField, eta: float) -> KernelMatrix:

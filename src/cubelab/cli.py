@@ -10,6 +10,7 @@ byte-identical output files.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
@@ -181,23 +182,18 @@ def _versions() -> dict:
 
 def _emit(args, rows, columns, payload: dict):
     """CSV of `rows` by `columns`, or JSON of the manifest, the `payload`
-    entries and the versions, to `--out` or stdout."""
+    entries and the versions, to `--out` or stdout. `rows` may be any
+    iterable: the CSV writes each row as it is formatted."""
     out = getattr(args, "out", None)
-    fmt = getattr(args, "format", "csv")
-    if fmt == "json":
-        doc = {"manifest": _jsonable(_manifest(args)),
-               **{k: _jsonable(v) for k, v in payload.items()},
-               "versions": _versions()}
-        text = json.dumps(doc, indent=2) + "\n"
-    else:
-        lines = [",".join(columns)]
-        lines += [",".join(_fmt(r.get(c, "")) for c in columns) for r in rows]
-        text = "\n".join(lines) + "\n"
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    with open(out, "w") if out else contextlib.nullcontext(sys.stdout) as fh:
+        if getattr(args, "format", "csv") == "json":
+            doc = {"manifest": _jsonable(_manifest(args)),
+                   **{k: _jsonable(v) for k, v in payload.items()},
+                   "versions": _versions()}
+            fh.write(json.dumps(doc, indent=2) + "\n")
+            return
+        fh.write(",".join(columns) + "\n")
+        fh.writelines(",".join(_fmt(r.get(c, "")) for c in columns) + "\n" for r in rows)
 
 
 def _sweep_task(task):
@@ -319,14 +315,29 @@ def cmd_ctmc(args) -> int:
     rng = np.random.default_rng(args.seed)
     x0 = BitState(int(rng.integers(0, 1 << model.dim)), model.dim)
     traj = ctmc.ctmc_simulate(rates, x0, args.horizon, rng)
-    d = model.dim
-    # int64 first: 2 p - d wraps around in the uint8 that bitwise_count returns
-    plus = np.bitwise_count(traj.states).astype(np.int64)
-    rows = [{"time": t, "state": f"{k:x}", "magnetization": mag}
-            for t, k, mag in zip([0.0] + traj.times.tolist(), traj.states.tolist(),
-                                 ((2 * plus - d) / d).tolist())]
+    rows = _trajectory_rows(traj)
+    if getattr(args, "format", "csv") == "json":
+        rows = list(rows)
     _emit(args, rows, ["time", "state", "magnetization"], {"trajectory": rows})
     return 0
+
+
+# trajectory rows converted to Python objects at a time by `_trajectory_rows`
+_ROW_BLOCK = 4096
+
+
+def _trajectory_rows(traj: ctmc.Trajectory):
+    """The rows of a jump trajectory, made one block of jumps at a time so
+    that a long run is written without holding a dict per jump."""
+    d = traj.dim
+    times = np.concatenate([[0.0], traj.times])
+    for a in range(0, len(times), _ROW_BLOCK):
+        words = traj.states[a:a + _ROW_BLOCK]
+        # int64 first: 2 p - d wraps around in the uint8 that bitwise_count returns
+        plus = np.bitwise_count(words).astype(np.int64)
+        for t, k, mag in zip(times[a:a + _ROW_BLOCK].tolist(), words.tolist(),
+                             ((2 * plus - d) / d).tolist()):
+            yield {"time": t, "state": f"{k:x}", "magnetization": mag}
 
 
 def _add_model_flags(p: argparse.ArgumentParser) -> None:

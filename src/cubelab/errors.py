@@ -19,7 +19,8 @@ class CapabilityError(RuntimeError):
 class NumericalError(RuntimeError):
     """A numerical routine cannot give a trustworthy result: a reducible
     kernel, a failed eigensolver or LP, a direct solve that lost its
-    precision, a kernel that breaks a declared symmetry.
+    precision, a kernel, or a target's log weights or tilt table
+    x_i s(x)_i, that breaks a declared symmetry.
 
     Attributes:
         residual: The size of the failure, when known.

@@ -43,13 +43,18 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit, log_expit
 
-from .errors import CapabilityError, ParameterError
+from .errors import CapabilityError, NumericalError, ParameterError
 from .models import TargetModel
 from .scores import ScoreField
-from .statespace import BitState, all_signs
+from .statespace import BitState, all_signs, isometry_images, orbit_minima
 
 # dense kernels hold 4^d doubles: d = 12 is ~134 MB and the practical top
 MAX_MATRIX_DIM = 12
+# largest entrywise |K[g][:, g] - K| a declared symmetry g may leave on a
+# kernel, and the largest change it may make to the log weights or the tilt
+# table, relative to their largest magnitude when that exceeds 1; kernels
+# built from invariant targets stay within 1e-14
+SYMMETRY_TOL = 1e-13
 
 # samplers with a step; prox exists as a dense matrix only
 STEP_SAMPLERS = ("gibbs", "dula", "dmala", "dups", "dmaps")
@@ -177,13 +182,18 @@ def _metropolis_flux(log_t: np.ndarray, lw: np.ndarray) -> np.ndarray:
     return np.exp(np.minimum(log_t, log_t.T + (lw[None, :] - lw[:, None])))
 
 
+def _fold_rejections(flux: np.ndarray, diag: np.ndarray) -> np.ndarray:
+    """Add the rejected mass 1 - sum of each row of `flux` to its entry in
+    column `diag`: the row's own state."""
+    flux[np.arange(len(diag)), diag] += 1.0 - flux.sum(axis=1)
+    return flux
+
+
 def _with_rejections(flux: np.ndarray, eta: float, sampler: str,
                      score: str | None) -> KernelMatrix:
     """The kernel with accepted flux `flux` and the rejected mass of each row
     on its diagonal."""
-    n = flux.shape[0]
-    flux[np.arange(n), np.arange(n)] += 1.0 - flux.sum(axis=1)
-    return KernelMatrix(flux, eta, sampler, score)
+    return KernelMatrix(_fold_rejections(flux, np.arange(flux.shape[0])), eta, sampler, score)
 
 
 def _single_flip_matrix(rates: np.ndarray) -> np.ndarray:
@@ -326,9 +336,59 @@ _PHI_SPAN = 700.0
 _FLUX_TILE_BYTES = 1 << 18
 
 
-def _dmaps_flux(model: TargetModel, score: ScoreField, eta: float) -> np.ndarray:
-    """Accepted flux of the adjusted two-stage kernel, before the rejected
-    mass is folded onto the diagonal.
+def _target_isometries(model: TargetModel, lw: np.ndarray, tilt: np.ndarray) -> list:
+    """State images of the model's declared symmetries, after checking that
+    each g leaves the log weights invariant, lw[g x] = lw[x], and the tilt
+    table x_i s(x)_i equivariant, tilt[g x, sigma[i]] = tilt[x, i]. Raises
+    NumericalError naming the first generator that breaks either."""
+    images = []
+    for sigma, mask in model.symmetries():
+        img = isometry_images(model.dim, sigma, mask)
+        for name, a, moved in (("log weights", lw, lw[img]),
+                               ("tilt table", tilt, tilt[np.ix_(img, list(sigma))])):
+            dev = float(np.abs(moved - a).max())
+            if dev > SYMMETRY_TOL * max(1.0, float(np.abs(a).max())):
+                raise NumericalError(
+                    f"{model!r} breaks the declared symmetry (sigma={tuple(sigma)}, "
+                    f"flip_mask={mask:#x}) on its {name} by {dev:.3e}", residual=dev)
+        images.append(img)
+    return images
+
+
+def _permute_orbits(reps: np.ndarray, rows: np.ndarray, images: list) -> np.ndarray:
+    """The n x n array whose row reps[j] is rows[j] and whose every other row
+    is a permutation of its orbit representative's: a[g x, y] = a[x, g^-1 y]
+    for each state map g in `images` or its inverse, filled outward from the
+    representatives. So a[g x, g y] = a[x, y] holds up to how closely each
+    representative's row is invariant under the maps that fix it: exactly
+    in real arithmetic, to the roundoff of its sum in floating point."""
+    n = rows.shape[1]
+    if len(reps) == n:
+        return rows
+    out = np.empty((n, n))
+    out[reps] = rows
+    done = np.zeros(n, dtype=bool)
+    done[reps] = True
+    inverses = [np.argsort(img) for img in images]
+    maps, back = np.array(images + inverses), np.array(inverses + images)
+    frontier = reps
+    while frontier.size:
+        # each state first reached in this round takes the first map reaching it
+        reach = maps[:, frontier]
+        k, j = np.nonzero(~done[reach])
+        dst, first = np.unique(reach[k, j], return_index=True)
+        out[dst] = out[frontier[j[first], None], back[k[first]]]
+        done[dst] = True
+        frontier = dst
+    return out
+
+
+def _dmaps_orbit_flux(model: TargetModel, score: ScoreField,
+                      eta: float) -> tuple[np.ndarray, np.ndarray, list]:
+    """Accepted flux of the adjusted two-stage kernel on the lowest state of
+    each orbit of the target's symmetries, before the rejected mass is folded
+    onto the diagonal: `(reps, rows, images)`, where rows[j] is the flux row
+    of state reps[j] and `images` the state maps of the declared generators.
 
     flux(x, x') = sum_z T1(x, z) T2(z, x') A_z(x'|x), where the acceptance
     factorizes through phi_z(y) = log w(y) - y^T s(z):
@@ -337,10 +397,18 @@ def _dmaps_flux(model: TargetModel, score: ScoreField, eta: float) -> np.ndarray
     z adds (T1(., z) / u_z)[:, None] * min.outer(u_z, u_z) * T2(z, .)[None, :]
     and needs no exponential over pairs. A z whose phi_z spans more than
     `_PHI_SPAN` would underflow u_z and make 0 * inf; it keeps the form
-    exp(min(phi_z(x') - phi_z(x), 0)). The cost is O(8^d) time; the memory
-    is flux and three other 2^d x 2^d arrays (T2, u and T1 / u) plus one
-    buffer of `_FLUX_TILE_BYTES`: the z loop runs over one row tile of flux
-    at a time, so that the tile and the buffer stay in cache.
+    exp(min(phi_z(x') - phi_z(x), 0)).
+
+    An isometry g under which the log weights are invariant and the tilt
+    table x_i s(x)_i is equivariant maps each z-term to the g z term, so
+    flux(g x, g x') = flux(x, x'). Every declared generator is checked on
+    lw and the tilt table first (`_target_isometries`, NumericalError when
+    one breaks either), and the z-loop then runs over the r orbit
+    representatives only: O(r 4^d) time, every state being its own
+    representative when the target declares no symmetry. The memory is
+    three 2^d x 2^d arrays (T2, u and T1), the r x 2^d rows and T1 / u at
+    them, and one buffer of `_FLUX_TILE_BYTES`: the z loop runs over one
+    tile of rows at a time, so that the tile and the buffer stay in cache.
     """
     _check_matrix_dim(model.dim)
     _check_eta(eta)
@@ -348,6 +416,8 @@ def _dmaps_flux(model: TargetModel, score: ScoreField, eta: float) -> np.ndarray
     signs = all_signs(model.dim).astype(np.float64)
     lw = model.log_weight_signs(signs)
     tab = score.table()
+    images = _target_isometries(model, lw, signs * tab)
+    reps = np.flatnonzero(orbit_minima(n, images) == np.arange(n))
     stage2 = np.exp(_score_log_kernel(score, eta, 2.0))
     # phi[z, y] = phi_z(y) - max phi_z, then u in place
     phi = tab @ signs.T
@@ -357,33 +427,51 @@ def _dmaps_flux(model: TargetModel, score: ScoreField, eta: float) -> np.ndarray
     u = np.exp(phi, out=phi)
     # T1 is symmetric, so row z holds T1(., z); factored rows become T1(., z) / u_z
     col = np.exp(_stage_one_log_kernel(model.dim, eta))
-    np.divide(col, u, out=col, where=factored[:, None])
+    u_at = u
+    if len(reps) < n:
+        col, u_at = col[:, reps], u[:, reps]
+    np.divide(col, u_at, out=col, where=factored[:, None])
     rows = max(1, _FLUX_TILE_BYTES // (8 * n))
-    flux = np.zeros((n, n))
-    buf = np.empty((min(rows, n), n))
-    for r in range(0, n, rows):
+    flux = np.zeros((len(reps), n))
+    buf = np.empty((min(rows, len(reps)), n))
+    for r in range(0, len(reps), rows):
         tile = flux[r:r + rows]
         b = buf[:len(tile)]
+        at = reps[r:r + rows]
         for z, fast in enumerate(factored.tolist()):
             if fast:
-                np.minimum.outer(u[z, r:r + rows], u[z], out=b)
+                np.minimum.outer(u_at[z, r:r + rows], u[z], out=b)
             else:
                 phi_z = lw - signs @ tab[z]
-                np.exp(np.minimum(phi_z[None, :] - phi_z[r:r + rows, None], 0.0), out=b)
+                np.exp(np.minimum(phi_z[None, :] - phi_z[at, None], 0.0), out=b)
             b *= col[z, r:r + rows, None]
             b *= stage2[z]
             tile += b
-    return flux
+    return reps, flux, images
+
+
+def _dmaps_flux(model: TargetModel, score: ScoreField, eta: float) -> np.ndarray:
+    """Accepted flux of the adjusted two-stage kernel over all pairs of
+    states: the representative rows of `_dmaps_orbit_flux`, each other row
+    a permutation of its representative's."""
+    return _permute_orbits(*_dmaps_orbit_flux(model, score, eta))
 
 
 def dmaps_matrix(model: TargetModel, score: ScoreField, eta: float) -> KernelMatrix:
     """Exact adjusted two-stage kernel, summed over all auxiliary states.
 
-    Rejected mass lands on the diagonal. The flux comes from `_dmaps_flux`:
-    O(8^d) time with no exponential over pairs of states for any z whose
-    phi_z spans at most `_PHI_SPAN`, and the memory of a few dense kernels.
+    Rejected mass lands on the diagonal. The flux comes from
+    `_dmaps_orbit_flux`: O(r 4^d) time for r orbits of states under the
+    target's declared symmetries (r = 2^d with none), which are checked on
+    the log weights and the tilt table first, with no exponential over pairs
+    of states for any z whose phi_z spans at most `_PHI_SPAN`, and the
+    memory of a few dense kernels. The rejected mass is folded on the
+    representative rows before they are permuted, so every row, diagonal
+    included, is an exact permutation of its representative's.
     """
-    return _with_rejections(_dmaps_flux(model, score, eta), eta, "dmaps", score.kind)
+    reps, rows, images = _dmaps_orbit_flux(model, score, eta)
+    probs = _permute_orbits(reps, _fold_rejections(rows, reps), images)
+    return KernelMatrix(probs, eta, "dmaps", score.kind)
 
 
 def prox_exact_matrix(model: TargetModel, eta: float) -> KernelMatrix:

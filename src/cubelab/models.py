@@ -48,7 +48,9 @@ class TargetModel:
 
         Each generator is `(sigma, flip_mask)`: state word k maps to the word
         with bit sigma[i] equal to bit i of k, XORed with `flip_mask`. The
-        default declares none.
+        default declares none. The dense dmaps builder also needs every
+        score's tilt x_i s(x)_i to move with the coordinates, which the
+        closed forms here do; it checks both before it relies on them.
         """
         return ()
 

@@ -3,7 +3,10 @@
 States are stored as d-bit words: bit i is set iff coordinate i equals +1,
 with coordinate 0 in the least significant position. The packed word doubles
 as the canonical state index, so the all-(-1) state is index 0 and the
-all-(+1) state is index 2^d - 1.
+all-(+1) state is index 2^d - 1. A cube isometry (sigma, flip_mask) acts on
+those indices as the permutation `isometry_images` returns, and
+`orbit_minima` labels the orbits of the group that such permutations
+generate, on states or on any other indexed set.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapabilityError
+from .errors import CapabilityError, ParameterError
 
 # 2^d indexing stays inside a 32-bit-safe integer up to d = 30; exact dense
 # analysis runs far below that (memory is the binding constraint), while
@@ -105,3 +108,34 @@ def all_signs(dim: int) -> np.ndarray:
     ks = np.arange(1 << dim, dtype=np.int64)
     bits = (ks[:, None] >> np.arange(dim)) & 1
     return (bits * 2 - 1).astype(np.int8)
+
+
+def isometry_images(dim: int, sigma, flip_mask: int) -> np.ndarray:
+    """Image g(k) of every state word k under the cube isometry (sigma, flip_mask):
+    bit sigma[i] of g(k) is bit i of k, XORed with `flip_mask`.
+
+    Raises ParameterError unless sigma permutes range(dim) and flip_mask is
+    a dim-bit word.
+    """
+    n = 1 << dim
+    if sorted(sigma) != list(range(dim)) or not 0 <= flip_mask < n:
+        raise ParameterError(
+            f"({sigma}, {flip_mask}) is not an isometry of the {dim}-cube")
+    bits = (np.arange(n)[:, None] >> np.arange(dim)) & 1
+    return (bits << np.asarray(sigma, dtype=np.int64)).sum(axis=1) ^ flip_mask
+
+
+def orbit_minima(size: int, maps: list[np.ndarray]) -> np.ndarray:
+    """Lowest index in each orbit of the group that the permutations `maps`
+    of range(size) generate; with no maps every index is its own."""
+    steps = [s for m in maps for s in (m, np.argsort(m))]
+    # labels only ever move to a smaller index in the same orbit, and stop
+    # once no generator step lowers one: then each orbit carries its minimum
+    labels = np.arange(size)
+    while True:
+        nxt = labels
+        for step in steps:
+            nxt = np.minimum(nxt, nxt[step])
+        if np.array_equal(nxt, labels):
+            return labels
+        labels = nxt

@@ -235,6 +235,36 @@ def test_ctmc_csv(tmp_path, capsys):
     assert out.read_text() == "\n".join(lines) + "\n"
 
 
+def test_ctmc_streamed_rows_keep_the_text(tmp_path, capsys, monkeypatch):
+    """The CSV and JSON of a seeded run, over three blocks of streamed rows,
+    against digests of the text written when every row was built first."""
+    import hashlib
+
+    from cubelab import cli
+
+    args = ["ctmc", "--model", "ising", "--rows", "2", "--cols", "3", "--J", "0.4",
+            "--h", "0.1", "--horizon", "5000", "--seed", "5"]
+    code, csv_text, _ = run_cli(capsys, *args)
+    assert code == 0 and len(csv_text.splitlines()) == 9975 > 2 * cli._ROW_BLOCK
+    assert (hashlib.sha256(csv_text.encode()).hexdigest()
+            == "e15d52623c795b897d03c38649f37164e8aa0abb273c32f2409d929a7bb831d7")
+    out = tmp_path / "traj.csv"
+    assert run_cli(capsys, *args, "--out", str(out))[0] == 0
+    assert out.read_text() == csv_text
+    code, json_text, _ = run_cli(capsys, *args, "--format", "json")
+    # everything before the package versions, which vary by install
+    head = json_text.split('"versions"')[0]
+    assert code == 0 and json.loads(json_text)["versions"]
+    assert (hashlib.sha256(head.encode()).hexdigest()
+            == "9da26f0d596ff23bf1435c2951ebfb25d690933df0edfc10f3350f6492135d2a")
+    # the CSV rows reach `_emit` as a lazy iterable, not as a list
+    seen = []
+    emit = cli._emit
+    monkeypatch.setattr(cli, "_emit", lambda a, rows, *r: seen.append(rows) or emit(a, rows, *r))
+    assert run_cli(capsys, *args)[1] == csv_text
+    assert not isinstance(seen[0], list)
+
+
 def test_ctmc_same_seed_writes_identical_files(tmp_path, capsys):
     args = ["ctmc", "--model", "bits", "--beta", "0.3", "--dim", "10", "--horizon", "3000",
             "--seed", "7"]

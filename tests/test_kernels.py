@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -26,7 +27,7 @@ from cubelab.kernels import (
 )
 from cubelab.models import BitsMixture, CurieWeiss, IndependentBits, IsingGrid, exact_target
 from cubelab.scores import ScoreField, glauber_score
-from cubelab.statespace import all_signs, hamming, state_of
+from cubelab.statespace import all_signs, hamming, isometry_images, orbit_minima, state_of
 
 SMALL_MODELS = [
     IndependentBits(0.5, 3),
@@ -361,6 +362,72 @@ def test_dmaps_flux_falls_back_where_exp_underflows(model, kind, monkeypatch):
     monkeypatch.setattr(kernels, "_PHI_SPAN", math.inf)
     with np.errstate(all="ignore"):
         assert np.isnan(kernels._dmaps_flux(model, field, 0.5)).any()
+
+
+def _declaring(model, symmetries):
+    """An equal-parameter copy of `model` that declares `symmetries` instead."""
+    cls = type(model)
+    declaring = type("Declaring" + cls.__name__, (cls,), {"symmetries": lambda self: symmetries})
+    return declaring(**{f.name: getattr(model, f.name) for f in dataclasses.fields(model)})
+
+
+@pytest.mark.parametrize("model, kinds, eta", [
+    (BitsMixture(0.5, 9), ("glauber",), 0.4),
+    (CurieWeiss(0.2, 0.0, 8), ("stein", "gibbs", "glauber"), 0.4),
+    (IsingGrid(2, 4, 0.3, 0.0), ("stein", "gibbs", "glauber"), 0.4),
+    # its cyclic shift is the one declared generator that is not an involution
+    (IsingGrid(2, 4, 0.3, 0.1, periodic=True), ("glauber",), 0.6),
+], ids=repr)
+def test_orbit_built_dmaps_flux_matches_the_flux_without_symmetries(model, kinds, eta):
+    plain = _declaring(model, ())
+    assert model.symmetries()
+    for kind in kinds:
+        field = ScoreField(model, kind)
+        reps, rows, _ = kernels._dmaps_orbit_flux(model, field, eta)
+        assert 4 * len(reps) < 1 << model.dim, kind
+        flux = kernels._dmaps_flux(model, field, eta)
+        want = kernels._dmaps_flux(plain, ScoreField(plain, kind), eta)
+        assert np.abs(flux - want).max() <= 1e-14, kind
+        probs = dmaps_matrix(model, field, eta).probs
+        # every row is its orbit representative's, permuted
+        orbit = orbit_minima(1 << model.dim, [isometry_images(model.dim, *g)
+                                              for g in model.symmetries()])
+        assert np.array_equal(np.sort(probs, axis=1), np.sort(probs[orbit], axis=1)), kind
+        for sigma, mask in model.symmetries():
+            g = isometry_images(model.dim, sigma, mask)
+            assert np.abs(probs[np.ix_(g, g)] - probs).max() <= 1e-15, (kind, sigma, mask)
+
+
+class _TiltedStein(CurieWeiss):
+    """Curie-Weiss whose stein score is shifted on coordinate 0 alone, so its
+    log weights keep every permutation and its tilt table does not."""
+
+    def stein_score_signs(self, signs):
+        out = super().stein_score_signs(signs)
+        out[..., 0] += 1e-3
+        return out
+
+
+@pytest.mark.parametrize("model, generator, kind, what", [
+    (IsingGrid(2, 3, 0.4, 0.1), ((1, 0, 2, 3, 4, 5), 0), "glauber", "log weights"),
+    (CurieWeiss(0.2, 0.3, 6), ((0, 1, 2, 3, 4, 5), 0b111111), "stein", "log weights"),
+    (_TiltedStein(0.2, 0.0, 4), None, "stein", "tilt table"),
+], ids=["ising-transposition", "curieweiss-flip-at-b", "tilted-stein"])
+def test_false_generator_raises_before_the_z_loop(model, generator, kind, what, monkeypatch):
+    from cubelab.analysis import dmaps_empirical_delta
+    from cubelab.errors import NumericalError
+
+    if generator is not None:
+        model = _declaring(model, model.symmetries() + (generator,))
+    field = ScoreField(model, kind)
+    built = []
+    stage_two = kernels._score_log_kernel
+    monkeypatch.setattr(kernels, "_score_log_kernel",
+                        lambda *a: built.append(a) or stage_two(*a))
+    for call in (dmaps_matrix, dmaps_empirical_delta):
+        with pytest.raises(NumericalError, match=f"breaks the declared symmetry .* its {what}"):
+            call(model, field, 0.5)
+    assert built == []
 
 
 def test_dmala_matrix_where_flip_probabilities_saturate():
