@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import math
 import operator
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -520,21 +521,38 @@ def kernel_matrix(model: TargetModel, sampler: str, score: ScoreField | None,
 
 
 class Stepper:
-    """One sampler's transition, applied to a whole batch of states at once.
+    """One sampler's transition, on a batch of states or on a single state.
 
-    States carry any leading batch shape. A step reads a `(..., m)` block of
-    uniforms on [0, 1), with m = `uniforms_per_step` fixed per sampler:
-    gibbs 1, dula d, dmala d + 1, dups 2d, dmaps 2d + 1; the two leading
-    shapes broadcast, so one state with n rows of uniforms makes n draws.
-    With `tables=True` states are packed int64 words and every per-state
-    quantity is read from a table over all 2^d states; otherwise states are
-    float arrays of +-1 coordinates, shaped (..., d), and the same
-    quantities come from the model's closed forms at any dimension.
+    A step reads m = `uniforms_per_step` uniforms on [0, 1), fixed per
+    sampler: gibbs 1, dula d, dmala d + 1, dups 2d, dmaps 2d + 1. The state
+    representation is fixed at construction:
+
+    * `tables=False`: states are float arrays of +-1 coordinates, shaped
+      (..., d), and every per-state quantity comes from the model's closed
+      forms, at any dimension.
+    * `tables=True`: states are packed int64 words of any batch shape, and
+      every per-state quantity is read from a table over all 2^d states.
+    * `tables=True, scalar=True`: one state, a Python int word, whose table
+      row is a tuple of Python lists and floats; a step makes no numpy
+      call. Stepping a few chains one at a time this way is faster than one
+      batched step over all of them.
+
+    In the batched representations a step reads a `(..., m)` block of
+    uniforms whose leading shape broadcasts with the states', so one state
+    with n rows of uniforms makes n draws. Each step is one method, written
+    once against primitives that `__init__` binds per representation: the
+    flips where `u < q` (a mask, or in scalar form a packed word), gibbs's
+    pick from a cumulative row, flipping a state by a packed word or by
+    those flips, the two Metropolis dot products and the accept select.
+    The scalar dot products add the terms of the flipped coordinates in
+    ascending order, which is how `np.vecdot` sums vectors this short, so
+    both table representations give the same floats.
 
     `prepare(u)` turns a block of uniforms into step operands, doing the
     path-independent work (stage-one flips, logs of acceptance uniforms) for
-    the whole block at once; `step(states, *operands, carry=None)` returns
-    `(next, accepted, proposal, auxiliary, carry)`.
+    the whole block at once; a scalar stepper takes an `(n, m)` block and
+    hands out Python lists of n per-step operands. `step(states, *operands,
+    carry=None)` returns `(next, accepted, proposal, auxiliary, carry)`.
 
     The carry holds what the Metropolis-adjusted samplers already know about
     the next states: dmala's features and dmaps's log weight, taken from the
@@ -547,10 +565,12 @@ class Stepper:
     """
 
     def __init__(self, model: TargetModel, sampler: str, score: ScoreField | None,
-                 eta: float, tables: bool):
+                 eta: float, tables: bool, scalar: bool = False):
         if sampler not in STEP_SAMPLERS:
             raise ParameterError(
                 f"sampler {sampler!r} has no step, expected one of {STEP_SAMPLERS}")
+        if scalar and not tables:
+            raise ParameterError("scalar steps read tables")
         _check_eta(eta)
         d = model.dim
         if sampler == "gibbs":
@@ -565,34 +585,95 @@ class Stepper:
         self.eta = eta
         self.model = model
         self.step = getattr(self, "_" + sampler)
-        if tables:
-            signs = all_signs(d).astype(np.float64)
-            features = self._features(signs, score.table())
-            # every feature of a state sits in one table row, read by a single take
-            self._table = np.hstack([f.reshape(len(signs), -1) for f in features])
-            widths = [f[0].size for f in features]
-            starts = np.cumsum([0] + widths)
-            self._columns = [slice(a, a + w) if f.ndim == 2 else a
-                             for f, a, w in zip(features, starts, widths)]
-            pow2 = np.int64(1) << np.arange(d, dtype=np.int64)
-            self._at = self._table_row
-            self._log_weight = model.log_weight_signs(signs).__getitem__
-            self._pack = lambda flips: flips @ pow2
-            self._flip = operator.xor
-            # np.where is slow on the scalar states of a single chain
-            self._select = lambda ok, new, old: (np.where(ok, new, old) if ok.ndim
-                                                 else new if ok else old)
-            self._keep = lambda ok, new, old: None
-        else:
+        if not tables:
+            self._bind_arrays()
             self._at = lambda x: self._features(x, score.signs(x))
             self._log_weight = model.log_weight_signs
-            self._pack = lambda flips: flips
-            self._flip = lambda x, flips: np.where(flips, -x, x)
+            self._flip = self._move = lambda x, flips: np.where(flips, -x, x)
+            self._stage_one = lambda flips: (flips, flips.astype(np.float64))
             self._select = lambda ok, new, old: np.where(ok[..., None], new, old)
             # per-state arrays shaped like ok (log weights) or like the states
             self._keep = lambda ok, new, old: tuple(
                 np.where(ok if a.ndim == ok.ndim else ok[..., None], a, b)
                 for a, b in zip(new, old))
+            return
+        signs = all_signs(d).astype(np.float64)
+        features = self._features(signs, score.table())
+        log_weight = model.log_weight_signs(signs)
+        pow2 = np.int64(1) << np.arange(d, dtype=np.int64)
+        self._flip = operator.xor
+        self._keep = lambda ok, new, old: None
+        if scalar:
+            self._bind_scalar(features, log_weight, pow2)
+            return
+        self._bind_arrays()
+        # every feature of a state sits in one table row, read by a single take
+        self._table = np.hstack([f.reshape(len(signs), -1) for f in features])
+        widths = [f[0].size for f in features]
+        starts = np.cumsum([0] + widths)
+        self._columns = [slice(a, a + w) if f.ndim == 2 else a
+                         for f, a, w in zip(features, starts, widths)]
+        self._at = self._table_row
+        self._log_weight = log_weight.__getitem__
+        self._move = lambda x, flips: x ^ (flips @ pow2)
+        self._stage_one = lambda flips: (flips @ pow2, flips.astype(np.float64))
+        self._select = np.where
+
+    def _bind_arrays(self) -> None:
+        """The primitives both batched representations share."""
+        self._list = self._uniforms = lambda a: a
+        self._flips = operator.lt
+        self._pick = lambda cum, u: (below := cum <= u)[..., :-1] ^ below[..., 1:]
+        self._flip_dot = lambda flips, a, b: np.vecdot(flips, a - b)
+        self._move_dot = lambda plus, minus, values: np.vecdot(plus - minus, values)
+
+    def _bind_scalar(self, features: tuple, log_weight: np.ndarray,
+                     pow2: np.ndarray) -> None:
+        """Primitives on one Python int word; flips are packed words too."""
+        d = self.dim
+        bits = [1 << i for i in range(d)]
+        # members[w]: the coordinates set in word w, ascending
+        members = [[]]
+        for i in range(d):
+            members += [m + [i] for m in members]
+        # gibbs flips coordinate k - 1 where k cumulative entries are <= u
+        picks = [0, *bits, 0]
+        # no state flips coordinate i where u_i >= its largest flip probability
+        # (every row but gibbs's leads with the flip probabilities), so a
+        # step compares only the candidates a whole block screens for at once
+        top = features[0].max(axis=0)
+
+        def flips(u, q):
+            candidates, row = u
+            word = 0
+            for i in members[candidates]:
+                if row[i] < q[i]:
+                    word |= bits[i]
+            return word
+
+        def flip_dot(flips, a, b):
+            total = 0.0
+            for i in members[flips]:
+                total += a[i] - b[i]
+            return total
+
+        def move_dot(plus, minus, values):
+            total = 0.0
+            for i in members[plus ^ minus]:
+                total += values[i] if plus >> i & 1 else -values[i]
+            return total
+
+        self._at = list(zip(*(f.tolist() for f in features))).__getitem__
+        self._log_weight = log_weight.tolist().__getitem__
+        self._list = np.ndarray.tolist
+        self._uniforms = lambda u: list(zip(((u < top) @ pow2).tolist(), u.tolist()))
+        self._flips = flips
+        self._pick = lambda cum, u: picks[bisect_right(cum, u[0])]
+        self._move = operator.xor
+        self._stage_one = lambda flips: (words := (flips @ pow2).tolist(), words)
+        self._flip_dot = flip_dot
+        self._move_dot = move_dot
+        self._select = lambda ok, new, old: new if ok else old
 
     def _table_row(self, k):
         row = self._table.take(k, axis=0)
@@ -619,53 +700,54 @@ class Stepper:
     def prepare(self, u: np.ndarray) -> tuple:
         """Step operands from `(..., m)` uniforms, with the same leading shape."""
         d = self.dim
-        if self.sampler in ("gibbs", "dula"):
-            return (u,)
+        if self.sampler == "gibbs":
+            return (self._list(u),)
+        if self.sampler == "dula":
+            return (self._uniforms(u),)
         with np.errstate(divide="ignore"):
-            log_accept = np.log(u[..., -1])
+            log_accept = self._list(np.log(u[..., -1]))
         if self.sampler == "dmala":
-            return u[..., :d], log_accept
-        flips1 = u[..., :d] < expit(-2.0 / self.eta)
+            return self._uniforms(u[..., :d]), log_accept
+        word1, flips1 = self._stage_one(u[..., :d] < expit(-2.0 / self.eta))
         if self.sampler == "dups":
-            return self._pack(flips1), u[..., d:]
-        return self._pack(flips1), flips1.astype(np.float64), u[..., d:2 * d], log_accept
+            return word1, self._uniforms(u[..., d:])
+        return word1, flips1, self._uniforms(u[..., d:2 * d]), log_accept
 
     def _gibbs(self, x, u, carry=None):
         (cum,) = self._at(x)
-        below = cum <= u
-        nxt = self._flip(x, self._pack(below[..., :-1] ^ below[..., 1:]))
+        nxt = self._move(x, self._pick(cum, u))
         return nxt, True, nxt, None, None
 
     def _dula(self, x, u, carry=None):
         (q,) = self._at(x)
-        nxt = self._flip(x, self._pack(u < q))
+        nxt = self._move(x, self._flips(u, q))
         return nxt, True, nxt, None, None
 
     def _dmala(self, x, u, log_u, carry=None):
         here = self._at(x) if carry is None else carry
         q, logit, base = here
-        flips = u < q
-        prop = self._flip(x, self._pack(flips))
+        flips = self._flips(u, q)
+        prop = self._move(x, flips)
         there = self._at(prop)
         _, logit_rev, base_rev = there
-        ok = log_u < base_rev - base + np.vecdot(flips, logit_rev - logit)
+        ok = log_u < base_rev - base + self._flip_dot(flips, logit_rev, logit)
         return self._select(ok, prop, x), ok, prop, None, self._keep(ok, there, here)
 
     def _dups(self, x, word1, u, carry=None):
         z = self._flip(x, word1)
         (q2,) = self._at(z)
-        nxt = self._flip(z, self._pack(u < q2))
+        nxt = self._move(z, self._flips(u, q2))
         return nxt, True, nxt, z, None
 
     def _dmaps(self, x, word1, flips1, u, log_u, carry=None):
         z = self._flip(x, word1)
         q2, tilt2 = self._at(z)
-        flips2 = u < q2
-        prop = self._flip(z, self._pack(flips2))
+        flips2 = self._flips(u, q2)
+        prop = self._move(z, flips2)
         here = (self._log_weight(x),) if carry is None else carry
         there = (self._log_weight(prop),)
         # x - prop = 2 z (flips2 - flips1), so (x - prop) . s(z) needs no signs of x
-        log_a = there[0] - here[0] + np.vecdot(flips2 - flips1, tilt2)
+        log_a = there[0] - here[0] + self._move_dot(flips2, flips1, tilt2)
         ok = log_u < log_a
         return self._select(ok, prop, x), ok, prop, z, self._keep(ok, there, here)
 

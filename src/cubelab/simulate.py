@@ -1,13 +1,17 @@
 """Seeded Monte Carlo chain runner with streaming estimators.
 
-All chains of a run advance in lockstep, one batched `kernels.Stepper` step
-at a time. Dimensions up to `TABLE_DIM_CAP` run on packed integer states
-against precomputed per-state tables (the hot path for the
-simulation/matrix consistency checks); beyond that, states are +-1
-coordinate vectors, and each step evaluates the model's closed forms once,
-on the proposals. The accepted states' features (dmala's score and log
-weight, dmaps's log weight) are carried to the next step in the stepper's
-carry, not evaluated again.
+Chains step through one `kernels.Stepper`. Dimensions up to
+`TABLE_DIM_CAP` run on packed integer states against precomputed per-state
+tables (the hot path for the simulation/matrix consistency checks). There a
+run with fewer than `_LOCKSTEP_CHAINS` chains steps each chain alone, on a
+Python int with its table rows as Python lists, so a step makes no numpy
+call; a run with more chains advances them in lockstep, one batched numpy
+step at a time, which costs less per chain from that many chains on.
+Beyond the table cap, states are +-1 coordinate vectors that always advance
+in lockstep, and each step evaluates the model's closed forms once, on the
+proposals. The accepted states' features (dmala's score and log weight,
+dmaps's log weight) are carried to the next step in the stepper's carry,
+not evaluated again.
 
 Chains are reproducible: the 64-bit config seed feeds a numpy SeedSequence
 whose spawned children, one per chain index, drive independent PCG64
@@ -90,16 +94,26 @@ class SimResult:
 
 # uniforms each chain draws per block of `run_chain`; bounds memory at any d
 _UNIFORM_BLOCK = 1 << 14
+# table-mode runs with fewer chains step each chain alone, on Python ints;
+# from this many chains on, one lockstep numpy step over all of them is faster
+# (measured crossover: CHANGES.md)
+_LOCKSTEP_CHAINS = 4
 
 
 def _stepper(model: TargetModel, sampler: str, score: str | None, eta: float,
-             tables: bool) -> Stepper:
+             tables: bool, scalar: bool = False) -> Stepper:
     field = None if sampler in SCORE_FREE else ScoreField(model, score)
-    return Stepper(model, sampler, field, eta, tables)
+    return Stepper(model, sampler, field, eta, tables, scalar)
 
 
 def run_chain(cfg: ChainConfig, dump_path: str | None = None) -> SimResult:
-    """Run every chain of the config in lockstep and return streaming estimators.
+    """Run every chain of the config and return streaming estimators.
+
+    In table mode a run with fewer than `_LOCKSTEP_CHAINS` chains steps each
+    chain alone, one scalar `Stepper` step at a time, and a larger run steps
+    all chains in lockstep, one batched step at a time; vector mode always
+    steps in lockstep. Either way each chain consumes its own substream in
+    the same blocks, so the estimators do not depend on the choice.
 
     With `dump_path`, each retained sample is also written as a CSV row
     (chain, step, packed state as hex, magnetization); meant for small runs.
@@ -107,51 +121,76 @@ def run_chain(cfg: ChainConfig, dump_path: str | None = None) -> SimResult:
     d = cfg.model.dim
     chains = cfg.chains
     table_mode = d <= TABLE_DIM_CAP
-    st = _stepper(cfg.model, cfg.sampler, cfg.score, cfg.eta, table_mode)
+    alone = table_mode and chains < _LOCKSTEP_CHAINS
+    st = _stepper(cfg.model, cfg.sampler, cfg.score, cfg.eta, table_mode, alone)
     m = st.uniforms_per_step
     block = max(1, _UNIFORM_BLOCK // m)
+    blocks = [(t0, min(block, cfg.steps - t0)) for t0 in range(0, cfg.steps, block)]
     retained_per_chain = 1 + (cfg.steps - cfg.burn_in - 1) // cfg.thinning
+
+    def retained(t0: int, n: int) -> np.ndarray:
+        steps = np.arange(t0, t0 + n)
+        return steps[(steps >= cfg.burn_in) & ((steps - cfg.burn_in) % cfg.thinning == 0)]
 
     rngs = [np.random.default_rng(child)
             for child in np.random.SeedSequence(cfg.seed).spawn(chains)]
-    if table_mode:
-        states = np.array([rng.integers(0, 1 << d) for rng in rngs], dtype=np.int64)
-        counts = np.zeros((chains, 1 << d), dtype=np.int64)
-    else:
-        states = np.array([rng.integers(0, 2, d) * 2 - 1 for rng in rngs], dtype=np.float64)
-        plus_counts = np.zeros((chains, d), dtype=np.int64)
-        hist = np.zeros((chains, d + 1), dtype=np.int64)
-    # a single chain steps on unbatched states, whose table reads are cheaper
-    if chains == 1:
-        states = states[0]
-    trace = np.empty((block,) + states.shape, dtype=states.dtype)
-    oks = np.empty((block, chains), dtype=bool)
     accepted = np.zeros(chains, dtype=np.int64)
     dumped = [] if dump_path is not None else None
-    carry = None
-
-    for t0 in range(0, cfg.steps, block):
-        n = min(block, cfg.steps - t0)
-        u = np.stack([rng.random((n, m)) for rng in rngs], axis=1)
-        for t, operands in enumerate(zip(*st.prepare(u[:, 0] if chains == 1 else u))):
-            # positional: a keyword argument costs a dict per step
-            states, ok, _, _, carry = st.step(states, *operands, carry)
-            trace[t] = states
-            oks[t] = ok
-        accepted += oks[:n].sum(axis=0)
-        steps = np.arange(t0, t0 + n)
-        steps = steps[(steps >= cfg.burn_in) & ((steps - cfg.burn_in) % cfg.thinning == 0)]
-        kept = trace[steps - t0].reshape(steps.size, chains, *([] if table_mode else [d]))
+    if alone:
+        counts = np.zeros((chains, 1 << d), dtype=np.int64)
+        step = st.step
+        for c, rng in enumerate(rngs):
+            x = int(rng.integers(0, 1 << d))
+            carry = None
+            hits = 0
+            path = []
+            for t0, n in blocks:
+                trace = []
+                for operands in zip(*st.prepare(rng.random((n, m)))):
+                    x, ok, _, _, carry = step(x, *operands, carry)
+                    trace.append(x)
+                    hits += ok
+                kept = np.array(trace)[retained(t0, n) - t0]
+                counts[c] += np.bincount(kept, minlength=1 << d)
+                if dumped is not None:
+                    path.append(kept)
+            accepted[c] = hits
+            if dumped is not None:
+                dumped.append(np.concatenate(path))
+    else:
         if table_mode:
-            counts += np.bincount((kept + (np.arange(chains) << d)).ravel(),
-                                  minlength=chains << d).reshape(chains, 1 << d)
+            states = np.array([rng.integers(0, 1 << d) for rng in rngs], dtype=np.int64)
+            counts = np.zeros((chains, 1 << d), dtype=np.int64)
         else:
-            kept = kept > 0
-            plus_counts += kept.sum(axis=0)
-            hist += np.bincount((kept.sum(axis=2) + (d + 1) * np.arange(chains)).ravel(),
-                                minlength=chains * (d + 1)).reshape(chains, d + 1)
+            states = np.array([rng.integers(0, 2, d) * 2 - 1 for rng in rngs],
+                              dtype=np.float64)
+            plus_counts = np.zeros((chains, d), dtype=np.int64)
+            hist = np.zeros((chains, d + 1), dtype=np.int64)
+        trace = np.empty((block,) + states.shape, dtype=states.dtype)
+        oks = np.empty((block, chains), dtype=bool)
+        carry = None
+        for t0, n in blocks:
+            u = np.stack([rng.random((n, m)) for rng in rngs], axis=1)
+            for t, operands in enumerate(zip(*st.prepare(u))):
+                # positional: a keyword argument costs a dict per step
+                states, ok, _, _, carry = st.step(states, *operands, carry)
+                trace[t] = states
+                oks[t] = ok
+            accepted += oks[:n].sum(axis=0)
+            steps = retained(t0, n)
+            kept = trace[steps - t0]
+            if table_mode:
+                counts += np.bincount((kept + (np.arange(chains) << d)).ravel(),
+                                      minlength=chains << d).reshape(chains, 1 << d)
+            else:
+                kept = kept > 0
+                plus_counts += kept.sum(axis=0)
+                hist += np.bincount((kept.sum(axis=2) + (d + 1) * np.arange(chains)).ravel(),
+                                    minlength=chains * (d + 1)).reshape(chains, d + 1)
+            if dumped is not None:
+                dumped.append(kept)
         if dumped is not None:
-            dumped.append((steps, kept))
+            dumped = list(np.concatenate(dumped).swapaxes(0, 1))
 
     if table_mode:
         plus_table = all_signs(d) > 0
@@ -160,7 +199,8 @@ def run_chain(cfg: ChainConfig, dump_path: str | None = None) -> SimResult:
     magnetization = hist @ (2 * np.arange(d + 1) - d)
 
     if dumped is not None:
-        _write_dump(dump_path, dumped, d)
+        _write_dump(dump_path, np.concatenate([retained(t0, n) for t0, n in blocks]),
+                    dumped, d)
 
     return SimResult(
         dim=d, retained=retained_per_chain,
@@ -170,16 +210,14 @@ def run_chain(cfg: ChainConfig, dump_path: str | None = None) -> SimResult:
         state_counts=counts if table_mode else None)
 
 
-def _write_dump(path: str, dumped: list, d: int) -> None:
-    """Retained samples in chain-major order, from (steps, states) blocks whose
-    states are packed words or masks of the +1 coordinates."""
-    steps = np.concatenate([s for s, _ in dumped])
-    kept = np.concatenate([k for _, k in dumped])
+def _write_dump(path: str, steps: np.ndarray, chain_states: list, d: int) -> None:
+    """Retained samples in chain-major order, from their steps and each
+    chain's states there, as packed words or as masks of the +1 coordinates."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["chain", "step", "state", "magnetization"])
-        for c in range(kept.shape[1]):
-            for t, state in zip(steps.tolist(), kept[:, c]):
+        for c, states in enumerate(chain_states):
+            for t, state in zip(steps.tolist(), states):
                 word = int(state) if state.ndim == 0 else int.from_bytes(
                     np.packbits(state, bitorder="little").tobytes(), "little")
                 writer.writerow((c, t, f"{word:x}", (2 * word.bit_count() - d) / d))

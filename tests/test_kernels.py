@@ -533,3 +533,25 @@ def test_step_distribution_matches_matrix_row(sampler, kind):
     sigma = np.sqrt(row * (1 - row) / n)
     assert (np.abs(freq - row) <= 5 * sigma + 1e-12).all(), (
         f"{sampler}: {freq} vs {row}")
+
+
+@pytest.mark.parametrize("dim", [3, 6, 10, 12])
+def test_scalar_dot_products_sum_like_vecdot(dim):
+    """The scalar steps' Metropolis dot products add the terms of the set
+    bits in ascending coordinate order, which is how `np.vecdot` sums
+    vectors this short. Values spread over six decades make the order of
+    the additions show in the last bits; both give the same floats."""
+    model = IndependentBits(0.3, dim)
+    st = kernels.Stepper(model, "dmaps", ScoreField(model, "glauber"), 0.5, tables=True,
+                         scalar=True)
+    rng = np.random.default_rng(dim)
+    n = 5000
+    a, b = rng.normal(size=(2, n, dim)) * 10.0 ** rng.uniform(-3, 3, (2, n, dim))
+    plus, minus = rng.random((2, n, dim)) < 0.5
+    pow2 = 1 << np.arange(dim)
+    plus_words, minus_words = (plus @ pow2).tolist(), (minus @ pow2).tolist()
+    rows_a, rows_b = a.tolist(), b.tolist()
+    assert ([st._flip_dot(w, ra, rb) for w, ra, rb in zip(plus_words, rows_a, rows_b)]
+            == np.vecdot(plus, a - b).tolist())
+    assert ([st._move_dot(p, m, ra) for p, m, ra in zip(plus_words, minus_words, rows_a)]
+            == np.vecdot(plus - minus.astype(np.float64), a).tolist())

@@ -1,5 +1,6 @@
 import csv
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -43,14 +44,16 @@ def test_different_seed_differs():
 @pytest.mark.parametrize("dim", [4, 16], ids=["table", "vector"])
 def test_chains_are_separate_substreams(sampler, score, dim):
     """Chain c draws only from substream c, so the first chains of a larger
-    run reproduce a smaller run bit for bit; a single chain, which steps on
-    unbatched states, included."""
+    run reproduce a smaller run bit for bit; in table mode that includes
+    runs whose chains step alone on Python ints against runs that step them
+    in lockstep."""
     def run(chains):
         return run_chain(_cfg(model=CurieWeiss(0.1, 0.5, dim), sampler=sampler,
                               score=score, eta=0.45, steps=1500, burn_in=100,
                               chains=chains))
 
-    runs = {c: run(c) for c in (4, 2, 1)}
+    above = simulate._LOCKSTEP_CHAINS + 1
+    runs = {c: run(c) for c in (above, 4, 2, 1)}
     for c in (2, 1):
         for field in ("mean_magnetization", "marginals", "magnetization_histogram",
                       "acceptance_fraction", "state_counts"):
@@ -59,6 +62,67 @@ def test_chains_are_separate_substreams(sampler, score, dim):
                 assert big is None and dim > 12
             else:
                 np.testing.assert_array_equal(big[:c], small, err_msg=field)
+    for c in (2, 1):
+        for field in ("mean_magnetization", "marginals", "magnetization_histogram",
+                      "acceptance_fraction", "state_counts"):
+            big, small = getattr(runs[above], field), getattr(runs[c], field)
+            if small is None:
+                assert big is None and dim > 12
+            else:
+                np.testing.assert_array_equal(big[:c], small, err_msg=field)
+
+
+_FIELDS = ("mean_magnetization", "marginals", "magnetization_histogram",
+           "acceptance_fraction", "state_counts")
+
+
+@pytest.mark.parametrize("dim,eta", [(3, 1.5), (6, 1.0), (10, 0.7), (12, 0.8)])
+@pytest.mark.parametrize("sampler,score", [("gibbs", None)] + [
+    (sampler, score) for sampler in ("dula", "dmala", "dups", "dmaps")
+    for score in ("glauber", "gibbs", "stein")])
+def test_chains_alone_reproduce_the_lockstep_table_step(sampler, score, dim, eta,
+                                                         tmp_path, monkeypatch):
+    """The scalar table step, one chain at a time on Python ints, and the
+    lockstep numpy-table step give the same estimators and `--dump` files
+    bit for bit, over many blocks of uniforms and with burn-in and thinning;
+    the adjusted samplers take both branches of the accept test."""
+    cfg = ChainConfig(sampler, CurieWeiss(0.4 / dim, 0.5, dim), score, eta, steps=1500,
+                      burn_in=101, thinning=3, chains=3, seed=23)
+    monkeypatch.setattr(simulate, "_UNIFORM_BLOCK", 1 << 10)
+    runs = {}
+    for name, lockstep_chains in (("alone", cfg.chains + 1), ("lockstep", 1)):
+        monkeypatch.setattr(simulate, "_LOCKSTEP_CHAINS", lockstep_chains)
+        path = tmp_path / f"{name}.csv"
+        runs[name] = run_chain(cfg, dump_path=str(path)), path.read_bytes()
+    (alone, alone_dump), (lockstep, lockstep_dump) = runs["alone"], runs["lockstep"]
+    for field in _FIELDS:
+        np.testing.assert_array_equal(getattr(alone, field), getattr(lockstep, field),
+                                      err_msg=field)
+    assert alone_dump == lockstep_dump
+    assert alone_dump.count(b"\n") == 1 + cfg.chains * alone.retained
+    if sampler in ("dmala", "dmaps"):
+        assert 0 < alone.acceptance_fraction.min() <= alone.acceptance_fraction.max() < 1
+
+
+@pytest.mark.parametrize("sampler", ["gibbs", "dula", "dmala", "dups", "dmaps"])
+def test_single_table_chain_reads_no_numpy_row(sampler, monkeypatch):
+    """A chain that steps alone reads its rows from Python lists: a 1-chain
+    table run makes no `Stepper._table_row` call, where a lockstep run makes
+    one or more per step."""
+    calls = []
+    table_row = Stepper._table_row
+
+    def counted(self, k):
+        calls.append(k)
+        return table_row(self, k)
+
+    monkeypatch.setattr(Stepper, "_table_row", counted)
+    cfg = _cfg(sampler=sampler, score=None if sampler == "gibbs" else "glauber",
+               model=CurieWeiss(0.1, 0.5, 6), steps=600, burn_in=0, chains=1)
+    run_chain(cfg)
+    assert calls == []
+    run_chain(replace(cfg, chains=simulate._LOCKSTEP_CHAINS))
+    assert len(calls) >= cfg.steps
 
 
 class _ReferenceStepper(Stepper):
@@ -68,7 +132,7 @@ class _ReferenceStepper(Stepper):
     def _dmala(self, x, u, log_u, carry=None):
         q, logit, base = self._at(x)
         flips = u < q
-        prop = self._flip(x, self._pack(flips))
+        prop = self._move(x, flips)
         _, logit_rev, base_rev = self._at(prop)
         ok = log_u < base_rev - base + np.vecdot(flips, logit_rev - logit)
         return self._select(ok, prop, x), ok, prop, None, None
@@ -77,7 +141,7 @@ class _ReferenceStepper(Stepper):
         z = self._flip(x, word1)
         q2, tilt2 = self._at(z)
         flips2 = u < q2
-        prop = self._flip(z, self._pack(flips2))
+        prop = self._move(z, flips2)
         log_a = (self._log_weight(prop) - self._log_weight(x)
                  + np.vecdot(flips2 - flips1, tilt2))
         ok = log_u < log_a
