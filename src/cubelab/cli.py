@@ -227,6 +227,8 @@ def _split(value: str, allowed, what: str) -> list[str]:
 
 
 def cmd_sweep(args) -> int:
+    if args.jobs < 1:
+        raise ParameterError(f"jobs must be >= 1, got {args.jobs}")
     model = build_model(args)
     etas = _etas(args)
     samplers = _split(args.sampler, SAMPLER_IDS, "sampler")

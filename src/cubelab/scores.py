@@ -42,11 +42,14 @@ def glauber_score(model: TargetModel, x: BitState) -> np.ndarray:
     return out
 
 
+def _gibbs_transform(signs: np.ndarray, glauber: np.ndarray) -> np.ndarray:
+    """x_i log(1 + exp(2 x_i g_i)) for float signs x and glauber scores g."""
+    return signs * np.logaddexp(0.0, 2.0 * signs * glauber)
+
+
 def gibbs_score(model: TargetModel, x: BitState) -> np.ndarray:
     """The softplus transform of the glauber score."""
-    g = glauber_score(model, x)
-    s = x.signs().astype(np.float64)
-    return s * np.logaddexp(0.0, 2.0 * s * g)
+    return _gibbs_transform(x.signs().astype(np.float64), glauber_score(model, x))
 
 
 def stein_score(model: TargetModel, x: BitState) -> np.ndarray:
@@ -59,9 +62,8 @@ def score_signs(model: TargetModel, kind: str, signs: np.ndarray) -> np.ndarray:
     if kind == "glauber":
         return model.glauber_score_signs(signs)
     if kind == "gibbs":
-        g = model.glauber_score_signs(signs)
-        s = np.asarray(signs, dtype=np.float64)
-        return s * np.logaddexp(0.0, 2.0 * s * g)
+        return _gibbs_transform(np.asarray(signs, dtype=np.float64),
+                                model.glauber_score_signs(signs))
     if kind == "stein":
         return model.stein_score_signs(signs)
     raise ParameterError(f"unknown score kind {kind!r}, expected one of {SCORE_KINDS}")
@@ -91,7 +93,7 @@ def tabulate_scores(model: TargetModel, kind: str) -> np.ndarray:
             bit = 1 << i
             tab[:, i] = 0.5 * (lw[ks | bit] - lw[ks & ~bit])
         if kind == "gibbs":
-            tab = signs * np.logaddexp(0.0, 2.0 * signs * tab)
+            tab = _gibbs_transform(signs, tab)
     tab = np.ascontiguousarray(tab)
     tab.setflags(write=False)
     return tab
@@ -171,12 +173,7 @@ def beta_constants(score: ScoreField, exhaustive: bool = False) -> BetaConstants
                 ell = hamming(state_of(a, d), state_of(b, d))
                 beta2 = max(beta2, float(np.abs(tab[a] - tab[b]).max()) / (2.0 * ell))
         return BetaConstants(beta1, beta2)
-    ks = np.arange(n)
-    beta2 = 0.0
-    for i in range(d):
-        diff = np.abs(tab - tab[ks ^ (1 << i)]).max()
-        beta2 = max(beta2, float(diff) / 2.0)
-    return BetaConstants(beta1, beta2)
+    return BetaConstants(beta1, _adjacent_beta2(tab, flipped=True))
 
 
 def smooth_beta_constants(score: ScoreField) -> BetaConstants:
@@ -192,12 +189,18 @@ def smooth_beta_constants(score: ScoreField) -> BetaConstants:
     target roughness; dropping that coordinate removes it.
     """
     tab = score.table()
+    return BetaConstants(float(np.abs(tab).max()), _adjacent_beta2(tab, flipped=False))
+
+
+def _adjacent_beta2(tab: np.ndarray, flipped: bool) -> float:
+    """Half the largest change of a table row along one hypercube edge;
+    with `flipped=False` the flipped coordinate's own change is left out."""
     n, d = tab.shape
-    beta1 = float(np.abs(tab).max())
     ks = np.arange(n)
     beta2 = 0.0
     for i in range(d):
         diff = np.abs(tab - tab[ks ^ (1 << i)])
-        diff[:, i] = 0.0
+        if not flipped:
+            diff[:, i] = 0.0
         beta2 = max(beta2, float(diff.max()) / 2.0)
-    return BetaConstants(beta1, beta2)
+    return beta2

@@ -1,17 +1,18 @@
 """Seeded Monte Carlo chain runner with streaming estimators.
 
-Chains step through one `kernels.Stepper`. Dimensions up to
-`TABLE_DIM_CAP` run on packed integer states against precomputed per-state
-tables (the hot path for the simulation/matrix consistency checks). There a
-run with fewer than `_LOCKSTEP_CHAINS` chains steps each chain alone, on a
-Python int with its table rows as Python lists, so a step makes no numpy
-call; a run with more chains advances them in lockstep, one batched numpy
-step at a time, which costs less per chain from that many chains on.
-Beyond the table cap, states are +-1 coordinate vectors that always advance
-in lockstep, and each step evaluates the model's closed forms once, on the
-proposals. The accepted states' features (dmala's score and log weight,
-dmaps's log weight) are carried to the next step in the stepper's carry,
-not evaluated again.
+Chains step through one `kernels.Stepper`, in one loop over blocks of
+whole steps. Dimensions up to `TABLE_DIM_CAP` run on packed integer states
+against precomputed per-state tables (the hot path for the simulation/matrix
+consistency checks). There a run with fewer than `_LOCKSTEP_CHAINS` chains
+steps its chains one after another in each block, each on a Python int with
+its table rows as Python lists, so a step makes no numpy call; a run with
+more chains advances them in lockstep, one batched numpy step at a time,
+which costs less per chain from that many chains on. Beyond the table cap,
+states are +-1 coordinate vectors that always advance in lockstep, and each
+step evaluates the model's closed forms once, on the proposals. The
+accepted states' features (dmala's score and log weight, dmaps's log
+weight) are carried to the next step in the stepper's carry, not evaluated
+again.
 
 Chains are reproducible: the 64-bit config seed feeds a numpy SeedSequence
 whose spawned children, one per chain index, drive independent PCG64
@@ -109,11 +110,10 @@ def _stepper(model: TargetModel, sampler: str, score: str | None, eta: float,
 def run_chain(cfg: ChainConfig, dump_path: str | None = None) -> SimResult:
     """Run every chain of the config and return streaming estimators.
 
-    In table mode a run with fewer than `_LOCKSTEP_CHAINS` chains steps each
-    chain alone, one scalar `Stepper` step at a time, and a larger run steps
-    all chains in lockstep, one batched step at a time; vector mode always
-    steps in lockstep. Either way each chain consumes its own substream in
-    the same blocks, so the estimators do not depend on the choice.
+    Each block draws every chain's uniforms from its own substream and
+    steps the chains, alone or in lockstep, into one buffer of paths and
+    accept flags; the same code then counts, tallies and dumps from it.
+    Stepping alone or in lockstep gives the same estimators.
 
     With `dump_path`, each retained sample is also written as a CSV row
     (chain, step, packed state as hex, magnetization); meant for small runs.
@@ -134,63 +134,53 @@ def run_chain(cfg: ChainConfig, dump_path: str | None = None) -> SimResult:
 
     rngs = [np.random.default_rng(child)
             for child in np.random.SeedSequence(cfg.seed).spawn(chains)]
+    if table_mode:
+        states = np.array([rng.integers(0, 1 << d) for rng in rngs], dtype=np.int64)
+        counts = np.zeros((chains, 1 << d), dtype=np.int64)
+    else:
+        states = np.array([rng.integers(0, 2, d) * 2 - 1 for rng in rngs],
+                          dtype=np.float64)
+        plus_counts = np.zeros((chains, d), dtype=np.int64)
+        hist = np.zeros((chains, d + 1), dtype=np.int64)
+    # chains stepped alone keep a Python int word and a carry each
+    words, carries = states.tolist(), [None] * chains
+    carry = None
+    trace = np.empty((block,) + states.shape, dtype=states.dtype)
+    oks = np.empty((block, chains), dtype=bool)
     accepted = np.zeros(chains, dtype=np.int64)
     dumped = [] if dump_path is not None else None
-    if alone:
-        counts = np.zeros((chains, 1 << d), dtype=np.int64)
-        step = st.step
-        for c, rng in enumerate(rngs):
-            x = int(rng.integers(0, 1 << d))
-            carry = None
-            hits = 0
-            path = []
-            for t0, n in blocks:
-                trace = []
-                for operands in zip(*st.prepare(rng.random((n, m)))):
+    # steps take their operands positionally: a keyword costs a dict per step
+    step = st.step
+    for t0, n in blocks:
+        u = [rng.random((n, m)) for rng in rngs]
+        if alone:
+            for c in range(chains):
+                x, carry = words[c], carries[c]
+                path, flags = [], []
+                for operands in zip(*st.prepare(u[c])):
                     x, ok, _, _, carry = step(x, *operands, carry)
-                    trace.append(x)
-                    hits += ok
-                kept = np.array(trace)[retained(t0, n) - t0]
-                counts[c] += np.bincount(kept, minlength=1 << d)
-                if dumped is not None:
-                    path.append(kept)
-            accepted[c] = hits
-            if dumped is not None:
-                dumped.append(np.concatenate(path))
-    else:
-        if table_mode:
-            states = np.array([rng.integers(0, 1 << d) for rng in rngs], dtype=np.int64)
-            counts = np.zeros((chains, 1 << d), dtype=np.int64)
+                    path.append(x)
+                    flags.append(ok)
+                words[c], carries[c] = x, carry
+                trace[:n, c] = path
+                oks[:n, c] = flags
         else:
-            states = np.array([rng.integers(0, 2, d) * 2 - 1 for rng in rngs],
-                              dtype=np.float64)
-            plus_counts = np.zeros((chains, d), dtype=np.int64)
-            hist = np.zeros((chains, d + 1), dtype=np.int64)
-        trace = np.empty((block,) + states.shape, dtype=states.dtype)
-        oks = np.empty((block, chains), dtype=bool)
-        carry = None
-        for t0, n in blocks:
-            u = np.stack([rng.random((n, m)) for rng in rngs], axis=1)
-            for t, operands in enumerate(zip(*st.prepare(u))):
-                # positional: a keyword argument costs a dict per step
-                states, ok, _, _, carry = st.step(states, *operands, carry)
+            for t, operands in enumerate(zip(*st.prepare(np.stack(u, axis=1)))):
+                states, ok, _, _, carry = step(states, *operands, carry)
                 trace[t] = states
                 oks[t] = ok
-            accepted += oks[:n].sum(axis=0)
-            steps = retained(t0, n)
-            kept = trace[steps - t0]
-            if table_mode:
-                counts += np.bincount((kept + (np.arange(chains) << d)).ravel(),
-                                      minlength=chains << d).reshape(chains, 1 << d)
-            else:
-                kept = kept > 0
-                plus_counts += kept.sum(axis=0)
-                hist += np.bincount((kept.sum(axis=2) + (d + 1) * np.arange(chains)).ravel(),
-                                    minlength=chains * (d + 1)).reshape(chains, d + 1)
-            if dumped is not None:
-                dumped.append(kept)
+        accepted += oks[:n].sum(axis=0)
+        kept = trace[retained(t0, n) - t0]
+        if table_mode:
+            counts += np.bincount((kept + (np.arange(chains) << d)).ravel(),
+                                  minlength=chains << d).reshape(chains, 1 << d)
+        else:
+            kept = kept > 0
+            plus_counts += kept.sum(axis=0)
+            hist += np.bincount((kept.sum(axis=2) + (d + 1) * np.arange(chains)).ravel(),
+                                minlength=chains * (d + 1)).reshape(chains, d + 1)
         if dumped is not None:
-            dumped = list(np.concatenate(dumped).swapaxes(0, 1))
+            dumped.append(kept)
 
     if table_mode:
         plus_table = all_signs(d) > 0
@@ -200,7 +190,7 @@ def run_chain(cfg: ChainConfig, dump_path: str | None = None) -> SimResult:
 
     if dumped is not None:
         _write_dump(dump_path, np.concatenate([retained(t0, n) for t0, n in blocks]),
-                    dumped, d)
+                    np.concatenate(dumped).swapaxes(0, 1), d)
 
     return SimResult(
         dim=d, retained=retained_per_chain,
@@ -210,7 +200,7 @@ def run_chain(cfg: ChainConfig, dump_path: str | None = None) -> SimResult:
         state_counts=counts if table_mode else None)
 
 
-def _write_dump(path: str, steps: np.ndarray, chain_states: list, d: int) -> None:
+def _write_dump(path: str, steps: np.ndarray, chain_states: np.ndarray, d: int) -> None:
     """Retained samples in chain-major order, from their steps and each
     chain's states there, as packed words or as masks of the +1 coordinates."""
     with open(path, "w", newline="") as fh:

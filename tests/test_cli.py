@@ -326,6 +326,14 @@ def test_empty_name_lists_are_parameter_errors(capsys, argv):
     assert err.startswith("parameter error: empty")
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_sweep_jobs_below_one_is_a_parameter_error(capsys, jobs):
+    code, out, err = run_cli(capsys, "sweep", "--model", "bits", "--beta", "0.3",
+                             "--dim", "3", "--eta", "0.5", "--jobs", jobs)
+    assert code == 2 and out == ""
+    assert err == f"parameter error: jobs must be >= 1, got {jobs}\n"
+
+
 def test_sweep_forks_no_more_workers_than_rows(tmp_path, capsys, monkeypatch):
     from cubelab import cli
 

@@ -38,6 +38,10 @@ def test_different_seed_differs():
     assert not np.array_equal(a.state_counts, b.state_counts)
 
 
+_FIELDS = ("mean_magnetization", "marginals", "magnetization_histogram",
+           "acceptance_fraction", "state_counts")
+
+
 @pytest.mark.parametrize("sampler,score", [
     ("gibbs", None), ("dula", "glauber"), ("dmala", "glauber"), ("dups", "stein"),
     ("dmaps", "glauber")])
@@ -54,26 +58,14 @@ def test_chains_are_separate_substreams(sampler, score, dim):
 
     above = simulate._LOCKSTEP_CHAINS + 1
     runs = {c: run(c) for c in (above, 4, 2, 1)}
-    for c in (2, 1):
-        for field in ("mean_magnetization", "marginals", "magnetization_histogram",
-                      "acceptance_fraction", "state_counts"):
-            big, small = getattr(runs[4], field), getattr(runs[c], field)
-            if small is None:
-                assert big is None and dim > 12
-            else:
-                np.testing.assert_array_equal(big[:c], small, err_msg=field)
-    for c in (2, 1):
-        for field in ("mean_magnetization", "marginals", "magnetization_histogram",
-                      "acceptance_fraction", "state_counts"):
-            big, small = getattr(runs[above], field), getattr(runs[c], field)
-            if small is None:
-                assert big is None and dim > 12
-            else:
-                np.testing.assert_array_equal(big[:c], small, err_msg=field)
-
-
-_FIELDS = ("mean_magnetization", "marginals", "magnetization_histogram",
-           "acceptance_fraction", "state_counts")
+    for larger in (4, above):
+        for c in (2, 1):
+            for field in _FIELDS:
+                big, small = getattr(runs[larger], field), getattr(runs[c], field)
+                if small is None:
+                    assert big is None and dim > 12
+                else:
+                    np.testing.assert_array_equal(big[:c], small, err_msg=field)
 
 
 @pytest.mark.parametrize("dim,eta", [(3, 1.5), (6, 1.0), (10, 0.7), (12, 0.8)])
@@ -322,17 +314,33 @@ def test_sample_transitions_across_blocks(sampler, score):
     np.testing.assert_array_equal(nxt[:n - 1], draw(n - 1))
 
 
-def test_dump_file(tmp_path):
+@pytest.mark.parametrize("dim", [4, 16], ids=["table", "vector"])
+def test_dump_file(dim, tmp_path, monkeypatch):
+    """The dumped rows, per chain and in step order, are the retained samples:
+    they rebuild the magnetization histogram and, in table mode, the state
+    counts, over several blocks of uniforms."""
+    monkeypatch.setattr(simulate, "_UNIFORM_BLOCK", 1 << 9)
     path = tmp_path / "samples.csv"
-    cfg = _cfg(steps=200, burn_in=20, thinning=10, chains=2)
+    cfg = _cfg(model=BitsMixture(0.4, dim), steps=200, burn_in=20, thinning=10, chains=2)
     res = run_chain(cfg, dump_path=str(path))
     with open(path) as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == 2 * res.retained
-    for row in rows:
-        k = int(row["state"], 16)
-        assert 0 <= k < 16
-        assert abs(float(row["magnetization"])) <= 1.0
+    hist = np.zeros((2, dim + 1), dtype=np.int64)
+    counts = np.zeros((2, 1 << dim), dtype=np.int64)
+    for n, row in enumerate(rows):
+        c, k = divmod(n, res.retained)
+        assert (int(row["chain"]), int(row["step"])) == (c, 20 + 10 * k)
+        word = int(row["state"], 16)
+        assert 0 <= word < 1 << dim
+        assert float(row["magnetization"]) == (2 * word.bit_count() - dim) / dim
+        hist[c, word.bit_count()] += 1
+        counts[c, word] += 1
+    np.testing.assert_array_equal(hist, res.magnetization_histogram)
+    if dim <= simulate.TABLE_DIM_CAP:
+        np.testing.assert_array_equal(counts, res.state_counts)
+    else:
+        assert res.state_counts is None
 
 
 def test_config_validation():
