@@ -200,7 +200,7 @@ def wasserstein_hamming(p: np.ndarray, q: np.ndarray) -> float:
         raise ValueError(f"length {n} is not a power of two")
     if abs(float((p - q).sum())) > 1e-10:
         raise ValueError("supplies are unbalanced beyond 1e-10")
-    return float(_transport_values(p[None, :], q[None, :])[0])
+    return float(_transport_values(p[None, :], q[None, :])[0][0])
 
 
 # supply entries this small are roundoff, not mass to move
@@ -211,6 +211,16 @@ _PRODUCT_TOL = 1e-13
 # HiGHS working memory grows with the LP, so one call stacks at most this
 # many potentials: 4 pairs at d = 6, one pair from d = 8 on
 _LP_MAX_VARS = 256
+# each LP block's largest supply is scaled to this
+_LP_SCALE = 1e6
+# relative miss of an LP's primal flow, on its supplies or on its dual value,
+# beyond which the solve is not trusted; HiGHS's own optimal vertices read
+# ~1e-15
+_FLOW_TOL = 1e-9
+# how far below the largest lower bound every upper bound of an LP batch must
+# lie for the batch to be skipped: far above the roundoff of either bound, and
+# above the 1e-12 tie tolerance of a certificate's witness
+_BRACKET_MARGIN = 1e-9
 
 
 def _product_residual(rows: np.ndarray, marginals: np.ndarray) -> np.ndarray:
@@ -230,7 +240,8 @@ def _adjacent_pairs(d: int) -> np.ndarray:
 def _edge_lp(d: int, blocks: int):
     """Constraints +-(f(k) - f(k ^ e_i)) <= 1 on every hypercube edge, for
     `blocks` independent copies of the cube, and bounds pinning f(0) = 0 in
-    each copy."""
+    each copy; last, the (edges, states) incidence of one cube, +1 at each
+    edge's lower state and -1 at its upper one."""
     n = 1 << d
     edges = _adjacent_pairs(d)
     e = edges.shape[0]
@@ -240,7 +251,7 @@ def _edge_lp(d: int, blocks: int):
                     format="csr")
     bounds = np.full((blocks * n, 2), [-np.inf, np.inf])
     bounds[::n] = 0.0
-    return a, np.ones(a.shape[0]), bounds
+    return a, np.ones(a.shape[0]), bounds, incidence
 
 
 def _dual_lp_values(b: np.ndarray) -> np.ndarray:
@@ -249,13 +260,23 @@ def _dual_lp_values(b: np.ndarray) -> np.ndarray:
     The edge constraint matrix is totally unimodular, so HiGHS's optimal
     vertex has integer potentials; they are rounded and the value is
     <round(f), b>, a feasible dual and hence exact to summation roundoff.
+
+    The same call's constraint marginals are the primal side: the flow
+    along each edge, from its lower state to its upper one, is the
+    marginal of its "-" constraint minus that of its "+" one. The flow
+    must move the scaled supplies (its divergence at every state but the
+    pinned state 0, which absorbs the supplies' roundoff imbalance) at a
+    cost sum_e |flow_e| equal to the scaled dual value; either missing by
+    more than `_FLOW_TOL` of the largest scaled supply, or of that value,
+    raises NumericalError. A feasible flow of that cost is an upper bound
+    on W1, so each value is checked from both sides.
     """
     blocks, n = b.shape
-    a, ub, bounds = _edge_lp(n.bit_length() - 1, blocks)
+    a, ub, bounds, incidence = _edge_lp(n.bit_length() - 1, blocks)
     # the dual feasibility tolerance is absolute: scaling each block's largest
-    # supply to 1e6 puts it at 1e-16 of that supply
-    cost = -(1e6 * b / np.abs(b).max(axis=1, keepdims=True)).ravel()
-    res = linprog(cost, A_ub=a, b_ub=ub, bounds=bounds, method="highs-ds",
+    # supply to _LP_SCALE puts it at 1e-16 of that supply
+    supply = _LP_SCALE * b / np.abs(b).max(axis=1, keepdims=True)
+    res = linprog(-supply.ravel(), A_ub=a, b_ub=ub, bounds=bounds, method="highs-ds",
                   options={"primal_feasibility_tolerance": 1e-10,
                            "dual_feasibility_tolerance": 1e-10})
     if not res.success:
@@ -266,16 +287,36 @@ def _dual_lp_values(b: np.ndarray) -> np.ndarray:
     if off > 1e-6:
         raise NumericalError(f"transport dual potentials are {off:.1e} from integers",
                              residual=off)
+    marginals = res.ineqlin.marginals.reshape(blocks, 2, -1)
+    flow = marginals[:, 1] - marginals[:, 0]
+    div = (incidence.T @ flow.T).T
+    miss = float(np.abs(div - supply)[:, 1:].max()) / _LP_SCALE
+    dual = (f_int * supply).sum(axis=1)
+    gap = float((np.abs(np.abs(flow).sum(axis=1) - dual) / dual).max())
+    if max(miss, gap) > _FLOW_TOL:
+        raise NumericalError(
+            f"transport primal flow misses its supplies by {miss:.1e} and the dual "
+            f"value by {gap:.1e}, relative, beyond {_FLOW_TOL:.0e}", residual=max(miss, gap))
     return (f_int * b).sum(axis=1)
 
 
-def _transport_values(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Exact Hamming W1 between the rows of two (m, 2^d) arrays.
+def _transport_values(p: np.ndarray, q: np.ndarray,
+                      upper: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Exact Hamming W1 between the rows of two (m, 2^d) arrays, and which
+    of them are only bracketed.
 
     Each pair takes one of three paths: a pair whose supplies p - q vanish
     (entries up to 1e-15 are zeroed) is exactly 0; a pair of product laws
     is sum_i |P_i - Q_i|; every other pair goes to the dual LP, several
     pairs to a HiGHS call.
+
+    `upper`, when given, holds an upper bound on each pair's W1. The
+    coordinate potential makes L = sum_i |P_i - Q_i| a lower bound on every
+    pair's, so no pair whose upper bound is below max L can hold the
+    largest value. An LP batch is skipped when every pair in it has
+    upper < max L - `_BRACKET_MARGIN`; its pairs take their upper bound,
+    and the returned mask marks them. The batches are those of the full
+    solve, so every batch that is solved gives the same floats.
     """
     m, n = p.shape
     d = n.bit_length() - 1
@@ -288,12 +329,18 @@ def _transport_values(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     product = (live & (_product_residual(p, mp) <= _PRODUCT_TOL)
                & (_product_residual(q, mq) <= _PRODUCT_TOL))
     values[product] = np.abs(mp[product] - mq[product]).sum(axis=1)
+    bracketed = np.zeros(m, dtype=bool)
+    floor = -np.inf if upper is None else np.abs(mp - mq).sum(axis=1).max() - _BRACKET_MARGIN
     rest = np.flatnonzero(live & ~product)
     per_call = max(1, _LP_MAX_VARS >> d)
     for start in range(0, rest.size, per_call):
         idx = rest[start:start + per_call]
-        values[idx] = _dual_lp_values(b[idx])
-    return values
+        if (upper is not None) and (upper[idx] < floor).all():
+            values[idx] = upper[idx]
+            bracketed[idx] = True
+        else:
+            values[idx] = _dual_lp_values(b[idx])
+    return values, bracketed
 
 
 def wasserstein_hamming_lp(p: np.ndarray, q: np.ndarray) -> float:
@@ -314,10 +361,12 @@ def wasserstein_hamming_lp(p: np.ndarray, q: np.ndarray) -> float:
     col_marginals = np.kron(np.ones(n), np.eye(n))
     a_eq = np.vstack([row_marginals, col_marginals])
     b_eq = np.concatenate([p, q])
-    # default solver tolerances (1e-7) are too loose for a 1e-9 reference
+    # default solver tolerances (1e-7) are too loose for a 1e-9 reference;
+    # HiGHS presolve calls some couplings of rows with entries near 1e-16
+    # infeasible, so it is off
     res = linprog(cost, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs",
                   options={"primal_feasibility_tolerance": 1e-10,
-                           "dual_feasibility_tolerance": 1e-10})
+                           "dual_feasibility_tolerance": 1e-10, "presolve": False})
     if not res.success:
         raise NumericalError(f"coupling LP failed: {res.message}")
     return float(res.fun)
@@ -346,6 +395,13 @@ class ContractionCertificate:
     `pair_values[j]`: j itself, or the lowest-index pair of its orbit under
     the declared symmetries. `contraction_certificate` always fills it; with
     no symmetries every entry is its own index.
+
+    `bracketed[j]` marks a pair whose W1 was bracketed, not solved: its
+    coupling upper bound lies more than a margin below the largest
+    coordinate lower bound of any pair, so it cannot be kappa or the
+    witness, and `pair_values[j]` holds that upper bound instead of the
+    exact W1. `contraction_certificate` always fills it; without upper
+    bounds no pair is bracketed.
     """
 
     kappa: float
@@ -354,6 +410,7 @@ class ContractionCertificate:
     pair_values: np.ndarray
     all_pairs_checked: bool = False
     solved_on: np.ndarray | None = None
+    bracketed: np.ndarray | None = None
 
 
 def _checked_isometry(t: np.ndarray, sigma, flip_mask: int) -> np.ndarray:
@@ -383,7 +440,8 @@ def _edge_orbits(d: int, images: list[np.ndarray]) -> np.ndarray:
 
 
 def contraction_certificate(kernel: KernelMatrix, all_pairs: bool = False,
-                            symmetries: tuple = ()) -> ContractionCertificate:
+                            symmetries: tuple = (),
+                            upper: np.ndarray | None = None) -> ContractionCertificate:
     """Worst adjacent-pair W1 of a kernel, from one transport solve per orbit
     of hypercube edges.
 
@@ -396,6 +454,15 @@ def contraction_certificate(kernel: KernelMatrix, all_pairs: bool = False,
     every edge is its own orbit. `all_pairs=True` then checks the
     flip-path bound W <= kappa * Hamming against the exact W1 of every pair
     of states, at d <= `ALL_PAIRS_DIM_CAP`.
+
+    `upper`, an upper bound on the W1 of every edge in the order of
+    `pairs` (as `_coupling_upper_bounds` gives it), brackets the orbits:
+    an LP batch whose every orbit has its bound below the largest
+    coordinate lower bound sum_i |P_i - Q_i| of any orbit, by a margin, is
+    not solved, and its pairs are marked in `bracketed` and report their
+    upper bound (see `_transport_values`). The batches are those of the
+    full solve, so kappa and the witness are the same floats as with
+    `upper=None`, which solves every orbit and is the oracle.
     """
     d = kernel.dim
     if d > CONTRACTION_DIM_CAP:
@@ -406,10 +473,18 @@ def contraction_certificate(kernel: KernelMatrix, all_pairs: bool = False,
             f"exhaustive pair validation capped at d <= {ALL_PAIRS_DIM_CAP}, got {d}")
     t = kernel.probs
     pairs = _adjacent_pairs(d)
+    if upper is not None:
+        upper = np.asarray(upper, dtype=np.float64)
+        if upper.shape != (pairs.shape[0],):
+            raise ValueError(f"upper has shape {upper.shape}, expected "
+                             f"({pairs.shape[0]},), one per edge")
+        _k._require_finite(upper, "upper")
     solved_on = _edge_orbits(d, [_checked_isometry(t, sigma, mask) for sigma, mask in symmetries])
     reps = np.flatnonzero(solved_on == np.arange(pairs.shape[0]))
-    values = _transport_values(t[pairs[reps, 0]], t[pairs[reps, 1]])
-    values = values[np.searchsorted(reps, solved_on)]
+    values, bracketed = _transport_values(t[pairs[reps, 0]], t[pairs[reps, 1]],
+                                          None if upper is None else upper[reps])
+    of_rep = np.searchsorted(reps, solved_on)
+    values, bracketed = values[of_rep], bracketed[of_rep]
     kappa = float(values.max())
     # pairs that tie in real arithmetic differ in the last ulps; the lowest
     # index among them is a witness that noise cannot move
@@ -417,7 +492,7 @@ def contraction_certificate(kernel: KernelMatrix, all_pairs: bool = False,
     if all_pairs:
         a, c = np.triu_indices(1 << d, 1)
         ell = np.bitwise_count(a ^ c)
-        w = _transport_values(t[a], t[c])
+        w = _transport_values(t[a], t[c])[0]
         bad = np.flatnonzero(w > kappa * ell + 1e-9)
         if bad.size:
             j = bad[0]
@@ -425,7 +500,82 @@ def contraction_certificate(kernel: KernelMatrix, all_pairs: bool = False,
                 f"pair ({a[j]}, {c[j]}) violates the flip-path bound: "
                 f"W = {w[j]:.6e} > kappa * ell = {kappa * ell[j]:.6e}")
     return ContractionCertificate(kappa, (int(pairs[top, 0]), int(pairs[top, 1])),
-                                  pairs, values, all_pairs, solved_on)
+                                  pairs, values, all_pairs, solved_on, bracketed)
+
+
+def _adjacent_product_w1(q: np.ndarray) -> np.ndarray:
+    """W1 between the laws of independent flips with probabilities q[k] and
+    q[k ^ 2^i], from states k and k ^ 2^i, at [k, i]: the two laws of
+    coordinate j != i differ by |q_j(k) - q_j(k ^ 2^i)|, those of
+    coordinate i, which starts on opposite sides, by
+    |1 - q_i(k) - q_i(k ^ 2^i)|."""
+    n, d = q.shape
+    ks = np.arange(n)
+    out = np.empty((n, d))
+    for i in range(d):
+        there = q[ks ^ (1 << i)]
+        gaps = np.abs(q - there)
+        gaps[:, i] = np.abs(1.0 - q[:, i] - there[:, i])
+        out[:, i] = gaps.sum(axis=1)
+    return out
+
+
+def _coupling_upper_bounds(model: TargetModel, kernel: KernelMatrix) -> np.ndarray | None:
+    """An upper bound on the W1 between the rows of every edge (x, x^i) of a
+    dups, dmala or dmaps kernel on `model`, in the order of
+    `_adjacent_pairs`, from a coupling of the sampler; None for the other
+    samplers (gibbs, prox, and dula, whose rows are product laws).
+
+    * dups: stage one moves both chains by the same flips off coordinate i
+      and couples coordinate i maximally, so with probability 2a, where
+      a = sigma(-2/eta) is its flip probability, both reach the same z and
+      stay together; otherwise they reach z and z^i, with z distributed as
+      T1(x, .) given z_i = x_i. Stage two is a product law m(z) and is
+      coupled coordinatewise, so
+      U = (1 - 2a) sum_z T1(x, z) sum_j |m_j(z) - m_j(z^i)|
+      (the inner sum is the same at z and z^i, so the sum over all z is the
+      conditional one).
+    * dmala, dmaps: K moves off x only where its base kernel does (dula,
+      dups), never more, and sends the rest back to x. Moving that
+      rejected mass back costs r(x) = sum_{y != x} (K_base - K)(x, y)
+      ham(x, y), so by the triangle inequality
+      U = W1_base(x, x^i) + r(x) + r(x^i), with the exact product-law W1
+      for dula and the bound above for dups.
+
+    Every bound is the cost of a coupling, so it holds in real arithmetic;
+    in floating point it carries roundoff of order 1e-15, far below
+    `_BRACKET_MARGIN`.
+    """
+    sampler, eta = kernel.sampler, kernel.eta
+    if sampler not in ("dups", "dmala", "dmaps"):
+        return None
+    field = ScoreField(model, kernel.score)
+    d = kernel.dim
+    tilt = all_signs(d) * field.table()
+    if sampler == "dmala":
+        edge_w1 = _adjacent_product_w1(expit(-2.0 / eta - tilt))
+    else:
+        t1 = np.exp(_k._stage_one_log_kernel(d, eta))
+        edge_w1 = ((1.0 - 2.0 * float(expit(-2.0 / eta)))
+                   * (t1 @ _adjacent_product_w1(expit(-2.0 / eta - 2.0 * tilt))))
+    pairs = _adjacent_pairs(d)
+    upper = edge_w1[pairs[:, 0], np.repeat(np.arange(d), 1 << (d - 1))]
+    if sampler == "dups":
+        return upper
+    base = (_k.dula_matrix if sampler == "dmala" else _k.dups_matrix)(model, field, eta)
+    ks = np.arange(1 << d)
+    ham = np.bitwise_count(ks[:, None] ^ ks[None, :])
+    rejected = ((base.probs - kernel.probs) * ham).sum(axis=1)
+    return upper + rejected[pairs[:, 0]] + rejected[pairs[:, 1]]
+
+
+def _sampler_certificate(model: TargetModel, kernel: KernelMatrix) -> ContractionCertificate:
+    """The contraction certificate of a sampler's kernel on `model`, on the
+    orbits of the model's symmetries, with the orbits that its coupling
+    bounds decide left unsolved: the one path that `cli.analyze_row` and
+    `run_certificates` take to kappa."""
+    return contraction_certificate(kernel, symmetries=model.symmetries(),
+                                   upper=_coupling_upper_bounds(model, kernel))
 
 
 # ---------------------------------------------------------------------------
@@ -749,8 +899,7 @@ def run_certificates(model: TargetModel, score_kind: str, eta: float) -> list[Ce
             else:
                 if sampler not in built:
                     built[sampler] = _k.kernel_matrix(model, sampler, field, eta)
-                observed[key] = (contraction_certificate(built[sampler],
-                                                         symmetries=model.symmetries()).kappa
+                observed[key] = (_sampler_certificate(model, built[sampler]).kappa
                                  if observable == "kappa"
                                  else wasserstein_hamming(stationary(built[sampler]), target))
         ok = observed[key] <= entry.value + FLOAT_GUARD

@@ -14,6 +14,7 @@ import contextlib
 import csv
 import json
 import math
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
@@ -157,7 +158,7 @@ def analyze_row(model: TargetModel, sampler: str, score_kind: str | None,
         "lambda2": spectrum.lambda2,
         "t_rel": spectrum.t_rel,
         "db_residual": analysis.detailed_balance_residual(kernel, target),
-        "kappa": (analysis.contraction_certificate(kernel, symmetries=model.symmetries()).kappa
+        "kappa": (analysis._sampler_certificate(model, kernel).kappa
                   if with_kappa and model.dim <= analysis.CONTRACTION_DIM_CAP
                   else ""),
         "stationary_residual": float(np.abs(pi @ kernel.probs - pi).sum()),
@@ -428,10 +429,36 @@ def make_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_output_paths(args) -> None:
+    """Raise ParameterError for an output path (`--out`, `--dump`) that
+    cannot be written, before any work is done and without creating it:
+    one whose directory is missing or not writable, or that names a
+    directory or an existing file that is not writable."""
+    for flag in ("out", "dump"):
+        path = getattr(args, flag, None)
+        if not path:
+            continue
+        folder = os.path.dirname(path) or "."
+        if os.path.isdir(path):
+            problem = "is a directory"
+        elif not os.path.exists(folder):
+            problem = f"is in {folder!r}, which does not exist"
+        elif not os.path.isdir(folder):
+            problem = f"is in {folder!r}, which is not a directory"
+        elif not os.access(folder, os.W_OK | os.X_OK):
+            problem = f"is in {folder!r}, which is not writable"
+        elif os.path.exists(path) and not os.access(path, os.W_OK):
+            problem = "is not writable"
+        else:
+            continue
+        raise ParameterError(f"--{flag} {path!r} {problem}")
+
+
 def main(argv=None) -> int:
     parser = make_parser()
     args = parser.parse_args(argv)
     try:
+        _check_output_paths(args)
         return args.func(args)
     except ParameterError as exc:
         print(f"parameter error: {exc}", file=sys.stderr)

@@ -219,6 +219,28 @@ def test_wasserstein_fuzz_against_lp():
         assert w == pytest.approx(ref, abs=2e-9), (w, ref)
 
 
+def test_transport_lp_flow_is_checked_against_its_supplies(monkeypatch):
+    """The constraint marginals of each LP make a flow that moves the scaled
+    supplies at the cost of the dual value; a flow that misses them raises."""
+    rng = np.random.default_rng(5)
+    b = rng.dirichlet(np.ones(16), size=3) - rng.dirichlet(np.ones(16), size=3)
+    exact = analysis._dual_lp_values(b)
+    solve = analysis.linprog
+
+    def skewed(*args, **kwargs):
+        res = solve(*args, **kwargs)
+        res.ineqlin.marginals[:] *= 1.0 + 1e-6
+        return res
+
+    monkeypatch.setattr(analysis, "linprog", skewed)
+    with pytest.raises(NumericalError, match="primal flow misses") as err:
+        analysis._dual_lp_values(b)
+    assert err.value.residual > analysis._FLOW_TOL
+    for p, q, w in zip(b.clip(0), (-b).clip(0), exact):
+        assert w == pytest.approx(wasserstein_hamming_lp(p / p.sum(), q / q.sum()) * p.sum(),
+                                  abs=1e-9)
+
+
 @pytest.mark.parametrize("d", [7, 8, 9, 10])
 def test_transport_lp_matches_product_form_on_dula_rows(d, monkeypatch):
     # dula rows are product laws, so W1 = sum_i |P_i - Q_i| exactly; a
@@ -305,7 +327,7 @@ def solves(monkeypatch):
     rows = []
     solve = analysis._transport_values
     monkeypatch.setattr(analysis, "_transport_values",
-                        lambda p, q: rows.append(p.shape[0]) or solve(p, q))
+                        lambda p, q, *bounds: rows.append(p.shape[0]) or solve(p, q, *bounds))
     return rows
 
 
@@ -441,14 +463,94 @@ def test_run_certificates_solves_orbit_representatives_only(solves, monkeypatch)
     kappas = []
     certify = analysis.contraction_certificate
     monkeypatch.setattr(analysis, "contraction_certificate",
-                        lambda *a, **kw: kappas.append(kw) or certify(*a, **kw))
+                        lambda k, **kw: kappas.append((k.sampler, kw)) or certify(k, **kw))
     results = run_certificates(model, "glauber", 0.8)
-    assert kappas and all(kw == {"symmetries": model.symmetries()} for kw in kappas)
+    assert kappas and all(kw["symmetries"] == model.symmetries() for _, kw in kappas)
+    # each sampler's kappa is computed once, whatever number of bounds it meets
+    samplers = [sampler for sampler, _ in kappas]
+    assert sorted(samplers) == sorted({r.sampler for r in results
+                                       if r.observed is not None and "contraction" in r.certificate})
     # three edge orbits at d = 5 (the number of +1 among the other four
     # coordinates, up to the global flip), and one row per stationary W1
     stationary_rows = sum(r.observed is not None and "stationary" in r.certificate
                           for r in results)
     assert sorted(solves) == [1] * stationary_rows + [3] * len(kappas)
+
+
+def _random_configuration(rng):
+    """One of the four families at d 3-6 with random parameters, a score
+    and a step size drawn log-uniformly in [0.1, 2]."""
+    d = int(rng.integers(3, 7))
+    family = int(rng.integers(4))
+    if family == 0:
+        model = IndependentBits(float(rng.uniform(-1.0, 1.0)), d)
+    elif family == 1:
+        model = BitsMixture(float(rng.uniform(0.0, 1.0)), d)
+    elif family == 2:
+        model = CurieWeiss(float(rng.uniform(0.0, 0.5)), float(rng.uniform(-0.5, 0.5)), d)
+    else:
+        rows, cols = {3: (1, 3), 4: (2, 2), 5: (1, 5), 6: (2, 3)}[d]
+        model = IsingGrid(rows, cols, float(rng.uniform(-0.6, 0.6)),
+                          float(rng.uniform(-0.3, 0.3)), periodic=cols >= 3 and rows == 1)
+    kind = SCORE_KINDS[int(rng.integers(3))]
+    return model, kind, float(np.exp(rng.uniform(math.log(0.1), math.log(2.0))))
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_coupling_bounds_bracket_the_exact_certificate(seed):
+    """Every coupling bound lies above the exact W1 of its edge, and the
+    certificate that skips the batches they decide gives kappa and the
+    witness of the full solve, as the same floats."""
+    model, kind, eta = _random_configuration(np.random.default_rng([seed, 16]))
+    for sampler in ("dups", "dmala", "dmaps"):
+        tag = (model, sampler, kind, eta)
+        kernel = kernel_matrix(model, sampler, ScoreField(model, kind), eta)
+        upper = analysis._coupling_upper_bounds(model, kernel)
+        exact = contraction_certificate(kernel)
+        assert not exact.bracketed.any()
+        assert (upper >= exact.pair_values - 1e-12).all(), tag
+        full = contraction_certificate(kernel, symmetries=model.symmetries())
+        cert = analysis._sampler_certificate(model, kernel)
+        assert cert.kappa == full.kappa and cert.witness == full.witness, tag
+        # a solved pair reports its exact value, a bracketed one its bound
+        live = ~cert.bracketed
+        assert np.array_equal(cert.pair_values[live], full.pair_values[live]), tag
+        assert np.array_equal(cert.pair_values[cert.bracketed],
+                              upper[cert.solved_on][cert.bracketed]), tag
+        assert (cert.pair_values[cert.bracketed] < cert.kappa).all(), tag
+        if model.dim <= 5:
+            a, b = cert.witness
+            assert cert.kappa == pytest.approx(
+                wasserstein_hamming_lp(kernel.probs[a], kernel.probs[b]), abs=1e-9), tag
+
+
+@pytest.mark.parametrize("sampler", ["gibbs", "prox", "dula"])
+def test_samplers_without_a_coupling_bound_solve_every_orbit(sampler):
+    model = IsingGrid(2, 2, 0.4, 0.1)
+    kernel = kernel_matrix(model, sampler, ScoreField(model, "glauber"), 0.6)
+    assert analysis._coupling_upper_bounds(model, kernel) is None
+    cert = analysis._sampler_certificate(model, kernel)
+    assert not cert.bracketed.any()
+
+
+def test_d8_grid_dups_certificate_solves_at_most_two_lps(monkeypatch):
+    calls = []
+    solve = analysis._dual_lp_values
+    monkeypatch.setattr(analysis, "_dual_lp_values", lambda b: calls.append(len(b)) or solve(b))
+    model = IsingGrid(2, 4, 0.4, 0.1)
+    cert = analysis._sampler_certificate(model, dups_matrix(model, ScoreField(model, "glauber"),
+                                                            0.4))
+    assert len(calls) <= 2
+    # one pair per LP call at d = 8: one call per orbit left unbracketed
+    assert np.unique(cert.solved_on[~cert.bracketed]).size == len(calls)
+
+
+def test_upper_bounds_must_cover_every_edge():
+    kernel = gibbs_matrix(IndependentBits(0.5, 3), 0.5)
+    with pytest.raises(ValueError, match="one per edge"):
+        contraction_certificate(kernel, upper=np.ones(11))
+    with pytest.raises(ValueError, match="non-finite"):
+        contraction_certificate(kernel, upper=np.full(12, np.nan))
 
 
 # ---------------------------------------------------------------------------

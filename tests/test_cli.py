@@ -1,10 +1,12 @@
 import csv
 import json
 import math
+import os
 
 import numpy as np
 import pytest
 
+from cubelab import cli
 from cubelab.cli import ANALYZE_COLUMNS, main, parse_eta_grid
 from cubelab.errors import ParameterError
 
@@ -500,3 +502,40 @@ def test_bounds_flags_survive_large_beta1(capsys, command):
         header, row = out.strip().split("\n")
         values = dict(zip(header.split(","), row.split(",")))
         assert values["flag_4d_beta2_exp4beta1_le_1"] == "False"
+
+
+_BITS = ("--model", "bits", "--beta", "0.3", "--dim", "3")
+_MISSING = "/nonexistent/x.csv"
+
+
+@pytest.mark.parametrize("argv", [
+    ("analyze", *_BITS, "--sampler", "dula", "--eta", "0.5", "--out", _MISSING),
+    ("sweep", *_BITS, "--eta", "0.5", "--out", _MISSING),
+    ("check", *_BITS, "--eta", "0.5", "--out", _MISSING),
+    ("simulate", *_BITS, "--sampler", "dula", "--eta", "0.5", "--steps", "10",
+     "--dump", _MISSING),
+    ("ctmc", *_BITS, "--horizon", "1", "--out", _MISSING),
+], ids=lambda argv: argv[0])
+def test_unwritable_output_is_a_parameter_error_before_any_work(capsys, monkeypatch, argv):
+    def no_work(args):
+        raise AssertionError("the model was built before the output path was checked")
+
+    monkeypatch.setattr(cli, "build_model", no_work)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith(f"parameter error: --{argv[-2][2:]} '{_MISSING}' is in "
+                          "'/nonexistent', which does not exist")
+    assert err.count("\n") == 1
+    assert not os.path.exists(os.path.dirname(_MISSING))
+
+
+def test_output_path_naming_a_directory_is_a_parameter_error(tmp_path, capsys):
+    code, out, err = run_cli(capsys, "analyze", *_BITS, "--sampler", "dula", "--eta", "0.5",
+                             "--out", str(tmp_path))
+    assert code == 2 and out == ""
+    assert err == f"parameter error: --out '{tmp_path}' is a directory\n"
+    # a new file in a writable directory passes the check
+    path = tmp_path / "a.csv"
+    assert run_cli(capsys, "analyze", *_BITS, "--sampler", "dula", "--eta", "0.5",
+                   "--out", str(path))[0] == 0
+    assert path.read_text().startswith("eta,sampler,")
