@@ -543,7 +543,8 @@ class Stepper:
     once against primitives that `__init__` binds per representation: the
     flips where `u < q` (a mask, or in scalar form a packed word), gibbs's
     pick from a cumulative row, flipping a state by a packed word or by
-    those flips, the two Metropolis dot products and the accept select.
+    those flips, the two Metropolis dot products and the accept step, which
+    selects the next states and carry.
     The scalar dot products add the terms of the flipped coordinates in
     ascending order, which is how `np.vecdot` sums vectors this short, so
     both table representations give the same floats.
@@ -560,8 +561,16 @@ class Stepper:
     Passing it back into the next step lets vector mode evaluate each
     proposal's closed forms once and never re-evaluate the current state's;
     without it (a one-shot step) they are evaluated afresh, to the same
-    floats. In table mode re-reading a row with one take measured no slower
-    than carrying it, so the table carry is None.
+    floats. The invariant: a vector step's carry equals, bit for bit, what
+    `_at` (dmala) or `_log_weight` (dmaps) gives on the returned states. In
+    table mode re-reading a row with one take measured no slower than
+    carrying it, so the table carry is None.
+
+    A vector step is bound by its count of small numpy calls, not by
+    arithmetic, so the accept primitive skips the select when every chain
+    accepted: the proposals and their features are then the next states and
+    carry as they stand. `ok.all()` also serves a one-shot step, whose `ok`
+    is a 0-d `np.bool_`.
     """
 
     def __init__(self, model: TargetModel, sampler: str, score: ScoreField | None,
@@ -585,39 +594,48 @@ class Stepper:
         self.eta = eta
         self.model = model
         self.step = getattr(self, "_" + sampler)
+        features = getattr(self, f"_{sampler}_features")
         if not tables:
             self._bind_arrays()
-            self._at = lambda x: self._features(x, score.signs(x))
+            self._at = lambda x: features(x, score.signs(x))
             self._log_weight = model.log_weight_signs
             self._flip = self._move = lambda x, flips: np.where(flips, -x, x)
             self._stage_one = lambda flips: (flips, flips.astype(np.float64))
-            self._select = lambda ok, new, old: np.where(ok[..., None], new, old)
-            # per-state arrays shaped like ok (log weights) or like the states
-            self._keep = lambda ok, new, old: tuple(
-                np.where(ok if a.ndim == ok.ndim else ok[..., None], a, b)
-                for a, b in zip(new, old))
+            self._select = select = lambda ok, new, old: np.where(ok[..., None], new, old)
+
+            def accept(ok, new, old, there, here):
+                # every chain accepted: the proposals and their features are
+                # the next states and carry as they stand, with no select
+                if ok.all():
+                    return new, there
+                # per-state arrays shaped like ok (log weights) or like the states
+                return select(ok, new, old), tuple(
+                    np.where(ok if a.ndim == ok.ndim else ok[..., None], a, b)
+                    for a, b in zip(there, here))
+
+            self._accept = accept
             return
         signs = all_signs(d).astype(np.float64)
-        features = self._features(signs, score.table())
+        table_features = features(signs, score.table())
         log_weight = model.log_weight_signs(signs)
         pow2 = np.int64(1) << np.arange(d, dtype=np.int64)
         self._flip = operator.xor
-        self._keep = lambda ok, new, old: None
         if scalar:
-            self._bind_scalar(features, log_weight, pow2)
+            self._bind_scalar(table_features, log_weight, pow2)
             return
         self._bind_arrays()
         # every feature of a state sits in one table row, read by a single take
-        self._table = np.hstack([f.reshape(len(signs), -1) for f in features])
-        widths = [f[0].size for f in features]
+        self._table = np.hstack([f.reshape(len(signs), -1) for f in table_features])
+        widths = [f[0].size for f in table_features]
         starts = np.cumsum([0] + widths)
         self._columns = [slice(a, a + w) if f.ndim == 2 else a
-                         for f, a, w in zip(features, starts, widths)]
+                         for f, a, w in zip(table_features, starts, widths)]
         self._at = self._table_row
         self._log_weight = log_weight.__getitem__
         self._move = lambda x, flips: x ^ (flips @ pow2)
         self._stage_one = lambda flips: (flips @ pow2, flips.astype(np.float64))
         self._select = np.where
+        self._accept = lambda ok, new, old, there, here: (np.where(ok, new, old), None)
 
     def _bind_arrays(self) -> None:
         """The primitives both batched representations share."""
@@ -673,29 +691,36 @@ class Stepper:
         self._stage_one = lambda flips: (words := (flips @ pow2).tolist(), words)
         self._flip_dot = flip_dot
         self._move_dot = move_dot
-        self._select = lambda ok, new, old: new if ok else old
+        self._accept = lambda ok, new, old, there, here: (new if ok else old, None)
 
     def _table_row(self, k):
         row = self._table.take(k, axis=0)
         return [row[..., c] for c in self._columns]
 
-    def _features(self, signs: np.ndarray, score: np.ndarray) -> tuple:
-        """The per-state arrays a step reads, for (..., d) signs and their scores."""
-        tilt = signs * score
-        if self.sampler == "gibbs":
-            cum = np.cumsum(self.h * expit(-2.0 * tilt), axis=-1)
-            # with a leading 0, the flipped coordinate is where `cum <= u` turns false
-            return (np.concatenate([np.zeros_like(cum[..., :1]), cum], axis=-1),)
-        if self.sampler == "dula":
-            return (expit(-2.0 / self.eta - tilt),)
-        if self.sampler == "dmala":
-            # per coordinate log q - log(1 - q) is the logit, so a proposal's log
-            # probability is sum_i log(1 - q_i) + flips . logit
-            logit = -2.0 / self.eta - tilt
-            base = self.model.log_weight_signs(signs) + log_expit(-logit).sum(axis=-1)
-            return expit(logit), logit, base
-        q2 = expit(-2.0 / self.eta - 2.0 * tilt)
-        return (q2,) if self.sampler == "dups" else (q2, 2.0 * tilt)
+    # the per-state arrays a step reads, for (..., d) signs and their scores;
+    # `__init__` binds the sampler's one into `_at` or into its tables
+
+    def _gibbs_features(self, signs: np.ndarray, score: np.ndarray) -> tuple:
+        cum = np.cumsum(self.h * expit(-2.0 * (signs * score)), axis=-1)
+        # with a leading 0, the flipped coordinate is where `cum <= u` turns false
+        return (np.concatenate([np.zeros_like(cum[..., :1]), cum], axis=-1),)
+
+    def _dula_features(self, signs: np.ndarray, score: np.ndarray) -> tuple:
+        return (expit(-2.0 / self.eta - signs * score),)
+
+    def _dmala_features(self, signs: np.ndarray, score: np.ndarray) -> tuple:
+        # per coordinate log q - log(1 - q) is the logit, so a proposal's log
+        # probability is sum_i log(1 - q_i) + flips . logit
+        logit = -2.0 / self.eta - signs * score
+        base = self.model.log_weight_signs(signs) + log_expit(-logit).sum(axis=-1)
+        return expit(logit), logit, base
+
+    def _dups_features(self, signs: np.ndarray, score: np.ndarray) -> tuple:
+        return (expit(-2.0 / self.eta - 2.0 * (signs * score)),)
+
+    def _dmaps_features(self, signs: np.ndarray, score: np.ndarray) -> tuple:
+        tilt2 = 2.0 * (signs * score)
+        return expit(-2.0 / self.eta - tilt2), tilt2
 
     def prepare(self, u: np.ndarray) -> tuple:
         """Step operands from `(..., m)` uniforms, with the same leading shape."""
@@ -731,7 +756,8 @@ class Stepper:
         there = self._at(prop)
         _, logit_rev, base_rev = there
         ok = log_u < base_rev - base + self._flip_dot(flips, logit_rev, logit)
-        return self._select(ok, prop, x), ok, prop, None, self._keep(ok, there, here)
+        nxt, carry = self._accept(ok, prop, x, there, here)
+        return nxt, ok, prop, None, carry
 
     def _dups(self, x, word1, u, carry=None):
         z = self._flip(x, word1)
@@ -749,7 +775,8 @@ class Stepper:
         # x - prop = 2 z (flips2 - flips1), so (x - prop) . s(z) needs no signs of x
         log_a = there[0] - here[0] + self._move_dot(flips2, flips1, tilt2)
         ok = log_u < log_a
-        return self._select(ok, prop, x), ok, prop, z, self._keep(ok, there, here)
+        nxt, carry = self._accept(ok, prop, x, there, here)
+        return nxt, ok, prop, z, carry
 
 
 def _step_once(model: TargetModel, sampler: str, score: ScoreField | None, x: BitState,

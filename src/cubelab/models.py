@@ -10,6 +10,7 @@ leading shape; the scalar `log_weight` wraps them for a single BitState.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -75,6 +76,10 @@ def _check_finite(**params: float) -> None:
             raise ParameterError(f"{name} must be finite, got {value}")
 
 
+# S - x_i + 1 and S - x_i - 1 over both values of x_i: S + 2, S and S - 2
+_AROUND_S = np.array([-2.0, 0.0, 2.0])
+
+
 def _exchangeable(dim: int, global_flip: bool) -> tuple:
     """The d-1 adjacent transpositions, which generate every coordinate
     permutation, and optionally the global flip."""
@@ -136,9 +141,13 @@ class BitsMixture(TargetModel):
         return self._branch_logsum(s)
 
     def glauber_score_signs(self, signs):
+        # with s_rest = S - x_i, the score is half of L(s_rest + 1) - L(s_rest - 1):
+        # L(S) - L(S - 2) where x_i = +1 and L(S + 2) - L(S) where x_i = -1, so
+        # three branch sums per state cover every coordinate, to the same floats
         signs = np.asarray(signs, dtype=np.float64)
-        s_rest = signs.sum(axis=-1, keepdims=True) - signs
-        return 0.5 * (self._branch_logsum(s_rest + 1.0) - self._branch_logsum(s_rest - 1.0))
+        lse = self._branch_logsum(signs.sum(axis=-1, keepdims=True) + _AROUND_S)
+        half = 0.5 * (lse[..., 1:] - lse[..., :-1])
+        return np.where(signs > 0, half[..., :1], half[..., 1:])
 
     def stein_score_signs(self, signs):
         # continuation log cosh(beta * sum x) has gradient beta tanh(beta sum x)
@@ -178,20 +187,24 @@ class IsingGrid(TargetModel):
     def dim(self) -> int:
         return self.rows * self.cols
 
-    def _neighbor_sum(self, signs):
-        g = np.asarray(signs, dtype=np.float64).reshape(*signs.shape[:-1], self.rows, self.cols)
-        nb = np.zeros_like(g)
-        nb[..., 1:, :] += g[..., :-1, :]
-        nb[..., :-1, :] += g[..., 1:, :]
-        nb[..., :, 1:] += g[..., :, :-1]
-        nb[..., :, :-1] += g[..., :, 1:]
+    @functools.cached_property
+    def _adjacency(self) -> np.ndarray:
+        """The 0/1 adjacency matrix of the grid's edges, built once per grid."""
+        idx = np.arange(self.dim).reshape(self.rows, self.cols)
+        pairs = [(idx[:, :-1], idx[:, 1:]), (idx[:-1], idx[1:])]
         if self.periodic and self.rows >= 3:
-            nb[..., 0, :] += g[..., -1, :]
-            nb[..., -1, :] += g[..., 0, :]
+            pairs.append((idx[-1], idx[0]))
         if self.periodic and self.cols >= 3:
-            nb[..., :, 0] += g[..., :, -1]
-            nb[..., :, -1] += g[..., :, 0]
-        return nb.reshape(signs.shape)
+            pairs.append((idx[:, -1], idx[:, 0]))
+        adj = np.zeros((self.dim, self.dim))
+        for i, j in pairs:
+            adj[i, j] = adj[j, i] = 1.0
+        adj.setflags(write=False)
+        return adj
+
+    def _neighbor_sum(self, signs):
+        # sums of +-1 terms are exact integers, so the product's order is immaterial
+        return signs @ self._adjacency
 
     def log_weight_signs(self, signs):
         signs = np.asarray(signs, dtype=np.float64)

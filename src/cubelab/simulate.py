@@ -12,7 +12,9 @@ states are +-1 coordinate vectors that always advance in lockstep, and each
 step evaluates the model's closed forms once, on the proposals. The
 accepted states' features (dmala's score and log weight, dmaps's log
 weight) are carried to the next step in the stepper's carry, not evaluated
-again.
+again; the carry always equals the returned states' features evaluated
+afresh, bit for bit. A step in which every chain accepts returns the
+proposals and their features as they stand, with no accept select.
 
 Chains are reproducible: the 64-bit config seed feeds a numpy SeedSequence
 whose spawned children, one per chain index, drive independent PCG64

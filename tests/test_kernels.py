@@ -297,6 +297,44 @@ def test_dmaps_step_bookkeeping():
     assert rejected and accepted_move
 
 
+@pytest.mark.parametrize("sampler", ["dmala", "dmaps"])
+@pytest.mark.parametrize("model,eta", [(CurieWeiss(0.05, 0.3, 16), 1.0),
+                                       (BitsMixture(0.3, 16), 1.0),
+                                       (IsingGrid(4, 4, 0.3, 0.1, periodic=True), 0.8)],
+                         ids=["curieweiss", "mixture", "ising"])
+def test_vector_carry_is_the_next_states_features(model, eta, sampler):
+    """After every vector step the carry equals the features of the returned
+    states, evaluated afresh, bit for bit: on batches where every chain
+    accepts (the select is skipped), on batches where some reject, and on an
+    unbatched one-shot step."""
+    st = kernels.Stepper(model, sampler, ScoreField(model, "glauber"), eta, tables=False)
+
+    def fresh(x):
+        return st._at(x) if sampler == "dmala" else (st._log_weight(x),)
+
+    def check(nxt, carry):
+        assert len(carry) == len(fresh(nxt))
+        for got, want in zip(carry, fresh(nxt)):
+            np.testing.assert_array_equal(np.asarray(got).view(np.uint64),
+                                          np.asarray(want).view(np.uint64))
+
+    rng = np.random.default_rng(4)
+    x = rng.integers(0, 2, (3, model.dim)) * 2.0 - 1.0
+    carry, batches = None, set()
+    for operands in zip(*st.prepare(rng.random((300, 3, st.uniforms_per_step)))):
+        x, ok, _, _, carry = st.step(x, *operands, carry)
+        check(x, carry)
+        batches.add(bool(ok.all()))
+    assert batches == {True, False}
+    outcomes = set()
+    for u in rng.random((200, st.uniforms_per_step)):
+        nxt, ok, prop, _, carry = st.step(x[0], *st.prepare(u))
+        assert ok.shape == () and nxt.shape == (model.dim,)
+        check(nxt, carry)
+        outcomes.add(bool(ok))
+    assert outcomes == {True, False}
+
+
 def test_prox_exact_reversible_and_stochastic():
     from cubelab.analysis import detailed_balance_residual
 

@@ -51,6 +51,23 @@ def test_ising_log_weight_matches_edge_enumeration(rows, cols, periodic):
     np.testing.assert_allclose(model.log_weight_signs(signs), expected, atol=1e-12)
 
 
+@pytest.mark.parametrize("rows,cols,periodic", [(1, 7, False), (1, 7, True), (2, 2, True),
+                                                (3, 3, True), (2, 3, False), (4, 4, False),
+                                                (4, 4, True)])
+def test_ising_neighbor_sums_match_edge_enumeration(rows, cols, periodic):
+    """The adjacency product gives each coordinate's neighbour sum exactly; a
+    periodic axis shorter than 3 adds no wrap-around edge, so no duplicate."""
+    model = IsingGrid(rows, cols, 0.7, -0.3, periodic)
+    signs = all_signs(model.dim).astype(float)
+    expected = np.zeros_like(signs)
+    for i, j in grid_edges(rows, cols, periodic):
+        expected[:, i] += signs[:, j]
+        expected[:, j] += signs[:, i]
+    np.testing.assert_array_equal(model._neighbor_sum(signs), expected)
+    np.testing.assert_array_equal(model._neighbor_sum(signs[5]), expected[5])
+    assert model._adjacency.sum() == 2 * len(grid_edges(rows, cols, periodic))
+
+
 def test_exact_target_uniform_when_flat():
     for model in (IndependentBits(0.0, 5), IsingGrid(2, 2, 0.0, 0.0), CurieWeiss(0.0, 1.0, 5)):
         p = exact_target(model)

@@ -9,6 +9,7 @@ from cubelab.scores import (
     beta_constants,
     gibbs_score,
     glauber_score,
+    score_signs,
     smooth_beta_constants,
     stein_score,
     tabulate_scores,
@@ -56,6 +57,21 @@ def test_closed_form_batch_matches_definition(model):
     for k in range(1 << model.dim):
         np.testing.assert_allclose(batch[k], glauber_score(model, state_of(k, model.dim)),
                                    atol=1e-11)
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.05, 0.5, 3.0])
+def test_mixture_closed_form_equals_the_table_bit_for_bit(beta):
+    """The mixture's glauber closed form evaluates three branch sums per
+    state, at S - 2, S and S + 2; S - x_i +- 1 is one of those exact integers,
+    so it gives the floats of the log-weight differences the tables take."""
+    for d in range(1, 11):
+        model = BitsMixture(beta, d)
+        signs = all_signs(d).astype(float)
+        for kind in ("glauber", "gibbs"):
+            closed = score_signs(model, kind, signs)
+            np.testing.assert_array_equal(closed.view(np.uint64),
+                                          tabulate_scores(model, kind).view(np.uint64),
+                                          err_msg=f"d={d} {kind}")
 
 
 def test_gibbs_score_values():

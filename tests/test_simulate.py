@@ -164,6 +164,44 @@ def test_carried_features_reproduce_the_reference_stepper(model, sampler, score,
     assert 0 < carried.acceptance_fraction.min() <= carried.acceptance_fraction.max() < 1
 
 
+def test_vector_runs_reproduce_the_reference_stepper_property():
+    """Property form of the test above, over drawn families, dimensions
+    13-20, scores, step sizes, chain counts and seeds: vector-mode estimators
+    with the carry and the all-accepted shortcut equal those of the
+    re-evaluating reference stepper bit for bit. Derandomized, so every run
+    draws the same bounded set of examples."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    grids = [(1, 13), (1, 17), (2, 7), (2, 10), (3, 5), (3, 6), (4, 4), (4, 5)]
+    models = st.one_of(
+        st.builds(IndependentBits, st.floats(-0.6, 0.6), st.integers(13, 20)),
+        st.builds(BitsMixture, st.floats(0.0, 0.3), st.integers(13, 20)),
+        st.builds(lambda rc, J, h, periodic: IsingGrid(*rc, J, h, periodic),
+                  st.sampled_from(grids), st.floats(-0.5, 0.5), st.floats(-0.3, 0.3),
+                  st.booleans()),
+        st.builds(CurieWeiss, st.floats(0.0, 0.06), st.floats(-1.0, 1.0),
+                  st.integers(13, 20)))
+
+    @hypothesis.settings(max_examples=30, derandomize=True, deadline=None, database=None)
+    @hypothesis.given(model=models, sampler=st.sampled_from(["dmala", "dmaps"]),
+                      score=st.sampled_from(["glauber", "gibbs", "stein"]),
+                      eta=st.floats(0.3, 2.0), chains=st.integers(1, 5),
+                      seed=st.integers(0, 2**32 - 1))
+    def check(model, sampler, score, eta, chains, seed):
+        cfg = ChainConfig(sampler, model, score, eta, steps=600, burn_in=50, thinning=2,
+                          chains=chains, seed=seed)
+        carried = run_chain(cfg)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(simulate, "Stepper", _ReferenceStepper)
+            reference = run_chain(cfg)
+        for field in _FIELDS:
+            np.testing.assert_array_equal(getattr(carried, field),
+                                          getattr(reference, field), err_msg=field)
+
+    check()
+
+
 @pytest.mark.parametrize("chains", [1, 3])
 @pytest.mark.parametrize("sampler", ["dmala", "dmaps"])
 def test_vector_steps_evaluate_each_state_once(sampler, chains, monkeypatch):
