@@ -634,7 +634,6 @@ class Stepper:
         self._log_weight = log_weight.__getitem__
         self._move = lambda x, flips: x ^ (flips @ pow2)
         self._stage_one = lambda flips: (flips @ pow2, flips.astype(np.float64))
-        self._select = np.where
         self._accept = lambda ok, new, old, there, here: (np.where(ok, new, old), None)
 
     def _bind_arrays(self) -> None:

@@ -76,6 +76,11 @@ def _check_finite(**params: float) -> None:
             raise ParameterError(f"{name} must be finite, got {value}")
 
 
+# grids up to this many sites sum neighbours with one product against their
+# dense adjacency matrix (at most 32 KB): a small step is bound by its count
+# of numpy calls, not its arithmetic; larger grids keep O(d) slice adds
+_DENSE_GRID_SITES = 64
+
 # S - x_i + 1 and S - x_i - 1 over both values of x_i: S + 2, S and S - 2
 _AROUND_S = np.array([-2.0, 0.0, 2.0])
 
@@ -188,23 +193,37 @@ class IsingGrid(TargetModel):
         return self.rows * self.cols
 
     @functools.cached_property
-    def _adjacency(self) -> np.ndarray:
-        """The 0/1 adjacency matrix of the grid's edges, built once per grid."""
-        idx = np.arange(self.dim).reshape(self.rows, self.cols)
-        pairs = [(idx[:, :-1], idx[:, 1:]), (idx[:-1], idx[1:])]
-        if self.periodic and self.rows >= 3:
-            pairs.append((idx[-1], idx[0]))
-        if self.periodic and self.cols >= 3:
-            pairs.append((idx[:, -1], idx[:, 0]))
-        adj = np.zeros((self.dim, self.dim))
-        for i, j in pairs:
-            adj[i, j] = adj[j, i] = 1.0
+    def _adjacency(self) -> np.ndarray | None:
+        """The 0/1 adjacency matrix of a grid of at most `_DENSE_GRID_SITES`
+        sites, built once per grid; None for larger grids, whose matrix would
+        grow as d^2."""
+        if self.dim > _DENSE_GRID_SITES:
+            return None
+        # the neighbour sums of the unit vectors are the rows of the symmetric matrix
+        adj = self._shifted_sum(np.eye(self.dim))
         adj.setflags(write=False)
         return adj
 
+    def _shifted_sum(self, g):
+        """Neighbour sums by O(d) slice adds over the grid layout."""
+        g = g.reshape(*g.shape[:-1], self.rows, self.cols)
+        nb = np.zeros_like(g)
+        nb[..., 1:, :] += g[..., :-1, :]
+        nb[..., :-1, :] += g[..., 1:, :]
+        nb[..., :, 1:] += g[..., :, :-1]
+        nb[..., :, :-1] += g[..., :, 1:]
+        if self.periodic and self.rows >= 3:
+            nb[..., 0, :] += g[..., -1, :]
+            nb[..., -1, :] += g[..., 0, :]
+        if self.periodic and self.cols >= 3:
+            nb[..., :, 0] += g[..., :, -1]
+            nb[..., :, -1] += g[..., :, 0]
+        return nb.reshape(*g.shape[:-2], self.dim)
+
     def _neighbor_sum(self, signs):
-        # sums of +-1 terms are exact integers, so the product's order is immaterial
-        return signs @ self._adjacency
+        # sums of +-1 terms are exact integers, so both forms give the same floats
+        adj = self._adjacency
+        return self._shifted_sum(signs) if adj is None else signs @ adj
 
     def log_weight_signs(self, signs):
         signs = np.asarray(signs, dtype=np.float64)

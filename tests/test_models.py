@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -66,6 +67,32 @@ def test_ising_neighbor_sums_match_edge_enumeration(rows, cols, periodic):
     np.testing.assert_array_equal(model._neighbor_sum(signs), expected)
     np.testing.assert_array_equal(model._neighbor_sum(signs[5]), expected[5])
     assert model._adjacency.sum() == 2 * len(grid_edges(rows, cols, periodic))
+
+
+@pytest.mark.parametrize("rows,cols,periodic", [(8, 8, True), (5, 13, True), (1, 65, True),
+                                                (9, 8, False), (300, 300, True),
+                                                (300, 300, False)])
+def test_ising_neighbor_sums_stay_linear_in_the_grid_size(rows, cols, periodic):
+    """Either side of the dense-adjacency cut-off the neighbour sums match
+    edge enumeration exactly, and a grid above it never builds a d x d array:
+    a 300x300 grid's sums allocate a few MB, where its matrix would be 648 MB."""
+    model = IsingGrid(rows, cols, 0.7, -0.3, periodic)
+    signs = np.random.default_rng(rows * cols).choice([-1.0, 1.0], size=(2, model.dim))
+    i, j = np.array(grid_edges(rows, cols, periodic)).T
+    expected = np.zeros_like(signs)
+    np.add.at(expected, (slice(None), i), signs[:, j])
+    np.add.at(expected, (slice(None), j), signs[:, i])
+    tracemalloc.start()
+    try:
+        got = model._neighbor_sum(signs)
+        one = model._neighbor_sum(signs[1])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_array_equal(got, expected)
+    np.testing.assert_array_equal(one, expected[1])
+    assert (model._adjacency is None) == (model.dim > 64)
+    assert peak < 8 * model.dim * 8 + (1 << 20)
 
 
 def test_exact_target_uniform_when_flat():
