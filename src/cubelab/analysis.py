@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -671,6 +672,58 @@ def dmaps_contraction_bound(epsilon: float, dim: int, eta: float, beta1: float,
 # bound report
 
 
+# a row of the claim table: the bound column; its key in `BoundReport.rates`
+# (kappa) or `.errors` (stationary W1); the observable it bounds, None for a
+# constant; the gating flags and score; the bound as a function of (d, eta,
+# beta1, beta2); and the `check` certificate (name, sampler, dimension cap)
+_Claim = namedtuple("_Claim", "column key observable conditions score bound certificate")
+
+# a value says nothing past these: rate > 1, error >= the diameter d, rejection >= 1
+_VACUOUS = {"kappa": lambda v, d: v > 1.0, "stationary_w1": lambda v, d: v >= d,
+            "rejection": lambda v, d: v >= 1.0, None: lambda v, d: False}
+
+# the claims, in the order of the bound columns and of the `check` rows; a
+# claim without a certificate is only reported
+_CLAIMS = (
+    _Claim("rate_gibbs", "gibbs", "kappa", ("d_beta2_le_1", "step_le_inv_d"), "glauber",
+           lambda d, eta, b1, b2: gibbs_contraction_bound(d, eta, b2),
+           ("gibbs_contraction", "gibbs", CONTRACTION_DIM_CAP)),
+    _Claim("rate_dula", "dula", "kappa", ("2d_beta2_le_exp_neg_beta1",), None,
+           lambda d, eta, b1, b2: dula_contraction_bound(eta, b1),
+           ("dula_contraction", "dula", CONTRACTION_DIM_CAP)),
+    _Claim("rate_dula_small_step", "dula_small_step", "kappa", ("4d_beta2_le_1",), "gibbs",
+           lambda d, eta, b1, b2: dula_small_step_contraction_bound(eta),
+           ("dula_contraction_small_step", "dula", CONTRACTION_DIM_CAP)),
+    _Claim("rate_dups", "dups", "kappa", ("4d_beta2_exp4beta1_le_1",), None,
+           lambda d, eta, b1, b2: dups_contraction_bound(eta),
+           ("dups_contraction", "dups", CONTRACTION_DIM_CAP)),
+    _Claim("rate_dups_small_step", "dups_small_step", "kappa",
+           ("8d_beta2_le_1", "alignment_ge_neg_half_inv_eta"), None,
+           lambda d, eta, b1, b2: dups_small_step_contraction_bound(eta),
+           ("dups_contraction_small_step", "dups", CONTRACTION_DIM_CAP)),
+    _Claim("err_dula_small_step", "dula_small_step", "stationary_w1",
+           ("4d_beta2_le_1", "step_le_inv_d"), "gibbs",
+           lambda d, eta, b1, b2: dula_stationary_error_bound(d, eta),
+           ("dula_stationary_error", "dula", _k.MAX_MATRIX_DIM)),
+    _Claim("err_dups_small_step", "dups_small_step", "stationary_w1",
+           ("8d_beta2_le_1", "alignment_ge_neg_half_inv_eta"), "glauber",
+           lambda d, eta, b1, b2: dups_stationary_error_bound(d, eta),
+           ("dups_stationary_error", "dups", _k.MAX_MATRIX_DIM)),
+    _Claim("err_dula_static", "dula_static", "stationary_w1", ("2d_beta2_le_exp_neg_beta1",),
+           None, lambda d, eta, b1, b2: dula_static_error_bound(d, b1), None),
+    _Claim("err_dups_static", "dups_static", "stationary_w1",
+           ("4d_beta2_exp4beta1_le_1", "shifted_step_le_inv_d"), None,
+           lambda d, eta, b1, b2: dups_static_error_bound(d, b2), None),
+    _Claim("dmaps_lipschitz", None, None, (), None, dmaps_acceptance_lipschitz, None),
+    _Claim("dmaps_rejection", None, "rejection", (), "stein", dmaps_rejection_bound,
+           ("dmaps_acceptance_mass", "dmaps", _k.MAX_MATRIX_DIM)),
+    # epsilon for the adjusted rate comes from the unadjusted proximal margin
+    _Claim("dmaps_rate", None, "kappa", ("4d_beta2_exp4beta1_le_1",), "stein",
+           lambda d, eta, b1, b2: dmaps_contraction_bound(2.0 * float(expit(-2.0 / eta)),
+                                                          d, eta, b1, b2), None),
+)
+
+
 @dataclass(frozen=True)
 class BoundEntry:
     """One evaluated bound: raw value, what gates it, and whether it bites."""
@@ -688,7 +741,9 @@ class BoundReport:
 
     Values are reported as-is even when vacuous; flags are computed, never
     assumed. `applicable` on an entry means every gating flag holds and the
-    report's score kind matches the one the bound was proven for.
+    report's score kind matches the one the bound was proven for. `entries`
+    holds every bound column's entry in CSV order, `rates` and `errors` some
+    of them under short keys.
     """
 
     model: TargetModel
@@ -699,11 +754,10 @@ class BoundReport:
     beta2: float
     min_alignment: float
     flags: dict[str, bool]
+    entries: dict[str, BoundEntry]
     rates: dict[str, BoundEntry]
     errors: dict[str, BoundEntry]
     dmaps_lipschitz: float
-    dmaps_rejection: float
-    dmaps_rate: BoundEntry
 
 
 def bounds_report(model: TargetModel, score_kind: str, eta: float) -> BoundReport:
@@ -736,49 +790,19 @@ def bounds_report(model: TargetModel, score_kind: str, eta: float) -> BoundRepor
         "alignment_ge_neg_half_inv_eta": min_alignment >= -1.0 / (2.0 * eta),
         "shifted_step_le_inv_d": math.exp(-2.0 / eta - 2.0 * beta1) <= 1.0 / d,
     }
-
-    def entry(value, conditions, required_score, kind):
-        applicable = all(flags[c] for c in conditions) and (
-            required_score is None or required_score == score_kind)
-        vacuous = value > 1.0 if kind == "rate" else value >= d
-        return BoundEntry(value, tuple(conditions), required_score, applicable, vacuous)
-
-    rates = {
-        "gibbs": entry(gibbs_contraction_bound(d, eta, beta2),
-                       ("d_beta2_le_1", "step_le_inv_d"), "glauber", "rate"),
-        "dula": entry(dula_contraction_bound(eta, beta1),
-                      ("2d_beta2_le_exp_neg_beta1",), None, "rate"),
-        "dula_small_step": entry(dula_small_step_contraction_bound(eta),
-                                 ("4d_beta2_le_1",), "gibbs", "rate"),
-        "dups": entry(dups_contraction_bound(eta),
-                      ("4d_beta2_exp4beta1_le_1",), None, "rate"),
-        "dups_small_step": entry(dups_small_step_contraction_bound(eta),
-                                 ("8d_beta2_le_1", "alignment_ge_neg_half_inv_eta"),
-                                 None, "rate"),
-    }
-    errors = {
-        "dula_small_step": entry(dula_stationary_error_bound(d, eta),
-                                 ("4d_beta2_le_1", "step_le_inv_d"), "gibbs", "error"),
-        "dups_small_step": entry(dups_stationary_error_bound(d, eta),
-                                 ("8d_beta2_le_1", "alignment_ge_neg_half_inv_eta"),
-                                 "glauber", "error"),
-        "dula_static": entry(dula_static_error_bound(d, beta1),
-                             ("2d_beta2_le_exp_neg_beta1",), None, "error"),
-        "dups_static": entry(dups_static_error_bound(d, beta2),
-                             ("4d_beta2_exp4beta1_le_1", "shifted_step_le_inv_d"),
-                             None, "error"),
-    }
-    # epsilon for the adjusted rate comes from the unadjusted proximal margin
-    dmaps_rate = entry(
-        dmaps_contraction_bound(2.0 * float(expit(-2.0 / eta)), d, eta, beta1, beta2),
-        ("4d_beta2_exp4beta1_le_1",), "stein", "rate")
+    entries = {}
+    for c in _CLAIMS:
+        value = c.bound(d, eta, beta1, beta2)
+        entries[c.column] = BoundEntry(
+            value, c.conditions, c.score,
+            all(flags[f] for f in c.conditions) and c.score in (None, score_kind),
+            _VACUOUS[c.observable](value, d))
     return BoundReport(
         model=model, score_kind=score_kind, eta=eta, dim=d,
-        beta1=beta1, beta2=beta2, min_alignment=min_alignment, flags=flags,
-        rates=rates, errors=errors,
-        dmaps_lipschitz=dmaps_acceptance_lipschitz(d, eta, beta1, beta2),
-        dmaps_rejection=dmaps_rejection_bound(d, eta, beta1, beta2),
-        dmaps_rate=dmaps_rate)
+        beta1=beta1, beta2=beta2, min_alignment=min_alignment, flags=flags, entries=entries,
+        rates={c.key: entries[c.column] for c in _CLAIMS if c.key and c.observable == "kappa"},
+        errors={c.key: entries[c.column] for c in _CLAIMS if c.observable == "stationary_w1"},
+        dmaps_lipschitz=dmaps_acceptance_lipschitz(d, eta, beta1, beta2))
 
 
 # ---------------------------------------------------------------------------
@@ -838,21 +862,6 @@ class CertResult:
 FLOAT_GUARD = 1e-12
 
 
-# certificate, sampler, bound, observable, dimension cap, in output order; a
-# kappa is checked against a rate of the bound report, a stationary W1 against
-# an error, the dmaps rejection mass against the dmaps rejection bound
-_CERTIFICATE_PLAN = (
-    ("gibbs_contraction", "gibbs", "gibbs", "kappa", CONTRACTION_DIM_CAP),
-    ("dula_contraction", "dula", "dula", "kappa", CONTRACTION_DIM_CAP),
-    ("dula_contraction_small_step", "dula", "dula_small_step", "kappa", CONTRACTION_DIM_CAP),
-    ("dups_contraction", "dups", "dups", "kappa", CONTRACTION_DIM_CAP),
-    ("dups_contraction_small_step", "dups", "dups_small_step", "kappa", CONTRACTION_DIM_CAP),
-    ("dula_stationary_error", "dula", "dula_small_step", "stationary_w1", _k.MAX_MATRIX_DIM),
-    ("dups_stationary_error", "dups", "dups_small_step", "stationary_w1", _k.MAX_MATRIX_DIM),
-    ("dmaps_acceptance_mass", "dmaps", "dmaps", "rejection", _k.MAX_MATRIX_DIM),
-)
-
-
 def _skip_reason(entry: BoundEntry, report: BoundReport, dim_cap: int) -> str:
     """Why a bound cannot be checked for the report's configuration, or ""."""
     if entry.required_score not in (None, report.score_kind):
@@ -866,7 +875,7 @@ def _skip_reason(entry: BoundEntry, report: BoundReport, dim_cap: int) -> str:
 
 
 def run_certificates(model: TargetModel, score_kind: str, eta: float) -> list[CertResult]:
-    """Check every bound whose preconditions hold for this configuration.
+    """Check every claim of the table that names a certificate, in table order.
 
     Contraction certificates compare the adjacent-pair kappa of the built
     kernel against the closed-form rate; stationary-error certificates
@@ -878,15 +887,12 @@ def run_certificates(model: TargetModel, score_kind: str, eta: float) -> list[Ce
     field = ScoreField(model, score_kind)
     report = bounds_report(model, score_kind, eta)
     target = exact_target(model)
-    families = {"kappa": report.rates, "stationary_w1": report.errors,
-                "rejection": {"dmaps": BoundEntry(report.dmaps_rejection, (), "stein",
-                                                  score_kind == "stein",
-                                                  report.dmaps_rejection >= 1.0)}}
     built: dict[str, KernelMatrix] = {}
     observed: dict[tuple[str, str], float] = {}
     results = []
-    for name, sampler, bound, observable, dim_cap in _CERTIFICATE_PLAN:
-        entry = families[observable][bound]
+    for claim in (c for c in _CLAIMS if c.certificate):
+        (name, sampler, dim_cap), observable = claim.certificate, claim.observable
+        entry = report.entries[claim.column]
         reason = _skip_reason(entry, report, dim_cap)
         if reason:
             results.append(CertResult(name, sampler, score_kind, eta, "skip",

@@ -31,10 +31,7 @@ from .statespace import BitState
 ANALYZE_COLUMNS = [
     "eta", "sampler", "score", "dim", "w_to_target", "tv_to_target", "lambda2",
     "t_rel", "db_residual", "kappa", "stationary_residual", "beta1", "beta2",
-    "rate_gibbs", "rate_dula", "rate_dula_small_step", "rate_dups",
-    "rate_dups_small_step", "err_dula_small_step", "err_dups_small_step",
-    "err_dula_static", "err_dups_static", "dmaps_lipschitz", "dmaps_rejection",
-    "dmaps_rate",
+    *(claim.column for claim in analysis._CLAIMS),
 ]
 
 CHECK_COLUMNS = ["status", "certificate", "sampler", "score", "eta", "observed",
@@ -123,10 +120,7 @@ def _report_columns(report: analysis.BoundReport) -> dict:
     row = {"beta1": report.beta1, "beta2": report.beta2,
            "min_alignment": report.min_alignment}
     row.update({f"flag_{k}": v for k, v in report.flags.items()})
-    row.update({f"rate_{k}": e.value for k, e in report.rates.items()})
-    row.update({f"err_{k}": e.value for k, e in report.errors.items()})
-    row.update(dmaps_lipschitz=report.dmaps_lipschitz,
-               dmaps_rejection=report.dmaps_rejection, dmaps_rate=report.dmaps_rate.value)
+    row.update({column: e.value for column, e in report.entries.items()})
     return row
 
 

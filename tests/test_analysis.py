@@ -602,6 +602,14 @@ def test_bounds_report_flags_and_vacuity():
         if not entry.vacuous:
             assert entry.value <= 6
 
+    # an error is vacuous from the diameter d = 4 on, a rejection mass from one on
+    stein = bounds_report(IsingGrid(2, 2, 2.0, 0.0), "stein", 0.5)
+    dups, dula = stein.entries["err_dups_small_step"], stein.entries["err_dula_small_step"]
+    assert dups.value >= 4 and dups.vacuous
+    assert dula.value < 1 and not dula.vacuous
+    rejection = stein.entries["dmaps_rejection"]
+    assert rejection.value == 1.0 and rejection.vacuous
+
 
 def test_bounds_report_requires_matching_score():
     rep = bounds_report(IndependentBits(0.3, 4), "glauber", 0.4)
@@ -628,7 +636,7 @@ def test_dmaps_delta_in_unit_interval_and_below_bound():
         delta = dmaps_empirical_delta(model, field, eta)
         assert 0.0 <= delta <= 1.0
         rep = bounds_report(model, "stein", eta)
-        assert delta <= rep.dmaps_rejection
+        assert delta <= rep.entries["dmaps_rejection"].value
 
 
 def test_naive_mh_oracle():

@@ -390,6 +390,42 @@ def test_bounds_header_is_fixed(capsys):
     assert [r.split(",")[1] for r in rows] == ["gibbs", "stein"]
 
 
+def test_check_rows_match_the_bounds_csv(tmp_path, capsys):
+    """Each `check` row's bound is the value of its claim's column in the
+    `bounds` CSV, and a precondition skip names exactly the claim's flags
+    that read False there."""
+    from cubelab.analysis import _CLAIMS
+
+    claims = {c.certificate[0]: c for c in _CLAIMS if c.certificate}
+    grid = ["--score", "all", "--eta-grid", "0.3:0.8:2"]
+    reasons = []
+    for model in (["bits", "--beta", "0.3", "--dim", "4"],
+                  ["mixture", "--beta", "0.4", "--dim", "4"],
+                  ["curieweiss", "--beta", "0.2", "--b", "0.1", "--dim", "4"],
+                  ["ising", "--rows", "2", "--cols", "2", "--J", "0.3", "--h", "0.1"]):
+        argv = ["--model", *model, *grid, "--out"]
+        assert run_cli(capsys, "check", *argv, str(tmp_path / "c.csv"))[0] in (0, 1)
+        assert run_cli(capsys, "bounds", *argv, str(tmp_path / "b.csv"))[0] == 0
+        with open(tmp_path / "b.csv") as fh:
+            bounds = {(r["eta"], r["score"]): r for r in csv.DictReader(fh)}
+        with open(tmp_path / "c.csv") as fh:
+            checks = list(csv.DictReader(fh))
+        assert len(checks) == len(claims) * len(bounds) == len(claims) * 6
+        for row in checks:
+            claim = claims[row["certificate"]]
+            report = bounds[(row["eta"], row["score"])]
+            assert row["bound"] == report[claim.column]
+            unmet = [f for f in claim.conditions if report[f"flag_{f}"] == "False"]
+            if row["reason"].startswith("precondition unmet: "):
+                assert row["reason"] == "precondition unmet: " + ", ".join(unmet)
+            elif not row["reason"].startswith("requires the "):
+                assert unmet == []
+            reasons.append(row["reason"].split(":")[0])
+    # the grid reaches checked rows and every kind of skip but the cap
+    assert {"", "precondition unmet"} <= set(reasons)
+    assert any(r.startswith("requires the ") for r in reasons)
+
+
 @pytest.fixture
 def tabulated(monkeypatch):
     """The kinds of the score tables built from here on, one per build."""
