@@ -47,7 +47,8 @@ from scipy.special import expit, log_expit
 from .errors import CapabilityError, NumericalError, ParameterError
 from .models import TargetModel
 from .scores import ScoreField
-from .statespace import BitState, all_signs, isometry_images, orbit_minima
+from .statespace import (MAX_SIM_DIM, BitState, all_signs, isometry_images, orbit_minima,
+                         pack_words)
 
 # dense kernels hold 4^d doubles: d = 12 is ~134 MB and the practical top
 MAX_MATRIX_DIM = 12
@@ -536,6 +537,15 @@ class Stepper:
       row is a tuple of Python lists and floats; a step makes no numpy
       call. Stepping a few chains one at a time this way is faster than one
       batched step over all of them.
+    * `tables=False, scalar=True`: one state, a Python int word of any
+      width, of an exchangeable target (`TargetModel.exchangeable`). Every
+      feature then depends only on x_i and on the state's +1 count, so
+      `__init__` evaluates the closed forms once, on the d + 1 states
+      "first k coordinates +1", and checks them on "last k coordinates +1"
+      (`NumericalError` if any value differs). A step reads row
+      `x.bit_count()` of that level table and makes no numpy call. The
+      features equal the closed forms bit for bit, except dmala's
+      per-state base, a sum whose order differs by a few ulps.
 
     In the batched representations a step reads a `(..., m)` block of
     uniforms whose leading shape broadcasts with the states', so one state
@@ -544,10 +554,13 @@ class Stepper:
     flips where `u < q` (a mask, or in scalar form a packed word), gibbs's
     pick from a cumulative row, flipping a state by a packed word or by
     those flips, the two Metropolis dot products and the accept step, which
-    selects the next states and carry.
-    The scalar dot products add the terms of the flipped coordinates in
-    ascending order, which is how `np.vecdot` sums vectors this short, so
-    both table representations give the same floats.
+    selects the next states and carry. The flips, the pick and the dot
+    products also take the state their features belong to, which only the
+    level primitives read: they split the flips by the sign they leave.
+    The scalar table dot products add the terms of the flipped coordinates
+    in ascending order, which is how `np.vecdot` sums vectors this short,
+    so both table representations give the same floats; the level dot
+    products are a count times a level difference per sign.
 
     `prepare(u)` turns a block of uniforms into step operands, doing the
     path-independent work (stage-one flips, logs of acceptance uniforms) for
@@ -564,7 +577,7 @@ class Stepper:
     floats. The invariant: a vector step's carry equals, bit for bit, what
     `_at` (dmala) or `_log_weight` (dmaps) gives on the returned states. In
     table mode re-reading a row with one take measured no slower than
-    carrying it, so the table carry is None.
+    carrying it, so the table carry is None, as is the level carry.
 
     A vector step is bound by its count of small numpy calls, not by
     arithmetic, so the accept primitive skips the select when every chain
@@ -578,8 +591,6 @@ class Stepper:
         if sampler not in STEP_SAMPLERS:
             raise ParameterError(
                 f"sampler {sampler!r} has no step, expected one of {STEP_SAMPLERS}")
-        if scalar and not tables:
-            raise ParameterError("scalar steps read tables")
         _check_eta(eta)
         d = model.dim
         if sampler == "gibbs":
@@ -595,6 +606,9 @@ class Stepper:
         self.model = model
         self.step = getattr(self, "_" + sampler)
         features = getattr(self, f"_{sampler}_features")
+        if scalar and not tables:
+            self._bind_levels(score)
+            return
         if not tables:
             self._bind_arrays()
             self._at = lambda x: features(x, score.signs(x))
@@ -639,10 +653,10 @@ class Stepper:
     def _bind_arrays(self) -> None:
         """The primitives both batched representations share."""
         self._list = self._uniforms = lambda a: a
-        self._flips = operator.lt
-        self._pick = lambda cum, u: (below := cum <= u)[..., :-1] ^ below[..., 1:]
-        self._flip_dot = lambda flips, a, b: np.vecdot(flips, a - b)
-        self._move_dot = lambda plus, minus, values: np.vecdot(plus - minus, values)
+        self._flips = lambda u, q, x: u < q
+        self._pick = lambda cum, u, x: (below := cum <= u)[..., :-1] ^ below[..., 1:]
+        self._flip_dot = lambda flips, a, b, x: np.vecdot(flips, a - b)
+        self._move_dot = lambda plus, minus, values, z: np.vecdot(plus - minus, values)
 
     def _bind_scalar(self, features: tuple, log_weight: np.ndarray,
                      pow2: np.ndarray) -> None:
@@ -660,7 +674,7 @@ class Stepper:
         # step compares only the candidates a whole block screens for at once
         top = features[0].max(axis=0)
 
-        def flips(u, q):
+        def flips(u, q, x):
             candidates, row = u
             word = 0
             for i in members[candidates]:
@@ -668,13 +682,14 @@ class Stepper:
                     word |= bits[i]
             return word
 
-        def flip_dot(flips, a, b):
+        # the state operand is unused: a table row is the state's own
+        def flip_dot(flips, a, b, x=None):
             total = 0.0
             for i in members[flips]:
                 total += a[i] - b[i]
             return total
 
-        def move_dot(plus, minus, values):
+        def move_dot(plus, minus, values, z=None):
             total = 0.0
             for i in members[plus ^ minus]:
                 total += values[i] if plus >> i & 1 else -values[i]
@@ -685,9 +700,95 @@ class Stepper:
         self._list = np.ndarray.tolist
         self._uniforms = lambda u: list(zip(((u < top) @ pow2).tolist(), u.tolist()))
         self._flips = flips
-        self._pick = lambda cum, u: picks[bisect_right(cum, u[0])]
+        self._pick = lambda cum, u, x: picks[bisect_right(cum, u[0])]
         self._move = operator.xor
         self._stage_one = lambda flips: (words := (flips @ pow2).tolist(), words)
+        self._flip_dot = flip_dot
+        self._move_dot = move_dot
+        self._accept = lambda ok, new, old, there, here: (new if ok else old, None)
+
+    def _bind_levels(self, score: ScoreField) -> None:
+        """Primitives on one Python int word of any width, against a table
+        of the d + 1 levels (+1 counts) of an exchangeable target.
+
+        A level's row holds a (plus, minus) pair for each per-coordinate
+        feature, the values at the coordinates that are +1 and -1 there,
+        and the per-state features as floats; a step reads the row of its
+        state's bit count. Each Metropolis dot product groups its flips by
+        sign, so it costs two bit counts instead of one term per flip.
+        """
+        d, model = self.dim, self.model
+        if not model.exchangeable:
+            raise CapabilityError(
+                f"level tables need a target that declares every coordinate "
+                f"permutation, {model!r} does not")
+        features = self._gibbs_probs if self.sampler == "gibbs" else getattr(
+            self, f"_{self.sampler}_features")
+        rows, log_weight = _level_rows(model, lambda signs: features(signs, score.signs(signs)))
+        # no state flips a coordinate where u >= the largest flip probability
+        # (every row leads with the flip probabilities), so a step compares only
+        # the candidates a whole block screens for at once
+        top = max(max(row[0]) for row in rows)
+
+        def uniforms(u):
+            below = u < top
+            values = u[below].tolist()
+            ends = np.cumsum(below.sum(axis=1)).tolist()
+            return list(zip(pack_words(below),
+                            [values[a:b] for a, b in zip([0] + ends, ends)]))
+
+        def flips(u, q, x):
+            candidates, values = u
+            plus, minus = q
+            word = 0
+            # the candidates' uniforms come in ascending coordinate order
+            for v in values:
+                low = candidates & -candidates
+                candidates ^= low
+                if v < (plus if x & low else minus):
+                    word |= low
+            return word
+
+        # gibbs: a sequential sum of d nonnegative flip probabilities exceeds
+        # their exact sum by less than a relative d * 2^-53, so u at or above
+        # a level's bound stays put on every state of that level
+        slack = 1.0 + 4.0 * d * 2.0 ** -53
+        stay = [(k * plus + (d - k) * minus) * slack
+                for k, (plus, minus) in enumerate(row[0] for row in rows)]
+
+        def pick(cum, u, x):
+            # the flipped coordinate is the first whose running flip mass,
+            # summed in coordinate order as `_gibbs_features` does, exceeds u
+            u = u[0]
+            if u >= stay[x.bit_count()]:
+                return 0
+            plus, minus = cum
+            total = 0.0
+            for i in range(d):
+                total += plus if x >> i & 1 else minus
+                if total > u:
+                    return 1 << i
+            return 0
+
+        def flip_dot(flips, a, b, x):
+            # a at the proposal's level, b at the state's
+            down = (x & flips).bit_count()
+            up = flips.bit_count() - down
+            return down * (a[1] - b[0]) + up * (a[0] - b[1])
+
+        def move_dot(plus, minus, values, z):
+            on_plus = (plus & z).bit_count() - (minus & z).bit_count()
+            on_minus = plus.bit_count() - minus.bit_count() - on_plus
+            return on_plus * values[0] + on_minus * values[1]
+
+        self._at = lambda x: rows[x.bit_count()]
+        self._log_weight = lambda x: log_weight[x.bit_count()]
+        self._flip = self._move = operator.xor
+        self._list = np.ndarray.tolist
+        self._uniforms = uniforms
+        self._flips = flips
+        self._pick = pick
+        self._stage_one = lambda flips: (words := pack_words(flips), words)
         self._flip_dot = flip_dot
         self._move_dot = move_dot
         self._accept = lambda ok, new, old, there, here: (new if ok else old, None)
@@ -699,8 +800,11 @@ class Stepper:
     # the per-state arrays a step reads, for (..., d) signs and their scores;
     # `__init__` binds the sampler's one into `_at` or into its tables
 
+    def _gibbs_probs(self, signs: np.ndarray, score: np.ndarray) -> tuple:
+        return (self.h * expit(-2.0 * (signs * score)),)
+
     def _gibbs_features(self, signs: np.ndarray, score: np.ndarray) -> tuple:
-        cum = np.cumsum(self.h * expit(-2.0 * (signs * score)), axis=-1)
+        cum = np.cumsum(self._gibbs_probs(signs, score)[0], axis=-1)
         # with a leading 0, the flipped coordinate is where `cum <= u` turns false
         return (np.concatenate([np.zeros_like(cum[..., :1]), cum], axis=-1),)
 
@@ -739,43 +843,83 @@ class Stepper:
 
     def _gibbs(self, x, u, carry=None):
         (cum,) = self._at(x)
-        nxt = self._move(x, self._pick(cum, u))
+        nxt = self._move(x, self._pick(cum, u, x))
         return nxt, True, nxt, None, None
 
     def _dula(self, x, u, carry=None):
         (q,) = self._at(x)
-        nxt = self._move(x, self._flips(u, q))
+        nxt = self._move(x, self._flips(u, q, x))
         return nxt, True, nxt, None, None
 
     def _dmala(self, x, u, log_u, carry=None):
         here = self._at(x) if carry is None else carry
         q, logit, base = here
-        flips = self._flips(u, q)
+        flips = self._flips(u, q, x)
         prop = self._move(x, flips)
         there = self._at(prop)
         _, logit_rev, base_rev = there
-        ok = log_u < base_rev - base + self._flip_dot(flips, logit_rev, logit)
+        ok = log_u < base_rev - base + self._flip_dot(flips, logit_rev, logit, x)
         nxt, carry = self._accept(ok, prop, x, there, here)
         return nxt, ok, prop, None, carry
 
     def _dups(self, x, word1, u, carry=None):
         z = self._flip(x, word1)
         (q2,) = self._at(z)
-        nxt = self._move(z, self._flips(u, q2))
+        nxt = self._move(z, self._flips(u, q2, z))
         return nxt, True, nxt, z, None
 
     def _dmaps(self, x, word1, flips1, u, log_u, carry=None):
         z = self._flip(x, word1)
         q2, tilt2 = self._at(z)
-        flips2 = self._flips(u, q2)
+        flips2 = self._flips(u, q2, z)
         prop = self._move(z, flips2)
         here = (self._log_weight(x),) if carry is None else carry
         there = (self._log_weight(prop),)
         # x - prop = 2 z (flips2 - flips1), so (x - prop) . s(z) needs no signs of x
-        log_a = there[0] - here[0] + self._move_dot(flips2, flips1, tilt2)
+        log_a = there[0] - here[0] + self._move_dot(flips2, flips1, tilt2, z)
         ok = log_u < log_a
         nxt, carry = self._accept(ok, prop, x, there, here)
         return nxt, ok, prop, z, carry
+
+
+def _level_rows(model: TargetModel, evaluate) -> tuple[list, list]:
+    """Per level k = 0..d, the features that `evaluate` gives on signs, and
+    the log weight, read off the state whose first k coordinates are +1.
+
+    A (..., d) feature becomes a (plus, minus) pair per level, a per-state
+    one a float. Every per-coordinate feature and the log weight are also
+    evaluated with the last k coordinates +1, and must equal, bit for bit,
+    the level's values placed on either arrangement; a target that declares
+    the permutations and breaks them raises NumericalError. Per-state sums
+    of checked terms (dmala's base) add them in another order on the other
+    arrangement and are not compared. Levels go a chunk at a time, so no
+    chunk holds more coordinates than a state of the largest simulated
+    dimension.
+    """
+    d = model.dim
+    chunk = max(1, MAX_SIM_DIM // d)
+    rows, log_weight = [], []
+    for k0 in range(0, d + 1, chunk):
+        first = np.where(np.arange(d) < np.arange(k0, min(k0 + chunk, d + 1))[:, None],
+                         1.0, -1.0)
+        last = first[:, ::-1]
+        lw = model.log_weight_signs(first)
+        same = np.array_equal(lw, model.log_weight_signs(last))
+        values = []
+        for a, b in zip(evaluate(first), evaluate(last)):
+            if a.ndim == 1:
+                values.append(a.tolist())
+                continue
+            # column 0 is +1 on every level but 0, column d - 1 is -1 on every level but d
+            placed = np.where(first > 0, a[:, :1], a[:, -1:])
+            same = same and np.array_equal(a, placed) and np.array_equal(b, placed[:, ::-1])
+            values.append(list(zip(a[:, 0].tolist(), a[:, -1].tolist())))
+        if not same:
+            raise NumericalError(f"{model!r} declares every coordinate permutation, but its "
+                                 f"log weight or step features change under one")
+        log_weight += lw.tolist()
+        rows += zip(*values)
+    return rows, log_weight
 
 
 def _step_once(model: TargetModel, sampler: str, score: ScoreField | None, x: BitState,

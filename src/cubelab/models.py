@@ -31,6 +31,12 @@ class TargetModel:
     """
 
     dim: int
+    # True where every coordinate permutation leaves the log weight
+    # unchanged, so it depends on a state only through its +1 count; such a
+    # model's `symmetries()` declare the d-1 adjacent transpositions. Chain
+    # runs read this flag, not those generators, which hold d - 1 tuples of
+    # length d (2 GB at d = 16384).
+    exchangeable = False
 
     def log_weight_signs(self, signs: np.ndarray) -> np.ndarray:
         """Unnormalized log-density for (..., d) arrays of +-1 coordinates."""
@@ -101,6 +107,7 @@ class IndependentBits(TargetModel):
 
     beta: float
     dim: int
+    exchangeable = True
 
     def __post_init__(self):
         _check_dim(self.dim)
@@ -133,6 +140,7 @@ class BitsMixture(TargetModel):
 
     beta: float
     dim: int
+    exchangeable = True
 
     def __post_init__(self):
         _check_dim(self.dim)
@@ -269,6 +277,7 @@ class CurieWeiss(TargetModel):
     beta: float
     b: float
     dim: int
+    exchangeable = True
 
     def __post_init__(self):
         _check_dim(self.dim)

@@ -7,14 +7,22 @@ consistency checks). There a run with fewer than `_LOCKSTEP_CHAINS` chains
 steps its chains one after another in each block, each on a Python int with
 its table rows as Python lists, so a step makes no numpy call; a run with
 more chains advances them in lockstep, one batched numpy step at a time,
-which costs less per chain from that many chains on. Beyond the table cap,
-states are +-1 coordinate vectors that always advance in lockstep, and each
-step evaluates the model's closed forms once, on the proposals. The
-accepted states' features (dmala's score and log weight, dmaps's log
-weight) are carried to the next step in the stepper's carry, not evaluated
-again; the carry always equals the returned states' features evaluated
-afresh, bit for bit. A step in which every chain accepts returns the
-proposals and their features as they stand, with no accept select.
+which costs less per chain from that many chains on.
+
+Beyond the table cap, a target that declares every coordinate permutation
+(bits, mixture, curieweiss) has features that depend on a state only
+through x_i and its +1 count. Every chain of it steps alone, at any chain
+count, on a Python int word of any width against a table of the d + 1
+levels, built once from the closed forms; a step makes no numpy call.
+Other targets (Ising grids above the cap) keep +-1 coordinate vectors that
+advance in lockstep, and each step evaluates the model's closed forms once,
+on the proposals. The accepted states' features (dmala's score and log
+weight, dmaps's log weight) are carried to the next step in the stepper's
+carry, not evaluated again; the carry always equals the returned states'
+features evaluated afresh, bit for bit. A step in which every chain accepts
+returns the proposals and their features as they stand, with no accept
+select. The paths of both vector forms are tallied as masks of the +1
+coordinates.
 
 Chains are reproducible: the 64-bit config seed feeds a numpy SeedSequence
 whose spawned children, one per chain index, drive independent PCG64
@@ -36,7 +44,7 @@ from .errors import CapabilityError, ParameterError
 from .kernels import SCORE_FREE, STEP_SAMPLERS, Stepper, _check_eta, _gibbs_step_size
 from .models import TargetModel
 from .scores import SCORE_KINDS, ScoreField
-from .statespace import BitState, all_signs
+from .statespace import BitState, all_signs, pack_words, unpack_words
 
 TABLE_DIM_CAP = 12
 
@@ -103,6 +111,12 @@ _UNIFORM_BLOCK = 1 << 14
 _LOCKSTEP_CHAINS = 4
 
 
+def _level_path(model: TargetModel) -> bool:
+    """Whether chains of the model step alone against a table of its d + 1
+    levels: above the table cap, on every exchangeable target."""
+    return model.dim > TABLE_DIM_CAP and model.exchangeable
+
+
 def _stepper(model: TargetModel, sampler: str, score: str | None, eta: float,
              tables: bool, scalar: bool = False) -> Stepper:
     field = None if sampler in SCORE_FREE else ScoreField(model, score)
@@ -115,7 +129,10 @@ def run_chain(cfg: ChainConfig, dump_path: str | None = None) -> SimResult:
     Each block draws every chain's uniforms from its own substream and
     steps the chains, alone or in lockstep, into one buffer of paths and
     accept flags; the same code then counts, tallies and dumps from it.
-    Stepping alone or in lockstep gives the same estimators.
+    In table mode, stepping alone or in lockstep gives the same
+    estimators. Above it, the level path gives those of the +-1 lockstep
+    step, except where an accept test falls within a few ulps of its
+    threshold: dmala's base and the grouped dot products round differently.
 
     With `dump_path`, each retained sample is also written as a CSV row
     (chain, step, packed state as hex, magnetization); meant for small runs.
@@ -123,7 +140,8 @@ def run_chain(cfg: ChainConfig, dump_path: str | None = None) -> SimResult:
     d = cfg.model.dim
     chains = cfg.chains
     table_mode = d <= TABLE_DIM_CAP
-    alone = table_mode and chains < _LOCKSTEP_CHAINS
+    levels = _level_path(cfg.model)
+    alone = levels or (table_mode and chains < _LOCKSTEP_CHAINS)
     st = _stepper(cfg.model, cfg.sampler, cfg.score, cfg.eta, table_mode, alone)
     m = st.uniforms_per_step
     block = max(1, _UNIFORM_BLOCK // m)
@@ -144,10 +162,11 @@ def run_chain(cfg: ChainConfig, dump_path: str | None = None) -> SimResult:
                           dtype=np.float64)
         plus_counts = np.zeros((chains, d), dtype=np.int64)
         hist = np.zeros((chains, d + 1), dtype=np.int64)
-    # chains stepped alone keep a Python int word and a carry each
-    words, carries = states.tolist(), [None] * chains
-    carry = None
-    trace = np.empty((block,) + states.shape, dtype=states.dtype)
+    # chains stepped alone keep a Python int word and a carry each; level-path
+    # paths of words go into the buffer as masks of the +1 coordinates
+    words = pack_words(states > 0) if levels else states.tolist()
+    carries, carry = [None] * chains, None
+    trace = np.empty((block,) + states.shape, dtype=bool if levels else states.dtype)
     oks = np.empty((block, chains), dtype=bool)
     accepted = np.zeros(chains, dtype=np.int64)
     dumped = [] if dump_path is not None else None
@@ -164,7 +183,7 @@ def run_chain(cfg: ChainConfig, dump_path: str | None = None) -> SimResult:
                     path.append(x)
                     flags.append(ok)
                 words[c], carries[c] = x, carry
-                trace[:n, c] = path
+                trace[:n, c] = unpack_words(path, d) if levels else path
                 oks[:n, c] = flags
         else:
             for t, operands in enumerate(zip(*st.prepare(np.stack(u, axis=1)))):

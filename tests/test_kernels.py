@@ -1,12 +1,13 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
-from scipy.special import expit
+from scipy.special import expit, log_expit
 
 from cubelab import kernels
-from cubelab.errors import ParameterError
+from cubelab.errors import CapabilityError, NumericalError, ParameterError
 from cubelab.kernels import (
     GeneratorMatrix,
     KernelMatrix,
@@ -25,9 +26,11 @@ from cubelab.kernels import (
     glauber_generator,
     prox_exact_matrix,
 )
-from cubelab.models import BitsMixture, CurieWeiss, IndependentBits, IsingGrid, exact_target
-from cubelab.scores import ScoreField, glauber_score
-from cubelab.statespace import all_signs, hamming, isometry_images, orbit_minima, state_of
+from cubelab.models import (BitsMixture, CurieWeiss, IndependentBits, IsingGrid, _exchangeable,
+                            exact_target)
+from cubelab.scores import SCORE_KINDS, ScoreField, glauber_score
+from cubelab.statespace import (all_signs, hamming, isometry_images, orbit_minima, pack_words,
+                                state_of)
 
 SMALL_MODELS = [
     IndependentBits(0.5, 3),
@@ -402,10 +405,12 @@ def test_dmaps_flux_falls_back_where_exp_underflows(model, kind, monkeypatch):
         assert np.isnan(kernels._dmaps_flux(model, field, 0.5)).any()
 
 
-def _declaring(model, symmetries):
-    """An equal-parameter copy of `model` that declares `symmetries` instead."""
+def _declaring(model, symmetries, **attributes):
+    """An equal-parameter copy of `model` that declares `symmetries` instead,
+    and sets any other class `attributes`."""
     cls = type(model)
-    declaring = type("Declaring" + cls.__name__, (cls,), {"symmetries": lambda self: symmetries})
+    declaring = type("Declaring" + cls.__name__, (cls,),
+                     {"symmetries": lambda self: symmetries, **attributes})
     return declaring(**{f.name: getattr(model, f.name) for f in dataclasses.fields(model)})
 
 
@@ -593,3 +598,76 @@ def test_scalar_dot_products_sum_like_vecdot(dim):
             == np.vecdot(plus, a - b).tolist())
     assert ([st._move_dot(p, m, ra) for p, m, ra in zip(plus_words, minus_words, rows_a)]
             == np.vecdot(plus - minus.astype(np.float64), a).tolist())
+
+
+_LEVEL_FAMILIES = {"bits": lambda d: IndependentBits(0.3, d),
+                   "mixture": lambda d: BitsMixture(0.3, d),
+                   "curieweiss": lambda d: CurieWeiss(0.6 / d, 0.5, d)}
+
+
+@pytest.mark.parametrize("dim", [13, 24, 64, 70])
+@pytest.mark.parametrize("family", sorted(_LEVEL_FAMILIES))
+def test_level_tables_equal_the_closed_forms(family, dim):
+    """On four random states of every level, each sampler's level-table
+    features placed on the state equal the +-1 closed forms bit for bit:
+    flip probabilities, logits, tilts and log weights, for every score.
+    dmala's per-state base adds its d + 1 terms in the closed form's order
+    on the state "first k coordinates +1", so on other states of the level
+    it may differ in the last bits: by at most 8 ulps of the sum of the
+    terms' magnitudes (6 measured here, at d = 70)."""
+    model = _LEVEL_FAMILIES[family](dim)
+    rng = np.random.default_rng(dim)
+    ranks = rng.random((dim + 1, 4, dim)).argsort(axis=-1)
+    signs = np.where(ranks < np.arange(dim + 1)[:, None, None], 1.0, -1.0).reshape(-1, dim)
+    words = pack_words(signs > 0)
+
+    def same_bits(got, want):
+        np.testing.assert_array_equal(np.asarray(got, dtype=np.float64).view(np.uint64),
+                                      np.asarray(want).view(np.uint64))
+
+    for kind in SCORE_KINDS:
+        field = ScoreField(model, kind)
+        for sampler, eta in (("gibbs", 0.45), ("dula", 1.0), ("dmala", 1.0), ("dups", 1.0),
+                             ("dmaps", 1.0)):
+            level = kernels.Stepper(model, sampler, field, eta, tables=False, scalar=True)
+            closed = kernels.Stepper(model, sampler, field, eta, tables=False)
+            want = (closed._gibbs_probs(signs, model.glauber_score_signs(signs))
+                    if sampler == "gibbs" else closed._at(signs))
+            got = list(zip(*(level._at(w) for w in words)))
+            assert len(got) == len(want)
+            for pairs, closed_form in zip(got, want):
+                if closed_form.ndim == 2:
+                    plus, minus = np.array(pairs).T
+                    same_bits(np.where(signs > 0, plus[:, None], minus[:, None]), closed_form)
+                    continue
+                terms = np.abs(log_expit(-want[1])).sum(axis=-1)
+                scale = np.abs(model.log_weight_signs(signs)) + terms
+                assert (np.abs(np.array(pairs) - closed_form) <= 8 * np.spacing(scale)).all()
+            same_bits([level._log_weight(w) for w in words], model.log_weight_signs(signs))
+
+
+@pytest.mark.parametrize("model, kind", [
+    (_declaring(IsingGrid(4, 4, 0.3, 0.1), _exchangeable(16, False), exchangeable=True),
+     "glauber"),
+    (_TiltedStein(0.05, 0.0, 16), "stein"),
+], ids=["ising-log-weight", "tilted-stein-score"])
+def test_level_tables_of_a_false_exchangeability_raise(model, kind):
+    """A target that declares itself exchangeable and is not, in its log
+    weight or in a score, fails when the level stepper is built, naming the
+    target, and so does a chain run on it."""
+    from cubelab.simulate import ChainConfig, run_chain
+
+    for sampler in ("dula", "dmala", "dmaps"):
+        with pytest.raises(NumericalError, match="declares every coordinate permutation") as err:
+            kernels.Stepper(model, sampler, ScoreField(model, kind), 0.8, tables=False,
+                            scalar=True)
+        assert repr(model) in str(err.value)
+    with pytest.raises(NumericalError, match=re.escape(repr(model))):
+        run_chain(ChainConfig("dmala", model, kind, 0.8, steps=10))
+
+
+def test_level_tables_need_declared_exchangeability():
+    model = IsingGrid(4, 4, 0.3, 0.1)
+    with pytest.raises(CapabilityError, match="declares every coordinate permutation"):
+        kernels.Stepper(model, "dula", ScoreField(model, "glauber"), 0.8, tables=False,
+                        scalar=True)

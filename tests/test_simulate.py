@@ -68,6 +68,23 @@ def test_chains_are_separate_substreams(sampler, score, dim):
                     np.testing.assert_array_equal(big[:c], small, err_msg=field)
 
 
+@pytest.mark.parametrize("sampler,score", [
+    ("gibbs", None), ("dula", "glauber"), ("dmala", "glauber"), ("dups", "stein"),
+    ("dmaps", "gibbs")])
+def test_lockstep_vector_chains_are_separate_substreams(sampler, score):
+    """The same for +-1 vectors in lockstep, which Ising grids above the
+    table cap take: the first chains of a 5-chain run reproduce 2- and
+    1-chain runs bit for bit."""
+    model = IsingGrid(4, 4, 0.3, 0.1, periodic=True)
+    assert not simulate._level_path(model)
+    runs = {c: run_chain(ChainConfig(sampler, model, score, 0.6, steps=1500, burn_in=100,
+                                     chains=c, seed=42)) for c in (5, 2, 1)}
+    for c in (2, 1):
+        for field in _FIELDS[:-1]:
+            np.testing.assert_array_equal(getattr(runs[5], field)[:c],
+                                          getattr(runs[c], field), err_msg=field)
+
+
 @pytest.mark.parametrize("dim,eta", [(3, 1.5), (6, 1.0), (10, 0.7), (12, 0.8)])
 @pytest.mark.parametrize("sampler,score", [("gibbs", None)] + [
     (sampler, score) for sampler in ("dula", "dmala", "dups", "dmaps")
@@ -117,6 +134,20 @@ def test_single_table_chain_reads_no_numpy_row(sampler, monkeypatch):
     assert len(calls) >= cfg.steps
 
 
+def _counting(calls, name, fn):
+    """`fn`, counting its calls in `calls[name]`."""
+    def wrapped(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+    return wrapped
+
+
+def _plus_minus_path(mp):
+    """Make `run_chain` step every vector-mode target on +-1 vectors in
+    lockstep, as it does targets without level structure."""
+    mp.setattr(simulate, "_level_path", lambda model: False)
+
+
 class _ReferenceStepper(Stepper):
     """The adjusted steps without a carry: every step evaluates the current
     state's features afresh. Kept as the oracle for the carried steps."""
@@ -147,11 +178,13 @@ class _ReferenceStepper(Stepper):
                          ids=["d16", "d24"])
 def test_carried_features_reproduce_the_reference_stepper(model, sampler, score, chains,
                                                           monkeypatch):
-    """Carrying the accepted state's features changes no float: the vector-mode
-    estimators equal those of the re-evaluating stepper bit for bit, over more
-    than one block of uniforms, on a single unbatched chain and on a batch."""
+    """Carrying the accepted state's features changes no float: the lockstep
+    +-1 estimators equal those of the re-evaluating stepper bit for bit, over
+    more than one block of uniforms, on a single unbatched chain and on a
+    batch."""
     cfg = ChainConfig(sampler, model, score, 1.0, steps=1200, burn_in=100, thinning=3,
                       chains=chains, seed=5)
+    _plus_minus_path(monkeypatch)
     carried = run_chain(cfg)
     monkeypatch.setattr(simulate, "Stepper", _ReferenceStepper)
     reference = run_chain(cfg)
@@ -166,10 +199,10 @@ def test_carried_features_reproduce_the_reference_stepper(model, sampler, score,
 
 def test_vector_runs_reproduce_the_reference_stepper_property():
     """Property form of the test above, over drawn families, dimensions
-    13-20, scores, step sizes, chain counts and seeds: vector-mode estimators
-    with the carry and the all-accepted shortcut equal those of the
-    re-evaluating reference stepper bit for bit. Derandomized, so every run
-    draws the same bounded set of examples."""
+    13-20, scores, step sizes, chain counts and seeds: lockstep +-1
+    estimators with the carry and the all-accepted shortcut equal those of
+    the re-evaluating reference stepper bit for bit. Derandomized, so every
+    run draws the same bounded set of examples."""
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
 
@@ -191,8 +224,9 @@ def test_vector_runs_reproduce_the_reference_stepper_property():
     def check(model, sampler, score, eta, chains, seed):
         cfg = ChainConfig(sampler, model, score, eta, steps=600, burn_in=50, thinning=2,
                           chains=chains, seed=seed)
-        carried = run_chain(cfg)
         with pytest.MonkeyPatch.context() as mp:
+            _plus_minus_path(mp)
+            carried = run_chain(cfg)
             mp.setattr(simulate, "Stepper", _ReferenceStepper)
             reference = run_chain(cfg)
         for field in _FIELDS:
@@ -210,20 +244,153 @@ def test_vector_steps_evaluate_each_state_once(sampler, chains, monkeypatch):
     adjusted samplers, and steps + 1 scores for dmala (dmaps scores the
     auxiliary state, once per step)."""
     calls = {"score": 0, "log_weight": 0}
-
-    def counting(name, fn):
-        def wrapped(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        return wrapped
-
-    monkeypatch.setattr(ScoreField, "signs", counting("score", ScoreField.signs))
+    monkeypatch.setattr(ScoreField, "signs", _counting(calls, "score", ScoreField.signs))
     monkeypatch.setattr(CurieWeiss, "log_weight_signs",
-                        counting("log_weight", CurieWeiss.log_weight_signs))
+                        _counting(calls, "log_weight", CurieWeiss.log_weight_signs))
     steps = 1500
+    _plus_minus_path(monkeypatch)
     run_chain(ChainConfig(sampler, CurieWeiss(0.02, 0.3, 20), "glauber", 0.5, steps=steps,
                           chains=chains, seed=1))
     assert calls == {"score": steps + (sampler == "dmala"), "log_weight": steps + 1}
+
+
+@pytest.mark.parametrize("chains", [1, 3])
+@pytest.mark.parametrize("score", ["glauber", "gibbs", "stein"])
+@pytest.mark.parametrize("sampler", ["dmala", "dmaps"])
+@pytest.mark.parametrize("model", [CurieWeiss(0.06, 0.5, 16), BitsMixture(0.2, 24)],
+                         ids=["d16", "d24"])
+def test_level_path_reproduces_the_reference_stepper(model, sampler, score, chains,
+                                                     monkeypatch):
+    """Chains of an exchangeable target step alone against its level table
+    and give, bit for bit, the estimators of the re-evaluating reference
+    stepper on +-1 vectors in lockstep, over more than one block of
+    uniforms; both branches of the accept test are taken on every chain."""
+    cfg = ChainConfig(sampler, model, score, 1.0, steps=1200, burn_in=100, thinning=3,
+                      chains=chains, seed=5)
+    levels = run_chain(cfg)
+    _plus_minus_path(monkeypatch)
+    monkeypatch.setattr(simulate, "Stepper", _ReferenceStepper)
+    reference = run_chain(cfg)
+    for field in _FIELDS:
+        np.testing.assert_array_equal(getattr(levels, field), getattr(reference, field),
+                                      err_msg=field)
+    assert 0 < levels.acceptance_fraction.min() <= levels.acceptance_fraction.max() < 1
+
+
+def test_level_runs_reproduce_the_reference_stepper_property():
+    """Property form of the test above over all five samplers, the three
+    exchangeable families at dimensions 13-70 (words wider than 64 bits
+    included), scores, step sizes, chain counts and seeds. Derandomized."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    dims = st.integers(13, 70)
+    models = st.one_of(
+        st.builds(IndependentBits, st.floats(-0.6, 0.6), dims),
+        st.builds(BitsMixture, st.floats(0.0, 0.3), dims),
+        st.builds(lambda beta, b, d: CurieWeiss(beta / d, b, d), st.floats(0.0, 1.0),
+                  st.floats(-1.0, 1.0), dims))
+
+    @hypothesis.settings(max_examples=30, derandomize=True, deadline=None, database=None)
+    @hypothesis.given(model=models,
+                      sampler=st.sampled_from(["gibbs", "dula", "dmala", "dups", "dmaps"]),
+                      score=st.sampled_from(["glauber", "gibbs", "stein"]),
+                      eta=st.floats(0.3, 2.0), chains=st.integers(1, 5),
+                      seed=st.integers(0, 2**32 - 1))
+    def check(model, sampler, score, eta, chains, seed):
+        if sampler == "gibbs":
+            # the damped single-flip step needs exp(-2/eta) <= 1/d
+            eta, score = min(eta, 1.9 / math.log(model.dim)), None
+        cfg = ChainConfig(sampler, model, score, eta, steps=600, burn_in=50, thinning=2,
+                          chains=chains, seed=seed)
+        levels = run_chain(cfg)
+        with pytest.MonkeyPatch.context() as mp:
+            _plus_minus_path(mp)
+            mp.setattr(simulate, "Stepper", _ReferenceStepper)
+            reference = run_chain(cfg)
+        for field in _FIELDS:
+            np.testing.assert_array_equal(getattr(levels, field),
+                                          getattr(reference, field), err_msg=field)
+
+    check()
+
+
+_LEVEL_MODELS = [CurieWeiss(0.6 / 16, 0.5, 16), BitsMixture(0.3, 24),
+                 CurieWeiss(0.6 / 70, 0.5, 70)]
+
+
+@pytest.mark.parametrize("model", _LEVEL_MODELS, ids=lambda m: f"d{m.dim}")
+@pytest.mark.parametrize("sampler,score", [("gibbs", None)] + [
+    (sampler, score) for sampler in ("dula", "dmala", "dups", "dmaps")
+    for score in ("glauber", "gibbs", "stein")])
+def test_level_path_chains_are_separate_substreams(sampler, score, model, tmp_path,
+                                                   monkeypatch):
+    """On the level path, chain c does not depend on how many chains run
+    beside it: the first chains of 5-, 4-, 2- and 1-chain runs give the same
+    estimators and the same `--dump` rows, over many blocks of uniforms and
+    with both branches of the accept test taken. The level table is built
+    once, so a 1-chain run evaluates the closed forms a fixed number of
+    times, whatever its step count."""
+    monkeypatch.setattr(simulate, "_UNIFORM_BLOCK", 1 << 9)
+    eta = 0.45 if sampler == "gibbs" else 1.0
+    cfg = ChainConfig(sampler, model, score, eta, steps=600, burn_in=101, thinning=3,
+                      chains=1, seed=23)
+    runs = {}
+    for chains in (5, 4, 2, 1):
+        path = tmp_path / f"{chains}.csv"
+        runs[chains] = run_chain(replace(cfg, chains=chains), str(path)), path.read_bytes()
+    for larger in (5, 4):
+        for c in (2, 1):
+            (big, big_dump), (small, small_dump) = runs[larger], runs[c]
+            for field in _FIELDS[:-1]:
+                np.testing.assert_array_equal(getattr(big, field)[:c], getattr(small, field),
+                                              err_msg=field)
+            assert small.state_counts is big.state_counts is None
+            # dump rows are chain-major, so the first chains' rows come first
+            assert big_dump[:len(small_dump)] == small_dump
+    assert runs[1][1].count(b"\n") == 1 + runs[1][0].retained
+    if sampler in ("dmala", "dmaps"):
+        acceptance = runs[5][0].acceptance_fraction
+        assert 0 < acceptance.min() <= acceptance.max() < 1
+
+    calls = {"score": 0, "log_weight": 0}
+    monkeypatch.setattr(ScoreField, "signs", _counting(calls, "score", ScoreField.signs))
+    monkeypatch.setattr(type(model), "log_weight_signs",
+                        _counting(calls, "log_weight", type(model).log_weight_signs))
+    counts = []
+    for steps in (200, 900):
+        run_chain(replace(cfg, steps=steps))
+        counts.append(dict(calls))
+        calls.update(score=0, log_weight=0)
+    assert counts[0] == counts[1]
+    assert counts[0]["score"] <= 2 and counts[0]["log_weight"] <= 4, counts
+
+
+@pytest.mark.parametrize("model", [BitsMixture(0.08, 32), CurieWeiss(0.01, 1.0, 40)],
+                         ids=["mixture-d32", "curieweiss-d40"])
+@pytest.mark.parametrize("sampler", ["gibbs", "dmala", "dmaps"])
+def test_level_chains_match_the_exact_magnetization_law(model, sampler):
+    """The pooled +1-count histogram of level-path chains lies within TV
+    0.05 of the exact law C(d, u) w(u), which the target gives in closed
+    form at any d. Over eight seeds the correct chains read at most 0.044
+    (gibbs, which moves one coordinate at a time, gets five times the
+    steps); swapping the plus and minus values in any one level primitive
+    reads 0.07 or more."""
+    d = model.dim
+    u = np.arange(d + 1)
+    signs = np.where(np.arange(d) < u[:, None], 1.0, -1.0)
+    log_law = (model.log_weight_signs(signs)
+               + np.array([math.lgamma(d + 1) - math.lgamma(k + 1) - math.lgamma(d - k + 1)
+                           for k in u]))
+    law = np.exp(log_law - log_law.max())
+    law /= law.sum()
+    eta = 1.8 / math.log(d) if sampler == "gibbs" else 0.8
+    steps = 100_000 if sampler == "gibbs" else 20_000
+    res = run_chain(ChainConfig(sampler, model, None if sampler == "gibbs" else "glauber",
+                                eta, steps=steps, burn_in=1_000, chains=4, seed=11))
+    pooled = res.magnetization_histogram.sum(axis=0)
+    tv = 0.5 * np.abs(pooled / pooled.sum() - law).sum()
+    assert tv <= 0.05, tv
 
 
 def test_uniform_target_marginals():

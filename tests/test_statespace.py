@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from cubelab.statespace import BitState, all_signs, hamming, index_of, state_of
+from cubelab.statespace import (BitState, all_signs, hamming, index_of, pack_words, state_of,
+                                unpack_words)
 
 
 def test_index_conventions():
@@ -73,3 +74,15 @@ def test_all_signs_matches_state_signs():
     assert table.shape == (32, 5)
     for k in range(32):
         np.testing.assert_array_equal(table[k], state_of(k, 5).signs())
+
+
+@pytest.mark.parametrize("dim", [1, 13, 63, 64, 65, 130])
+def test_packed_words_round_trip_at_any_width(dim):
+    """`pack_words` turns mask rows into the words `BitState.from_signs`
+    builds, also past 64 bits, and `unpack_words` inverts it."""
+    mask = np.random.default_rng(dim).random((40, dim)) < 0.5
+    mask[0], mask[1] = False, True
+    words = pack_words(mask)
+    assert words == [BitState.from_signs(np.where(row, 1, -1)).bits for row in mask]
+    np.testing.assert_array_equal(unpack_words(words, dim), mask)
+    assert unpack_words([], dim).shape == (0, dim)
