@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import math
 import operator
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,7 +47,7 @@ from scipy.special import expit, log_expit
 from .errors import CapabilityError, NumericalError, ParameterError
 from .models import TargetModel
 from .scores import ScoreField
-from .statespace import (MAX_SIM_DIM, BitState, all_signs, isometry_images, orbit_minima,
+from .statespace import (BitState, all_signs, isometry_images, orbit_minima,
                          pack_words)
 
 # dense kernels hold 4^d doubles: d = 12 is ~134 MB and the practical top
@@ -57,6 +57,15 @@ MAX_MATRIX_DIM = 12
 # table, relative to their largest magnitude when that exceeds 1; kernels
 # built from invariant targets stay within 1e-14
 SYMMETRY_TOL = 1e-13
+
+# largest dimension whose chains step against a level table, so a level
+# state is one 64-bit word. Per block, a level step's Python work grows with
+# the coordinates that its uniforms screen (gibbs walks up to d of them),
+# where a +-1 step is a fixed count of numpy calls, and the table costs
+# O(d^2) closed-form work to build. 1-chain runs of every sampler ran faster
+# on level tables up to d = 64 at eta 0.4-8; at d = 96-128 and eta >= 2,
+# dula ran slower than on +-1 vectors (measured: CHANGES.md)
+LEVEL_DIM_CAP = 64
 
 # samplers with a step; prox exists as a dense matrix only
 STEP_SAMPLERS = ("gibbs", "dula", "dmala", "dups", "dmaps")
@@ -537,15 +546,15 @@ class Stepper:
       row is a tuple of Python lists and floats; a step makes no numpy
       call. Stepping a few chains one at a time this way is faster than one
       batched step over all of them.
-    * `tables=False, scalar=True`: one state, a Python int word of any
-      width, of an exchangeable target (`TargetModel.exchangeable`). Every
-      feature then depends only on x_i and on the state's +1 count, so
-      `__init__` evaluates the closed forms once, on the d + 1 states
-      "first k coordinates +1", and checks them on "last k coordinates +1"
-      (`NumericalError` if any value differs). A step reads row
-      `x.bit_count()` of that level table and makes no numpy call. The
-      features equal the closed forms bit for bit, except dmala's
-      per-state base, a sum whose order differs by a few ulps.
+    * `tables=False, scalar=True`: one state, a Python int word, of an
+      exchangeable target (`TargetModel.exchangeable`) with d at most
+      `LEVEL_DIM_CAP`. Every feature then depends only on x_i and on the
+      state's +1 count, so `__init__` evaluates the closed forms once, on
+      the d + 1 states "first k coordinates +1", and checks them on "last
+      k coordinates +1" (`NumericalError` if any value differs). A step
+      reads row `x.bit_count()` of that level table and makes no numpy
+      call. The features equal the closed forms bit for bit, except
+      dmala's per-state base, a sum whose order differs by a few ulps.
 
     In the batched representations a step reads a `(..., m)` block of
     uniforms whose leading shape broadcasts with the states', so one state
@@ -708,46 +717,53 @@ class Stepper:
         self._accept = lambda ok, new, old, there, here: (new if ok else old, None)
 
     def _bind_levels(self, score: ScoreField) -> None:
-        """Primitives on one Python int word of any width, against a table
-        of the d + 1 levels (+1 counts) of an exchangeable target.
+        """Primitives on one Python int word, against a table of the d + 1
+        levels (+1 counts) of an exchangeable target.
 
         A level's row holds a (plus, minus) pair for each per-coordinate
         feature, the values at the coordinates that are +1 and -1 there,
         and the per-state features as floats; a step reads the row of its
-        state's bit count. Each Metropolis dot product groups its flips by
-        sign, so it costs two bit counts instead of one term per flip.
+        state's bit count. A step's flips are two lookups, one per sign,
+        among its uniforms sorted once per block. Each Metropolis dot
+        product groups its flips by sign, so it costs two bit counts
+        instead of one term per flip.
         """
         d, model = self.dim, self.model
         if not model.exchangeable:
             raise CapabilityError(
                 f"level tables need a target that declares every coordinate "
                 f"permutation, {model!r} does not")
+        if d > LEVEL_DIM_CAP:
+            raise CapabilityError(f"level tables stop at d = {LEVEL_DIM_CAP}, got d = {d}")
         features = self._gibbs_probs if self.sampler == "gibbs" else getattr(
             self, f"_{self.sampler}_features")
         rows, log_weight = _level_rows(model, lambda signs: features(signs, score.signs(signs)))
         # no state flips a coordinate where u >= the largest flip probability
-        # (every row leads with the flip probabilities), so a step compares only
-        # the candidates a whole block screens for at once
+        # (every row leads with the flip probabilities), so a block sorts only
+        # the uniforms below it
         top = max(max(row[0]) for row in rows)
 
         def uniforms(u):
-            below = u < top
-            values = u[below].tolist()
-            ends = np.cumsum(below.sum(axis=1)).tolist()
-            return list(zip(pack_words(below),
-                            [values[a:b] for a, b in zip([0] + ends, ends)]))
+            # per step, the screened uniforms in ascending order and the running
+            # OR of their coordinates' bits: the coordinates whose uniforms lie
+            # below a threshold t are the word at the count of uniforms below t.
+            # Past a step's own candidates its row holds infinities.
+            screened = np.where(u < top, u, np.inf)
+            width = int((u < top).sum(axis=1).max())
+            order = np.argsort(screened, axis=1)[:, :width]
+            values = np.take_along_axis(screened, order, axis=1).tolist()
+            running = np.zeros((len(u), width + 1), dtype=np.uint64)
+            np.bitwise_or.accumulate(np.uint64(1) << order.astype(np.uint64), axis=1,
+                                     out=running[:, 1:])
+            return list(zip(values, running.tolist()))
 
         def flips(u, q, x):
-            candidates, values = u
+            values, running = u
             plus, minus = q
-            word = 0
-            # the candidates' uniforms come in ascending coordinate order
-            for v in values:
-                low = candidates & -candidates
-                candidates ^= low
-                if v < (plus if x & low else minus):
-                    word |= low
-            return word
+            # u_i < plus where x_i = +1 and u_i < minus where x_i = -1
+            at_plus = running[bisect_left(values, plus)]
+            at_minus = running[bisect_left(values, minus)]
+            return at_minus ^ ((at_plus ^ at_minus) & x)
 
         # gibbs: a sequential sum of d nonnegative flip probabilities exceeds
         # their exact sum by less than a relative d * 2^-53, so u at or above
@@ -892,34 +908,27 @@ def _level_rows(model: TargetModel, evaluate) -> tuple[list, list]:
     the level's values placed on either arrangement; a target that declares
     the permutations and breaks them raises NumericalError. Per-state sums
     of checked terms (dmala's base) add them in another order on the other
-    arrangement and are not compared. Levels go a chunk at a time, so no
-    chunk holds more coordinates than a state of the largest simulated
-    dimension.
+    arrangement and are not compared. The 2(d + 1) states cost O(d^2)
+    closed-form work, which `LEVEL_DIM_CAP` keeps small.
     """
     d = model.dim
-    chunk = max(1, MAX_SIM_DIM // d)
-    rows, log_weight = [], []
-    for k0 in range(0, d + 1, chunk):
-        first = np.where(np.arange(d) < np.arange(k0, min(k0 + chunk, d + 1))[:, None],
-                         1.0, -1.0)
-        last = first[:, ::-1]
-        lw = model.log_weight_signs(first)
-        same = np.array_equal(lw, model.log_weight_signs(last))
-        values = []
-        for a, b in zip(evaluate(first), evaluate(last)):
-            if a.ndim == 1:
-                values.append(a.tolist())
-                continue
-            # column 0 is +1 on every level but 0, column d - 1 is -1 on every level but d
-            placed = np.where(first > 0, a[:, :1], a[:, -1:])
-            same = same and np.array_equal(a, placed) and np.array_equal(b, placed[:, ::-1])
-            values.append(list(zip(a[:, 0].tolist(), a[:, -1].tolist())))
-        if not same:
-            raise NumericalError(f"{model!r} declares every coordinate permutation, but its "
-                                 f"log weight or step features change under one")
-        log_weight += lw.tolist()
-        rows += zip(*values)
-    return rows, log_weight
+    first = np.where(np.arange(d) < np.arange(d + 1)[:, None], 1.0, -1.0)
+    last = first[:, ::-1]
+    lw = model.log_weight_signs(first)
+    same = np.array_equal(lw, model.log_weight_signs(last))
+    values = []
+    for a, b in zip(evaluate(first), evaluate(last)):
+        if a.ndim == 1:
+            values.append(a.tolist())
+            continue
+        # column 0 is +1 on every level but 0, column d - 1 is -1 on every level but d
+        placed = np.where(first > 0, a[:, :1], a[:, -1:])
+        same = same and np.array_equal(a, placed) and np.array_equal(b, placed[:, ::-1])
+        values.append(list(zip(a[:, 0].tolist(), a[:, -1].tolist())))
+    if not same:
+        raise NumericalError(f"{model!r} declares every coordinate permutation, but its "
+                             f"log weight or step features change under one")
+    return list(zip(*values)), lw.tolist()
 
 
 def _step_once(model: TargetModel, sampler: str, score: ScoreField | None, x: BitState,

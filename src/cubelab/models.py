@@ -32,10 +32,10 @@ class TargetModel:
 
     dim: int
     # True where every coordinate permutation leaves the log weight
-    # unchanged, so it depends on a state only through its +1 count; such a
-    # model's `symmetries()` declare the d-1 adjacent transpositions. Chain
-    # runs read this flag, not those generators, which hold d - 1 tuples of
-    # length d (2 GB at d = 16384).
+    # unchanged, so it depends on a state only through its +1 count; the
+    # default `symmetries()` then declares the d-1 adjacent transpositions.
+    # Chain runs read this flag, not those generators, which hold d - 1
+    # tuples of length d (2 GB at d = 16384).
     exchangeable = False
 
     def log_weight_signs(self, signs: np.ndarray) -> np.ndarray:
@@ -59,7 +59,12 @@ class TargetModel:
         score's tilt x_i s(x)_i to move with the coordinates, which the
         closed forms here do; it checks both before it relies on them.
         """
-        return ()
+        return _exchangeable(self.dim, self._flip_invariant()) if self.exchangeable else ()
+
+    def _flip_invariant(self) -> bool:
+        """Whether flipping every coordinate leaves an exchangeable model's
+        log weight unchanged, so that `symmetries()` also declares it."""
+        return False
 
     def log_weight(self, x: BitState) -> float:
         if x.dim != self.dim:
@@ -122,8 +127,8 @@ class IndependentBits(TargetModel):
 
     stein_score_signs = glauber_score_signs
 
-    def symmetries(self):
-        return _exchangeable(self.dim, self.beta == 0)
+    def _flip_invariant(self):
+        return self.beta == 0
 
     @property
     def name(self):
@@ -168,8 +173,8 @@ class BitsMixture(TargetModel):
         s = signs.sum(axis=-1, keepdims=True)
         return np.broadcast_to(self.beta * np.tanh(self.beta * s), signs.shape).copy()
 
-    def symmetries(self):
-        return _exchangeable(self.dim, True)
+    def _flip_invariant(self):
+        return True
 
     @property
     def name(self):
@@ -297,8 +302,8 @@ class CurieWeiss(TargetModel):
         s = signs.sum(axis=-1, keepdims=True)
         return np.broadcast_to(2.0 * self.beta * (s - self.b), signs.shape).copy()
 
-    def symmetries(self):
-        return _exchangeable(self.dim, self.b == 0)
+    def _flip_invariant(self):
+        return self.b == 0
 
     @property
     def name(self):

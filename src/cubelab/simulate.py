@@ -11,12 +11,13 @@ which costs less per chain from that many chains on.
 
 Beyond the table cap, a target that declares every coordinate permutation
 (bits, mixture, curieweiss) has features that depend on a state only
-through x_i and its +1 count. Every chain of it steps alone, at any chain
-count, on a Python int word of any width against a table of the d + 1
-levels, built once from the closed forms; a step makes no numpy call.
-Other targets (Ising grids above the cap) keep +-1 coordinate vectors that
-advance in lockstep, and each step evaluates the model's closed forms once,
-on the proposals. The accepted states' features (dmala's score and log
+through x_i and its +1 count. Up to `kernels.LEVEL_DIM_CAP`, every chain of
+it steps alone, at any chain count, on a Python int word against a table of
+the d + 1 levels, built once from the closed forms; a step makes no numpy
+call. Other targets (Ising grids above the table cap), and exchangeable
+ones above the level cap, keep +-1 coordinate vectors that advance in
+lockstep, and each step evaluates the model's closed forms once, on the
+proposals. The accepted states' features (dmala's score and log
 weight, dmaps's log weight) are carried to the next step in the stepper's
 carry, not evaluated again; the carry always equals the returned states'
 features evaluated afresh, bit for bit. A step in which every chain accepts
@@ -41,7 +42,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapabilityError, ParameterError
-from .kernels import SCORE_FREE, STEP_SAMPLERS, Stepper, _check_eta, _gibbs_step_size
+from .kernels import (LEVEL_DIM_CAP, SCORE_FREE, STEP_SAMPLERS, Stepper, _check_eta,
+                      _gibbs_step_size)
 from .models import TargetModel
 from .scores import SCORE_KINDS, ScoreField
 from .statespace import BitState, all_signs, pack_words, unpack_words
@@ -113,8 +115,9 @@ _LOCKSTEP_CHAINS = 4
 
 def _level_path(model: TargetModel) -> bool:
     """Whether chains of the model step alone against a table of its d + 1
-    levels: above the table cap, on every exchangeable target."""
-    return model.dim > TABLE_DIM_CAP and model.exchangeable
+    levels: on every exchangeable target above the table cap and up to the
+    level cap."""
+    return TABLE_DIM_CAP < model.dim <= LEVEL_DIM_CAP and model.exchangeable
 
 
 def _stepper(model: TargetModel, sampler: str, score: str | None, eta: float,

@@ -79,28 +79,18 @@ class BitState:
 
 
 def pack_words(mask: np.ndarray) -> list[int]:
-    """The rows of an (n, d) boolean mask as Python int words, bit i set
-    iff column i is True, at any d."""
+    """The rows of an (n, d) boolean mask, d <= 64, as Python int words,
+    bit i set iff column i is True."""
     n, d = mask.shape
-    chunks = -(-d // 64)
-    packed = np.zeros((n, 8 * chunks), dtype=np.uint8)
+    packed = np.zeros((n, 8), dtype=np.uint8)
     packed[:, :(d + 7) // 8] = np.packbits(mask, axis=1, bitorder="little")
-    # each 64-bit column converts to Python ints in one call
-    columns = packed.view("<u8").T.tolist()
-    words = columns[0]
-    for i, column in enumerate(columns[1:], 1):
-        words = [w | c << (64 * i) for w, c in zip(words, column)]
-    return words
+    return packed.view("<u8")[:, 0].tolist()
 
 
 def unpack_words(words: list[int], dim: int) -> np.ndarray:
-    """The (n, dim) boolean mask of n Python int words; inverse of `pack_words`."""
-    if dim <= 64:
-        raw = np.array(words, dtype="<u8").reshape(-1, 1).view(np.uint8)
-    else:
-        width = (dim + 7) // 8
-        raw = np.frombuffer(b"".join(w.to_bytes(width, "little") for w in words),
-                            dtype=np.uint8).reshape(len(words), width)
+    """The (n, dim) boolean mask of n Python int words, dim <= 64; inverse
+    of `pack_words`."""
+    raw = np.array(words, dtype="<u8").reshape(-1, 1).view(np.uint8)
     return np.unpackbits(raw, axis=1, count=dim, bitorder="little").view(bool)
 
 

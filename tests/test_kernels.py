@@ -605,7 +605,7 @@ _LEVEL_FAMILIES = {"bits": lambda d: IndependentBits(0.3, d),
                    "curieweiss": lambda d: CurieWeiss(0.6 / d, 0.5, d)}
 
 
-@pytest.mark.parametrize("dim", [13, 24, 64, 70])
+@pytest.mark.parametrize("dim", [13, 24, 40, 64])
 @pytest.mark.parametrize("family", sorted(_LEVEL_FAMILIES))
 def test_level_tables_equal_the_closed_forms(family, dim):
     """On four random states of every level, each sampler's level-table
@@ -614,7 +614,7 @@ def test_level_tables_equal_the_closed_forms(family, dim):
     dmala's per-state base adds its d + 1 terms in the closed form's order
     on the state "first k coordinates +1", so on other states of the level
     it may differ in the last bits: by at most 8 ulps of the sum of the
-    terms' magnitudes (6 measured here, at d = 70)."""
+    terms' magnitudes (4 measured here, at d = 13)."""
     model = _LEVEL_FAMILIES[family](dim)
     rng = np.random.default_rng(dim)
     ranks = rng.random((dim + 1, 4, dim)).argsort(axis=-1)
@@ -669,5 +669,17 @@ def test_level_tables_of_a_false_exchangeability_raise(model, kind):
 def test_level_tables_need_declared_exchangeability():
     model = IsingGrid(4, 4, 0.3, 0.1)
     with pytest.raises(CapabilityError, match="declares every coordinate permutation"):
+        kernels.Stepper(model, "dula", ScoreField(model, "glauber"), 0.8, tables=False,
+                        scalar=True)
+
+
+def test_level_tables_stop_at_the_level_cap():
+    """A level table costs O(d^2) closed-form work to build, so none is
+    built above `LEVEL_DIM_CAP`."""
+    cap = kernels.LEVEL_DIM_CAP
+    model = CurieWeiss(0.3 / cap, 0.0, cap)
+    kernels.Stepper(model, "dula", ScoreField(model, "glauber"), 0.8, tables=False, scalar=True)
+    model = CurieWeiss(0.3 / cap, 0.0, cap + 1)
+    with pytest.raises(CapabilityError, match=f"level tables stop at d = {cap}"):
         kernels.Stepper(model, "dula", ScoreField(model, "glauber"), 0.8, tables=False,
                         scalar=True)

