@@ -748,8 +748,9 @@ class Stepper:
             # OR of their coordinates' bits: the coordinates whose uniforms lie
             # below a threshold t are the word at the count of uniforms below t.
             # Past a step's own candidates its row holds infinities.
-            screened = np.where(u < top, u, np.inf)
-            width = int((u < top).sum(axis=1).max())
+            below = u < top
+            width = int(below.sum(axis=1).max())
+            screened = np.where(below, u, np.inf)
             order = np.argsort(screened, axis=1)[:, :width]
             values = np.take_along_axis(screened, order, axis=1).tolist()
             running = np.zeros((len(u), width + 1), dtype=np.uint64)
