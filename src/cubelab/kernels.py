@@ -739,20 +739,19 @@ class Stepper:
             self, f"_{self.sampler}_features")
         rows, log_weight = _level_rows(model, lambda signs: features(signs, score.signs(signs)))
         # no state flips a coordinate where u >= the largest flip probability
-        # (every row leads with the flip probabilities), so a block sorts only
-        # the uniforms below it
+        # (every row leads with the flip probabilities), so a block keeps only
+        # as many sorted uniforms per step as the most any step has below it
         top = max(max(row[0]) for row in rows)
 
         def uniforms(u):
-            # per step, the screened uniforms in ascending order and the running
+            # per step, the smallest uniforms in ascending order and the running
             # OR of their coordinates' bits: the coordinates whose uniforms lie
             # below a threshold t are the word at the count of uniforms below t.
-            # Past a step's own candidates its row holds infinities.
-            below = u < top
-            width = int(below.sum(axis=1).max())
-            screened = np.where(below, u, np.inf)
-            order = np.argsort(screened, axis=1)[:, :width]
-            values = np.take_along_axis(screened, order, axis=1).tolist()
+            # Past a step's own candidates its row holds uniforms >= top, which
+            # no threshold exceeds, so no lookup reaches them.
+            width = int((u < top).sum(axis=1).max())
+            order = np.argsort(u, axis=1)[:, :width]
+            values = np.take_along_axis(u, order, axis=1).tolist()
             running = np.zeros((len(u), width + 1), dtype=np.uint64)
             np.bitwise_or.accumulate(np.uint64(1) << order.astype(np.uint64), axis=1,
                                      out=running[:, 1:])

@@ -165,10 +165,10 @@ def run_chain(cfg: ChainConfig, dump_path: str | None = None) -> SimResult:
                           dtype=np.float64)
         plus_counts = np.zeros((chains, d), dtype=np.int64)
         hist = np.zeros((chains, d + 1), dtype=np.int64)
-    # chains stepped alone keep a Python int word and a carry each; level-path
-    # paths of words go into the buffer as masks of the +1 coordinates
+    # chains stepped alone keep a Python int word each and need no carry;
+    # level-path paths of words go into the buffer as masks of the +1 coordinates
     words = pack_words(states > 0) if levels else states.tolist()
-    carries, carry = [None] * chains, None
+    carry = None
     trace = np.empty((block,) + states.shape, dtype=bool if levels else states.dtype)
     oks = np.empty((block, chains), dtype=bool)
     accepted = np.zeros(chains, dtype=np.int64)
@@ -179,13 +179,13 @@ def run_chain(cfg: ChainConfig, dump_path: str | None = None) -> SimResult:
         u = [rng.random((n, m)) for rng in rngs]
         if alone:
             for c in range(chains):
-                x, carry = words[c], carries[c]
+                x = words[c]
                 path, flags = [], []
                 for operands in zip(*st.prepare(u[c])):
-                    x, ok, _, _, carry = step(x, *operands, carry)
+                    x, ok, _, _, _ = step(x, *operands)
                     path.append(x)
                     flags.append(ok)
-                words[c], carries[c] = x, carry
+                words[c] = x
                 trace[:n, c] = unpack_words(path, d) if levels else path
                 oks[:n, c] = flags
         else:
@@ -231,9 +231,8 @@ def _write_dump(path: str, steps: np.ndarray, chain_states: np.ndarray, d: int) 
         writer = csv.writer(fh)
         writer.writerow(["chain", "step", "state", "magnetization"])
         for c, states in enumerate(chain_states):
-            for t, state in zip(steps.tolist(), states):
-                word = int(state) if state.ndim == 0 else int.from_bytes(
-                    np.packbits(state, bitorder="little").tobytes(), "little")
+            words = states.tolist() if states.ndim == 1 else pack_words(states)
+            for t, word in zip(steps.tolist(), words):
                 writer.writerow((c, t, f"{word:x}", (2 * word.bit_count() - d) / d))
 
 

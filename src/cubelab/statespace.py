@@ -3,10 +3,12 @@
 States are stored as d-bit words: bit i is set iff coordinate i equals +1,
 with coordinate 0 in the least significant position. The packed word doubles
 as the canonical state index, so the all-(-1) state is index 0 and the
-all-(+1) state is index 2^d - 1. A cube isometry (sigma, flip_mask) acts on
-those indices as the permutation `isometry_images` returns, and
-`orbit_minima` labels the orbits of the group that such permutations
-generate, on states or on any other indexed set.
+all-(+1) state is index 2^d - 1. Every conversion between words and
+coordinates goes through `pack_words` and `unpack_words`, in time linear in
+d at every width. A cube isometry (sigma, flip_mask) acts on the indices as
+the permutation `isometry_images` returns, and `orbit_minima` labels the
+orbits of the group that such permutations generate, on states or on any
+other indexed set.
 """
 
 from __future__ import annotations
@@ -58,13 +60,7 @@ class BitState:
 
     def signs(self) -> np.ndarray:
         """Coordinates as a +-1 vector of dtype int8."""
-        if self.dim <= 63:
-            bits = (np.int64(self.bits) >> np.arange(self.dim)) & 1
-        else:
-            # beyond 63 bits the word no longer fits a numpy integer
-            bits = np.fromiter(((self.bits >> i) & 1 for i in range(self.dim)),
-                               dtype=np.int8, count=self.dim)
-        return (bits * 2 - 1).astype(np.int8)
+        return unpack_words([self.bits], self.dim)[0].view(np.int8) * 2 - 1
 
     @classmethod
     def from_signs(cls, signs) -> "BitState":
@@ -72,25 +68,30 @@ class BitState:
         arr = np.asarray(signs)
         if arr.ndim != 1 or not np.all(np.abs(arr) == 1):
             raise ValueError("signs must be a one-dimensional +-1 vector")
-        bits = 0
-        for i in np.flatnonzero(arr > 0):
-            bits |= 1 << int(i)
-        return cls(bits, arr.shape[0])
+        return cls(pack_words(arr[None, :] > 0)[0], arr.shape[0])
 
 
 def pack_words(mask: np.ndarray) -> list[int]:
-    """The rows of an (n, d) boolean mask, d <= 64, as Python int words,
-    bit i set iff column i is True."""
-    n, d = mask.shape
-    packed = np.zeros((n, 8), dtype=np.uint8)
-    packed[:, :(d + 7) // 8] = np.packbits(mask, axis=1, bitorder="little")
+    """The rows of an (n, d) boolean mask as Python int words, bit i set iff
+    column i is True."""
+    rows = np.packbits(mask, axis=1, bitorder="little")
+    # up to 64 bits a row is one uint64, so a whole block converts in one call
+    if mask.shape[1] > 64:
+        return [int.from_bytes(row.tobytes(), "little") for row in rows]
+    packed = np.zeros((len(rows), 8), dtype=np.uint8)
+    packed[:, :rows.shape[1]] = rows
     return packed.view("<u8")[:, 0].tolist()
 
 
-def unpack_words(words: list[int], dim: int) -> np.ndarray:
-    """The (n, dim) boolean mask of n Python int words, dim <= 64; inverse
-    of `pack_words`."""
-    raw = np.array(words, dtype="<u8").reshape(-1, 1).view(np.uint8)
+def unpack_words(words, dim: int) -> np.ndarray:
+    """The (n, dim) boolean mask of n words, Python ints or an integer array
+    of words up to 64 bits; inverse of `pack_words`."""
+    if dim > 64:
+        width = (dim + 7) // 8
+        raw = np.frombuffer(b"".join(w.to_bytes(width, "little") for w in words),
+                            dtype=np.uint8).reshape(-1, width)
+    else:
+        raw = np.array(words, dtype="<u8").reshape(-1, 1).view(np.uint8)
     return np.unpackbits(raw, axis=1, count=dim, bitorder="little").view(bool)
 
 
@@ -121,9 +122,7 @@ def all_signs(dim: int) -> np.ndarray:
     """
     if dim > MAX_EXACT_DIM:
         raise CapabilityError(f"exact enumeration capped at d <= {MAX_EXACT_DIM}, got {dim}")
-    ks = np.arange(1 << dim, dtype=np.int64)
-    bits = (ks[:, None] >> np.arange(dim)) & 1
-    return (bits * 2 - 1).astype(np.int8)
+    return unpack_words(np.arange(1 << dim), dim).view(np.int8) * 2 - 1
 
 
 def isometry_images(dim: int, sigma, flip_mask: int) -> np.ndarray:
@@ -137,7 +136,7 @@ def isometry_images(dim: int, sigma, flip_mask: int) -> np.ndarray:
     if sorted(sigma) != list(range(dim)) or not 0 <= flip_mask < n:
         raise ParameterError(
             f"({sigma}, {flip_mask}) is not an isometry of the {dim}-cube")
-    bits = (np.arange(n)[:, None] >> np.arange(dim)) & 1
+    bits = unpack_words(np.arange(n), dim)
     return (bits << np.asarray(sigma, dtype=np.int64)).sum(axis=1) ^ flip_mask
 
 

@@ -29,8 +29,8 @@ from cubelab.kernels import (
 from cubelab.models import (BitsMixture, CurieWeiss, IndependentBits, IsingGrid, _exchangeable,
                             exact_target)
 from cubelab.scores import SCORE_KINDS, ScoreField, glauber_score
-from cubelab.statespace import (all_signs, hamming, isometry_images, orbit_minima, pack_words,
-                                state_of)
+from cubelab.statespace import (MAX_SIM_DIM, BitState, all_signs, hamming, isometry_images,
+                                orbit_minima, pack_words, state_of)
 
 SMALL_MODELS = [
     IndependentBits(0.5, 3),
@@ -578,6 +578,18 @@ def test_step_distribution_matches_matrix_row(sampler, kind):
         f"{sampler}: {freq} vs {row}")
 
 
+def test_one_shot_step_at_the_largest_dimension():
+    """A public one-shot step takes and returns states of dimension
+    `MAX_SIM_DIM`, the largest that `BitState` accepts."""
+    d = MAX_SIM_DIM
+    model = IndependentBits(0.3, d)
+    rng = np.random.default_rng(d)
+    x = BitState(int.from_bytes(rng.bytes(d // 8), "little"), d)
+    out = dula_step(model, ScoreField(model, "glauber"), x, 0.5, rng)
+    assert out.accepted and out.next == out.proposal
+    assert out.next.dim == d and out.auxiliary is None
+
+
 @pytest.mark.parametrize("dim", [3, 6, 10, 12])
 def test_scalar_dot_products_sum_like_vecdot(dim):
     """The scalar steps' Metropolis dot products add the terms of the set
@@ -644,6 +656,25 @@ def test_level_tables_equal_the_closed_forms(family, dim):
                 scale = np.abs(model.log_weight_signs(signs)) + terms
                 assert (np.abs(np.array(pairs) - closed_form) <= 8 * np.spacing(scale)).all()
             same_bits([level._log_weight(w) for w in words], model.log_weight_signs(signs))
+
+
+@pytest.mark.parametrize("family", sorted(_LEVEL_FAMILIES))
+def test_gibbs_level_pick_at_the_full_flip_mass(family):
+    """A uniform equal to a state's full sequential flip mass lies below its
+    level's stay bound, yet no running sum exceeds it, so the level pick
+    flips nothing, as the closed form's `np.cumsum` says; one ulp lower, it
+    flips the last coordinate."""
+    d, eta = 24, 0.45
+    model = _LEVEL_FAMILIES[family](d)
+    level = kernels.Stepper(model, "gibbs", None, eta, tables=False, scalar=True)
+    closed = kernels.Stepper(model, "gibbs", None, eta, tables=False)
+    rng = np.random.default_rng(d)
+    signs = np.where(rng.random((d + 1, d)) < np.linspace(0, 1, d + 1)[:, None], 1.0, -1.0)
+    for x, s in zip(pack_words(signs > 0), signs):
+        (cum,) = closed._at(s)
+        for u, moved in ((cum[-1], 0), (np.nextafter(cum[-1], 0.0), 1 << (d - 1))):
+            assert level.step(x, [u])[0] == x ^ moved
+            assert pack_words(closed.step(s, np.array([u]))[0][None] > 0) == [x ^ moved]
 
 
 @pytest.mark.parametrize("model, kind", [

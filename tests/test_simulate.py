@@ -190,38 +190,47 @@ class _ReferenceStepper(Stepper):
         return self._select(ok, prop, x), ok, prop, z, None
 
 
-@pytest.mark.parametrize("chains", [1, 3])
-@pytest.mark.parametrize("score", ["glauber", "gibbs", "stein"])
-@pytest.mark.parametrize("sampler", ["dmala", "dmaps"])
-@pytest.mark.parametrize("model", [CurieWeiss(0.06, 0.5, 16), BitsMixture(0.2, 24)],
-                         ids=["d16", "d24"])
-def test_carried_features_reproduce_the_reference_stepper(model, sampler, score, chains,
-                                                          monkeypatch):
-    """Carrying the accepted state's features changes no float: the lockstep
-    +-1 estimators equal those of the re-evaluating stepper bit for bit, over
-    more than one block of uniforms, on a single unbatched chain and on a
-    batch."""
-    cfg = ChainConfig(sampler, model, score, 1.0, steps=1200, burn_in=100, thinning=3,
-                      chains=chains, seed=5)
-    _plus_minus_path(monkeypatch)
-    carried = run_chain(cfg)
-    monkeypatch.setattr(simulate, "Stepper", _ReferenceStepper)
-    reference = run_chain(cfg)
-    for field in ("mean_magnetization", "marginals", "magnetization_histogram",
-                  "acceptance_fraction"):
-        np.testing.assert_array_equal(getattr(carried, field), getattr(reference, field),
-                                      err_msg=field)
-    assert carried.state_counts is None
-    # both branches of the accept test are taken on every chain
-    assert 0 < carried.acceptance_fraction.min() <= carried.acceptance_fraction.max() < 1
+def _reproduces_the_reference_stepper(levels: bool):
+    """The test that a path's estimators equal, bit for bit, those of the
+    re-evaluating reference stepper on +-1 vectors in lockstep; `levels`
+    picks the path, the level table or the +-1 lockstep step with its carry."""
+    @pytest.mark.parametrize("chains", [1, 3])
+    @pytest.mark.parametrize("score", ["glauber", "gibbs", "stein"])
+    @pytest.mark.parametrize("sampler", ["dmala", "dmaps"])
+    @pytest.mark.parametrize("model", [CurieWeiss(0.06, 0.5, 16), BitsMixture(0.2, 24)],
+                             ids=["d16", "d24"])
+    def test(model, sampler, score, chains, monkeypatch):
+        """Over more than one block of uniforms, on one chain and on three,
+        the path changes no float of the estimators; both branches of the
+        accept test are taken on every chain."""
+        cfg = ChainConfig(sampler, model, score, 1.0, steps=1200, burn_in=100, thinning=3,
+                          chains=chains, seed=5)
+        if not levels:
+            _plus_minus_path(monkeypatch)
+        stepped = run_chain(cfg)
+        _plus_minus_path(monkeypatch)
+        monkeypatch.setattr(simulate, "Stepper", _ReferenceStepper)
+        reference = run_chain(cfg)
+        for field in _FIELDS:
+            np.testing.assert_array_equal(getattr(stepped, field), getattr(reference, field),
+                                          err_msg=field)
+        assert stepped.state_counts is None
+        assert 0 < stepped.acceptance_fraction.min() <= stepped.acceptance_fraction.max() < 1
+
+    return test
+
+
+# carrying the accepted state's features, and stepping alone against a level table
+test_carried_features_reproduce_the_reference_stepper = _reproduces_the_reference_stepper(False)
+test_level_path_reproduces_the_reference_stepper = _reproduces_the_reference_stepper(True)
 
 
 def test_vector_runs_reproduce_the_reference_stepper_property():
-    """Property form of the test above, over drawn families, dimensions
-    13-20, scores, step sizes, chain counts and seeds: lockstep +-1
-    estimators with the carry and the all-accepted shortcut equal those of
-    the re-evaluating reference stepper bit for bit. Derandomized, so every
-    run draws the same bounded set of examples."""
+    """Property form of `test_carried_features_reproduce_the_reference_stepper`,
+    over drawn families, dimensions 13-20, scores, step sizes, chain counts
+    and seeds: lockstep +-1 estimators with the carry and the all-accepted
+    shortcut equal those of the re-evaluating reference stepper bit for bit.
+    Derandomized, so every run draws the same bounded set of examples."""
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
 
@@ -273,33 +282,11 @@ def test_vector_steps_evaluate_each_state_once(sampler, chains, monkeypatch):
     assert calls == {"score": steps + (sampler == "dmala"), "log_weight": steps + 1}
 
 
-@pytest.mark.parametrize("chains", [1, 3])
-@pytest.mark.parametrize("score", ["glauber", "gibbs", "stein"])
-@pytest.mark.parametrize("sampler", ["dmala", "dmaps"])
-@pytest.mark.parametrize("model", [CurieWeiss(0.06, 0.5, 16), BitsMixture(0.2, 24)],
-                         ids=["d16", "d24"])
-def test_level_path_reproduces_the_reference_stepper(model, sampler, score, chains,
-                                                     monkeypatch):
-    """Chains of an exchangeable target step alone against its level table
-    and give, bit for bit, the estimators of the re-evaluating reference
-    stepper on +-1 vectors in lockstep, over more than one block of
-    uniforms; both branches of the accept test are taken on every chain."""
-    cfg = ChainConfig(sampler, model, score, 1.0, steps=1200, burn_in=100, thinning=3,
-                      chains=chains, seed=5)
-    levels = run_chain(cfg)
-    _plus_minus_path(monkeypatch)
-    monkeypatch.setattr(simulate, "Stepper", _ReferenceStepper)
-    reference = run_chain(cfg)
-    for field in _FIELDS:
-        np.testing.assert_array_equal(getattr(levels, field), getattr(reference, field),
-                                      err_msg=field)
-    assert 0 < levels.acceptance_fraction.min() <= levels.acceptance_fraction.max() < 1
-
-
 def test_level_runs_reproduce_the_reference_stepper_property():
-    """Property form of the test above over all five samplers, the three
-    exchangeable families at dimensions 13-64 (full 64-bit words included),
-    scores, step sizes, chain counts and seeds. Derandomized."""
+    """Property form of `test_level_path_reproduces_the_reference_stepper`
+    over all five samplers, the three exchangeable families at dimensions
+    13-64 (full 64-bit words included), scores, step sizes, chain counts and
+    seeds. Derandomized."""
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
 

@@ -1,8 +1,19 @@
 import numpy as np
 import pytest
 
-from cubelab.statespace import (BitState, all_signs, hamming, index_of, pack_words, state_of,
-                                unpack_words)
+from cubelab.statespace import (MAX_SIM_DIM, BitState, all_signs, hamming, index_of,
+                                isometry_images, pack_words, state_of, unpack_words)
+
+
+def _word(row) -> int:
+    """The word whose bit i is row[i], written out as binary digits, most
+    significant first: a per-bit reference that shares no code with the codec."""
+    return int(np.where(row[::-1], b"1", b"0").tobytes(), 2)
+
+
+def _row(word: int, dim: int) -> np.ndarray:
+    """The dim bits of a word, least significant first; inverse of `_word`."""
+    return np.frombuffer(format(word, f"0{dim}b").encode()[::-1], dtype=np.uint8) == ord("1")
 
 
 def test_index_conventions():
@@ -60,29 +71,47 @@ def test_flip_involution_and_neighbors():
         x.coord(-1)
 
 
-def test_signs_roundtrip():
-    rng = np.random.default_rng(3)
-    for dim in (1, 3, 7, 64, 70):
-        bits = int(rng.integers(0, 1 << min(dim, 62)))
+@pytest.mark.parametrize("dim", [1, 63, 64, 65, 1000, MAX_SIM_DIM])
+def test_bit_state_round_trip(dim):
+    """`signs()` and `from_signs` agree with the per-bit reference at every
+    width `BitState` accepts, up to `MAX_SIM_DIM`."""
+    rng = np.random.default_rng(dim)
+    for bits in (0, (1 << dim) - 1, _word(rng.random(dim) < 0.5)):
         x = BitState(bits, dim)
-        assert BitState.from_signs(x.signs()) == x
-        assert x.signs().dtype == np.int8
+        signs = x.signs()
+        assert signs.dtype == np.int8 and signs.shape == (dim,)
+        np.testing.assert_array_equal(signs, np.where(_row(bits, dim), 1, -1))
+        assert BitState.from_signs(signs) == x
+        assert BitState.from_signs(signs.astype(np.float64)) == x
 
 
 def test_all_signs_matches_state_signs():
     table = all_signs(5)
-    assert table.shape == (32, 5)
+    assert table.shape == (32, 5) and table.dtype == np.int8
     for k in range(32):
+        np.testing.assert_array_equal(table[k], [((k >> i) & 1) * 2 - 1 for i in range(5)])
         np.testing.assert_array_equal(table[k], state_of(k, 5).signs())
 
 
-@pytest.mark.parametrize("dim", [1, 13, 63, 64])
+@pytest.mark.parametrize("dim", [1, 4, 7])
+def test_isometry_images_move_bits(dim):
+    """Bit sigma[i] of g(k) is bit i of k, XORed with the flip mask."""
+    rng = np.random.default_rng(dim)
+    for _ in range(4):
+        sigma = rng.permutation(dim).tolist()
+        mask = int(rng.integers(0, 1 << dim))
+        want = [sum(((k >> i) & 1) << sigma[i] for i in range(dim)) ^ mask
+                for k in range(1 << dim)]
+        assert isometry_images(dim, sigma, mask).tolist() == want
+
+
+@pytest.mark.parametrize("dim", [1, 13, 63, 64, 65, 130, 1 << 16])
 def test_packed_words_round_trip(dim):
-    """`pack_words` turns mask rows into the words `BitState.from_signs`
-    builds, up to 64 bits, and `unpack_words` inverts it."""
+    """`pack_words` turns mask rows into the words of the per-bit reference
+    at any width, and `unpack_words` inverts it."""
     mask = np.random.default_rng(dim).random((40, dim)) < 0.5
     mask[0], mask[1] = False, True
     words = pack_words(mask)
-    assert words == [BitState.from_signs(np.where(row, 1, -1)).bits for row in mask]
+    assert words == [_word(row) for row in mask]
     np.testing.assert_array_equal(unpack_words(words, dim), mask)
     assert unpack_words([], dim).shape == (0, dim)
