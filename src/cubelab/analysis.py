@@ -31,8 +31,6 @@ from .statespace import all_signs, isometry_images, orbit_minima
 # edges under the target's declared symmetries: every edge when it declares
 # none, about d orbits on the exchangeable models
 CONTRACTION_DIM_CAP = 8
-# exhaustive flip-path validation solves every pair of states
-ALL_PAIRS_DIM_CAP = 5
 # the full-sum Metropolis reference enumerates 2^d auxiliary states per pair
 MH_ORACLE_DIM_CAP = 6
 DIRECT_SOLVE_DIM_CAP = 6
@@ -390,28 +388,25 @@ class ContractionCertificate:
 
     `pair_values[j]` is the exact W1 between the kernel rows of `pairs[j]`,
     and kappa is its max, which bounds the Wasserstein ratio for every pair
-    by the triangle inequality along a flip path; `all_pairs_checked`
-    records whether that implication was verified exhaustively.
+    by the triangle inequality along a flip path.
     `solved_on[j]` is the index of the pair whose transport solve gave
     `pair_values[j]`: j itself, or the lowest-index pair of its orbit under
-    the declared symmetries. `contraction_certificate` always fills it; with
-    no symmetries every entry is its own index.
+    the declared symmetries; with no symmetries every entry is its own
+    index.
 
     `bracketed[j]` marks a pair whose W1 was bracketed, not solved: its
     coupling upper bound lies more than a margin below the largest
     coordinate lower bound of any pair, so it cannot be kappa or the
     witness, and `pair_values[j]` holds that upper bound instead of the
-    exact W1. `contraction_certificate` always fills it; without upper
-    bounds no pair is bracketed.
+    exact W1. Without upper bounds no pair is bracketed.
     """
 
     kappa: float
     witness: tuple[int, int]
     pairs: np.ndarray
     pair_values: np.ndarray
-    all_pairs_checked: bool = False
-    solved_on: np.ndarray | None = None
-    bracketed: np.ndarray | None = None
+    solved_on: np.ndarray
+    bracketed: np.ndarray
 
 
 def _checked_isometry(t: np.ndarray, sigma, flip_mask: int) -> np.ndarray:
@@ -440,8 +435,7 @@ def _edge_orbits(d: int, images: list[np.ndarray]) -> np.ndarray:
     return orbit_minima(pairs.shape[0], maps)
 
 
-def contraction_certificate(kernel: KernelMatrix, all_pairs: bool = False,
-                            symmetries: tuple = (),
+def contraction_certificate(kernel: KernelMatrix, symmetries: tuple = (),
                             upper: np.ndarray | None = None) -> ContractionCertificate:
     """Worst adjacent-pair W1 of a kernel, from one transport solve per orbit
     of hypercube edges.
@@ -452,9 +446,7 @@ def contraction_certificate(kernel: KernelMatrix, all_pairs: bool = False,
     before any solve. A symmetry maps every edge to one with the same W1,
     so only the lowest-index edge of each orbit is solved, all in one
     batch, and its value is copied to the rest of the orbit; with none,
-    every edge is its own orbit. `all_pairs=True` then checks the
-    flip-path bound W <= kappa * Hamming against the exact W1 of every pair
-    of states, at d <= `ALL_PAIRS_DIM_CAP`.
+    every edge is its own orbit.
 
     `upper`, an upper bound on the W1 of every edge in the order of
     `pairs` (as `_coupling_upper_bounds` gives it), brackets the orbits:
@@ -469,9 +461,6 @@ def contraction_certificate(kernel: KernelMatrix, all_pairs: bool = False,
     if d > CONTRACTION_DIM_CAP:
         raise CapabilityError(
             f"contraction certificates capped at d <= {CONTRACTION_DIM_CAP}, got {d}")
-    if all_pairs and d > ALL_PAIRS_DIM_CAP:
-        raise CapabilityError(
-            f"exhaustive pair validation capped at d <= {ALL_PAIRS_DIM_CAP}, got {d}")
     t = kernel.probs
     pairs = _adjacent_pairs(d)
     if upper is not None:
@@ -490,18 +479,8 @@ def contraction_certificate(kernel: KernelMatrix, all_pairs: bool = False,
     # pairs that tie in real arithmetic differ in the last ulps; the lowest
     # index among them is a witness that noise cannot move
     top = int(np.argmax(values >= kappa - 1e-12 * max(1.0, kappa)))
-    if all_pairs:
-        a, c = np.triu_indices(1 << d, 1)
-        ell = np.bitwise_count(a ^ c)
-        w = _transport_values(t[a], t[c])[0]
-        bad = np.flatnonzero(w > kappa * ell + 1e-9)
-        if bad.size:
-            j = bad[0]
-            raise NumericalError(
-                f"pair ({a[j]}, {c[j]}) violates the flip-path bound: "
-                f"W = {w[j]:.6e} > kappa * ell = {kappa * ell[j]:.6e}")
     return ContractionCertificate(kappa, (int(pairs[top, 0]), int(pairs[top, 1])),
-                                  pairs, values, all_pairs, solved_on, bracketed)
+                                  pairs, values, solved_on, bracketed)
 
 
 def _adjacent_product_w1(q: np.ndarray) -> np.ndarray:

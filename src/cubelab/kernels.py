@@ -126,10 +126,6 @@ class GeneratorMatrix:
             raise ValueError("generator rows must sum to zero")
         q.setflags(write=False)
 
-    @property
-    def dim(self) -> int:
-        return self.rates.shape[0].bit_length() - 1
-
 
 @dataclass(frozen=True)
 class StepOutcome:
@@ -459,13 +455,6 @@ def _dmaps_orbit_flux(model: TargetModel, score: ScoreField,
             b *= stage2[z]
             tile += b
     return reps, flux, images
-
-
-def _dmaps_flux(model: TargetModel, score: ScoreField, eta: float) -> np.ndarray:
-    """Accepted flux of the adjusted two-stage kernel over all pairs of
-    states: the representative rows of `_dmaps_orbit_flux`, each other row
-    a permutation of its representative's."""
-    return _permute_orbits(*_dmaps_orbit_flux(model, score, eta))
 
 
 def dmaps_matrix(model: TargetModel, score: ScoreField, eta: float) -> KernelMatrix:

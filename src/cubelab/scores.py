@@ -152,28 +152,10 @@ class BetaConstants:
     beta2: float
 
 
-def beta_constants(score: ScoreField, exhaustive: bool = False) -> BetaConstants:
-    """Evaluate (beta1, beta2) from the tabulated score.
-
-    `exhaustive=True` computes beta2 over all state pairs instead of
-    adjacent ones; it is quadratic in 2^d and intended as the validation
-    mode at d <= 5.
-    """
+def beta_constants(score: ScoreField) -> BetaConstants:
+    """Evaluate (beta1, beta2) from the tabulated score."""
     tab = score.table()
-    n, d = tab.shape
-    beta1 = float(np.abs(tab).max())
-    if exhaustive:
-        if d > 5:
-            raise CapabilityError(f"exhaustive beta2 capped at d <= 5, got {d}")
-        from .statespace import hamming, state_of
-
-        beta2 = 0.0
-        for a in range(n):
-            for b in range(a + 1, n):
-                ell = hamming(state_of(a, d), state_of(b, d))
-                beta2 = max(beta2, float(np.abs(tab[a] - tab[b]).max()) / (2.0 * ell))
-        return BetaConstants(beta1, beta2)
-    return BetaConstants(beta1, _adjacent_beta2(tab, flipped=True))
+    return BetaConstants(float(np.abs(tab).max()), _adjacent_beta2(tab, flipped=True))
 
 
 def smooth_beta_constants(score: ScoreField) -> BetaConstants:

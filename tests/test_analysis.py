@@ -283,6 +283,19 @@ def test_distributions_reject_non_finite_entries(bad):
         detailed_balance_residual(gibbs_matrix(IndependentBits(0.3, 2), 0.4), q)
 
 
+@pytest.mark.parametrize("q, message", [
+    (np.full((2, 2), 0.25), "q must be one-dimensional"),
+    (np.array([0.75, 0.25, 0.25, -0.25]), "q has a negative entry"),
+    (np.full(4, 0.3), "q is not normalized"),
+    (np.full(8, 0.125), "distributions have different lengths"),
+], ids=["two-dimensional", "negative", "unnormalized", "unequal-lengths"])
+def test_distributions_reject_malformed_input(q, message):
+    p = np.full(4, 0.25)
+    for fn in (tv_distance, wasserstein_hamming):
+        with pytest.raises(ValueError, match=message):
+            fn(p, q)
+
+
 def test_tv_examples():
     p = np.zeros(4)
     p[0] = 1.0
@@ -311,11 +324,25 @@ def test_detailed_balance_residuals():
                                      np.array([0.5, 0.5])) > 1e-3
 
 
+def _assert_flip_path_bound(t, kappa):
+    """Every pair of states (a, c) has exact W1 at most kappa * ham(a, c)
+    + 1e-9: the triangle inequality along a flip path, checked on all pairs."""
+    a, c = np.triu_indices(t.shape[0], 1)
+    ell = np.bitwise_count(a ^ c)
+    w = analysis._transport_values(t[a], t[c])[0]
+    bad = np.flatnonzero(w > kappa * ell + 1e-9)
+    assert bad.size == 0, (f"pair ({a[bad[0]]}, {c[bad[0]]}): W = {w[bad[0]]:.6e} "
+                           f"> kappa * ell = {kappa * ell[bad[0]]:.6e}")
+
+
 def test_contraction_certificate_flip_path_bound():
     model = BitsMixture(0.5, 4)
     t = dups_matrix(model, ScoreField(model, "stein"), 0.5)
-    cert = contraction_certificate(t, all_pairs=True)
-    assert cert.all_pairs_checked
+    cert = contraction_certificate(t)
+    _assert_flip_path_bound(t.probs, cert.kappa)
+    # the check has teeth: a kappa below the witness's W1 fails it
+    with pytest.raises(AssertionError, match=r"> kappa \* ell"):
+        _assert_flip_path_bound(t.probs, 0.9 * cert.kappa)
     assert cert.pair_values.max() == cert.kappa
     a, b = cert.witness
     assert hamming(state_of(a, 4), state_of(b, 4)) == 1
@@ -335,9 +362,6 @@ def test_contraction_certificate_dimension_cap(solves):
     model = IsingGrid(3, 3, 0.4, 0.1)
     with pytest.raises(CapabilityError):
         contraction_certificate(gibbs_matrix(model, 0.5))
-    # the exhaustive validation cap is checked before any edge is solved
-    with pytest.raises(CapabilityError, match="exhaustive"):
-        contraction_certificate(gibbs_matrix(IndependentBits(0.5, 6), 0.5), all_pairs=True)
     assert solves == []
 
 
@@ -453,8 +477,8 @@ def test_orbit_reduced_kappa_bounds_every_pair(model):
     """The exhaustive flip-path check holds against the copied edge values."""
     for sampler in ("dups", "dmaps"):
         kernel = kernel_matrix(model, sampler, ScoreField(model, "glauber"), 0.6)
-        cert = contraction_certificate(kernel, all_pairs=True, symmetries=model.symmetries())
-        assert cert.all_pairs_checked
+        cert = contraction_certificate(kernel, symmetries=model.symmetries())
+        _assert_flip_path_bound(kernel.probs, cert.kappa)
         assert np.unique(cert.solved_on).size < len(cert.pairs)
 
 
@@ -654,6 +678,14 @@ def test_naive_mh_oracle_where_two_stage_entries_underflow():
     model = IndependentBits(0.5, 3)
     oracle = naive_mh_oracle(model, ScoreField(model, "glauber"), 0.002)
     np.testing.assert_array_equal(oracle.probs, np.eye(8))
+
+
+def test_reference_solvers_above_their_caps():
+    with pytest.raises(CapabilityError, match="d <= 6"):
+        stationary_direct(gibbs_matrix(IndependentBits(0.5, 7), 0.5))
+    uniform = np.full(1 << 7, 1 / (1 << 7))
+    with pytest.raises(CapabilityError, match="coupling LP capped at d <= 6"):
+        wasserstein_hamming_lp(uniform, uniform)
 
 
 def test_naive_mh_oracle_cap():

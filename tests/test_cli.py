@@ -34,6 +34,12 @@ def test_eta_grid_parsing():
     for grid in ("0.1:inf:2", "nan:1:2", "0.1:nan:2"):
         with pytest.raises(ParameterError, match="positive and finite"):
             parse_eta_grid(grid)
+    for grid in ("a:1:3", "0.1:1:x", "0.1:1:2.5"):
+        with pytest.raises(ParameterError, match=f"bad eta grid '{grid}': "):
+            parse_eta_grid(grid)
+    for grid in ("1:0.1:3", "0.1:1:0"):
+        with pytest.raises(ParameterError, match="need 0 < min <= max, count >= 1"):
+            parse_eta_grid(grid)
 
 
 def test_analyze_csv_deterministic(capsys):
@@ -328,6 +334,38 @@ def test_empty_name_lists_are_parameter_errors(capsys, argv):
     assert err.startswith("parameter error: empty")
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["sweep", "--sampler", "dula,warp", "--eta", "0.5"],
+     "unknown sampler 'warp', expected one of "),
+    (["sweep", "--score", "stein,hamming", "--eta", "0.5"],
+     "unknown score 'hamming', expected one of "),
+    (["simulate", "--sampler", "dula", "--eta-grid", "0.4:0.6:2", "--steps", "10"],
+     "simulate takes a single --eta"),
+    (["bounds"], "provide --eta or --eta-grid"),
+], ids=["sampler", "score", "simulate-grid", "no-eta"])
+def test_malformed_arguments_are_parameter_errors(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv, "--model", "bits", "--beta", "0.3", "--dim", "3")
+    assert code == 2 and out == ""
+    assert err.startswith(f"parameter error: {message}") and err.count("\n") == 1
+
+
+def test_sweep_across_the_gibbs_limit_is_a_parameter_error(tmp_path, capsys):
+    """The default `--sampler all` includes gibbs, which is undefined where
+    exp(-2/eta) > 1/d; the sweep fails rather than drop or blank those rows,
+    and writes no output."""
+    path = tmp_path / "sweep.csv"
+    code, out, err = run_cli(capsys, "sweep", "--model", "bits", "--beta", "0.3", "--dim", "4",
+                             "--eta-grid", "0.3:2:3", "--skip-kappa", "--out", str(path))
+    assert code == 2 and out == ""
+    assert err == ("parameter error: gibbs requires exp(-2/eta) <= 1/d: "
+                   "exp(-2/2.0) = 0.367879 > 1/4\n")
+    assert not path.exists()
+    # naming the other samplers runs the same grid
+    assert run_cli(capsys, "sweep", "--model", "bits", "--beta", "0.3", "--dim", "4",
+                   "--eta-grid", "0.3:2:3", "--skip-kappa",
+                   "--sampler", "dula,dmala,dups,dmaps,prox")[0] == 0
+
+
 @pytest.mark.parametrize("jobs", ["0", "-3"])
 def test_sweep_jobs_below_one_is_a_parameter_error(capsys, jobs):
     code, out, err = run_cli(capsys, "sweep", "--model", "bits", "--beta", "0.3",
@@ -563,6 +601,16 @@ def test_unwritable_output_is_a_parameter_error_before_any_work(capsys, monkeypa
                           "'/nonexistent', which does not exist")
     assert err.count("\n") == 1
     assert not os.path.exists(os.path.dirname(_MISSING))
+
+
+def test_output_path_under_a_regular_file_is_a_parameter_error(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    path = blocker / "a.csv"
+    code, out, err = run_cli(capsys, "analyze", *_BITS, "--sampler", "dula", "--eta", "0.5",
+                             "--out", str(path))
+    assert code == 2 and out == ""
+    assert err == f"parameter error: --out '{path}' is in '{blocker}', which is not a directory\n"
 
 
 def test_output_path_naming_a_directory_is_a_parameter_error(tmp_path, capsys):

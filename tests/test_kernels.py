@@ -360,6 +360,12 @@ def _flip_law(logit):
     return law
 
 
+def _dmaps_flux(model, score, eta):
+    """Accepted dmaps flux over all pairs of states: every orbit's
+    representative row, permuted onto the rest of its orbit."""
+    return kernels._permute_orbits(*kernels._dmaps_orbit_flux(model, score, eta))
+
+
 def _dmaps_flux_reference(model, score, eta):
     """The dmaps flux by the per-z formula: one exp over all pairs per z."""
     n = 1 << model.dim
@@ -382,7 +388,7 @@ def test_dmaps_flux_matches_per_z_reference(model):
     for kind in ("stein", "gibbs", "glauber"):
         field = ScoreField(model, kind)
         for eta in (0.2, 0.5, 1.0):
-            got = kernels._dmaps_flux(model, field, eta)
+            got = _dmaps_flux(model, field, eta)
             want = _dmaps_flux_reference(model, field, eta)
             assert np.abs(got - want).max() <= 1e-14, (kind, eta)
 
@@ -396,13 +402,13 @@ def test_dmaps_flux_falls_back_where_exp_underflows(model, kind, monkeypatch):
     field = ScoreField(model, kind)
     t = dmaps_matrix(model, field, 0.5)
     assert np.isfinite(t.probs).all()
-    flux = kernels._dmaps_flux(model, field, 0.5)
+    flux = _dmaps_flux(model, field, 0.5)
     assert np.abs(flux - _dmaps_flux_reference(model, field, 0.5)).max() <= 1e-14
     assert 0.0 <= dmaps_empirical_delta(model, field, 0.5) <= 1.0
     # the configuration does need the fallback: factorizing every z gives NaN
     monkeypatch.setattr(kernels, "_PHI_SPAN", math.inf)
     with np.errstate(all="ignore"):
-        assert np.isnan(kernels._dmaps_flux(model, field, 0.5)).any()
+        assert np.isnan(_dmaps_flux(model, field, 0.5)).any()
 
 
 def _declaring(model, symmetries, **attributes):
@@ -428,8 +434,8 @@ def test_orbit_built_dmaps_flux_matches_the_flux_without_symmetries(model, kinds
         field = ScoreField(model, kind)
         reps, rows, _ = kernels._dmaps_orbit_flux(model, field, eta)
         assert 4 * len(reps) < 1 << model.dim, kind
-        flux = kernels._dmaps_flux(model, field, eta)
-        want = kernels._dmaps_flux(plain, ScoreField(plain, kind), eta)
+        flux = _dmaps_flux(model, field, eta)
+        want = _dmaps_flux(plain, ScoreField(plain, kind), eta)
         assert np.abs(flux - want).max() <= 1e-14, kind
         probs = dmaps_matrix(model, field, eta).probs
         # every row is its orbit representative's, permuted
@@ -500,6 +506,24 @@ def test_kernels_stay_finite_where_the_stage_one_rate_underflows(sampler):
 def test_kernel_matrix_rejects_non_kernels(probs, message):
     with pytest.raises(ValueError, match=message):
         KernelMatrix(probs, 0.5, "dula")
+
+
+@pytest.mark.parametrize("rates,message", [
+    (np.zeros((2, 4)), "must be square"),
+    (np.array([[-1.0, 1.0], [0.5, -0.25]]), "rows must sum to zero"),
+])
+def test_generator_matrix_rejects_non_generators(rates, message):
+    with pytest.raises(ValueError, match=message):
+        GeneratorMatrix(rates)
+
+
+def test_one_shot_steps_need_a_score_and_a_state_of_the_model():
+    model = IndependentBits(0.3, 3)
+    rng = np.random.default_rng(0)
+    with pytest.raises(ParameterError, match="'dula' needs a score field"):
+        dula_step(model, None, state_of(5, 3), 0.5, rng)
+    with pytest.raises(ValueError, match="state dimension 4 != model dimension 3"):
+        dula_step(model, ScoreField(model, "glauber"), state_of(5, 4), 0.5, rng)
 
 
 def test_dense_matrices_reject_non_finite_entries():

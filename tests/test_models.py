@@ -151,6 +151,18 @@ def test_log_weight_finite_everywhere():
     assert np.isfinite(exact_target(model)).all()
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: IndependentBits(0.3, 0), "dimension must be positive, got 0"),
+    (lambda: BitsMixture(0.3, -1), "dimension must be positive, got -1"),
+    (lambda: CurieWeiss(0.3, 0.0, 0), "dimension must be positive, got 0"),
+    (lambda: IsingGrid(0, 3, 0.3), "grid must be at least 1x1, got 0x3"),
+    (lambda: IsingGrid(2, 0, 0.3), "grid must be at least 1x1, got 2x0"),
+], ids=["bits", "mixture", "curieweiss", "ising-rows", "ising-cols"])
+def test_empty_models_are_rejected(make, message):
+    with pytest.raises(ParameterError, match=message):
+        make()
+
+
 def test_dimension_mismatch_and_cap():
     model = IndependentBits(0.5, 3)
     with pytest.raises(ValueError):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from cubelab.errors import CapabilityError, ParameterError
 from cubelab.models import BitsMixture, CurieWeiss, IndependentBits, IsingGrid
 from cubelab.scores import (
     ScoreField,
@@ -130,9 +131,12 @@ def test_beta_constants_examples():
 def test_adjacent_beta2_equals_exhaustive(model, kind):
     field = ScoreField(model, kind)
     fast = beta_constants(field)
-    slow = beta_constants(field, exhaustive=True)
-    assert fast.beta2 == pytest.approx(slow.beta2, abs=1e-12)
-    assert fast.beta1 == slow.beta1
+    # beta2 over every pair a < b: ||s(a) - s(b)||_inf / (2 ham(a, b))
+    tab = field.table()
+    a, b = np.triu_indices(tab.shape[0], 1)
+    slow_beta2 = (np.abs(tab[a] - tab[b]).max(axis=1) / (2.0 * np.bitwise_count(a ^ b))).max()
+    assert fast.beta2 == pytest.approx(slow_beta2, abs=1e-12)
+    assert fast.beta1 == float(np.abs(tab).max())
 
 
 @pytest.mark.parametrize("model", MODELS)
@@ -175,3 +179,15 @@ def test_equal_models_share_one_memoized_table():
                                                            "stein").table()
     # the public builder stays uncached
     assert tabulate_scores(a, "stein") is not tabulate_scores(a, "stein")
+
+
+def test_unknown_score_kinds_and_tables_above_the_cap():
+    model = IndependentBits(0.3, 3)
+    signs = all_signs(3).astype(float)
+    for build in (lambda: score_signs(model, "hamming", signs),
+                  lambda: tabulate_scores(model, "hamming"),
+                  lambda: ScoreField(model, "hamming")):
+        with pytest.raises(ParameterError, match="unknown score kind 'hamming'"):
+            build()
+    with pytest.raises(CapabilityError, match="score tables capped at d <= 16"):
+        tabulate_scores(IndependentBits(0.3, 17), "glauber")

@@ -372,16 +372,24 @@ def test_level_path_chains_are_separate_substreams(sampler, score, model, tmp_pa
     assert counts[0]["score"] <= 2 and counts[0]["log_weight"] <= 4, counts
 
 
-@pytest.mark.parametrize("model", [BitsMixture(0.08, 32), CurieWeiss(0.01, 1.0, 40)],
-                         ids=["mixture-d32", "curieweiss-d40"])
+@pytest.mark.parametrize("model", [BitsMixture(0.08, 32), CurieWeiss(0.01, 1.0, 40),
+                                   BitsMixture(0.05, 80)],
+                         ids=["mixture-d32", "curieweiss-d40", "mixture-d80"])
 @pytest.mark.parametrize("sampler", ["gibbs", "dmala", "dmaps"])
 def test_level_chains_match_the_exact_magnetization_law(model, sampler):
-    """The pooled +1-count histogram of level-path chains lies within TV
+    """The pooled +1-count histogram of vector-mode chains lies within TV
     0.05 of the exact law C(d, u) w(u), which the target gives in closed
-    form at any d. Over eight seeds the correct chains read at most 0.044
-    (gibbs, which moves one coordinate at a time, gets five times the
-    steps); swapping the plus and minus values in any one level primitive
-    reads 0.07 or more."""
+    form at any d. At d = 32 and 40 the chains take the level path. Over
+    eight seeds the correct chains read at most 0.044 (gibbs, which moves
+    one coordinate at a time, gets five times the steps); swapping the plus
+    and minus values in any one level primitive reads 0.07 or more.
+
+    d = 80 is above `LEVEL_DIM_CAP`, so its chains take the +-1 lockstep
+    step; its beta^2 d matches the d = 32 mixture's. Over seeds 11-18 the
+    correct chains read at most 0.020 (gibbs), 0.014 (dmala) and 0.010
+    (dmaps). Flipping one sign on that path reads 0.086 or more over seeds
+    11-13: the score's in gibbs's features, the proposal-ratio term of
+    dmala's accept test, or the tilt term of dmaps's."""
     d = model.dim
     u = np.arange(d + 1)
     signs = np.where(np.arange(d) < u[:, None], 1.0, -1.0)
@@ -595,6 +603,13 @@ def test_sample_transitions_above_the_table_cap_is_a_capability_error():
     model = IndependentBits(0.3, simulate.TABLE_DIM_CAP + 1)
     with pytest.raises(CapabilityError, match="transition sampling capped"):
         sample_transitions(model, "dula", "glauber", 0.5, state_of(0, model.dim), 10,
+                           np.random.default_rng(0))
+
+
+def test_transitions_from_a_state_of_another_dimension_are_rejected():
+    model = IndependentBits(0.3, 3)
+    with pytest.raises(ValueError, match="state dimension does not match the model"):
+        sample_transitions(model, "dula", "glauber", 0.5, state_of(0, 4), 10,
                            np.random.default_rng(0))
 
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from cubelab.errors import CapabilityError
 from cubelab.statespace import (MAX_SIM_DIM, BitState, all_signs, hamming, index_of,
                                 isometry_images, pack_words, state_of, unpack_words)
 
@@ -34,6 +35,21 @@ def test_state_of_range_error():
         state_of(8, 3)
     with pytest.raises(IndexError):
         state_of(-1, 3)
+
+
+def test_bit_states_reject_malformed_input():
+    with pytest.raises(IndexError, match="word 0x8 out of range for dimension 3"):
+        BitState(8, 3)
+    with pytest.raises(IndexError, match="out of range"):
+        BitState(-1, 3)
+    for dim in (0, MAX_SIM_DIM + 1):
+        with pytest.raises(ValueError, match="dimension must be in"):
+            BitState(0, dim)
+    for signs in ([1, 0, -1], [[1, -1]], [1, 2]):
+        with pytest.raises(ValueError, match="one-dimensional"):
+            BitState.from_signs(signs)
+    with pytest.raises(CapabilityError, match="exact enumeration capped at d <= 30"):
+        all_signs(31)
 
 
 def test_hamming_basics():
