@@ -141,11 +141,11 @@ def spectral_summary(kernel: KernelMatrix, pi: np.ndarray | None = None) -> Spec
     all others go through the dense nonsymmetric path. A unit lambda2 is
     reported with an infinite relaxation time. A reversible kernel whose
     stationary law underflows to 0 somewhere, or an eigensolver that does
-    not converge, raises NumericalError.
+    not converge, raises NumericalError; a `pi` that is not a law on the
+    kernel's states, ValueError.
     """
     t = kernel.probs
-    if pi is None:
-        pi = stationary(kernel)
+    pi = stationary(kernel) if pi is None else np.asarray(pi, dtype=np.float64)
     db = detailed_balance_residual(kernel, pi)
     reversible = db <= REVERSIBILITY_TOL
     if reversible and not pi.min() > 0.0:
@@ -171,17 +171,29 @@ def spectral_summary(kernel: KernelMatrix, pi: np.ndarray | None = None) -> Spec
 # distances
 
 
-def tv_distance(p: np.ndarray, q: np.ndarray) -> float:
-    """Total variation distance, half the L1 difference."""
+def _require_laws(p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """p and q as arrays if both are distributions of one length 2^d, else ValueError."""
     p = _require_distribution(p, "p")
     q = _require_distribution(q, "q")
     if p.shape != q.shape:
         raise ValueError("distributions have different lengths")
+    n = p.shape[0]
+    if n & (n - 1):
+        raise ValueError(f"length {n} is not a power of two")
+    return p, q
+
+
+def tv_distance(p: np.ndarray, q: np.ndarray) -> float:
+    """Total variation distance, half the L1 difference, between two
+    distributions of one length 2^d (else ValueError)."""
+    p, q = _require_laws(p, q)
     return 0.5 * float(np.abs(p - q).sum())
 
 
 def wasserstein_hamming(p: np.ndarray, q: np.ndarray) -> float:
-    """Exact 1-Wasserstein distance under the Hamming metric.
+    """Exact 1-Wasserstein distance under the Hamming metric between two
+    distributions of one length 2^d whose masses agree to 1e-10 (else
+    ValueError).
 
     Hamming distance is the graph metric of the hypercube, so W1 is the
     Kantorovich dual max <f, p - q> over potentials f that change by at most
@@ -189,14 +201,7 @@ def wasserstein_hamming(p: np.ndarray, q: np.ndarray) -> float:
     of their coordinate marginals; all other pairs solve the dual LP (see
     `_transport_values`).
     """
-    p = _require_distribution(p, "p")
-    q = _require_distribution(q, "q")
-    if p.shape != q.shape:
-        raise ValueError("distributions have different lengths")
-    n = p.shape[0]
-    d = n.bit_length() - 1
-    if (1 << d) != n:
-        raise ValueError(f"length {n} is not a power of two")
+    p, q = _require_laws(p, q)
     if abs(float((p - q).sum())) > 1e-10:
         raise ValueError("supplies are unbalanced beyond 1e-10")
     return float(_transport_values(p[None, :], q[None, :])[0][0])
@@ -343,14 +348,14 @@ def _transport_values(p: np.ndarray, q: np.ndarray,
 
 
 def wasserstein_hamming_lp(p: np.ndarray, q: np.ndarray) -> float:
-    """Reference transport value from the full coupling linear program.
+    """Reference transport value from the full coupling linear program,
+    between two distributions of one length 2^d (else ValueError).
 
     Enumerates all 4^d coupling entries with marginal equality constraints;
     exponentially large, so it only exists to anchor the transport solver at
     small dimension.
     """
-    p = _require_distribution(p, "p")
-    q = _require_distribution(q, "q")
+    p, q = _require_laws(p, q)
     n = p.shape[0]
     d = n.bit_length() - 1
     if d > MH_ORACLE_DIM_CAP:
@@ -372,8 +377,12 @@ def wasserstein_hamming_lp(p: np.ndarray, q: np.ndarray) -> float:
 
 
 def detailed_balance_residual(kernel: KernelMatrix, p: np.ndarray) -> float:
-    """max over pairs of |p(x) t(x'|x) - p(x') t(x|x')|."""
+    """max over pairs of |p(x) t(x'|x) - p(x') t(x|x')|, for a distribution p
+    with one entry per state of the kernel, else ValueError."""
     p = _require_distribution(p, "p")
+    if p.shape[0] != kernel.probs.shape[0]:
+        raise ValueError(f"p has {p.shape[0]} entries for a kernel on "
+                         f"{kernel.probs.shape[0]} states")
     flux = p[:, None] * kernel.probs
     return float(np.abs(flux - flux.T).max())
 
@@ -705,13 +714,18 @@ _CLAIMS = (
 
 @dataclass(frozen=True)
 class BoundEntry:
-    """One evaluated bound: raw value, what gates it, and whether it bites."""
+    """One evaluated bound: raw value, why it does not apply, and whether
+    it bites. `reason` is "" when the claim applies, else "requires the X
+    score" when it was proven for another score kind, else "precondition
+    unmet: a, b", naming the gating flags that fail."""
 
     value: float
-    conditions: tuple[str, ...]
-    required_score: str | None
-    applicable: bool
+    reason: str
     vacuous: bool
+
+    @property
+    def applicable(self) -> bool:
+        return not self.reason
 
 
 @dataclass(frozen=True)
@@ -719,10 +733,10 @@ class BoundReport:
     """Everything the theory asserts for one (model, score, step size).
 
     Values are reported as-is even when vacuous; flags are computed, never
-    assumed. `applicable` on an entry means every gating flag holds and the
-    report's score kind matches the one the bound was proven for. `entries`
-    holds every bound column's entry in CSV order, `rates` and `errors` some
-    of them under short keys.
+    assumed. An entry applies (its `reason` is empty) when the report's
+    score kind is the one the bound was proven for and every gating flag
+    holds. `entries` holds every bound column's entry in CSV order, `rates`
+    and `errors` some of them under short keys.
     """
 
     model: TargetModel
@@ -736,7 +750,6 @@ class BoundReport:
     entries: dict[str, BoundEntry]
     rates: dict[str, BoundEntry]
     errors: dict[str, BoundEntry]
-    dmaps_lipschitz: float
 
 
 def bounds_report(model: TargetModel, score_kind: str, eta: float) -> BoundReport:
@@ -772,16 +785,15 @@ def bounds_report(model: TargetModel, score_kind: str, eta: float) -> BoundRepor
     entries = {}
     for c in _CLAIMS:
         value = c.bound(d, eta, beta1, beta2)
-        entries[c.column] = BoundEntry(
-            value, c.conditions, c.score,
-            all(flags[f] for f in c.conditions) and c.score in (None, score_kind),
-            _VACUOUS[c.observable](value, d))
+        unmet = ", ".join(f for f in c.conditions if not flags[f])
+        reason = (f"requires the {c.score} score" if c.score not in (None, score_kind)
+                  else f"precondition unmet: {unmet}" if unmet else "")
+        entries[c.column] = BoundEntry(value, reason, _VACUOUS[c.observable](value, d))
     return BoundReport(
         model=model, score_kind=score_kind, eta=eta, dim=d,
         beta1=beta1, beta2=beta2, min_alignment=min_alignment, flags=flags, entries=entries,
         rates={c.key: entries[c.column] for c in _CLAIMS if c.key and c.observable == "kappa"},
-        errors={c.key: entries[c.column] for c in _CLAIMS if c.observable == "stationary_w1"},
-        dmaps_lipschitz=dmaps_acceptance_lipschitz(d, eta, beta1, beta2))
+        errors={c.key: entries[c.column] for c in _CLAIMS if c.observable == "stationary_w1"})
 
 
 # ---------------------------------------------------------------------------
@@ -841,27 +853,16 @@ class CertResult:
 FLOAT_GUARD = 1e-12
 
 
-def _skip_reason(entry: BoundEntry, report: BoundReport, dim_cap: int) -> str:
-    """Why a bound cannot be checked for the report's configuration, or ""."""
-    if entry.required_score not in (None, report.score_kind):
-        return f"requires the {entry.required_score} score"
-    unmet = [c for c in entry.conditions if not report.flags[c]]
-    if unmet:
-        return "precondition unmet: " + ", ".join(unmet)
-    if report.dim > dim_cap:
-        return f"dimension {report.dim} above cap {dim_cap}"
-    return ""
-
-
 def run_certificates(model: TargetModel, score_kind: str, eta: float) -> list[CertResult]:
     """Check every claim of the table that names a certificate, in table order.
 
     Contraction certificates compare the adjacent-pair kappa of the built
     kernel against the closed-form rate; stationary-error certificates
     compare the exact Wasserstein distance of the kernel's stationary law to
-    the target against the closed-form error. Bounds gated on a different
-    score kind, a failed flag, or a dimension cap are reported as skips
-    with the reason. Each kernel and each observable is computed once.
+    the target against the closed-form error. A claim whose bound entry does
+    not apply, or whose dimension is above the certificate's cap, is
+    reported as a skip with the entry's reason or the cap. Each kernel and
+    each observable is computed once.
     """
     field = ScoreField(model, score_kind)
     report = bounds_report(model, score_kind, eta)
@@ -872,7 +873,8 @@ def run_certificates(model: TargetModel, score_kind: str, eta: float) -> list[Ce
     for claim in (c for c in _CLAIMS if c.certificate):
         (name, sampler, dim_cap), observable = claim.certificate, claim.observable
         entry = report.entries[claim.column]
-        reason = _skip_reason(entry, report, dim_cap)
+        reason = entry.reason or (f"dimension {report.dim} above cap {dim_cap}"
+                                  if report.dim > dim_cap else "")
         if reason:
             results.append(CertResult(name, sampler, score_kind, eta, "skip",
                                       bound=entry.value, reason=reason))

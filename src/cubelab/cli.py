@@ -60,28 +60,23 @@ def _jsonable(value):
     return value
 
 
+# each `--model` choice: its class and the flags it is built from, in argument order
+_MODEL_RECIPES = {
+    "bits": (IndependentBits, ("beta", "dim")),
+    "mixture": (BitsMixture, ("beta", "dim")),
+    "ising": (IsingGrid, ("rows", "cols", "J", "h", "periodic")),
+    "curieweiss": (CurieWeiss, ("beta", "b", "dim")),
+}
+
+
 def build_model(args) -> TargetModel:
-    kind = args.model
-    if kind == "bits":
-        _need(args, "beta", "dim")
-        return IndependentBits(args.beta, args.dim)
-    if kind == "mixture":
-        _need(args, "beta", "dim")
-        return BitsMixture(args.beta, args.dim)
-    if kind == "ising":
-        _need(args, "rows", "cols", "J")
-        return IsingGrid(args.rows, args.cols, args.J, args.h, args.periodic)
-    if kind == "curieweiss":
-        _need(args, "beta", "dim")
-        return CurieWeiss(args.beta, args.b, args.dim)
-    raise ParameterError(f"unknown model kind {kind!r}")
-
-
-def _need(args, *names):
-    missing = [n for n in names if getattr(args, n, None) is None]
+    """The target `args.model` names, built from its `_MODEL_RECIPES` flags;
+    ParameterError names every one of them left unset."""
+    cls, flags = _MODEL_RECIPES[args.model]
+    missing = [f for f in flags if getattr(args, f, None) is None]
     if missing:
-        raise ParameterError(
-            f"model {args.model!r} requires --" + ", --".join(missing))
+        raise ParameterError(f"model {args.model!r} requires --" + ", --".join(missing))
+    return cls(*(getattr(args, f) for f in flags))
 
 
 def parse_eta_grid(grid: str) -> list[float]:
@@ -338,8 +333,7 @@ def _trajectory_rows(traj: ctmc.Trajectory):
 
 
 def _add_model_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--model", required=True,
-                   choices=["bits", "mixture", "ising", "curieweiss"])
+    p.add_argument("--model", required=True, choices=list(_MODEL_RECIPES))
     p.add_argument("--beta", type=float, help="bits/mixture/curieweiss strength")
     p.add_argument("--dim", type=int, help="dimension for bits/mixture/curieweiss")
     p.add_argument("--rows", type=int, help="ising grid rows")

@@ -91,10 +91,10 @@ def ctmc_simulate(rates: RateFunction, x0: BitState, horizon: float,
     """Simulate the jump process started at x0 up to the given horizon.
 
     `rates(x)` must depend on x alone. It is called once per distinct state
-    (again only after the bounded memo is cleared), and its vector must be
-    finite and nonnegative, else `ParameterError`. Holding-time exponentials
-    and coordinate uniforms are drawn from `rng` in blocks of `_DRAW_BLOCK`,
-    so a fixed generator state gives a fixed trajectory.
+    (again only after the bounded memo is cleared), and its vector must
+    hold d finite, nonnegative rates, else `ParameterError`. Holding-time
+    exponentials and coordinate uniforms are drawn from `rng` in blocks of
+    `_DRAW_BLOCK`, so a fixed generator state gives a fixed trajectory.
     """
     _check_word_dim(x0.dim)
     if not (horizon > 0.0) or not math.isfinite(horizon):
@@ -104,6 +104,8 @@ def ctmc_simulate(rates: RateFunction, x0: BitState, horizon: float,
 
     def jump_law(x: int) -> tuple[float, list[float]]:
         r = np.asarray(rates(BitState(x, d)), dtype=np.float64)
+        if r.shape != (d,):
+            raise ParameterError(f"rates have shape {r.shape} at a d = {d} state, expected ({d},)")
         total = float(r.sum())
         # a NaN or inf total would never pass the horizon
         if not (r.min() >= 0.0 and math.isfinite(total)):

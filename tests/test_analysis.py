@@ -267,8 +267,20 @@ def test_unbalanced_supplies_rejected():
 
 
 def test_wasserstein_needs_a_power_of_two_length():
-    with pytest.raises(ValueError, match="length 6 is not a power of two"):
-        wasserstein_hamming(np.full(6, 1 / 6), np.full(6, 1 / 6))
+    for fn in (tv_distance, wasserstein_hamming, wasserstein_hamming_lp):
+        with pytest.raises(ValueError, match="length 6 is not a power of two"):
+            fn(np.full(6, 1 / 6), np.full(6, 1 / 6))
+
+
+def test_a_law_of_the_wrong_length_for_the_kernel_is_rejected():
+    kernel = gibbs_matrix(IndependentBits(0.3, 5), 0.4)
+    with pytest.raises(ValueError, match="p has 4 entries for a kernel on 32 states"):
+        detailed_balance_residual(kernel, np.full(4, 0.25))
+    with pytest.raises(ValueError, match="p has 4 entries for a kernel on 32 states"):
+        spectral_summary(kernel, np.full(4, 0.25))
+    # a law given as a list is read as an array, as detailed_balance_residual reads it
+    pi = stationary(kernel)
+    assert spectral_summary(kernel, pi.tolist()) == spectral_summary(kernel, pi)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -291,7 +303,7 @@ def test_distributions_reject_non_finite_entries(bad):
 ], ids=["two-dimensional", "negative", "unnormalized", "unequal-lengths"])
 def test_distributions_reject_malformed_input(q, message):
     p = np.full(4, 0.25)
-    for fn in (tv_distance, wasserstein_hamming):
+    for fn in (tv_distance, wasserstein_hamming, wasserstein_hamming_lp):
         with pytest.raises(ValueError, match=message):
             fn(p, q)
 
@@ -843,3 +855,57 @@ def test_kernel_matrix_equals_direct_builders():
         kernel_matrix(model, "dula", None, 0.4)
     with pytest.raises(ParameterError, match="unknown sampler"):
         kernel_matrix(model, "warp", field, 0.4)
+
+
+# ---------------------------------------------------------------------------
+# ties between independent exact computations
+
+
+def test_exact_diagnostics_agree_with_each_other_property():
+    """Over drawn families at d = 2-5, samplers, scores and step sizes, the
+    columns of `cli.analyze_row` and the kernel's spectrum obey the
+    inequalities that tie them together, each to 1e-12: tv <= W1 <= d tv;
+    the coordinate marginals' L1 gap <= W1; lambda2 <= kappa; and a kernel
+    in detailed balance with the target has a real spectrum. Derandomized."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    from cubelab.cli import analyze_row
+    from cubelab.kernels import SAMPLER_IDS
+
+    grids = [(1, 2), (1, 3), (1, 4), (1, 5), (2, 2)]
+    dims = st.integers(2, 5)
+    models = st.one_of(
+        st.builds(IndependentBits, st.floats(-1.0, 1.0), dims),
+        st.builds(BitsMixture, st.floats(0.0, 1.0), dims),
+        st.builds(lambda rc, J, h, periodic: IsingGrid(*rc, J, h, periodic),
+                  st.sampled_from(grids), st.floats(-0.6, 0.6), st.floats(-0.5, 0.5),
+                  st.booleans()),
+        st.builds(CurieWeiss, st.floats(0.0, 0.5), st.floats(-1.0, 1.0), dims))
+
+    @hypothesis.settings(max_examples=150, derandomize=True, deadline=None, database=None)
+    @hypothesis.given(model=models, sampler=st.sampled_from(SAMPLER_IDS),
+                      score=st.sampled_from(SCORE_KINDS), eta=st.floats(0.2, 2.0))
+    def check(model, sampler, score, eta):
+        d = model.dim
+        if sampler == "gibbs":
+            # the damped single-flip step needs exp(-2/eta) <= 1/d
+            eta = min(eta, 1.9 / math.log(d))
+        row, pi = analyze_row(model, sampler, score, eta)
+        config = f"{model!r} {sampler} {row['score'] or '-'} eta={eta!r}"
+        tv, w1 = row["tv_to_target"], row["w_to_target"]
+        assert tv <= w1 + 1e-12, f"tv {tv!r} > W1 {w1!r}: {config}"
+        assert w1 <= d * tv + 1e-12, f"W1 {w1!r} > d tv {d * tv!r}: {config}"
+        plus = (all_signs(d) > 0).astype(np.float64)
+        gap = float(np.abs((pi - exact_target(model)) @ plus).sum())
+        assert gap <= w1 + 1e-12, f"marginal gap {gap!r} > W1 {w1!r}: {config}"
+        if row["kappa"] != "":
+            lam2, kappa = row["lambda2"], row["kappa"]
+            assert lam2 <= kappa + 1e-12, f"lambda2 {lam2!r} > kappa {kappa!r}: {config}"
+        if row["db_residual"] <= 1e-12:
+            field = ScoreField(model, row["score"]) if row["score"] else None
+            imag = float(np.abs(np.linalg.eigvals(
+                kernel_matrix(model, sampler, field, eta).probs).imag).max())
+            assert imag <= 1e-12, (f"eigenvalue with imaginary part {imag!r} under detailed "
+                                   f"balance {row['db_residual']!r}: {config}")
+
+    check()

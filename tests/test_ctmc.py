@@ -184,6 +184,17 @@ def test_trajectories_above_the_packed_word_cap_are_capability_errors():
         ctmc_simulate(lambda x: np.ones(64), BitState(0, 64), 1.0, np.random.default_rng(1))
 
 
+@pytest.mark.parametrize("dim", [2, 5])
+def test_ctmc_rejects_rates_of_another_dimension(dim):
+    """Rates of a d = 2 model from a d = 3 state would leave coordinate 2
+    frozen, and those of a d = 5 model would fail late on a word out of
+    range: both raise at the first state."""
+    rates = glauber_rates(IndependentBits(0.3, dim))
+    with pytest.raises(ParameterError, match=rf"rates have shape \({dim},\) at a d = 3 "
+                       r"state, expected \(3,\)"):
+        ctmc_simulate(rates, BitState(0, 3), 50.0, np.random.default_rng(0))
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_ctmc_rejects_non_finite_rates(bad):
     """A NaN or inf total rate never passes the horizon; the first call must
