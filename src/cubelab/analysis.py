@@ -45,6 +45,8 @@ def _require_distribution(p: np.ndarray, name: str) -> np.ndarray:
     p = np.asarray(p, dtype=np.float64)
     if p.ndim != 1:
         raise ValueError(f"{name} must be one-dimensional")
+    if not p.size:
+        raise ValueError(f"{name} is empty")
     _k._require_finite(p, name)
     if p.min() < -1e-12:
         raise ValueError(f"{name} has a negative entry: {p.min():.3e}")
@@ -494,19 +496,14 @@ def contraction_certificate(kernel: KernelMatrix, symmetries: tuple = (),
 
 def _adjacent_product_w1(q: np.ndarray) -> np.ndarray:
     """W1 between the laws of independent flips with probabilities q[k] and
-    q[k ^ 2^i], from states k and k ^ 2^i, at [k, i]: the two laws of
-    coordinate j != i differ by |q_j(k) - q_j(k ^ 2^i)|, those of
-    coordinate i, which starts on opposite sides, by
-    |1 - q_i(k) - q_i(k ^ 2^i)|."""
+    q[k ^ 2^i], from states k and k ^ 2^i, at [k, i]: sum_j |P_j - Q_j| of
+    their +1 marginals, P_j = q_j where x_j = -1 and 1 - q_j where x_j = +1,
+    the closed form `_transport_values` gives product rows."""
     n, d = q.shape
+    marginals = np.where(all_signs(d) > 0, 1.0 - q, q)
     ks = np.arange(n)
-    out = np.empty((n, d))
-    for i in range(d):
-        there = q[ks ^ (1 << i)]
-        gaps = np.abs(q - there)
-        gaps[:, i] = np.abs(1.0 - q[:, i] - there[:, i])
-        out[:, i] = gaps.sum(axis=1)
-    return out
+    return np.stack([np.abs(marginals - marginals[ks ^ (1 << i)]).sum(axis=1)
+                     for i in range(d)], axis=1)
 
 
 def _coupling_upper_bounds(model: TargetModel, kernel: KernelMatrix) -> np.ndarray | None:
@@ -531,22 +528,23 @@ def _coupling_upper_bounds(model: TargetModel, kernel: KernelMatrix) -> np.ndarr
       U = W1_base(x, x^i) + r(x) + r(x^i), with the exact product-law W1
       for dula and the bound above for dups.
 
-    Every bound is the cost of a coupling, so it holds in real arithmetic;
-    in floating point it carries roundoff of order 1e-15, far below
-    `_BRACKET_MARGIN`.
+    Every bound is the cost of a coupling, so it holds in real arithmetic
+    only for the kernel's own law: the flip probabilities are read from the
+    same `kernels._stage_logits` and stage-one kernel that build it, and
+    1 - 2a is `dups_contraction_bound`. In floating point each bound
+    carries roundoff of order 1e-15, far below `_BRACKET_MARGIN`.
     """
     sampler, eta = kernel.sampler, kernel.eta
     if sampler not in ("dups", "dmala", "dmaps"):
         return None
     field = ScoreField(model, kernel.score)
     d = kernel.dim
-    tilt = all_signs(d) * field.table()
     if sampler == "dmala":
-        edge_w1 = _adjacent_product_w1(expit(-2.0 / eta - tilt))
+        edge_w1 = _adjacent_product_w1(expit(_k._stage_logits(field, eta, 1.0)))
     else:
         t1 = np.exp(_k._stage_one_log_kernel(d, eta))
-        edge_w1 = ((1.0 - 2.0 * float(expit(-2.0 / eta)))
-                   * (t1 @ _adjacent_product_w1(expit(-2.0 / eta - 2.0 * tilt))))
+        edge_w1 = dups_contraction_bound(eta) * (
+            t1 @ _adjacent_product_w1(expit(_k._stage_logits(field, eta, 2.0))))
     pairs = _adjacent_pairs(d)
     upper = edge_w1[pairs[:, 0], np.repeat(np.arange(d), 1 << (d - 1))]
     if sampler == "dups":
@@ -768,8 +766,7 @@ def bounds_report(model: TargetModel, score_kind: str, eta: float) -> BoundRepor
     consts = smooth_beta_constants(field)
     beta1, beta2 = consts.beta1, consts.beta2
     d = model.dim
-    signs = all_signs(d).astype(np.float64)
-    min_alignment = float((signs * field.table()).min())
+    min_alignment = float(field.tilt().min())
     h = math.exp(-2.0 / eta)
 
     flags = {
@@ -826,7 +823,8 @@ def naive_mh_oracle(model: TargetModel, score: ScoreField, eta: float) -> Kernel
     with np.errstate(divide="ignore"):
         log_t = np.log(_k.dups_matrix(model, score, eta).probs)
     lw = model.log_weight_signs(all_signs(model.dim).astype(np.float64))
-    return _k._with_rejections(_k._metropolis_flux(log_t, lw), eta, "mh_oracle", score.kind)
+    flux = _k._fold_rejections(_k._metropolis_flux(log_t, lw), np.arange(len(lw)))
+    return KernelMatrix(flux, eta, "mh_oracle", score.kind)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from .errors import CapabilityError, ParameterError
 from .kernels import GeneratorMatrix, KernelMatrix
 from .models import TargetModel
 from .scores import MAX_TABLE_DIM, ScoreField
-from .statespace import MAX_EXACT_DIM, BitState, all_signs
+from .statespace import MAX_EXACT_DIM, BitState
 
 RateFunction = Callable[[BitState], np.ndarray]
 
@@ -66,9 +66,7 @@ def glauber_rates(model: TargetModel) -> RateFunction:
 
     _check_word_dim(model.dim)
     if model.dim <= MAX_TABLE_DIM:
-        tab = ScoreField(model, "glauber").table()
-        signs = all_signs(model.dim).astype(np.float64)
-        rates = expit(-2.0 * signs * tab)
+        rates = expit(-2.0 * ScoreField(model, "glauber").tilt())
         rates.setflags(write=False)
         return lambda x: rates[x.bits]
 

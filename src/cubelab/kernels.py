@@ -152,9 +152,10 @@ def _check_matrix_dim(dim: int) -> None:
         raise CapabilityError(f"dense kernels capped at d <= {MAX_MATRIX_DIM}, got {dim}")
 
 
-def _check_state(model: TargetModel, x: BitState) -> None:
-    if x.dim != model.dim:
-        raise ValueError(f"state dimension {x.dim} != model dimension {model.dim}")
+def _check_dense(model: TargetModel, eta: float) -> None:
+    """What a dense builder with a step size checks first: the cap, then eta."""
+    _check_matrix_dim(model.dim)
+    _check_eta(eta)
 
 
 def _flip_log_probs(logit: np.ndarray) -> np.ndarray:
@@ -196,13 +197,6 @@ def _fold_rejections(flux: np.ndarray, diag: np.ndarray) -> np.ndarray:
     return flux
 
 
-def _with_rejections(flux: np.ndarray, eta: float, sampler: str,
-                     score: str | None) -> KernelMatrix:
-    """The kernel with accepted flux `flux` and the rejected mass of each row
-    on its diagonal."""
-    return KernelMatrix(_fold_rejections(flux, np.arange(flux.shape[0])), eta, sampler, score)
-
-
 def _single_flip_matrix(rates: np.ndarray) -> np.ndarray:
     """Off-diagonal rates on hypercube edges, diagonal balancing rows to zero."""
     n, d = rates.shape
@@ -221,23 +215,20 @@ def _single_flip_matrix(rates: np.ndarray) -> np.ndarray:
 def glauber_generator(model: TargetModel) -> GeneratorMatrix:
     """Single-flip rate matrix with rates sigma(-2 x_i g(x)_i)."""
     _check_matrix_dim(model.dim)
-    tab = ScoreField(model, "glauber").table()
-    signs = all_signs(model.dim).astype(np.float64)
-    return GeneratorMatrix(_single_flip_matrix(expit(-2.0 * signs * tab)))
+    tilt = ScoreField(model, "glauber").tilt()
+    return GeneratorMatrix(_single_flip_matrix(expit(-2.0 * tilt)))
 
 
 def dula_generator(score: ScoreField) -> GeneratorMatrix:
     """Single-flip rate matrix with rates exp(-x_i s(x)_i)."""
     _check_matrix_dim(score.model.dim)
-    signs = all_signs(score.model.dim).astype(np.float64)
-    return GeneratorMatrix(_single_flip_matrix(np.exp(-signs * score.table())))
+    return GeneratorMatrix(_single_flip_matrix(np.exp(-score.tilt())))
 
 
 def dups_generator(score: ScoreField) -> GeneratorMatrix:
     """Single-flip rate matrix with rates 1 + exp(-2 x_i s(x)_i)."""
     _check_matrix_dim(score.model.dim)
-    signs = all_signs(score.model.dim).astype(np.float64)
-    return GeneratorMatrix(_single_flip_matrix(1.0 + np.exp(-2.0 * signs * score.table())))
+    return GeneratorMatrix(_single_flip_matrix(1.0 + np.exp(-2.0 * score.tilt())))
 
 
 # ---------------------------------------------------------------------------
@@ -271,10 +262,15 @@ def gibbs_matrix(model: TargetModel, eta: float) -> KernelMatrix:
 # independent-flip sampler and its Metropolis adjustment
 
 
+def _stage_logits(score: ScoreField, eta: float, scale: float) -> np.ndarray:
+    """Log-odds -2/eta - scale x_i s(x)_i of flipping coordinate i of every
+    state x: scale 1 for dula and the dmala proposal, 2 for stage two of dups and dmaps."""
+    return -2.0 / eta - scale * score.tilt()
+
+
 def _score_log_kernel(score: ScoreField, eta: float, scale: float) -> np.ndarray:
-    """Log kernel flipping coordinate i of x with log-odds -2/eta - scale x_i s(x)_i."""
-    signs = all_signs(score.model.dim).astype(np.float64)
-    return _flip_log_kernel(-2.0 / eta - scale * signs * score.table())
+    """Log kernel of the independent flips with `_stage_logits`."""
+    return _flip_log_kernel(_stage_logits(score, eta, scale))
 
 
 def dula_step(model: TargetModel, score: ScoreField, x: BitState, eta: float,
@@ -284,8 +280,7 @@ def dula_step(model: TargetModel, score: ScoreField, x: BitState, eta: float,
 
 
 def dula_matrix(model: TargetModel, score: ScoreField, eta: float) -> KernelMatrix:
-    _check_matrix_dim(model.dim)
-    _check_eta(eta)
+    _check_dense(model, eta)
     return KernelMatrix(np.exp(_score_log_kernel(score, eta, 1.0)), eta, "dula", score.kind)
 
 
@@ -300,11 +295,10 @@ def dmala_step(model: TargetModel, score: ScoreField, x: BitState, eta: float,
 
 
 def dmala_matrix(model: TargetModel, score: ScoreField, eta: float) -> KernelMatrix:
-    _check_matrix_dim(model.dim)
-    _check_eta(eta)
+    _check_dense(model, eta)
     lw = model.log_weight_signs(all_signs(model.dim).astype(np.float64))
-    return _with_rejections(_metropolis_flux(_score_log_kernel(score, eta, 1.0), lw), eta,
-                            "dmala", score.kind)
+    flux = _metropolis_flux(_score_log_kernel(score, eta, 1.0), lw)
+    return KernelMatrix(_fold_rejections(flux, np.arange(len(lw))), eta, "dmala", score.kind)
 
 
 # ---------------------------------------------------------------------------
@@ -323,8 +317,7 @@ def dups_step(model: TargetModel, score: ScoreField, x: BitState, eta: float,
 
 
 def dups_matrix(model: TargetModel, score: ScoreField, eta: float) -> KernelMatrix:
-    _check_matrix_dim(model.dim)
-    _check_eta(eta)
+    _check_dense(model, eta)
     stage1 = np.exp(_stage_one_log_kernel(model.dim, eta))
     stage2 = np.exp(_score_log_kernel(score, eta, 2.0))
     return KernelMatrix(stage1 @ stage2, eta, "dups", score.kind)
@@ -417,13 +410,12 @@ def _dmaps_orbit_flux(model: TargetModel, score: ScoreField,
     them, and one buffer of `_FLUX_TILE_BYTES`: the z loop runs over one
     tile of rows at a time, so that the tile and the buffer stay in cache.
     """
-    _check_matrix_dim(model.dim)
-    _check_eta(eta)
+    _check_dense(model, eta)
     n = 1 << model.dim
     signs = all_signs(model.dim).astype(np.float64)
     lw = model.log_weight_signs(signs)
     tab = score.table()
-    images = _target_isometries(model, lw, signs * tab)
+    images = _target_isometries(model, lw, score.tilt())
     reps = np.flatnonzero(orbit_minima(n, images) == np.arange(n))
     stage2 = np.exp(_score_log_kernel(score, eta, 2.0))
     # phi[z, y] = phi_z(y) - max phi_z, then u in place
@@ -481,8 +473,7 @@ def prox_exact_matrix(model: TargetModel, eta: float) -> KernelMatrix:
     w(x') exp(z^T x' / eta), normalized per auxiliary state over all 2^d
     states, which is what caps the dimension.
     """
-    _check_matrix_dim(model.dim)
-    _check_eta(eta)
+    _check_dense(model, eta)
     lw = model.log_weight_signs(all_signs(model.dim).astype(np.float64))
     log_t1 = _stage_one_log_kernel(model.dim, eta)
     # z^T x' / eta = -2 hamming(z, x') / eta up to a constant, and so is log T1(z, x')
@@ -923,7 +914,7 @@ def _level_rows(model: TargetModel, evaluate) -> tuple[list, list]:
 def _step_once(model: TargetModel, sampler: str, score: ScoreField | None, x: BitState,
                eta: float, rng: np.random.Generator) -> StepOutcome:
     """One step from x through the closed-form stepper, on fresh uniforms."""
-    _check_state(model, x)
+    model._check_state(x)
     st = Stepper(model, sampler, score, eta, tables=False)
     u = rng.random(st.uniforms_per_step)
     nxt, ok, prop, aux, _ = st.step(x.signs().astype(np.float64), *st.prepare(u))

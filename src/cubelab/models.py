@@ -66,9 +66,13 @@ class TargetModel:
         log weight unchanged, so that `symmetries()` also declares it."""
         return False
 
-    def log_weight(self, x: BitState) -> float:
+    def _check_state(self, x: BitState) -> None:
+        """ValueError unless x is a state of this model's dimension."""
         if x.dim != self.dim:
             raise ValueError(f"state dimension {x.dim} != model dimension {self.dim}")
+
+    def log_weight(self, x: BitState) -> float:
+        self._check_state(x)
         return float(self.log_weight_signs(x.signs().astype(np.float64)))
 
     @property

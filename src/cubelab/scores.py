@@ -107,12 +107,18 @@ def _memo_table(model: TargetModel, kind: str) -> np.ndarray:
     return tabulate_scores(model, kind)
 
 
+# the pointwise evaluator of each score kind, from its definition
+_POINTWISE = {"glauber": glauber_score, "gibbs": gibbs_score, "stein": stein_score}
+
+
 class ScoreField:
     """One (model, kind) pair with lazy tabulation.
 
     Evaluation is pure. `table()` reads a bounded memo keyed on the
     (model, kind) pair, so every field of equal models shares one read-only
     table, built on first use, without the fields being passed around.
+    `tilt()` is x_i s(x)_i on that table, the one form in which the
+    samplers, the generators and the coupling bounds read the score.
     """
 
     def __init__(self, model: TargetModel, kind: str):
@@ -122,17 +128,17 @@ class ScoreField:
         self.kind = kind
 
     def __call__(self, x: BitState) -> np.ndarray:
-        if self.kind == "glauber":
-            return glauber_score(self.model, x)
-        if self.kind == "gibbs":
-            return gibbs_score(self.model, x)
-        return stein_score(self.model, x)
+        return _POINTWISE[self.kind](self.model, x)
 
     def signs(self, signs: np.ndarray) -> np.ndarray:
         return score_signs(self.model, self.kind, signs)
 
     def table(self) -> np.ndarray:
         return _memo_table(self.model, self.kind)
+
+    def tilt(self) -> np.ndarray:
+        """The (2^d, d) table x_i s(x)_i, built afresh per call."""
+        return all_signs(self.model.dim) * self.table()
 
     def __repr__(self):
         return f"ScoreField({self.model!r}, {self.kind!r})"

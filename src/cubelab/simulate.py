@@ -255,8 +255,7 @@ def sample_transitions(model: TargetModel, sampler: str, score: str | None,
     d = model.dim
     if d > TABLE_DIM_CAP:
         raise CapabilityError(f"transition sampling capped at d <= {TABLE_DIM_CAP}, got {d}")
-    if x.dim != d:
-        raise ValueError("state dimension does not match the model")
+    model._check_state(x)
     if n < 0:
         raise ParameterError(f"draw count must be >= 0, got {n}")
     st = _stepper(model, sampler, score, eta, tables=True)

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -300,12 +301,17 @@ def test_distributions_reject_non_finite_entries(bad):
     (np.array([0.75, 0.25, 0.25, -0.25]), "q has a negative entry"),
     (np.full(4, 0.3), "q is not normalized"),
     (np.full(8, 0.125), "distributions have different lengths"),
-], ids=["two-dimensional", "negative", "unnormalized", "unequal-lengths"])
+    (np.array([]), "q is empty"),
+], ids=["two-dimensional", "negative", "unnormalized", "unequal-lengths", "empty"])
 def test_distributions_reject_malformed_input(q, message):
     p = np.full(4, 0.25)
     for fn in (tv_distance, wasserstein_hamming, wasserstein_hamming_lp):
         with pytest.raises(ValueError, match=message):
             fn(p, q)
+    # detailed_balance_residual names its one law p
+    if message != "distributions have different lengths":
+        with pytest.raises(ValueError, match=message.replace("q ", "p ", 1)):
+            detailed_balance_residual(gibbs_matrix(IndependentBits(0.3, 2), 0.4), q)
 
 
 def test_tv_examples():
@@ -569,6 +575,20 @@ def test_samplers_without_a_coupling_bound_solve_every_orbit(sampler):
     assert not cert.bracketed.any()
 
 
+def test_product_law_w1_is_the_transport_value_of_each_dula_edge():
+    """The closed-form W1 that the dmala bound starts from is, on every
+    edge, the W1 the certificate finds between the two dula rows."""
+    from cubelab.kernels import _stage_logits
+
+    model, eta = IsingGrid(2, 3, 0.4, 0.1), 0.6
+    field = ScoreField(model, "gibbs")
+    w1 = analysis._adjacent_product_w1(expit(_stage_logits(field, eta, 1.0)))
+    cert = contraction_certificate(dula_matrix(model, field, eta))
+    flipped = np.log2(cert.pairs[:, 1] - cert.pairs[:, 0]).astype(int)
+    np.testing.assert_allclose(w1[cert.pairs[:, 0], flipped], cert.pair_values, rtol=0,
+                               atol=1e-14)
+
+
 def test_d8_grid_dups_certificate_solves_at_most_two_lps(monkeypatch):
     calls = []
     solve = analysis._dual_lp_values
@@ -653,6 +673,27 @@ def test_bounds_report_requires_matching_score():
     rep2 = bounds_report(IndependentBits(0.3, 4), "gibbs", 0.4)
     assert rep2.rates["dula_small_step"].applicable
     assert not rep2.rates["gibbs"].applicable
+
+
+# the README's words for each observable of the claim table
+_README_OBSERVABLES = {"kappa": "kappa", "stationary_w1": "stationary W1",
+                       "rejection": "rejection mass",
+                       None: "none (a constant of the dmaps bounds)"}
+
+
+def test_readme_claim_table_matches_the_claims():
+    """The table under "Claims and certificates" in README.md lists every
+    claim of `analysis._CLAIMS` in order: its column, its observable, and
+    its `check` certificate with sampler and cap, or "reported only"."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n### Claims and certificates\n", 1)[1].split("\n#", 1)[0]
+    header, _, *rows = ([cell.strip() for cell in line.strip("|").split("|")]
+                        for line in section.splitlines() if line.startswith("|"))
+    assert header == ["Column", "Observable", "`check` certificate (sampler, cap)"]
+    expected = [[f"`{c.column}`", _README_OBSERVABLES[c.observable],
+                 "`{}` ({}, d <= {})".format(*c.certificate) if c.certificate
+                 else "reported only"] for c in analysis._CLAIMS]
+    assert rows == expected
 
 
 # ---------------------------------------------------------------------------

@@ -2,11 +2,12 @@ import csv
 import json
 import math
 import os
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from cubelab import cli
+from cubelab import analysis, cli
 from cubelab.cli import ANALYZE_COLUMNS, main, parse_eta_grid
 from cubelab.errors import ParameterError
 
@@ -566,8 +567,33 @@ def test_numerical_errors_exit_1_with_one_stderr_line(capsys, argv, message):
     assert err.startswith("numerical error: ") and message in err
 
 
-@pytest.mark.parametrize("command", ["bounds", "check"])
+def test_a_failed_transport_lp_exits_1_with_one_stderr_line(capsys, monkeypatch):
+    def failing_linprog(*args, **kwargs):
+        return SimpleNamespace(success=False, message="no optimum (patched)")
+
+    monkeypatch.setattr(analysis, "linprog", failing_linprog)
+    code, out, err = run_cli(capsys, "analyze", "--model", "ising", "--rows", "2", "--cols",
+                             "3", "--J", "0.4", "--sampler", "gibbs", "--eta", "0.5")
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("numerical error: transport dual LP failed")
+
+
+def _no_constant(name):
+    raise AssertionError(f"the document holds the non-JSON constant {name}")
+
+
+@pytest.mark.parametrize("command", ["bounds", "check", "json"])
 def test_bounds_flags_survive_large_beta1(capsys, command):
+    if command == "json":
+        # beta1 = 2400 at d = 3: err_dula_static overflows to inf, which the
+        # document writes as the string "inf", not as a bare Infinity
+        code, out, err = run_cli(capsys, "bounds", "--model", "curieweiss", "--beta", "400",
+                                 "--b", "0", "--dim", "3", "--eta", "0.5", "--format", "json")
+        assert code == 0, err
+        rows = json.loads(out, parse_constant=_no_constant)["bounds"]
+        assert [row["err_dula_static"] for row in rows] == ["inf"] * 3
+        return
     # beta1 = 200: exp(4 beta1) overflows a double
     code, out, err = run_cli(capsys, command, "--model", "curieweiss", "--beta", "25",
                              "--b", "0", "--dim", "5", "--eta", "0.5", "--score", "glauber")
