@@ -22,10 +22,10 @@ from scipy.special import expit, logit
 
 from . import kernels as _k
 from .errors import CapabilityError, NumericalError
-from .kernels import SYMMETRY_TOL, KernelMatrix
-from .models import TargetModel, exact_target
+from .kernels import KernelMatrix
+from .models import TargetModel, exact_target, log_weight_table
 from .scores import ScoreField, smooth_beta_constants
-from .statespace import all_signs, isometry_images, orbit_minima
+from .statespace import all_signs, flip_neighbors, orbit_minima
 
 # a certificate costs one optimal-transport solve per orbit of hypercube
 # edges under the target's declared symmetries: every edge when it declares
@@ -237,9 +237,9 @@ def _product_residual(rows: np.ndarray, marginals: np.ndarray) -> np.ndarray:
 
 def _adjacent_pairs(d: int) -> np.ndarray:
     """(k, k + 2^i) for every edge of the d-cube, by coordinate i, then k."""
-    ks = np.arange(1 << d)
-    lo = np.concatenate([ks[(ks >> i) & 1 == 0] for i in range(d)])
-    return np.stack([lo, lo | (1 << np.repeat(np.arange(d), 1 << (d - 1)))], axis=1)
+    nb = flip_neighbors(d)
+    i, lo = np.nonzero(nb.T > np.arange(1 << d))
+    return np.stack([lo, nb[lo, i]], axis=1)
 
 
 @functools.lru_cache(maxsize=None)
@@ -420,18 +420,6 @@ class ContractionCertificate:
     bracketed: np.ndarray
 
 
-def _checked_isometry(t: np.ndarray, sigma, flip_mask: int) -> np.ndarray:
-    """Image g(k) of every state word under the isometry (sigma, flip_mask),
-    after checking that the kernel t commutes with it: t[g(x), g(y)] = t[x, y]."""
-    img = isometry_images(t.shape[0].bit_length() - 1, sigma, flip_mask)
-    dev = float(np.abs(t[np.ix_(img, img)] - t).max())
-    if dev > SYMMETRY_TOL:
-        raise NumericalError(
-            f"kernel breaks the declared symmetry (sigma={tuple(sigma)}, "
-            f"flip_mask={flip_mask:#x}) by {dev:.3e} > {SYMMETRY_TOL:.0e}", residual=dev)
-    return img
-
-
 def _edge_orbits(d: int, images: list[np.ndarray]) -> np.ndarray:
     """Lowest index in each edge's orbit under the group that the state maps
     `images` generate, with edges indexed as in `_adjacent_pairs(d)`."""
@@ -480,7 +468,9 @@ def contraction_certificate(kernel: KernelMatrix, symmetries: tuple = (),
             raise ValueError(f"upper has shape {upper.shape}, expected "
                              f"({pairs.shape[0]},), one per edge")
         _k._require_finite(upper, "upper")
-    solved_on = _edge_orbits(d, [_checked_isometry(t, sigma, mask) for sigma, mask in symmetries])
+    # the kernel must commute with each g: t[g x, g y] = t[x, y]
+    solved_on = _edge_orbits(d, _k._checked_images("kernel", d, symmetries,
+                                                   [("transition probabilities", t, "xx")]))
     reps = np.flatnonzero(solved_on == np.arange(pairs.shape[0]))
     values, bracketed = _transport_values(t[pairs[reps, 0]], t[pairs[reps, 1]],
                                           None if upper is None else upper[reps])
@@ -499,11 +489,8 @@ def _adjacent_product_w1(q: np.ndarray) -> np.ndarray:
     q[k ^ 2^i], from states k and k ^ 2^i, at [k, i]: sum_j |P_j - Q_j| of
     their +1 marginals, P_j = q_j where x_j = -1 and 1 - q_j where x_j = +1,
     the closed form `_transport_values` gives product rows."""
-    n, d = q.shape
-    marginals = np.where(all_signs(d) > 0, 1.0 - q, q)
-    ks = np.arange(n)
-    return np.stack([np.abs(marginals - marginals[ks ^ (1 << i)]).sum(axis=1)
-                     for i in range(d)], axis=1)
+    marginals = np.where(all_signs(q.shape[1]) > 0, 1.0 - q, q)
+    return np.abs(marginals[:, None] - marginals[flip_neighbors(q.shape[1])]).sum(axis=2)
 
 
 def _coupling_upper_bounds(model: TargetModel, kernel: KernelMatrix) -> np.ndarray | None:
@@ -822,7 +809,7 @@ def naive_mh_oracle(model: TargetModel, score: ScoreField, eta: float) -> Kernel
     # an entry that underflowed to 0 is a move never proposed: log -inf
     with np.errstate(divide="ignore"):
         log_t = np.log(_k.dups_matrix(model, score, eta).probs)
-    lw = model.log_weight_signs(all_signs(model.dim).astype(np.float64))
+    lw = log_weight_table(model)
     flux = _k._fold_rejections(_k._metropolis_flux(log_t, lw), np.arange(len(lw)))
     return KernelMatrix(flux, eta, "mh_oracle", score.kind)
 

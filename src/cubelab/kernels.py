@@ -45,17 +45,17 @@ import numpy as np
 from scipy.special import expit, log_expit
 
 from .errors import CapabilityError, NumericalError, ParameterError
-from .models import TargetModel
+from .models import TargetModel, log_weight_table
 from .scores import ScoreField
-from .statespace import (BitState, all_signs, isometry_images, orbit_minima,
-                         pack_words)
+from .statespace import (BitState, all_signs, flip_neighbors, isometry_images,
+                         orbit_minima, pack_words)
 
 # dense kernels hold 4^d doubles: d = 12 is ~134 MB and the practical top
 MAX_MATRIX_DIM = 12
-# largest entrywise |K[g][:, g] - K| a declared symmetry g may leave on a
-# kernel, and the largest change it may make to the log weights or the tilt
-# table, relative to their largest magnitude when that exceeds 1; kernels
-# built from invariant targets stay within 1e-14
+# largest entrywise change a declared symmetry g may make to a kernel, the
+# log weights or the tilt table, relative to their largest magnitude when
+# that exceeds 1 (`_checked_images`); kernels built from invariant targets
+# stay within 1e-14
 SYMMETRY_TOL = 1e-13
 
 # largest dimension whose chains step against a level table, so a level
@@ -97,6 +97,8 @@ class KernelMatrix:
         p = self.probs
         if p.ndim != 2 or p.shape[0] != p.shape[1]:
             raise ValueError("kernel matrix must be square")
+        if p.shape[0] & (p.shape[0] - 1) or not p.size:
+            raise ValueError(f"kernel matrix side {p.shape[0]} is not a power of two")
         _require_finite(p, "kernel")
         if p.min() < -1e-12:
             raise ValueError(f"kernel has a negative entry: {p.min()}")
@@ -152,10 +154,18 @@ def _check_matrix_dim(dim: int) -> None:
         raise CapabilityError(f"dense kernels capped at d <= {MAX_MATRIX_DIM}, got {dim}")
 
 
-def _check_dense(model: TargetModel, eta: float) -> None:
-    """What a dense builder with a step size checks first: the cap, then eta."""
+def _check_score(model: TargetModel, score: ScoreField) -> None:
+    if score.model != model:
+        raise ParameterError(f"a score field of {score.model!r} cannot drive {model!r}")
+
+
+def _check_dense(model: TargetModel, eta: float, score: ScoreField | None = None) -> None:
+    """What a dense builder with a step size checks first: the cap, eta, and
+    that its score field, if any, is of the same model."""
     _check_matrix_dim(model.dim)
     _check_eta(eta)
+    if score is not None:
+        _check_score(model, score)
 
 
 def _flip_log_probs(logit: np.ndarray) -> np.ndarray:
@@ -200,11 +210,9 @@ def _fold_rejections(flux: np.ndarray, diag: np.ndarray) -> np.ndarray:
 def _single_flip_matrix(rates: np.ndarray) -> np.ndarray:
     """Off-diagonal rates on hypercube edges, diagonal balancing rows to zero."""
     n, d = rates.shape
-    ks = np.arange(n)
     q = np.zeros((n, n))
-    for i in range(d):
-        q[ks, ks ^ (1 << i)] = rates[:, i]
-    q[ks, ks] = -q.sum(axis=1)
+    q[np.arange(n)[:, None], flip_neighbors(d)] = rates
+    np.fill_diagonal(q, -q.sum(axis=1))
     return q
 
 
@@ -280,7 +288,7 @@ def dula_step(model: TargetModel, score: ScoreField, x: BitState, eta: float,
 
 
 def dula_matrix(model: TargetModel, score: ScoreField, eta: float) -> KernelMatrix:
-    _check_dense(model, eta)
+    _check_dense(model, eta, score)
     return KernelMatrix(np.exp(_score_log_kernel(score, eta, 1.0)), eta, "dula", score.kind)
 
 
@@ -295,8 +303,8 @@ def dmala_step(model: TargetModel, score: ScoreField, x: BitState, eta: float,
 
 
 def dmala_matrix(model: TargetModel, score: ScoreField, eta: float) -> KernelMatrix:
-    _check_dense(model, eta)
-    lw = model.log_weight_signs(all_signs(model.dim).astype(np.float64))
+    _check_dense(model, eta, score)
+    lw = log_weight_table(model)
     flux = _metropolis_flux(_score_log_kernel(score, eta, 1.0), lw)
     return KernelMatrix(_fold_rejections(flux, np.arange(len(lw))), eta, "dmala", score.kind)
 
@@ -317,7 +325,7 @@ def dups_step(model: TargetModel, score: ScoreField, x: BitState, eta: float,
 
 
 def dups_matrix(model: TargetModel, score: ScoreField, eta: float) -> KernelMatrix:
-    _check_dense(model, eta)
+    _check_dense(model, eta, score)
     stage1 = np.exp(_stage_one_log_kernel(model.dim, eta))
     stage2 = np.exp(_score_log_kernel(score, eta, 2.0))
     return KernelMatrix(stage1 @ stage2, eta, "dups", score.kind)
@@ -336,20 +344,20 @@ _PHI_SPAN = 700.0
 _FLUX_TILE_BYTES = 1 << 18
 
 
-def _target_isometries(model: TargetModel, lw: np.ndarray, tilt: np.ndarray) -> list:
-    """State images of the model's declared symmetries, after checking that
-    each g leaves the log weights invariant, lw[g x] = lw[x], and the tilt
-    table x_i s(x)_i equivariant, tilt[g x, sigma[i]] = tilt[x, i]. Raises
-    NumericalError naming the first generator that breaks either."""
+def _checked_images(owner: str, dim: int, symmetries, parts) -> list:
+    """State images of the isometries g = (sigma, flip_mask) in `symmetries`,
+    after checking g on each (name, a, axes) of `parts`: moving every state
+    axis "x" of a by g and every coordinate axis "i" by sigma changes no entry
+    by over `SYMMETRY_TOL` max(1, max |a|), else NumericalError naming `owner`."""
     images = []
-    for sigma, mask in model.symmetries():
-        img = isometry_images(model.dim, sigma, mask)
-        for name, a, moved in (("log weights", lw, lw[img]),
-                               ("tilt table", tilt, tilt[np.ix_(img, list(sigma))])):
-            dev = float(np.abs(moved - a).max())
+    for sigma, mask in symmetries:
+        img = isometry_images(dim, sigma, mask)
+        for name, a, axes in parts:
+            dev = float(np.abs(a[np.ix_(*(img if ax == "x" else list(sigma)
+                                          for ax in axes))] - a).max())
             if dev > SYMMETRY_TOL * max(1.0, float(np.abs(a).max())):
                 raise NumericalError(
-                    f"{model!r} breaks the declared symmetry (sigma={tuple(sigma)}, "
+                    f"{owner} breaks the declared symmetry (sigma={tuple(sigma)}, "
                     f"flip_mask={mask:#x}) on its {name} by {dev:.3e}", residual=dev)
         images.append(img)
     return images
@@ -402,7 +410,7 @@ def _dmaps_orbit_flux(model: TargetModel, score: ScoreField,
     An isometry g under which the log weights are invariant and the tilt
     table x_i s(x)_i is equivariant maps each z-term to the g z term, so
     flux(g x, g x') = flux(x, x'). Every declared generator is checked on
-    lw and the tilt table first (`_target_isometries`, NumericalError when
+    lw and the tilt table first (`_checked_images`, NumericalError when
     one breaks either), and the z-loop then runs over the r orbit
     representatives only: O(r 4^d) time, every state being its own
     representative when the target declares no symmetry. The memory is
@@ -410,12 +418,13 @@ def _dmaps_orbit_flux(model: TargetModel, score: ScoreField,
     them, and one buffer of `_FLUX_TILE_BYTES`: the z loop runs over one
     tile of rows at a time, so that the tile and the buffer stay in cache.
     """
-    _check_dense(model, eta)
+    _check_dense(model, eta, score)
     n = 1 << model.dim
     signs = all_signs(model.dim).astype(np.float64)
-    lw = model.log_weight_signs(signs)
+    lw = log_weight_table(model)
     tab = score.table()
-    images = _target_isometries(model, lw, score.tilt())
+    images = _checked_images(repr(model), model.dim, model.symmetries(),
+                             [("log weights", lw, "x"), ("tilt table", score.tilt(), "xi")])
     reps = np.flatnonzero(orbit_minima(n, images) == np.arange(n))
     stage2 = np.exp(_score_log_kernel(score, eta, 2.0))
     # phi[z, y] = phi_z(y) - max phi_z, then u in place
@@ -474,7 +483,7 @@ def prox_exact_matrix(model: TargetModel, eta: float) -> KernelMatrix:
     states, which is what caps the dimension.
     """
     _check_dense(model, eta)
-    lw = model.log_weight_signs(all_signs(model.dim).astype(np.float64))
+    lw = log_weight_table(model)
     log_t1 = _stage_one_log_kernel(model.dim, eta)
     # z^T x' / eta = -2 hamming(z, x') / eta up to a constant, and so is log T1(z, x')
     log_v = lw[None, :] + log_t1
@@ -587,6 +596,7 @@ class Stepper:
             score = ScoreField(model, "glauber")
         elif score is None:
             raise ParameterError(f"sampler {sampler!r} needs a score field")
+        _check_score(model, score)
         self.uniforms_per_step = {"gibbs": 1, "dula": d, "dmala": d + 1,
                                   "dups": 2 * d, "dmaps": 2 * d + 1}[sampler]
         self.sampler = sampler
@@ -620,7 +630,7 @@ class Stepper:
             return
         signs = all_signs(d).astype(np.float64)
         table_features = features(signs, score.table())
-        log_weight = model.log_weight_signs(signs)
+        log_weight = log_weight_table(model)
         pow2 = np.int64(1) << np.arange(d, dtype=np.int64)
         self._flip = operator.xor
         if scalar:

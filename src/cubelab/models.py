@@ -1,8 +1,9 @@
 """The four target families as unnormalized log-densities over {-1,+1}^d.
 
-Every model is strictly positive, so log weights are finite everywhere. All
-arithmetic stays in the log domain; normalization subtracts the maximum
-before exponentiating (Curie-Weiss at beta = 1, d = 9 already reaches e^81).
+Every model is strictly positive; `log_weight_table` rejects a log weight
+that overflows. All arithmetic stays in the log domain; normalization
+subtracts the maximum before exponentiating (Curie-Weiss at beta = 1, d = 9
+already reaches e^81).
 
 Vectorized entry points take arrays of +-1 coordinates with an arbitrary
 leading shape; the scalar `log_weight` wraps them for a single BitState.
@@ -16,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapabilityError, ParameterError
-from .statespace import MAX_EXACT_DIM, BitState, all_signs
+from .errors import ParameterError
+from .statespace import BitState, all_signs
 
 
 class TargetModel:
@@ -27,7 +28,8 @@ class TargetModel:
     plus closed-form single-flip and smooth-continuation gradients used by
     the score machinery. Instances are frozen dataclasses with finite
     parameters: immutable and hashable, so equal instances share one
-    memoized score table per kind. Evaluation is pure.
+    memoized log-weight table and one score table per kind. Evaluation is
+    pure.
     """
 
     dim: int
@@ -314,18 +316,35 @@ class CurieWeiss(TargetModel):
         return "curieweiss"
 
 
+def _require_finite_rows(model: TargetModel, table: np.ndarray, what: str) -> None:
+    """ParameterError naming the model and the first state whose row of
+    `table`, one row per state, is not finite."""
+    bad = np.flatnonzero(~np.isfinite(table.reshape(len(table), -1)).all(axis=1))
+    if len(bad):
+        raise ParameterError(f"{model!r} has a non-finite {what} at state {bad[0]:#x}: "
+                             f"{table[bad[0]]}")
+
+
+# equal models share one table; the bound is that of the score tables
+@functools.lru_cache(maxsize=16)
+def log_weight_table(model: TargetModel) -> np.ndarray:
+    """The read-only log weight of every state, entry k at state k, built
+    once per model. Raises ParameterError at a state where it overflows."""
+    with np.errstate(all="ignore"):
+        lw = model.log_weight_signs(all_signs(model.dim).astype(np.float64))
+    _require_finite_rows(model, lw, "log weight")
+    lw.setflags(write=False)
+    return lw
+
+
 def exact_target(model: TargetModel) -> np.ndarray:
     """The normalized target as a length-2^d probability vector.
 
     Entry k is proportional to exp(log_weight(state k)). Indexing follows
-    the packed-word convention of `statespace`. Memory is the practical
-    limit well below the hard cap.
+    the packed-word convention of `statespace`, whose enumeration cap
+    applies; memory is the practical limit well below it.
     """
-    if model.dim > MAX_EXACT_DIM:
-        raise CapabilityError(
-            f"exact normalization capped at d <= {MAX_EXACT_DIM}, got {model.dim}")
-    lw = model.log_weight_signs(all_signs(model.dim).astype(np.float64))
-    lw -= lw.max()
-    p = np.exp(lw)
+    lw = log_weight_table(model)
+    p = np.exp(lw - lw.max())
     p /= p.sum()
     return p

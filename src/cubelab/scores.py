@@ -10,8 +10,9 @@ A score assigns each state a vector s(x) in R^d:
 * stein: the gradient of the model's documented smooth continuation of its
   log weight. The continuation is a per-model choice, not canonical.
 
-Tables over all 2^d states back the dense kernel builders and the constant
-evaluators; they are built once per (model, kind) and marked read-only.
+Each kind is defined once; its pointwise, sign-array and table forms follow.
+Tables over all 2^d states and their tilts x_i s(x)_i back the dense kernel
+builders and the constant evaluators; each is built once per (model, kind).
 """
 
 from __future__ import annotations
@@ -22,10 +23,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapabilityError, ParameterError
-from .models import TargetModel
-from .statespace import BitState, all_signs
+from .models import TargetModel, _require_finite_rows, log_weight_table
+from .statespace import BitState, all_signs, flip_neighbors
 
-SCORE_KINDS = ("stein", "gibbs", "glauber")
+# each kind's score on (..., d) float signs x of model m, given a function g
+# of x that gives the glauber score there: the one definition of the kind,
+# which the pointwise, sign-array and table forms evaluate with their own g
+_KINDS = {"stein": lambda m, x, g: m.stein_score_signs(x),
+          "gibbs": lambda m, x, g: x * np.logaddexp(0.0, 2.0 * x * g(x)),
+          "glauber": lambda m, x, g: g(x)}
+SCORE_KINDS = tuple(_KINDS)
 
 # score tables hold 2^d * d doubles; beyond this they stop being "small d"
 MAX_TABLE_DIM = 16
@@ -42,59 +49,50 @@ def glauber_score(model: TargetModel, x: BitState) -> np.ndarray:
     return out
 
 
-def _gibbs_transform(signs: np.ndarray, glauber: np.ndarray) -> np.ndarray:
-    """x_i log(1 + exp(2 x_i g_i)) for float signs x and glauber scores g."""
-    return signs * np.logaddexp(0.0, 2.0 * signs * glauber)
+def _definition(kind: str):
+    if kind not in _KINDS:
+        raise ParameterError(f"unknown score kind {kind!r}, expected one of {SCORE_KINDS}")
+    return _KINDS[kind]
 
 
 def gibbs_score(model: TargetModel, x: BitState) -> np.ndarray:
     """The softplus transform of the glauber score."""
-    return _gibbs_transform(x.signs().astype(np.float64), glauber_score(model, x))
+    return ScoreField(model, "gibbs")(x)
 
 
 def stein_score(model: TargetModel, x: BitState) -> np.ndarray:
     """Gradient of the model's smooth continuation at x."""
-    return model.stein_score_signs(x.signs().astype(np.float64))
+    return ScoreField(model, "stein")(x)
 
 
 def score_signs(model: TargetModel, kind: str, signs: np.ndarray) -> np.ndarray:
     """Vectorized score of the given kind over (..., d) sign arrays."""
-    if kind == "glauber":
-        return model.glauber_score_signs(signs)
-    if kind == "gibbs":
-        return _gibbs_transform(np.asarray(signs, dtype=np.float64),
-                                model.glauber_score_signs(signs))
-    if kind == "stein":
-        return model.stein_score_signs(signs)
-    raise ParameterError(f"unknown score kind {kind!r}, expected one of {SCORE_KINDS}")
+    return _definition(kind)(model, np.asarray(signs, dtype=np.float64),
+                             model.glauber_score_signs)
 
 
 def tabulate_scores(model: TargetModel, kind: str) -> np.ndarray:
     """Score table of shape (2^d, d), row k = s(state k); read-only.
 
-    The glauber rows come from log-weight differences over the enumerated
-    state table (the defining formula), the gibbs rows from transforming
-    them, the stein rows from the model's closed form. Each call builds
+    The glauber rows are half the log-weight differences across each flip
+    of the memoized log-weight table (the defining formula), the gibbs rows
+    transform them, the stein rows come from the model's closed form.
+    Raises ParameterError at a state whose row overflows. Each call builds
     afresh; `ScoreField.table()` is the memoized route.
     """
     d = model.dim
     if d > MAX_TABLE_DIM:
         raise CapabilityError(f"score tables capped at d <= {MAX_TABLE_DIM}, got {d}")
-    if kind not in SCORE_KINDS:
-        raise ParameterError(f"unknown score kind {kind!r}, expected one of {SCORE_KINDS}")
-    signs = all_signs(d).astype(np.float64)
-    if kind == "stein":
-        tab = model.stein_score_signs(signs)
-    else:
-        lw = model.log_weight_signs(signs)
-        ks = np.arange(1 << d)
-        tab = np.empty((1 << d, d))
-        for i in range(d):
-            bit = 1 << i
-            tab[:, i] = 0.5 * (lw[ks | bit] - lw[ks & ~bit])
-        if kind == "gibbs":
-            tab = _gibbs_transform(signs, tab)
-    tab = np.ascontiguousarray(tab)
+    definition = _definition(kind)
+
+    def glauber(signs):
+        # of the two states across a flip of coordinate i, the larger index has x_i = +1
+        lw, ks, nb = log_weight_table(model), np.arange(1 << d)[:, None], flip_neighbors(d)
+        return 0.5 * (lw[np.maximum(ks, nb)] - lw[np.minimum(ks, nb)])
+
+    with np.errstate(all="ignore"):
+        tab = np.ascontiguousarray(definition(model, all_signs(d).astype(np.float64), glauber))
+    _require_finite_rows(model, tab, f"{kind} score")
     tab.setflags(write=False)
     return tab
 
@@ -107,28 +105,31 @@ def _memo_table(model: TargetModel, kind: str) -> np.ndarray:
     return tabulate_scores(model, kind)
 
 
-# the pointwise evaluator of each score kind, from its definition
-_POINTWISE = {"glauber": glauber_score, "gibbs": gibbs_score, "stein": stein_score}
+# the tilt of each memoized table, under the same bound
+@functools.lru_cache(maxsize=16)
+def _memo_tilt(model: TargetModel, kind: str) -> np.ndarray:
+    tilt = all_signs(model.dim) * _memo_table(model, kind)
+    tilt.setflags(write=False)
+    return tilt
 
 
 class ScoreField:
     """One (model, kind) pair with lazy tabulation.
 
-    Evaluation is pure. `table()` reads a bounded memo keyed on the
-    (model, kind) pair, so every field of equal models shares one read-only
-    table, built on first use, without the fields being passed around.
-    `tilt()` is x_i s(x)_i on that table, the one form in which the
-    samplers, the generators and the coupling bounds read the score.
+    Evaluation is pure. `table()` and `tilt()` read bounded memos keyed on
+    the (model, kind) pair, so every field of equal models shares one
+    read-only table and one read-only tilt, built on first use, without the
+    fields being passed around.
     """
 
     def __init__(self, model: TargetModel, kind: str):
-        if kind not in SCORE_KINDS:
-            raise ParameterError(f"unknown score kind {kind!r}, expected one of {SCORE_KINDS}")
+        _definition(kind)
         self.model = model
         self.kind = kind
 
     def __call__(self, x: BitState) -> np.ndarray:
-        return _POINTWISE[self.kind](self.model, x)
+        return _KINDS[self.kind](self.model, x.signs().astype(np.float64),
+                                 lambda signs: glauber_score(self.model, x))
 
     def signs(self, signs: np.ndarray) -> np.ndarray:
         return score_signs(self.model, self.kind, signs)
@@ -137,8 +138,9 @@ class ScoreField:
         return _memo_table(self.model, self.kind)
 
     def tilt(self) -> np.ndarray:
-        """The (2^d, d) table x_i s(x)_i, built afresh per call."""
-        return all_signs(self.model.dim) * self.table()
+        """The shared (2^d, d) table x_i s(x)_i: the one form in which the
+        samplers, the generators and the coupling bounds read the score."""
+        return _memo_tilt(self.model, self.kind)
 
     def __repr__(self):
         return f"ScoreField({self.model!r}, {self.kind!r})"
@@ -183,11 +185,10 @@ def smooth_beta_constants(score: ScoreField) -> BetaConstants:
 def _adjacent_beta2(tab: np.ndarray, flipped: bool) -> float:
     """Half the largest change of a table row along one hypercube edge;
     with `flipped=False` the flipped coordinate's own change is left out."""
-    n, d = tab.shape
-    ks = np.arange(n)
     beta2 = 0.0
-    for i in range(d):
-        diff = np.abs(tab - tab[ks ^ (1 << i)])
+    # one flipped coordinate at a time keeps the work array at the table's size
+    for i, nb in enumerate(flip_neighbors(tab.shape[1]).T):
+        diff = np.abs(tab - tab[nb])
         if not flipped:
             diff[:, i] = 0.0
         beta2 = max(beta2, float(diff.max()) / 2.0)

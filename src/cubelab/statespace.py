@@ -5,10 +5,10 @@ with coordinate 0 in the least significant position. The packed word doubles
 as the canonical state index, so the all-(-1) state is index 0 and the
 all-(+1) state is index 2^d - 1. Every conversion between words and
 coordinates goes through `pack_words` and `unpack_words`, in time linear in
-d at every width. A cube isometry (sigma, flip_mask) acts on the indices as
-the permutation `isometry_images` returns, and `orbit_minima` labels the
-orbits of the group that such permutations generate, on states or on any
-other indexed set.
+d at every width. `flip_neighbors` indexes each state's d neighbours. A cube
+isometry (sigma, flip_mask) acts on the indices as the permutation
+`isometry_images` returns, and `orbit_minima` labels the orbits of the group
+that such permutations generate, on states or on any other indexed set.
 """
 
 from __future__ import annotations
@@ -123,6 +123,12 @@ def all_signs(dim: int) -> np.ndarray:
     if dim > MAX_EXACT_DIM:
         raise CapabilityError(f"exact enumeration capped at d <= {MAX_EXACT_DIM}, got {dim}")
     return unpack_words(np.arange(1 << dim), dim).view(np.int8) * 2 - 1
+
+
+def flip_neighbors(dim: int) -> np.ndarray:
+    """The (2^d, d) index k ^ 2^i of the state that differs from state k in
+    coordinate i alone."""
+    return np.arange(1 << dim)[:, None] ^ (1 << np.arange(dim))
 
 
 def isometry_images(dim: int, sigma, flip_mask: int) -> np.ndarray:

@@ -1,11 +1,13 @@
 import pytest
 
-from cubelab import scores
+from cubelab import models, scores
 
 
 @pytest.fixture(autouse=True)
-def fresh_score_memo():
-    """Each test starts with no memoized score tables, so tests that count
-    `tabulate_scores` calls do not depend on which tests ran before."""
+def fresh_memos():
+    """Each test starts with no memoized log-weight, score or tilt tables, so
+    tests that count builds do not depend on which tests ran before."""
+    models.log_weight_table.cache_clear()
     scores._memo_table.cache_clear()
+    scores._memo_tilt.cache_clear()
     yield

@@ -589,6 +589,20 @@ def test_product_law_w1_is_the_transport_value_of_each_dula_edge():
                                atol=1e-14)
 
 
+@pytest.mark.parametrize("d", [1, 2, 5])
+def test_edges_and_product_w1_match_their_per_coordinate_loops(d):
+    """The flip-neighbour index gives the edges in the loop's order and the
+    product-law W1 with the loop's floats."""
+    ks = np.arange(1 << d)
+    pairs = [[k, k | 1 << i] for i in range(d) for k in range(1 << d) if not k >> i & 1]
+    assert analysis._adjacent_pairs(d).tolist() == pairs
+    q = np.random.default_rng(d).random((1 << d, d))
+    marginals = np.where(all_signs(d) > 0, 1.0 - q, q)
+    loop = np.stack([np.abs(marginals - marginals[ks ^ (1 << i)]).sum(axis=1)
+                     for i in range(d)], axis=1)
+    assert np.array_equal(analysis._adjacent_product_w1(q), loop)
+
+
 def test_d8_grid_dups_certificate_solves_at_most_two_lps(monkeypatch):
     calls = []
     solve = analysis._dual_lp_values

@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import os
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -185,6 +186,24 @@ def test_parameter_error_exit_code(capsys):
     code, _, err = run_cli(capsys, "analyze", "--model", "bits",
                            "--sampler", "gibbs", "--eta", "0.5")
     assert code == 2  # missing --beta/--dim
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--sampler", "gibbs", "--eta", "0.3"],
+    ["analyze", "--sampler", "dula", "--score", "stein", "--eta", "0.3"],
+    ["bounds", "--eta", "0.3"],
+    ["check", "--eta", "0.3"],
+], ids=lambda argv: "-".join(argv[:3]))
+def test_log_weights_that_overflow_are_a_parameter_error(capsys, argv):
+    # every parameter is finite, but beta (sum x - b)^2 is not
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(capsys, *argv, "--model", "curieweiss", "--beta", "1e308",
+                                 "--b", "0", "--dim", "3")
+    assert code == 2 and out == "" and caught == []
+    assert err.count("\n") == 1
+    assert err.startswith("parameter error: CurieWeiss(beta=1e+308, b=0.0, dim=3) has a "
+                          "non-finite ")
 
 
 def test_capability_error_exit_code(capsys):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.special import expit, log_expit
 
-from cubelab import kernels
+from cubelab import kernels, scores
 from cubelab.errors import CapabilityError, NumericalError, ParameterError
 from cubelab.kernels import (
     GeneratorMatrix,
@@ -172,12 +172,19 @@ def test_dula_row_matches_direct_enumeration_d2():
 # Metropolis-adjusted independent flips
 
 
+class _FlatStein(IsingGrid):
+    """An Ising grid whose stein score is zero at every state."""
+
+    def stein_score_signs(self, signs):
+        return np.zeros(np.shape(signs))
+
+
 def test_dmala_flat_score_reduces_to_target_ratio():
     """With a symmetric proposal the acceptance is min(1, w(x')/w(x))."""
     from cubelab.statespace import all_signs
 
-    model = IsingGrid(1, 3, 0.5, 0.0)
-    zero = ScoreField(IndependentBits(0.0, 3), "glauber")  # constant-zero field
+    model = _FlatStein(1, 3, 0.5, 0.0)
+    zero = ScoreField(model, "stein")  # constant-zero field
     eta = 0.5
     a = expit(-2 / eta)
     lw = model.log_weight_signs(all_signs(3).astype(float))
@@ -502,6 +509,7 @@ def test_kernels_stay_finite_where_the_stage_one_rate_underflows(sampler):
     (np.full((2, 4), 0.25), "must be square"),
     (np.array([[1.5, -0.5], [0.0, 1.0]]), "negative entry"),
     (np.array([[0.5, 0.4], [0.0, 1.0]]), "rows sum to 1 only within"),
+    (np.full((3, 3), 1 / 3), "side 3 is not a power of two"),
 ])
 def test_kernel_matrix_rejects_non_kernels(probs, message):
     with pytest.raises(ValueError, match=message):
@@ -526,6 +534,34 @@ def test_one_shot_steps_need_a_score_and_a_state_of_the_model():
         dula_step(model, ScoreField(model, "glauber"), state_of(5, 4), 0.5, rng)
 
 
+def test_a_score_field_of_another_model_is_rejected():
+    from cubelab.analysis import dmaps_empirical_delta, naive_mh_oracle
+
+    model = IndependentBits(0.5, 3)
+    others = [ScoreField(IndependentBits(0.5, 4), "glauber"),
+              ScoreField(CurieWeiss(0.1, 0.0, 5), "stein"),
+              ScoreField(IndependentBits(0.6, 3), "glauber"),
+              # a dimension above the dense cap is rejected before any table is built
+              ScoreField(IndependentBits(0.5, 13), "glauber")]
+    rng = np.random.default_rng(0)
+    calls = [lambda f: dula_matrix(model, f, 0.5), lambda f: dmala_matrix(model, f, 0.5),
+             lambda f: dups_matrix(model, f, 0.5), lambda f: dmaps_matrix(model, f, 0.5),
+             lambda f: kernels.kernel_matrix(model, "dups", f, 0.5),
+             lambda f: dmaps_empirical_delta(model, f, 0.5),
+             lambda f: naive_mh_oracle(model, f, 0.5),
+             *(lambda f, step=step: step(model, f, state_of(5, 3), 0.5, rng)
+               for step in (dula_step, dmala_step, dups_step, dmaps_step)),
+             lambda f: kernels.Stepper(model, "dula", f, 0.5, tables=True)]
+    for field in others:
+        for call in calls:
+            with pytest.raises(ParameterError, match=re.escape(
+                    f"a score field of {field.model!r} cannot drive {model!r}")):
+                call(field)
+    assert scores._memo_table.cache_info().misses == 0
+    # an equal model is the same model
+    dula_matrix(model, ScoreField(IndependentBits(0.5, 3), "glauber"), 0.5)
+
+
 def test_dense_matrices_reject_non_finite_entries():
     p = np.full((4, 4), 0.25)
     p[1, 2] = np.nan
@@ -539,6 +575,16 @@ def test_dense_matrices_reject_non_finite_entries():
 
 # ---------------------------------------------------------------------------
 # generators
+
+
+def test_single_flip_matrix_matches_its_per_coordinate_loop():
+    rates = np.random.default_rng(1).random((16, 4))
+    ks = np.arange(16)
+    loop = np.zeros((16, 16))
+    for i in range(4):
+        loop[ks, ks ^ (1 << i)] = rates[:, i]
+    loop[ks, ks] = -loop.sum(axis=1)
+    assert np.array_equal(kernels._single_flip_matrix(rates), loop)
 
 
 def test_generator_row_sums_and_rates():

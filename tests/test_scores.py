@@ -1,11 +1,14 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
+from cubelab import cli, models, scores
 from cubelab.errors import CapabilityError, ParameterError
-from cubelab.models import BitsMixture, CurieWeiss, IndependentBits, IsingGrid
+from cubelab.models import BitsMixture, CurieWeiss, IndependentBits, IsingGrid, log_weight_table
 from cubelab.scores import (
+    SCORE_KINDS,
     ScoreField,
     beta_constants,
     gibbs_score,
@@ -191,3 +194,70 @@ def test_unknown_score_kinds_and_tables_above_the_cap():
             build()
     with pytest.raises(CapabilityError, match="score tables capped at d <= 16"):
         tabulate_scores(IndependentBits(0.3, 17), "glauber")
+
+
+def test_check_builds_each_table_once(monkeypatch, capsys):
+    """One `check` over every score kind builds the log-weight table once for
+    its model and each score table and tilt table once per kind."""
+    lw_builds, score_builds = [], []
+    lw_signs = BitsMixture.log_weight_signs
+    monkeypatch.setattr(BitsMixture, "log_weight_signs",
+                        lambda self, signs: lw_builds.append(np.shape(signs))
+                        or lw_signs(self, signs))
+    tabulate = scores.tabulate_scores
+    monkeypatch.setattr(scores, "tabulate_scores",
+                        lambda model, kind: score_builds.append((model, kind))
+                        or tabulate(model, kind))
+    assert cli.main(["check", "--model", "mixture", "--beta", "0.5", "--dim", "5",
+                     "--eta", "0.6", "--score", "all"]) == 0
+    capsys.readouterr()
+    model = BitsMixture(0.5, 5)
+    assert lw_builds.count((32, 5)) == 1
+    assert sorted(score_builds) == [(model, kind) for kind in sorted(SCORE_KINDS)]
+    tilts = scores._memo_tilt.cache_info()
+    assert tilts.misses == tilts.currsize == 3 and tilts.hits > 0
+    # every table is shared and read-only, and the tilt is x_i s(x)_i of the table
+    signs = all_signs(5).astype(float)
+    assert log_weight_table(model) is log_weight_table(BitsMixture(0.5, 5))
+    np.testing.assert_array_equal(log_weight_table(model), lw_signs(model, signs))
+    for kind in SCORE_KINDS:
+        field = ScoreField(model, kind)
+        assert field.tilt() is ScoreField(BitsMixture(0.5, 5), kind).tilt()
+        np.testing.assert_array_equal(field.tilt(), signs * field.table())
+        for table in (log_weight_table(model), field.table(), field.tilt()):
+            with pytest.raises(ValueError, match="read-only"):
+                table[0] = 0.0
+    assert lw_builds.count((32, 5)) == 1 and len(score_builds) == 3
+    # the mixture's glauber closed form still gives the table's floats
+    for kind in ("glauber", "gibbs"):
+        closed = signs * score_signs(model, kind, signs)
+        assert np.array_equal(closed.view(np.uint64),
+                              ScoreField(model, kind).tilt().view(np.uint64)), kind
+
+
+@pytest.mark.parametrize("model, what", [
+    (CurieWeiss(1e308, 0.0, 3), "log weight"),
+    (CurieWeiss(2.5e307, 0.0, 3), "log weight"),
+    (IsingGrid(1, 2, 1e308, 1e308), "log weight"),
+])
+def test_tables_reject_log_weights_that_overflow(model, what):
+    with np.errstate(all="raise"):
+        for build in (lambda: log_weight_table(model), lambda: models.exact_target(model),
+                      lambda: tabulate_scores(model, "glauber"),
+                      lambda: tabulate_scores(model, "gibbs")):
+            with pytest.raises(ParameterError, match=re.escape(
+                    f"{model!r} has a non-finite {what} at state 0x0: ")):
+                build()
+
+
+def test_score_tables_reject_scores_that_overflow():
+    # the log weights +-1e308 are finite, their difference across the flip is not
+    model = IndependentBits(1e308, 1)
+    with np.errstate(all="raise"):
+        assert np.isfinite(log_weight_table(model)).all()
+        # gibbs maps the glauber score -inf at x_0 = -1 to a finite 0
+        for kind, state in (("glauber", "0x0"), ("gibbs", "0x1")):
+            with pytest.raises(ParameterError, match=re.escape(
+                    f"{model!r} has a non-finite {kind} score at state {state}: [inf]")):
+                tabulate_scores(model, kind)
+        assert np.isfinite(tabulate_scores(model, "stein")).all()

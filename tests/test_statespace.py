@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from cubelab.errors import CapabilityError
-from cubelab.statespace import (MAX_SIM_DIM, BitState, all_signs, hamming, index_of,
-                                isometry_images, pack_words, state_of, unpack_words)
+from cubelab.statespace import (MAX_SIM_DIM, BitState, all_signs, flip_neighbors, hamming,
+                                index_of, isometry_images, pack_words, state_of,
+                                unpack_words)
 
 
 def _word(row) -> int:
@@ -131,3 +132,11 @@ def test_packed_words_round_trip(dim):
     assert words == [_word(row) for row in mask]
     np.testing.assert_array_equal(unpack_words(words, dim), mask)
     assert unpack_words([], dim).shape == (0, dim)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 5])
+def test_flip_neighbors_index_every_single_flip(dim):
+    nb = flip_neighbors(dim)
+    assert nb.shape == (1 << dim, dim)
+    for k in range(1 << dim):
+        assert nb[k].tolist() == [y.bits for y in state_of(k, dim).neighbors()]
