@@ -159,6 +159,26 @@ def _check_score(model: TargetModel, score: ScoreField) -> None:
         raise ParameterError(f"a score field of {score.model!r} cannot drive {model!r}")
 
 
+def _check_step(model: TargetModel, sampler: str, score: ScoreField | str | None,
+                eta: float) -> float | None:
+    """Check a step request to a `Stepper`, a chain config or the gibbs
+    kernel, whose score is a field or a kind; return gibbs's step size
+    exp(-2/eta), which must be at most 1/d, and None for other samplers."""
+    if sampler not in STEP_SAMPLERS:
+        raise ParameterError(
+            f"sampler {sampler!r} has no step, expected one of {STEP_SAMPLERS}")
+    _check_eta(eta)
+    if sampler == "gibbs":
+        h = math.exp(-2.0 / eta)
+        if h > 1.0 / model.dim:
+            raise ParameterError(
+                f"gibbs requires exp(-2/eta) <= 1/d: exp(-2/{eta}) = {h:.6g} > 1/{model.dim}")
+        return h
+    if score is None:
+        raise ParameterError(f"sampler {sampler!r} needs a score field")
+    return None
+
+
 def _check_dense(model: TargetModel, eta: float, score: ScoreField | None = None) -> None:
     """What a dense builder with a step size checks first: the cap, eta, and
     that its score field, if any, is of the same model."""
@@ -243,15 +263,6 @@ def dups_generator(score: ScoreField) -> GeneratorMatrix:
 # damped single-flip resampling
 
 
-def _gibbs_step_size(model: TargetModel, eta: float) -> float:
-    _check_eta(eta)
-    h = math.exp(-2.0 / eta)
-    if h > 1.0 / model.dim:
-        raise ParameterError(
-            f"gibbs requires exp(-2/eta) <= 1/d: exp(-2/{eta}) = {h:.6g} > 1/{model.dim}")
-    return h
-
-
 def gibbs_step(model: TargetModel, x: BitState, eta: float,
                rng: np.random.Generator) -> StepOutcome:
     """One damped resampling step: flip at most one coordinate."""
@@ -261,7 +272,7 @@ def gibbs_step(model: TargetModel, x: BitState, eta: float,
 def gibbs_matrix(model: TargetModel, eta: float) -> KernelMatrix:
     """The damped single-flip kernel, built literally as I + h Q."""
     _check_matrix_dim(model.dim)
-    h = _gibbs_step_size(model, eta)
+    h = _check_step(model, "gibbs", None, eta)
     q = glauber_generator(model).rates
     return KernelMatrix(np.eye(q.shape[0]) + h * q, eta, "gibbs")
 
@@ -531,10 +542,12 @@ class Stepper:
       forms, at any dimension.
     * `tables=True`: states are packed int64 words of any batch shape, and
       every per-state quantity is read from a table over all 2^d states.
+      `simulate.sample_transitions` draws with it, one batched step from a
+      fixed state per block of draws.
     * `tables=True, scalar=True`: one state, a Python int word, whose table
       row is a tuple of Python lists and floats; a step makes no numpy
-      call. Stepping a few chains one at a time this way is faster than one
-      batched step over all of them.
+      call. `simulate.run_chain` steps every table-mode chain this way, one
+      chain after another, at a cost linear in the chain count.
     * `tables=False, scalar=True`: one state, a Python int word, of an
       exchangeable target (`TargetModel.exchangeable`) with d at most
       `LEVEL_DIM_CAP`. Every feature then depends only on x_i and on the
@@ -586,16 +599,10 @@ class Stepper:
 
     def __init__(self, model: TargetModel, sampler: str, score: ScoreField | None,
                  eta: float, tables: bool, scalar: bool = False):
-        if sampler not in STEP_SAMPLERS:
-            raise ParameterError(
-                f"sampler {sampler!r} has no step, expected one of {STEP_SAMPLERS}")
-        _check_eta(eta)
+        self.h = _check_step(model, sampler, score, eta)
         d = model.dim
         if sampler == "gibbs":
-            self.h = _gibbs_step_size(model, eta)
             score = ScoreField(model, "glauber")
-        elif score is None:
-            raise ParameterError(f"sampler {sampler!r} needs a score field")
         _check_score(model, score)
         self.uniforms_per_step = {"gibbs": 1, "dula": d, "dmala": d + 1,
                                   "dups": 2 * d, "dmaps": 2 * d + 1}[sampler]
@@ -631,12 +638,12 @@ class Stepper:
         signs = all_signs(d).astype(np.float64)
         table_features = features(signs, score.table())
         log_weight = log_weight_table(model)
-        pow2 = np.int64(1) << np.arange(d, dtype=np.int64)
-        self._flip = operator.xor
         if scalar:
-            self._bind_scalar(table_features, log_weight, pow2)
+            self._bind_scalar(table_features, log_weight)
             return
         self._bind_arrays()
+        pow2 = np.int64(1) << np.arange(d, dtype=np.int64)
+        self._flip = operator.xor
         # every feature of a state sits in one table row, read by a single take
         self._table = np.hstack([f.reshape(len(signs), -1) for f in table_features])
         widths = [f[0].size for f in table_features]
@@ -657,9 +664,16 @@ class Stepper:
         self._flip_dot = lambda flips, a, b, x: np.vecdot(flips, a - b)
         self._move_dot = lambda plus, minus, values, z: np.vecdot(plus - minus, values)
 
-    def _bind_scalar(self, features: tuple, log_weight: np.ndarray,
-                     pow2: np.ndarray) -> None:
-        """Primitives on one Python int word; flips are packed words too."""
+    def _bind_words(self) -> None:
+        """The primitives both Python int word representations share."""
+        self._flip = self._move = operator.xor
+        self._list = np.ndarray.tolist
+        self._stage_one = lambda flips: (words := pack_words(flips), words)
+        self._accept = lambda ok, new, old, there, here: (new if ok else old, None)
+
+    def _bind_scalar(self, features: tuple, log_weight: np.ndarray) -> None:
+        """Primitives on one Python int word against its table rows."""
+        self._bind_words()
         d = self.dim
         bits = [1 << i for i in range(d)]
         # members[w]: the coordinates set in word w, ascending
@@ -696,15 +710,11 @@ class Stepper:
 
         self._at = list(zip(*(f.tolist() for f in features))).__getitem__
         self._log_weight = log_weight.tolist().__getitem__
-        self._list = np.ndarray.tolist
-        self._uniforms = lambda u: list(zip(((u < top) @ pow2).tolist(), u.tolist()))
+        self._uniforms = lambda u: list(zip(pack_words(u < top), u.tolist()))
         self._flips = flips
         self._pick = lambda cum, u, x: picks[bisect_right(cum, u[0])]
-        self._move = operator.xor
-        self._stage_one = lambda flips: (words := (flips @ pow2).tolist(), words)
         self._flip_dot = flip_dot
         self._move_dot = move_dot
-        self._accept = lambda ok, new, old, there, here: (new if ok else old, None)
 
     def _bind_levels(self, score: ScoreField) -> None:
         """Primitives on one Python int word, against a table of the d + 1
@@ -718,6 +728,7 @@ class Stepper:
         product groups its flips by sign, so it costs two bit counts
         instead of one term per flip.
         """
+        self._bind_words()
         d, model = self.dim, self.model
         if not model.exchangeable:
             raise CapabilityError(
@@ -789,15 +800,11 @@ class Stepper:
 
         self._at = lambda x: rows[x.bit_count()]
         self._log_weight = lambda x: log_weight[x.bit_count()]
-        self._flip = self._move = operator.xor
-        self._list = np.ndarray.tolist
         self._uniforms = uniforms
         self._flips = flips
         self._pick = pick
-        self._stage_one = lambda flips: (words := pack_words(flips), words)
         self._flip_dot = flip_dot
         self._move_dot = move_dot
-        self._accept = lambda ok, new, old, there, here: (new if ok else old, None)
 
     def _table_row(self, k):
         row = self._table.take(k, axis=0)

@@ -3,17 +3,15 @@
 Chains step through one `kernels.Stepper`, in one loop over blocks of
 whole steps. Dimensions up to `TABLE_DIM_CAP` run on packed integer states
 against precomputed per-state tables (the hot path for the simulation/matrix
-consistency checks). There a run with fewer than `_LOCKSTEP_CHAINS` chains
-steps its chains one after another in each block, each on a Python int with
-its table rows as Python lists, so a step makes no numpy call; a run with
-more chains advances them in lockstep, one batched numpy step at a time,
-which costs less per chain from that many chains on.
+consistency checks). There every chain steps alone, one after another in
+each block, on a Python int with its table rows as Python lists, so a step
+makes no numpy call and a run costs time linear in its chain count.
 
 Beyond the table cap, a target that declares every coordinate permutation
 (bits, mixture, curieweiss) has features that depend on a state only
-through x_i and its +1 count. Up to `kernels.LEVEL_DIM_CAP`, every chain of
-it steps alone, at any chain count, on a Python int word against a table of
-the d + 1 levels, built once from the closed forms; a step makes no numpy
+through x_i and its +1 count. Up to `kernels.LEVEL_DIM_CAP`, its chains
+step alone in the same way, on a Python int word against a table of the
+d + 1 levels, built once from the closed forms; a step makes no numpy
 call. Other targets (Ising grids above the table cap), and exchangeable
 ones above the level cap, keep +-1 coordinate vectors that advance in
 lockstep, and each step evaluates the model's closed forms once, on the
@@ -42,10 +40,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapabilityError, ParameterError
-from .kernels import (LEVEL_DIM_CAP, SCORE_FREE, STEP_SAMPLERS, Stepper, _check_eta,
-                      _gibbs_step_size)
+from .kernels import LEVEL_DIM_CAP, SCORE_FREE, Stepper, _check_step
 from .models import TargetModel
-from .scores import SCORE_KINDS, ScoreField
+from .scores import ScoreField
 from .statespace import BitState, all_signs, pack_words, unpack_words
 
 TABLE_DIM_CAP = 12
@@ -66,14 +63,10 @@ class ChainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.sampler not in STEP_SAMPLERS:
-            raise ParameterError(f"unknown sampler {self.sampler!r}")
-        if self.sampler not in SCORE_FREE and self.score not in SCORE_KINDS:
-            raise ParameterError(
-                f"sampler {self.sampler!r} needs a score kind from {SCORE_KINDS}")
-        _check_eta(self.eta)
-        if self.sampler == "gibbs":
-            _gibbs_step_size(self.model, self.eta)
+        _check_step(self.model, self.sampler, self.score, self.eta)
+        if self.sampler not in SCORE_FREE:
+            # an unknown score kind fails here, not when the chains start
+            ScoreField(self.model, self.score)
         if not self.steps > self.burn_in >= 0:
             raise ParameterError(
                 f"need steps > burn_in >= 0, got steps={self.steps} burn_in={self.burn_in}")
@@ -107,10 +100,6 @@ class SimResult:
 
 # uniforms each chain draws per block of `run_chain`; bounds memory at any d
 _UNIFORM_BLOCK = 1 << 14
-# table-mode runs with fewer chains step each chain alone, on Python ints;
-# from this many chains on, one lockstep numpy step over all of them is faster
-# (measured crossover: CHANGES.md)
-_LOCKSTEP_CHAINS = 4
 
 
 def _level_path(model: TargetModel) -> bool:
@@ -130,12 +119,14 @@ def run_chain(cfg: ChainConfig, dump_path: str | None = None) -> SimResult:
     """Run every chain of the config and return streaming estimators.
 
     Each block draws every chain's uniforms from its own substream and
-    steps the chains, alone or in lockstep, into one buffer of paths and
-    accept flags; the same code then counts, tallies and dumps from it.
-    In table mode, stepping alone or in lockstep gives the same
-    estimators. Above it, the level path gives those of the +-1 lockstep
-    step, except where an accept test falls within a few ulps of its
-    threshold: dmala's base and the grouped dot products round differently.
+    steps the chains into one buffer of paths and accept flags; the same
+    code then counts, tallies and dumps from it. The model alone picks how
+    chains step: alone on table words up to `TABLE_DIM_CAP`, alone on level
+    words for exchangeable targets up to `kernels.LEVEL_DIM_CAP`, and in
+    lockstep on +-1 vectors otherwise. The level path gives the estimators
+    of the +-1 lockstep step, except where an accept test falls within a
+    few ulps of its threshold: dmala's base and the grouped dot products
+    round differently.
 
     With `dump_path`, each retained sample is also written as a CSV row
     (chain, step, packed state as hex, magnetization); meant for small runs.
@@ -143,8 +134,7 @@ def run_chain(cfg: ChainConfig, dump_path: str | None = None) -> SimResult:
     d = cfg.model.dim
     chains = cfg.chains
     table_mode = d <= TABLE_DIM_CAP
-    levels = _level_path(cfg.model)
-    alone = levels or (table_mode and chains < _LOCKSTEP_CHAINS)
+    alone = table_mode or _level_path(cfg.model)
     st = _stepper(cfg.model, cfg.sampler, cfg.score, cfg.eta, table_mode, alone)
     m = st.uniforms_per_step
     block = max(1, _UNIFORM_BLOCK // m)
@@ -157,19 +147,19 @@ def run_chain(cfg: ChainConfig, dump_path: str | None = None) -> SimResult:
 
     rngs = [np.random.default_rng(child)
             for child in np.random.SeedSequence(cfg.seed).spawn(chains)]
+    # table paths are packed words; the others are masks of the +1 coordinates
     if table_mode:
-        states = np.array([rng.integers(0, 1 << d) for rng in rngs], dtype=np.int64)
+        words = [int(rng.integers(0, 1 << d)) for rng in rngs]
         counts = np.zeros((chains, 1 << d), dtype=np.int64)
+        trace = np.empty((block, chains), dtype=np.int64)
     else:
         states = np.array([rng.integers(0, 2, d) * 2 - 1 for rng in rngs],
                           dtype=np.float64)
+        words = pack_words(states > 0)
         plus_counts = np.zeros((chains, d), dtype=np.int64)
         hist = np.zeros((chains, d + 1), dtype=np.int64)
-    # chains stepped alone keep a Python int word each and need no carry;
-    # level-path paths of words go into the buffer as masks of the +1 coordinates
-    words = pack_words(states > 0) if levels else states.tolist()
+        trace = np.empty((block, chains, d), dtype=bool)
     carry = None
-    trace = np.empty((block,) + states.shape, dtype=bool if levels else states.dtype)
     oks = np.empty((block, chains), dtype=bool)
     accepted = np.zeros(chains, dtype=np.int64)
     dumped = [] if dump_path is not None else None
@@ -186,12 +176,12 @@ def run_chain(cfg: ChainConfig, dump_path: str | None = None) -> SimResult:
                     path.append(x)
                     flags.append(ok)
                 words[c] = x
-                trace[:n, c] = unpack_words(path, d) if levels else path
+                trace[:n, c] = path if table_mode else unpack_words(path, d)
                 oks[:n, c] = flags
         else:
             for t, operands in enumerate(zip(*st.prepare(np.stack(u, axis=1)))):
                 states, ok, _, _, carry = step(states, *operands, carry)
-                trace[t] = states
+                trace[t] = states > 0
                 oks[t] = ok
         accepted += oks[:n].sum(axis=0)
         kept = trace[retained(t0, n) - t0]
@@ -199,7 +189,6 @@ def run_chain(cfg: ChainConfig, dump_path: str | None = None) -> SimResult:
             counts += np.bincount((kept + (np.arange(chains) << d)).ravel(),
                                   minlength=chains << d).reshape(chains, 1 << d)
         else:
-            kept = kept > 0
             plus_counts += kept.sum(axis=0)
             hist += np.bincount((kept.sum(axis=2) + (d + 1) * np.arange(chains)).ravel(),
                                 minlength=chains * (d + 1)).reshape(chains, d + 1)

@@ -74,13 +74,14 @@ class BitState:
 def pack_words(mask: np.ndarray) -> list[int]:
     """The rows of an (n, d) boolean mask as Python int words, bit i set iff
     column i is True."""
-    rows = np.packbits(mask, axis=1, bitorder="little")
-    # up to 64 bits a row is one uint64, so a whole block converts in one call
     if mask.shape[1] > 64:
-        return [int.from_bytes(row.tobytes(), "little") for row in rows]
-    packed = np.zeros((len(rows), 8), dtype=np.uint8)
-    packed[:, :rows.shape[1]] = rows
-    return packed.view("<u8")[:, 0].tolist()
+        return [int.from_bytes(row.tobytes(), "little")
+                for row in np.packbits(mask, axis=1, bitorder="little")]
+    # up to 64 bits a row is one uint64: a block padded to 64 columns packs as
+    # one flat array, faster than short rows one by one, and converts in one call
+    padded = np.zeros((len(mask), 64), dtype=bool)
+    padded[:, :mask.shape[1]] = mask
+    return np.packbits(padded, bitorder="little").view("<u8").tolist()
 
 
 def unpack_words(words, dim: int) -> np.ndarray:

@@ -49,24 +49,20 @@ _FIELDS = ("mean_magnetization", "marginals", "magnetization_histogram",
 @pytest.mark.parametrize("dim", [4, 16], ids=["table", "vector"])
 def test_chains_are_separate_substreams(sampler, score, dim):
     """Chain c draws only from substream c, so the first chains of a larger
-    run reproduce a smaller run bit for bit; in table mode that includes
-    runs whose chains step alone on Python ints against runs that step them
-    in lockstep."""
+    run reproduce a smaller run bit for bit."""
     def run(chains):
         return run_chain(_cfg(model=CurieWeiss(0.1, 0.5, dim), sampler=sampler,
                               score=score, eta=0.45, steps=1500, burn_in=100,
                               chains=chains))
 
-    above = simulate._LOCKSTEP_CHAINS + 1
-    runs = {c: run(c) for c in (above, 4, 2, 1)}
-    for larger in (4, above):
-        for c in (2, 1):
-            for field in _FIELDS:
-                big, small = getattr(runs[larger], field), getattr(runs[c], field)
-                if small is None:
-                    assert big is None and dim > 12
-                else:
-                    np.testing.assert_array_equal(big[:c], small, err_msg=field)
+    runs = {c: run(c) for c in (4, 2, 1)}
+    for c in (2, 1):
+        for field in _FIELDS:
+            big, small = getattr(runs[4], field), getattr(runs[c], field)
+            if small is None:
+                assert big is None and dim > 12
+            else:
+                np.testing.assert_array_equal(big[:c], small, err_msg=field)
 
 
 @pytest.mark.parametrize("sampler,score", [
@@ -109,35 +105,43 @@ def test_exchangeable_targets_above_the_level_cap_step_in_lockstep(monkeypatch):
 @pytest.mark.parametrize("sampler,score", [("gibbs", None)] + [
     (sampler, score) for sampler in ("dula", "dmala", "dups", "dmaps")
     for score in ("glauber", "gibbs", "stein")])
-def test_chains_alone_reproduce_the_lockstep_table_step(sampler, score, dim, eta,
-                                                         tmp_path, monkeypatch):
-    """The scalar table step, one chain at a time on Python ints, and the
-    lockstep numpy-table step give the same estimators and `--dump` files
-    bit for bit, over many blocks of uniforms and with burn-in and thinning;
-    the adjusted samplers take both branches of the accept test."""
-    cfg = ChainConfig(sampler, CurieWeiss(0.4 / dim, 0.5, dim), score, eta, steps=1500,
-                      burn_in=101, thinning=3, chains=3, seed=23)
-    monkeypatch.setattr(simulate, "_UNIFORM_BLOCK", 1 << 10)
-    runs = {}
-    for name, lockstep_chains in (("alone", cfg.chains + 1), ("lockstep", 1)):
-        monkeypatch.setattr(simulate, "_LOCKSTEP_CHAINS", lockstep_chains)
-        path = tmp_path / f"{name}.csv"
-        runs[name] = run_chain(cfg, dump_path=str(path)), path.read_bytes()
-    (alone, alone_dump), (lockstep, lockstep_dump) = runs["alone"], runs["lockstep"]
-    for field in _FIELDS:
-        np.testing.assert_array_equal(getattr(alone, field), getattr(lockstep, field),
-                                      err_msg=field)
-    assert alone_dump == lockstep_dump
-    assert alone_dump.count(b"\n") == 1 + cfg.chains * alone.retained
+def test_chains_alone_reproduce_the_lockstep_table_step(sampler, score, dim, eta):
+    """The scalar table step, which `run_chain` takes one chain at a time
+    on Python ints, and the batched table step, which `sample_transitions`
+    takes, give the same next states and accept flags bit for bit from the
+    same states and uniforms, over many steps of three chains in lockstep;
+    the adjusted samplers take both branches of the accept test on every
+    chain."""
+    model = CurieWeiss(0.4 / dim, 0.5, dim)
+    field = None if score is None else ScoreField(model, score)
+    alone = Stepper(model, sampler, field, eta, tables=True, scalar=True)
+    lockstep = Stepper(model, sampler, field, eta, tables=True)
+    rng = np.random.default_rng(23)
+    steps, chains = 1500, 3
+    u = rng.random((steps, chains, lockstep.uniforms_per_step))
+    start = rng.integers(0, 1 << dim, chains)
+    paths = np.empty((steps, chains), dtype=np.int64)
+    flags = np.empty((steps, chains), dtype=bool)
+    x = start
+    for t, operands in enumerate(zip(*lockstep.prepare(u))):
+        x, ok, _, _, _ = lockstep.step(x, *operands)
+        paths[t], flags[t] = x, ok
+    for c in range(chains):
+        # each scalar step starts from the state the batched step left
+        before = [int(start[c])] + paths[:-1, c].tolist()
+        steps_alone = [alone.step(x, *operands)[:2]
+                       for x, operands in zip(before, zip(*alone.prepare(u[:, c])))]
+        np.testing.assert_array_equal([nxt for nxt, _ in steps_alone], paths[:, c])
+        np.testing.assert_array_equal([ok for _, ok in steps_alone], flags[:, c])
     if sampler in ("dmala", "dmaps"):
-        assert 0 < alone.acceptance_fraction.min() <= alone.acceptance_fraction.max() < 1
+        assert 0 < flags.mean(axis=0).min() <= flags.mean(axis=0).max() < 1
 
 
 @pytest.mark.parametrize("sampler", ["gibbs", "dula", "dmala", "dups", "dmaps"])
 def test_single_table_chain_reads_no_numpy_row(sampler, monkeypatch):
-    """A chain that steps alone reads its rows from Python lists: a 1-chain
-    table run makes no `Stepper._table_row` call, where a lockstep run makes
-    one or more per step."""
+    """Table-mode chains step alone and read their rows from Python lists
+    at every chain count: no run makes a `Stepper._table_row` call, where
+    `sample_transitions`, on the batched table step, does."""
     calls = []
     table_row = Stepper._table_row
 
@@ -147,11 +151,13 @@ def test_single_table_chain_reads_no_numpy_row(sampler, monkeypatch):
 
     monkeypatch.setattr(Stepper, "_table_row", counted)
     cfg = _cfg(sampler=sampler, score=None if sampler == "gibbs" else "glauber",
-               model=CurieWeiss(0.1, 0.5, 6), steps=600, burn_in=0, chains=1)
-    run_chain(cfg)
+               model=CurieWeiss(0.1, 0.5, 6), steps=600, burn_in=0)
+    for chains in (1, 4, 9):
+        run_chain(replace(cfg, chains=chains))
     assert calls == []
-    run_chain(replace(cfg, chains=simulate._LOCKSTEP_CHAINS))
-    assert len(calls) >= cfg.steps
+    sample_transitions(cfg.model, sampler, cfg.score, cfg.eta, state_of(5, 6), 10,
+                       np.random.default_rng(0))
+    assert calls
 
 
 def _counting(calls, name, fn):
@@ -617,10 +623,10 @@ def test_config_validation():
         _cfg(eta=-0.1)
     with pytest.raises(ParameterError):
         _cfg(sampler="gibbs", model=IndependentBits(0.1, 6), eta=2.0)
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError, match="'dula' needs a score field"):
         _cfg(sampler="dula", score=None)
-    with pytest.raises(ParameterError):
-        _cfg(sampler="warp")
+    with pytest.raises(ParameterError, match="unknown score kind 'hamming'"):
+        _cfg(score="hamming")
     with pytest.raises(ParameterError, match="seed must be >= 0, got -1"):
         _cfg(seed=-1)
 
@@ -636,6 +642,8 @@ def test_gibbs_config_reports_the_step_size():
 def test_samplers_without_a_step_are_parameter_errors(sampler):
     model = IndependentBits(0.3, 3)
     x = state_of(5, 3)
+    with pytest.raises(ParameterError, match="has no step"):
+        _cfg(sampler=sampler, model=model)
     with pytest.raises(ParameterError, match="has no step"):
         sample_transitions(model, sampler, "glauber", 0.5, x, 10, np.random.default_rng(0))
     with pytest.raises(ParameterError, match="has no step"):
