@@ -254,7 +254,7 @@ def cmd_check(args) -> int:
               f" score={row['score']} eta={row['eta']:g}{obs}{bnd}{why}")
     if args.out:
         with open(args.out, "w") as fh:
-            writer = csv.writer(fh)
+            writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(CHECK_COLUMNS)
             writer.writerows([_fmt(row[c]) for c in CHECK_COLUMNS] for row in rows)
     return 1 if any(row["status"] == "FAIL" for row in rows) else 0

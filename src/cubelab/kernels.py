@@ -46,7 +46,7 @@ from scipy.special import expit, log_expit
 
 from .errors import CapabilityError, NumericalError, ParameterError
 from .models import TargetModel, log_weight_table
-from .scores import ScoreField
+from .scores import ScoreField, _definition
 from .statespace import (BitState, all_signs, flip_neighbors, isometry_images,
                          orbit_minima, pack_words)
 
@@ -159,11 +159,11 @@ def _check_score(model: TargetModel, score: ScoreField) -> None:
         raise ParameterError(f"a score field of {score.model!r} cannot drive {model!r}")
 
 
-def _check_step(model: TargetModel, sampler: str, score: ScoreField | str | None,
+def _check_step(model: TargetModel, sampler: str, score: str | None,
                 eta: float) -> float | None:
     """Check a step request to a `Stepper`, a chain config or the gibbs
-    kernel, whose score is a field or a kind; return gibbs's step size
-    exp(-2/eta), which must be at most 1/d, and None for other samplers."""
+    kernel, whose score is a kind (gibbs ignores it); return gibbs's step
+    size exp(-2/eta), which must be at most 1/d, and None for other samplers."""
     if sampler not in STEP_SAMPLERS:
         raise ParameterError(
             f"sampler {sampler!r} has no step, expected one of {STEP_SAMPLERS}")
@@ -176,6 +176,7 @@ def _check_step(model: TargetModel, sampler: str, score: ScoreField | str | None
         return h
     if score is None:
         raise ParameterError(f"sampler {sampler!r} needs a score field")
+    _definition(score)  # raises the scores module's error for an unknown kind
     return None
 
 
@@ -533,6 +534,8 @@ def kernel_matrix(model: TargetModel, sampler: str, score: ScoreField | None,
 class Stepper:
     """One sampler's transition, on a batch of states or on a single state.
 
+    The score is named by its kind (None for gibbs, which always reads the
+    glauber score), and the stepper builds its one `ScoreField` of `model`.
     A step reads m = `uniforms_per_step` uniforms on [0, 1), fixed per
     sampler: gibbs 1, dula d, dmala d + 1, dups 2d, dmaps 2d + 1. The state
     representation is fixed at construction:
@@ -597,13 +600,11 @@ class Stepper:
     is a 0-d `np.bool_`.
     """
 
-    def __init__(self, model: TargetModel, sampler: str, score: ScoreField | None,
+    def __init__(self, model: TargetModel, sampler: str, score: str | None,
                  eta: float, tables: bool, scalar: bool = False):
         self.h = _check_step(model, sampler, score, eta)
         d = model.dim
-        if sampler == "gibbs":
-            score = ScoreField(model, "glauber")
-        _check_score(model, score)
+        score = ScoreField(model, "glauber" if sampler == "gibbs" else score)
         self.uniforms_per_step = {"gibbs": 1, "dula": d, "dmala": d + 1,
                                   "dups": 2 * d, "dmaps": 2 * d + 1}[sampler]
         self.sampler = sampler
@@ -932,7 +933,9 @@ def _step_once(model: TargetModel, sampler: str, score: ScoreField | None, x: Bi
                eta: float, rng: np.random.Generator) -> StepOutcome:
     """One step from x through the closed-form stepper, on fresh uniforms."""
     model._check_state(x)
-    st = Stepper(model, sampler, score, eta, tables=False)
+    if score is not None:
+        _check_score(model, score)
+    st = Stepper(model, sampler, None if score is None else score.kind, eta, tables=False)
     u = rng.random(st.uniforms_per_step)
     nxt, ok, prop, aux, _ = st.step(x.signs().astype(np.float64), *st.prepare(u))
     return StepOutcome(BitState.from_signs(nxt), bool(ok), BitState.from_signs(prop),

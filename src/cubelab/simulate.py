@@ -1,9 +1,10 @@
 """Seeded Monte Carlo chain runner with streaming estimators.
 
-Chains step through one `kernels.Stepper`, in one loop over blocks of
-whole steps. Dimensions up to `TABLE_DIM_CAP` run on packed integer states
-against precomputed per-state tables (the hot path for the simulation/matrix
-consistency checks). There every chain steps alone, one after another in
+Chains step through one `kernels.Stepper`, built from the config's score
+kind, in one loop over blocks of whole steps. Dimensions up to
+`TABLE_DIM_CAP` run on packed integer states against precomputed
+per-state tables (the hot path for the simulation/matrix consistency
+checks). There every chain steps alone, one after another in
 each block, on a Python int with its table rows as Python lists, so a step
 makes no numpy call and a run costs time linear in its chain count.
 
@@ -40,9 +41,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapabilityError, ParameterError
-from .kernels import LEVEL_DIM_CAP, SCORE_FREE, Stepper, _check_step
+from .kernels import LEVEL_DIM_CAP, Stepper, _check_step
 from .models import TargetModel
-from .scores import ScoreField
 from .statespace import BitState, all_signs, pack_words, unpack_words
 
 TABLE_DIM_CAP = 12
@@ -63,10 +63,8 @@ class ChainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        # an unknown score kind fails here, not when the chains start
         _check_step(self.model, self.sampler, self.score, self.eta)
-        if self.sampler not in SCORE_FREE:
-            # an unknown score kind fails here, not when the chains start
-            ScoreField(self.model, self.score)
         if not self.steps > self.burn_in >= 0:
             raise ParameterError(
                 f"need steps > burn_in >= 0, got steps={self.steps} burn_in={self.burn_in}")
@@ -109,12 +107,6 @@ def _level_path(model: TargetModel) -> bool:
     return TABLE_DIM_CAP < model.dim <= LEVEL_DIM_CAP and model.exchangeable
 
 
-def _stepper(model: TargetModel, sampler: str, score: str | None, eta: float,
-             tables: bool, scalar: bool = False) -> Stepper:
-    field = None if sampler in SCORE_FREE else ScoreField(model, score)
-    return Stepper(model, sampler, field, eta, tables, scalar)
-
-
 def run_chain(cfg: ChainConfig, dump_path: str | None = None) -> SimResult:
     """Run every chain of the config and return streaming estimators.
 
@@ -135,7 +127,7 @@ def run_chain(cfg: ChainConfig, dump_path: str | None = None) -> SimResult:
     chains = cfg.chains
     table_mode = d <= TABLE_DIM_CAP
     alone = table_mode or _level_path(cfg.model)
-    st = _stepper(cfg.model, cfg.sampler, cfg.score, cfg.eta, table_mode, alone)
+    st = Stepper(cfg.model, cfg.sampler, cfg.score, cfg.eta, table_mode, alone)
     m = st.uniforms_per_step
     block = max(1, _UNIFORM_BLOCK // m)
     blocks = [(t0, min(block, cfg.steps - t0)) for t0 in range(0, cfg.steps, block)]
@@ -217,7 +209,7 @@ def _write_dump(path: str, steps: np.ndarray, chain_states: np.ndarray, d: int) 
     """Retained samples in chain-major order, from their steps and each
     chain's states there, as packed words or as masks of the +1 coordinates."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
+        writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["chain", "step", "state", "magnetization"])
         for c, states in enumerate(chain_states):
             words = states.tolist() if states.ndim == 1 else pack_words(states)
@@ -247,7 +239,7 @@ def sample_transitions(model: TargetModel, sampler: str, score: str | None,
     model._check_state(x)
     if n < 0:
         raise ParameterError(f"draw count must be >= 0, got {n}")
-    st = _stepper(model, sampler, score, eta, tables=True)
+    st = Stepper(model, sampler, score, eta, tables=True)
     out = []
     for start in range(0, max(n, 1), _DRAW_BLOCK):
         size = min(_DRAW_BLOCK, n - start)

@@ -233,6 +233,28 @@ def test_simulate_csv(tmp_path, capsys):
     assert dump.read_bytes() == first_dump
 
 
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--sampler", "dmala", "--eta", "0.5"],
+    ["sweep", "--sampler", "dula", "--score", "glauber", "--eta-grid", "0.4:0.6:2"],
+    ["check", "--eta", "0.8", "--score", "glauber"],
+    ["bounds", "--eta", "0.5", "--score", "glauber"],
+    ["simulate", "--sampler", "dula", "--eta", "0.5", "--steps", "20", "--chains", "2",
+     "--dump", "DUMP"],
+    ["ctmc", "--horizon", "5"],
+], ids=["analyze", "sweep", "check", "bounds", "simulate", "ctmc"])
+def test_every_csv_file_ends_its_lines_with_a_newline(tmp_path, capsys, argv):
+    """Every CSV a subcommand writes, through `--out` or `--dump`, ends each
+    line with a bare newline and holds no carriage return."""
+    out, dump = tmp_path / "out.csv", tmp_path / "dump.csv"
+    argv = [str(dump) if a == "DUMP" else a for a in argv]
+    assert run_cli(capsys, *argv, "--model", "bits", "--beta", "0.1", "--dim", "3",
+                   "--out", str(out))[0] == 0
+    for path in (out, dump) if "--dump" in argv else (out,):
+        text = path.read_bytes()
+        assert text.endswith(b"\n") and text.count(b"\n") >= 2
+        assert b"\r" not in text, path.name
+
+
 def test_ctmc_csv(tmp_path, capsys):
     from cubelab.cli import _fmt
     from cubelab.ctmc import ctmc_simulate, glauber_rates

@@ -317,7 +317,7 @@ def test_vector_carry_is_the_next_states_features(model, eta, sampler):
     states, evaluated afresh, bit for bit: on batches where every chain
     accepts (the select is skipped), on batches where some reject, and on an
     unbatched one-shot step."""
-    st = kernels.Stepper(model, sampler, ScoreField(model, "glauber"), eta, tables=False)
+    st = kernels.Stepper(model, sampler, "glauber", eta, tables=False)
 
     def fresh(x):
         return st._at(x) if sampler == "dmala" else (st._log_weight(x),)
@@ -550,8 +550,7 @@ def test_a_score_field_of_another_model_is_rejected():
              lambda f: dmaps_empirical_delta(model, f, 0.5),
              lambda f: naive_mh_oracle(model, f, 0.5),
              *(lambda f, step=step: step(model, f, state_of(5, 3), 0.5, rng)
-               for step in (dula_step, dmala_step, dups_step, dmaps_step)),
-             lambda f: kernels.Stepper(model, "dula", f, 0.5, tables=True)]
+               for step in (dula_step, dmala_step, dups_step, dmaps_step))]
     for field in others:
         for call in calls:
             with pytest.raises(ParameterError, match=re.escape(
@@ -667,8 +666,7 @@ def test_scalar_dot_products_sum_like_vecdot(dim):
     vectors this short. Values spread over six decades make the order of
     the additions show in the last bits; both give the same floats."""
     model = IndependentBits(0.3, dim)
-    st = kernels.Stepper(model, "dmaps", ScoreField(model, "glauber"), 0.5, tables=True,
-                         scalar=True)
+    st = kernels.Stepper(model, "dmaps", "glauber", 0.5, tables=True, scalar=True)
     rng = np.random.default_rng(dim)
     n = 5000
     a, b = rng.normal(size=(2, n, dim)) * 10.0 ** rng.uniform(-3, 3, (2, n, dim))
@@ -708,11 +706,10 @@ def test_level_tables_equal_the_closed_forms(family, dim):
                                       np.asarray(want).view(np.uint64))
 
     for kind in SCORE_KINDS:
-        field = ScoreField(model, kind)
         for sampler, eta in (("gibbs", 0.45), ("dula", 1.0), ("dmala", 1.0), ("dups", 1.0),
                              ("dmaps", 1.0)):
-            level = kernels.Stepper(model, sampler, field, eta, tables=False, scalar=True)
-            closed = kernels.Stepper(model, sampler, field, eta, tables=False)
+            level = kernels.Stepper(model, sampler, kind, eta, tables=False, scalar=True)
+            closed = kernels.Stepper(model, sampler, kind, eta, tables=False)
             want = (closed._gibbs_probs(signs, model.glauber_score_signs(signs))
                     if sampler == "gibbs" else closed._at(signs))
             got = list(zip(*(level._at(w) for w in words)))
@@ -760,8 +757,7 @@ def test_level_tables_of_a_false_exchangeability_raise(model, kind):
 
     for sampler in ("dula", "dmala", "dmaps"):
         with pytest.raises(NumericalError, match="declares every coordinate permutation") as err:
-            kernels.Stepper(model, sampler, ScoreField(model, kind), 0.8, tables=False,
-                            scalar=True)
+            kernels.Stepper(model, sampler, kind, 0.8, tables=False, scalar=True)
         assert repr(model) in str(err.value)
     with pytest.raises(NumericalError, match=re.escape(repr(model))):
         run_chain(ChainConfig("dmala", model, kind, 0.8, steps=10))
@@ -770,8 +766,7 @@ def test_level_tables_of_a_false_exchangeability_raise(model, kind):
 def test_level_tables_need_declared_exchangeability():
     model = IsingGrid(4, 4, 0.3, 0.1)
     with pytest.raises(CapabilityError, match="declares every coordinate permutation"):
-        kernels.Stepper(model, "dula", ScoreField(model, "glauber"), 0.8, tables=False,
-                        scalar=True)
+        kernels.Stepper(model, "dula", "glauber", 0.8, tables=False, scalar=True)
 
 
 def test_level_tables_stop_at_the_level_cap():
@@ -779,8 +774,7 @@ def test_level_tables_stop_at_the_level_cap():
     built above `LEVEL_DIM_CAP`."""
     cap = kernels.LEVEL_DIM_CAP
     model = CurieWeiss(0.3 / cap, 0.0, cap)
-    kernels.Stepper(model, "dula", ScoreField(model, "glauber"), 0.8, tables=False, scalar=True)
+    kernels.Stepper(model, "dula", "glauber", 0.8, tables=False, scalar=True)
     model = CurieWeiss(0.3 / cap, 0.0, cap + 1)
     with pytest.raises(CapabilityError, match=f"level tables stop at d = {cap}"):
-        kernels.Stepper(model, "dula", ScoreField(model, "glauber"), 0.8, tables=False,
-                        scalar=True)
+        kernels.Stepper(model, "dula", "glauber", 0.8, tables=False, scalar=True)

@@ -15,6 +15,8 @@ from cubelab.scores import ScoreField
 from cubelab.simulate import ChainConfig, run_chain, sample_transitions
 from cubelab.statespace import state_of
 
+from ising_law import ising_plus_count_log_law
+
 
 def _cfg(**kwargs):
     base = dict(sampler="dula", model=BitsMixture(0.4, 4), score="glauber",
@@ -113,9 +115,8 @@ def test_chains_alone_reproduce_the_lockstep_table_step(sampler, score, dim, eta
     the adjusted samplers take both branches of the accept test on every
     chain."""
     model = CurieWeiss(0.4 / dim, 0.5, dim)
-    field = None if score is None else ScoreField(model, score)
-    alone = Stepper(model, sampler, field, eta, tables=True, scalar=True)
-    lockstep = Stepper(model, sampler, field, eta, tables=True)
+    alone = Stepper(model, sampler, score, eta, tables=True, scalar=True)
+    lockstep = Stepper(model, sampler, score, eta, tables=True)
     rng = np.random.default_rng(23)
     steps, chains = 1500, 3
     u = rng.random((steps, chains, lockstep.uniforms_per_step))
@@ -414,6 +415,48 @@ def test_level_chains_match_the_exact_magnetization_law(model, sampler):
     assert tv <= 0.05, tv
 
 
+@pytest.mark.parametrize("rows,cols,periodic", [(3, 4, False), (3, 4, True), (3, 6, False),
+                                                (3, 6, True), (4, 5, True)])
+def test_the_transfer_law_of_an_ising_grid_is_exact(rows, cols, periodic):
+    """The column-transfer law of the +1 count, built from the grid's
+    definition alone, equals `exact_target` summed by +1 count within 1e-12,
+    at a ferromagnetic and an antiferromagnetic coupling. At J = 0.3 the
+    oracle agrees with a `math.fsum` of the enumeration to 4e-16; what
+    remains (up to 1e-13 at d = 20) is the rounding of the sequential sum
+    below."""
+    for J, h in ((0.3, 0.1), (-0.4, 0.25)):
+        p = exact_target(IsingGrid(rows, cols, J, h, periodic=periodic))
+        lumped = np.bincount(np.bitwise_count(np.arange(p.size)), weights=p)
+        law = np.exp(ising_plus_count_log_law(rows, cols, J, h, periodic))
+        np.testing.assert_allclose(law, lumped, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("sampler", ["gibbs", "dmala", "dmaps"])
+def test_grid_chains_match_the_transfer_law(sampler):
+    """On a 3x8 Ising grid (d = 24, not exchangeable, above the table cap)
+    chains step on +-1 vectors in lockstep, the only path such a target
+    has. Their pooled +1-count histogram lies within TV 0.05 of the exact
+    law, which `ising_plus_count_log_law` gives without the library, so a
+    closed form that the stepper and `_ReferenceStepper` share cannot pass
+    wrongly. The steps and step sizes are those of
+    `test_level_chains_match_the_exact_magnetization_law`. Over seeds
+    11-18 the correct chains read at most 0.024 (gibbs), 0.021 (dmala) and
+    0.015 (dmaps). Flipping one sign on that path reads 0.57 or more over
+    seeds 11-13: the score's in gibbs's flip probabilities (0.57), the
+    proposal-ratio term of dmala's accept test (0.95) or the tilt term of
+    dmaps's (0.92)."""
+    model = IsingGrid(3, 8, 0.25, 0.1)
+    assert not simulate._level_path(model) and model.dim > simulate.TABLE_DIM_CAP
+    law = np.exp(ising_plus_count_log_law(3, 8, 0.25, 0.1))
+    eta = 1.8 / math.log(model.dim) if sampler == "gibbs" else 0.8
+    steps = 100_000 if sampler == "gibbs" else 20_000
+    res = run_chain(ChainConfig(sampler, model, None if sampler == "gibbs" else "glauber",
+                                eta, steps=steps, burn_in=1_000, chains=4, seed=11))
+    pooled = res.magnetization_histogram.sum(axis=0)
+    tv = 0.5 * np.abs(pooled / pooled.sum() - law).sum()
+    assert tv <= 0.05, tv
+
+
 def _bits_plus_probability(sampler: str, score: str, beta: float, eta: float) -> float:
     """Stationary P(x_i = +1) of one coordinate of a dula or dups chain on
     IndependentBits(beta, d), whose coordinates move as independent two-state
@@ -542,7 +585,7 @@ def test_closed_form_step_matches_kernel_row(sampler, score):
     kernel = (gibbs_matrix(model, eta) if sampler == "gibbs" else
               getattr(kernels, f"{sampler}_matrix")(model, field, eta))
     row = kernel.probs[9]
-    st = Stepper(model, sampler, field, eta, tables=False)
+    st = Stepper(model, sampler, score, eta, tables=False)
     n = 40_000
     start = np.tile(state_of(9, 4).signs().astype(np.float64), (n, 1))
     u = np.random.default_rng(17).random((n, st.uniforms_per_step))
