@@ -58,9 +58,9 @@ class Trajectory:
 def glauber_rates(model: TargetModel) -> RateFunction:
     """Per-coordinate flip rates sigma(-2 x_i g(x)_i) for the given target.
 
-    Up to the score-table cap the rates are precomputed for every state,
-    which makes long runs cheap; above it they are evaluated per state from
-    the model's closed-form glauber score.
+    Up to the score-table cap the rates are precomputed for every state from
+    the glauber tilt table, which makes long runs cheap; above it they are
+    evaluated per state from the model's closed form, which the table holds.
     """
     from scipy.special import expit
 

@@ -162,22 +162,23 @@ def _check_score(model: TargetModel, score: ScoreField) -> None:
 def _check_step(model: TargetModel, sampler: str, score: str | None,
                 eta: float) -> float | None:
     """Check a step request to a `Stepper`, a chain config or the gibbs
-    kernel, whose score is a kind (gibbs ignores it); return gibbs's step
-    size exp(-2/eta), which must be at most 1/d, and None for other samplers."""
+    kernel, whose score is a kind or None (gibbs reads glauber whatever it names);
+    return gibbs's step size exp(-2/eta), at most 1/d, and None for other samplers."""
     if sampler not in STEP_SAMPLERS:
         raise ParameterError(
             f"sampler {sampler!r} has no step, expected one of {STEP_SAMPLERS}")
     _check_eta(eta)
-    if sampler == "gibbs":
-        h = math.exp(-2.0 / eta)
-        if h > 1.0 / model.dim:
-            raise ParameterError(
-                f"gibbs requires exp(-2/eta) <= 1/d: exp(-2/{eta}) = {h:.6g} > 1/{model.dim}")
-        return h
-    if score is None:
+    if score is not None:
+        _definition(score)  # raises the scores module's error for an unknown kind
+    elif sampler != "gibbs":
         raise ParameterError(f"sampler {sampler!r} needs a score field")
-    _definition(score)  # raises the scores module's error for an unknown kind
-    return None
+    if sampler != "gibbs":
+        return None
+    h = math.exp(-2.0 / eta)
+    if h > 1.0 / model.dim:
+        raise ParameterError(
+            f"gibbs requires exp(-2/eta) <= 1/d: exp(-2/{eta}) = {h:.6g} > 1/{model.dim}")
+    return h
 
 
 def _check_dense(model: TargetModel, eta: float, score: ScoreField | None = None) -> None:

@@ -3,16 +3,17 @@
 A score assigns each state a vector s(x) in R^d:
 
 * glauber: half the log-weight difference between the two values of each
-  coordinate, s(x)_i = (log w(+1, x_-i) - log w(-1, x_-i)) / 2. Computed
-  from log-weight differences, so normalization cancels.
+  coordinate, s(x)_i = (log w(+1, x_-i) - log w(-1, x_-i)) / 2, so
+  normalization cancels. The pointwise form evaluates this definition; the
+  sign-array form is each model's closed form of it.
 * gibbs: the transform s(x)_i = x_i log(1 + exp(2 x_i g(x)_i)) of the
   glauber score g; always satisfies x_i s(x)_i >= 0.
 * stein: the gradient of the model's documented smooth continuation of its
   log weight. The continuation is a per-model choice, not canonical.
 
-Each kind is defined once; its pointwise, sign-array and table forms follow.
-Tables over all 2^d states and their tilts x_i s(x)_i back the dense kernel
-builders and the constant evaluators; each is built once per (model, kind).
+Each kind is defined once, in pointwise and sign-array forms; a table is the
+sign-array form on all 2^d states. Tables and their tilts x_i s(x)_i back the
+dense builders and the constant evaluators, built once per (model, kind).
 """
 
 from __future__ import annotations
@@ -74,24 +75,18 @@ def score_signs(model: TargetModel, kind: str, signs: np.ndarray) -> np.ndarray:
 def tabulate_scores(model: TargetModel, kind: str) -> np.ndarray:
     """Score table of shape (2^d, d), row k = s(state k); read-only.
 
-    The glauber rows are half the log-weight differences across each flip
-    of the memoized log-weight table (the defining formula), the gibbs rows
-    transform them, the stein rows come from the model's closed form.
-    Raises ParameterError at a state whose row overflows. Each call builds
-    afresh; `ScoreField.table()` is the memoized route.
+    The rows are `score_signs` on all 2^d states, the floats of the model's
+    closed forms; the pointwise form keeps the log-weight-difference
+    definition. Refuses a model whose log weights overflow, then raises
+    ParameterError at a state whose row overflows. Each call builds afresh;
+    `ScoreField.table()` is the memoized route.
     """
     d = model.dim
     if d > MAX_TABLE_DIM:
         raise CapabilityError(f"score tables capped at d <= {MAX_TABLE_DIM}, got {d}")
-    definition = _definition(kind)
-
-    def glauber(signs):
-        # of the two states across a flip of coordinate i, the larger index has x_i = +1
-        lw, ks, nb = log_weight_table(model), np.arange(1 << d)[:, None], flip_neighbors(d)
-        return 0.5 * (lw[np.maximum(ks, nb)] - lw[np.minimum(ks, nb)])
-
+    log_weight_table(model)  # the model check: its log weights must be finite
     with np.errstate(all="ignore"):
-        tab = np.ascontiguousarray(definition(model, all_signs(d).astype(np.float64), glauber))
+        tab = np.ascontiguousarray(score_signs(model, kind, all_signs(d)))
     _require_finite_rows(model, tab, f"{kind} score")
     tab.setflags(write=False)
     return tab

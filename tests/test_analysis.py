@@ -30,8 +30,10 @@ from cubelab.kernels import (
     kernel_matrix,
 )
 from cubelab.models import BitsMixture, CurieWeiss, IndependentBits, IsingGrid, exact_target
-from cubelab.scores import SCORE_KINDS, ScoreField
+from cubelab.scores import SCORE_KINDS, ScoreField, smooth_beta_constants
 from cubelab.statespace import all_signs, hamming, state_of
+
+import product_laws
 
 
 # ---------------------------------------------------------------------------
@@ -397,14 +399,56 @@ def test_dups_kappa_closed_form_on_bits(eta):
     # the constant-score counterexample quoted by acceptance criterion 5
     beta = 0.5
     model = IndependentBits(beta, 6)
-    closed = ((1 - 2 * expit(-2 / eta))
-              * (1 - expit(-2 / eta - 2 * beta) - expit(-2 / eta + 2 * beta)))
+    closed = product_laws.kappa("dups", "glauber", beta, eta)
     for kind in ("stein", "glauber"):
         cert = contraction_certificate(dups_matrix(model, ScoreField(model, kind), eta))
         assert cert.kappa == pytest.approx(closed, abs=1e-12)
         # every adjacent pair ties in real arithmetic: the witness is the first
         assert cert.kappa == cert.pair_values.max()
         assert cert.witness == tuple(cert.pairs[0])
+
+
+@pytest.mark.parametrize("dim", [3, 4, 5, 6])
+def test_dense_path_matches_the_product_law(dim):
+    """On IndependentBits the dula and dups kernels are d-fold products of
+    one 2x2 kernel, whose stationary W1 to the target, contraction
+    coefficient and second eigenvalue modulus `product_laws` gives in closed
+    form. The dense kernels, the stationary solve, the transport solver, the
+    orbit-reduced certificate and the eigensolver agree with it for every
+    score, at eta >= 0.2; the worst gaps measured were 1.7e-14 relative
+    (kappa), 1.8e-15 relative (lambda2) and 5.1e-15 absolute (W1)."""
+    for beta in (0.1, 0.3, 0.5, 0.7, 0.9):
+        model = IndependentBits(beta, dim)
+        target = exact_target(model)
+        for eta in (0.2, 0.4, 0.8, 1.6):
+            for sampler in product_laws.SAMPLERS:
+                for kind in SCORE_KINDS:
+                    tag = (beta, eta, sampler, kind)
+                    kernel = kernel_matrix(model, sampler, ScoreField(model, kind), eta)
+                    pi = stationary(kernel)
+                    kappa = product_laws.kappa(sampler, kind, beta, eta)
+                    cert = contraction_certificate(kernel, symmetries=model.symmetries())
+                    assert cert.kappa == pytest.approx(kappa, rel=1e-12, abs=0), tag
+                    assert (spectral_summary(kernel, pi).lambda2
+                            == pytest.approx(kappa, rel=1e-12, abs=0)), tag
+                    w1 = product_laws.stationary_w1(sampler, kind, beta, eta, dim)
+                    assert abs(wasserstein_hamming(pi, target) - w1) <= 1e-13, tag
+
+
+@pytest.mark.parametrize("dim", range(1, 13))
+def test_constant_scores_read_exact_zero_bounds(dim):
+    """On IndependentBits score component i depends on x_i alone for every
+    kind, so the smooth beta2, and with it the static dups error bound and
+    the dmaps rejection bound, are exactly 0, not roundoff."""
+    for beta in (-1.3, 0.0, 0.3, 0.7, 2.0):
+        model = IndependentBits(beta, dim)
+        for kind in SCORE_KINDS:
+            assert smooth_beta_constants(ScoreField(model, kind)).beta2 == 0.0, (beta, kind)
+        for kind in ("glauber", "gibbs"):
+            for eta in (0.2, 0.8):
+                entries = bounds_report(model, kind, eta).entries
+                assert entries["err_dups_static"].value == 0.0, (beta, kind, eta)
+                assert entries["dmaps_rejection"].value == 0.0, (beta, kind, eta)
 
 
 # every family, with a square grid, periodic rings and zero-field variants

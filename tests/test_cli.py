@@ -297,7 +297,7 @@ def test_ctmc_streamed_rows_keep_the_text(tmp_path, capsys, monkeypatch):
     code, csv_text, _ = run_cli(capsys, *args)
     assert code == 0 and len(csv_text.splitlines()) == 9975 > 2 * cli._ROW_BLOCK
     assert (hashlib.sha256(csv_text.encode()).hexdigest()
-            == "e15d52623c795b897d03c38649f37164e8aa0abb273c32f2409d929a7bb831d7")
+            == "8bc97de77efeb4fb7d48fd0cfb9670befd522e9c77e156131d051d9d0b6902c7")
     out = tmp_path / "traj.csv"
     assert run_cli(capsys, *args, "--out", str(out))[0] == 0
     assert out.read_text() == csv_text
@@ -306,7 +306,7 @@ def test_ctmc_streamed_rows_keep_the_text(tmp_path, capsys, monkeypatch):
     head = json_text.split('"versions"')[0]
     assert code == 0 and json.loads(json_text)["versions"]
     assert (hashlib.sha256(head.encode()).hexdigest()
-            == "9da26f0d596ff23bf1435c2951ebfb25d690933df0edfc10f3350f6492135d2a")
+            == "5ada1985dec9d4c9862b5323331e687150e02db7231ce722a336ac73e3844bee")
     # the CSV rows reach `_emit` as a lazy iterable, not as a list
     seen = []
     emit = cli._emit

@@ -187,6 +187,26 @@ def test_closed_form_rates_match_the_definition(model):
         np.testing.assert_allclose(rates(x), expected, rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("model", [
+    IndependentBits(0.3, 16), BitsMixture(0.2, 9), IsingGrid(4, 4, 0.3, 0.1, periodic=True),
+    IsingGrid(2, 3, 0.7, -0.4), CurieWeiss(0.05, 0.7, 16), CurieWeiss(0.3, 0.0, 5)],
+    ids=repr)
+def test_tabulated_rates_are_the_closed_form_bit_for_bit(model):
+    """Up to the score-table cap the rates are read from the tilt table,
+    which holds the closed-form glauber score, so every state's rates are
+    the floats of expit(-2 x g(x)) from `glauber_score_signs`, the form
+    used above the cap."""
+    assert model.dim <= MAX_TABLE_DIM
+    rates = glauber_rates(model)
+    n = 1 << model.dim
+    words = np.random.default_rng(16).integers(0, n, 512) if n > 4096 else np.arange(n)
+    for k in words.tolist():
+        signs = BitState(k, model.dim).signs().astype(np.float64)
+        expected = expit(-2.0 * signs * model.glauber_score_signs(signs))
+        np.testing.assert_array_equal(rates(BitState(k, model.dim)).view(np.uint64),
+                                      expected.view(np.uint64), err_msg=f"state {k:#x}")
+
+
 def test_a_state_with_total_rate_zero_ends_the_trajectory():
     """Rates that only raise -1 coordinates reach the all +1 state, whose
     total rate is 0: the path stops there, before the horizon."""

@@ -18,7 +18,7 @@ from cubelab.scores import (
     stein_score,
     tabulate_scores,
 )
-from cubelab.statespace import all_signs, state_of
+from cubelab.statespace import all_signs, flip_neighbors, state_of
 
 MODELS = [
     IndependentBits(0.5, 4),
@@ -63,19 +63,32 @@ def test_closed_form_batch_matches_definition(model):
                                    atol=1e-11)
 
 
+def _assert_same_floats(a, b, msg):
+    np.testing.assert_array_equal(np.asarray(a).view(np.uint64), np.asarray(b).view(np.uint64),
+                                  err_msg=msg)
+
+
 @pytest.mark.parametrize("beta", [0.0, 0.05, 0.5, 3.0])
 def test_mixture_closed_form_equals_the_table_bit_for_bit(beta):
-    """The mixture's glauber closed form evaluates three branch sums per
-    state, at S - 2, S and S + 2; S - x_i +- 1 is one of those exact integers,
-    so it gives the floats of the log-weight differences the tables take."""
+    """Every family's table is its sign-array form `score_signs` on all
+    states, bit for bit, for every kind. The mixture's glauber closed form
+    evaluates three branch sums per state, at S - 2, S and S + 2; S - x_i +- 1
+    is one of those exact integers, so it also gives the floats of the half
+    log-weight differences that define the score."""
     for d in range(1, 11):
-        model = BitsMixture(beta, d)
         signs = all_signs(d).astype(float)
-        for kind in ("glauber", "gibbs"):
-            closed = score_signs(model, kind, signs)
-            np.testing.assert_array_equal(closed.view(np.uint64),
-                                          tabulate_scores(model, kind).view(np.uint64),
-                                          err_msg=f"d={d} {kind}")
+        grid = (IsingGrid(2, d // 2, beta, -0.2, periodic=True) if d % 2 == 0
+                else IsingGrid(1, d, beta, 0.1))
+        for model in (IndependentBits(beta, d), BitsMixture(beta, d),
+                      CurieWeiss(beta, 0.3, d), grid):
+            for kind in SCORE_KINDS:
+                _assert_same_floats(score_signs(model, kind, signs),
+                                    tabulate_scores(model, kind), f"{model!r} {kind}")
+        # of the two states across a flip of coordinate i, the larger index has x_i = +1
+        mixture = BitsMixture(beta, d)
+        lw, ks, nb = log_weight_table(mixture), np.arange(1 << d)[:, None], flip_neighbors(d)
+        _assert_same_floats(score_signs(mixture, "glauber", signs),
+                            0.5 * (lw[np.maximum(ks, nb)] - lw[np.minimum(ks, nb)]), f"d={d}")
 
 
 def test_gibbs_score_values():
@@ -251,13 +264,13 @@ def test_tables_reject_log_weights_that_overflow(model, what):
 
 
 def test_score_tables_reject_scores_that_overflow():
-    # the log weights +-1e308 are finite, their difference across the flip is not
+    # the log weights +-1e308 are finite, and so is the exact glauber score
+    # 1e308; the gibbs transform of it overflows at x_0 = +1
     model = IndependentBits(1e308, 1)
     with np.errstate(all="raise"):
         assert np.isfinite(log_weight_table(model)).all()
-        # gibbs maps the glauber score -inf at x_0 = -1 to a finite 0
-        for kind, state in (("glauber", "0x0"), ("gibbs", "0x1")):
-            with pytest.raises(ParameterError, match=re.escape(
-                    f"{model!r} has a non-finite {kind} score at state {state}: [inf]")):
-                tabulate_scores(model, kind)
-        assert np.isfinite(tabulate_scores(model, "stein")).all()
+        for kind in ("glauber", "stein"):
+            assert tabulate_scores(model, kind).tolist() == [[1e308], [1e308]], kind
+        with pytest.raises(ParameterError, match=re.escape(
+                f"{model!r} has a non-finite gibbs score at state 0x1: [inf]")):
+            tabulate_scores(model, "gibbs")

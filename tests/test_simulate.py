@@ -11,10 +11,11 @@ from cubelab import kernels, simulate
 from cubelab.errors import CapabilityError, ParameterError
 from cubelab.kernels import Stepper, dula_matrix, gibbs_matrix
 from cubelab.models import BitsMixture, CurieWeiss, IndependentBits, IsingGrid, exact_target
-from cubelab.scores import ScoreField
+from cubelab.scores import SCORE_KINDS, ScoreField
 from cubelab.simulate import ChainConfig, run_chain, sample_transitions
 from cubelab.statespace import state_of
 
+import product_laws
 from ising_law import ising_plus_count_log_law
 
 
@@ -457,25 +458,6 @@ def test_grid_chains_match_the_transfer_law(sampler):
     assert tv <= 0.05, tv
 
 
-def _bits_plus_probability(sampler: str, score: str, beta: float, eta: float) -> float:
-    """Stationary P(x_i = +1) of one coordinate of a dula or dups chain on
-    IndependentBits(beta, d), whose coordinates move as independent two-state
-    chains. A stage flips x_i with probability sigma(-2/eta - c t(x_i)) for
-    the tilt t(x_i) = x_i s(x)_i: x_i beta for glauber, softplus(2 x_i beta)
-    for gibbs; dula is one stage with c = 1, dups the product of a stage
-    with c = 0 and one with c = 2."""
-    def tilt(x):
-        return x * beta if score == "glauber" else np.logaddexp(0.0, 2.0 * x * beta)
-
-    def stage(c):
-        # rows and columns ordered (-1, +1)
-        up, down = (expit(-2.0 / eta - c * tilt(x)) for x in (-1.0, 1.0))
-        return np.array([[1.0 - up, up], [down, 1.0 - down]])
-
-    step = stage(1.0) if sampler == "dula" else stage(0.0) @ stage(2.0)
-    return step[0, 1] / (step[0, 1] + step[1, 0])
-
-
 @pytest.mark.parametrize("dim,chains,steps", [(24, 4, 6_000), (96, 16, 2_500)],
                          ids=["level-d24", "lockstep-d96"])
 @pytest.mark.parametrize("sampler", ["dula", "dups"])
@@ -483,7 +465,7 @@ def _bits_plus_probability(sampler: str, score: str, beta: float, eta: float) ->
 def test_bits_chains_match_the_binomial_magnetization_law(score, sampler, dim, chains, steps):
     """On IndependentBits the +1 count of a dula or dups chain is
     Binomial(d, p) at stationarity, with p from the 2x2 flip law of one
-    coordinate, computed here without the stepper or the score field. The
+    coordinate in `product_laws`, which imports no cubelab code. The
     pooled histogram of seeded chains lies within TV 0.04 of it, on the
     level path (d = 24) and on the +-1 lockstep path (d = 96). Over seeds
     0-9 the correct chains read at most 0.017; swapping the plus and minus
@@ -491,7 +473,7 @@ def test_bits_chains_match_the_binomial_magnetization_law(score, sampler, dim, c
     features) reads 0.51 or more, since it sends p to 1 - p."""
     model = IndependentBits(0.3, dim)
     assert simulate._level_path(model) == (dim <= kernels.LEVEL_DIM_CAP)
-    p = _bits_plus_probability(sampler, score, 0.3, 2.0)
+    p = math.exp(product_laws.log_plus_probability(sampler, score, 0.3, 2.0))
     law = binom.pmf(np.arange(dim + 1), dim, p)
     res = run_chain(ChainConfig(sampler, model, score, 2.0, steps=steps, burn_in=50,
                                 chains=chains, seed=3))
@@ -545,10 +527,8 @@ def test_dula_long_run_matches_single_site_law():
                       steps=steps, burn_in=5000, thinning=1, chains=1, seed=314)
     res = run_chain(cfg)
     n = res.retained
-    a = float(expit(-2 / eta - beta))   # flip rate from +1
-    b = float(expit(-2 / eta + beta))   # flip rate from -1
-    pi_plus = b / (a + b)
-    lam = 1.0 - a - b
+    pi_plus = math.exp(product_laws.log_plus_probability("dula", "glauber", beta, eta))
+    lam = product_laws.kappa("dula", "glauber", beta, eta)  # 1 - a - b
     # asymptotic variance of the +1-indicator average for a two-state chain
     var = pi_plus * (1 - pi_plus) * (1 + lam) / (1 - lam)
     se = math.sqrt(var / n)
@@ -679,6 +659,19 @@ def test_gibbs_config_reports_the_step_size():
         _cfg(sampler="gibbs", model=IndependentBits(0.1, 6), eta=2.0)
     with pytest.raises(ParameterError, match="positive and finite"):
         _cfg(eta=math.inf)
+
+
+def test_gibbs_config_checks_the_score_kind():
+    """gibbs reads the glauber score whatever kind it names, but a misspelt
+    kind is refused as for every other sampler; None and the three kinds
+    are accepted."""
+    model = IndependentBits(0.3, 4)
+    with pytest.raises(ParameterError, match="unknown score kind 'hamming'"):
+        ChainConfig("gibbs", model, "hamming", 0.4, steps=10)
+    with pytest.raises(ParameterError, match="unknown score kind 'hamming'"):
+        Stepper(model, "gibbs", "hamming", 0.4, tables=True)
+    for kind in (None, *SCORE_KINDS):
+        assert ChainConfig("gibbs", model, kind, 0.4, steps=10).score == kind
 
 
 @pytest.mark.parametrize("sampler", ["prox", "warp"])
