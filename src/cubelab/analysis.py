@@ -25,7 +25,7 @@ from .errors import CapabilityError, NumericalError
 from .kernels import KernelMatrix
 from .models import TargetModel, exact_target, log_weight_table
 from .scores import ScoreField, smooth_beta_constants
-from .statespace import all_signs, flip_neighbors, orbit_minima
+from .statespace import all_signs, flip_neighbors, isometry_images, orbit_minima
 
 # a certificate costs one optimal-transport solve per orbit of hypercube
 # edges under the target's declared symmetries: every edge when it declares
@@ -59,18 +59,19 @@ def _require_distribution(p: np.ndarray, name: str) -> np.ndarray:
 # stationary distributions
 
 
-def stationary(kernel: KernelMatrix) -> np.ndarray:
-    """Stationary law by Grassmann-Taksar-Heyman state reduction (1985).
+def _gth_law(a: np.ndarray, owner: str, unit: str = "state") -> np.ndarray:
+    """Stationary law of the chain whose off-diagonal moves are `a` (its
+    diagonal is ignored and `a` is overwritten), by Grassmann-Taksar-Heyman
+    state reduction (1985).
 
     States are eliminated from the top index down, each one's off-diagonal
     moves spread over the states below it in proportion to its outflow
     (the pivot); the law is then rebuilt from state 0 up. Nothing is
     subtracted, so every entry keeps a small relative error however sticky
-    or periodic the kernel is. A zero pivot means the kernel is reducible
-    in double precision and raises NumericalError.
+    or periodic the chain is. A zero pivot means the chain is reducible in
+    double precision and raises NumericalError naming `owner`, and the
+    `unit` its indices count.
     """
-    a = np.array(kernel.probs, dtype=np.float64)
-    np.fill_diagonal(a, 0.0)
     n = a.shape[0]
     for hi in range(n, 0, -_GTH_BLOCK):
         lo = max(hi - _GTH_BLOCK, 0)
@@ -78,8 +79,8 @@ def stationary(kernel: KernelMatrix) -> np.ndarray:
             pivot = a[k, :k].sum()
             if not pivot > 0.0:
                 raise NumericalError(
-                    f"{kernel.sampler} kernel at eta={kernel.eta:g} is reducible in "
-                    f"double precision: state {k} has no path to states 0..{k - 1}")
+                    f"{owner} is reducible in double precision: {unit} {k} has no path "
+                    f"to {unit}s 0..{k - 1}")
             a[:k, k] /= pivot
             a[lo:k, :k] += a[lo:k, k, None] * a[k, :k]
             a[:lo, lo:k] += a[:lo, k, None] * a[k, lo:k]
@@ -95,6 +96,82 @@ def stationary(kernel: KernelMatrix) -> np.ndarray:
     if not np.isfinite(pi).all():
         raise NumericalError("stationary law overflowed in GTH back-substitution")
     return pi
+
+
+@dataclass(frozen=True)
+class _Orbits:
+    """The orbits of the states of the d-cube under a group of isometries,
+    numbered by their lowest state, so that orbit 0 holds state 0: the
+    orbit of each state, each orbit's lowest state and size, the (2^d, r)
+    0/1 membership matrix, and the dual LP of the quotient graph, whose
+    edges join each pair of orbits that a cube edge joins (as `_edge_lp`
+    gives it for one block)."""
+
+    of: np.ndarray
+    reps: np.ndarray
+    sizes: np.ndarray
+    membership: np.ndarray
+    lp: tuple
+
+    def lump(self, a: np.ndarray) -> np.ndarray:
+        """Sums of the last axis of `a` over each orbit."""
+        return a @ self.membership
+
+    def average(self, a: np.ndarray) -> np.ndarray:
+        """`a` averaged over each orbit, an entry per state."""
+        return (self.lump(a) / self.sizes)[..., self.of]
+
+
+def _orbits(d: int, symmetries) -> _Orbits:
+    """The orbits of the group that the cube isometries `symmetries`
+    generate (ParameterError if one is not an isometry)."""
+    return _orbits_of(d, tuple((tuple(int(i) for i in sigma), int(mask))
+                               for sigma, mask in symmetries))
+
+
+# a model declares one group; the bound is that of the log-weight tables
+@functools.lru_cache(maxsize=16)
+def _orbits_of(d: int, symmetries: tuple) -> _Orbits:
+    n = 1 << d
+    labels = orbit_minima(n, [isometry_images(d, sigma, mask) for sigma, mask in symmetries])
+    reps = np.flatnonzero(labels == np.arange(n))
+    of = np.searchsorted(reps, labels)
+    ends = np.sort(of[_adjacent_pairs(d)], axis=1)
+    incidence = _incidence(np.unique(ends[ends[:, 0] != ends[:, 1]], axis=0), len(reps))
+    arrays = of, reps, np.bincount(of), (of[:, None] == np.arange(len(reps))) * 1.0
+    for a in arrays:
+        a.setflags(write=False)
+    return _Orbits(*arrays, (*_stacked_lp(incidence, 1), incidence))
+
+
+def stationary(kernel: KernelMatrix, symmetries: tuple = ()) -> np.ndarray:
+    """Stationary law by Grassmann-Taksar-Heyman state reduction (see
+    `_gth_law`). A zero pivot means the kernel is reducible in double
+    precision and raises NumericalError.
+
+    `symmetries` are cube isometries `(sigma, flip_mask)`, as declared by
+    `TargetModel.symmetries`. Each is first checked on the kernel, as in
+    `contraction_certificate`, and one it breaks by more than
+    `SYMMETRY_TOL` raises NumericalError. A kernel that commutes with a
+    group is lumpable onto the group's orbits (Kemeny-Snell): every state
+    of an orbit o sends the same mass F[o, o'] = sum_{y in o'} K(x, y) to
+    each orbit o', and its stationary law is spread evenly over each orbit.
+    So GTH runs on the r x r chain F, a sum of nonnegative terms and as
+    subtraction-free as the full path, and pi(x) = law[o(x)] / |o(x)|. With
+    none, every state is its own orbit and the full chain is reduced.
+    """
+    owner = f"{kernel.sampler} kernel at eta={kernel.eta:g}"
+    if not symmetries:
+        a = np.array(kernel.probs, dtype=np.float64)
+        np.fill_diagonal(a, 0.0)
+        return _gth_law(a, owner)
+    _k._checked_images("kernel", kernel.dim, symmetries,
+                       [("transition probabilities", kernel.probs, "xx")])
+    orbits = _orbits(kernel.dim, symmetries)
+    lumped = orbits.lump(kernel.probs[orbits.reps])
+    np.fill_diagonal(lumped, 0.0)
+    law = _gth_law(lumped, owner, "orbit")
+    return (law / orbits.sizes)[orbits.of]
 
 
 def stationary_direct(kernel: KernelMatrix) -> np.ndarray:
@@ -192,7 +269,7 @@ def tv_distance(p: np.ndarray, q: np.ndarray) -> float:
     return 0.5 * float(np.abs(p - q).sum())
 
 
-def wasserstein_hamming(p: np.ndarray, q: np.ndarray) -> float:
+def wasserstein_hamming(p: np.ndarray, q: np.ndarray, symmetries: tuple = ()) -> float:
     """Exact 1-Wasserstein distance under the Hamming metric between two
     distributions of one length 2^d whose masses agree to 1e-10 (else
     ValueError).
@@ -202,11 +279,30 @@ def wasserstein_hamming(p: np.ndarray, q: np.ndarray) -> float:
     1 across every edge. Product laws take the closed form sum_i |P_i - Q_i|
     of their coordinate marginals; all other pairs solve the dual LP (see
     `_transport_values`).
+
+    `symmetries` are cube isometries `(sigma, flip_mask)`, as declared by
+    `TargetModel.symmetries`, under which both laws are invariant. The
+    average of an optimal potential over the group they generate is feasible
+    and has the same value, so the dual LP then runs over one potential per
+    orbit, with |f(o) - f(o')| <= 1 for each pair of orbits joined by an
+    edge and the orbit masses as supplies. Replacing each law by its orbit
+    average p_bar moves W1 by at most (d/2)(|p - p_bar|_1 + |q - q_bar|_1);
+    a pair for which that exceeds `_ORBIT_TOL` raises NumericalError.
     """
     p, q = _require_laws(p, q)
     if abs(float((p - q).sum())) > 1e-10:
         raise ValueError("supplies are unbalanced beyond 1e-10")
-    return float(_transport_values(p[None, :], q[None, :])[0][0])
+    orbits = None
+    if symmetries:
+        d = p.shape[0].bit_length() - 1
+        orbits = _orbits(d, symmetries)
+        moved = 0.5 * d * float(np.abs(p - orbits.average(p)).sum()
+                                + np.abs(q - orbits.average(q)).sum())
+        if moved > _ORBIT_TOL:
+            raise NumericalError(
+                f"laws break the declared symmetries: averaging them over the orbits "
+                f"could move W1 by {moved:.3e}, beyond {_ORBIT_TOL:.0e}", residual=moved)
+    return float(_transport_values(p[None, :], q[None, :], orbits=orbits)[0][0])
 
 
 # supply entries this small are roundoff, not mass to move
@@ -219,6 +315,9 @@ _PRODUCT_TOL = 1e-13
 _LP_MAX_VARS = 256
 # each LP block's largest supply is scaled to this
 _LP_SCALE = 1e6
+# how far replacing two laws by their orbit averages may move their W1 before
+# `wasserstein_hamming` refuses to solve them on the orbits
+_ORBIT_TOL = 1e-13
 # relative miss of an LP's primal flow, on its supplies or on its dual value,
 # beyond which the solve is not trusted; HiGHS's own optimal vertices read
 # ~1e-15
@@ -242,43 +341,55 @@ def _adjacent_pairs(d: int) -> np.ndarray:
     return np.stack([lo, nb[lo, i]], axis=1)
 
 
-@functools.lru_cache(maxsize=None)
-def _edge_lp(d: int, blocks: int):
-    """Constraints +-(f(k) - f(k ^ e_i)) <= 1 on every hypercube edge, for
-    `blocks` independent copies of the cube, and bounds pinning f(0) = 0 in
-    each copy; last, the (edges, states) incidence of one cube, +1 at each
-    edge's lower state and -1 at its upper one."""
-    n = 1 << d
-    edges = _adjacent_pairs(d)
+def _incidence(edges: np.ndarray, n: int) -> sparse.csr_array:
+    """The (edges, n) incidence of a graph on n vertices, +1 at the first
+    end of each edge and -1 at the second."""
     e = edges.shape[0]
-    incidence = sparse.csr_array(
+    return sparse.csr_array(
         (np.tile([1.0, -1.0], e), (np.repeat(np.arange(e), 2), edges.ravel())), shape=(e, n))
+
+
+def _stacked_lp(incidence: sparse.csr_array, blocks: int) -> tuple:
+    """Constraints +-(f(u) - f(v)) <= 1 on every edge (u, v) of `incidence`,
+    for `blocks` independent copies of its graph, and bounds pinning
+    f(0) = 0 in each copy."""
+    n = incidence.shape[1]
     a = sparse.kron(sparse.eye_array(blocks), sparse.vstack([incidence, -incidence]),
                     format="csr")
     bounds = np.full((blocks * n, 2), [-np.inf, np.inf])
     bounds[::n] = 0.0
-    return a, np.ones(a.shape[0]), bounds, incidence
+    return a, np.ones(a.shape[0]), bounds
 
 
-def _dual_lp_values(b: np.ndarray) -> np.ndarray:
-    """Kantorovich dual of each row of supplies b, as one block-diagonal LP.
+@functools.lru_cache(maxsize=None)
+def _edge_lp(d: int, blocks: int):
+    """`_stacked_lp` of the d-cube, whose edges are `_adjacent_pairs(d)`;
+    last, the (edges, states) incidence of one cube."""
+    incidence = _incidence(_adjacent_pairs(d), 1 << d)
+    return (*_stacked_lp(incidence, blocks), incidence)
+
+
+def _dual_lp_values(b: np.ndarray, lp: tuple | None = None) -> np.ndarray:
+    """Kantorovich dual of each row of supplies b, as one block-diagonal LP,
+    on the d-cube or, for a single row, on the graph whose LP `lp` is (as
+    `_edge_lp` gives it for one block; its vertex 0 is pinned).
 
     The edge constraint matrix is totally unimodular, so HiGHS's optimal
     vertex has integer potentials; they are rounded and the value is
     <round(f), b>, a feasible dual and hence exact to summation roundoff.
 
     The same call's constraint marginals are the primal side: the flow
-    along each edge, from its lower state to its upper one, is the
-    marginal of its "-" constraint minus that of its "+" one. The flow
-    must move the scaled supplies (its divergence at every state but the
-    pinned state 0, which absorbs the supplies' roundoff imbalance) at a
-    cost sum_e |flow_e| equal to the scaled dual value; either missing by
-    more than `_FLOW_TOL` of the largest scaled supply, or of that value,
-    raises NumericalError. A feasible flow of that cost is an upper bound
-    on W1, so each value is checked from both sides.
+    along each edge, from its first end to its second, is the marginal of
+    its "-" constraint minus that of its "+" one. The flow must move the
+    scaled supplies (its divergence at every vertex but the pinned vertex
+    0, which absorbs the supplies' roundoff imbalance) at a cost
+    sum_e |flow_e| equal to the scaled dual value; either missing by more
+    than `_FLOW_TOL` of the largest scaled supply, or of that value when it
+    is larger, raises NumericalError. A feasible flow of that cost is an
+    upper bound on W1, so each value is checked from both sides.
     """
     blocks, n = b.shape
-    a, ub, bounds, incidence = _edge_lp(n.bit_length() - 1, blocks)
+    a, ub, bounds, incidence = lp or _edge_lp(n.bit_length() - 1, blocks)
     # the dual feasibility tolerance is absolute: scaling each block's largest
     # supply to _LP_SCALE puts it at 1e-16 of that supply
     supply = _LP_SCALE * b / np.abs(b).max(axis=1, keepdims=True)
@@ -298,7 +409,8 @@ def _dual_lp_values(b: np.ndarray) -> np.ndarray:
     div = (incidence.T @ flow.T).T
     miss = float(np.abs(div - supply)[:, 1:].max()) / _LP_SCALE
     dual = (f_int * supply).sum(axis=1)
-    gap = float((np.abs(np.abs(flow).sum(axis=1) - dual) / dual).max())
+    # a roundoff supply at the pinned vertex alone has dual value 0
+    gap = float((np.abs(np.abs(flow).sum(axis=1) - dual) / np.maximum(dual, _LP_SCALE)).max())
     if max(miss, gap) > _FLOW_TOL:
         raise NumericalError(
             f"transport primal flow misses its supplies by {miss:.1e} and the dual "
@@ -306,15 +418,18 @@ def _dual_lp_values(b: np.ndarray) -> np.ndarray:
     return (f_int * b).sum(axis=1)
 
 
-def _transport_values(p: np.ndarray, q: np.ndarray,
-                      upper: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+def _transport_values(p: np.ndarray, q: np.ndarray, upper: np.ndarray | None = None,
+                      orbits: _Orbits | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Exact Hamming W1 between the rows of two (m, 2^d) arrays, and which
     of them are only bracketed.
 
     Each pair takes one of three paths: a pair whose supplies p - q vanish
     (entries up to 1e-15 are zeroed) is exactly 0; a pair of product laws
     is sum_i |P_i - Q_i|; every other pair goes to the dual LP, several
-    pairs to a HiGHS call.
+    pairs to a HiGHS call. With `orbits`, whose group leaves every row
+    invariant, each pair's LP runs on the quotient graph instead, its
+    supplies summed over each orbit (a pair whose orbit supplies are all
+    roundoff is 0).
 
     `upper`, when given, holds an upper bound on each pair's W1. The
     coordinate potential makes L = sum_i |P_i - Q_i| a lower bound on every
@@ -338,14 +453,19 @@ def _transport_values(p: np.ndarray, q: np.ndarray,
     bracketed = np.zeros(m, dtype=bool)
     floor = -np.inf if upper is None else np.abs(mp - mq).sum(axis=1).max() - _BRACKET_MARGIN
     rest = np.flatnonzero(live & ~product)
-    per_call = max(1, _LP_MAX_VARS >> d)
+    per_call = 1 if orbits else max(1, _LP_MAX_VARS >> d)
     for start in range(0, rest.size, per_call):
         idx = rest[start:start + per_call]
         if (upper is not None) and (upper[idx] < floor).all():
             values[idx] = upper[idx]
             bracketed[idx] = True
-        else:
+        elif orbits is None:
             values[idx] = _dual_lp_values(b[idx])
+        else:
+            supply = orbits.lump(b[idx])
+            supply[np.abs(supply) <= _SUPPLY_TOL] = 0.0
+            if supply.any():
+                values[idx] = _dual_lp_values(supply, orbits.lp)
     return values, bracketed
 
 
@@ -851,7 +971,7 @@ def run_certificates(model: TargetModel, score_kind: str, eta: float) -> list[Ce
     """
     field = ScoreField(model, score_kind)
     report = bounds_report(model, score_kind, eta)
-    target = exact_target(model)
+    target, symmetries = exact_target(model), model.symmetries()
     built: dict[str, KernelMatrix] = {}
     observed: dict[tuple[str, str], float] = {}
     results = []
@@ -871,9 +991,11 @@ def run_certificates(model: TargetModel, score_kind: str, eta: float) -> list[Ce
             else:
                 if sampler not in built:
                     built[sampler] = _k.kernel_matrix(model, sampler, field, eta)
-                observed[key] = (_sampler_certificate(model, built[sampler]).kappa
+                kernel = built[sampler]
+                observed[key] = (_sampler_certificate(model, kernel).kappa
                                  if observable == "kappa"
-                                 else wasserstein_hamming(stationary(built[sampler]), target))
+                                 else wasserstein_hamming(stationary(kernel, symmetries),
+                                                          target, symmetries))
         ok = observed[key] <= entry.value + FLOAT_GUARD
         results.append(CertResult(name, sampler, score_kind, eta, "pass" if ok else "fail",
                                   observed[key], entry.value))

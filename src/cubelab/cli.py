@@ -122,7 +122,8 @@ def _report_columns(report: analysis.BoundReport) -> dict:
 def analyze_row(model: TargetModel, sampler: str, score_kind: str | None,
                 eta: float, with_kappa: bool = True) -> tuple[dict, np.ndarray]:
     """All exact diagnostics for one (sampler, score, eta) configuration,
-    and the stationary law they were computed from.
+    and the stationary law they were computed from. That law and its W1 to
+    the target are solved on the orbits of `model.symmetries()`.
 
     The contraction factor costs one transport solve per orbit of hypercube
     edges under `model.symmetries()` (every edge of a target that declares
@@ -135,14 +136,15 @@ def analyze_row(model: TargetModel, sampler: str, score_kind: str | None,
     field = ScoreField(model, score_kind) if score_kind else None
     kernel = kernels.kernel_matrix(model, sampler, field, eta)
     target = exact_target(model)
-    pi = analysis.stationary(kernel)
+    symmetries = model.symmetries()
+    pi = analysis.stationary(kernel, symmetries)
     spectrum = analysis.spectral_summary(kernel, pi)
     row = {
         "eta": eta,
         "sampler": sampler,
         "score": score_kind or "",
         "dim": model.dim,
-        "w_to_target": analysis.wasserstein_hamming(pi, target),
+        "w_to_target": analysis.wasserstein_hamming(pi, target, symmetries),
         "tv_to_target": analysis.tv_distance(pi, target),
         "lambda2": spectrum.lambda2,
         "t_rel": spectrum.t_rel,

@@ -35,9 +35,8 @@ class TargetModel:
     dim: int
     # True where every coordinate permutation leaves the log weight
     # unchanged, so it depends on a state only through its +1 count; the
-    # default `symmetries()` then declares the d-1 adjacent transpositions.
-    # Chain runs read this flag, not those generators, which hold d - 1
-    # tuples of length d (2 GB at d = 16384).
+    # default `symmetries()` then declares two generators of them (see
+    # `_exchangeable`). Chain runs read this flag, not those generators.
     exchangeable = False
 
     def log_weight_signs(self, signs: np.ndarray) -> np.ndarray:
@@ -103,10 +102,15 @@ _AROUND_S = np.array([-2.0, 0.0, 2.0])
 
 
 def _exchangeable(dim: int, global_flip: bool) -> tuple:
-    """The d-1 adjacent transpositions, which generate every coordinate
-    permutation, and optionally the global flip."""
+    """Two generators of every coordinate permutation: the transposition
+    (0 1) and, for d >= 3, the cyclic shift i -> i + 1 mod d; and optionally
+    the global flip. Their state orbits are the d + 1 classes of the +1
+    count (floor(d/2) + 1 with the flip), and a kernel check costs one
+    gather per generator whatever d is."""
     ident = list(range(dim))
-    gens = [(tuple(ident[:i] + [i + 1, i] + ident[i + 2:]), 0) for i in range(dim - 1)]
+    gens = [(tuple([1, 0] + ident[2:]), 0)] if dim >= 2 else []
+    if dim >= 3:
+        gens.append((tuple(ident[1:] + ident[:1]), 0))
     if global_flip:
         gens.append((tuple(ident), (1 << dim) - 1))
     return tuple(gens)

@@ -13,6 +13,7 @@ that such permutations generate, on states or on any other indexed set.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -134,17 +135,27 @@ def flip_neighbors(dim: int) -> np.ndarray:
 
 def isometry_images(dim: int, sigma, flip_mask: int) -> np.ndarray:
     """Image g(k) of every state word k under the cube isometry (sigma, flip_mask):
-    bit sigma[i] of g(k) is bit i of k, XORed with `flip_mask`.
+    bit sigma[i] of g(k) is bit i of k, XORed with `flip_mask`. The array is
+    read-only and built once per (dim, sigma, flip_mask).
 
     Raises ParameterError unless sigma permutes range(dim) and flip_mask is
     a dim-bit word.
     """
+    return _isometry_images(dim, tuple(int(s) for s in sigma), int(flip_mask))
+
+
+# a model declares a handful of generators; the bound is that of the
+# log-weight tables
+@functools.lru_cache(maxsize=16)
+def _isometry_images(dim: int, sigma: tuple, flip_mask: int) -> np.ndarray:
     n = 1 << dim
     if sorted(sigma) != list(range(dim)) or not 0 <= flip_mask < n:
         raise ParameterError(
             f"({sigma}, {flip_mask}) is not an isometry of the {dim}-cube")
     bits = unpack_words(np.arange(n), dim)
-    return (bits << np.asarray(sigma, dtype=np.int64)).sum(axis=1) ^ flip_mask
+    images = (bits << np.asarray(sigma, dtype=np.int64)).sum(axis=1) ^ flip_mask
+    images.setflags(write=False)
+    return images
 
 
 def orbit_minima(size: int, maps: list[np.ndarray]) -> np.ndarray:

@@ -1,13 +1,15 @@
 import pytest
 
-from cubelab import models, scores
+from cubelab import models, scores, statespace
 
 
 @pytest.fixture(autouse=True)
 def fresh_memos():
-    """Each test starts with no memoized log-weight, score or tilt tables, so
-    tests that count builds do not depend on which tests ran before."""
+    """Each test starts with no memoized log-weight, score, tilt or isometry
+    tables, so tests that count builds do not depend on which tests ran
+    before."""
     models.log_weight_table.cache_clear()
+    statespace._isometry_images.cache_clear()
     scores._memo_table.cache_clear()
     scores._memo_tilt.cache_clear()
     yield

@@ -31,7 +31,7 @@ from cubelab.kernels import (
 )
 from cubelab.models import BitsMixture, CurieWeiss, IndependentBits, IsingGrid, exact_target
 from cubelab.scores import SCORE_KINDS, ScoreField, smooth_beta_constants
-from cubelab.statespace import all_signs, hamming, state_of
+from cubelab.statespace import all_signs, hamming, isometry_images, orbit_minima, state_of
 
 import product_laws
 
@@ -326,6 +326,170 @@ def test_tv_examples():
 
 
 # ---------------------------------------------------------------------------
+# stationary laws and transport on the orbits of the declared symmetries
+
+
+# every exchangeable family, with and without the global flip, at d <= 8, and
+# Ising grids with and without field
+ORBIT_MODELS = [
+    IndependentBits(0.4, 8), IndependentBits(0.0, 5), BitsMixture(0.5, 8), BitsMixture(0.3, 3),
+    CurieWeiss(0.3, 0.1, 8), CurieWeiss(0.2, 0.0, 6), CurieWeiss(0.25, 0.3, 2),
+    IsingGrid(2, 3, 0.4, 0.1), IsingGrid(2, 4, 0.3, 0.0), IsingGrid(1, 5, 0.3, 0.1, periodic=True),
+]
+
+
+def _kernels(model, eta, configs=None):
+    for sampler, kind in configs or KERNEL_CONFIGS:
+        yield (sampler, kind), kernel_matrix(model, sampler,
+                                             ScoreField(model, kind) if kind else None, eta)
+
+
+@pytest.mark.parametrize("model", ORBIT_MODELS, ids=repr)
+def test_orbit_stationary_matches_full_gth(model):
+    """The law of the chain lumped onto the orbits, spread evenly over each
+    orbit, is the full GTH law of every sampler and score to 1e-13 relative
+    in every entry."""
+    for eta in (0.3, 0.7):
+        for config, kernel in _kernels(model, eta):
+            full = stationary(kernel)
+            lumped = stationary(kernel, model.symmetries())
+            rel = float((np.abs(lumped - full) / full).max())
+            assert rel <= 1e-13, (config, eta, rel)
+
+
+@pytest.mark.parametrize("model", [BitsMixture(0.5, 5), CurieWeiss(0.3, 0.2, 6),
+                                   IsingGrid(2, 3, 0.4, 0.1)], ids=repr)
+def test_orbit_stationary_agrees_with_direct_solve(model):
+    for config, kernel in _kernels(model, 0.5):
+        pi = stationary(kernel, model.symmetries())
+        assert np.abs(pi - stationary_direct(kernel)).sum() <= 1e-10, config
+        assert np.abs(pi @ kernel.probs - pi).sum() <= 1e-13, config
+
+
+@pytest.mark.parametrize("dim", [3, 6, 8])
+def test_orbit_stationary_is_the_product_law(dim):
+    """On IndependentBits the dula and dups laws are products of one
+    Bernoulli per coordinate, in closed form in `product_laws`."""
+    plus = np.bitwise_count(np.arange(1 << dim))
+    for beta in (0.1, 0.7):
+        model = IndependentBits(beta, dim)
+        for eta in (0.3, 1.2):
+            for sampler in product_laws.SAMPLERS:
+                for kind in SCORE_KINDS:
+                    tag = (beta, eta, sampler, kind)
+                    kernel = kernel_matrix(model, sampler, ScoreField(model, kind), eta)
+                    pi = stationary(kernel, model.symmetries())
+                    lp = product_laws.log_plus_probability(sampler, kind, beta, eta)
+                    law = np.exp(plus * lp + (dim - plus) * math.log(-math.expm1(lp)))
+                    assert float((np.abs(pi - law) / law).max()) <= 1e-12, tag
+                    w1 = wasserstein_hamming(pi, exact_target(model), model.symmetries())
+                    assert w1 == pytest.approx(
+                        product_laws.stationary_w1(sampler, kind, beta, eta, dim),
+                        rel=0, abs=1e-13), tag
+
+
+def _invariant_law(model, rng):
+    """A random law that is constant on each orbit of the model's symmetries."""
+    d = model.dim
+    orbit = orbit_minima(1 << d, [isometry_images(d, *g) for g in model.symmetries()])
+    reps, of, sizes = np.unique(orbit, return_inverse=True, return_counts=True)
+    return (rng.dirichlet(np.ones(len(reps))) / sizes)[of]
+
+
+@pytest.mark.parametrize("model", [
+    BitsMixture(0.5, 4), CurieWeiss(0.3, 0.2, 5), CurieWeiss(0.3, 0.0, 6),
+    IsingGrid(2, 2, 0.4, 0.0), IsingGrid(2, 3, 0.4, 0.1), IsingGrid(1, 6, 0.3, 0.1, periodic=True),
+], ids=repr)
+def test_quotient_w1_matches_the_full_cube_and_the_coupling_lp(model):
+    """The dual LP over one potential per orbit gives the W1 of the full
+    cube's to 1e-12 and the coupling LP's to 1e-9, on stationary laws
+    against the target and on random invariant laws."""
+    sym, target = model.symmetries(), exact_target(model)
+    rng = np.random.default_rng(model.dim)
+    pairs = [(stationary(kernel, sym), target)
+             for _, kernel in _kernels(model, 0.5, [("dups", "glauber"), ("dula", "stein"),
+                                                    ("dmaps", "gibbs")])]
+    pairs += [(_invariant_law(model, rng), _invariant_law(model, rng)) for _ in range(3)]
+    pairs.append((pairs[-1][0], target))
+    for p, q in pairs:
+        w = wasserstein_hamming(p, q, sym)
+        assert w == pytest.approx(wasserstein_hamming(p, q), rel=0, abs=1e-12)
+        if model.dim <= 5 or p is pairs[-1][0]:
+            assert w == pytest.approx(wasserstein_hamming_lp(p, q), rel=0, abs=1e-9)
+
+
+def test_quotient_w1_keeps_the_zero_and_product_paths(monkeypatch):
+    """A pair with no supply is 0, also where roundoff supplies cancel within
+    an orbit, and a pair of product laws takes the closed form; none reaches
+    an LP."""
+    monkeypatch.setattr(analysis, "_dual_lp_values", None)
+    mixture = BitsMixture(0.5, 5)
+    p = exact_target(mixture)
+    q = p.copy()
+    q[[1, 2]] += [2e-15, -2e-15]
+    assert wasserstein_hamming(p, p, mixture.symmetries()) == 0.0
+    assert wasserstein_hamming(p, q, mixture.symmetries()) == 0.0
+    model = IndependentBits(0.3, 6)
+    sym, target = model.symmetries(), exact_target(model)
+    pi = stationary(dula_matrix(model, ScoreField(model, "gibbs"), 0.4), sym)
+    assert wasserstein_hamming(pi, target, sym) == wasserstein_hamming(pi, target) > 0.0
+
+
+def test_asymmetric_kernels_and_laws_are_refused(solves):
+    model = CurieWeiss(0.3, 0.4, 5)
+    sym, target = model.symmetries(), exact_target(model)
+    flip = ((0, 1, 2, 3, 4), 0b11111)
+    kernel = dups_matrix(model, ScoreField(model, "glauber"), 0.6)
+    with pytest.raises(NumericalError, match="breaks the declared symmetry") as err:
+        stationary(kernel, sym + (flip,))
+    assert err.value.residual > 1e-13
+    # the target is not flip invariant at b != 0; averaging it over the
+    # flip moves its W1 to the kernel's law far beyond 1e-13
+    pi = stationary(kernel, sym)
+    with pytest.raises(NumericalError, match="break the declared symmetries") as err:
+        wasserstein_hamming(pi, target, sym + (flip,))
+    assert err.value.residual > 1e-13
+    # a law off its orbit average by 1e-12 could move W1 by up to d/2 * 2e-12
+    tilted = pi.copy()
+    tilted[[1, 2]] += [1e-12, -1e-12]
+    with pytest.raises(NumericalError, match="break the declared symmetries"):
+        wasserstein_hamming(tilted, target, sym)
+    assert solves == []
+    # roundoff-sized asymmetry is not refused
+    tilted = pi.copy()
+    tilted[[1, 2]] += [1e-17, -1e-17]
+    assert wasserstein_hamming(tilted, target, sym) == pytest.approx(
+        wasserstein_hamming(pi, target), rel=0, abs=1e-12)
+
+
+@pytest.mark.parametrize("model", [IndependentBits(0.5, 3), BitsMixture(0.5, 4),
+                                   CurieWeiss(0.3, 0.1, 4), IsingGrid(2, 2, 0.4, 0.1)], ids=repr)
+def test_two_stage_kernels_at_a_tiny_step_are_reducible_on_both_paths(model):
+    # exp(-2/eta) = e^-1000 underflows, so no state leaves its own orbit
+    configs = [("prox", None)] + [(s, k) for s in ("dups", "dmaps") for k in SCORE_KINDS]
+    for config, kernel in _kernels(model, 0.002, configs):
+        for sym in ((), model.symmetries()):
+            with pytest.raises(NumericalError, match="reducible in double precision"):
+                stationary(kernel, sym)
+
+
+def test_transport_lp_takes_a_roundoff_supply_at_the_pinned_state():
+    """The stationary law of this reversible kernel is the target up to a
+    supply of 1.3e-15 at state 0 alone, the pinned potential: the LP's dual
+    value is 0, and the flow check measures its gap against the supply
+    scale instead of dividing by it."""
+    model = CurieWeiss(0.3, 0.1, 8)
+    kernel = dmaps_matrix(model, ScoreField(model, "glauber"), 0.3)
+    pi, target = stationary(kernel), exact_target(model)
+    b = pi - target
+    assert np.flatnonzero(np.abs(b) > analysis._SUPPLY_TOL).tolist() == [0]
+    assert wasserstein_hamming(pi, target) == 0.0
+    lone = np.zeros((1, 16))
+    lone[0, 0] = 2e-15
+    assert analysis._dual_lp_values(lone).tolist() == [0.0]
+
+
+# ---------------------------------------------------------------------------
 # detailed balance and contraction
 
 
@@ -374,7 +538,7 @@ def solves(monkeypatch):
     rows = []
     solve = analysis._transport_values
     monkeypatch.setattr(analysis, "_transport_values",
-                        lambda p, q, *bounds: rows.append(p.shape[0]) or solve(p, q, *bounds))
+                        lambda p, q, *args, **kw: rows.append(p.shape[0]) or solve(p, q, *args, **kw))
     return rows
 
 
@@ -550,6 +714,15 @@ def test_run_certificates_solves_orbit_representatives_only(solves, monkeypatch)
     certify = analysis.contraction_certificate
     monkeypatch.setattr(analysis, "contraction_certificate",
                         lambda k, **kw: kappas.append((k.sampler, kw)) or certify(k, **kw))
+    quotient = []
+    solve = analysis._dual_lp_values
+
+    def counted(b, lp=None):
+        if lp is not None:
+            quotient.append(b.shape)
+        return solve(b, lp)
+
+    monkeypatch.setattr(analysis, "_dual_lp_values", counted)
     results = run_certificates(model, "glauber", 0.8)
     assert kappas and all(kw["symmetries"] == model.symmetries() for _, kw in kappas)
     # each sampler's kappa is computed once, whatever number of bounds it meets
@@ -561,6 +734,10 @@ def test_run_certificates_solves_orbit_representatives_only(solves, monkeypatch)
     stationary_rows = sum(r.observed is not None and "stationary" in r.certificate
                           for r in results)
     assert sorted(solves) == [1] * stationary_rows + [3] * len(kappas)
+    # each stationary W1 is one LP over the three state orbits (the +1 count
+    # up to the global flip), not over the 32 states
+    assert stationary_rows and quotient == [(1, 3)] * stationary_rows
+    assert all(math.isfinite(r.observed) for r in results if r.observed is not None)
 
 
 def _random_configuration(rng):
@@ -965,7 +1142,10 @@ def test_exact_diagnostics_agree_with_each_other_property():
     columns of `cli.analyze_row` and the kernel's spectrum obey the
     inequalities that tie them together, each to 1e-12: tv <= W1 <= d tv;
     the coordinate marginals' L1 gap <= W1; lambda2 <= kappa; and a kernel
-    in detailed balance with the target has a real spectrum. Derandomized."""
+    in detailed balance with the target has a real spectrum. The row's
+    stationary law and W1, solved on the orbits of the target's symmetries,
+    are those of the full cube: the law to 1e-13 relative in every entry,
+    W1, tv and lambda2 to 1e-12. Derandomized."""
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     from cubelab.cli import analyze_row
@@ -991,19 +1171,28 @@ def test_exact_diagnostics_agree_with_each_other_property():
             eta = min(eta, 1.9 / math.log(d))
         row, pi = analyze_row(model, sampler, score, eta)
         config = f"{model!r} {sampler} {row['score'] or '-'} eta={eta!r}"
+        field = ScoreField(model, row["score"]) if row["score"] else None
+        kernel = kernel_matrix(model, sampler, field, eta)
+        full = stationary(kernel)
+        rel = float((np.abs(pi - full) / full).max())
+        assert rel <= 1e-13, f"orbit law off the full law by {rel!r} relative: {config}"
+        target = exact_target(model)
+        for column, value in (("w_to_target", wasserstein_hamming(full, target)),
+                              ("tv_to_target", tv_distance(full, target)),
+                              ("lambda2", spectral_summary(kernel, full).lambda2)):
+            assert abs(row[column] - value) <= 1e-12, (
+                f"{column} {row[column]!r} on the orbits, {value!r} on the cube: {config}")
         tv, w1 = row["tv_to_target"], row["w_to_target"]
         assert tv <= w1 + 1e-12, f"tv {tv!r} > W1 {w1!r}: {config}"
         assert w1 <= d * tv + 1e-12, f"W1 {w1!r} > d tv {d * tv!r}: {config}"
         plus = (all_signs(d) > 0).astype(np.float64)
-        gap = float(np.abs((pi - exact_target(model)) @ plus).sum())
+        gap = float(np.abs((pi - target) @ plus).sum())
         assert gap <= w1 + 1e-12, f"marginal gap {gap!r} > W1 {w1!r}: {config}"
         if row["kappa"] != "":
             lam2, kappa = row["lambda2"], row["kappa"]
             assert lam2 <= kappa + 1e-12, f"lambda2 {lam2!r} > kappa {kappa!r}: {config}"
         if row["db_residual"] <= 1e-12:
-            field = ScoreField(model, row["score"]) if row["score"] else None
-            imag = float(np.abs(np.linalg.eigvals(
-                kernel_matrix(model, sampler, field, eta).probs).imag).max())
+            imag = float(np.abs(np.linalg.eigvals(kernel.probs).imag).max())
             assert imag <= 1e-12, (f"eigenvalue with imaginary part {imag!r} under detailed "
                                    f"balance {row['db_residual']!r}: {config}")
 

@@ -7,7 +7,7 @@ from scipy.special import expit
 
 from cubelab.errors import CapabilityError, ParameterError
 from cubelab.models import BitsMixture, CurieWeiss, IndependentBits, IsingGrid, exact_target
-from cubelab.statespace import all_signs, state_of
+from cubelab.statespace import all_signs, isometry_images, orbit_minima, state_of
 
 ALL_SMALL_MODELS = [
     IndependentBits(0.5, 4),
@@ -172,11 +172,13 @@ def test_dimension_mismatch_and_cap():
 
 
 @pytest.mark.parametrize("model, count", [
-    (IndependentBits(0.5, 4), 3), (IndependentBits(0.0, 4), 4), (BitsMixture(0.5, 4), 4),
-    (CurieWeiss(0.3, 0.5, 4), 3), (CurieWeiss(0.3, 0.0, 4), 4),
+    (IndependentBits(0.5, 4), 2), (IndependentBits(0.0, 4), 3), (BitsMixture(0.5, 4), 3),
+    (CurieWeiss(0.3, 0.5, 4), 2), (CurieWeiss(0.3, 0.0, 4), 3),
     (IsingGrid(2, 3, 0.3, -0.2), 2), (IsingGrid(2, 3, 0.3, -0.2, periodic=True), 3),
     (IsingGrid(2, 2, 0.4, 0.0), 4), (IsingGrid(3, 3, 0.4, 0.1, periodic=True), 5),
     (IsingGrid(1, 4, 0.4, 0.1), 1), (IndependentBits(0.5, 1), 0),
+    (IndependentBits(0.5, 2), 1), (IndependentBits(0.0, 3), 3), (CurieWeiss(0.3, 0.5, 7), 2),
+    (BitsMixture(0.5, 9), 3),
 ], ids=repr)
 def test_declared_symmetries_preserve_the_log_weight(model, count):
     gens = model.symmetries()
@@ -190,6 +192,16 @@ def test_declared_symmetries_preserve_the_log_weight(model, count):
         moved[:, list(sigma)] = signs
         moved *= 1 - 2 * ((mask >> np.arange(model.dim)) & 1)
         assert np.abs(model.log_weight_signs(moved) - lw).max() <= 1e-12, (sigma, mask)
+    if model.exchangeable:
+        # the two permutations generate all of S_d: the orbits are the classes
+        # of the +1 count, merged in pairs k, d - k by the global flip
+        d = model.dim
+        flip = any(mask for _, mask in gens)
+        plus = np.bitwise_count(np.arange(1 << d))
+        key = np.minimum(plus, d - plus) if flip else plus
+        orbits = orbit_minima(1 << d, [isometry_images(d, *g) for g in gens])
+        assert np.unique(orbits).size == (d // 2 + 1 if flip else d + 1)
+        assert np.array_equal(key[orbits], key)
 
 
 @pytest.mark.parametrize("make, name", [

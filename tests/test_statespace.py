@@ -119,7 +119,11 @@ def test_isometry_images_move_bits(dim):
         mask = int(rng.integers(0, 1 << dim))
         want = [sum(((k >> i) & 1) << sigma[i] for i in range(dim)) ^ mask
                 for k in range(1 << dim)]
-        assert isometry_images(dim, sigma, mask).tolist() == want
+        images = isometry_images(dim, sigma, mask)
+        assert images.tolist() == want
+        # built once per isometry and shared, so read-only
+        assert isometry_images(dim, tuple(sigma), mask) is images
+        assert not images.flags.writeable
 
 
 @pytest.mark.parametrize("dim", [1, 13, 63, 64, 65, 130, 1 << 16])
