@@ -25,7 +25,7 @@ from .errors import CapabilityError, NumericalError
 from .kernels import KernelMatrix
 from .models import TargetModel, exact_target, log_weight_table
 from .scores import ScoreField, smooth_beta_constants
-from .statespace import all_signs, flip_neighbors, isometry_images, orbit_minima
+from .statespace import adjacent_pairs, all_signs, cube_orbits, flip_neighbors
 
 # a certificate costs one optimal-transport solve per orbit of hypercube
 # edges under the target's declared symmetries: every edge when it declares
@@ -98,52 +98,6 @@ def _gth_law(a: np.ndarray, owner: str, unit: str = "state") -> np.ndarray:
     return pi
 
 
-@dataclass(frozen=True)
-class _Orbits:
-    """The orbits of the states of the d-cube under a group of isometries,
-    numbered by their lowest state, so that orbit 0 holds state 0: the
-    orbit of each state, each orbit's lowest state and size, the (2^d, r)
-    0/1 membership matrix, and the dual LP of the quotient graph, whose
-    edges join each pair of orbits that a cube edge joins (as `_edge_lp`
-    gives it for one block)."""
-
-    of: np.ndarray
-    reps: np.ndarray
-    sizes: np.ndarray
-    membership: np.ndarray
-    lp: tuple
-
-    def lump(self, a: np.ndarray) -> np.ndarray:
-        """Sums of the last axis of `a` over each orbit."""
-        return a @ self.membership
-
-    def average(self, a: np.ndarray) -> np.ndarray:
-        """`a` averaged over each orbit, an entry per state."""
-        return (self.lump(a) / self.sizes)[..., self.of]
-
-
-def _orbits(d: int, symmetries) -> _Orbits:
-    """The orbits of the group that the cube isometries `symmetries`
-    generate (ParameterError if one is not an isometry)."""
-    return _orbits_of(d, tuple((tuple(int(i) for i in sigma), int(mask))
-                               for sigma, mask in symmetries))
-
-
-# a model declares one group; the bound is that of the log-weight tables
-@functools.lru_cache(maxsize=16)
-def _orbits_of(d: int, symmetries: tuple) -> _Orbits:
-    n = 1 << d
-    labels = orbit_minima(n, [isometry_images(d, sigma, mask) for sigma, mask in symmetries])
-    reps = np.flatnonzero(labels == np.arange(n))
-    of = np.searchsorted(reps, labels)
-    ends = np.sort(of[_adjacent_pairs(d)], axis=1)
-    incidence = _incidence(np.unique(ends[ends[:, 0] != ends[:, 1]], axis=0), len(reps))
-    arrays = of, reps, np.bincount(of), (of[:, None] == np.arange(len(reps))) * 1.0
-    for a in arrays:
-        a.setflags(write=False)
-    return _Orbits(*arrays, (*_stacked_lp(incidence, 1), incidence))
-
-
 def stationary(kernel: KernelMatrix, symmetries: tuple = ()) -> np.ndarray:
     """Stationary law by Grassmann-Taksar-Heyman state reduction (see
     `_gth_law`). A zero pivot means the kernel is reducible in double
@@ -157,20 +111,16 @@ def stationary(kernel: KernelMatrix, symmetries: tuple = ()) -> np.ndarray:
     of an orbit o sends the same mass F[o, o'] = sum_{y in o'} K(x, y) to
     each orbit o', and its stationary law is spread evenly over each orbit.
     So GTH runs on the r x r chain F, a sum of nonnegative terms and as
-    subtraction-free as the full path, and pi(x) = law[o(x)] / |o(x)|. With
-    none, every state is its own orbit and the full chain is reduced.
+    subtraction-free as K itself, and pi(x) = law[o(x)] / |o(x)|. With none,
+    the group is trivial, every state is its own orbit and F is K.
     """
-    owner = f"{kernel.sampler} kernel at eta={kernel.eta:g}"
-    if not symmetries:
-        a = np.array(kernel.probs, dtype=np.float64)
-        np.fill_diagonal(a, 0.0)
-        return _gth_law(a, owner)
     _k._checked_images("kernel", kernel.dim, symmetries,
                        [("transition probabilities", kernel.probs, "xx")])
-    orbits = _orbits(kernel.dim, symmetries)
+    orbits = cube_orbits(kernel.dim, symmetries)
     lumped = orbits.lump(kernel.probs[orbits.reps])
     np.fill_diagonal(lumped, 0.0)
-    law = _gth_law(lumped, owner, "orbit")
+    law = _gth_law(lumped, f"{kernel.sampler} kernel at eta={kernel.eta:g}",
+                   "state" if orbits.membership is None else "orbit")
     return (law / orbits.sizes)[orbits.of]
 
 
@@ -283,26 +233,25 @@ def wasserstein_hamming(p: np.ndarray, q: np.ndarray, symmetries: tuple = ()) ->
     `symmetries` are cube isometries `(sigma, flip_mask)`, as declared by
     `TargetModel.symmetries`, under which both laws are invariant. The
     average of an optimal potential over the group they generate is feasible
-    and has the same value, so the dual LP then runs over one potential per
+    and has the same value, so the dual LP runs over one potential per
     orbit, with |f(o) - f(o')| <= 1 for each pair of orbits joined by an
-    edge and the orbit masses as supplies. Replacing each law by its orbit
-    average p_bar moves W1 by at most (d/2)(|p - p_bar|_1 + |q - q_bar|_1);
-    a pair for which that exceeds `_ORBIT_TOL` raises NumericalError.
+    edge and the orbit masses as supplies; with none, the group is trivial
+    and its orbits are the states. Replacing each law by its orbit average
+    p_bar moves W1 by at most (d/2)(|p - p_bar|_1 + |q - q_bar|_1); a pair
+    for which that exceeds `_ORBIT_TOL` raises NumericalError.
     """
     p, q = _require_laws(p, q)
     if abs(float((p - q).sum())) > 1e-10:
         raise ValueError("supplies are unbalanced beyond 1e-10")
-    orbits = None
-    if symmetries:
-        d = p.shape[0].bit_length() - 1
-        orbits = _orbits(d, symmetries)
-        moved = 0.5 * d * float(np.abs(p - orbits.average(p)).sum()
-                                + np.abs(q - orbits.average(q)).sum())
-        if moved > _ORBIT_TOL:
-            raise NumericalError(
-                f"laws break the declared symmetries: averaging them over the orbits "
-                f"could move W1 by {moved:.3e}, beyond {_ORBIT_TOL:.0e}", residual=moved)
-    return float(_transport_values(p[None, :], q[None, :], orbits=orbits)[0][0])
+    d = p.shape[0].bit_length() - 1
+    orbits = cube_orbits(d, symmetries)
+    moved = 0.5 * d * float(np.abs(p - orbits.average(p)).sum()
+                            + np.abs(q - orbits.average(q)).sum())
+    if moved > _ORBIT_TOL:
+        raise NumericalError(
+            f"laws break the declared symmetries: averaging them over the orbits "
+            f"could move W1 by {moved:.3e}, beyond {_ORBIT_TOL:.0e}", residual=moved)
+    return float(_transport_values(p[None, :], q[None, :], symmetries=symmetries)[0][0])
 
 
 # supply entries this small are roundoff, not mass to move
@@ -311,7 +260,7 @@ _SUPPLY_TOL = 1e-15
 # product law; the closed form is then within d times this of the exact W1
 _PRODUCT_TOL = 1e-13
 # HiGHS working memory grows with the LP, so one call stacks at most this
-# many potentials: 4 pairs at d = 6, one pair from d = 8 on
+# many potentials (one per orbit): 4 cube pairs at d = 6, 1 from d = 8 on
 _LP_MAX_VARS = 256
 # each LP block's largest supply is scaled to this
 _LP_SCALE = 1e6
@@ -334,45 +283,30 @@ def _product_residual(rows: np.ndarray, marginals: np.ndarray) -> np.ndarray:
     return np.abs(rows - np.exp(_k._flip_log_probs(logit(marginals)))).sum(axis=1)
 
 
-def _adjacent_pairs(d: int) -> np.ndarray:
-    """(k, k + 2^i) for every edge of the d-cube, by coordinate i, then k."""
-    nb = flip_neighbors(d)
-    i, lo = np.nonzero(nb.T > np.arange(1 << d))
-    return np.stack([lo, nb[lo, i]], axis=1)
-
-
-def _incidence(edges: np.ndarray, n: int) -> sparse.csr_array:
-    """The (edges, n) incidence of a graph on n vertices, +1 at the first
-    end of each edge and -1 at the second."""
+# one LP per group and batch size that the transport solves meet
+@functools.lru_cache(maxsize=128)
+def _quotient_lp(d: int, generators: tuple, blocks: int) -> tuple:
+    """Constraints +-(f(u) - f(v)) <= 1 on every edge (u, v), for `blocks`
+    copies of the graph of the orbits of the d-cube under the group that
+    `generators` generate (`statespace.cube_orbits`; the cube itself for
+    none), bounds pinning f(0) = 0 in each copy, and last the incidence of
+    one copy, +1 at the first end of each edge and -1 at the second."""
+    orbits = cube_orbits(d, generators)
+    edges, n = orbits.edges, len(orbits.reps)
     e = edges.shape[0]
-    return sparse.csr_array(
+    incidence = sparse.csr_array(
         (np.tile([1.0, -1.0], e), (np.repeat(np.arange(e), 2), edges.ravel())), shape=(e, n))
-
-
-def _stacked_lp(incidence: sparse.csr_array, blocks: int) -> tuple:
-    """Constraints +-(f(u) - f(v)) <= 1 on every edge (u, v) of `incidence`,
-    for `blocks` independent copies of its graph, and bounds pinning
-    f(0) = 0 in each copy."""
-    n = incidence.shape[1]
     a = sparse.kron(sparse.eye_array(blocks), sparse.vstack([incidence, -incidence]),
                     format="csr")
     bounds = np.full((blocks * n, 2), [-np.inf, np.inf])
     bounds[::n] = 0.0
-    return a, np.ones(a.shape[0]), bounds
+    return a, np.ones(a.shape[0]), bounds, incidence
 
 
-@functools.lru_cache(maxsize=None)
-def _edge_lp(d: int, blocks: int):
-    """`_stacked_lp` of the d-cube, whose edges are `_adjacent_pairs(d)`;
-    last, the (edges, states) incidence of one cube."""
-    incidence = _incidence(_adjacent_pairs(d), 1 << d)
-    return (*_stacked_lp(incidence, blocks), incidence)
-
-
-def _dual_lp_values(b: np.ndarray, lp: tuple | None = None) -> np.ndarray:
-    """Kantorovich dual of each row of supplies b, as one block-diagonal LP,
-    on the d-cube or, for a single row, on the graph whose LP `lp` is (as
-    `_edge_lp` gives it for one block; its vertex 0 is pinned).
+def _dual_lp_values(b: np.ndarray, lp: tuple) -> np.ndarray:
+    """Kantorovich dual of each row of supplies b, as one block-diagonal LP
+    on the graph whose LP `lp` is, with a block per row (as `_quotient_lp`
+    gives it; its vertex 0 is pinned).
 
     The edge constraint matrix is totally unimodular, so HiGHS's optimal
     vertex has integer potentials; they are rounded and the value is
@@ -389,7 +323,7 @@ def _dual_lp_values(b: np.ndarray, lp: tuple | None = None) -> np.ndarray:
     upper bound on W1, so each value is checked from both sides.
     """
     blocks, n = b.shape
-    a, ub, bounds, incidence = lp or _edge_lp(n.bit_length() - 1, blocks)
+    a, ub, bounds, incidence = lp
     # the dual feasibility tolerance is absolute: scaling each block's largest
     # supply to _LP_SCALE puts it at 1e-16 of that supply
     supply = _LP_SCALE * b / np.abs(b).max(axis=1, keepdims=True)
@@ -419,17 +353,17 @@ def _dual_lp_values(b: np.ndarray, lp: tuple | None = None) -> np.ndarray:
 
 
 def _transport_values(p: np.ndarray, q: np.ndarray, upper: np.ndarray | None = None,
-                      orbits: _Orbits | None = None) -> tuple[np.ndarray, np.ndarray]:
+                      symmetries: tuple = ()) -> tuple[np.ndarray, np.ndarray]:
     """Exact Hamming W1 between the rows of two (m, 2^d) arrays, and which
     of them are only bracketed.
 
-    Each pair takes one of three paths: a pair whose supplies p - q vanish
-    (entries up to 1e-15 are zeroed) is exactly 0; a pair of product laws
-    is sum_i |P_i - Q_i|; every other pair goes to the dual LP, several
-    pairs to a HiGHS call. With `orbits`, whose group leaves every row
-    invariant, each pair's LP runs on the quotient graph instead, its
-    supplies summed over each orbit (a pair whose orbit supplies are all
-    roundoff is 0).
+    The group that the isometries `symmetries` generate must leave every
+    row invariant (the trivial one, for none, leaves any). A pair whose
+    supplies p - q vanish (entries up to 1e-15 are zeroed) is exactly 0 and
+    a pair of product laws is sum_i |P_i - Q_i|. Of the rest, a pair whose
+    supplies summed over each orbit are roundoff is 0, and the others solve
+    the dual LP on the r orbits (`_quotient_lp`), max(1, `_LP_MAX_VARS` //
+    r) pairs to a HiGHS call.
 
     `upper`, when given, holds an upper bound on each pair's W1. The
     coordinate potential makes L = sum_i |P_i - Q_i| a lower bound on every
@@ -441,8 +375,11 @@ def _transport_values(p: np.ndarray, q: np.ndarray, upper: np.ndarray | None = N
     """
     m, n = p.shape
     d = n.bit_length() - 1
+    orbits = cube_orbits(d, symmetries)
     b = p - q
     b[np.abs(b) <= _SUPPLY_TOL] = 0.0
+    supply = orbits.lump(b)
+    supply[np.abs(supply) <= _SUPPLY_TOL] = 0.0
     values = np.zeros(m)
     live = b.any(axis=1)
     plus = (all_signs(d) > 0).astype(np.float64)
@@ -452,20 +389,16 @@ def _transport_values(p: np.ndarray, q: np.ndarray, upper: np.ndarray | None = N
     values[product] = np.abs(mp[product] - mq[product]).sum(axis=1)
     bracketed = np.zeros(m, dtype=bool)
     floor = -np.inf if upper is None else np.abs(mp - mq).sum(axis=1).max() - _BRACKET_MARGIN
-    rest = np.flatnonzero(live & ~product)
-    per_call = 1 if orbits else max(1, _LP_MAX_VARS >> d)
+    rest = np.flatnonzero(live & ~product & supply.any(axis=1))
+    per_call = max(1, _LP_MAX_VARS // len(orbits.reps))
     for start in range(0, rest.size, per_call):
         idx = rest[start:start + per_call]
         if (upper is not None) and (upper[idx] < floor).all():
             values[idx] = upper[idx]
             bracketed[idx] = True
-        elif orbits is None:
-            values[idx] = _dual_lp_values(b[idx])
         else:
-            supply = orbits.lump(b[idx])
-            supply[np.abs(supply) <= _SUPPLY_TOL] = 0.0
-            if supply.any():
-                values[idx] = _dual_lp_values(supply, orbits.lp)
+            values[idx] = _dual_lp_values(
+                supply[idx], _quotient_lp(d, orbits.generators, len(idx)))
     return values, bracketed
 
 
@@ -540,20 +473,6 @@ class ContractionCertificate:
     bracketed: np.ndarray
 
 
-def _edge_orbits(d: int, images: list[np.ndarray]) -> np.ndarray:
-    """Lowest index in each edge's orbit under the group that the state maps
-    `images` generate, with edges indexed as in `_adjacent_pairs(d)`."""
-    pairs = _adjacent_pairs(d)
-    maps = []
-    for img in images:
-        a, b = img[pairs[:, 0]], img[pairs[:, 1]]
-        j = np.bitwise_count((a ^ b) - 1).astype(np.int64)  # the coordinate it flips
-        lo = np.minimum(a, b)
-        # rank of lo among the words with bit j clear
-        maps.append((j << (d - 1)) | (lo & ((1 << j) - 1)) | ((lo >> (j + 1)) << j))
-    return orbit_minima(pairs.shape[0], maps)
-
-
 def contraction_certificate(kernel: KernelMatrix, symmetries: tuple = (),
                             upper: np.ndarray | None = None) -> ContractionCertificate:
     """Worst adjacent-pair W1 of a kernel, from one transport solve per orbit
@@ -563,9 +482,11 @@ def contraction_certificate(kernel: KernelMatrix, symmetries: tuple = (),
     `TargetModel.symmetries`. Each is first checked on the kernel itself,
     and one it breaks by more than `SYMMETRY_TOL` raises NumericalError
     before any solve. A symmetry maps every edge to one with the same W1,
-    so only the lowest-index edge of each orbit is solved, all in one
-    batch, and its value is copied to the rest of the orbit; with none,
-    every edge is its own orbit.
+    so only the lowest-index edge of each orbit (`edge_of` of
+    `statespace.cube_orbits`) is solved, and its value is copied to the
+    rest of the orbit; with none, the group is trivial and every edge is
+    its own orbit. The group does not fix the rows of an edge, so their
+    LPs run on the cube.
 
     `upper`, an upper bound on the W1 of every edge in the order of
     `pairs` (as `_coupling_upper_bounds` gives it), brackets the orbits:
@@ -581,7 +502,7 @@ def contraction_certificate(kernel: KernelMatrix, symmetries: tuple = (),
         raise CapabilityError(
             f"contraction certificates capped at d <= {CONTRACTION_DIM_CAP}, got {d}")
     t = kernel.probs
-    pairs = _adjacent_pairs(d)
+    pairs = adjacent_pairs(d)
     if upper is not None:
         upper = np.asarray(upper, dtype=np.float64)
         if upper.shape != (pairs.shape[0],):
@@ -589,8 +510,8 @@ def contraction_certificate(kernel: KernelMatrix, symmetries: tuple = (),
                              f"({pairs.shape[0]},), one per edge")
         _k._require_finite(upper, "upper")
     # the kernel must commute with each g: t[g x, g y] = t[x, y]
-    solved_on = _edge_orbits(d, _k._checked_images("kernel", d, symmetries,
-                                                   [("transition probabilities", t, "xx")]))
+    _k._checked_images("kernel", d, symmetries, [("transition probabilities", t, "xx")])
+    solved_on = cube_orbits(d, symmetries).edge_of
     reps = np.flatnonzero(solved_on == np.arange(pairs.shape[0]))
     values, bracketed = _transport_values(t[pairs[reps, 0]], t[pairs[reps, 1]],
                                           None if upper is None else upper[reps])
@@ -616,7 +537,7 @@ def _adjacent_product_w1(q: np.ndarray) -> np.ndarray:
 def _coupling_upper_bounds(model: TargetModel, kernel: KernelMatrix) -> np.ndarray | None:
     """An upper bound on the W1 between the rows of every edge (x, x^i) of a
     dups, dmala or dmaps kernel on `model`, in the order of
-    `_adjacent_pairs`, from a coupling of the sampler; None for the other
+    `adjacent_pairs`, from a coupling of the sampler; None for the other
     samplers (gibbs, prox, and dula, whose rows are product laws).
 
     * dups: stage one moves both chains by the same flips off coordinate i
@@ -652,7 +573,7 @@ def _coupling_upper_bounds(model: TargetModel, kernel: KernelMatrix) -> np.ndarr
         t1 = np.exp(_k._stage_one_log_kernel(d, eta))
         edge_w1 = dups_contraction_bound(eta) * (
             t1 @ _adjacent_product_w1(expit(_k._stage_logits(field, eta, 2.0))))
-    pairs = _adjacent_pairs(d)
+    pairs = adjacent_pairs(d)
     upper = edge_w1[pairs[:, 0], np.repeat(np.arange(d), 1 << (d - 1))]
     if sampler == "dups":
         return upper

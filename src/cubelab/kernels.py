@@ -47,8 +47,8 @@ from scipy.special import expit, log_expit
 from .errors import CapabilityError, NumericalError, ParameterError
 from .models import TargetModel, log_weight_table
 from .scores import ScoreField, _definition
-from .statespace import (BitState, all_signs, flip_neighbors, isometry_images,
-                         orbit_minima, pack_words)
+from .statespace import (BitState, all_signs, cube_orbits, flip_neighbors, isometry_images,
+                         pack_words)
 
 # dense kernels hold 4^d doubles: d = 12 is ~134 MB and the practical top
 MAX_MATRIX_DIM = 12
@@ -97,8 +97,9 @@ class KernelMatrix:
         p = self.probs
         if p.ndim != 2 or p.shape[0] != p.shape[1]:
             raise ValueError("kernel matrix must be square")
-        if p.shape[0] & (p.shape[0] - 1) or not p.size:
-            raise ValueError(f"kernel matrix side {p.shape[0]} is not a power of two")
+        # side 1 would be the 0-cube, which has no coordinate to flip
+        if p.shape[0] & (p.shape[0] - 1) or p.shape[0] < 2:
+            raise ValueError(f"kernel matrix side {p.shape[0]} is not a power of two above 1")
         _require_finite(p, "kernel")
         if p.min() < -1e-12:
             raise ValueError(f"kernel has a negative entry: {p.min()}")
@@ -357,12 +358,11 @@ _PHI_SPAN = 700.0
 _FLUX_TILE_BYTES = 1 << 18
 
 
-def _checked_images(owner: str, dim: int, symmetries, parts) -> list:
-    """State images of the isometries g = (sigma, flip_mask) in `symmetries`,
-    after checking g on each (name, a, axes) of `parts`: moving every state
-    axis "x" of a by g and every coordinate axis "i" by sigma changes no entry
-    by over `SYMMETRY_TOL` max(1, max |a|), else NumericalError naming `owner`."""
-    images = []
+def _checked_images(owner: str, dim: int, symmetries, parts) -> None:
+    """Check each isometry g = (sigma, flip_mask) in `symmetries` on each
+    (name, a, axes) of `parts`: moving every state axis "x" of a by g and
+    every coordinate axis "i" by sigma changes no entry by over
+    `SYMMETRY_TOL` max(1, max |a|), else NumericalError naming `owner`."""
     for sigma, mask in symmetries:
         img = isometry_images(dim, sigma, mask)
         for name, a, axes in parts:
@@ -372,11 +372,9 @@ def _checked_images(owner: str, dim: int, symmetries, parts) -> list:
                 raise NumericalError(
                     f"{owner} breaks the declared symmetry (sigma={tuple(sigma)}, "
                     f"flip_mask={mask:#x}) on its {name} by {dev:.3e}", residual=dev)
-        images.append(img)
-    return images
 
 
-def _permute_orbits(reps: np.ndarray, rows: np.ndarray, images: list) -> np.ndarray:
+def _permute_orbits(reps: np.ndarray, rows: np.ndarray, images: tuple) -> np.ndarray:
     """The n x n array whose row reps[j] is rows[j] and whose every other row
     is a permutation of its orbit representative's: a[g x, y] = a[x, g^-1 y]
     for each state map g in `images` or its inverse, filled outward from the
@@ -391,7 +389,7 @@ def _permute_orbits(reps: np.ndarray, rows: np.ndarray, images: list) -> np.ndar
     done = np.zeros(n, dtype=bool)
     done[reps] = True
     inverses = [np.argsort(img) for img in images]
-    maps, back = np.array(images + inverses), np.array(inverses + images)
+    maps, back = np.array([*images, *inverses]), np.array([*inverses, *images])
     frontier = reps
     while frontier.size:
         # each state first reached in this round takes the first map reaching it
@@ -405,7 +403,7 @@ def _permute_orbits(reps: np.ndarray, rows: np.ndarray, images: list) -> np.ndar
 
 
 def _dmaps_orbit_flux(model: TargetModel, score: ScoreField,
-                      eta: float) -> tuple[np.ndarray, np.ndarray, list]:
+                      eta: float) -> tuple[np.ndarray, np.ndarray, tuple]:
     """Accepted flux of the adjusted two-stage kernel on the lowest state of
     each orbit of the target's symmetries, before the rejected mass is folded
     onto the diagonal: `(reps, rows, images)`, where rows[j] is the flux row
@@ -425,8 +423,9 @@ def _dmaps_orbit_flux(model: TargetModel, score: ScoreField,
     flux(g x, g x') = flux(x, x'). Every declared generator is checked on
     lw and the tilt table first (`_checked_images`, NumericalError when
     one breaks either), and the z-loop then runs over the r orbit
-    representatives only: O(r 4^d) time, every state being its own
-    representative when the target declares no symmetry. The memory is
+    representatives only (`reps` of `statespace.cube_orbits`): O(r 4^d)
+    time, every state being its own representative when the target
+    declares no symmetry, whose group is trivial. The memory is
     three 2^d x 2^d arrays (T2, u and T1), the r x 2^d rows and T1 / u at
     them, and one buffer of `_FLUX_TILE_BYTES`: the z loop runs over one
     tile of rows at a time, so that the tile and the buffer stay in cache.
@@ -436,9 +435,10 @@ def _dmaps_orbit_flux(model: TargetModel, score: ScoreField,
     signs = all_signs(model.dim).astype(np.float64)
     lw = log_weight_table(model)
     tab = score.table()
-    images = _checked_images(repr(model), model.dim, model.symmetries(),
-                             [("log weights", lw, "x"), ("tilt table", score.tilt(), "xi")])
-    reps = np.flatnonzero(orbit_minima(n, images) == np.arange(n))
+    _checked_images(repr(model), model.dim, model.symmetries(),
+                    [("log weights", lw, "x"), ("tilt table", score.tilt(), "xi")])
+    orbits = cube_orbits(model.dim, model.symmetries())
+    reps = orbits.reps
     stage2 = np.exp(_score_log_kernel(score, eta, 2.0))
     # phi[z, y] = phi_z(y) - max phi_z, then u in place
     phi = tab @ signs.T
@@ -468,7 +468,7 @@ def _dmaps_orbit_flux(model: TargetModel, score: ScoreField,
             b *= col[z, r:r + rows, None]
             b *= stage2[z]
             tile += b
-    return reps, flux, images
+    return reps, flux, orbits.images
 
 
 def dmaps_matrix(model: TargetModel, score: ScoreField, eta: float) -> KernelMatrix:

@@ -5,10 +5,11 @@ with coordinate 0 in the least significant position. The packed word doubles
 as the canonical state index, so the all-(-1) state is index 0 and the
 all-(+1) state is index 2^d - 1. Every conversion between words and
 coordinates goes through `pack_words` and `unpack_words`, in time linear in
-d at every width. `flip_neighbors` indexes each state's d neighbours. A cube
-isometry (sigma, flip_mask) acts on the indices as the permutation
-`isometry_images` returns, and `orbit_minima` labels the orbits of the group
-that such permutations generate, on states or on any other indexed set.
+d at every width. `flip_neighbors` indexes each state's d neighbours and
+`adjacent_pairs` lists the edges. A cube isometry (sigma, flip_mask) acts on
+the indices as the permutation `isometry_images` returns, and `cube_orbits`
+holds the orbits of states and edges under the group that such isometries
+generate, the trivial group included, with the quotient graph's edges.
 """
 
 from __future__ import annotations
@@ -156,6 +157,83 @@ def _isometry_images(dim: int, sigma: tuple, flip_mask: int) -> np.ndarray:
     images = (bits << np.asarray(sigma, dtype=np.int64)).sum(axis=1) ^ flip_mask
     images.setflags(write=False)
     return images
+
+
+def adjacent_pairs(dim: int) -> np.ndarray:
+    """(k, k + 2^i) for every edge of the dim-cube, by coordinate i, then k."""
+    nb = flip_neighbors(dim)
+    i, lo = np.nonzero(nb.T > np.arange(1 << dim))
+    return np.stack([lo, nb[lo, i]], axis=1)
+
+
+@dataclass(frozen=True)
+class CubeOrbits:
+    """The orbits of the states and edges of the d-cube under the group
+    that the isometries `generators` generate, whose state maps are
+    `images`; the cube is the quotient by the trivial group.
+
+    Orbits are numbered by their lowest state, so orbit 0 holds state 0:
+    `of` is each state's orbit, `reps` and `sizes` each orbit's lowest
+    state and size, `membership` the (2^d, r) 0/1 matrix of states in
+    orbits (None when every orbit is one state). `edges` joins each pair of
+    orbits that a cube edge joins, in order of the first such edge of
+    `adjacent_pairs(d)`, and `edge_of` is the lowest index in each edge's
+    orbit, indexed as there."""
+
+    generators: tuple
+    images: tuple
+    of: np.ndarray
+    reps: np.ndarray
+    sizes: np.ndarray
+    membership: np.ndarray | None
+    edges: np.ndarray
+    edge_of: np.ndarray
+
+    def lump(self, a: np.ndarray) -> np.ndarray:
+        """Sums of the last axis of `a` over each orbit; `a` itself when
+        every orbit is one state."""
+        return a if self.membership is None else a @ self.membership
+
+    def average(self, a: np.ndarray) -> np.ndarray:
+        """`a` averaged over each orbit, an entry per state."""
+        return (self.lump(a) / self.sizes)[..., self.of]
+
+
+def cube_orbits(dim: int, generators) -> CubeOrbits:
+    """The orbits under the group that the cube isometries `generators`
+    generate (trivial for none), built once per (dim, generators);
+    ParameterError if one is not an isometry."""
+    return _cube_orbits(dim, tuple((tuple(int(s) for s in sigma), int(mask))
+                                   for sigma, mask in generators))
+
+
+# a model declares one group, and every dimension meets the trivial one
+@functools.lru_cache(maxsize=16)
+def _cube_orbits(dim: int, generators: tuple) -> CubeOrbits:
+    n = 1 << dim
+    pairs = adjacent_pairs(dim)
+    images = tuple(isometry_images(dim, sigma, mask) for sigma, mask in generators)
+    # the group acts on states and edges at once: edge e is index n + e
+    maps = []
+    for img in images:
+        a, b = img[pairs[:, 0]], img[pairs[:, 1]]
+        j = np.bitwise_count((a ^ b) - 1).astype(np.int64)  # the coordinate it flips
+        lo = np.minimum(a, b)
+        # rank of lo among the words with bit j clear
+        edge = (j << (dim - 1)) | (lo & ((1 << j) - 1)) | ((lo >> (j + 1)) << j)
+        maps.append(np.concatenate([img, n + edge]))
+    labels = orbit_minima(n + len(pairs), maps)
+    reps = np.flatnonzero(labels[:n] == np.arange(n))
+    of = np.searchsorted(reps, labels[:n])
+    ends = np.sort(of[pairs], axis=1)
+    cross = ends[ends[:, 0] != ends[:, 1]]
+    first = np.sort(np.unique(cross, axis=0, return_index=True)[1])
+    membership = None if len(reps) == n else (of[:, None] == np.arange(len(reps))) * 1.0
+    arrays = of, reps, np.bincount(of), membership, cross[first], labels[n:] - n
+    for a in arrays:
+        if a is not None:
+            a.setflags(write=False)
+    return CubeOrbits(generators, images, *arrays)
 
 
 def orbit_minima(size: int, maps: list[np.ndarray]) -> np.ndarray:

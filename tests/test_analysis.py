@@ -3,6 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import sparse
 from scipy.special import expit
 
 from cubelab import analysis
@@ -31,7 +32,8 @@ from cubelab.kernels import (
 )
 from cubelab.models import BitsMixture, CurieWeiss, IndependentBits, IsingGrid, exact_target
 from cubelab.scores import SCORE_KINDS, ScoreField, smooth_beta_constants
-from cubelab.statespace import all_signs, hamming, isometry_images, orbit_minima, state_of
+from cubelab.statespace import (adjacent_pairs, all_signs, cube_orbits, hamming, isometry_images,
+                                orbit_minima, state_of)
 
 import product_laws
 
@@ -227,7 +229,8 @@ def test_transport_lp_flow_is_checked_against_its_supplies(monkeypatch):
     supplies at the cost of the dual value; a flow that misses them raises."""
     rng = np.random.default_rng(5)
     b = rng.dirichlet(np.ones(16), size=3) - rng.dirichlet(np.ones(16), size=3)
-    exact = analysis._dual_lp_values(b)
+    lp = analysis._quotient_lp(4, (), 3)
+    exact = analysis._dual_lp_values(b, lp)
     solve = analysis.linprog
 
     def skewed(*args, **kwargs):
@@ -237,7 +240,7 @@ def test_transport_lp_flow_is_checked_against_its_supplies(monkeypatch):
 
     monkeypatch.setattr(analysis, "linprog", skewed)
     with pytest.raises(NumericalError, match="primal flow misses") as err:
-        analysis._dual_lp_values(b)
+        analysis._dual_lp_values(b, lp)
     assert err.value.residual > analysis._FLOW_TOL
     for p, q, w in zip(b.clip(0), (-b).clip(0), exact):
         assert w == pytest.approx(wasserstein_hamming_lp(p / p.sum(), q / q.sum()) * p.sum(),
@@ -486,7 +489,7 @@ def test_transport_lp_takes_a_roundoff_supply_at_the_pinned_state():
     assert wasserstein_hamming(pi, target) == 0.0
     lone = np.zeros((1, 16))
     lone[0, 0] = 2e-15
-    assert analysis._dual_lp_values(lone).tolist() == [0.0]
+    assert analysis._dual_lp_values(lone, analysis._quotient_lp(4, (), 1)).tolist() == [0.0]
 
 
 # ---------------------------------------------------------------------------
@@ -714,15 +717,10 @@ def test_run_certificates_solves_orbit_representatives_only(solves, monkeypatch)
     certify = analysis.contraction_certificate
     monkeypatch.setattr(analysis, "contraction_certificate",
                         lambda k, **kw: kappas.append((k.sampler, kw)) or certify(k, **kw))
-    quotient = []
+    lps = []
     solve = analysis._dual_lp_values
-
-    def counted(b, lp=None):
-        if lp is not None:
-            quotient.append(b.shape)
-        return solve(b, lp)
-
-    monkeypatch.setattr(analysis, "_dual_lp_values", counted)
+    monkeypatch.setattr(analysis, "_dual_lp_values",
+                        lambda b, lp: lps.append(b.shape) or solve(b, lp))
     results = run_certificates(model, "glauber", 0.8)
     assert kappas and all(kw["symmetries"] == model.symmetries() for _, kw in kappas)
     # each sampler's kappa is computed once, whatever number of bounds it meets
@@ -735,8 +733,11 @@ def test_run_certificates_solves_orbit_representatives_only(solves, monkeypatch)
                           for r in results)
     assert sorted(solves) == [1] * stationary_rows + [3] * len(kappas)
     # each stationary W1 is one LP over the three state orbits (the +1 count
-    # up to the global flip), not over the 32 states
+    # up to the global flip), not over the 32 states; every other LP is a
+    # certificate's, on the cube
+    quotient = [shape for shape in lps if shape[1] != 32]
     assert stationary_rows and quotient == [(1, 3)] * stationary_rows
+    assert len(lps) - len(quotient) <= len(kappas)
     assert all(math.isfinite(r.observed) for r in results if r.observed is not None)
 
 
@@ -816,7 +817,7 @@ def test_edges_and_product_w1_match_their_per_coordinate_loops(d):
     product-law W1 with the loop's floats."""
     ks = np.arange(1 << d)
     pairs = [[k, k | 1 << i] for i in range(d) for k in range(1 << d) if not k >> i & 1]
-    assert analysis._adjacent_pairs(d).tolist() == pairs
+    assert adjacent_pairs(d).tolist() == pairs
     q = np.random.default_rng(d).random((1 << d, d))
     marginals = np.where(all_signs(d) > 0, 1.0 - q, q)
     loop = np.stack([np.abs(marginals - marginals[ks ^ (1 << i)]).sum(axis=1)
@@ -824,10 +825,42 @@ def test_edges_and_product_w1_match_their_per_coordinate_loops(d):
     assert np.array_equal(analysis._adjacent_product_w1(q), loop)
 
 
+@pytest.mark.parametrize("d", range(1, 9))
+def test_the_trivial_group_quotient_is_the_cube(d):
+    """With no generators every orbit is one state or one edge: nothing is
+    lumped, each edge is solved on itself, and the quotient LP is the one
+    built entry by entry from the cube's edges."""
+    orbits = cube_orbits(d, ())
+    assert orbits.membership is None and orbits.sizes.tolist() == [1] * (1 << d)
+    b = np.ones((2, 1 << d))
+    assert orbits.lump(b) is b
+    assert np.array_equal(orbits.edge_of, np.arange(d << (d - 1)))
+    edges, n = adjacent_pairs(d), 1 << d
+    e = len(edges)
+    for blocks in (1, 4):
+        a, ub, bounds, incidence = analysis._quotient_lp(d, (), blocks)
+        assert analysis._quotient_lp(d, (), blocks)[0] is a
+        assert np.array_equal(incidence.toarray(), sparse.coo_array(
+            (np.tile([1.0, -1.0], e), (np.repeat(np.arange(e), 2), edges.ravel())),
+            shape=(e, n)).toarray())
+        # block k holds f(u) - f(v) <= 1 at rows 2ek + j and f(v) - f(u) <= 1
+        # at rows 2ek + e + j, for edge j = (u, v)
+        row = np.arange(2 * e * blocks).reshape(blocks, 2, e)
+        col = n * np.arange(blocks)[:, None, None, None] + np.stack([edges, edges[:, ::-1]])
+        want = sparse.coo_array((np.tile([1.0, -1.0], 2 * e * blocks),
+                                 (np.repeat(row.ravel(), 2), col.ravel())),
+                                shape=(2 * e * blocks, n * blocks))
+        assert a.shape == want.shape and (a != want.tocsr()).nnz == 0
+        assert np.array_equal(ub, np.ones(2 * e * blocks))
+        pinned = np.arange(n * blocks) % n == 0
+        assert (bounds[pinned] == 0.0).all() and np.isinf(bounds[~pinned]).all()
+
+
 def test_d8_grid_dups_certificate_solves_at_most_two_lps(monkeypatch):
     calls = []
     solve = analysis._dual_lp_values
-    monkeypatch.setattr(analysis, "_dual_lp_values", lambda b: calls.append(len(b)) or solve(b))
+    monkeypatch.setattr(analysis, "_dual_lp_values",
+                        lambda b, lp: calls.append(len(b)) or solve(b, lp))
     model = IsingGrid(2, 4, 0.4, 0.1)
     cert = analysis._sampler_certificate(model, dups_matrix(model, ScoreField(model, "glauber"),
                                                             0.4))

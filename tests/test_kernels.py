@@ -510,6 +510,7 @@ def test_kernels_stay_finite_where_the_stage_one_rate_underflows(sampler):
     (np.array([[1.5, -0.5], [0.0, 1.0]]), "negative entry"),
     (np.array([[0.5, 0.4], [0.0, 1.0]]), "rows sum to 1 only within"),
     (np.full((3, 3), 1 / 3), "side 3 is not a power of two"),
+    (np.ones((1, 1)), "side 1 is not a power of two above 1"),
 ])
 def test_kernel_matrix_rejects_non_kernels(probs, message):
     with pytest.raises(ValueError, match=message):

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from cubelab.errors import CapabilityError
-from cubelab.statespace import (MAX_SIM_DIM, BitState, all_signs, flip_neighbors, hamming,
-                                index_of, isometry_images, pack_words, state_of,
-                                unpack_words)
+from cubelab.models import BitsMixture, CurieWeiss, IndependentBits, IsingGrid
+from cubelab.statespace import (MAX_SIM_DIM, BitState, adjacent_pairs, all_signs, cube_orbits,
+                                flip_neighbors, hamming, index_of, isometry_images, pack_words,
+                                state_of, unpack_words)
 
 
 def _word(row) -> int:
@@ -124,6 +125,52 @@ def test_isometry_images_move_bits(dim):
         # built once per isometry and shared, so read-only
         assert isometry_images(dim, tuple(sigma), mask) is images
         assert not images.flags.writeable
+
+
+def _closure(start, maps):
+    """The orbit of `start` under the group that the functions `maps` generate."""
+    seen, todo = {start}, [start]
+    while todo:
+        x = todo.pop()
+        for g in maps:
+            y = g(x)
+            if y not in seen:
+                seen.add(y)
+                todo.append(y)
+    return seen
+
+
+@pytest.mark.parametrize("model", [
+    IndependentBits(0.5, 4), IndependentBits(0.0, 5), BitsMixture(0.5, 6),
+    CurieWeiss(0.3, 0.2, 5), CurieWeiss(0.3, 0.0, 6), IsingGrid(2, 3, 0.4, 0.1),
+    IsingGrid(2, 2, 0.4, 0.0), IsingGrid(1, 6, 0.3, 0.1, periodic=True),
+    IsingGrid(2, 3, 0.3, 0.0, periodic=True),
+], ids=repr)
+def test_cube_orbits_are_the_closures_of_each_state_and_edge(model):
+    """Each family's declared group, applied bit by bit to every state and
+    every edge until nothing new appears, gives the orbits, the quotient
+    edges in order of their first cube edge, and the lowest edge of each
+    edge orbit."""
+    d, gens = model.dim, model.symmetries()
+    maps = [lambda k, s=sigma, m=mask: sum(((k >> i) & 1) << s[i] for i in range(d)) ^ m
+            for sigma, mask in gens]
+    orbits = cube_orbits(d, gens)
+    state_orbits = [min(_closure(k, maps)) for k in range(1 << d)]
+    assert orbits.reps[orbits.of].tolist() == state_orbits
+    assert orbits.sizes.tolist() == [state_orbits.count(r) for r in orbits.reps.tolist()]
+    assert np.array_equal(orbits.membership, orbits.of[:, None] == np.arange(len(orbits.reps)))
+    pairs = [frozenset(e) for e in adjacent_pairs(d).tolist()]
+    index = {e: j for j, e in enumerate(pairs)}
+    edge_maps = [lambda e, g=g: frozenset(map(g, e)) for g in maps]
+    assert orbits.edge_of.tolist() == [min(index[f] for f in _closure(e, edge_maps))
+                                       for e in pairs]
+    joined = []
+    for u, v in adjacent_pairs(d).tolist():
+        ends = sorted((orbits.of[u], orbits.of[v]))
+        if ends[0] != ends[1] and ends not in joined:
+            joined.append(ends)
+    assert orbits.edges.tolist() == joined
+    assert cube_orbits(d, [list(g) for g in gens]) is orbits
 
 
 @pytest.mark.parametrize("dim", [1, 13, 63, 64, 65, 130, 1 << 16])
