@@ -352,6 +352,52 @@ def _dual_lp_values(b: np.ndarray, lp: tuple) -> np.ndarray:
     return (f_int * b).sum(axis=1)
 
 
+def _next_bit_conditionals(rows: np.ndarray, j: int) -> np.ndarray:
+    """P(x_j = +1 | bits 0..j-1 of x = a) of each row of an (m, 2^d) law at
+    [row, a], and 0 where the prefix a has no mass."""
+    law = rows.reshape(rows.shape[0], -1, 2, 1 << j).sum(axis=1)
+    mass = law.sum(axis=1)
+    return np.divide(law[:, 1], mass, out=np.zeros_like(mass), where=mass > 0.0)
+
+
+def _sequential_coupling_costs(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Expected Hamming cost of the sequential (Knothe-Rosenblatt) coupling
+    of each pair of rows of two (m, 2^d) laws, coordinate 0 first at [0]
+    and coordinate d - 1 first at [1].
+
+    Coordinate by coordinate, the next bits x_j of p and y_j of q are
+    coupled maximally given the coupled prefixes a and b: with
+    alpha(a) = p(x_j = +1 | a) and beta(b) = q(y_j = +1 | b), they differ
+    with probability |alpha - beta|, and a prefix without mass has
+    conditional 0. The joint law of the prefix pairs, (m, 2^j, 2^j) at step
+    j, carries the cost sum_j E|alpha - beta|. It is a coupling of the two
+    rows, so the cost is an upper bound on their W1 whatever kernel they
+    came from, exact at d = 1 and equal to sum_j |P_j - Q_j| on product laws.
+    """
+    m, n = p.shape
+    d = n.bit_length() - 1
+    ks = np.arange(n)
+    reversal = sum(((ks >> j) & 1) << (d - 1 - j) for j in range(d))
+    costs = np.zeros((2, m))
+    for order, (a, b) in enumerate([(p, q), (p[:, reversal], q[:, reversal])]):
+        joint = np.ones((m, 1, 1))
+        for j in range(d):
+            alpha = _next_bit_conditionals(a, j)[:, :, None]
+            beta = _next_bit_conditionals(b, j)[:, None, :]
+            costs[order] += (joint * np.abs(alpha - beta)).sum(axis=(1, 2))
+            if j == d - 1:
+                break
+            # the prefixes grow by bit j, the high bit of the new prefix index
+            both = np.minimum(alpha, beta)
+            grown = np.empty((m, 2, 1 << j, 2, 1 << j))
+            grown[:, 0, :, 0] = joint * (1.0 - np.maximum(alpha, beta))
+            grown[:, 1, :, 0] = joint * (alpha - both)
+            grown[:, 0, :, 1] = joint * (beta - both)
+            grown[:, 1, :, 1] = joint * both
+            joint = grown.reshape(m, 2 << j, 2 << j)
+    return costs
+
+
 def _transport_values(p: np.ndarray, q: np.ndarray, upper: np.ndarray | None = None,
                       symmetries: tuple = ()) -> tuple[np.ndarray, np.ndarray]:
     """Exact Hamming W1 between the rows of two (m, 2^d) arrays, and which
@@ -369,9 +415,13 @@ def _transport_values(p: np.ndarray, q: np.ndarray, upper: np.ndarray | None = N
     coordinate potential makes L = sum_i |P_i - Q_i| a lower bound on every
     pair's, so no pair whose upper bound is below max L can hold the
     largest value. An LP batch is skipped when every pair in it has
-    upper < max L - `_BRACKET_MARGIN`; its pairs take their upper bound,
-    and the returned mask marks them. The batches are those of the full
-    solve, so every batch that is solved gives the same floats.
+    upper < max L - `_BRACKET_MARGIN`. A batch that `upper` does not skip
+    first tightens each pair's bound to the smaller cost of the two
+    sequential couplings of its rows (`_sequential_coupling_costs`), and is
+    skipped if those all lie below. A skipped batch's pairs take their
+    (tightened) bound, and the returned mask marks them. The batches are
+    those of the full solve, so every batch that is solved gives the same
+    floats. Without `upper` every batch is solved.
     """
     m, n = p.shape
     d = n.bit_length() - 1
@@ -393,12 +443,15 @@ def _transport_values(p: np.ndarray, q: np.ndarray, upper: np.ndarray | None = N
     per_call = max(1, _LP_MAX_VARS // len(orbits.reps))
     for start in range(0, rest.size, per_call):
         idx = rest[start:start + per_call]
-        if (upper is not None) and (upper[idx] < floor).all():
-            values[idx] = upper[idx]
-            bracketed[idx] = True
-        else:
-            values[idx] = _dual_lp_values(
-                supply[idx], _quotient_lp(d, orbits.generators, len(idx)))
+        if upper is not None:
+            bound = upper[idx]
+            if not (bound < floor).all():
+                bound = np.minimum(bound, _sequential_coupling_costs(p[idx], q[idx]).min(axis=0))
+            if (bound < floor).all():
+                values[idx] = bound
+                bracketed[idx] = True
+                continue
+        values[idx] = _dual_lp_values(supply[idx], _quotient_lp(d, orbits.generators, len(idx)))
     return values, bracketed
 
 
@@ -459,10 +512,11 @@ class ContractionCertificate:
     index.
 
     `bracketed[j]` marks a pair whose W1 was bracketed, not solved: its
-    coupling upper bound lies more than a margin below the largest
-    coordinate lower bound of any pair, so it cannot be kappa or the
-    witness, and `pair_values[j]` holds that upper bound instead of the
-    exact W1. Without upper bounds no pair is bracketed.
+    upper bound, the one given for its edge or, if smaller, the cost of the
+    sequential coupling of its two rows, lies more than a margin below the
+    largest coordinate lower bound of any pair, so it cannot be kappa or
+    the witness, and `pair_values[j]` holds that bound instead of the exact
+    W1. Without upper bounds no pair is bracketed.
     """
 
     kappa: float
@@ -489,13 +543,17 @@ def contraction_certificate(kernel: KernelMatrix, symmetries: tuple = (),
     LPs run on the cube.
 
     `upper`, an upper bound on the W1 of every edge in the order of
-    `pairs` (as `_coupling_upper_bounds` gives it), brackets the orbits:
-    an LP batch whose every orbit has its bound below the largest
-    coordinate lower bound sum_i |P_i - Q_i| of any orbit, by a margin, is
-    not solved, and its pairs are marked in `bracketed` and report their
-    upper bound (see `_transport_values`). The batches are those of the
-    full solve, so kappa and the witness are the same floats as with
-    `upper=None`, which solves every orbit and is the oracle.
+    `pairs` (as `_coupling_upper_bounds` gives it), brackets the orbits.
+    An entry below its edge's coordinate lower bound sum_i |P_i - Q_i| by
+    more than `_BRACKET_MARGIN` cannot be an upper bound and raises
+    ValueError naming the edge, before any solve. An LP batch whose every
+    orbit has its bound, tightened by the sequential coupling of its rows
+    where `upper` alone leaves the batch live, below the largest coordinate
+    lower bound of any orbit, by that margin, is not solved; its pairs are
+    marked in `bracketed` and report their bound (see `_transport_values`).
+    The batches are those of the full solve, so kappa and the witness are
+    the same floats as with `upper=None`, which solves every orbit and is
+    the oracle.
     """
     d = kernel.dim
     if d > CONTRACTION_DIM_CAP:
@@ -509,6 +567,15 @@ def contraction_certificate(kernel: KernelMatrix, symmetries: tuple = (),
             raise ValueError(f"upper has shape {upper.shape}, expected "
                              f"({pairs.shape[0]},), one per edge")
         _k._require_finite(upper, "upper")
+        marginals = t @ (all_signs(d) > 0).astype(np.float64)
+        lower = np.abs(marginals[pairs[:, 0]] - marginals[pairs[:, 1]]).sum(axis=1)
+        below = np.flatnonzero(upper < lower - _BRACKET_MARGIN)
+        if below.size:
+            e = below[0]
+            raise ValueError(
+                f"upper bound {float(upper[e])!r} on edge ({pairs[e, 0]}, {pairs[e, 1]}) is "
+                f"below its coordinate lower bound {float(lower[e])!r} by more than "
+                f"{_BRACKET_MARGIN:.0e}")
     # the kernel must commute with each g: t[g x, g y] = t[x, y]
     _k._checked_images("kernel", d, symmetries, [("transition probabilities", t, "xx")])
     solved_on = cube_orbits(d, symmetries).edge_of
@@ -534,60 +601,44 @@ def _adjacent_product_w1(q: np.ndarray) -> np.ndarray:
     return np.abs(marginals[:, None] - marginals[flip_neighbors(q.shape[1])]).sum(axis=2)
 
 
-def _coupling_upper_bounds(model: TargetModel, kernel: KernelMatrix) -> np.ndarray | None:
-    """An upper bound on the W1 between the rows of every edge (x, x^i) of a
-    dups, dmala or dmaps kernel on `model`, in the order of
-    `adjacent_pairs`, from a coupling of the sampler; None for the other
-    samplers (gibbs, prox, and dula, whose rows are product laws).
+def _coupling_upper_bounds(model: TargetModel, kernel: KernelMatrix) -> np.ndarray:
+    """An upper bound on the W1 between the rows of every edge (x, x^i) of
+    `kernel` on `model`, in the order of `adjacent_pairs`, from a coupling
+    of the sampler: the synchronous one below for dups, and for every other
+    sampler the Hamming diameter d, which any coupling meets.
+    `_transport_values` tightens each bound that leaves its LP batch live
+    with the sequential coupling of the two rows themselves.
 
-    * dups: stage one moves both chains by the same flips off coordinate i
-      and couples coordinate i maximally, so with probability 2a, where
-      a = sigma(-2/eta) is its flip probability, both reach the same z and
-      stay together; otherwise they reach z and z^i, with z distributed as
-      T1(x, .) given z_i = x_i. Stage two is a product law m(z) and is
-      coupled coordinatewise, so
-      U = (1 - 2a) sum_z T1(x, z) sum_j |m_j(z) - m_j(z^i)|
-      (the inner sum is the same at z and z^i, so the sum over all z is the
-      conditional one).
-    * dmala, dmaps: K moves off x only where its base kernel does (dula,
-      dups), never more, and sends the rest back to x. Moving that
-      rejected mass back costs r(x) = sum_{y != x} (K_base - K)(x, y)
-      ham(x, y), so by the triangle inequality
-      U = W1_base(x, x^i) + r(x) + r(x^i), with the exact product-law W1
-      for dula and the bound above for dups.
-
-    Every bound is the cost of a coupling, so it holds in real arithmetic
-    only for the kernel's own law: the flip probabilities are read from the
-    same `kernels._stage_logits` and stage-one kernel that build it, and
-    1 - 2a is `dups_contraction_bound`. In floating point each bound
-    carries roundoff of order 1e-15, far below `_BRACKET_MARGIN`.
+    dups: stage one moves both chains by the same flips off coordinate i
+    and couples coordinate i maximally, so with probability 2a, where
+    a = sigma(-2/eta) is its flip probability, both reach the same z and
+    stay together; otherwise they reach z and z^i, with z distributed as
+    T1(x, .) given z_i = x_i. Stage two is a product law m(z) and is coupled
+    coordinatewise, so
+    U = (1 - 2a) sum_z T1(x, z) sum_j |m_j(z) - m_j(z^i)|
+    (the inner sum is the same at z and z^i, so the sum over all z is the
+    conditional one). The flip probabilities are read from the same
+    `kernels._stage_logits` and stage-one kernel that build the kernel, and
+    1 - 2a is `dups_contraction_bound`, so U is a coupling's cost for the
+    kernel's own law, up to roundoff of order 1e-15, far below
+    `_BRACKET_MARGIN`.
     """
-    sampler, eta = kernel.sampler, kernel.eta
-    if sampler not in ("dups", "dmala", "dmaps"):
-        return None
-    field = ScoreField(model, kernel.score)
     d = kernel.dim
-    if sampler == "dmala":
-        edge_w1 = _adjacent_product_w1(expit(_k._stage_logits(field, eta, 1.0)))
-    else:
-        t1 = np.exp(_k._stage_one_log_kernel(d, eta))
-        edge_w1 = dups_contraction_bound(eta) * (
-            t1 @ _adjacent_product_w1(expit(_k._stage_logits(field, eta, 2.0))))
     pairs = adjacent_pairs(d)
-    upper = edge_w1[pairs[:, 0], np.repeat(np.arange(d), 1 << (d - 1))]
-    if sampler == "dups":
-        return upper
-    base = (_k.dula_matrix if sampler == "dmala" else _k.dups_matrix)(model, field, eta)
-    ks = np.arange(1 << d)
-    ham = np.bitwise_count(ks[:, None] ^ ks[None, :])
-    rejected = ((base.probs - kernel.probs) * ham).sum(axis=1)
-    return upper + rejected[pairs[:, 0]] + rejected[pairs[:, 1]]
+    if kernel.sampler != "dups":
+        return np.full(pairs.shape[0], float(d))
+    field = ScoreField(model, kernel.score)
+    t1 = np.exp(_k._stage_one_log_kernel(d, kernel.eta))
+    edge_w1 = dups_contraction_bound(kernel.eta) * (
+        t1 @ _adjacent_product_w1(expit(_k._stage_logits(field, kernel.eta, 2.0))))
+    return edge_w1[pairs[:, 0], np.repeat(np.arange(d), 1 << (d - 1))]
 
 
 def _sampler_certificate(model: TargetModel, kernel: KernelMatrix) -> ContractionCertificate:
     """The contraction certificate of a sampler's kernel on `model`, on the
-    orbits of the model's symmetries, with the orbits that its coupling
-    bounds decide left unsolved: the one path that `cli.analyze_row` and
+    orbits of the model's symmetries, bracketed by its coupling bounds
+    (`_coupling_upper_bounds`, tightened batch by batch by the sequential
+    couplings of the rows): the one path that `cli.analyze_row` and
     `run_certificates` take to kappa."""
     return contraction_certificate(kernel, symmetries=model.symmetries(),
                                    upper=_coupling_upper_bounds(model, kernel))

@@ -545,6 +545,16 @@ def solves(monkeypatch):
     return rows
 
 
+@pytest.fixture
+def lp_calls(monkeypatch):
+    """The pair count of every `_dual_lp_values` call."""
+    calls = []
+    solve = analysis._dual_lp_values
+    monkeypatch.setattr(analysis, "_dual_lp_values",
+                        lambda b, lp: calls.append(len(b)) or solve(b, lp))
+    return calls
+
+
 def test_contraction_certificate_dimension_cap(solves):
     model = IsingGrid(3, 3, 0.4, 0.1)
     with pytest.raises(CapabilityError):
@@ -763,10 +773,14 @@ def _random_configuration(rng):
 @pytest.mark.parametrize("seed", range(24))
 def test_coupling_bounds_bracket_the_exact_certificate(seed):
     """Every coupling bound lies above the exact W1 of its edge, and the
-    certificate that skips the batches they decide gives kappa and the
-    witness of the full solve, as the same floats."""
+    certificate that skips the batches they decide, tightened by the
+    sequential couplings of the rows, gives kappa and the witness of the
+    full solve, as the same floats. A bracketed pair reports a bound that
+    lies between its exact W1 and kappa."""
     model, kind, eta = _random_configuration(np.random.default_rng([seed, 16]))
-    for sampler in ("dups", "dmala", "dmaps"):
+    for sampler in ("gibbs", "prox", "dmala", "dups", "dmaps"):
+        if sampler == "gibbs" and math.exp(-2.0 / eta) > 1.0 / model.dim:
+            continue  # a step gibbs refuses
         tag = (model, sampler, kind, eta)
         kernel = kernel_matrix(model, sampler, ScoreField(model, kind), eta)
         upper = analysis._coupling_upper_bounds(model, kernel)
@@ -776,12 +790,12 @@ def test_coupling_bounds_bracket_the_exact_certificate(seed):
         full = contraction_certificate(kernel, symmetries=model.symmetries())
         cert = analysis._sampler_certificate(model, kernel)
         assert cert.kappa == full.kappa and cert.witness == full.witness, tag
-        # a solved pair reports its exact value, a bracketed one its bound
+        # a solved pair reports its exact value, a bracketed one a bound on it
         live = ~cert.bracketed
         assert np.array_equal(cert.pair_values[live], full.pair_values[live]), tag
-        assert np.array_equal(cert.pair_values[cert.bracketed],
-                              upper[cert.solved_on][cert.bracketed]), tag
-        assert (cert.pair_values[cert.bracketed] < cert.kappa).all(), tag
+        bracketed = cert.pair_values[cert.bracketed]
+        assert (bracketed >= exact.pair_values[cert.bracketed] - 1e-12).all(), tag
+        assert (bracketed < cert.kappa).all(), tag
         if model.dim <= 5:
             a, b = cert.witness
             assert cert.kappa == pytest.approx(
@@ -789,17 +803,57 @@ def test_coupling_bounds_bracket_the_exact_certificate(seed):
 
 
 @pytest.mark.parametrize("sampler", ["gibbs", "prox", "dula"])
-def test_samplers_without_a_coupling_bound_solve_every_orbit(sampler):
-    model = IsingGrid(2, 2, 0.4, 0.1)
+def test_sampler_certificates_bracket_or_need_no_lp(sampler, lp_calls):
+    """dula rows are product laws, in closed form without an LP; gibbs and
+    prox have only the diameter as a coupling bound, and the sequential
+    couplings of their rows bracket orbits that the full solve agrees with."""
+    model = IsingGrid(2, 3, 0.4, 0.1)
     kernel = kernel_matrix(model, sampler, ScoreField(model, "glauber"), 0.6)
-    assert analysis._coupling_upper_bounds(model, kernel) is None
     cert = analysis._sampler_certificate(model, kernel)
-    assert not cert.bracketed.any()
+    if sampler == "dula":
+        assert not lp_calls and not cert.bracketed.any()
+        return
+    assert cert.bracketed.any()
+    full = contraction_certificate(kernel, symmetries=model.symmetries())
+    assert cert.kappa == full.kappa and cert.witness == full.witness
+    live = ~cert.bracketed
+    assert np.array_equal(cert.pair_values[live], full.pair_values[live])
+    assert (cert.pair_values[~live] >= full.pair_values[~live] - 1e-12).all()
+
+
+@pytest.mark.parametrize("d", range(1, 5))
+def test_sequential_couplings_bound_the_coupling_lp(d):
+    """Both orders of the sequential coupling cost at least the coupling
+    LP's W1 on random laws, with atoms and zero entries among them, and
+    exactly it at d = 1, where each is the maximal coupling."""
+    rng = np.random.default_rng([d, 30])
+    laws = rng.dirichlet(np.full(1 << d, 0.3), size=(40, 2))
+    laws[::4, 0, : 1 << (d - 1)] = 0.0
+    laws /= laws.sum(axis=2, keepdims=True)
+    costs = analysis._sequential_coupling_costs(laws[:, 0], laws[:, 1])
+    assert costs.shape == (2, 40)
+    w1 = np.array([wasserstein_hamming_lp(p, q) for p, q in laws])
+    assert (costs >= w1 - 1e-12).all()
+    if d == 1:
+        np.testing.assert_allclose(costs, np.broadcast_to(w1, costs.shape), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("d", [1, 3, 6])
+def test_sequential_couplings_of_product_laws_are_the_closed_form(d):
+    """On product laws the conditionals are the marginals, so both orders
+    cost sum_j |P_j - Q_j|."""
+    rng = np.random.default_rng([d, 31])
+    plus = all_signs(d) > 0
+    marginals = rng.random((2, 8, d))
+    laws = np.where(plus, marginals[:, :, None, :], 1.0 - marginals[:, :, None, :]).prod(axis=3)
+    costs = analysis._sequential_coupling_costs(laws[0], laws[1])
+    closed = np.abs(marginals[0] - marginals[1]).sum(axis=1)
+    np.testing.assert_allclose(costs, np.broadcast_to(closed, costs.shape), rtol=0, atol=1e-14)
 
 
 def test_product_law_w1_is_the_transport_value_of_each_dula_edge():
-    """The closed-form W1 that the dmala bound starts from is, on every
-    edge, the W1 the certificate finds between the two dula rows."""
+    """The closed-form product-law W1 that the dups bound sums is, on every
+    dula edge, the W1 the certificate finds between the two dula rows."""
     from cubelab.kernels import _stage_logits
 
     model, eta = IsingGrid(2, 3, 0.4, 0.1), 0.6
@@ -856,17 +910,13 @@ def test_the_trivial_group_quotient_is_the_cube(d):
         assert (bounds[pinned] == 0.0).all() and np.isinf(bounds[~pinned]).all()
 
 
-def test_d8_grid_dups_certificate_solves_at_most_two_lps(monkeypatch):
-    calls = []
-    solve = analysis._dual_lp_values
-    monkeypatch.setattr(analysis, "_dual_lp_values",
-                        lambda b, lp: calls.append(len(b)) or solve(b, lp))
+def test_d8_grid_dups_certificate_solves_at_most_two_lps(lp_calls):
     model = IsingGrid(2, 4, 0.4, 0.1)
     cert = analysis._sampler_certificate(model, dups_matrix(model, ScoreField(model, "glauber"),
                                                             0.4))
-    assert len(calls) <= 2
+    assert len(lp_calls) <= 2
     # one pair per LP call at d = 8: one call per orbit left unbracketed
-    assert np.unique(cert.solved_on[~cert.bracketed]).size == len(calls)
+    assert np.unique(cert.solved_on[~cert.bracketed]).size == len(lp_calls)
 
 
 def test_upper_bounds_must_cover_every_edge():
@@ -875,6 +925,34 @@ def test_upper_bounds_must_cover_every_edge():
         contraction_certificate(kernel, upper=np.ones(11))
     with pytest.raises(ValueError, match="non-finite"):
         contraction_certificate(kernel, upper=np.full(12, np.nan))
+
+
+def test_upper_bounds_below_the_coordinate_lower_bound_are_refused():
+    """An upper bound that the coordinate potential proves wrong would
+    bracket edges that hold kappa; it is refused before any solve."""
+    model = IsingGrid(2, 2, 0.4, 0.1)
+    kernel = dmaps_matrix(model, ScoreField(model, "glauber"), 0.6)
+    with pytest.raises(ValueError, match=r"edge \(0, 1\) is below its coordinate lower "
+                                         r"bound 0\.88"):
+        contraction_certificate(kernel, upper=np.zeros(32))
+    exact = contraction_certificate(kernel)
+    upper = exact.pair_values.copy()
+    upper[5] -= 1.1 * exact.pair_values[5]
+    with pytest.raises(ValueError, match=f"edge \\({exact.pairs[5, 0]}, {exact.pairs[5, 1]}\\)"):
+        contraction_certificate(kernel, upper=upper)
+    # bounds within the margin of the exact values stand
+    assert contraction_certificate(kernel, upper=exact.pair_values - 1e-10).kappa == exact.kappa
+
+
+@pytest.mark.parametrize("model, eta, max_calls", [
+    (IsingGrid(2, 3, 0.4, 0.1), 0.8, 3), (IsingGrid(2, 4, 0.4, 0.1), 0.8, 8)], ids=repr)
+def test_grid_dmaps_certificate_lp_calls(model, eta, max_calls, lp_calls):
+    """Once rejections are common, the sequential couplings of the rows
+    bracket all but a few of the dmaps LP batches."""
+    cert = analysis._sampler_certificate(
+        model, dmaps_matrix(model, ScoreField(model, "glauber"), eta))
+    assert len(lp_calls) <= max_calls
+    assert np.unique(cert.solved_on[~cert.bracketed]).size <= sum(lp_calls)
 
 
 # ---------------------------------------------------------------------------
