@@ -98,25 +98,20 @@ def _gth_law(a: np.ndarray, owner: str, unit: str = "state") -> np.ndarray:
     return pi
 
 
-def stationary(kernel: KernelMatrix, symmetries: tuple = ()) -> np.ndarray:
+def stationary(kernel: KernelMatrix) -> np.ndarray:
     """Stationary law by Grassmann-Taksar-Heyman state reduction (see
-    `_gth_law`). A zero pivot means the kernel is reducible in double
-    precision and raises NumericalError.
+    `_gth_law`), on the kernel lumped onto the orbits of its `symmetries`.
+    A zero pivot means the kernel is reducible in double precision and
+    raises NumericalError.
 
-    `symmetries` are cube isometries `(sigma, flip_mask)`, as declared by
-    `TargetModel.symmetries`. Each is first checked on the kernel, as in
-    `contraction_certificate`, and one it breaks by more than
-    `SYMMETRY_TOL` raises NumericalError. A kernel that commutes with a
-    group is lumpable onto the group's orbits (Kemeny-Snell): every state
-    of an orbit o sends the same mass F[o, o'] = sum_{y in o'} K(x, y) to
-    each orbit o', and its stationary law is spread evenly over each orbit.
-    So GTH runs on the r x r chain F, a sum of nonnegative terms and as
-    subtraction-free as K itself, and pi(x) = law[o(x)] / |o(x)|. With none,
-    the group is trivial, every state is its own orbit and F is K.
+    A kernel that commutes with a group is lumpable onto its orbits
+    (Kemeny-Snell): every state of an orbit o sends the same mass
+    F[o, o'] = sum_{y in o'} K(x, y) to each orbit o', and its stationary
+    law is spread evenly over each orbit. So GTH runs on the r x r chain F,
+    a sum of nonnegative terms and as subtraction-free as K itself, and
+    pi(x) = law[o(x)] / |o(x)|; with no symmetries F is K.
     """
-    _k._checked_images("kernel", kernel.dim, symmetries,
-                       [("transition probabilities", kernel.probs, "xx")])
-    orbits = cube_orbits(kernel.dim, symmetries)
+    orbits = cube_orbits(kernel.dim, kernel.symmetries)
     lumped = orbits.lump(kernel.probs[orbits.reps])
     np.fill_diagonal(lumped, 0.0)
     law = _gth_law(lumped, f"{kernel.sampler} kernel at eta={kernel.eta:g}",
@@ -508,7 +503,7 @@ class ContractionCertificate:
     by the triangle inequality along a flip path.
     `solved_on[j]` is the index of the pair whose transport solve gave
     `pair_values[j]`: j itself, or the lowest-index pair of its orbit under
-    the declared symmetries; with no symmetries every entry is its own
+    the kernel's symmetries; with no symmetries every entry is its own
     index.
 
     `bracketed[j]` marks a pair whose W1 was bracketed, not solved: its
@@ -527,33 +522,24 @@ class ContractionCertificate:
     bracketed: np.ndarray
 
 
-def contraction_certificate(kernel: KernelMatrix, symmetries: tuple = (),
+def contraction_certificate(kernel: KernelMatrix, *,
                             upper: np.ndarray | None = None) -> ContractionCertificate:
     """Worst adjacent-pair W1 of a kernel, from one transport solve per orbit
     of hypercube edges.
 
-    `symmetries` are cube isometries `(sigma, flip_mask)`, as declared by
-    `TargetModel.symmetries`. Each is first checked on the kernel itself,
-    and one it breaks by more than `SYMMETRY_TOL` raises NumericalError
-    before any solve. A symmetry maps every edge to one with the same W1,
-    so only the lowest-index edge of each orbit (`edge_of` of
-    `statespace.cube_orbits`) is solved, and its value is copied to the
-    rest of the orbit; with none, the group is trivial and every edge is
-    its own orbit. The group does not fix the rows of an edge, so their
-    LPs run on the cube.
+    Each of the kernel's `symmetries` maps every edge to one with the same
+    W1, so only the lowest-index edge of each orbit (`edge_of` of
+    `statespace.cube_orbits`) is solved and its value copied to the rest;
+    with none, every edge is its own orbit. The group does not fix the rows
+    of an edge, so their LPs run on the cube.
 
     `upper`, an upper bound on the W1 of every edge in the order of
-    `pairs` (as `_coupling_upper_bounds` gives it), brackets the orbits.
-    An entry below its edge's coordinate lower bound sum_i |P_i - Q_i| by
-    more than `_BRACKET_MARGIN` cannot be an upper bound and raises
-    ValueError naming the edge, before any solve. An LP batch whose every
-    orbit has its bound, tightened by the sequential coupling of its rows
-    where `upper` alone leaves the batch live, below the largest coordinate
-    lower bound of any orbit, by that margin, is not solved; its pairs are
-    marked in `bracketed` and report their bound (see `_transport_values`).
-    The batches are those of the full solve, so kappa and the witness are
-    the same floats as with `upper=None`, which solves every orbit and is
-    the oracle.
+    `pairs` (as `_coupling_upper_bounds` gives it), brackets the orbits as
+    `_transport_values` describes, and the pairs it decides are marked in
+    `bracketed`. An entry below its edge's coordinate lower bound
+    sum_i |P_i - Q_i| by more than `_BRACKET_MARGIN` raises ValueError
+    naming the edge, before any solve. Kappa and the witness are the same
+    floats as with `upper=None`, which solves every orbit and is the oracle.
     """
     d = kernel.dim
     if d > CONTRACTION_DIM_CAP:
@@ -576,9 +562,7 @@ def contraction_certificate(kernel: KernelMatrix, symmetries: tuple = (),
                 f"upper bound {float(upper[e])!r} on edge ({pairs[e, 0]}, {pairs[e, 1]}) is "
                 f"below its coordinate lower bound {float(lower[e])!r} by more than "
                 f"{_BRACKET_MARGIN:.0e}")
-    # the kernel must commute with each g: t[g x, g y] = t[x, y]
-    _k._checked_images("kernel", d, symmetries, [("transition probabilities", t, "xx")])
-    solved_on = cube_orbits(d, symmetries).edge_of
+    solved_on = cube_orbits(d, kernel.symmetries).edge_of
     reps = np.flatnonzero(solved_on == np.arange(pairs.shape[0]))
     values, bracketed = _transport_values(t[pairs[reps, 0]], t[pairs[reps, 1]],
                                           None if upper is None else upper[reps])
@@ -636,12 +620,11 @@ def _coupling_upper_bounds(model: TargetModel, kernel: KernelMatrix) -> np.ndarr
 
 def _sampler_certificate(model: TargetModel, kernel: KernelMatrix) -> ContractionCertificate:
     """The contraction certificate of a sampler's kernel on `model`, on the
-    orbits of the model's symmetries, bracketed by its coupling bounds
+    orbits of the kernel's symmetries, bracketed by its coupling bounds
     (`_coupling_upper_bounds`, tightened batch by batch by the sequential
     couplings of the rows): the one path that `cli.analyze_row` and
     `run_certificates` take to kappa."""
-    return contraction_certificate(kernel, symmetries=model.symmetries(),
-                                   upper=_coupling_upper_bounds(model, kernel))
+    return contraction_certificate(kernel, upper=_coupling_upper_bounds(model, kernel))
 
 
 # ---------------------------------------------------------------------------
@@ -939,12 +922,13 @@ def run_certificates(model: TargetModel, score_kind: str, eta: float) -> list[Ce
     the target against the closed-form error. A claim whose bound entry does
     not apply, or whose dimension is above the certificate's cap, is
     reported as a skip with the entry's reason or the cap. Each kernel and
-    each observable is computed once.
+    each observable is computed once, the stationary law and its W1 on the
+    orbits of the kernel's symmetries.
     """
     field = ScoreField(model, score_kind)
     report = bounds_report(model, score_kind, eta)
-    target, symmetries = exact_target(model), model.symmetries()
-    built: dict[str, KernelMatrix] = {}
+    target = exact_target(model)
+    kernel_of = functools.cache(lambda sampler: _k.kernel_matrix(model, sampler, field, eta))
     observed: dict[tuple[str, str], float] = {}
     results = []
     for claim in (c for c in _CLAIMS if c.certificate):
@@ -961,13 +945,11 @@ def run_certificates(model: TargetModel, score_kind: str, eta: float) -> list[Ce
             if observable == "rejection":
                 observed[key] = dmaps_empirical_delta(model, field, eta)
             else:
-                if sampler not in built:
-                    built[sampler] = _k.kernel_matrix(model, sampler, field, eta)
-                kernel = built[sampler]
+                kernel = kernel_of(sampler)
                 observed[key] = (_sampler_certificate(model, kernel).kappa
                                  if observable == "kappa"
-                                 else wasserstein_hamming(stationary(kernel, symmetries),
-                                                          target, symmetries))
+                                 else wasserstein_hamming(stationary(kernel), target,
+                                                          kernel.symmetries))
         ok = observed[key] <= entry.value + FLOAT_GUARD
         results.append(CertResult(name, sampler, score_kind, eta, "pass" if ok else "fail",
                                   observed[key], entry.value))

@@ -136,15 +136,14 @@ def analyze_row(model: TargetModel, sampler: str, score_kind: str | None,
     field = ScoreField(model, score_kind) if score_kind else None
     kernel = kernels.kernel_matrix(model, sampler, field, eta)
     target = exact_target(model)
-    symmetries = model.symmetries()
-    pi = analysis.stationary(kernel, symmetries)
+    pi = analysis.stationary(kernel)
     spectrum = analysis.spectral_summary(kernel, pi)
     row = {
         "eta": eta,
         "sampler": sampler,
         "score": score_kind or "",
         "dim": model.dim,
-        "w_to_target": analysis.wasserstein_hamming(pi, target, symmetries),
+        "w_to_target": analysis.wasserstein_hamming(pi, target, kernel.symmetries),
         "tv_to_target": analysis.tv_distance(pi, target),
         "lambda2": spectrum.lambda2,
         "t_rel": spectrum.t_rel,

@@ -45,7 +45,7 @@ import numpy as np
 from scipy.special import expit, log_expit
 
 from .errors import CapabilityError, NumericalError, ParameterError
-from .models import TargetModel, log_weight_table
+from .models import TargetModel, _require_finite_rows, log_weight_table
 from .scores import ScoreField, _definition
 from .statespace import (BitState, all_signs, cube_orbits, flip_neighbors, isometry_images,
                          pack_words)
@@ -86,12 +86,18 @@ def _require_finite(a: np.ndarray, name: str) -> None:
 
 @dataclass(frozen=True)
 class KernelMatrix:
-    """Dense row-stochastic one-step law of a sampler at one step size."""
+    """Dense row-stochastic one-step law of a sampler at one step size that
+    commutes with the cube isometries `symmetries`, `(sigma, flip_mask)` as
+    `cube_orbits` normalizes them; a builder given a model declares its
+    `symmetries()`. Construction checks each once (`_checked_images`), and
+    analysis reads them unchecked; `dataclasses.replace(kernel,
+    symmetries=())` is the same kernel on the full cube."""
 
     probs: np.ndarray
     eta: float
     sampler: str
     score: str | None = None
+    symmetries: tuple = ()
 
     def __post_init__(self):
         p = self.probs
@@ -107,6 +113,9 @@ class KernelMatrix:
         if err > 1e-12:
             raise ValueError(f"kernel rows sum to 1 only within {err:.3e}")
         p.setflags(write=False)
+        object.__setattr__(self, "symmetries", cube_orbits(self.dim, self.symmetries).generators)
+        _checked_images("kernel", self.dim, self.symmetries,
+                        [("transition probabilities", p, "xx")])
 
     @property
     def dim(self) -> int:
@@ -277,7 +286,7 @@ def gibbs_matrix(model: TargetModel, eta: float) -> KernelMatrix:
     _check_matrix_dim(model.dim)
     h = _check_step(model, "gibbs", None, eta)
     q = glauber_generator(model).rates
-    return KernelMatrix(np.eye(q.shape[0]) + h * q, eta, "gibbs")
+    return KernelMatrix(np.eye(q.shape[0]) + h * q, eta, "gibbs", None, model.symmetries())
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +312,8 @@ def dula_step(model: TargetModel, score: ScoreField, x: BitState, eta: float,
 
 def dula_matrix(model: TargetModel, score: ScoreField, eta: float) -> KernelMatrix:
     _check_dense(model, eta, score)
-    return KernelMatrix(np.exp(_score_log_kernel(score, eta, 1.0)), eta, "dula", score.kind)
+    return KernelMatrix(np.exp(_score_log_kernel(score, eta, 1.0)), eta, "dula", score.kind,
+                        model.symmetries())
 
 
 def dmala_step(model: TargetModel, score: ScoreField, x: BitState, eta: float,
@@ -320,7 +330,8 @@ def dmala_matrix(model: TargetModel, score: ScoreField, eta: float) -> KernelMat
     _check_dense(model, eta, score)
     lw = log_weight_table(model)
     flux = _metropolis_flux(_score_log_kernel(score, eta, 1.0), lw)
-    return KernelMatrix(_fold_rejections(flux, np.arange(len(lw))), eta, "dmala", score.kind)
+    return KernelMatrix(_fold_rejections(flux, np.arange(len(lw))), eta, "dmala", score.kind,
+                        model.symmetries())
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +353,7 @@ def dups_matrix(model: TargetModel, score: ScoreField, eta: float) -> KernelMatr
     _check_dense(model, eta, score)
     stage1 = np.exp(_stage_one_log_kernel(model.dim, eta))
     stage2 = np.exp(_score_log_kernel(score, eta, 2.0))
-    return KernelMatrix(stage1 @ stage2, eta, "dups", score.kind)
+    return KernelMatrix(stage1 @ stage2, eta, "dups", score.kind, model.symmetries())
 
 
 def dmaps_step(model: TargetModel, score: ScoreField, x: BitState, eta: float,
@@ -366,8 +377,8 @@ def _checked_images(owner: str, dim: int, symmetries, parts) -> None:
     for sigma, mask in symmetries:
         img = isometry_images(dim, sigma, mask)
         for name, a, axes in parts:
-            dev = float(np.abs(a[np.ix_(*(img if ax == "x" else list(sigma)
-                                          for ax in axes))] - a).max())
+            moved = a[np.ix_(*(img if ax == "x" else list(sigma) for ax in axes))]
+            dev = float(np.abs(np.subtract(moved, a, out=moved), out=moved).max())
             if dev > SYMMETRY_TOL * max(1.0, float(np.abs(a).max())):
                 raise NumericalError(
                     f"{owner} breaks the declared symmetry (sigma={tuple(sigma)}, "
@@ -420,15 +431,13 @@ def _dmaps_orbit_flux(model: TargetModel, score: ScoreField,
 
     An isometry g under which the log weights are invariant and the tilt
     table x_i s(x)_i is equivariant maps each z-term to the g z term, so
-    flux(g x, g x') = flux(x, x'). Every declared generator is checked on
-    lw and the tilt table first (`_checked_images`, NumericalError when
-    one breaks either), and the z-loop then runs over the r orbit
-    representatives only (`reps` of `statespace.cube_orbits`): O(r 4^d)
-    time, every state being its own representative when the target
-    declares no symmetry, whose group is trivial. The memory is
-    three 2^d x 2^d arrays (T2, u and T1), the r x 2^d rows and T1 / u at
-    them, and one buffer of `_FLUX_TILE_BYTES`: the z loop runs over one
-    tile of rows at a time, so that the tile and the buffer stay in cache.
+    flux(g x, g x') = flux(x, x'). Each declared generator is checked on
+    both first (`_checked_images`), and the z-loop runs over the r orbit
+    representatives only (`reps` of `statespace.cube_orbits`; every state
+    with no symmetry): O(r 4^d) time. The memory is three 2^d x 2^d arrays
+    (T2, u and T1), the r x 2^d rows and T1 / u at them, and one buffer of
+    `_FLUX_TILE_BYTES`: the z loop runs over one tile of rows at a time, so
+    that the tile and the buffer stay in cache.
     """
     _check_dense(model, eta, score)
     n = 1 << model.dim
@@ -472,20 +481,15 @@ def _dmaps_orbit_flux(model: TargetModel, score: ScoreField,
 
 
 def dmaps_matrix(model: TargetModel, score: ScoreField, eta: float) -> KernelMatrix:
-    """Exact adjusted two-stage kernel, summed over all auxiliary states.
-
-    Rejected mass lands on the diagonal. The flux comes from
-    `_dmaps_orbit_flux`: O(r 4^d) time for r orbits of states under the
-    target's declared symmetries (r = 2^d with none), which are checked on
-    the log weights and the tilt table first, with no exponential over pairs
-    of states for any z whose phi_z spans at most `_PHI_SPAN`, and the
-    memory of a few dense kernels. The rejected mass is folded on the
-    representative rows before they are permuted, so every row, diagonal
-    included, is an exact permutation of its representative's.
+    """Exact adjusted two-stage kernel, summed over all auxiliary states on
+    one state per orbit of the target's symmetries (`_dmaps_orbit_flux`).
+    Rejected mass lands on the diagonal, folded on the representative rows
+    before they are permuted, so every row, diagonal included, is an exact
+    permutation of its representative's.
     """
     reps, rows, images = _dmaps_orbit_flux(model, score, eta)
     probs = _permute_orbits(reps, _fold_rejections(rows, reps), images)
-    return KernelMatrix(probs, eta, "dmaps", score.kind)
+    return KernelMatrix(probs, eta, "dmaps", score.kind, model.symmetries())
 
 
 def prox_exact_matrix(model: TargetModel, eta: float) -> KernelMatrix:
@@ -503,7 +507,7 @@ def prox_exact_matrix(model: TargetModel, eta: float) -> KernelMatrix:
     log_v -= log_v.max(axis=1, keepdims=True)
     v = np.exp(log_v)
     v /= v.sum(axis=1, keepdims=True)
-    return KernelMatrix(np.exp(log_t1) @ v, eta, "prox")
+    return KernelMatrix(np.exp(log_t1) @ v, eta, "prox", None, model.symmetries())
 
 
 def kernel_matrix(model: TargetModel, sampler: str, score: ScoreField | None,
@@ -615,7 +619,7 @@ class Stepper:
         self.step = getattr(self, "_" + sampler)
         features = getattr(self, f"_{sampler}_features")
         if scalar and not tables:
-            self._bind_levels(score)
+            self._bind_levels(score, self._gibbs_probs if sampler == "gibbs" else features)
             return
         if not tables:
             self._bind_arrays()
@@ -638,8 +642,11 @@ class Stepper:
             self._accept = accept
             return
         signs = all_signs(d).astype(np.float64)
-        table_features = features(signs, score.table())
         log_weight = log_weight_table(model)
+        with np.errstate(all="ignore"):
+            table_features = features(signs, score.table(), log_weight)
+        for f in table_features:
+            _require_finite_rows(model, f, "step feature")
         if scalar:
             self._bind_scalar(table_features, log_weight)
             return
@@ -718,7 +725,7 @@ class Stepper:
         self._flip_dot = flip_dot
         self._move_dot = move_dot
 
-    def _bind_levels(self, score: ScoreField) -> None:
+    def _bind_levels(self, score: ScoreField, features) -> None:
         """Primitives on one Python int word, against a table of the d + 1
         levels (+1 counts) of an exchangeable target.
 
@@ -738,9 +745,7 @@ class Stepper:
                 f"permutation, {model!r} does not")
         if d > LEVEL_DIM_CAP:
             raise CapabilityError(f"level tables stop at d = {LEVEL_DIM_CAP}, got d = {d}")
-        features = self._gibbs_probs if self.sampler == "gibbs" else getattr(
-            self, f"_{self.sampler}_features")
-        rows, log_weight = _level_rows(model, lambda signs: features(signs, score.signs(signs)))
+        rows, log_weight = _level_rows(model, score, features)
         # no state flips a coordinate where u >= the largest flip probability
         # (every row leads with the flip probabilities), so a block keeps only
         # as many sorted uniforms per step as the most any step has below it
@@ -812,31 +817,33 @@ class Stepper:
         row = self._table.take(k, axis=0)
         return [row[..., c] for c in self._columns]
 
-    # the per-state arrays a step reads, for (..., d) signs and their scores;
-    # `__init__` binds the sampler's one into `_at` or into its tables
+    # the per-state arrays a step reads, for (..., d) signs, their scores and
+    # their log weights where held already (else dmala, which reads them,
+    # evaluates them); `__init__` binds the sampler's one into `_at` or tables
 
-    def _gibbs_probs(self, signs: np.ndarray, score: np.ndarray) -> tuple:
+    def _gibbs_probs(self, signs: np.ndarray, score: np.ndarray, log_weight=None) -> tuple:
         return (self.h * expit(-2.0 * (signs * score)),)
 
-    def _gibbs_features(self, signs: np.ndarray, score: np.ndarray) -> tuple:
+    def _gibbs_features(self, signs: np.ndarray, score: np.ndarray, log_weight=None) -> tuple:
         cum = np.cumsum(self._gibbs_probs(signs, score)[0], axis=-1)
         # with a leading 0, the flipped coordinate is where `cum <= u` turns false
         return (np.concatenate([np.zeros_like(cum[..., :1]), cum], axis=-1),)
 
-    def _dula_features(self, signs: np.ndarray, score: np.ndarray) -> tuple:
+    def _dula_features(self, signs: np.ndarray, score: np.ndarray, log_weight=None) -> tuple:
         return (expit(-2.0 / self.eta - signs * score),)
 
-    def _dmala_features(self, signs: np.ndarray, score: np.ndarray) -> tuple:
+    def _dmala_features(self, signs: np.ndarray, score: np.ndarray, log_weight=None) -> tuple:
         # per coordinate log q - log(1 - q) is the logit, so a proposal's log
         # probability is sum_i log(1 - q_i) + flips . logit
         logit = -2.0 / self.eta - signs * score
-        base = self.model.log_weight_signs(signs) + log_expit(-logit).sum(axis=-1)
-        return expit(logit), logit, base
+        if log_weight is None:
+            log_weight = self.model.log_weight_signs(signs)
+        return expit(logit), logit, log_weight + log_expit(-logit).sum(axis=-1)
 
-    def _dups_features(self, signs: np.ndarray, score: np.ndarray) -> tuple:
+    def _dups_features(self, signs: np.ndarray, score: np.ndarray, log_weight=None) -> tuple:
         return (expit(-2.0 / self.eta - 2.0 * (signs * score)),)
 
-    def _dmaps_features(self, signs: np.ndarray, score: np.ndarray) -> tuple:
+    def _dmaps_features(self, signs: np.ndarray, score: np.ndarray, log_weight=None) -> tuple:
         tilt2 = 2.0 * (signs * score)
         return expit(-2.0 / self.eta - tilt2), tilt2
 
@@ -897,26 +904,35 @@ class Stepper:
         return nxt, ok, prop, z, carry
 
 
-def _level_rows(model: TargetModel, evaluate) -> tuple[list, list]:
-    """Per level k = 0..d, the features that `evaluate` gives on signs, and
-    the log weight, read off the state whose first k coordinates are +1.
+def _level_rows(model: TargetModel, score: ScoreField, features) -> tuple[list, list]:
+    """Per level k = 0..d, the `features` of a `Stepper` (a (plus, minus)
+    pair per level for a (..., d) one, a float for a per-state one) and the
+    log weight, read off the state whose first k coordinates are +1.
 
-    A (..., d) feature becomes a (plus, minus) pair per level, a per-state
-    one a float. Every per-coordinate feature and the log weight are also
-    evaluated with the last k coordinates +1, and must equal, bit for bit,
-    the level's values placed on either arrangement; a target that declares
-    the permutations and breaks them raises NumericalError. Per-state sums
-    of checked terms (dmala's base) add them in another order on the other
-    arrangement and are not compared. The 2(d + 1) states cost O(d^2)
-    closed-form work, which `LEVEL_DIM_CAP` keeps small.
+    The levels cover every state of an exchangeable target, so the log
+    weight, the score and the features must be finite there, else
+    ParameterError as for the tables of all 2^d states. With the last k
+    coordinates +1, the per-coordinate features and the log weight must
+    equal, bit for bit, the level's values placed on that arrangement, else
+    NumericalError: the target declares the permutations and breaks them
+    (dmala's base sums its terms in another order there and is not
+    compared). The 2(d + 1) states cost O(d^2) closed-form work, which
+    `LEVEL_DIM_CAP` keeps small.
     """
     d = model.dim
     first = np.where(np.arange(d) < np.arange(d + 1)[:, None], 1.0, -1.0)
     last = first[:, ::-1]
-    lw = model.log_weight_signs(first)
-    same = np.array_equal(lw, model.log_weight_signs(last))
+    with np.errstate(all="ignore"):
+        lw, lw_last = model.log_weight_signs(first), model.log_weight_signs(last)
+        s = score.signs(first)
+        at_first = features(first, s, lw)
+        at_last = features(last, score.signs(last), lw_last)
+    for what, a in [("log weight", lw), (f"{score.kind} score", s),
+                    *(("step feature", a) for a in at_first)]:
+        _require_finite_rows(model, a, what, [(1 << k) - 1 for k in range(d + 1)])
+    same = np.array_equal(lw, lw_last)
     values = []
-    for a, b in zip(evaluate(first), evaluate(last)):
+    for a, b in zip(at_first, at_last):
         if a.ndim == 1:
             values.append(a.tolist())
             continue

@@ -56,9 +56,9 @@ class TargetModel:
 
         Each generator is `(sigma, flip_mask)`: state word k maps to the word
         with bit sigma[i] equal to bit i of k, XORed with `flip_mask`. The
-        default declares none. The dense dmaps builder also needs every
-        score's tilt x_i s(x)_i to move with the coordinates, which the
-        closed forms here do; it checks both before it relies on them.
+        default declares none. Every dense kernel of the model carries them
+        and is checked on them; the dmaps builder also needs each score's
+        tilt x_i s(x)_i to move with the coordinates, and checks it first.
         """
         return _exchangeable(self.dim, self._flip_invariant()) if self.exchangeable else ()
 
@@ -320,13 +320,15 @@ class CurieWeiss(TargetModel):
         return "curieweiss"
 
 
-def _require_finite_rows(model: TargetModel, table: np.ndarray, what: str) -> None:
+def _require_finite_rows(model: TargetModel, table: np.ndarray, what: str, words=None) -> None:
     """ParameterError naming the model and the first state whose row of
-    `table`, one row per state, is not finite."""
+    `table`, one row per state, is not finite: row k is state word k, or
+    words[k] when given."""
     bad = np.flatnonzero(~np.isfinite(table.reshape(len(table), -1)).all(axis=1))
     if len(bad):
-        raise ParameterError(f"{model!r} has a non-finite {what} at state {bad[0]:#x}: "
-                             f"{table[bad[0]]}")
+        k = int(bad[0])
+        raise ParameterError(f"{model!r} has a non-finite {what} at state "
+                             f"{k if words is None else words[k]:#x}: {table[k]}")
 
 
 # equal models share one table; the bound is that of the score tables

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from scipy import sparse
 from scipy.special import expit
 
-from cubelab import analysis
+from cubelab import analysis, kernels
 from cubelab.analysis import (
     bounds_report,
     contraction_certificate,
@@ -354,8 +355,9 @@ def test_orbit_stationary_matches_full_gth(model):
     in every entry."""
     for eta in (0.3, 0.7):
         for config, kernel in _kernels(model, eta):
-            full = stationary(kernel)
-            lumped = stationary(kernel, model.symmetries())
+            assert kernel.symmetries == model.symmetries(), config
+            full = stationary(replace(kernel, symmetries=()))
+            lumped = stationary(kernel)
             rel = float((np.abs(lumped - full) / full).max())
             assert rel <= 1e-13, (config, eta, rel)
 
@@ -364,7 +366,7 @@ def test_orbit_stationary_matches_full_gth(model):
                                    IsingGrid(2, 3, 0.4, 0.1)], ids=repr)
 def test_orbit_stationary_agrees_with_direct_solve(model):
     for config, kernel in _kernels(model, 0.5):
-        pi = stationary(kernel, model.symmetries())
+        pi = stationary(kernel)
         assert np.abs(pi - stationary_direct(kernel)).sum() <= 1e-10, config
         assert np.abs(pi @ kernel.probs - pi).sum() <= 1e-13, config
 
@@ -381,11 +383,11 @@ def test_orbit_stationary_is_the_product_law(dim):
                 for kind in SCORE_KINDS:
                     tag = (beta, eta, sampler, kind)
                     kernel = kernel_matrix(model, sampler, ScoreField(model, kind), eta)
-                    pi = stationary(kernel, model.symmetries())
+                    pi = stationary(kernel)
                     lp = product_laws.log_plus_probability(sampler, kind, beta, eta)
                     law = np.exp(plus * lp + (dim - plus) * math.log(-math.expm1(lp)))
                     assert float((np.abs(pi - law) / law).max()) <= 1e-12, tag
-                    w1 = wasserstein_hamming(pi, exact_target(model), model.symmetries())
+                    w1 = wasserstein_hamming(pi, exact_target(model), kernel.symmetries)
                     assert w1 == pytest.approx(
                         product_laws.stationary_w1(sampler, kind, beta, eta, dim),
                         rel=0, abs=1e-13), tag
@@ -409,7 +411,7 @@ def test_quotient_w1_matches_the_full_cube_and_the_coupling_lp(model):
     against the target and on random invariant laws."""
     sym, target = model.symmetries(), exact_target(model)
     rng = np.random.default_rng(model.dim)
-    pairs = [(stationary(kernel, sym), target)
+    pairs = [(stationary(kernel), target)
              for _, kernel in _kernels(model, 0.5, [("dups", "glauber"), ("dula", "stein"),
                                                     ("dmaps", "gibbs")])]
     pairs += [(_invariant_law(model, rng), _invariant_law(model, rng)) for _ in range(3)]
@@ -434,7 +436,7 @@ def test_quotient_w1_keeps_the_zero_and_product_paths(monkeypatch):
     assert wasserstein_hamming(p, q, mixture.symmetries()) == 0.0
     model = IndependentBits(0.3, 6)
     sym, target = model.symmetries(), exact_target(model)
-    pi = stationary(dula_matrix(model, ScoreField(model, "gibbs"), 0.4), sym)
+    pi = stationary(dula_matrix(model, ScoreField(model, "gibbs"), 0.4))
     assert wasserstein_hamming(pi, target, sym) == wasserstein_hamming(pi, target) > 0.0
 
 
@@ -444,11 +446,11 @@ def test_asymmetric_kernels_and_laws_are_refused(solves):
     flip = ((0, 1, 2, 3, 4), 0b11111)
     kernel = dups_matrix(model, ScoreField(model, "glauber"), 0.6)
     with pytest.raises(NumericalError, match="breaks the declared symmetry") as err:
-        stationary(kernel, sym + (flip,))
+        replace(kernel, symmetries=sym + (flip,))
     assert err.value.residual > 1e-13
     # the target is not flip invariant at b != 0; averaging it over the
     # flip moves its W1 to the kernel's law far beyond 1e-13
-    pi = stationary(kernel, sym)
+    pi = stationary(kernel)
     with pytest.raises(NumericalError, match="break the declared symmetries") as err:
         wasserstein_hamming(pi, target, sym + (flip,))
     assert err.value.residual > 1e-13
@@ -471,9 +473,23 @@ def test_two_stage_kernels_at_a_tiny_step_are_reducible_on_both_paths(model):
     # exp(-2/eta) = e^-1000 underflows, so no state leaves its own orbit
     configs = [("prox", None)] + [(s, k) for s in ("dups", "dmaps") for k in SCORE_KINDS]
     for config, kernel in _kernels(model, 0.002, configs):
-        for sym in ((), model.symmetries()):
+        for either in (replace(kernel, symmetries=()), kernel):
             with pytest.raises(NumericalError, match="reducible in double precision"):
-                stationary(kernel, sym)
+                stationary(either)
+
+
+def test_a_pair_off_the_product_form_by_8e_9_is_solved():
+    """q is a product law at d = 3 and p = q + 1e-9 f, with f = +1 where
+    bits 0 and 1 agree and -1 elsewhere. The coordinate marginals are
+    equal, so the product closed form would read 0, but p lies 8e-9 in L1
+    from the product of its marginals and is solved: flipping bit 0 moves
+    each -1e-9 onto a +1e-9, and the agreement of bits 0 and 1 is a
+    potential that proves W1 = 4e-9."""
+    ks = np.arange(8)
+    q = np.where(all_signs(3) > 0, 0.6, 0.4).prod(axis=1)
+    p = q + 1e-9 * np.where((ks ^ ks >> 1) & 1, -1.0, 1.0)
+    assert wasserstein_hamming(p, q) == pytest.approx(4e-9, rel=0, abs=1e-12)
+    assert wasserstein_hamming_lp(p, q) == pytest.approx(4e-9, rel=0, abs=1e-12)
 
 
 def test_transport_lp_takes_a_roundoff_supply_at_the_pinned_state():
@@ -555,6 +571,48 @@ def lp_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def symmetry_checks(monkeypatch):
+    """The owner and the part names of every `kernels._checked_images` call."""
+    calls = []
+    check = kernels._checked_images
+    monkeypatch.setattr(kernels, "_checked_images",
+                        lambda owner, dim, symmetries, parts: calls.append(
+                            (owner, tuple(name for name, _, _ in parts)))
+                        or check(owner, dim, symmetries, parts))
+    return calls
+
+
+@pytest.mark.parametrize("model", [CurieWeiss(0.01, 0.05, 5), IsingGrid(2, 3, 0.02, 0.05)],
+                         ids=repr)
+def test_each_kernel_is_checked_against_its_symmetries_once(model, symmetry_checks, monkeypatch):
+    """A kernel is checked on its symmetries when it is built, and neither
+    its stationary law, that law's W1 nor its certificate checks it again:
+    one transition-probability check per kernel in `analyze_row` with kappa
+    and in `run_certificates`. The dmaps builder also checks the log
+    weights and the tilt table that it sums over."""
+    from cubelab.cli import analyze_row
+
+    built = []
+    build = kernels.kernel_matrix
+    monkeypatch.setattr(kernels, "kernel_matrix", lambda *a: built.append(a[1]) or build(*a))
+    probs = ("kernel", ("transition probabilities",))
+    inputs = (repr(model), ("log weights", "tilt table"))
+    for sampler in ("gibbs", "dups", "dmaps"):
+        symmetry_checks.clear()
+        row, _ = analyze_row(model, sampler, "stein", 0.6, with_kappa=True)
+        assert row["kappa"] != "", sampler
+        assert symmetry_checks == ([inputs, probs] if sampler == "dmaps" else [probs]), sampler
+    # the dmaps row reads its acceptance mass off the flux, with no kernel
+    for kind, samplers, dmaps_rows in (("glauber", ["dula", "dups", "gibbs"], 0),
+                                       ("stein", ["dula", "dups"], 1)):
+        built.clear()
+        symmetry_checks.clear()
+        run_certificates(model, kind, 0.6)
+        assert sorted(built) == samplers, kind
+        assert sorted(symmetry_checks) == [inputs] * dmaps_rows + [probs] * len(samplers), kind
+
+
 def test_contraction_certificate_dimension_cap(solves):
     model = IsingGrid(3, 3, 0.4, 0.1)
     with pytest.raises(CapabilityError):
@@ -602,9 +660,9 @@ def test_dense_path_matches_the_product_law(dim):
                 for kind in SCORE_KINDS:
                     tag = (beta, eta, sampler, kind)
                     kernel = kernel_matrix(model, sampler, ScoreField(model, kind), eta)
-                    pi = stationary(kernel)
+                    pi = stationary(replace(kernel, symmetries=()))
                     kappa = product_laws.kappa(sampler, kind, beta, eta)
-                    cert = contraction_certificate(kernel, symmetries=model.symmetries())
+                    cert = contraction_certificate(kernel)
                     assert cert.kappa == pytest.approx(kappa, rel=1e-12, abs=0), tag
                     assert (spectral_summary(kernel, pi).lambda2
                             == pytest.approx(kappa, rel=1e-12, abs=0)), tag
@@ -652,8 +710,8 @@ def test_orbit_reduced_certificate_matches_every_edge_solved(model):
         kernel = kernel_matrix(model, sampler, kind and ScoreField(model, kind), 0.6)
         for sigma, mask in model.symmetries():
             assert _isometry_deviation(kernel.probs, sigma, mask) <= 1e-13, (sampler, kind)
-        full = contraction_certificate(kernel)
-        reduced = contraction_certificate(kernel, symmetries=model.symmetries())
+        full = contraction_certificate(replace(kernel, symmetries=()))
+        reduced = contraction_certificate(kernel)
         tag = (sampler, kind)
         assert np.array_equal(full.solved_on, np.arange(len(full.pairs))), tag
         assert np.array_equal(reduced.pairs, full.pairs)
@@ -681,10 +739,10 @@ def test_periodic_square_grid_symmetries_hold_on_its_kernels():
 ], ids=repr)
 def test_edge_orbit_counts(model, orbits, solves):
     kernel = dups_matrix(model, ScoreField(model, "stein"), 0.8)
-    cert = contraction_certificate(kernel, symmetries=model.symmetries())
+    cert = contraction_certificate(kernel)
     assert np.unique(cert.solved_on).size == orbits
     assert solves == [orbits]
-    full = contraction_certificate(kernel)
+    full = contraction_certificate(replace(kernel, symmetries=()))
     assert full.witness == cert.witness
     assert np.abs(full.pair_values - cert.pair_values).max() <= 1e-12
 
@@ -695,9 +753,12 @@ def test_edge_orbit_counts(model, orbits, solves):
     (IsingGrid(2, 2, 0.4, 0.1), ((0, 1, 2, 3), 0b1111)),  # the global flip at h != 0
 ], ids=repr)
 def test_broken_symmetry_raises_before_any_solve(model, generator, solves):
+    """A kernel declaring a generator it does not commute with is refused
+    when it is built, so no certificate or stationary law is solved on it."""
     kernel = dups_matrix(model, ScoreField(model, "glauber"), 0.6)
-    with pytest.raises(NumericalError, match="breaks the declared symmetry") as err:
-        contraction_certificate(kernel, symmetries=model.symmetries() + (generator,))
+    with pytest.raises(NumericalError, match="breaks the declared symmetry .* its transition "
+                                             "probabilities") as err:
+        replace(kernel, symmetries=model.symmetries() + (generator,))
     assert err.value.residual > 1e-13
     assert solves == []
 
@@ -707,7 +768,7 @@ def test_malformed_symmetry_is_rejected():
     kernel = gibbs_matrix(model, 0.5)
     for generator in [((0, 0, 1), 0), ((0, 1), 0), ((0, 1, 2), 8), ((0, 1, 2), -1)]:
         with pytest.raises(ParameterError):
-            contraction_certificate(kernel, symmetries=(generator,))
+            replace(kernel, symmetries=(generator,))
 
 
 @pytest.mark.parametrize("model", [
@@ -716,7 +777,7 @@ def test_orbit_reduced_kappa_bounds_every_pair(model):
     """The exhaustive flip-path check holds against the copied edge values."""
     for sampler in ("dups", "dmaps"):
         kernel = kernel_matrix(model, sampler, ScoreField(model, "glauber"), 0.6)
-        cert = contraction_certificate(kernel, symmetries=model.symmetries())
+        cert = contraction_certificate(kernel)
         _assert_flip_path_bound(kernel.probs, cert.kappa)
         assert np.unique(cert.solved_on).size < len(cert.pairs)
 
@@ -726,15 +787,15 @@ def test_run_certificates_solves_orbit_representatives_only(solves, monkeypatch)
     kappas = []
     certify = analysis.contraction_certificate
     monkeypatch.setattr(analysis, "contraction_certificate",
-                        lambda k, **kw: kappas.append((k.sampler, kw)) or certify(k, **kw))
+                        lambda k, **kw: kappas.append(k) or certify(k, **kw))
     lps = []
     solve = analysis._dual_lp_values
     monkeypatch.setattr(analysis, "_dual_lp_values",
                         lambda b, lp: lps.append(b.shape) or solve(b, lp))
     results = run_certificates(model, "glauber", 0.8)
-    assert kappas and all(kw["symmetries"] == model.symmetries() for _, kw in kappas)
+    assert kappas and all(k.symmetries == model.symmetries() for k in kappas)
     # each sampler's kappa is computed once, whatever number of bounds it meets
-    samplers = [sampler for sampler, _ in kappas]
+    samplers = [k.sampler for k in kappas]
     assert sorted(samplers) == sorted({r.sampler for r in results
                                        if r.observed is not None and "contraction" in r.certificate})
     # three edge orbits at d = 5 (the number of +1 among the other four
@@ -784,10 +845,10 @@ def test_coupling_bounds_bracket_the_exact_certificate(seed):
         tag = (model, sampler, kind, eta)
         kernel = kernel_matrix(model, sampler, ScoreField(model, kind), eta)
         upper = analysis._coupling_upper_bounds(model, kernel)
-        exact = contraction_certificate(kernel)
+        exact = contraction_certificate(replace(kernel, symmetries=()))
         assert not exact.bracketed.any()
         assert (upper >= exact.pair_values - 1e-12).all(), tag
-        full = contraction_certificate(kernel, symmetries=model.symmetries())
+        full = contraction_certificate(kernel)
         cert = analysis._sampler_certificate(model, kernel)
         assert cert.kappa == full.kappa and cert.witness == full.witness, tag
         # a solved pair reports its exact value, a bracketed one a bound on it
@@ -814,7 +875,7 @@ def test_sampler_certificates_bracket_or_need_no_lp(sampler, lp_calls):
         assert not lp_calls and not cert.bracketed.any()
         return
     assert cert.bracketed.any()
-    full = contraction_certificate(kernel, symmetries=model.symmetries())
+    full = contraction_certificate(kernel)
     assert cert.kappa == full.kappa and cert.witness == full.witness
     live = ~cert.bracketed
     assert np.array_equal(cert.pair_values[live], full.pair_values[live])
@@ -1222,6 +1283,21 @@ def test_run_certificates_builds_each_kernel_and_kappa_once(monkeypatch):
     assert counts == {"gibbs_matrix": 1, "dula_matrix": 1, "dups_matrix": 1, "kappa": 3}
 
 
+@pytest.mark.parametrize("below, status", [(1e-9, "fail"), (1e-14, "pass")])
+def test_a_rate_just_below_the_exact_kappa_fails(below, status, monkeypatch):
+    """`FLOAT_GUARD` absorbs roundoff, not a miss: with the dups rate
+    claimed `below` the exact kappa of `product_laws`, a claim 1e-9 short
+    fails and one 1e-14 short passes."""
+    beta, eta = 0.5, 0.8
+    exact = product_laws.kappa("dups", "glauber", beta, eta)
+    monkeypatch.setattr(analysis, "_CLAIMS", tuple(
+        c._replace(bound=lambda *a: exact - below) if c.column == "rate_dups" else c
+        for c in analysis._CLAIMS))
+    results = run_certificates(IndependentBits(beta, 4), "glauber", eta)
+    (row,) = [r for r in results if r.certificate == "dups_contraction"]
+    assert (row.status, row.bound) == (status, exact - below)
+
+
 def test_kernel_matrix_equals_direct_builders():
     from cubelab.errors import ParameterError
     from cubelab.kernels import (SAMPLER_IDS, SCORE_FREE, dmala_matrix, kernel_matrix,
@@ -1238,6 +1314,7 @@ def test_kernel_matrix_equals_direct_builders():
             got = kernel_matrix(model, sampler, score, 0.4)
             assert np.array_equal(got.probs, want.probs), sampler
             assert (got.sampler, got.score, got.eta) == (want.sampler, want.score, want.eta)
+            assert got.symmetries == want.symmetries == model.symmetries()
     with pytest.raises(ParameterError, match="needs a score field"):
         kernel_matrix(model, "dula", None, 0.4)
     with pytest.raises(ParameterError, match="unknown sampler"):
@@ -1283,7 +1360,7 @@ def test_exact_diagnostics_agree_with_each_other_property():
         row, pi = analyze_row(model, sampler, score, eta)
         config = f"{model!r} {sampler} {row['score'] or '-'} eta={eta!r}"
         field = ScoreField(model, row["score"]) if row["score"] else None
-        kernel = kernel_matrix(model, sampler, field, eta)
+        kernel = replace(kernel_matrix(model, sampler, field, eta), symmetries=())
         full = stationary(kernel)
         rel = float((np.abs(pi - full) / full).max())
         assert rel <= 1e-13, f"orbit law off the full law by {rel!r} relative: {config}"

@@ -620,6 +620,40 @@ def test_a_failed_transport_lp_exits_1_with_one_stderr_line(capsys, monkeypatch)
     assert err.startswith("numerical error: transport dual LP failed")
 
 
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--sampler", "dups", "--score", "glauber", "--eta", "0.6"],
+    ["check", "--score", "glauber", "--eta", "0.6"],
+], ids=["analyze", "check"])
+def test_a_false_declared_symmetry_exits_1_before_any_solve(capsys, monkeypatch, argv):
+    """A target that declares the global flip at b != 0, which its kernels
+    break, is refused when its first kernel is built, before any transport
+    solve."""
+    from cubelab.models import CurieWeiss
+
+    declared = CurieWeiss.symmetries
+    monkeypatch.setattr(CurieWeiss, "symmetries",
+                        lambda self: declared(self) + (((0, 1, 2, 3), 0b1111),))
+    monkeypatch.setattr(analysis, "_transport_values", None)
+    code, out, err = run_cli(capsys, argv[0], "--model", "curieweiss", "--beta", "0.01",
+                             "--b", "0.05", "--dim", "4", *argv[1:])
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("numerical error: kernel breaks the declared symmetry (sigma=(0, 1, "
+                          "2, 3), flip_mask=0xf) on its transition probabilities by ")
+
+
+def test_a_level_chain_on_an_overflowing_target_exits_2(capsys):
+    """At d = 13 the chain steps against level tables, which refuse an
+    overflowing log weight as the d = 12 tables do."""
+    for dim in ("12", "13"):
+        code, out, err = run_cli(capsys, "simulate", "--model", "curieweiss", "--beta", "1e307",
+                                 "--b", "0", "--dim", dim, "--sampler", "dmala", "--eta", "0.5",
+                                 "--steps", "20")
+        assert code == 2 and out == ""
+        assert err.splitlines() == [f"parameter error: CurieWeiss(beta=1e+307, b=0.0, dim={dim}) "
+                                    "has a non-finite log weight at state 0x0: inf"]
+
+
 def _no_constant(name):
     raise AssertionError(f"the document holds the non-JSON constant {name}")
 

@@ -779,3 +779,61 @@ def test_level_tables_stop_at_the_level_cap():
     model = CurieWeiss(0.3 / cap, 0.0, cap + 1)
     with pytest.raises(CapabilityError, match=f"level tables stop at d = {cap}"):
         kernels.Stepper(model, "dula", "glauber", 0.8, tables=False, scalar=True)
+
+
+@pytest.mark.parametrize("sampler", kernels.STEP_SAMPLERS)
+def test_level_tables_of_an_overflowing_target_raise(sampler):
+    """A level table refuses a target whose log weight overflows, with the
+    ParameterError that the tables of all 2^d states raise: the chain fails
+    alike at d = 12 (tables) and at d = 13 (levels)."""
+    from cubelab.simulate import ChainConfig, run_chain
+
+    score = None if sampler == "gibbs" else "glauber"
+    for d in (12, 13):
+        model = CurieWeiss(1e307, 0.0, d)
+        with pytest.raises(ParameterError, match=re.escape(
+                f"{model!r} has a non-finite log weight at state 0x0: inf")):
+            run_chain(ChainConfig(sampler, model, score, 0.5, steps=20))
+
+
+def test_level_tables_name_the_state_of_a_non_finite_level():
+    """The level k row is the state whose first k coordinates are +1, word
+    2^k - 1; a log weight that overflows on level 3 alone is named there."""
+
+    class Spiked(CurieWeiss):
+        def log_weight_signs(self, signs):
+            out = super().log_weight_signs(signs)
+            return np.where((np.asarray(signs) > 0).sum(axis=-1) == 3, np.inf, out)
+
+    model = Spiked(0.01, 0.0, 16)
+    with pytest.raises(ParameterError, match=re.escape("non-finite log weight at state 0x7")):
+        kernels.Stepper(model, "dula", "stein", 0.8, tables=False, scalar=True)
+
+
+def test_dmala_steppers_evaluate_the_log_weights_once(monkeypatch):
+    """dmala's per-state base reads the log weights its representation
+    holds: a table-mode stepper evaluates them once on all 2^d states, a
+    level stepper once on each arrangement of its d + 1 levels."""
+    calls = []
+    evaluate = CurieWeiss.log_weight_signs
+    monkeypatch.setattr(CurieWeiss, "log_weight_signs",
+                        lambda self, signs: calls.append(np.shape(signs)) or evaluate(self, signs))
+    kernels.Stepper(CurieWeiss(0.2, 0.0, 10), "dmala", "glauber", 0.8, tables=True)
+    assert calls == [(1024, 10)]
+    calls.clear()
+    kernels.Stepper(CurieWeiss(0.02, 0.0, 16), "dmala", "glauber", 0.8, tables=False,
+                    scalar=True)
+    assert calls == [(17, 16), (17, 16)]
+
+
+def test_dmala_tables_of_an_overflowing_base_raise():
+    """dmala's per-state base adds d log-probabilities to the log weight and
+    may overflow where neither the log weight nor the score does; the table
+    and the level forms refuse it alike, at d = 12 and d = 13."""
+    from cubelab.simulate import ChainConfig, run_chain
+
+    for d in (12, 13):
+        model = IndependentBits(1.3e307, d)
+        with pytest.raises(ParameterError, match=re.escape(
+                f"{model!r} has a non-finite step feature at state 0x0: -inf")):
+            run_chain(ChainConfig("dmala", model, "glauber", 0.5, steps=20))
