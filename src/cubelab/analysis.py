@@ -23,9 +23,10 @@ from scipy.special import expit, logit
 from . import kernels as _k
 from .errors import CapabilityError, NumericalError
 from .kernels import KernelMatrix
-from .models import TargetModel, exact_target, log_weight_table
+from .models import TargetModel, exact_target, log_weight_table, permutes_every_coordinate
 from .scores import ScoreField, smooth_beta_constants
-from .statespace import adjacent_pairs, all_signs, cube_orbits, flip_neighbors
+from .statespace import (adjacent_pairs, all_signs, cube_orbits, flip_neighbors,
+                         symmetric_blocks)
 
 # a certificate costs one optimal-transport solve per orbit of hypercube
 # edges under the target's declared symmetries: every edge when it declares
@@ -162,33 +163,59 @@ def spectral_summary(kernel: KernelMatrix, pi: np.ndarray | None = None) -> Spec
     Kernels detected as reversible (detailed-balance residual against their
     stationary vector below `REVERSIBILITY_TOL`) are symmetrized by the
     stationary similarity transform and handed to a symmetric eigensolver;
-    all others go through the dense nonsymmetric path. A unit lambda2 is
-    reported with an infinite relaxation time. A reversible kernel whose
-    stationary law underflows to 0 somewhere, or an eigensolver that does
-    not converge, raises NumericalError; a `pi` that is not a law on the
-    kernel's states, ValueError.
+    all others go through the nonsymmetric one. A kernel whose `symmetries`
+    generate every coordinate permutation has its spectrum read off
+    floor(d/2) + 1 blocks of side at most d + 1 (`_eigenvalues`), in
+    O(d^2 2^d) instead of the O(8^d) of the dense 2^d-square eigensolve
+    that every other kernel takes. A unit lambda2 is reported with an
+    infinite relaxation time. A reversible kernel whose stationary law
+    underflows to 0 somewhere, or an eigensolver that does not converge,
+    raises NumericalError; a `pi` that is not a law on the kernel's states,
+    ValueError.
     """
-    t = kernel.probs
     pi = stationary(kernel) if pi is None else np.asarray(pi, dtype=np.float64)
     db = detailed_balance_residual(kernel, pi)
     reversible = db <= REVERSIBILITY_TOL
     if reversible and not pi.min() > 0.0:
         raise NumericalError(f"stationary law underflows to 0 at {np.sum(pi <= 0.0)} "
                              "states, so the symmetrized kernel is undefined")
-    if reversible:
-        root = np.sqrt(pi)
-        sym = (root[:, None] / root[None, :]) * t
-        matrix, eigenvalues = 0.5 * (sym + sym.T), np.linalg.eigvalsh
-    else:
-        matrix, eigenvalues = t, np.linalg.eigvals
-    try:
-        mods = np.abs(eigenvalues(matrix))
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"eigensolver failed: {exc}") from exc
+    mods = np.abs(_eigenvalues(kernel, pi, reversible))
     mods.sort()
     lam2 = min(float(mods[-2]), 1.0)
     t_rel = math.inf if lam2 >= 1.0 - 1e-15 else 1.0 / (1.0 - lam2)
     return SpectralSummary(lam2, t_rel, reversible)
+
+
+def _eigenvalues(kernel: KernelMatrix, pi: np.ndarray, reversible: bool) -> np.ndarray:
+    """Every eigenvalue of the kernel, each as often as its multiplicity.
+
+    A kernel that commutes with S_d maps the span of each block basis
+    Phi_j of `statespace.symmetric_blocks` into itself, and Phi_j reads off
+    the coefficients at its row states, so its matrix there is
+    B_j = K[rows_j] @ Phi_j, and the spectrum is that of every B_j, each
+    repeated by its multiplicity. Without S_d the one block is K itself.
+    A reversible kernel is self-adjoint in L2(pi), whose Gram matrix on the
+    block basis is diagonal, r^2 = pi @ Phi_j^2 (pi on the cube), so
+    D^{1/2} B D^{-1/2} with D = diag(r^2) is symmetric.
+    """
+    t = kernel.probs
+    if permutes_every_coordinate(kernel.dim, kernel.symmetries):
+        blocks = [(t[rows] @ phi, np.sqrt(pi @ phi**2), mult)
+                  for phi, rows, mult in symmetric_blocks(kernel.dim)]
+    else:
+        blocks = [(t, np.sqrt(pi), 1)]
+    values = []
+    for b, r, mult in blocks:
+        if reversible:
+            sym = (r[:, None] / r[None, :]) * b
+            matrix, eigenvalues = 0.5 * (sym + sym.T), np.linalg.eigvalsh
+        else:
+            matrix, eigenvalues = b, np.linalg.eigvals
+        try:
+            values.append(np.repeat(eigenvalues(matrix), mult))
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(f"eigensolver failed: {exc}") from exc
+    return np.concatenate(values)
 
 
 # ---------------------------------------------------------------------------
@@ -222,16 +249,19 @@ def wasserstein_hamming(p: np.ndarray, q: np.ndarray, symmetries: tuple = ()) ->
     Hamming distance is the graph metric of the hypercube, so W1 is the
     Kantorovich dual max <f, p - q> over potentials f that change by at most
     1 across every edge. Product laws take the closed form sum_i |P_i - Q_i|
-    of their coordinate marginals; all other pairs solve the dual LP (see
+    of their coordinate marginals; all other pairs solve the dual (see
     `_transport_values`).
 
     `symmetries` are cube isometries `(sigma, flip_mask)`, as declared by
     `TargetModel.symmetries`, under which both laws are invariant. The
     average of an optimal potential over the group they generate is feasible
-    and has the same value, so the dual LP runs over one potential per
-    orbit, with |f(o) - f(o')| <= 1 for each pair of orbits joined by an
-    edge and the orbit masses as supplies; with none, the group is trivial
-    and its orbits are the states. Replacing each law by its orbit average
+    and has the same value, so the dual runs over one potential per orbit,
+    with |f(o) - f(o')| <= 1 for each pair of orbits joined by an edge and
+    the orbit masses as supplies; with none, the group is trivial and its
+    orbits are the states. Where those orbits join as a path, as the +1
+    counts of an exchangeable target do, the dual is the closed form
+    sum_k |F_p(k) - F_q(k)| of the cumulative orbit masses and no LP is
+    solved. Replacing each law by its orbit average
     p_bar moves W1 by at most (d/2)(|p - p_bar|_1 + |q - q_bar|_1); a pair
     for which that exceeds `_ORBIT_TOL` raises NumericalError.
     """
@@ -347,6 +377,22 @@ def _dual_lp_values(b: np.ndarray, lp: tuple) -> np.ndarray:
     return (f_int * b).sum(axis=1)
 
 
+def _path_values(b: np.ndarray) -> np.ndarray:
+    """Kantorovich dual of each row of supplies b on the path graph
+    0 - 1 - ... - r-1, whose vertex 0 absorbs the roundoff imbalance as in
+    `_dual_lp_values`: sum_k |S_k| over the tail sums
+    S_k = b_k + ... + b_{r-1}, k >= 1, which for balanced supplies is the
+    sum of the absolute running sums |b_0 + ... + b_{k-1}|.
+
+    The potential that steps by sign(S_k) from vertex k - 1 to k is
+    feasible with that value, and the flow -S_k along edge (k - 1, k)
+    moves the supplies of vertices 1..r-1 at the same cost; a feasible
+    potential and a feasible flow of equal cost are both optimal, so no LP
+    is solved.
+    """
+    return np.abs(np.cumsum(b[:, :0:-1], axis=1)).sum(axis=1)
+
+
 def _next_bit_conditionals(rows: np.ndarray, j: int) -> np.ndarray:
     """P(x_j = +1 | bits 0..j-1 of x = a) of each row of an (m, 2^d) law at
     [row, a], and 0 where the prefix a has no mass."""
@@ -402,9 +448,10 @@ def _transport_values(p: np.ndarray, q: np.ndarray, upper: np.ndarray | None = N
     row invariant (the trivial one, for none, leaves any). A pair whose
     supplies p - q vanish (entries up to 1e-15 are zeroed) is exactly 0 and
     a pair of product laws is sum_i |P_i - Q_i|. Of the rest, a pair whose
-    supplies summed over each orbit are roundoff is 0, and the others solve
-    the dual LP on the r orbits (`_quotient_lp`), max(1, `_LP_MAX_VARS` //
-    r) pairs to a HiGHS call.
+    supplies summed over each orbit are roundoff is 0. The others take the
+    closed form `_path_values` when the orbits' quotient graph is a path
+    (`CubeOrbits.path`), and otherwise solve the dual LP on the r orbits
+    (`_quotient_lp`), max(1, `_LP_MAX_VARS` // r) pairs to a HiGHS call.
 
     `upper`, when given, holds an upper bound on each pair's W1. The
     coordinate potential makes L = sum_i |P_i - Q_i| a lower bound on every
@@ -416,7 +463,7 @@ def _transport_values(p: np.ndarray, q: np.ndarray, upper: np.ndarray | None = N
     skipped if those all lie below. A skipped batch's pairs take their
     (tightened) bound, and the returned mask marks them. The batches are
     those of the full solve, so every batch that is solved gives the same
-    floats. Without `upper` every batch is solved.
+    floats. Without `upper`, or on a path, every pair is solved.
     """
     m, n = p.shape
     d = n.bit_length() - 1
@@ -435,6 +482,9 @@ def _transport_values(p: np.ndarray, q: np.ndarray, upper: np.ndarray | None = N
     bracketed = np.zeros(m, dtype=bool)
     floor = -np.inf if upper is None else np.abs(mp - mq).sum(axis=1).max() - _BRACKET_MARGIN
     rest = np.flatnonzero(live & ~product & supply.any(axis=1))
+    if orbits.path:
+        values[rest] = _path_values(supply[rest])
+        return values, bracketed
     per_call = max(1, _LP_MAX_VARS // len(orbits.reps))
     for start in range(0, rest.size, per_call):
         idx = rest[start:start + per_call]

@@ -116,6 +116,15 @@ def _exchangeable(dim: int, global_flip: bool) -> tuple:
     return tuple(gens)
 
 
+def permutes_every_coordinate(dim: int, generators: tuple) -> bool:
+    """Whether the isometries `generators`, as `cube_orbits` normalizes
+    them, include both permutations of `_exchangeable`, the transposition
+    and the cyclic shift, and so generate the symmetric group S_d (d >= 3;
+    below that the cube has at most 4 states)."""
+    perms = _exchangeable(dim, False)
+    return len(perms) == 2 and set(perms) <= set(generators)
+
+
 @dataclass(frozen=True)
 class IndependentBits(TargetModel):
     """d independent +-1 bits: log weight beta * sum_i x_i."""

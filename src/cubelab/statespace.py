@@ -10,12 +10,16 @@ d at every width. `flip_neighbors` indexes each state's d neighbours and
 the indices as the permutation `isometry_images` returns, and `cube_orbits`
 holds the orbits of states and edges under the group that such isometries
 generate, the trivial group included, with the quotient graph's edges.
+`symmetric_blocks` holds the bases on which a kernel that commutes with
+every coordinate permutation splits into floor(d/2) + 1 small blocks.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -178,7 +182,9 @@ class CubeOrbits:
     orbits (None when every orbit is one state). `edges` joins each pair of
     orbits that a cube edge joins, in order of the first such edge of
     `adjacent_pairs(d)`, and `edge_of` is the lowest index in each edge's
-    orbit, indexed as there."""
+    orbit, indexed as there. `path` is True when those edges form the path
+    o_0 - o_1 - ... - o_{r-1}, as the +1 counts do under every coordinate
+    permutation, folded or not by the global flip."""
 
     generators: tuple
     images: tuple
@@ -188,6 +194,7 @@ class CubeOrbits:
     membership: np.ndarray | None
     edges: np.ndarray
     edge_of: np.ndarray
+    path: bool
 
     def lump(self, a: np.ndarray) -> np.ndarray:
         """Sums of the last axis of `a` over each orbit; `a` itself when
@@ -229,11 +236,60 @@ def _cube_orbits(dim: int, generators: tuple) -> CubeOrbits:
     cross = ends[ends[:, 0] != ends[:, 1]]
     first = np.sort(np.unique(cross, axis=0, return_index=True)[1])
     membership = None if len(reps) == n else (of[:, None] == np.arange(len(reps))) * 1.0
-    arrays = of, reps, np.bincount(of), membership, cross[first], labels[n:] - n
+    edges = cross[first]
+    arrays = of, reps, np.bincount(of), membership, edges, labels[n:] - n
     for a in arrays:
         if a is not None:
             a.setflags(write=False)
-    return CubeOrbits(generators, images, *arrays)
+    # the edges are distinct pairs (lo, hi), so r - 1 of them that each join
+    # consecutive orbits are the path
+    path = len(edges) == len(reps) - 1 and bool((edges[:, 1] - edges[:, 0] == 1).all())
+    return CubeOrbits(generators, images, *arrays, path)
+
+
+class SymmetricBlock(NamedTuple):
+    """One copy of the multiplicity space of irreducible component j of the
+    action of the symmetric group S_d on functions of the d-cube.
+
+    Its basis phi_{j,m}, m = 0..d - 2j, fills the columns of the
+    (2^d, d - 2j + 1) matrix `basis`:
+
+      phi_{j,m}(x) = prod_{i<j} ([x_{2i}, x_{2i+1}] = (+,-) - [(-,+)])
+                     * [number of +1 among coordinates 2j..d-1 = m].
+
+    Its span is the set of functions that change sign under each swap
+    (2i 2i+1), i < j, and are invariant under permutations of coordinates
+    2j..d-1, so every kernel that commutes with S_d maps it into itself.
+    `rows[m']` is the state word with pairs (+,-) and the first m' of the
+    remaining coordinates +1, where phi_{j,m} reads [m = m'], and
+    `multiplicity` = C(d, j) - C(d, j - 1) is the dimension of the
+    component (Terwilliger block-diagonalization; A. Schrijver, IEEE Trans.
+    Inf. Theory 51, 2005)."""
+
+    basis: np.ndarray
+    rows: np.ndarray
+    multiplicity: int
+
+
+# one entry per dimension that the dense kernels reach
+@functools.lru_cache(maxsize=16)
+def symmetric_blocks(dim: int) -> tuple[SymmetricBlock, ...]:
+    """The S_d blocks j = 0..floor(d/2) of the d-cube (see
+    `SymmetricBlock`), built once per dimension, with read-only arrays."""
+    bits = unpack_words(np.arange(1 << dim), dim)
+    blocks = []
+    for j in range(dim // 2 + 1):
+        # +1 on (+,-), -1 on (-,+) and 0 on equal pairs
+        sign = (bits[:, 0:2 * j:2].astype(np.int8) - bits[:, 1:2 * j:2]).prod(axis=1)
+        count = bits[:, 2 * j:].sum(axis=1)
+        basis = sign[:, None] * (count[:, None] == np.arange(dim - 2 * j + 1)).astype(np.float64)
+        pairs = sum(1 << (2 * i) for i in range(j))
+        rows = np.array([pairs | (((1 << m) - 1) << (2 * j)) for m in range(dim - 2 * j + 1)])
+        for a in (basis, rows):
+            a.setflags(write=False)
+        blocks.append(SymmetricBlock(basis, rows,
+                                     math.comb(dim, j) - (math.comb(dim, j - 1) if j else 0)))
+    return tuple(blocks)
 
 
 def orbit_minima(size: int, maps: list[np.ndarray]) -> np.ndarray:

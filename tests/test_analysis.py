@@ -273,6 +273,117 @@ def test_unbalanced_supplies_rejected():
         wasserstein_hamming(p, q)
 
 
+def _exchangeable_models(d):
+    """bits, mixture and curieweiss at d, with and without the global flip."""
+    return [IndependentBits(0.4, d), BitsMixture(0.5, d),
+            CurieWeiss(0.6 / d, 0.2 if d % 2 else 0.0, d)]
+
+
+def _check_block_spectrum(kernel, config):
+    """The spectrum read off the S_d blocks against the dense eigensolve of
+    the same kernel on the cube: the moduli as multisets to 1e-13, the
+    first two power sums against tr K and tr K^2 (the signs the moduli
+    drop), and lambda2, t_rel and reversibility as `spectral_summary` gives
+    them."""
+    cube = replace(kernel, symmetries=())
+    pi = stationary(kernel)
+    summary = spectral_summary(kernel, pi)
+    values = analysis._eigenvalues(kernel, pi, summary.reversible)
+    mods = np.sort(np.abs(values))
+    dense = np.sort(np.abs(np.linalg.eigvals(cube.probs)))
+    assert mods.shape == dense.shape, f"{mods.size} block moduli, {dense.size} dense: {config}"
+    gap = np.abs(mods - dense)
+    worst = int(gap.argmax())
+    assert gap[worst] <= 1e-13, (
+        f"modulus {mods[worst]!r} on the blocks, {dense[worst]!r} dense: {config}")
+    t = cube.probs
+    for power, block_sum, dense_sum in ((1, values.sum(), np.trace(t)),
+                                        (2, (values ** 2).sum(), (t * t.T).sum())):
+        assert abs(block_sum - dense_sum) <= 1e-12, (
+            f"sum of eigenvalue powers {power}: {block_sum!r} on the blocks, "
+            f"{dense_sum!r} dense: {config}")
+    full = spectral_summary(cube, pi)
+    assert summary.reversible == full.reversible, config
+    assert abs(summary.lambda2 - full.lambda2) <= 1e-13, (
+        f"lambda2 {summary.lambda2!r} on the blocks, {full.lambda2!r} dense: {config}")
+    # t_rel = 1/(1 - lambda2) moves by t_rel^2 times lambda2's error
+    assert abs(summary.t_rel - full.t_rel) <= 1e-13 * summary.t_rel * full.t_rel, (
+        f"t_rel {summary.t_rel!r} on the blocks, {full.t_rel!r} dense: {config}")
+
+
+@pytest.mark.parametrize("dim", range(3, 9))
+def test_block_spectrum_matches_the_dense_eigensolve(dim):
+    """Every exchangeable model, sampler and score at two step sizes: the
+    spectrum from the floor(d/2) + 1 blocks of `statespace.symmetric_blocks`
+    is the dense one."""
+    for model in _exchangeable_models(dim):
+        for eta in (0.3, 0.6):
+            for config, kernel in _kernels(model, eta):
+                _check_block_spectrum(kernel, (model, eta, *config))
+
+
+@pytest.mark.parametrize("model, sampler, kind, eta", [
+    (BitsMixture(0.5, 9), "dups", "stein", 0.6), (CurieWeiss(0.05, 0.1, 9), "dmaps", "glauber", 0.3),
+    (IndependentBits(0.4, 10), "gibbs", None, 0.6), (CurieWeiss(0.06, 0.0, 10), "dmala", "gibbs", 0.6),
+], ids=repr)
+def test_block_spectrum_matches_the_dense_eigensolve_at_d_9_and_10(model, sampler, kind, eta):
+    kernel = kernel_matrix(model, sampler, ScoreField(model, kind) if kind else None, eta)
+    _check_block_spectrum(kernel, (model, sampler, kind, eta))
+
+
+@pytest.mark.parametrize("dim", range(3, 12))
+def test_block_lambda2_matches_the_product_law(dim):
+    """On IndependentBits, past the d = 8 reach of the dense tests, the
+    dula and dups lambda2 from the blocks is |1 - a - b| of
+    `product_laws` to 1e-12 relative, for every score (d 3-6 see more
+    step sizes in `test_dense_path_matches_the_product_law`)."""
+    beta, eta = 0.3, 0.5
+    model = IndependentBits(beta, dim)
+    for sampler in product_laws.SAMPLERS:
+        for kind in SCORE_KINDS:
+            kernel = kernel_matrix(model, sampler, ScoreField(model, kind), eta)
+            lam2 = spectral_summary(kernel).lambda2
+            exact = product_laws.kappa(sampler, kind, beta, eta)
+            assert lam2 == pytest.approx(exact, rel=1e-12, abs=0), (
+                f"lambda2 {lam2!r} on the blocks, {exact!r} in closed form: "
+                f"{model!r} {sampler} {kind} eta={eta}")
+
+
+def _solved_sides(monkeypatch):
+    """The side of every matrix handed to an eigensolver."""
+    sides = []
+    for name in ("eigvals", "eigvalsh"):
+        solve = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name,
+                            lambda m, solve=solve: sides.append(m.shape[0]) or solve(m))
+    return sides
+
+
+def test_kernels_without_every_permutation_take_the_dense_eigensolve(monkeypatch):
+    """An Ising grid's kernel, and a bits kernel that carries the
+    transposition alone or the global flip alone, are solved as one
+    2^d-square matrix, with the lambda2 of the kernel on the cube; the
+    same bits kernel with every permutation is solved in blocks."""
+    sides = _solved_sides(monkeypatch)
+    grid = IsingGrid(2, 3, 0.4, 0.1)
+    bits = IndependentBits(0.0, 6)
+    dups = dups_matrix(bits, ScoreField(bits, "glauber"), 0.5)
+    transposition, shift, flip = bits.symmetries()
+    kernels = [dups_matrix(grid, ScoreField(grid, "stein"), 0.5),
+               replace(dups, symmetries=(transposition,)), replace(dups, symmetries=(flip,)),
+               replace(gibbs_matrix(bits, 0.5), symmetries=(transposition,))]
+    for kernel in kernels:
+        cube = replace(kernel, symmetries=())
+        pi = stationary(cube)
+        sides.clear()
+        lam2 = spectral_summary(kernel, pi).lambda2
+        assert sides == [64], (kernel.symmetries, sides)
+        assert lam2 == spectral_summary(cube, pi).lambda2
+    sides.clear()
+    spectral_summary(dups)
+    assert sides == [7, 5, 3, 1]
+
+
 def test_wasserstein_needs_a_power_of_two_length():
     for fn in (tv_distance, wasserstein_hamming, wasserstein_hamming_lp):
         with pytest.raises(ValueError, match="length 6 is not a power of two"):
@@ -421,6 +532,29 @@ def test_quotient_w1_matches_the_full_cube_and_the_coupling_lp(model):
         assert w == pytest.approx(wasserstein_hamming(p, q), rel=0, abs=1e-12)
         if model.dim <= 5 or p is pairs[-1][0]:
             assert w == pytest.approx(wasserstein_hamming_lp(p, q), rel=0, abs=1e-9)
+
+
+@pytest.mark.parametrize("dim", range(1, 13))
+def test_path_quotient_w1_matches_the_lp_on_the_same_quotient(dim, lp_calls):
+    """Where the orbits join as a path (the +1 counts, folded or not by the
+    global flip), W1 takes the closed form with no LP, and equals the dual
+    LP on the same quotient to 1e-13 relative."""
+    rng = np.random.default_rng(dim)
+    for model in (IndependentBits(0.4, dim), BitsMixture(0.5, dim)):
+        sym = model.symmetries()
+        orbits = cube_orbits(dim, sym)
+        assert orbits.path
+        for _ in range(3):
+            p, q = _invariant_law(model, rng), _invariant_law(model, rng)
+            w = analysis._transport_values(p[None, :], q[None, :], symmetries=sym)[0][0]
+            assert not lp_calls
+            if len(orbits.reps) == 1:
+                assert w == 0.0
+                continue
+            lp = analysis._dual_lp_values(orbits.lump(p - q)[None, :],
+                                          analysis._quotient_lp(dim, orbits.generators, 1))
+            lp_calls.clear()
+            assert w == pytest.approx(lp[0], rel=1e-13, abs=0), (model, w, lp[0])
 
 
 def test_quotient_w1_keeps_the_zero_and_product_paths(monkeypatch):
@@ -792,6 +926,10 @@ def test_run_certificates_solves_orbit_representatives_only(solves, monkeypatch)
     solve = analysis._dual_lp_values
     monkeypatch.setattr(analysis, "_dual_lp_values",
                         lambda b, lp: lps.append(b.shape) or solve(b, lp))
+    paths = []
+    closed_form = analysis._path_values
+    monkeypatch.setattr(analysis, "_path_values",
+                        lambda b: paths.append((b, closed_form(b))) or paths[-1][1])
     results = run_certificates(model, "glauber", 0.8)
     assert kappas and all(k.symmetries == model.symmetries() for k in kappas)
     # each sampler's kappa is computed once, whatever number of bounds it meets
@@ -803,12 +941,15 @@ def test_run_certificates_solves_orbit_representatives_only(solves, monkeypatch)
     stationary_rows = sum(r.observed is not None and "stationary" in r.certificate
                           for r in results)
     assert sorted(solves) == [1] * stationary_rows + [3] * len(kappas)
-    # each stationary W1 is one LP over the three state orbits (the +1 count
-    # up to the global flip), not over the 32 states; every other LP is a
-    # certificate's, on the cube
-    quotient = [shape for shape in lps if shape[1] != 32]
-    assert stationary_rows and quotient == [(1, 3)] * stationary_rows
-    assert len(lps) - len(quotient) <= len(kappas)
+    # each stationary W1 is one row on the three state orbits (the +1 count
+    # up to the global flip), not on the 32 states; they join as a path, so
+    # it takes the closed form and no LP, and every LP is a certificate's,
+    # on the cube
+    assert stationary_rows and [b.shape for b, _ in paths] == [(1, 3)] * stationary_rows
+    assert all(shape[1] == 32 for shape in lps) and len(lps) <= len(kappas)
+    lp = analysis._quotient_lp(5, model.symmetries(), 1)
+    for b, value in paths:
+        assert value == pytest.approx(solve(b, lp), rel=1e-13, abs=0)
     assert all(math.isfinite(r.observed) for r in results if r.observed is not None)
 
 

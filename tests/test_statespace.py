@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ from cubelab.errors import CapabilityError
 from cubelab.models import BitsMixture, CurieWeiss, IndependentBits, IsingGrid
 from cubelab.statespace import (MAX_SIM_DIM, BitState, adjacent_pairs, all_signs, cube_orbits,
                                 flip_neighbors, hamming, index_of, isometry_images, pack_words,
-                                state_of, unpack_words)
+                                state_of, symmetric_blocks, unpack_words)
 
 
 def _word(row) -> int:
@@ -170,7 +172,36 @@ def test_cube_orbits_are_the_closures_of_each_state_and_edge(model):
         if ends[0] != ends[1] and ends not in joined:
             joined.append(ends)
     assert orbits.edges.tolist() == joined
+    # the exchangeable families' orbits are the +1 counts, folded or not by
+    # the global flip, and join as a path; these grids' do not
+    assert orbits.path == (sorted(joined) == [[k, k + 1] for k in range(len(orbits.reps) - 1)])
+    assert orbits.path == model.exchangeable
     assert cube_orbits(d, [list(g) for g in gens]) is orbits
+
+
+@pytest.mark.parametrize("dim", range(1, 8))
+def test_symmetric_blocks_follow_their_definition(dim):
+    """Each basis vector phi_{j,m}, state by state from its definition; the
+    row states, where phi_{j,m} reads [m = m']; and multiplicities that
+    count every dimension of the cube once."""
+    blocks = symmetric_blocks(dim)
+    assert symmetric_blocks(dim) is blocks
+    assert len(blocks) == dim // 2 + 1
+    for j, (phi, rows, mult) in enumerate(blocks):
+        for k in range(1 << dim):
+            x = state_of(k, dim)
+            pairs = math.prod((x.coord(2 * i) - x.coord(2 * i + 1)) // 2 for i in range(j))
+            m = sum(x.coord(i) > 0 for i in range(2 * j, dim))
+            assert phi[k].tolist() == [pairs * (m == col) for col in range(dim - 2 * j + 1)]
+        for m_row, word in enumerate(rows.tolist()):
+            x = state_of(word, dim)
+            assert [x.coord(i) for i in range(2 * j)] == [1, -1] * j
+            assert [x.coord(i) for i in range(2 * j, dim)] == (
+                [1] * m_row + [-1] * (dim - 2 * j - m_row))
+        np.testing.assert_array_equal(phi[rows], np.eye(dim - 2 * j + 1))
+        assert mult == math.comb(dim, j) - (math.comb(dim, j - 1) if j else 0)
+        assert not phi.flags.writeable and not rows.flags.writeable
+    assert sum(b.multiplicity * (dim - 2 * j + 1) for j, b in enumerate(blocks)) == 1 << dim
 
 
 @pytest.mark.parametrize("dim", [1, 13, 63, 64, 65, 130, 1 << 16])
