@@ -262,16 +262,19 @@ def wasserstein_hamming(p: np.ndarray, q: np.ndarray, symmetries: tuple = ()) ->
     counts of an exchangeable target do, the dual is the closed form
     sum_k |F_p(k) - F_q(k)| of the cumulative orbit masses and no LP is
     solved. Replacing each law by its orbit average
-    p_bar moves W1 by at most (d/2)(|p - p_bar|_1 + |q - q_bar|_1); a pair
-    for which that exceeds `_ORBIT_TOL` raises NumericalError.
+    p_bar moves W1 by at most (d/2)(|p - p_bar|_1 + |q - q_bar|_1), and
+    |p - p_bar|_1 <= 2 sum_x |p(x) - p(rep(x))| for the representative
+    rep(x) of each orbit; a pair for which d times the two sums exceeds
+    `_ORBIT_TOL` raises NumericalError. Those sums read 0 on laws that are
+    invariant bit for bit, which a float orbit average need not.
     """
     p, q = _require_laws(p, q)
     if abs(float((p - q).sum())) > 1e-10:
         raise ValueError("supplies are unbalanced beyond 1e-10")
     d = p.shape[0].bit_length() - 1
     orbits = cube_orbits(d, symmetries)
-    moved = 0.5 * d * float(np.abs(p - orbits.average(p)).sum()
-                            + np.abs(q - orbits.average(q)).sum())
+    rep = orbits.reps[orbits.of]
+    moved = d * float(np.abs(p - p[rep]).sum() + np.abs(q - q[rep]).sum())
     if moved > _ORBIT_TOL:
         raise NumericalError(
             f"laws break the declared symmetries: averaging them over the orbits "
@@ -531,12 +534,24 @@ def wasserstein_hamming_lp(p: np.ndarray, q: np.ndarray) -> float:
 
 def detailed_balance_residual(kernel: KernelMatrix, p: np.ndarray) -> float:
     """max over pairs of |p(x) t(x'|x) - p(x') t(x|x')|, for a distribution p
-    with one entry per state of the kernel, else ValueError."""
+    with one entry per state of the kernel, else ValueError.
+
+    When p is invariant, bit for bit, under every state map of the kernel's
+    `symmetries`, the max runs over the pairs with one state among the
+    orbit representatives `reps` of `cube_orbits`, reading only their rows
+    and columns of the kernel: a pair (g x, g x') has the same residual as
+    (x, x') to within how closely the kernel commutes with g, which its
+    construction checked. Otherwise every pair is read.
+    """
     p = _require_distribution(p, "p")
-    if p.shape[0] != kernel.probs.shape[0]:
-        raise ValueError(f"p has {p.shape[0]} entries for a kernel on "
-                         f"{kernel.probs.shape[0]} states")
-    flux = p[:, None] * kernel.probs
+    t = kernel.probs
+    if p.shape[0] != t.shape[0]:
+        raise ValueError(f"p has {p.shape[0]} entries for a kernel on {t.shape[0]} states")
+    orbits = cube_orbits(kernel.dim, kernel.symmetries)
+    if len(orbits.reps) < len(p) and all(np.array_equal(p[img], p) for img in orbits.images):
+        reps = orbits.reps
+        return float(np.abs(p[reps, None] * t[reps] - (p[:, None] * t[:, reps]).T).max())
+    flux = p[:, None] * t
     return float(np.abs(flux - flux.T).max())
 
 

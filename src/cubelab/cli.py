@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import json
 import math
 import os
@@ -158,9 +159,7 @@ def analyze_row(model: TargetModel, sampler: str, score_kind: str | None,
 
 
 def _manifest(args) -> dict:
-    fields = vars(args).copy()
-    fields.pop("func", None)
-    return {k: v for k, v in sorted(fields.items()) if v is not None}
+    return {k: v for k, v in sorted(vars(args).items()) if v is not None}
 
 
 def _versions() -> dict:
@@ -174,7 +173,8 @@ def _versions() -> dict:
 def _emit(args, rows, columns, payload: dict):
     """CSV of `rows` by `columns`, or JSON of the manifest, the `payload`
     entries and the versions, to `--out` or stdout. `rows` may be any
-    iterable: the CSV writes each row as it is formatted."""
+    iterable, of dicts or of CSV text already formatted: the CSV writes
+    each as it comes."""
     out = getattr(args, "out", None)
     with open(out, "w") if out else contextlib.nullcontext(sys.stdout) as fh:
         if getattr(args, "format", "csv") == "json":
@@ -184,7 +184,8 @@ def _emit(args, rows, columns, payload: dict):
             fh.write(json.dumps(doc, indent=2) + "\n")
             return
         fh.write(",".join(columns) + "\n")
-        fh.writelines(",".join(_fmt(r.get(c, "")) for c in columns) + "\n" for r in rows)
+        fh.writelines(r if isinstance(r, str) else ",".join(_fmt(r.get(c, "")) for c in columns)
+                      + "\n" for r in rows)
 
 
 def _sweep_task(task):
@@ -308,29 +309,45 @@ def cmd_ctmc(args) -> int:
     rng = np.random.default_rng(args.seed)
     x0 = BitState(int(rng.integers(0, 1 << model.dim)), model.dim)
     traj = ctmc.ctmc_simulate(rates, x0, args.horizon, rng)
-    rows = _trajectory_rows(traj)
     if getattr(args, "format", "csv") == "json":
-        rows = list(rows)
-    _emit(args, rows, ["time", "state", "magnetization"], {"trajectory": rows})
+        rows = list(_trajectory_rows(traj))
+        _emit(args, rows, _TRAJECTORY_COLUMNS, {"trajectory": rows})
+    else:
+        _emit(args, _trajectory_lines(traj), _TRAJECTORY_COLUMNS, {})
     return 0
 
 
-# trajectory rows converted to Python objects at a time by `_trajectory_rows`
+_TRAJECTORY_COLUMNS = ["time", "state", "magnetization"]
+# trajectory rows converted to Python objects at a time by `_trajectory_blocks`
 _ROW_BLOCK = 4096
 
 
-def _trajectory_rows(traj: ctmc.Trajectory):
-    """The rows of a jump trajectory, made one block of jumps at a time so
-    that a long run is written without holding a dict per jump."""
-    d = traj.dim
+def _trajectory_blocks(traj: ctmc.Trajectory):
+    """Per block of `_ROW_BLOCK` jumps: the times, the state words and the
+    +1 counts of the states entered, as Python lists, so that a long run is
+    written without holding a Python object per jump."""
     times = np.concatenate([[0.0], traj.times])
     for a in range(0, len(times), _ROW_BLOCK):
         words = traj.states[a:a + _ROW_BLOCK]
-        # int64 first: 2 p - d wraps around in the uint8 that bitwise_count returns
-        plus = np.bitwise_count(words).astype(np.int64)
-        for t, k, mag in zip(times[a:a + _ROW_BLOCK].tolist(), words.tolist(),
-                             ((2 * plus - d) / d).tolist()):
-            yield {"time": t, "state": f"{k:x}", "magnetization": mag}
+        yield (times[a:a + _ROW_BLOCK].tolist(), words.tolist(),
+               np.bitwise_count(words).tolist())
+
+
+def _trajectory_rows(traj: ctmc.Trajectory):
+    """The rows of a jump trajectory as dicts, one block at a time."""
+    d = traj.dim
+    for times, words, plus in _trajectory_blocks(traj):
+        for t, k, p in zip(times, words, plus):
+            yield {"time": t, "state": f"{k:x}", "magnetization": (2 * p - d) / d}
+
+
+def _trajectory_lines(traj: ctmc.Trajectory):
+    """The CSV lines of `_trajectory_rows`, the same text as `_fmt` gives
+    per cell, with each of the d + 1 magnetizations formatted once."""
+    d = traj.dim
+    mags = [_fmt((2 * p - d) / d) for p in range(d + 1)]
+    for times, words, plus in _trajectory_blocks(traj):
+        yield "".join([f"{t:.17g},{k:x},{mags[p]}\n" for t, k, p in zip(times, words, plus)])
 
 
 def _add_model_flags(p: argparse.ArgumentParser) -> None:
@@ -367,7 +384,6 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--sampler", required=True, choices=SAMPLER_IDS)
     p.add_argument("--score", choices=SCORE_KINDS, default="glauber")
     _add_output_flags(p)
-    p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("sweep", help="diagnostics over a step-size grid")
     _add_model_flags(p)
@@ -379,21 +395,18 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--skip-kappa", action="store_true",
                    help="leave the contraction column empty (much faster)")
     _add_output_flags(p)
-    p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("check", help="evaluate every applicable certificate")
     _add_model_flags(p)
     _add_eta_flags(p)
     p.add_argument("--score", default="all", help="comma list of scores, or 'all'")
     p.add_argument("--out", help="also write results as CSV")
-    p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("bounds", help="closed-form bound report")
     _add_model_flags(p)
     _add_eta_flags(p)
     p.add_argument("--score", default="all", help="comma list of scores, or 'all'")
     _add_output_flags(p)
-    p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("simulate", help="seeded Monte Carlo chains")
     _add_model_flags(p)
@@ -407,14 +420,12 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--dump", help="per-sample dump CSV (small runs)")
     _add_output_flags(p)
-    p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("ctmc", help="continuous-time jump trajectory")
     _add_model_flags(p)
     p.add_argument("--horizon", type=float, required=True)
     p.add_argument("--seed", type=int, default=0)
     _add_output_flags(p)
-    p.set_defaults(func=cmd_ctmc)
     return parser
 
 
@@ -443,12 +454,17 @@ def _check_output_paths(args) -> None:
         raise ParameterError(f"--{flag} {path!r} {problem}")
 
 
+# one parser per process: building the tree costs milliseconds per call
+_parser = functools.cache(make_parser)
+
+
 def main(argv=None) -> int:
-    parser = make_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         _check_output_paths(args)
-        return args.func(args)
+        # looked up per call, so that a command replaced at run time (by a
+        # tracer or a test) is the one run
+        return globals()[f"cmd_{args.command}"](args)
     except ParameterError as exc:
         print(f"parameter error: {exc}", file=sys.stderr)
         return 2

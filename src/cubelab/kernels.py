@@ -32,6 +32,11 @@ Every dense law of independent flips is summed in log-odds form by
 `_flip_log_kernel`, never from the log of a flip probability, so the kernels
 stay finite for every eta > 0, also where exp(-2/eta) underflows or a flip
 probability rounds to 1. dmala and dmaps share one rejected-mass fold.
+
+The dense builders and the symmetry checks move O(4^d) data with no
+(2^d, 2^d) gather: `_flip_log_kernel` sums per-state rates in destination
+order, `_checked_images` compares each array with a strided view of itself,
+and the dmaps sum takes its auxiliary states in blocks.
 """
 
 from __future__ import annotations
@@ -47,8 +52,8 @@ from scipy.special import expit, log_expit
 from .errors import CapabilityError, NumericalError, ParameterError
 from .models import TargetModel, _require_finite_rows, log_weight_table
 from .scores import ScoreField, _definition
-from .statespace import (BitState, all_signs, cube_orbits, flip_neighbors, isometry_images,
-                         pack_words)
+from .statespace import (BitState, all_signs, cube_orbits, flip_neighbors, pack_words,
+                         unpack_words)
 
 # dense kernels hold 4^d doubles: d = 12 is ~134 MB and the practical top
 MAX_MATRIX_DIM = 12
@@ -77,11 +82,11 @@ SCORE_FREE = ("gibbs", "prox")
 def _require_finite(a: np.ndarray, name: str) -> None:
     """Raise ValueError naming the first NaN or infinite entry of `a`, which
     every later comparison with it would silently pass."""
-    bad = np.argwhere(~np.isfinite(a))
-    if len(bad):
-        at = tuple(int(i) for i in bad[0])
-        raise ValueError(f"{name} has a non-finite entry {a[at]} at index "
-                         f"{at[0] if a.ndim == 1 else at}")
+    if np.isfinite(a).all():
+        return
+    at = tuple(int(i) for i in np.argwhere(~np.isfinite(a))[0])
+    raise ValueError(f"{name} has a non-finite entry {a[at]} at index "
+                     f"{at[0] if a.ndim == 1 else at}")
 
 
 @dataclass(frozen=True)
@@ -89,9 +94,10 @@ class KernelMatrix:
     """Dense row-stochastic one-step law of a sampler at one step size that
     commutes with the cube isometries `symmetries`, `(sigma, flip_mask)` as
     `cube_orbits` normalizes them; a builder given a model declares its
-    `symmetries()`. Construction checks each once (`_checked_images`), and
-    analysis reads them unchecked; `dataclasses.replace(kernel,
-    symmetries=())` is the same kernel on the full cube."""
+    `symmetries()`. Construction checks each once, on all n^2 entries
+    (`_checked_images`), and analysis reads them unchecked;
+    `dataclasses.replace(kernel, symmetries=())` is the same kernel on the
+    full cube."""
 
     probs: np.ndarray
     eta: float
@@ -219,11 +225,30 @@ def _flip_log_probs(logit: np.ndarray) -> np.ndarray:
 def _flip_log_kernel(logit: np.ndarray) -> np.ndarray:
     """Dense log kernel of independent flips: entry (k, j) is the log-probability
     of the pattern k ^ j under row k of `logit`, or under its only row when
-    the rates are the same at every state."""
-    ks = np.arange(1 << logit.shape[1])
-    patterns = ks[:, None] ^ ks[None, :]
-    f = _flip_log_probs(logit)
-    return f[0][patterns] if len(f) == 1 else f[ks[:, None], patterns]
+    the rates are the same at every state.
+
+    Per-state rates are summed in destination order: for bit i, column j
+    adds the flip term where bit i of j differs from bit i of k and the stay
+    term elsewhere. That is the sum `_flip_log_probs` forms for pattern
+    k ^ j, term for term in the same order, so the entries are the same
+    floats with no (2^d, 2^d) gather. One row of rates is one pattern law,
+    which a gather spreads as fast."""
+    d = logit.shape[1]
+    n = 1 << d
+    if len(logit) == 1:
+        ks = np.arange(n)
+        return _flip_log_probs(logit)[0][ks[:, None] ^ ks]
+    flip, stay = log_expit(logit), log_expit(-logit)
+    own = unpack_words(np.arange(n), d)
+    out = np.zeros((n, n))
+    for i in range(d):
+        # columns [0, 2^i) hold the sums over bits below i; bit i of j is the
+        # most significant so far, so its 1-half is the shifted copy
+        w = 1 << i
+        np.add(out[:, :w], np.where(own[:, i], stay[:, i], flip[:, i])[:, None],
+               out=out[:, w:2 * w])
+        out[:, :w] += np.where(own[:, i], flip[:, i], stay[:, i])[:, None]
+    return out
 
 
 def _metropolis_flux(log_t: np.ndarray, lw: np.ndarray) -> np.ndarray:
@@ -365,21 +390,54 @@ def dmaps_step(model: TargetModel, score: ScoreField, x: BitState, eta: float,
 # a z whose phi_z spans more than this keeps the exp-of-differences form: past
 # it u_z = exp(phi_z - max phi_z) nears the subnormals and 1 / u_z overflows
 _PHI_SPAN = 700.0
-# bytes of one row tile of the dmaps flux and of its buffer (L2-sized)
+# bytes of one row tile of the dmaps flux and of its buffer of z terms (L2-sized)
 _FLUX_TILE_BYTES = 1 << 18
+
+
+def _moved_view(a: np.ndarray, axes: str, dim: int, sigma, mask: int) -> np.ndarray:
+    """`a` moved by the isometry g = (sigma, mask) as `statespace.isometry_images`
+    moves states: entry k of a state axis "x" reads a at g(k), and entry i
+    of a coordinate axis "i" reads a at sigma[i]. The result is shaped like
+    `_bit_axes(a, axes, dim)`. Bit sigma[i] of g(k) is bit i of k XORed with
+    bit sigma[i] of the mask, so moving a state axis transposes its bit
+    axes and reverses the masked ones: the result is a strided view of `a`,
+    or of a copy permuted by sigma where there is an "i" axis."""
+    order, reverse, at = [], [], 0
+    for k, ax in enumerate(axes):
+        if ax == "i":
+            a = a.take(sigma, axis=k)
+            order.append(at)
+            at += 1
+            continue
+        # bit axis p holds bit dim - 1 - p
+        order += [at + dim - 1 - sigma[dim - 1 - p] for p in range(dim)]
+        reverse += [at + p for p in range(dim) if mask >> (dim - 1 - p) & 1]
+        at += dim
+    return np.flip(_bit_axes(a, axes, dim), reverse).transpose(order)
+
+
+def _bit_axes(a: np.ndarray, axes: str, dim: int) -> np.ndarray:
+    """`a` with each state axis "x" split into `dim` bit axes of length 2,
+    the most significant bit first."""
+    return a.reshape([m for ax, size in zip(axes, a.shape)
+                      for m in ([2] * dim if ax == "x" else [size])])
 
 
 def _checked_images(owner: str, dim: int, symmetries, parts) -> None:
     """Check each isometry g = (sigma, flip_mask) in `symmetries` on each
     (name, a, axes) of `parts`: moving every state axis "x" of a by g and
     every coordinate axis "i" by sigma changes no entry by over
-    `SYMMETRY_TOL` max(1, max |a|), else NumericalError naming `owner`."""
+    `SYMMETRY_TOL` max(1, max |a|), else NumericalError naming `owner`.
+
+    Each part is compared with a strided view of itself (`_moved_view`), so
+    a check reads every entry twice and writes one difference array, with
+    no gather of the moved entries."""
+    scales = [max(1.0, float(np.abs(a).max())) for _, a, _ in parts]
     for sigma, mask in symmetries:
-        img = isometry_images(dim, sigma, mask)
-        for name, a, axes in parts:
-            moved = a[np.ix_(*(img if ax == "x" else list(sigma) for ax in axes))]
-            dev = float(np.abs(np.subtract(moved, a, out=moved), out=moved).max())
-            if dev > SYMMETRY_TOL * max(1.0, float(np.abs(a).max())):
+        for (name, a, axes), scale in zip(parts, scales):
+            diff = np.subtract(_moved_view(a, axes, dim, sigma, mask), _bit_axes(a, axes, dim))
+            dev = float(np.abs(diff, out=diff).max())
+            if dev > SYMMETRY_TOL * scale:
                 raise NumericalError(
                     f"{owner} breaks the declared symmetry (sigma={tuple(sigma)}, "
                     f"flip_mask={mask:#x}) on its {name} by {dev:.3e}", residual=dev)
@@ -436,8 +494,12 @@ def _dmaps_orbit_flux(model: TargetModel, score: ScoreField,
     representatives only (`reps` of `statespace.cube_orbits`; every state
     with no symmetry): O(r 4^d) time. The memory is three 2^d x 2^d arrays
     (T2, u and T1), the r x 2^d rows and T1 / u at them, and one buffer of
-    `_FLUX_TILE_BYTES`: the z loop runs over one tile of rows at a time, so
-    that the tile and the buffer stay in cache.
+    at most `_FLUX_TILE_BYTES`: the z loop runs over one tile of rows at a
+    time, so that the tile and the buffer stay in cache, and fills the
+    buffer with the terms of as many consecutive z as it holds, by one
+    minimum and two products over the block. Each term is then added to the
+    tile in ascending z, as one z at a time would add it, so the flux does
+    not depend on the block size.
     """
     _check_dense(model, eta, score)
     n = 1 << model.dim
@@ -463,20 +525,24 @@ def _dmaps_orbit_flux(model: TargetModel, score: ScoreField,
     np.divide(col, u_at, out=col, where=factored[:, None])
     rows = max(1, _FLUX_TILE_BYTES // (8 * n))
     flux = np.zeros((len(reps), n))
-    buf = np.empty((min(rows, len(reps)), n))
+    # z terms per block: as many tiles of terms as fill one buffer
+    zs = min(n, max(1, _FLUX_TILE_BYTES // (8 * n * min(rows, len(reps)))))
+    buf = np.empty((zs, min(rows, len(reps)), n))
+    slow = np.flatnonzero(~factored).tolist()
     for r in range(0, len(reps), rows):
         tile = flux[r:r + rows]
-        b = buf[:len(tile)]
         at = reps[r:r + rows]
-        for z, fast in enumerate(factored.tolist()):
-            if fast:
-                np.minimum.outer(u_at[z, r:r + rows], u[z], out=b)
-            else:
+        for z0 in range(0, n, zs):
+            b = buf[:min(zs, n - z0), :len(tile)]
+            np.minimum(u_at[z0:z0 + zs, r:r + rows, None], u[z0:z0 + zs, None, :], out=b)
+            for z in slow[bisect_left(slow, z0):bisect_left(slow, z0 + zs)]:
                 phi_z = lw - signs @ tab[z]
-                np.exp(np.minimum(phi_z[None, :] - phi_z[at, None], 0.0), out=b)
-            b *= col[z, r:r + rows, None]
-            b *= stage2[z]
-            tile += b
+                np.exp(np.minimum(phi_z[None, :] - phi_z[at, None], 0.0), out=b[z - z0])
+            b *= col[z0:z0 + zs, r:r + rows, None]
+            b *= stage2[z0:z0 + zs, None, :]
+            # one z term after another, in ascending z
+            for term in b:
+                tile += term
     return reps, flux, orbits.images
 
 

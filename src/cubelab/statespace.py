@@ -201,10 +201,6 @@ class CubeOrbits:
         every orbit is one state."""
         return a if self.membership is None else a @ self.membership
 
-    def average(self, a: np.ndarray) -> np.ndarray:
-        """`a` averaged over each orbit, an entry per state."""
-        return (self.lump(a) / self.sizes)[..., self.of]
-
 
 def cube_orbits(dim: int, generators) -> CubeOrbits:
     """The orbits under the group that the cube isometries `generators`

@@ -601,6 +601,24 @@ def test_asymmetric_kernels_and_laws_are_refused(solves):
         wasserstein_hamming(pi, target), rel=0, abs=1e-12)
 
 
+def test_laws_invariant_bit_for_bit_pass_the_orbit_guard_at_d_12():
+    """Two exchangeable targets at d = 12, each constant on its +1-count
+    classes of up to 924 states, whose float orbit averages move them by
+    over 1e-13 / d: their W1 is the closed form over the cumulative class
+    masses. The same law moved 1e-13 between two states of one class is
+    still refused."""
+    p, q = exact_target(BitsMixture(0.5, 12)), exact_target(BitsMixture(0.4, 12))
+    sym = BitsMixture(0.5, 12).symmetries()
+    counts = np.bitwise_count(np.arange(1 << 12))
+    cdf = [np.cumsum(np.bincount(counts, weights=law)) for law in (p, q)]
+    assert wasserstein_hamming(p, q, sym) == pytest.approx(
+        np.abs(cdf[0] - cdf[1]).sum(), rel=1e-12)
+    tilted = q.copy()
+    tilted[[1, 2]] += [1e-13, -1e-13]
+    with pytest.raises(NumericalError, match="break the declared symmetries"):
+        wasserstein_hamming(p, tilted, sym)
+
+
 @pytest.mark.parametrize("model", [IndependentBits(0.5, 3), BitsMixture(0.5, 4),
                                    CurieWeiss(0.3, 0.1, 4), IsingGrid(2, 2, 0.4, 0.1)], ids=repr)
 def test_two_stage_kernels_at_a_tiny_step_are_reducible_on_both_paths(model):
@@ -659,6 +677,35 @@ def test_detailed_balance_residuals():
     lopsided = np.array([[0.2, 0.8], [0.5, 0.5]])
     assert detailed_balance_residual(KernelMatrix(lopsided, 1.0, "gibbs"),
                                      np.array([0.5, 0.5])) > 1e-3
+
+
+@pytest.mark.parametrize("model", [
+    *(cls(dim) for dim in range(3, 9) for cls in (
+        lambda d: IndependentBits(0.3, d), lambda d: BitsMixture(0.5, d),
+        lambda d: CurieWeiss(0.2, 0.1, d))),
+    IsingGrid(2, 2, 0.4, 0.1), IsingGrid(2, 3, 0.4, 0.0), IsingGrid(2, 4, 0.3, 0.1),
+    IsingGrid(1, 4, 0.4, 0.1, periodic=True),
+], ids=repr)
+def test_detailed_balance_on_orbit_representatives_is_the_full_pass(model):
+    """Against the target and the stationary law, both invariant bit for
+    bit, the residual read on the orbit representatives' rows and columns
+    equals the one over every pair, on each sampler and score: up to the
+    roundoff by which a kernel commutes with its symmetries, and never
+    above it (it is a max over fewer pairs). A law moved off its orbits
+    takes the full pass."""
+    orbits = cube_orbits(model.dim, model.symmetries())
+    target = exact_target(model)
+    for sampler in kernels.SAMPLER_IDS:
+        for kind in ["glauber"] if sampler in kernels.SCORE_FREE else SCORE_KINDS:
+            kernel = kernel_matrix(model, sampler, ScoreField(model, kind), 0.4)
+            plain = replace(kernel, symmetries=())
+            for p in (target, stationary(kernel)):
+                assert all(np.array_equal(p[g], p) for g in orbits.images)
+                full = detailed_balance_residual(plain, p)
+                assert full - 1e-16 <= detailed_balance_residual(kernel, p) <= full, (sampler, kind)
+    tilted = target.copy()
+    tilted[[1, 2]] += [1e-9, -1e-9]
+    assert detailed_balance_residual(kernel, tilted) == detailed_balance_residual(plain, tilted)
 
 
 def _assert_flip_path_bound(t, kappa):

@@ -326,6 +326,37 @@ def test_ctmc_same_seed_writes_identical_files(tmp_path, capsys):
     assert first.read_bytes() == second.read_bytes()
 
 
+def test_ctmc_csv_lines_are_the_rows_formatted_per_cell(capsys):
+    """The CSV of a seeded run over several blocks of rows, written from the
+    trajectory's arrays, is byte for byte the rows that the JSON output
+    holds, each cell formatted by `_fmt`."""
+    from cubelab.ctmc import ctmc_simulate, glauber_rates
+    from cubelab.models import CurieWeiss
+    from cubelab.statespace import BitState
+
+    code, text, _ = run_cli(capsys, "ctmc", "--model", "curieweiss", "--beta", "0.02",
+                            "--dim", "10", "--horizon", "3000", "--seed", "9")
+    rng = np.random.default_rng(9)
+    x0 = BitState(int(rng.integers(0, 1 << 10)), 10)
+    traj = ctmc_simulate(glauber_rates(CurieWeiss(0.02, 0.0, 10)), x0, 3000.0, rng)
+    lines = [",".join(cli._fmt(row[c]) for c in ("time", "state", "magnetization"))
+             for row in cli._trajectory_rows(traj)]
+    assert code == 0 and len(lines) > 2 * cli._ROW_BLOCK
+    assert text == "time,state,magnetization\n" + "\n".join(lines) + "\n"
+
+
+def test_the_parser_is_built_once_and_commands_are_looked_up_per_call(capsys, monkeypatch):
+    argv = ["check", "--model", "bits", "--beta", "0.3", "--dim", "3", "--eta", "0.4",
+            "--score", "glauber"]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code in (0, 1) and out.startswith("[")
+    monkeypatch.setattr(cli, "make_parser", lambda: pytest.fail("parser rebuilt"))
+    ran = []
+    monkeypatch.setattr(cli, "cmd_check", lambda args: ran.append(args.score) or 7)
+    assert run_cli(capsys, *argv) == (7, "", "")
+    assert ran == ["glauber"]
+
+
 @pytest.mark.parametrize("argv", [
     ["simulate", "--model", "bits", "--beta", "0.3", "--dim", "3", "--sampler", "dula",
      "--eta", "0.5", "--steps", "10", "--seed", "-1"],

@@ -486,6 +486,85 @@ def test_false_generator_raises_before_the_z_loop(model, generator, kind, what, 
     assert built == []
 
 
+@pytest.mark.parametrize("model, kind", [
+    (BitsMixture(0.5, 8), "glauber"),
+    (IsingGrid(2, 3, 0.4, 0.1), "stein"),
+    # phi_z spans over a thousand: z terms of the exp form sit among the factored ones
+    (CurieWeiss(25.0, 0.0, 6), "glauber"),
+], ids=repr)
+@pytest.mark.parametrize("terms", [None, 3])
+def test_blocked_dmaps_flux_is_the_per_z_loop(model, kind, terms, monkeypatch):
+    """The flux summed over blocks of z terms equals, bit for bit, the flux
+    summed one row and one z at a time, which a tile of one row's bytes
+    forces. `terms` sizes the buffer to that many z terms per tile, so the
+    last block is short; None keeps the default buffer."""
+    field = ScoreField(model, kind)
+    n = 1 << model.dim
+    reps, rows, _ = kernels._dmaps_orbit_flux(model, field, 0.5)
+    if terms is not None:
+        tile = min(len(reps), kernels._FLUX_TILE_BYTES // (8 * n))
+        monkeypatch.setattr(kernels, "_FLUX_TILE_BYTES", 8 * n * tile * terms)
+        rows = kernels._dmaps_orbit_flux(model, field, 0.5)[1]
+    monkeypatch.setattr(kernels, "_FLUX_TILE_BYTES", 8 * n)
+    assert np.array_equal(rows, kernels._dmaps_orbit_flux(model, field, 0.5)[1])
+
+
+def _gathered_flip_log_kernel(logit):
+    """The flip log kernel read off the law of each row's flip patterns by
+    one gather: entry (k, j) is pattern k ^ j of row k."""
+    ks = np.arange(1 << logit.shape[1])
+    return kernels._flip_log_probs(logit)[ks[:, None], ks[:, None] ^ ks]
+
+
+@pytest.mark.parametrize("dim", range(1, 11))
+def test_destination_order_flip_log_kernel_is_the_gathered_one(dim):
+    rng = np.random.default_rng(dim)
+    n = 1 << dim
+    for scale in (3.0, 800.0):
+        logit = rng.uniform(-scale, scale, (n, dim))
+        assert np.array_equal(kernels._flip_log_kernel(logit), _gathered_flip_log_kernel(logit))
+    # one row of rates serves every state
+    logit = rng.uniform(-800.0, 800.0, (1, dim))
+    assert np.array_equal(kernels._flip_log_kernel(logit),
+                          _gathered_flip_log_kernel(np.repeat(logit, n, axis=0)))
+
+
+def _gathered_images(a, axes, dim, sigma, mask):
+    """`a` moved by the isometry as one gather per axis."""
+    img = isometry_images(dim, sigma, mask)
+    return a[np.ix_(*(img if ax == "x" else list(sigma) for ax in axes))]
+
+
+@pytest.mark.parametrize("dim", range(1, 10))
+def test_view_based_symmetry_check_is_the_gathered_one(dim):
+    """`_moved_view` reads every entry where the gathers of `isometry_images`
+    do, for random isometries; a part made invariant under one passes its
+    check, and a 2 SYMMETRY_TOL change at an entry it moves raises the
+    NumericalError that the gathered difference names."""
+    rng = np.random.default_rng(100 + dim)
+    n = 1 << dim
+    for _ in range(4):
+        sigma, mask = tuple(rng.permutation(dim).tolist()), int(rng.integers(n))
+        for axes, shape in (("xx", (n, n)), ("x", (n,)), ("xi", (n, dim))):
+            a = rng.uniform(0.5, 1.5, shape)
+            moved = kernels._moved_view(a, axes, dim, sigma, mask)
+            assert np.array_equal(moved.reshape(shape), _gathered_images(a, axes, dim, sigma, mask))
+            # constant on each orbit of the entries under the isometry
+            index = np.arange(a.size).reshape(shape)
+            image = _gathered_images(index, axes, dim, sigma, mask).ravel()
+            a = a.ravel()[orbit_minima(a.size, [image])].reshape(shape)
+            kernels._checked_images("part", dim, [(sigma, mask)], [("entries", a, axes)])
+            if np.array_equal(image, index.ravel()):
+                continue
+            at = np.unravel_index(np.flatnonzero(image != index.ravel())[0], shape)
+            a[at] += 2.0 * kernels.SYMMETRY_TOL * np.abs(a).max()
+            dev = np.abs(_gathered_images(a, axes, dim, sigma, mask) - a).max()
+            message = (f"part breaks the declared symmetry (sigma={sigma}, flip_mask={mask:#x}) "
+                       f"on its entries by {dev:.3e}")
+            with pytest.raises(NumericalError, match=re.escape(message)):
+                kernels._checked_images("part", dim, [(sigma, mask)], [("entries", a, axes)])
+
+
 def test_dmala_matrix_where_flip_probabilities_saturate():
     # glauber scores of CurieWeiss(8, 0, 5) reach 64, so expit(-2/eta - x_i s_i)
     # rounds to 1 at every state
