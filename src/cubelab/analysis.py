@@ -25,7 +25,7 @@ from .errors import CapabilityError, NumericalError
 from .kernels import KernelMatrix
 from .models import TargetModel, exact_target, log_weight_table, permutes_every_coordinate
 from .scores import ScoreField, smooth_beta_constants
-from .statespace import (adjacent_pairs, all_signs, cube_orbits, flip_neighbors,
+from .statespace import (adjacent_pairs, all_signs, cube_orbits, flip_neighbors, isometry_images,
                          symmetric_blocks)
 
 # a certificate costs one optimal-transport solve per orbit of hypercube
@@ -308,7 +308,8 @@ _BRACKET_MARGIN = 1e-9
 def _product_residual(rows: np.ndarray, marginals: np.ndarray) -> np.ndarray:
     """L1 distance of each row from the product law of its P(x_i = +1), which
     is the law of the flip pattern from the all-(-1) state 0."""
-    return np.abs(rows - np.exp(_k._flip_log_probs(logit(marginals)))).sum(axis=1)
+    start = np.zeros(marginals.shape, dtype=bool)
+    return np.abs(rows - np.exp(_k._flip_log_kernel(logit(marginals), start))).sum(axis=1)
 
 
 # one LP per group and batch size that the transport solves meet
@@ -420,8 +421,8 @@ def _sequential_coupling_costs(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """
     m, n = p.shape
     d = n.bit_length() - 1
-    ks = np.arange(n)
-    reversal = sum(((ks >> j) & 1) << (d - 1 - j) for j in range(d))
+    # the state map of the isometry that reverses the coordinates
+    reversal = isometry_images(d, range(d - 1, -1, -1), 0)
     costs = np.zeros((2, m))
     for order, (a, b) in enumerate([(p, q), (p[:, reversal], q[:, reversal])]):
         joint = np.ones((m, 1, 1))

@@ -28,15 +28,17 @@ whole batch of states on pre-drawn uniforms; the `*_step` functions run it
 on a single state. `kernel_matrix` is the one place that maps a sampler name
 to its dense builder.
 
-Every dense law of independent flips is summed in log-odds form by
-`_flip_log_kernel`, never from the log of a flip probability, so the kernels
-stay finite for every eta > 0, also where exp(-2/eta) underflows or a flip
-probability rounds to 1. dmala and dmaps share one rejected-mass fold.
+Every dense law of independent flips (the dula step, the dmala proposal, both
+stages of dups and dmaps, and the product laws that transport recognizes) is
+summed in log-odds form by the one function `_flip_log_kernel`, never from
+the log of a flip probability, so the kernels stay finite for every eta > 0,
+also where exp(-2/eta) underflows or a flip probability rounds to 1. dmala
+and dmaps share one rejected-mass fold.
 
 The dense builders and the symmetry checks move O(4^d) data with no
-(2^d, 2^d) gather: `_flip_log_kernel` sums per-state rates in destination
-order, `_checked_images` compares each array with a strided view of itself,
-and the dmaps sum takes its auxiliary states in blocks.
+(2^d, 2^d) gather: `_flip_log_kernel` sums flip rates in destination order,
+`_checked_images` compares each array with a strided view of itself, and the
+dmaps sum takes its auxiliary states in blocks.
 """
 
 from __future__ import annotations
@@ -206,41 +208,23 @@ def _check_dense(model: TargetModel, eta: float, score: ScoreField | None = None
         _check_score(model, score)
 
 
-def _flip_log_probs(logit: np.ndarray) -> np.ndarray:
-    """Log-probability of every flip pattern, for rows of per-coordinate log-odds.
+def _flip_log_kernel(logit: np.ndarray, origin: np.ndarray | None = None) -> np.ndarray:
+    """Log kernel of independent flips: entry (r, j) is the log-probability of
+    reaching state j from the state whose bits are `origin[r]`, coordinate i
+    flipping with log-odds logit[r, i], or logit[0, i] when `logit` has one
+    row. By default row k starts at state k, which makes the dense kernel;
+    all-false origins make each row's flip-pattern law.
 
-    logit[k, i] is the log-odds that coordinate i flips; entry (k, j) of the
-    result sums log sigma(logit[k, i]) over the set bits i of pattern j and
-    log sigma(-logit[k, i]) over the rest, so no flip probability is ever
-    rounded to 0 or 1 before its log is taken.
-    """
-    flip, stay = log_expit(logit), log_expit(-logit)
-    out = np.zeros((logit.shape[0], 1))
-    for i in range(logit.shape[1]):
-        # bit i is the most significant so far: its 0-half comes first
-        out = np.concatenate([out + stay[:, i:i + 1], out + flip[:, i:i + 1]], axis=1)
-    return out
-
-
-def _flip_log_kernel(logit: np.ndarray) -> np.ndarray:
-    """Dense log kernel of independent flips: entry (k, j) is the log-probability
-    of the pattern k ^ j under row k of `logit`, or under its only row when
-    the rates are the same at every state.
-
-    Per-state rates are summed in destination order: for bit i, column j
-    adds the flip term where bit i of j differs from bit i of k and the stay
-    term elsewhere. That is the sum `_flip_log_probs` forms for pattern
-    k ^ j, term for term in the same order, so the entries are the same
-    floats with no (2^d, 2^d) gather. One row of rates is one pattern law,
-    which a gather spreads as fast."""
+    The sum is taken in log-odds form, log sigma(logit) where bit i of j
+    differs from the origin's and log sigma(-logit) elsewhere, so no flip
+    probability is ever rounded to 0 or 1 before its log is taken. It runs
+    in destination order, bit 0 first, into one preallocated array, with no
+    (2^d, 2^d) gather."""
     d = logit.shape[1]
     n = 1 << d
-    if len(logit) == 1:
-        ks = np.arange(n)
-        return _flip_log_probs(logit)[0][ks[:, None] ^ ks]
+    own = unpack_words(np.arange(n), d) if origin is None else origin
     flip, stay = log_expit(logit), log_expit(-logit)
-    own = unpack_words(np.arange(n), d)
-    out = np.zeros((n, n))
+    out = np.zeros((len(own), n))
     for i in range(d):
         # columns [0, 2^i) hold the sums over bits below i; bit i of j is the
         # most significant so far, so its 1-half is the shifted copy
@@ -613,7 +597,11 @@ class Stepper:
 
     * `tables=False`: states are float arrays of +-1 coordinates, shaped
       (..., d), and every per-state quantity comes from the model's closed
-      forms, at any dimension.
+      forms, at any dimension. `start(states)` checks what a step reads at
+      its own (n, d) states and returns the carry of a first step from
+      them; `run_chain` and the `*_step` functions start with it. A target
+      that is finite there but overflows on a later proposal is not
+      checked: that would cost an `isfinite` per step.
     * `tables=True`: states are packed int64 words of any batch shape, and
       every per-state quantity is read from a table over all 2^d states.
       `simulate.sample_transitions` draws with it, one batched step from a
@@ -690,6 +678,7 @@ class Stepper:
         if not tables:
             self._bind_arrays()
             self._at = lambda x: features(x, score.signs(x))
+            self._score, self._features = score, features
             self._log_weight = model.log_weight_signs
             self._flip = self._move = lambda x, flips: np.where(flips, -x, x)
             self._stage_one = lambda flips: (flips, flips.astype(np.float64))
@@ -879,6 +868,20 @@ class Stepper:
         self._flip_dot = flip_dot
         self._move_dot = move_dot
 
+    def start(self, states: np.ndarray):
+        """The carry of a first +-1 step from the (n, d) `states`, once what a
+        step reads there is checked: the log weight and, but for dmaps, which
+        scores only its auxiliary states, the score and the step features.
+        ParameterError names the first state where one is not finite."""
+        words = pack_words(states > 0)
+        if self.sampler == "dmaps":
+            with np.errstate(all="ignore"):
+                lw = self._log_weight(states)
+            _require_finite_rows(self.model, lw, "log weight", words)
+            return (lw,)
+        _, at = _require_finite_features(self.model, self._score, self._features, states, words)
+        return at if self.sampler == "dmala" else None
+
     def _table_row(self, k):
         row = self._table.take(k, axis=0)
         return [row[..., c] for c in self._columns]
@@ -970,6 +973,22 @@ class Stepper:
         return nxt, ok, prop, z, carry
 
 
+def _require_finite_features(model: TargetModel, score: ScoreField, features,
+                             signs: np.ndarray, words) -> tuple:
+    """The log weight and the `features` of a `Stepper` at the (n, d) +-1
+    `signs`, evaluated with floating-point warnings off. ParameterError
+    (`models._require_finite_rows`) names words[k] at the first state where
+    the log weight, the score or a feature is not finite."""
+    with np.errstate(all="ignore"):
+        lw = model.log_weight_signs(signs)
+        s = score.signs(signs)
+        at = features(signs, s, lw)
+    for what, a in [("log weight", lw), (f"{score.kind} score", s),
+                    *(("step feature", a) for a in at)]:
+        _require_finite_rows(model, a, what, words)
+    return lw, at
+
+
 def _level_rows(model: TargetModel, score: ScoreField, features) -> tuple[list, list]:
     """Per level k = 0..d, the `features` of a `Stepper` (a (plus, minus)
     pair per level for a (..., d) one, a float for a per-state one) and the
@@ -977,7 +996,8 @@ def _level_rows(model: TargetModel, score: ScoreField, features) -> tuple[list, 
 
     The levels cover every state of an exchangeable target, so the log
     weight, the score and the features must be finite there, else
-    ParameterError as for the tables of all 2^d states. With the last k
+    ParameterError as for the tables of all 2^d states
+    (`_require_finite_features`). With the last k
     coordinates +1, the per-coordinate features and the log weight must
     equal, bit for bit, the level's values placed on that arrangement, else
     NumericalError: the target declares the permutations and breaks them
@@ -988,14 +1008,11 @@ def _level_rows(model: TargetModel, score: ScoreField, features) -> tuple[list, 
     d = model.dim
     first = np.where(np.arange(d) < np.arange(d + 1)[:, None], 1.0, -1.0)
     last = first[:, ::-1]
+    lw, at_first = _require_finite_features(model, score, features, first,
+                                            [(1 << k) - 1 for k in range(d + 1)])
     with np.errstate(all="ignore"):
-        lw, lw_last = model.log_weight_signs(first), model.log_weight_signs(last)
-        s = score.signs(first)
-        at_first = features(first, s, lw)
+        lw_last = model.log_weight_signs(last)
         at_last = features(last, score.signs(last), lw_last)
-    for what, a in [("log weight", lw), (f"{score.kind} score", s),
-                    *(("step feature", a) for a in at_first)]:
-        _require_finite_rows(model, a, what, [(1 << k) - 1 for k in range(d + 1)])
     same = np.array_equal(lw, lw_last)
     values = []
     for a, b in zip(at_first, at_last):
@@ -1014,12 +1031,15 @@ def _level_rows(model: TargetModel, score: ScoreField, features) -> tuple[list, 
 
 def _step_once(model: TargetModel, sampler: str, score: ScoreField | None, x: BitState,
                eta: float, rng: np.random.Generator) -> StepOutcome:
-    """One step from x through the closed-form stepper, on fresh uniforms."""
+    """One step from x through the closed-form stepper, on fresh uniforms;
+    ParameterError where the closed forms are not finite at x."""
     model._check_state(x)
     if score is not None:
         _check_score(model, score)
     st = Stepper(model, sampler, None if score is None else score.kind, eta, tables=False)
+    signs = x.signs().astype(np.float64)
+    st.start(signs[None])
     u = rng.random(st.uniforms_per_step)
-    nxt, ok, prop, aux, _ = st.step(x.signs().astype(np.float64), *st.prepare(u))
+    nxt, ok, prop, aux, _ = st.step(signs, *st.prepare(u))
     return StepOutcome(BitState.from_signs(nxt), bool(ok), BitState.from_signs(prop),
                        None if aux is None else BitState.from_signs(aux))

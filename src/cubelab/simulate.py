@@ -19,7 +19,9 @@ lockstep, and each step evaluates the model's closed forms once, on the
 proposals. The accepted states' features (dmala's score and log
 weight, dmaps's log weight) are carried to the next step in the stepper's
 carry, not evaluated again; the carry always equals the returned states'
-features evaluated afresh, bit for bit. A step in which every chain accepts
+features evaluated afresh, bit for bit. The closed forms at the starting
+states are evaluated once, checked for finiteness (`Stepper.start`) and
+carried into the first step. A step in which every chain accepts
 returns the proposals and their features as they stand, with no accept
 select. The paths of both vector forms are tallied as masks of the +1
 coordinates.
@@ -148,10 +150,11 @@ def run_chain(cfg: ChainConfig, dump_path: str | None = None) -> SimResult:
         states = np.array([rng.integers(0, 2, d) * 2 - 1 for rng in rngs],
                           dtype=np.float64)
         words = pack_words(states > 0)
+        # the tables and level rows were checked whole when `st` was built
+        carry = None if alone else st.start(states)
         plus_counts = np.zeros((chains, d), dtype=np.int64)
         hist = np.zeros((chains, d + 1), dtype=np.int64)
         trace = np.empty((block, chains, d), dtype=bool)
-    carry = None
     oks = np.empty((block, chains), dtype=bool)
     accepted = np.zeros(chains, dtype=np.int64)
     dumped = [] if dump_path is not None else None

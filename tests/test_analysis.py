@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from scipy import sparse
-from scipy.special import expit
+from scipy.special import expit, log_expit, logit
 
 from cubelab import analysis, kernels
 from cubelab.analysis import (
@@ -1098,6 +1098,70 @@ def test_sequential_couplings_of_product_laws_are_the_closed_form(d):
     costs = analysis._sequential_coupling_costs(laws[0], laws[1])
     closed = np.abs(marginals[0] - marginals[1]).sum(axis=1)
     np.testing.assert_allclose(costs, np.broadcast_to(closed, costs.shape), rtol=0, atol=1e-14)
+
+
+def _hand_reversal(d):
+    """State k with its bits in the opposite order, bit by bit."""
+    ks = np.arange(1 << d)
+    return sum(((ks >> j) & 1) << (d - 1 - j) for j in range(d))
+
+
+@pytest.mark.parametrize("d", range(1, 13))
+def test_the_coordinate_reversal_is_an_isometry_image(d):
+    assert np.array_equal(isometry_images(d, range(d - 1, -1, -1), 0), _hand_reversal(d))
+
+
+# the kernels that the benchmark's certify pass certifies, at its mid parameters
+CERTIFY_KERNELS = [
+    *((IndependentBits(0.5, 6), s, k, eta) for s in ("dula", "dmala", "dups", "dmaps")
+      for k in SCORE_KINDS for eta in (0.4, 0.8)),
+    *((model, s, "glauber", 0.8) for model in (BitsMixture(0.1, 5), CurieWeiss(0.02, 0.0, 5))
+      for s in ("dula", "dmala", "dups", "dmaps")),
+    (IsingGrid(2, 3, 0.4, 0.1), "dups", "stein", 0.8),
+    (IsingGrid(2, 3, 0.4, 0.1), "dmaps", "glauber", 0.8),
+]
+
+
+def _certify_rows():
+    for model, sampler, kind, eta in CERTIFY_KERNELS:
+        yield kernel_matrix(model, sampler, ScoreField(model, kind), eta).probs
+
+
+def test_sequential_coupling_orders_read_the_hand_built_reversal():
+    """Order [1] of the sequential coupling is order [0] of the laws with
+    their coordinates reversed by the hand-built map, bit for bit, on the
+    adjacent rows of every certify kernel. (Order [0] of the reversed laws
+    is order [1] only to roundoff: the gathered laws are laid out in
+    column-major order, and numpy's sums then round differently.)"""
+    for probs in _certify_rows():
+        d = probs.shape[0].bit_length() - 1
+        pairs, rev = adjacent_pairs(d), _hand_reversal(d)
+        p, q = probs[pairs[:, 0]], probs[pairs[:, 1]]
+        costs = analysis._sequential_coupling_costs(p, q)
+        flipped = analysis._sequential_coupling_costs(p[:, rev], q[:, rev])
+        assert np.array_equal(costs[1], flipped[0])
+        np.testing.assert_allclose(costs[0], flipped[1], rtol=0, atol=1e-14)
+
+
+def test_product_residuals_of_the_certify_rows_are_the_concatenated_ones():
+    """`_product_residual` on every row of the certify kernels, product laws
+    (dula, dups on `bits`) and others alike, equals the residual against
+    the product law summed by concatenation, bit for bit."""
+    seen = 0
+    for probs in _certify_rows():
+        d = probs.shape[0].bit_length() - 1
+        marginals = probs @ (all_signs(d) > 0).astype(np.float64)
+        lg = logit(marginals)
+        flip, stay = log_expit(lg), log_expit(-lg)
+        law = np.zeros((len(probs), 1))
+        for i in range(d):
+            law = np.concatenate([law + stay[:, i:i + 1], law + flip[:, i:i + 1]], axis=1)
+        residual = analysis._product_residual(probs, marginals)
+        assert np.array_equal(residual, np.abs(probs - np.exp(law)).sum(axis=1))
+        seen += (residual <= analysis._PRODUCT_TOL).all()
+    # every dula kernel, every dups kernel on `bits` and the glauber and stein
+    # dmaps kernels there are products on every row; the other 16 are not
+    assert seen == 18
 
 
 def test_product_law_w1_is_the_transport_value_of_each_dula_edge():

@@ -685,6 +685,37 @@ def test_a_level_chain_on_an_overflowing_target_exits_2(capsys):
                                     "has a non-finite log weight at state 0x0: inf"]
 
 
+@pytest.mark.parametrize("sampler", ["gibbs", "dula", "dmala", "dups", "dmaps"])
+def test_a_lockstep_chain_on_an_overflowing_target_exits_2(capsys, sampler):
+    """A 4x4 grid steps on +-1 vectors, which check the closed forms at the
+    chains' starting states as the 3x3 grid's tables check every state."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(capsys, "simulate", "--model", "ising", "--rows", "4",
+                                 "--cols", "4", "--J", "1e308", "--sampler", sampler,
+                                 "--eta", "0.5", "--steps", "5")
+    assert code == 2 and out == "" and caught == []
+    assert err.splitlines() == ["parameter error: IsingGrid(rows=4, cols=4, J=1e+308, h=0.0, "
+                                "periodic=False) has a non-finite log weight at state 0x9d33: inf"]
+
+
+def test_a_finite_lockstep_run_keeps_its_bytes(tmp_path, capsys):
+    """The start check changes no draw: a seeded 4x4 dmaps run writes the
+    bytes it wrote before the check existed."""
+    import hashlib
+
+    out, dump = tmp_path / "chains.csv", tmp_path / "dump.csv"
+    code, _, _ = run_cli(capsys, "simulate", "--model", "ising", "--rows", "4", "--cols", "4",
+                         "--J", "0.3", "--h", "0.1", "--sampler", "dmaps", "--eta", "0.5",
+                         "--steps", "300", "--chains", "3", "--seed", "7", "--out", str(out),
+                         "--dump", str(dump))
+    assert code == 0
+    assert (hashlib.sha256(out.read_bytes()).hexdigest()
+            == "85ec7e186cf4b8d1673d61c3354fd9a27059623e8c84829dfa6cc76e6e2f24d5")
+    assert (hashlib.sha256(dump.read_bytes()).hexdigest()
+            == "48b268abc12ededdd8e5e35f7c2f7d7148b65e5124edc14448a757482248bee3")
+
+
 def _no_constant(name):
     raise AssertionError(f"the document holds the non-JSON constant {name}")
 

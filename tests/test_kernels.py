@@ -30,7 +30,7 @@ from cubelab.models import (BitsMixture, CurieWeiss, IndependentBits, IsingGrid,
                             exact_target)
 from cubelab.scores import SCORE_KINDS, ScoreField, glauber_score
 from cubelab.statespace import (MAX_SIM_DIM, BitState, all_signs, hamming, isometry_images,
-                                orbit_minima, pack_words, state_of)
+                                orbit_minima, pack_words, state_of, unpack_words)
 
 SMALL_MODELS = [
     IndependentBits(0.5, 3),
@@ -509,24 +509,48 @@ def test_blocked_dmaps_flux_is_the_per_z_loop(model, kind, terms, monkeypatch):
     assert np.array_equal(rows, kernels._dmaps_orbit_flux(model, field, 0.5)[1])
 
 
-def _gathered_flip_log_kernel(logit):
+def _pattern_log_probs(logit):
+    """The log-probability of every flip pattern under each row of
+    per-coordinate log-odds, by concatenation: bit i is the most significant
+    so far, so its 0-half comes first."""
+    flip, stay = log_expit(logit), log_expit(-logit)
+    out = np.zeros((logit.shape[0], 1))
+    for i in range(logit.shape[1]):
+        out = np.concatenate([out + stay[:, i:i + 1], out + flip[:, i:i + 1]], axis=1)
+    return out
+
+
+def _gathered_flip_log_kernel(logit, origin_words):
     """The flip log kernel read off the law of each row's flip patterns by
-    one gather: entry (k, j) is pattern k ^ j of row k."""
+    one gather: entry (r, j) is pattern origin_words[r] ^ j of row r."""
     ks = np.arange(1 << logit.shape[1])
-    return kernels._flip_log_probs(logit)[ks[:, None], ks[:, None] ^ ks]
+    rows = np.arange(len(origin_words))[:, None]
+    return _pattern_log_probs(logit)[rows, origin_words[:, None] ^ ks]
 
 
-@pytest.mark.parametrize("dim", range(1, 11))
+@pytest.mark.parametrize("dim", range(1, 13))
 def test_destination_order_flip_log_kernel_is_the_gathered_one(dim):
     rng = np.random.default_rng(dim)
     n = 1 << dim
-    for scale in (3.0, 800.0):
+    ks = np.arange(n)
+    for scale in (3.0, 800.0) if dim <= 10 else ():
         logit = rng.uniform(-scale, scale, (n, dim))
-        assert np.array_equal(kernels._flip_log_kernel(logit), _gathered_flip_log_kernel(logit))
-    # one row of rates serves every state
+        assert np.array_equal(kernels._flip_log_kernel(logit), _gathered_flip_log_kernel(logit, ks))
+        # from all-false origins, each row's law of flip patterns (the product laws)
+        start = np.zeros((n, dim), dtype=bool)
+        assert np.array_equal(kernels._flip_log_kernel(logit, start), _pattern_log_probs(logit))
+        # from any origins, row r's pattern law moved to origin r
+        words = rng.integers(0, n, n)
+        assert np.array_equal(kernels._flip_log_kernel(logit, unpack_words(words, dim)),
+                              _gathered_flip_log_kernel(logit, words))
+    # one row of rates serves every state; compared in blocks of rows, since
+    # the gather's index alone is 4^d words
     logit = rng.uniform(-800.0, 800.0, (1, dim))
-    assert np.array_equal(kernels._flip_log_kernel(logit),
-                          _gathered_flip_log_kernel(np.repeat(logit, n, axis=0)))
+    law = _pattern_log_probs(logit)[0]
+    out = kernels._flip_log_kernel(logit)
+    assert out.shape == (n, n)
+    for r in range(0, n, 256):
+        assert np.array_equal(out[r:r + 256], law[ks[r:r + 256, None] ^ ks])
 
 
 def _gathered_images(a, axes, dim, sigma, mask):
@@ -887,6 +911,32 @@ def test_level_tables_name_the_state_of_a_non_finite_level():
     model = Spiked(0.01, 0.0, 16)
     with pytest.raises(ParameterError, match=re.escape("non-finite log weight at state 0x7")):
         kernels.Stepper(model, "dula", "stein", 0.8, tables=False, scalar=True)
+
+
+@pytest.mark.parametrize("sampler", kernels.STEP_SAMPLERS)
+def test_steps_refuse_a_start_where_the_closed_forms_overflow(sampler):
+    """A +-1 step checks its own state: the log weight of a 4x4 grid at
+    J = 1e308 overflows at state 0x1 (20 agreeing edges), and dmala's base
+    overflows on `bits` at d = 12 where the log weight and the score do
+    not. A run's lockstep chains are checked where they start."""
+    from cubelab.simulate import ChainConfig, run_chain
+
+    steps = {"gibbs": gibbs_step, "dula": dula_step, "dmala": dmala_step,
+             "dups": dups_step, "dmaps": dmaps_step}
+    grid = IsingGrid(4, 4, 1e308, 0.0)
+    args = () if sampler == "gibbs" else (ScoreField(grid, "glauber"),)
+    with pytest.raises(ParameterError, match=re.escape(
+            f"{grid!r} has a non-finite log weight at state 0x1: inf")):
+        steps[sampler](grid, *args, state_of(1, 16), 0.5, np.random.default_rng(0))
+    with pytest.raises(ParameterError, match=re.escape(f"{grid!r} has a non-finite log weight")):
+        run_chain(ChainConfig(sampler, grid, None if sampler == "gibbs" else "glauber", 0.5,
+                              steps=5))
+    bits = IndependentBits(1.3e307, 12)
+    if sampler == "dmala":
+        with pytest.raises(ParameterError, match=re.escape(
+                f"{bits!r} has a non-finite step feature at state 0x0: -inf")):
+            dmala_step(bits, ScoreField(bits, "glauber"), state_of(0, 12), 0.5,
+                       np.random.default_rng(0))
 
 
 def test_dmala_steppers_evaluate_the_log_weights_once(monkeypatch):
