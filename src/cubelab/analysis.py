@@ -193,13 +193,14 @@ def _eigenvalues(kernel: KernelMatrix, pi: np.ndarray, reversible: bool) -> np.n
     Phi_j of `statespace.symmetric_blocks` into itself, and Phi_j reads off
     the coefficients at its row states, so its matrix there is
     B_j = K[rows_j] @ Phi_j, and the spectrum is that of every B_j, each
-    repeated by its multiplicity. Without S_d the one block is K itself.
+    repeated by its multiplicity. Without S_d, or at d <= 2, where the
+    cube has at most 4 states, the one block is K itself.
     A reversible kernel is self-adjoint in L2(pi), whose Gram matrix on the
     block basis is diagonal, r^2 = pi @ Phi_j^2 (pi on the cube), so
     D^{1/2} B D^{-1/2} with D = diag(r^2) is symmetric.
     """
     t = kernel.probs
-    if permutes_every_coordinate(kernel.dim, kernel.symmetries):
+    if kernel.dim >= 3 and permutes_every_coordinate(kernel.dim, kernel.symmetries):
         blocks = [(t[rows] @ phi, np.sqrt(pi @ phi**2), mult)
                   for phi, rows, mult in symmetric_blocks(kernel.dim)]
     else:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import dataclasses
 import functools
 import json
 import math
@@ -61,19 +62,16 @@ def _jsonable(value):
     return value
 
 
-# each `--model` choice: its class and the flags it is built from, in argument order
-_MODEL_RECIPES = {
-    "bits": (IndependentBits, ("beta", "dim")),
-    "mixture": (BitsMixture, ("beta", "dim")),
-    "ising": (IsingGrid, ("rows", "cols", "J", "h", "periodic")),
-    "curieweiss": (CurieWeiss, ("beta", "b", "dim")),
-}
+# each `--model` choice: the family of that name
+_MODELS = {cls.name: cls for cls in (IndependentBits, BitsMixture, IsingGrid, CurieWeiss)}
 
 
 def build_model(args) -> TargetModel:
-    """The target `args.model` names, built from its `_MODEL_RECIPES` flags;
-    ParameterError names every one of them left unset."""
-    cls, flags = _MODEL_RECIPES[args.model]
+    """The target `args.model` names, built from the flags named after its
+    dataclass fields, in field order; ParameterError names every one of
+    them left unset."""
+    cls = _MODELS[args.model]
+    flags = [f.name for f in dataclasses.fields(cls)]
     missing = [f for f in flags if getattr(args, f, None) is None]
     if missing:
         raise ParameterError(f"model {args.model!r} requires --" + ", --".join(missing))
@@ -351,7 +349,7 @@ def _trajectory_lines(traj: ctmc.Trajectory):
 
 
 def _add_model_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--model", required=True, choices=list(_MODEL_RECIPES))
+    p.add_argument("--model", required=True, choices=list(_MODELS))
     p.add_argument("--beta", type=float, help="bits/mixture/curieweiss strength")
     p.add_argument("--dim", type=int, help="dimension for bits/mixture/curieweiss")
     p.add_argument("--rows", type=int, help="ising grid rows")

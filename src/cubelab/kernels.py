@@ -43,6 +43,7 @@ dmaps sum takes its auxiliary states in blocks.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import operator
 from bisect import bisect_left, bisect_right
@@ -600,8 +601,10 @@ class Stepper:
       forms, at any dimension. `start(states)` checks what a step reads at
       its own (n, d) states and returns the carry of a first step from
       them; `run_chain` and the `*_step` functions start with it. A target
-      that is finite there but overflows on a later proposal is not
-      checked: that would cost an `isfinite` per step.
+      that is finite there but overflows on a later proposal raises
+      ParameterError from `_raising_step_faults`, the context in which
+      `run_chain` runs each block of steps and a `*_step` function its one
+      step; no `isfinite` runs per step.
     * `tables=True`: states are packed int64 words of any batch shape, and
       every per-state quantity is read from a table over all 2^d states.
       `simulate.sample_transitions` draws with it, one batched step from a
@@ -697,11 +700,8 @@ class Stepper:
             self._accept = accept
             return
         signs = all_signs(d).astype(np.float64)
-        log_weight = log_weight_table(model)
-        with np.errstate(all="ignore"):
-            table_features = features(signs, score.table(), log_weight)
-        for f in table_features:
-            _require_finite_rows(model, f, "step feature")
+        log_weight, table_features = _require_finite_features(
+            model, score, features, signs, range(1 << d))
         if scalar:
             self._bind_scalar(table_features, log_weight)
             return
@@ -1029,10 +1029,26 @@ def _level_rows(model: TargetModel, score: ScoreField, features) -> tuple[list, 
     return list(zip(*values)), lw.tolist()
 
 
+@contextlib.contextmanager
+def _raising_step_faults(model: TargetModel, sampler: str, where):
+    """Run +-1 steps with floating-point overflow, invalid operations and
+    division by zero raised, and turn the FloatingPointError into a
+    ParameterError naming the model, the sampler and the step `where()`
+    describes: a closed form that overflows on a proposal, past the states
+    that `Stepper.start` checked. One context serves a whole block of steps."""
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            yield
+    except FloatingPointError as exc:
+        raise ParameterError(
+            f"{model!r} has a non-finite {sampler} step {where()}: {exc}") from exc
+
+
 def _step_once(model: TargetModel, sampler: str, score: ScoreField | None, x: BitState,
                eta: float, rng: np.random.Generator) -> StepOutcome:
     """One step from x through the closed-form stepper, on fresh uniforms;
-    ParameterError where the closed forms are not finite at x."""
+    ParameterError where the closed forms are not finite at x or on the
+    states the step reaches."""
     model._check_state(x)
     if score is not None:
         _check_score(model, score)
@@ -1040,6 +1056,7 @@ def _step_once(model: TargetModel, sampler: str, score: ScoreField | None, x: Bi
     signs = x.signs().astype(np.float64)
     st.start(signs[None])
     u = rng.random(st.uniforms_per_step)
-    nxt, ok, prop, aux, _ = st.step(signs, *st.prepare(u))
+    with _raising_step_faults(model, sampler, lambda: f"from state {x.bits:#x}"):
+        nxt, ok, prop, aux, _ = st.step(signs, *st.prepare(u))
     return StepOutcome(BitState.from_signs(nxt), bool(ok), BitState.from_signs(prop),
                        None if aux is None else BitState.from_signs(aux))

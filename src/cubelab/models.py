@@ -26,18 +26,17 @@ class TargetModel:
 
     Subclasses provide `log_weight_signs` (the unnormalized log-density),
     plus closed-form single-flip and smooth-continuation gradients used by
-    the score machinery. Instances are frozen dataclasses with finite
-    parameters: immutable and hashable, so equal instances share one
-    memoized log-weight table and one score table per kind. Evaluation is
-    pure.
+    the score machinery, and a class attribute `name`, the family's
+    `--model` choice. Instances are frozen dataclasses with finite
+    parameters, whose fields in order are the family's constructor and
+    command-line parameters: immutable and hashable, so equal instances
+    share one memoized log-weight table and one score table per kind.
+    Evaluation is pure. `symmetries()` is the one place a family declares
+    its isometries; `exchangeable` is read from them.
     """
 
     dim: int
-    # True where every coordinate permutation leaves the log weight
-    # unchanged, so it depends on a state only through its +1 count; the
-    # default `symmetries()` then declares two generators of them (see
-    # `_exchangeable`). Chain runs read this flag, not those generators.
-    exchangeable = False
+    name: str
 
     def log_weight_signs(self, signs: np.ndarray) -> np.ndarray:
         """Unnormalized log-density for (..., d) arrays of +-1 coordinates."""
@@ -60,12 +59,13 @@ class TargetModel:
         and is checked on them; the dmaps builder also needs each score's
         tilt x_i s(x)_i to move with the coordinates, and checks it first.
         """
-        return _exchangeable(self.dim, self._flip_invariant()) if self.exchangeable else ()
+        return ()
 
-    def _flip_invariant(self) -> bool:
-        """Whether flipping every coordinate leaves an exchangeable model's
-        log weight unchanged, so that `symmetries()` also declares it."""
-        return False
+    @property
+    def exchangeable(self) -> bool:
+        """Whether `symmetries()` declares every coordinate permutation
+        (`permutes_every_coordinate`); chain runs read it to pick their path."""
+        return permutes_every_coordinate(self.dim, self.symmetries())
 
     def _check_state(self, x: BitState) -> None:
         """ValueError unless x is a state of this model's dimension."""
@@ -75,10 +75,6 @@ class TargetModel:
     def log_weight(self, x: BitState) -> float:
         self._check_state(x)
         return float(self.log_weight_signs(x.signs().astype(np.float64)))
-
-    @property
-    def name(self) -> str:
-        raise NotImplementedError
 
 
 def _check_dim(dim: int) -> None:
@@ -106,7 +102,7 @@ def _exchangeable(dim: int, global_flip: bool) -> tuple:
     (0 1) and, for d >= 3, the cyclic shift i -> i + 1 mod d; and optionally
     the global flip. Their state orbits are the d + 1 classes of the +1
     count (floor(d/2) + 1 with the flip), and a kernel check costs one
-    gather per generator whatever d is."""
+    strided view per generator whatever d is."""
     ident = list(range(dim))
     gens = [(tuple([1, 0] + ident[2:]), 0)] if dim >= 2 else []
     if dim >= 3:
@@ -118,11 +114,11 @@ def _exchangeable(dim: int, global_flip: bool) -> tuple:
 
 def permutes_every_coordinate(dim: int, generators: tuple) -> bool:
     """Whether the isometries `generators`, as `cube_orbits` normalizes
-    them, include both permutations of `_exchangeable`, the transposition
-    and the cyclic shift, and so generate the symmetric group S_d (d >= 3;
-    below that the cube has at most 4 states)."""
-    perms = _exchangeable(dim, False)
-    return len(perms) == 2 and set(perms) <= set(generators)
+    them, include the permutations of `_exchangeable`, and so generate the
+    symmetric group S_d: the transposition and the cyclic shift for d >= 3,
+    the transposition alone, which is all of S_2, at d = 2, and nothing at
+    d = 1."""
+    return set(_exchangeable(dim, False)) <= set(generators)
 
 
 @dataclass(frozen=True)
@@ -131,7 +127,7 @@ class IndependentBits(TargetModel):
 
     beta: float
     dim: int
-    exchangeable = True
+    name = "bits"
 
     def __post_init__(self):
         _check_dim(self.dim)
@@ -146,12 +142,9 @@ class IndependentBits(TargetModel):
 
     stein_score_signs = glauber_score_signs
 
-    def _flip_invariant(self):
-        return self.beta == 0
-
-    @property
-    def name(self):
-        return "bits"
+    def symmetries(self):
+        """Every coordinate permutation, and the global flip at beta = 0."""
+        return _exchangeable(self.dim, self.beta == 0)
 
 
 @dataclass(frozen=True)
@@ -164,7 +157,7 @@ class BitsMixture(TargetModel):
 
     beta: float
     dim: int
-    exchangeable = True
+    name = "mixture"
 
     def __post_init__(self):
         _check_dim(self.dim)
@@ -192,12 +185,9 @@ class BitsMixture(TargetModel):
         s = signs.sum(axis=-1, keepdims=True)
         return np.broadcast_to(self.beta * np.tanh(self.beta * s), signs.shape).copy()
 
-    def _flip_invariant(self):
-        return True
-
-    @property
-    def name(self):
-        return "mixture"
+    def symmetries(self):
+        """Every coordinate permutation and the global flip."""
+        return _exchangeable(self.dim, True)
 
 
 @dataclass(frozen=True)
@@ -214,6 +204,7 @@ class IsingGrid(TargetModel):
     J: float
     h: float = 0.0
     periodic: bool = False
+    name = "ising"
 
     def __post_init__(self):
         if self.rows < 1 or self.cols < 1:
@@ -289,10 +280,6 @@ class IsingGrid(TargetModel):
             gens.append((ident, (1 << self.dim) - 1))
         return tuple(gens)
 
-    @property
-    def name(self):
-        return "ising"
-
 
 @dataclass(frozen=True)
 class CurieWeiss(TargetModel):
@@ -301,7 +288,7 @@ class CurieWeiss(TargetModel):
     beta: float
     b: float
     dim: int
-    exchangeable = True
+    name = "curieweiss"
 
     def __post_init__(self):
         _check_dim(self.dim)
@@ -321,12 +308,9 @@ class CurieWeiss(TargetModel):
         s = signs.sum(axis=-1, keepdims=True)
         return np.broadcast_to(2.0 * self.beta * (s - self.b), signs.shape).copy()
 
-    def _flip_invariant(self):
-        return self.b == 0
-
-    @property
-    def name(self):
-        return "curieweiss"
+    def symmetries(self):
+        """Every coordinate permutation, and the global flip at b = 0."""
+        return _exchangeable(self.dim, self.b == 0)
 
 
 def _require_finite_rows(model: TargetModel, table: np.ndarray, what: str, words=None) -> None:

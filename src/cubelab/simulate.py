@@ -8,8 +8,9 @@ checks). There every chain steps alone, one after another in
 each block, on a Python int with its table rows as Python lists, so a step
 makes no numpy call and a run costs time linear in its chain count.
 
-Beyond the table cap, a target that declares every coordinate permutation
-(bits, mixture, curieweiss) has features that depend on a state only
+Beyond the table cap, a target whose `symmetries()` declare every
+coordinate permutation (bits, mixture, curieweiss; read through
+`TargetModel.exchangeable`) has features that depend on a state only
 through x_i and its +1 count. Up to `kernels.LEVEL_DIM_CAP`, its chains
 step alone in the same way, on a Python int word against a table of the
 d + 1 levels, built once from the closed forms; a step makes no numpy
@@ -21,10 +22,12 @@ weight, dmaps's log weight) are carried to the next step in the stepper's
 carry, not evaluated again; the carry always equals the returned states'
 features evaluated afresh, bit for bit. The closed forms at the starting
 states are evaluated once, checked for finiteness (`Stepper.start`) and
-carried into the first step. A step in which every chain accepts
-returns the proposals and their features as they stand, with no accept
-select. The paths of both vector forms are tallied as masks of the +1
-coordinates.
+carried into the first step. Each block of lockstep steps runs with
+floating-point overflow raised, so a proposal whose closed forms overflow
+stops the run with a ParameterError naming the step. A step in which
+every chain accepts returns the proposals and their features as they
+stand, with no accept select. The paths of both vector forms are tallied
+as masks of the +1 coordinates.
 
 Chains are reproducible: the 64-bit config seed feeds a numpy SeedSequence
 whose spawned children, one per chain index, drive independent PCG64
@@ -43,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapabilityError, ParameterError
-from .kernels import LEVEL_DIM_CAP, Stepper, _check_step
+from .kernels import LEVEL_DIM_CAP, Stepper, _check_step, _raising_step_faults
 from .models import TargetModel
 from .statespace import BitState, all_signs, pack_words, unpack_words
 
@@ -149,9 +152,12 @@ def run_chain(cfg: ChainConfig, dump_path: str | None = None) -> SimResult:
     else:
         states = np.array([rng.integers(0, 2, d) * 2 - 1 for rng in rngs],
                           dtype=np.float64)
-        words = pack_words(states > 0)
-        # the tables and level rows were checked whole when `st` was built
-        carry = None if alone else st.start(states)
+        # level rows were checked whole when `st` was built; lockstep chains
+        # check what a step reads at their own starting states
+        if alone:
+            words = pack_words(states > 0)
+        else:
+            carry = st.start(states)
         plus_counts = np.zeros((chains, d), dtype=np.int64)
         hist = np.zeros((chains, d + 1), dtype=np.int64)
         trace = np.empty((block, chains, d), dtype=bool)
@@ -174,10 +180,12 @@ def run_chain(cfg: ChainConfig, dump_path: str | None = None) -> SimResult:
                 trace[:n, c] = path if table_mode else unpack_words(path, d)
                 oks[:n, c] = flags
         else:
-            for t, operands in enumerate(zip(*st.prepare(np.stack(u, axis=1)))):
-                states, ok, _, _, carry = step(states, *operands, carry)
-                trace[t] = states > 0
-                oks[t] = ok
+            t = 0
+            with _raising_step_faults(cfg.model, cfg.sampler, lambda: f"at step {t0 + t}"):
+                for t, operands in enumerate(zip(*st.prepare(np.stack(u, axis=1)))):
+                    states, ok, _, _, carry = step(states, *operands, carry)
+                    trace[t] = states > 0
+                    oks[t] = ok
         accepted += oks[:n].sum(axis=0)
         kept = trace[retained(t0, n) - t0]
         if table_mode:

@@ -31,7 +31,8 @@ from cubelab.kernels import (
     gibbs_matrix,
     kernel_matrix,
 )
-from cubelab.models import BitsMixture, CurieWeiss, IndependentBits, IsingGrid, exact_target
+from cubelab.models import (BitsMixture, CurieWeiss, IndependentBits, IsingGrid, exact_target,
+                            permutes_every_coordinate)
 from cubelab.scores import SCORE_KINDS, ScoreField, smooth_beta_constants
 from cubelab.statespace import (adjacent_pairs, all_signs, cube_orbits, hamming, isometry_images,
                                 orbit_minima, state_of)
@@ -382,6 +383,26 @@ def test_kernels_without_every_permutation_take_the_dense_eigensolve(monkeypatch
     sides.clear()
     spectral_summary(dups)
     assert sides == [7, 5, 3, 1]
+
+
+@pytest.mark.parametrize("model", [
+    IndependentBits(0.4, 1), IndependentBits(0.4, 2), BitsMixture(0.5, 2),
+    CurieWeiss(0.3, 0.2, 2), IsingGrid(1, 2, 0.4, 0.1),
+], ids=repr)
+def test_kernels_at_d_1_and_2_keep_the_dense_eigensolve(monkeypatch, model):
+    """At d <= 2 every kernel of these targets carries every coordinate
+    permutation (none at d = 1, the transposition at d = 2), yet it is
+    solved as one 2^d-square matrix, with the lambda2 of the kernel on the
+    cube bit for bit."""
+    sides = _solved_sides(monkeypatch)
+    for config, kernel in _kernels(model, 0.6):
+        assert permutes_every_coordinate(model.dim, kernel.symmetries), config
+        cube = replace(kernel, symmetries=())
+        pi = stationary(cube)
+        sides.clear()
+        lam2 = spectral_summary(kernel, pi).lambda2
+        assert sides == [1 << model.dim], config
+        assert lam2 == spectral_summary(cube, pi).lambda2, config
 
 
 def test_wasserstein_needs_a_power_of_two_length():

@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import os
+import re
 import warnings
 from types import SimpleNamespace
 
@@ -697,6 +698,59 @@ def test_a_lockstep_chain_on_an_overflowing_target_exits_2(capsys, sampler):
     assert code == 2 and out == "" and caught == []
     assert err.splitlines() == ["parameter error: IsingGrid(rows=4, cols=4, J=1e+308, h=0.0, "
                                 "periodic=False) has a non-finite log weight at state 0x9d33: inf"]
+
+
+@pytest.mark.parametrize("sampler", ["gibbs", "dula", "dmala", "dups", "dmaps"])
+def test_a_lockstep_chain_that_overflows_on_a_later_proposal_exits_2(capsys, sampler):
+    """At J = 1e307 the 4x4 grid's chains start finite. dmala's base and
+    dmaps's log weight overflow on later proposals: the run exits 2 with
+    one stderr line naming the step, and no warning. The closed forms that
+    gibbs, dula and dups read stay finite there, and they run through."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(capsys, "simulate", "--model", "ising", "--rows", "4",
+                                 "--cols", "4", "--J", "1e307", "--sampler", sampler,
+                                 "--eta", "0.5", "--steps", "200")
+    assert caught == []
+    stops = {"dmala": 66, "dmaps": 10}
+    if sampler not in stops:
+        assert code == 0 and err == "" and out.startswith("chain,")
+        return
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("parameter error: IsingGrid(rows=4, cols=4, J=1e+307, h=0.0, "
+                          f"periodic=False) has a non-finite {sampler} step at step "
+                          f"{stops[sampler]}: overflow encountered in ")
+
+
+def test_every_target_family_is_a_model_choice_built_from_its_fields():
+    """Each `TargetModel` subclass of `cubelab.models` is a `--model` choice
+    under its `name`, built from the flags named after its dataclass
+    fields, in field order; a missing flag is named in that order."""
+    import dataclasses
+    import inspect
+
+    from cubelab import models
+
+    families = [cls for _, cls in inspect.getmembers(models, inspect.isclass)
+                if issubclass(cls, models.TargetModel) and cls is not models.TargetModel]
+    parser = cli.make_parser()
+    assert sorted(cls.name for cls in families) == sorted(cli._MODELS)
+    values = {"beta": 0.25, "dim": 3, "b": 0.5, "rows": 2, "cols": 3, "J": 0.75, "h": -0.125,
+              "periodic": True}
+    missing = {"bits": "beta, --dim", "mixture": "beta, --dim", "ising": "rows, --cols, --J",
+               "curieweiss": "beta, --dim"}
+    for cls in families:
+        assert cli._MODELS[cls.name] is cls
+        fields = [f.name for f in dataclasses.fields(cls)]
+        flags = [a for f in fields
+                 for a in (["--periodic"] if f == "periodic" else [f"--{f}", str(values[f])])]
+        args = parser.parse_args(["bounds", "--model", cls.name, "--eta", "0.5", *flags])
+        assert cli.build_model(args) == cls(**{f: values[f] for f in fields})
+        args = parser.parse_args(["bounds", "--model", cls.name, "--eta", "0.5"])
+        with pytest.raises(ParameterError, match=re.escape(
+                f"model {cls.name!r} requires --{missing[cls.name]}")):
+            cli.build_model(args)
 
 
 def test_a_finite_lockstep_run_keeps_its_bytes(tmp_path, capsys):

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -418,12 +419,10 @@ def test_dmaps_flux_falls_back_where_exp_underflows(model, kind, monkeypatch):
         assert np.isnan(_dmaps_flux(model, field, 0.5)).any()
 
 
-def _declaring(model, symmetries, **attributes):
-    """An equal-parameter copy of `model` that declares `symmetries` instead,
-    and sets any other class `attributes`."""
+def _declaring(model, symmetries):
+    """An equal-parameter copy of `model` that declares `symmetries` instead."""
     cls = type(model)
-    declaring = type("Declaring" + cls.__name__, (cls,),
-                     {"symmetries": lambda self: symmetries, **attributes})
+    declaring = type("Declaring" + cls.__name__, (cls,), {"symmetries": lambda self: symmetries})
     return declaring(**{f.name: getattr(model, f.name) for f in dataclasses.fields(model)})
 
 
@@ -849,8 +848,7 @@ def test_gibbs_level_pick_at_the_full_flip_mass(family):
 
 
 @pytest.mark.parametrize("model, kind", [
-    (_declaring(IsingGrid(4, 4, 0.3, 0.1), _exchangeable(16, False), exchangeable=True),
-     "glauber"),
+    (_declaring(IsingGrid(4, 4, 0.3, 0.1), _exchangeable(16, False)), "glauber"),
     (_TiltedStein(0.05, 0.0, 16), "stein"),
 ], ids=["ising-log-weight", "tilted-stein-score"])
 def test_level_tables_of_a_false_exchangeability_raise(model, kind):
@@ -937,6 +935,21 @@ def test_steps_refuse_a_start_where_the_closed_forms_overflow(sampler):
                 f"{bits!r} has a non-finite step feature at state 0x0: -inf")):
             dmala_step(bits, ScoreField(bits, "glauber"), state_of(0, 12), 0.5,
                        np.random.default_rng(0))
+
+
+def test_a_step_whose_proposal_overflows_is_a_parameter_error():
+    """A step checks its own state, and the proposal it reaches is checked
+    as it is evaluated: from a finite state of `bits` at beta = 1e307 and
+    d = 20 (ten +1 coordinates, log weight 0), every -1 coordinate flips
+    with probability 1, and the all-+1 proposal's log weight 2e308
+    overflows. No warning escapes."""
+    model = IndependentBits(1e307, 20)
+    x = state_of((1 << 10) - 1, 20)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParameterError, match=re.escape(
+                f"{model!r} has a non-finite dmala step from state 0x3ff: overflow")):
+            dmala_step(model, ScoreField(model, "glauber"), x, 0.5, np.random.default_rng(0))
 
 
 def test_dmala_steppers_evaluate_the_log_weights_once(monkeypatch):

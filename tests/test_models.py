@@ -6,7 +6,8 @@ import pytest
 from scipy.special import expit
 
 from cubelab.errors import CapabilityError, ParameterError
-from cubelab.models import BitsMixture, CurieWeiss, IndependentBits, IsingGrid, exact_target
+from cubelab.models import (BitsMixture, CurieWeiss, IndependentBits, IsingGrid, _exchangeable,
+                            exact_target, permutes_every_coordinate)
 from cubelab.statespace import all_signs, isometry_images, orbit_minima, state_of
 
 ALL_SMALL_MODELS = [
@@ -202,6 +203,51 @@ def test_declared_symmetries_preserve_the_log_weight(model, count):
         orbits = orbit_minima(1 << d, [isometry_images(d, *g) for g in gens])
         assert np.unique(orbits).size == (d // 2 + 1 if flip else d + 1)
         assert np.array_equal(key[orbits], key)
+
+
+@pytest.mark.parametrize("dim", range(1, 5))
+def test_every_coordinate_permutation_takes_both_generators_above_d_2(dim):
+    """S_1 is trivial, so nothing is needed at d = 1; the transposition is
+    all of S_2; from d = 3 the cyclic shift must join it. The global flip
+    adds no permutation."""
+    perms = _exchangeable(dim, False)
+    flip = ((tuple(range(dim)), (1 << dim) - 1),)
+    assert len(perms) == min(dim - 1, 2)
+    assert permutes_every_coordinate(dim, ()) == (dim == 1)
+    assert permutes_every_coordinate(dim, flip) == (dim == 1)
+    assert permutes_every_coordinate(dim, perms[:1] + flip) == (dim <= 2)
+    assert permutes_every_coordinate(dim, perms[1:]) == (dim == 1)
+    assert permutes_every_coordinate(dim, perms)
+    assert permutes_every_coordinate(dim, flip + perms[::-1])
+
+
+@pytest.mark.parametrize("model, flip", [
+    (IndependentBits(0.5, 5), False), (IndependentBits(0.0, 5), True), (BitsMixture(0.5, 5), True),
+    (CurieWeiss(0.3, 0.5, 5), False), (CurieWeiss(0.3, 0.0, 5), True),
+    (IndependentBits(0.5, 1), False), (IndependentBits(0.0, 1), True), (BitsMixture(0.5, 2), True),
+], ids=repr)
+def test_the_exchangeable_families_declare_both_permutations(model, flip):
+    """bits, mixture and curieweiss declare the permutations of
+    `_exchangeable`, with the global flip at beta = 0, always, and b = 0,
+    and are exchangeable through them."""
+    assert model.symmetries() == _exchangeable(model.dim, flip)
+    assert model.exchangeable
+
+
+@pytest.mark.parametrize("model, exchangeable", [
+    (IsingGrid(1, 1, 0.4, 0.1), True), (IsingGrid(1, 2, 0.4, 0.1), True),
+    (IsingGrid(2, 1, 0.4, 0.0), True), (IsingGrid(1, 3, 0.4, 0.1), False),
+    (IsingGrid(2, 2, 0.4, 0.0), False), (IsingGrid(3, 3, 0.4, 0.1, periodic=True), False),
+], ids=repr)
+def test_exchangeability_is_read_from_the_declared_generators(model, exchangeable):
+    """A grid declares its own reflections; at 1x1 and 1x2 they are all of
+    S_1 and S_2, so the grid reads as exchangeable, and from d = 3 never,
+    since no grid declares the transposition (0 1) and the cyclic shift.
+    The property cannot be set apart from the generators."""
+    assert model.exchangeable == exchangeable
+    assert model.exchangeable == permutes_every_coordinate(model.dim, model.symmetries())
+    with pytest.raises(AttributeError):
+        model.exchangeable = not exchangeable
 
 
 @pytest.mark.parametrize("make, name", [

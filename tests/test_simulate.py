@@ -104,6 +104,44 @@ def test_exchangeable_targets_above_the_level_cap_step_in_lockstep(monkeypatch):
         assert res.marginals.shape == (2, 4096)
 
 
+class _Undeclared(CurieWeiss):
+    """A Curie-Weiss target that declares no symmetry."""
+
+    def symmetries(self):
+        return ()
+
+
+@pytest.mark.parametrize("sampler, score", [("gibbs", None), ("dmala", "glauber"),
+                                            ("dmaps", "stein")])
+def test_a_target_that_declares_no_permutation_steps_in_lockstep(monkeypatch, sampler, score):
+    """Chains read exchangeability from `symmetries()` alone: at d = 20 a
+    Curie-Weiss target that declares none builds no level table and steps
+    in lockstep, to the estimators of the plain target made to step so,
+    while the plain target builds its level table."""
+    plain, undeclared = CurieWeiss(0.02, 0.3, 20), _Undeclared(0.02, 0.3, 20)
+    assert plain.exchangeable and simulate._level_path(plain)
+    assert not undeclared.exchangeable and not simulate._level_path(undeclared)
+    built = []
+    level_rows = kernels._level_rows
+    monkeypatch.setattr(kernels, "_level_rows",
+                        lambda model, *args: built.append(model) or level_rows(model, *args))
+
+    def run(model):
+        return run_chain(ChainConfig(sampler, model, score, 0.6, steps=300, burn_in=20,
+                                     chains=3, seed=11))
+
+    run(plain)
+    assert built == [plain]
+    lockstep = run(undeclared)
+    assert built == [plain]
+    monkeypatch.setattr(simulate, "_level_path", lambda model: False)
+    forced = run(plain)
+    assert built == [plain]
+    for field in _FIELDS:
+        np.testing.assert_array_equal(getattr(lockstep, field), getattr(forced, field),
+                                      err_msg=field)
+
+
 @pytest.mark.parametrize("dim,eta", [(3, 1.5), (6, 1.0), (10, 0.7), (12, 0.8)])
 @pytest.mark.parametrize("sampler,score", [("gibbs", None)] + [
     (sampler, score) for sampler in ("dula", "dmala", "dups", "dmaps")
