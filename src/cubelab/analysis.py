@@ -406,10 +406,10 @@ def _next_bit_conditionals(rows: np.ndarray, j: int) -> np.ndarray:
     return np.divide(law[:, 1], mass, out=np.zeros_like(mass), where=mass > 0.0)
 
 
-def _sequential_coupling_costs(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+def _sequential_coupling_costs(p: np.ndarray, q: np.ndarray, orders=(0, 1)) -> np.ndarray:
     """Expected Hamming cost of the sequential (Knothe-Rosenblatt) coupling
-    of each pair of rows of two (m, 2^d) laws, coordinate 0 first at [0]
-    and coordinate d - 1 first at [1].
+    of each pair of rows of two (m, 2^d) laws, one row per entry of
+    `orders`: order 0 takes coordinate 0 first, order 1 coordinate d - 1.
 
     Coordinate by coordinate, the next bits x_j of p and y_j of q are
     coupled maximally given the coupled prefixes a and b: with
@@ -422,15 +422,18 @@ def _sequential_coupling_costs(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """
     m, n = p.shape
     d = n.bit_length() - 1
-    # the state map of the isometry that reverses the coordinates
-    reversal = isometry_images(d, range(d - 1, -1, -1), 0)
-    costs = np.zeros((2, m))
-    for order, (a, b) in enumerate([(p, q), (p[:, reversal], q[:, reversal])]):
+    costs = np.zeros((len(orders), m))
+    for row, order in enumerate(orders):
+        a, b = p, q
+        if order:
+            # the state map of the isometry that reverses the coordinates
+            reversal = isometry_images(d, range(d - 1, -1, -1), 0)
+            a, b = p[:, reversal], q[:, reversal]
         joint = np.ones((m, 1, 1))
         for j in range(d):
             alpha = _next_bit_conditionals(a, j)[:, :, None]
             beta = _next_bit_conditionals(b, j)[:, None, :]
-            costs[order] += (joint * np.abs(alpha - beta)).sum(axis=(1, 2))
+            costs[row] += (joint * np.abs(alpha - beta)).sum(axis=(1, 2))
             if j == d - 1:
                 break
             # the prefixes grow by bit j, the high bit of the new prefix index
@@ -463,12 +466,15 @@ def _transport_values(p: np.ndarray, q: np.ndarray, upper: np.ndarray | None = N
     pair's, so no pair whose upper bound is below max L can hold the
     largest value. An LP batch is skipped when every pair in it has
     upper < max L - `_BRACKET_MARGIN`. A batch that `upper` does not skip
-    first tightens each pair's bound to the smaller cost of the two
-    sequential couplings of its rows (`_sequential_coupling_costs`), and is
-    skipped if those all lie below. A skipped batch's pairs take their
-    (tightened) bound, and the returned mask marks them. The batches are
-    those of the full solve, so every batch that is solved gives the same
-    floats. Without `upper`, or on a path, every pair is solved.
+    tightens each pair's bound by the ascending sequential coupling of its
+    rows (`_sequential_coupling_costs`) and, if still live, by the
+    descending one, and is skipped once all its bounds lie below: the
+    decision of both orders at once, though a batch that the ascending
+    order skips keeps its costs, upper bounds still. A skipped batch's
+    pairs take their (tightened) bound, and the returned mask marks them.
+    The batches are those of the full solve, so every batch that is solved
+    gives the same floats. Without `upper`, or on a path, every pair is
+    solved.
     """
     m, n = p.shape
     d = n.bit_length() - 1
@@ -495,8 +501,11 @@ def _transport_values(p: np.ndarray, q: np.ndarray, upper: np.ndarray | None = N
         idx = rest[start:start + per_call]
         if upper is not None:
             bound = upper[idx]
-            if not (bound < floor).all():
-                bound = np.minimum(bound, _sequential_coupling_costs(p[idx], q[idx]).min(axis=0))
+            # the descending coupling only for a batch the ascending one leaves live
+            for order in (0, 1):
+                if (bound < floor).all():
+                    break
+                bound = np.minimum(bound, _sequential_coupling_costs(p[idx], q[idx], (order,))[0])
             if (bound < floor).all():
                 values[idx] = bound
                 bracketed[idx] = True

@@ -23,10 +23,12 @@ Samplers
 draws from the target tilted toward z; it is reversible for the target and
 serves as the small-step reference for dups.
 
-Each sampler's step is written once, as a method of `Stepper` that moves a
-whole batch of states on pre-drawn uniforms; the `*_step` functions run it
-on a single state. `kernel_matrix` is the one place that maps a sampler name
-to its dense builder.
+Each sampler's step is defined once, in `Stepper`, and bound when the
+stepper is built as a closure over the primitives of its state
+representation; it moves a whole batch of states, or one packed word, on
+pre-drawn uniforms, and the `*_step` functions run it on a single state.
+`kernel_matrix` is the one place that maps a sampler name to its dense
+builder.
 
 Every dense law of independent flips (the dula step, the dmala proposal, both
 stages of dups and dmaps, and the product laws that transport recognizes) is
@@ -48,6 +50,7 @@ import math
 import operator
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 from scipy.special import expit, log_expit
@@ -608,7 +611,7 @@ class Stepper:
     * `tables=True`: states are packed int64 words of any batch shape, and
       every per-state quantity is read from a table over all 2^d states.
       `simulate.sample_transitions` draws with it, one batched step from a
-      fixed state per block of draws.
+      fixed state per block of draws, in the same context.
     * `tables=True, scalar=True`: one state, a Python int word, whose table
       row is a tuple of Python lists and floats; a step makes no numpy
       call. `simulate.run_chain` steps every table-mode chain this way, one
@@ -625,24 +628,32 @@ class Stepper:
 
     In the batched representations a step reads a `(..., m)` block of
     uniforms whose leading shape broadcasts with the states', so one state
-    with n rows of uniforms makes n draws. Each step is one method, written
-    once against primitives that `__init__` binds per representation: the
-    flips where `u < q` (a mask, or in scalar form a packed word), gibbs's
-    pick from a cumulative row, flipping a state by a packed word or by
-    those flips, the two Metropolis dot products and the accept step, which
-    selects the next states and carry. The flips, the pick and the dot
-    products also take the state their features belong to, which only the
-    level primitives read: they split the flips by the sign they leave.
-    The scalar table dot products add the terms of the flipped coordinates
-    in ascending order, which is how `np.vecdot` sums vectors this short,
-    so both table representations give the same floats; the level dot
-    products are a count times a level difference per sign.
+    with n rows of uniforms makes n draws. Each sampler's step is defined
+    once, in `_<sampler>_step`, against primitives that `__init__` binds
+    per representation: the flips where `u < q` (a mask, or in scalar form
+    a packed word), gibbs's pick from a cumulative row, flipping a state by
+    a packed word or by those flips, the two Metropolis dot products and
+    the accept step, which compares the log acceptance uniform with the log
+    ratio and selects the next states and carry. The flips, the pick and
+    the dot products also take the state their features belong to, which
+    only the level primitives read: they split the flips by the sign they
+    leave. The scalar table dot products add the terms of the flipped
+    coordinates in ascending order, which is how `np.vecdot` sums vectors
+    this short, so both table representations give the same floats; the
+    level dot products are a count times a level difference per sign.
+    Python floats overflow without a word, so the word forms' accept
+    raises FloatingPointError on a log ratio that is not finite, which
+    `_raising_step_faults` turns into a ParameterError, as numpy's own.
 
-    `prepare(u)` turns a block of uniforms into step operands, doing the
-    path-independent work (stage-one flips, logs of acceptance uniforms) for
-    the whole block at once; a scalar stepper takes an `(n, m)` block and
-    hands out Python lists of n per-step operands. `step(states, *operands,
-    carry=None)` returns `(next, accepted, proposal, auxiliary, carry)`.
+    `__init__` binds that definition once, as a closure over the
+    primitives, into `step(x, operands, carry=None)`, which returns
+    `(next, accepted, proposal, auxiliary, carry)` and makes no attribute
+    lookup; every caller passes a step's operands as one tuple.
+    `prepare(u)` turns a block of uniforms into those operands, doing the
+    path-independent work (stage-one flips, logs of acceptance uniforms)
+    for the whole block at once: `zip(*prepare(u))` gives each step's
+    tuple, and a one-shot batched step takes `prepare(u)` itself. A scalar
+    stepper's block is `(n, m)`, handed out as Python lists.
 
     The carry holds what the Metropolis-adjusted samplers already know about
     the next states: dmala's features and dmaps's log weight, taken from the
@@ -673,67 +684,95 @@ class Stepper:
         self.dim = d
         self.eta = eta
         self.model = model
-        self.step = getattr(self, "_" + sampler)
         features = getattr(self, f"_{sampler}_features")
-        if scalar and not tables:
-            self._bind_levels(score, self._gibbs_probs if sampler == "gibbs" else features)
-            return
         if not tables:
-            self._bind_arrays()
-            self._at = lambda x: features(x, score.signs(x))
-            self._score, self._features = score, features
-            self._log_weight = model.log_weight_signs
-            self._flip = self._move = lambda x, flips: np.where(flips, -x, x)
-            self._stage_one = lambda flips: (flips, flips.astype(np.float64))
-            self._select = select = lambda ok, new, old: np.where(ok[..., None], new, old)
-
-            def accept(ok, new, old, there, here):
-                # every chain accepted: the proposals and their features are
-                # the next states and carry as they stand, with no select
-                if ok.all():
-                    return new, there
-                # per-state arrays shaped like ok (log weights) or like the states
-                return select(ok, new, old), tuple(
-                    np.where(ok if a.ndim == ok.ndim else ok[..., None], a, b)
-                    for a, b in zip(there, here))
-
-            self._accept = accept
-            return
-        signs = all_signs(d).astype(np.float64)
-        log_weight, table_features = _require_finite_features(
-            model, score, features, signs, range(1 << d))
-        if scalar:
-            self._bind_scalar(table_features, log_weight)
-            return
-        self._bind_arrays()
-        pow2 = np.int64(1) << np.arange(d, dtype=np.int64)
-        self._flip = operator.xor
-        # every feature of a state sits in one table row, read by a single take
-        self._table = np.hstack([f.reshape(len(signs), -1) for f in table_features])
-        widths = [f[0].size for f in table_features]
-        starts = np.cumsum([0] + widths)
-        self._columns = [slice(a, a + w) if f.ndim == 2 else a
-                         for f, a, w in zip(table_features, starts, widths)]
-        self._at = self._table_row
-        self._log_weight = log_weight.__getitem__
-        self._move = lambda x, flips: x ^ (flips @ pow2)
-        self._stage_one = lambda flips: (flips @ pow2, flips.astype(np.float64))
-        self._accept = lambda ok, new, old, there, here: (np.where(ok, new, old), None)
+            if scalar:
+                self._bind_levels(score, self._gibbs_probs if sampler == "gibbs" else features)
+            else:
+                self._bind_vectors(score, features)
+        else:
+            signs = all_signs(d).astype(np.float64)
+            log_weight, table_features = _require_finite_features(
+                model, score, features, signs, range(1 << d))
+            if scalar:
+                self._bind_scalar(table_features, log_weight)
+            else:
+                self._bind_table(table_features, log_weight)
+        self.step = getattr(self, f"_{sampler}_step")()
 
     def _bind_arrays(self) -> None:
         """The primitives both batched representations share."""
         self._list = self._uniforms = lambda a: a
         self._flips = lambda u, q, x: u < q
-        self._pick = lambda cum, u, x: (below := cum <= u)[..., :-1] ^ below[..., 1:]
+        self._pick = lambda cum, u, x: (below := cum <= u[..., None])[..., :-1] ^ below[..., 1:]
         self._flip_dot = lambda flips, a, b, x: np.vecdot(flips, a - b)
         self._move_dot = lambda plus, minus, values, z: np.vecdot(plus - minus, values)
+
+    def _bind_vectors(self, score: ScoreField, features) -> None:
+        """Primitives on (..., d) +-1 float arrays, against the closed forms."""
+        self._bind_arrays()
+        self._at = lambda x: features(x, score.signs(x))
+        self._score, self._features = score, features
+        self._log_weight = self.model.log_weight_signs
+        self._flip = self._move = lambda x, flips: np.where(flips, -x, x)
+        self._stage_one = lambda flips: (flips, flips.astype(np.float64))
+
+        def carried(ok, there, here):
+            # dmala carries a tuple of features; each per-state array is
+            # shaped like ok (log weights) or like the states
+            if type(there) is tuple:
+                return tuple(carried(ok, a, b) for a, b in zip(there, here))
+            return np.where(ok if there.ndim == ok.ndim else ok[..., None], there, here)
+
+        def accept(log_u, log_a, new, old, there, here):
+            ok = log_u < log_a
+            # every chain accepted: the proposals and their features are
+            # the next states and carry as they stand, with no select
+            if ok.all():
+                return new, ok, there
+            return np.where(ok[..., None], new, old), ok, carried(ok, there, here)
+
+        self._accept = accept
+
+    def _bind_table(self, features: tuple, log_weight: np.ndarray) -> None:
+        """Primitives on int64 words of any batch shape, against tables of
+        all 2^d states."""
+        self._bind_arrays()
+        pow2 = np.int64(1) << np.arange(self.dim, dtype=np.int64)
+        self._flip = operator.xor
+        # every feature of a state sits in one table row, read by a single take
+        self._table = np.hstack([f.reshape(len(log_weight), -1) for f in features])
+        widths = [f[0].size for f in features]
+        starts = np.cumsum([0] + widths)
+        self._columns = [slice(a, a + w) if f.ndim == 2 else a
+                         for f, a, w in zip(features, starts, widths)]
+        self._at = self._table_row
+        self._log_weight = log_weight.__getitem__
+        self._move = lambda x, flips: x ^ (flips @ pow2)
+        self._stage_one = lambda flips: (flips @ pow2, flips.astype(np.float64))
+
+        def accept(log_u, log_a, new, old, there, here):
+            ok = log_u < log_a
+            return np.where(ok, new, old), ok, None
+
+        self._accept = accept
 
     def _bind_words(self) -> None:
         """The primitives both Python int word representations share."""
         self._flip = self._move = operator.xor
         self._list = np.ndarray.tolist
         self._stage_one = lambda flips: (words := pack_words(flips), words)
-        self._accept = lambda ok, new, old, there, here: (new if ok else old, None)
+
+        def accept(log_u, log_a, new, old, there, here):
+            # a Metropolis term that overflowed leaves log_a at +-inf or
+            # nan, where log_a - log_a is nan, which is true
+            if log_a - log_a:
+                raise FloatingPointError(f"log acceptance ratio {log_a}")
+            if log_u < log_a:
+                return new, True, None
+            return old, False, None
+
+        self._accept = accept
 
     def _bind_scalar(self, features: tuple, log_weight: np.ndarray) -> None:
         """Primitives on one Python int word against its table rows."""
@@ -776,7 +815,7 @@ class Stepper:
         self._log_weight = log_weight.tolist().__getitem__
         self._uniforms = lambda u: list(zip(pack_words(u < top), u.tolist()))
         self._flips = flips
-        self._pick = lambda cum, u, x: picks[bisect_right(cum, u[0])]
+        self._pick = lambda cum, u, x: picks[bisect_right(cum, u)]
         self._flip_dot = flip_dot
         self._move_dot = move_dot
 
@@ -788,8 +827,8 @@ class Stepper:
         feature, the values at the coordinates that are +1 and -1 there,
         and the per-state features as floats; a step reads the row of its
         state's bit count. A step's flips are two lookups, one per sign,
-        among its uniforms sorted once per block. Each Metropolis dot
-        product groups its flips by sign, so it costs two bit counts
+        among its candidate uniforms, sorted once per block. Each Metropolis
+        dot product groups its flips by sign, so it costs two bit counts
         instead of one term per flip.
         """
         self._bind_words()
@@ -802,31 +841,39 @@ class Stepper:
             raise CapabilityError(f"level tables stop at d = {LEVEL_DIM_CAP}, got d = {d}")
         rows, log_weight = _level_rows(model, score, features)
         # no state flips a coordinate where u >= the largest flip probability
-        # (every row leads with the flip probabilities), so a block keeps only
-        # as many sorted uniforms per step as the most any step has below it
+        # (every row leads with the flip probabilities), so a step's
+        # candidates are its uniforms below it
         top = max(max(row[0]) for row in rows)
 
         def uniforms(u):
-            # per step, the smallest uniforms in ascending order and the running
-            # OR of their coordinates' bits: the coordinates whose uniforms lie
-            # below a threshold t are the word at the count of uniforms below t.
-            # Past a step's own candidates its row holds uniforms >= top, which
-            # no threshold exceeds, so no lookup reaches them.
-            width = int((u < top).sum(axis=1).max())
-            order = np.argsort(u, axis=1)[:, :width]
-            values = np.take_along_axis(u, order, axis=1).tolist()
-            running = np.zeros((len(u), width + 1), dtype=np.uint64)
-            np.bitwise_or.accumulate(np.uint64(1) << order.astype(np.uint64), axis=1,
-                                     out=running[:, 1:])
-            return list(zip(values, running.tolist()))
+            # the block's candidates, sorted by value and then stably by step,
+            # so a step's operand (values, running, lo, hi) finds its own in
+            # ascending order at values[lo:hi]. running[j] is the XOR of the
+            # coordinate bits of candidates 0..j-1: within a step no
+            # coordinate repeats, so running[k] ^ running[lo] is the word of
+            # the step's k - lo smallest candidates
+            at = np.flatnonzero(u < top)
+            steps, coords = np.divmod(at, d)
+            values = u.take(at)
+            order = np.argsort(values)
+            order = order[np.argsort(steps[order].astype(np.min_scalar_type(len(u))),
+                                     kind="stable")]
+            running = np.zeros(at.size + 1, dtype=np.uint64)
+            np.bitwise_xor.accumulate(np.uint64(1) << coords[order].astype(np.uint64),
+                                      out=running[1:])
+            bounds = np.zeros(len(u) + 1, dtype=np.int64)
+            np.cumsum(np.bincount(steps, minlength=len(u)), out=bounds[1:])
+            values, running, bounds = values[order].tolist(), running.tolist(), bounds.tolist()
+            return list(zip(repeat(values), repeat(running), bounds, bounds[1:]))
 
         def flips(u, q, x):
-            values, running = u
+            values, running, lo, hi = u
             plus, minus = q
+            base = running[lo]
             # u_i < plus where x_i = +1 and u_i < minus where x_i = -1
-            at_plus = running[bisect_left(values, plus)]
-            at_minus = running[bisect_left(values, minus)]
-            return at_minus ^ ((at_plus ^ at_minus) & x)
+            at_plus = running[bisect_left(values, plus, lo, hi)]
+            at_minus = running[bisect_left(values, minus, lo, hi)] ^ base
+            return at_minus ^ ((at_plus ^ base ^ at_minus) & x)
 
         # gibbs: a sequential sum of d nonnegative flip probabilities exceeds
         # their exact sum by less than a relative d * 2^-53, so u at or above
@@ -838,7 +885,6 @@ class Stepper:
         def pick(cum, u, x):
             # the flipped coordinate is the first whose running flip mass,
             # summed in coordinate order as `_gibbs_features` does, exceeds u
-            u = u[0]
             if u >= stay[x.bit_count()]:
                 return 0
             plus, minus = cum
@@ -878,7 +924,7 @@ class Stepper:
             with np.errstate(all="ignore"):
                 lw = self._log_weight(states)
             _require_finite_rows(self.model, lw, "log weight", words)
-            return (lw,)
+            return lw
         _, at = _require_finite_features(self.model, self._score, self._features, states, words)
         return at if self.sampler == "dmala" else None
 
@@ -920,7 +966,7 @@ class Stepper:
         """Step operands from `(..., m)` uniforms, with the same leading shape."""
         d = self.dim
         if self.sampler == "gibbs":
-            return (self._list(u),)
+            return (self._list(u[..., 0]),)
         if self.sampler == "dula":
             return (self._uniforms(u),)
         with np.errstate(divide="ignore"):
@@ -932,45 +978,80 @@ class Stepper:
             return word1, self._uniforms(u[..., d:])
         return word1, flips1, self._uniforms(u[..., d:2 * d]), log_accept
 
-    def _gibbs(self, x, u, carry=None):
-        (cum,) = self._at(x)
-        nxt = self._move(x, self._pick(cum, u, x))
-        return nxt, True, nxt, None, None
+    # Each sampler's one step, bound by `__init__` over the primitives of the
+    # representation: the closure reads them as free variables, not as
+    # attributes, and takes a step's operands as one tuple.
 
-    def _dula(self, x, u, carry=None):
-        (q,) = self._at(x)
-        nxt = self._move(x, self._flips(u, q, x))
-        return nxt, True, nxt, None, None
+    def _gibbs_step(self):
+        at, move, pick = self._at, self._move, self._pick
 
-    def _dmala(self, x, u, log_u, carry=None):
-        here = self._at(x) if carry is None else carry
-        q, logit, base = here
-        flips = self._flips(u, q, x)
-        prop = self._move(x, flips)
-        there = self._at(prop)
-        _, logit_rev, base_rev = there
-        ok = log_u < base_rev - base + self._flip_dot(flips, logit_rev, logit, x)
-        nxt, carry = self._accept(ok, prop, x, there, here)
-        return nxt, ok, prop, None, carry
+        def step(x, operands, carry=None):
+            (u,) = operands
+            (cum,) = at(x)
+            nxt = move(x, pick(cum, u, x))
+            return nxt, True, nxt, None, None
 
-    def _dups(self, x, word1, u, carry=None):
-        z = self._flip(x, word1)
-        (q2,) = self._at(z)
-        nxt = self._move(z, self._flips(u, q2, z))
-        return nxt, True, nxt, z, None
+        return step
 
-    def _dmaps(self, x, word1, flips1, u, log_u, carry=None):
-        z = self._flip(x, word1)
-        q2, tilt2 = self._at(z)
-        flips2 = self._flips(u, q2, z)
-        prop = self._move(z, flips2)
-        here = (self._log_weight(x),) if carry is None else carry
-        there = (self._log_weight(prop),)
-        # x - prop = 2 z (flips2 - flips1), so (x - prop) . s(z) needs no signs of x
-        log_a = there[0] - here[0] + self._move_dot(flips2, flips1, tilt2, z)
-        ok = log_u < log_a
-        nxt, carry = self._accept(ok, prop, x, there, here)
-        return nxt, ok, prop, z, carry
+    def _dula_step(self):
+        at, move, flips = self._at, self._move, self._flips
+
+        def step(x, operands, carry=None):
+            (u,) = operands
+            (q,) = at(x)
+            nxt = move(x, flips(u, q, x))
+            return nxt, True, nxt, None, None
+
+        return step
+
+    def _dmala_step(self):
+        at, move, flips, flip_dot, accept = (self._at, self._move, self._flips,
+                                             self._flip_dot, self._accept)
+
+        def step(x, operands, carry=None):
+            u, log_u = operands
+            here = at(x) if carry is None else carry
+            q, logit, base = here
+            flipped = flips(u, q, x)
+            prop = move(x, flipped)
+            there = at(prop)
+            _, logit_rev, base_rev = there
+            nxt, ok, carry = accept(log_u, base_rev - base + flip_dot(flipped, logit_rev, logit, x),
+                                    prop, x, there, here)
+            return nxt, ok, prop, None, carry
+
+        return step
+
+    def _dups_step(self):
+        flip, at, move, flips = self._flip, self._at, self._move, self._flips
+
+        def step(x, operands, carry=None):
+            word1, u = operands
+            z = flip(x, word1)
+            (q2,) = at(z)
+            nxt = move(z, flips(u, q2, z))
+            return nxt, True, nxt, z, None
+
+        return step
+
+    def _dmaps_step(self):
+        flip, at, move, flips = self._flip, self._at, self._move, self._flips
+        log_weight, move_dot, accept = self._log_weight, self._move_dot, self._accept
+
+        def step(x, operands, carry=None):
+            word1, flips1, u, log_u = operands
+            z = flip(x, word1)
+            q2, tilt2 = at(z)
+            flips2 = flips(u, q2, z)
+            prop = move(z, flips2)
+            here = log_weight(x) if carry is None else carry
+            there = log_weight(prop)
+            # x - prop = 2 z (flips2 - flips1), so (x - prop) . s(z) needs no signs of x
+            nxt, ok, carry = accept(log_u, there - here + move_dot(flips2, flips1, tilt2, z),
+                                    prop, x, there, here)
+            return nxt, ok, prop, z, carry
+
+        return step
 
 
 def _require_finite_features(model: TargetModel, score: ScoreField, features,
@@ -1057,6 +1138,6 @@ def _step_once(model: TargetModel, sampler: str, score: ScoreField | None, x: Bi
     st.start(signs[None])
     u = rng.random(st.uniforms_per_step)
     with _raising_step_faults(model, sampler, lambda: f"from state {x.bits:#x}"):
-        nxt, ok, prop, aux, _ = st.step(signs, *st.prepare(u))
+        nxt, ok, prop, aux, _ = st.step(signs, st.prepare(u))
     return StepOutcome(BitState.from_signs(nxt), bool(ok), BitState.from_signs(prop),
                        None if aux is None else BitState.from_signs(aux))

@@ -1,12 +1,15 @@
 """Seeded Monte Carlo chain runner with streaming estimators.
 
 Chains step through one `kernels.Stepper`, built from the config's score
-kind, in one loop over blocks of whole steps. Dimensions up to
-`TABLE_DIM_CAP` run on packed integer states against precomputed
-per-state tables (the hot path for the simulation/matrix consistency
-checks). There every chain steps alone, one after another in
-each block, on a Python int with its table rows as Python lists, so a step
-makes no numpy call and a run costs time linear in its chain count.
+kind, in one loop over blocks of whole steps. Every loop calls the
+stepper's one bound step, `step(x, operands)` or `step(x, operands,
+carry)`, with a step's operands as one tuple, so a step pays no per-step
+attribute lookup or argument unpacking. Dimensions up to `TABLE_DIM_CAP`
+run on packed integer states against precomputed per-state tables (the
+hot path for the simulation/matrix consistency checks). There every chain
+steps alone, one after another in each block, on a Python int with its
+table rows as Python lists, so a step makes no numpy call and a run costs
+time linear in its chain count.
 
 Beyond the table cap, a target whose `symmetries()` declare every
 coordinate permutation (bits, mixture, curieweiss; read through
@@ -24,10 +27,13 @@ features evaluated afresh, bit for bit. The closed forms at the starting
 states are evaluated once, checked for finiteness (`Stepper.start`) and
 carried into the first step. Each block of lockstep steps runs with
 floating-point overflow raised, so a proposal whose closed forms overflow
-stops the run with a ParameterError naming the step. A step in which
-every chain accepts returns the proposals and their features as they
-stand, with no accept select. The paths of both vector forms are tallied
-as masks of the +1 coordinates.
+stops the run with a ParameterError naming the step. The word steps of
+the table and level paths add their Metropolis terms in Python floats,
+which overflow without a word; a log acceptance ratio that is not finite
+stops the run with the same ParameterError, naming the step and the
+chain. A step in which every chain accepts returns the proposals and
+their features as they stand, with no accept select. The paths of both
+vector forms are tallied as masks of the +1 coordinates.
 
 Chains are reproducible: the 64-bit config seed feeds a numpy SeedSequence
 whose spawned children, one per chain index, drive independent PCG64
@@ -164,26 +170,29 @@ def run_chain(cfg: ChainConfig, dump_path: str | None = None) -> SimResult:
     oks = np.empty((block, chains), dtype=bool)
     accepted = np.zeros(chains, dtype=np.int64)
     dumped = [] if dump_path is not None else None
-    # steps take their operands positionally: a keyword costs a dict per step
+    # the one bound step, called with each step's operand tuple at a fixed arity
     step = st.step
     for t0, n in blocks:
         u = [rng.random((n, m)) for rng in rngs]
         if alone:
-            for c in range(chains):
-                x = words[c]
-                path, flags = [], []
-                for operands in zip(*st.prepare(u[c])):
-                    x, ok, _, _, _ = step(x, *operands)
-                    path.append(x)
-                    flags.append(ok)
-                words[c] = x
-                trace[:n, c] = path if table_mode else unpack_words(path, d)
-                oks[:n, c] = flags
+            with _raising_step_faults(cfg.model, cfg.sampler,
+                                      lambda: f"at step {t0 + len(path)} of chain {c}"):
+                for c in range(chains):
+                    x = words[c]
+                    path, flags = [], []
+                    to_path, to_flags = path.append, flags.append
+                    for operands in zip(*st.prepare(u[c])):
+                        x, ok, _, _, _ = step(x, operands)
+                        to_path(x)
+                        to_flags(ok)
+                    words[c] = x
+                    trace[:n, c] = path if table_mode else unpack_words(path, d)
+                    oks[:n, c] = flags
         else:
             t = 0
             with _raising_step_faults(cfg.model, cfg.sampler, lambda: f"at step {t0 + t}"):
                 for t, operands in enumerate(zip(*st.prepare(np.stack(u, axis=1)))):
-                    states, ok, _, _, carry = step(states, *operands, carry)
+                    states, ok, _, _, carry = step(states, operands, carry)
                     trace[t] = states > 0
                     oks[t] = ok
         accepted += oks[:n].sum(axis=0)
@@ -252,9 +261,10 @@ def sample_transitions(model: TargetModel, sampler: str, score: str | None,
         raise ParameterError(f"draw count must be >= 0, got {n}")
     st = Stepper(model, sampler, score, eta, tables=True)
     out = []
-    for start in range(0, max(n, 1), _DRAW_BLOCK):
-        size = min(_DRAW_BLOCK, n - start)
-        u = rng.random((size, st.uniforms_per_step))
-        # one state against a block of uniforms broadcasts to a block of draws
-        out.append(st.step(np.int64(x.bits), *st.prepare(u))[0])
+    with _raising_step_faults(model, sampler, lambda: f"from state {x.bits:#x}"):
+        for start in range(0, max(n, 1), _DRAW_BLOCK):
+            size = min(_DRAW_BLOCK, n - start)
+            u = rng.random((size, st.uniforms_per_step))
+            # one state against a block of uniforms broadcasts to a block of draws
+            out.append(st.step(np.int64(x.bits), st.prepare(u))[0])
     return np.concatenate(out)

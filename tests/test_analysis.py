@@ -1070,6 +1070,25 @@ def test_coupling_bounds_bracket_the_exact_certificate(seed):
             a, b = cert.witness
             assert cert.kappa == pytest.approx(
                 wasserstein_hamming_lp(kernel.probs[a], kernel.probs[b]), abs=1e-9), tag
+        # against the path that tightens every live batch by both orders at
+        # once: the same skips, solved floats, kappa and witness; a bracketed
+        # pair's bound may only be higher
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(analysis, "_sequential_coupling_costs", _both_orders_at_once)
+            both = analysis._sampler_certificate(model, kernel)
+        assert np.array_equal(cert.bracketed, both.bracketed), tag
+        assert cert.kappa == both.kappa and cert.witness == both.witness, tag
+        assert np.array_equal(cert.pair_values[live], both.pair_values[live]), tag
+        assert (cert.pair_values[cert.bracketed] >= both.pair_values[cert.bracketed]).all(), tag
+
+
+# the function itself, for the stand-in that tests put in its place
+_sequential_coupling_costs = analysis._sequential_coupling_costs
+
+
+def _both_orders_at_once(p, q, orders=(0, 1)):
+    """The smaller cost of both sequential couplings, for every order asked."""
+    return np.broadcast_to(_sequential_coupling_costs(p, q).min(axis=0), (len(orders), len(p)))
 
 
 @pytest.mark.parametrize("sampler", ["gibbs", "prox", "dula"])

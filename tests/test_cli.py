@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import math
 import os
@@ -721,6 +722,98 @@ def test_a_lockstep_chain_that_overflows_on_a_later_proposal_exits_2(capsys, sam
     assert err.startswith("parameter error: IsingGrid(rows=4, cols=4, J=1e+307, h=0.0, "
                           f"periodic=False) has a non-finite {sampler} step at step "
                           f"{stops[sampler]}: overflow encountered in ")
+
+
+@pytest.mark.parametrize("model, sampler, stop", [
+    (["--rows", "3", "--cols", "3", "--J", "1e307", "--seed", "7"], "dmaps",
+     "IsingGrid(rows=3, cols=3, J=1e+307, h=0.0, periodic=False) has a non-finite dmaps "
+     "step at step 45 of chain 0: log acceptance ratio -inf"),
+    (["--rows", "3", "--cols", "3", "--J", "1e307", "--seed", "0"], "dmaps", None),
+    (["--beta", "8e306", "--dim", "20"], "dmala",
+     "BitsMixture(beta=8e+306, dim=20) has a non-finite dmala step at step 0 of chain 0: "
+     "log acceptance ratio inf")], ids=["table", "table-finite", "level"])
+def test_a_word_chain_whose_metropolis_terms_overflow_exits_2(capsys, model, sampler, stop):
+    """The tables of a 3x3 grid at J = 1e307 (table path) and the level
+    rows of a 20-bit mixture at beta 8e306 (level path) are finite, but the
+    Python float sums of a step's Metropolis terms can overflow: the run
+    then exits 2 with one stderr line naming the step, as the +-1 lockstep
+    path does, where a -inf would have been rejected and a +inf accepted
+    without a word. At seed 0 none of the grid's 200 log ratios overflows,
+    and the run goes through."""
+    family = "ising" if "--rows" in model else "mixture"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(capsys, "simulate", "--model", family, *model,
+                                 "--sampler", sampler, "--eta", "0.5", "--steps", "200")
+    assert caught == []
+    if stop is None:
+        assert code == 0 and err == "" and out.startswith("chain,")
+        return
+    assert code == 2 and out == ""
+    assert err.splitlines() == [f"parameter error: {stop}"]
+
+
+_DIGEST_MODELS = {
+    "table-d6": ["--model", "curieweiss", "--beta", "0.1", "--b", "0.3", "--dim", "6"],
+    "table-d10": ["--model", "mixture", "--beta", "0.3", "--dim", "10"],
+    "level-d24": ["--model", "mixture", "--beta", "0.2", "--dim", "24"],
+    "lockstep-4x4": ["--model", "ising", "--rows", "4", "--cols", "4", "--J", "0.3",
+                     "--h", "0.1"],
+}
+# SHA-256 of seeded `simulate` outputs, per "path/sampler/score[/dump]": the
+# CSV on stdout, or with /dump the --dump file. They pin every float a step
+# compares and the RNG stream layout; a change that alters the stream
+# layout on purpose updates them.
+_SIMULATE_DIGESTS = {
+    "table-d6/gibbs/none":
+        "40590545c3b53fd7df3791f5361820da13048e0471c4b36b7835c00970b7260c",
+    "table-d6/dula/glauber":
+        "b37abe43522c04cf80d92319e9806b92c793055a7a0652f2bc02b3b7d40ed2e9",
+    "table-d6/dmala/stein":
+        "ab42b4929886e609809d66a9a08b6e49b93abd903f24f21bed6c74b0d17e9f11",
+    "table-d6/dups/gibbs":
+        "fab5dcf84241fe9d45b84dbb1a81899d1b4d8b565e077e537e43b48cab197bd0",
+    "table-d6/dmaps/glauber":
+        "95796b406f9ba2b2f5dd73456d916ce0f53ae1e33360997ebeb867e01939d55a",
+    "table-d10/gibbs/none":
+        "293a9bb0fd8636e9da0147aac2436e59309cc509abd8d5647bd4ccab6f776011",
+    "table-d10/dula/stein":
+        "7202b2312ae64471b296734f380fb79b2a0f0e23101ec8d32e0fd73e20279066",
+    "table-d10/dmala/gibbs":
+        "5d400fb80624eec40d54c1ffc9fcd90033406d450e9d1efdc35cb778303487b9",
+    "table-d10/dups/glauber":
+        "f36b1d0d9b9d113ad6126a4857208bc06c7155af68da65110ac1914ca5a22f1b",
+    "table-d10/dmaps/stein":
+        "8508433747d97b3004bc3c1933a2675eb1885ccd97e27a062749f5cc1595ac99",
+    "level-d24/dmala/glauber":
+        "a13090f634e1230fc3ce90bd65d8aa2b692cface40fc34346376154a3a8c90f6",
+    "level-d24/dmaps/stein":
+        "792eb698204612df4af9cf8db1fbff55bb1ae69736095c191dca99f5fec25954",
+    "lockstep-4x4/dmaps/gibbs":
+        "a22c6368915bd009e9418eccb9a2a65c13bde97886d006f36dbd6426bc143e60",
+    "level-d24/dmaps/glauber/dump":
+        "2dfe99aae8146bf6422526f965a2d15d0f5fe19e0838b2762367d2f6e88cce03",
+}
+
+
+@pytest.mark.parametrize("case", sorted(_SIMULATE_DIGESTS))
+def test_seeded_simulate_outputs_keep_their_bytes(capsys, tmp_path, case):
+    """Each sampler on the table path at d = 6 and d = 10, dmala and dmaps
+    on the level path at d = 24 and dmaps on +-1 vectors in lockstep on a
+    4x4 grid, over 3,000 steps of two chains, write the bytes they wrote
+    when the digests were taken; so does one --dump file."""
+    path, sampler, score, *dump = case.split("/")
+    argv = ["simulate", *_DIGEST_MODELS[path], "--sampler", sampler,
+            "--eta", "0.45" if sampler == "gibbs" else "0.8", "--steps", "3000",
+            "--burn-in", "100", "--thin", "3", "--chains", "2", "--seed", "11"]
+    if score != "none":
+        argv += ["--score", score]
+    if dump:
+        argv += ["--dump", str(tmp_path / "dump.csv")]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and err == ""
+    data = (tmp_path / "dump.csv").read_bytes() if dump else out.encode()
+    assert hashlib.sha256(data).hexdigest() == _SIMULATE_DIGESTS[case]
 
 
 def test_every_target_family_is_a_model_choice_built_from_its_fields():

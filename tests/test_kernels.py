@@ -324,6 +324,9 @@ def test_vector_carry_is_the_next_states_features(model, eta, sampler):
         return st._at(x) if sampler == "dmala" else (st._log_weight(x),)
 
     def check(nxt, carry):
+        # dmala carries a tuple of features, dmaps the log weight alone
+        if sampler == "dmaps":
+            carry = (carry,)
         assert len(carry) == len(fresh(nxt))
         for got, want in zip(carry, fresh(nxt)):
             np.testing.assert_array_equal(np.asarray(got).view(np.uint64),
@@ -333,13 +336,13 @@ def test_vector_carry_is_the_next_states_features(model, eta, sampler):
     x = rng.integers(0, 2, (3, model.dim)) * 2.0 - 1.0
     carry, batches = None, set()
     for operands in zip(*st.prepare(rng.random((300, 3, st.uniforms_per_step)))):
-        x, ok, _, _, carry = st.step(x, *operands, carry)
+        x, ok, _, _, carry = st.step(x, operands, carry)
         check(x, carry)
         batches.add(bool(ok.all()))
     assert batches == {True, False}
     outcomes = set()
     for u in rng.random((200, st.uniforms_per_step)):
-        nxt, ok, prop, _, carry = st.step(x[0], *st.prepare(u))
+        nxt, ok, prop, _, carry = st.step(x[0], st.prepare(u))
         assert ok.shape == () and nxt.shape == (model.dim,)
         check(nxt, carry)
         outcomes.add(bool(ok))
@@ -843,8 +846,8 @@ def test_gibbs_level_pick_at_the_full_flip_mass(family):
     for x, s in zip(pack_words(signs > 0), signs):
         (cum,) = closed._at(s)
         for u, moved in ((cum[-1], 0), (np.nextafter(cum[-1], 0.0), 1 << (d - 1))):
-            assert level.step(x, [u])[0] == x ^ moved
-            assert pack_words(closed.step(s, np.array([u]))[0][None] > 0) == [x ^ moved]
+            assert level.step(x, (u,))[0] == x ^ moved
+            assert pack_words(closed.step(s, (u,))[0][None] > 0) == [x ^ moved]
 
 
 @pytest.mark.parametrize("model, kind", [

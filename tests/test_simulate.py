@@ -164,12 +164,12 @@ def test_chains_alone_reproduce_the_lockstep_table_step(sampler, score, dim, eta
     flags = np.empty((steps, chains), dtype=bool)
     x = start
     for t, operands in enumerate(zip(*lockstep.prepare(u))):
-        x, ok, _, _, _ = lockstep.step(x, *operands)
+        x, ok, _, _, _ = lockstep.step(x, operands)
         paths[t], flags[t] = x, ok
     for c in range(chains):
         # each scalar step starts from the state the batched step left
         before = [int(start[c])] + paths[:-1, c].tolist()
-        steps_alone = [alone.step(x, *operands)[:2]
+        steps_alone = [alone.step(x, operands)[:2]
                        for x, operands in zip(before, zip(*alone.prepare(u[:, c])))]
         np.testing.assert_array_equal([nxt for nxt, _ in steps_alone], paths[:, c])
         np.testing.assert_array_equal([ok for _, ok in steps_alone], flags[:, c])
@@ -200,6 +200,16 @@ def test_single_table_chain_reads_no_numpy_row(sampler, monkeypatch):
     assert calls
 
 
+def test_transition_draws_whose_metropolis_terms_overflow_raise():
+    """The tables of a 3x3 grid at J = 1e307 are finite, but from state
+    0x25 the dmaps tilt sum overflows on the batched table step: the draws
+    stop with a ParameterError naming the state, not a warning."""
+    model = IsingGrid(3, 3, 1e307, 0.0)
+    with pytest.raises(ParameterError, match=r"non-finite dmaps step from state 0x25: overflow"):
+        sample_transitions(model, "dmaps", "glauber", 0.5, state_of(0x25, 9), 2000,
+                           np.random.default_rng(0))
+
+
 def _counting(calls, name, fn):
     """`fn`, counting its calls in `calls[name]`."""
     def wrapped(*args, **kwargs):
@@ -216,25 +226,58 @@ def _plus_minus_path(mp):
 
 class _ReferenceStepper(Stepper):
     """The adjusted steps without a carry: every step evaluates the current
-    state's features afresh. Kept as the oracle for the carried steps."""
+    state's features afresh. Kept as the oracle for the carried steps. Its
+    steps count themselves in `taken`, so a test can tell that they ran in
+    place of the bound steps of `Stepper`."""
 
-    def _dmala(self, x, u, log_u, carry=None):
-        q, logit, base = self._at(x)
-        flips = u < q
-        prop = self._move(x, flips)
-        _, logit_rev, base_rev = self._at(prop)
-        ok = log_u < base_rev - base + np.vecdot(flips, logit_rev - logit)
-        return self._select(ok, prop, x), ok, prop, None, None
+    def __init__(self, *args, **kwargs):
+        self.taken = 0
+        super().__init__(*args, **kwargs)
 
-    def _dmaps(self, x, word1, flips1, u, log_u, carry=None):
-        z = self._flip(x, word1)
-        q2, tilt2 = self._at(z)
-        flips2 = u < q2
-        prop = self._move(z, flips2)
-        log_a = (self._log_weight(prop) - self._log_weight(x)
-                 + np.vecdot(flips2 - flips1, tilt2))
-        ok = log_u < log_a
-        return self._select(ok, prop, x), ok, prop, z, None
+    def _dmala_step(self):
+        def step(x, operands, carry=None):
+            u, log_u = operands
+            self.taken += 1
+            q, logit, base = self._at(x)
+            flips = u < q
+            prop = self._move(x, flips)
+            _, logit_rev, base_rev = self._at(prop)
+            ok = log_u < base_rev - base + np.vecdot(flips, logit_rev - logit)
+            return np.where(ok[..., None], prop, x), ok, prop, None, None
+
+        return step
+
+    def _dmaps_step(self):
+        def step(x, operands, carry=None):
+            word1, flips1, u, log_u = operands
+            self.taken += 1
+            z = self._flip(x, word1)
+            q2, tilt2 = self._at(z)
+            flips2 = u < q2
+            prop = self._move(z, flips2)
+            log_a = (self._log_weight(prop) - self._log_weight(x)
+                     + np.vecdot(flips2 - flips1, tilt2))
+            ok = log_u < log_a
+            return np.where(ok[..., None], prop, x), ok, prop, z, None
+
+        return step
+
+
+def _reference_run(mp, cfg: ChainConfig):
+    """`run_chain(cfg)` on +-1 vectors in lockstep through `_ReferenceStepper`,
+    which takes every dmala and dmaps step of the run (one per step of the
+    config, all chains at once) and no other sampler's."""
+    built = []
+
+    def reference(*args, **kwargs):
+        built.append(_ReferenceStepper(*args, **kwargs))
+        return built[-1]
+
+    _plus_minus_path(mp)
+    mp.setattr(simulate, "Stepper", reference)
+    result = run_chain(cfg)
+    assert [st.taken for st in built] == [cfg.steps if cfg.sampler in ("dmala", "dmaps") else 0]
+    return result
 
 
 def _reproduces_the_reference_stepper(levels: bool):
@@ -255,9 +298,7 @@ def _reproduces_the_reference_stepper(levels: bool):
         if not levels:
             _plus_minus_path(monkeypatch)
         stepped = run_chain(cfg)
-        _plus_minus_path(monkeypatch)
-        monkeypatch.setattr(simulate, "Stepper", _ReferenceStepper)
-        reference = run_chain(cfg)
+        reference = _reference_run(monkeypatch, cfg)
         for field in _FIELDS:
             np.testing.assert_array_equal(getattr(stepped, field), getattr(reference, field),
                                           err_msg=field)
@@ -302,8 +343,7 @@ def test_vector_runs_reproduce_the_reference_stepper_property():
         with pytest.MonkeyPatch.context() as mp:
             _plus_minus_path(mp)
             carried = run_chain(cfg)
-            mp.setattr(simulate, "Stepper", _ReferenceStepper)
-            reference = run_chain(cfg)
+            reference = _reference_run(mp, cfg)
         for field in _FIELDS:
             np.testing.assert_array_equal(getattr(carried, field),
                                           getattr(reference, field), err_msg=field)
@@ -358,9 +398,7 @@ def test_level_runs_reproduce_the_reference_stepper_property():
                           chains=chains, seed=seed)
         levels = run_chain(cfg)
         with pytest.MonkeyPatch.context() as mp:
-            _plus_minus_path(mp)
-            mp.setattr(simulate, "Stepper", _ReferenceStepper)
-            reference = run_chain(cfg)
+            reference = _reference_run(mp, cfg)
         for field in _FIELDS:
             np.testing.assert_array_equal(getattr(levels, field),
                                           getattr(reference, field), err_msg=field)
@@ -607,7 +645,7 @@ def test_closed_form_step_matches_kernel_row(sampler, score):
     n = 40_000
     start = np.tile(state_of(9, 4).signs().astype(np.float64), (n, 1))
     u = np.random.default_rng(17).random((n, st.uniforms_per_step))
-    nxt = st.step(start, *st.prepare(u))[0]
+    nxt = st.step(start, st.prepare(u))[0]
     freq = np.bincount((nxt > 0) @ (1 << np.arange(4)), minlength=16) / n
     sigma = np.sqrt(row * (1 - row) / n)
     assert (np.abs(freq - row) <= 5 * sigma + 1e-12).all(), (freq, row)
