@@ -799,7 +799,7 @@ def dmaps_contraction_bound(epsilon: float, dim: int, eta: float, beta1: float,
 # a row of the claim table: the bound column; its key in `BoundReport.rates`
 # (kappa) or `.errors` (stationary W1); the observable it bounds, None for a
 # constant; the gating flags and score; the bound as a function of (d, eta,
-# beta1, beta2); and the `check` certificate (name, sampler, dimension cap)
+# beta1, beta2); and the `check` certificate (name, sampler)
 _Claim = namedtuple("_Claim", "column key observable conditions score bound certificate")
 
 # a value says nothing past these: rate > 1, error >= the diameter d, rejection >= 1
@@ -811,28 +811,28 @@ _VACUOUS = {"kappa": lambda v, d: v > 1.0, "stationary_w1": lambda v, d: v >= d,
 _CLAIMS = (
     _Claim("rate_gibbs", "gibbs", "kappa", ("d_beta2_le_1", "step_le_inv_d"), "glauber",
            lambda d, eta, b1, b2: gibbs_contraction_bound(d, eta, b2),
-           ("gibbs_contraction", "gibbs", CONTRACTION_DIM_CAP)),
+           ("gibbs_contraction", "gibbs")),
     _Claim("rate_dula", "dula", "kappa", ("2d_beta2_le_exp_neg_beta1",), None,
            lambda d, eta, b1, b2: dula_contraction_bound(eta, b1),
-           ("dula_contraction", "dula", CONTRACTION_DIM_CAP)),
+           ("dula_contraction", "dula")),
     _Claim("rate_dula_small_step", "dula_small_step", "kappa", ("4d_beta2_le_1",), "gibbs",
            lambda d, eta, b1, b2: dula_small_step_contraction_bound(eta),
-           ("dula_contraction_small_step", "dula", CONTRACTION_DIM_CAP)),
+           ("dula_contraction_small_step", "dula")),
     _Claim("rate_dups", "dups", "kappa", ("4d_beta2_exp4beta1_le_1",), None,
            lambda d, eta, b1, b2: dups_contraction_bound(eta),
-           ("dups_contraction", "dups", CONTRACTION_DIM_CAP)),
+           ("dups_contraction", "dups")),
     _Claim("rate_dups_small_step", "dups_small_step", "kappa",
            ("8d_beta2_le_1", "alignment_ge_neg_half_inv_eta"), None,
            lambda d, eta, b1, b2: dups_small_step_contraction_bound(eta),
-           ("dups_contraction_small_step", "dups", CONTRACTION_DIM_CAP)),
+           ("dups_contraction_small_step", "dups")),
     _Claim("err_dula_small_step", "dula_small_step", "stationary_w1",
            ("4d_beta2_le_1", "step_le_inv_d"), "gibbs",
            lambda d, eta, b1, b2: dula_stationary_error_bound(d, eta),
-           ("dula_stationary_error", "dula", _k.MAX_MATRIX_DIM)),
+           ("dula_stationary_error", "dula")),
     _Claim("err_dups_small_step", "dups_small_step", "stationary_w1",
            ("8d_beta2_le_1", "alignment_ge_neg_half_inv_eta"), "glauber",
            lambda d, eta, b1, b2: dups_stationary_error_bound(d, eta),
-           ("dups_stationary_error", "dups", _k.MAX_MATRIX_DIM)),
+           ("dups_stationary_error", "dups")),
     _Claim("err_dula_static", "dula_static", "stationary_w1", ("2d_beta2_le_exp_neg_beta1",),
            None, lambda d, eta, b1, b2: dula_static_error_bound(d, b1), None),
     _Claim("err_dups_static", "dups_static", "stationary_w1",
@@ -840,7 +840,7 @@ _CLAIMS = (
            lambda d, eta, b1, b2: dups_static_error_bound(d, b2), None),
     _Claim("dmaps_lipschitz", None, None, (), None, dmaps_acceptance_lipschitz, None),
     _Claim("dmaps_rejection", None, "rejection", (), "stein", dmaps_rejection_bound,
-           ("dmaps_acceptance_mass", "dmaps", _k.MAX_MATRIX_DIM)),
+           ("dmaps_acceptance_mass", "dmaps")),
     # epsilon for the adjusted rate comes from the unadjusted proximal margin
     _Claim("dmaps_rate", None, "kappa", ("4d_beta2_exp4beta1_le_1",), "stein",
            lambda d, eta, b1, b2: dmaps_contraction_bound(2.0 * float(expit(-2.0 / eta)),
@@ -989,6 +989,13 @@ class CertResult:
 FLOAT_GUARD = 1e-12
 
 
+def dimension_skip(observable: str, dim: int) -> str:
+    """Why `observable` is not computed at dimension `dim`, "" when it is:
+    kappa stops at `CONTRACTION_DIM_CAP`, the others at the dense cap."""
+    cap = CONTRACTION_DIM_CAP if observable == "kappa" else _k.MAX_MATRIX_DIM
+    return f"dimension {dim} above cap {cap}" if dim > cap else ""
+
+
 def run_certificates(model: TargetModel, score_kind: str, eta: float) -> list[CertResult]:
     """Check every claim of the table that names a certificate, in table order.
 
@@ -996,7 +1003,7 @@ def run_certificates(model: TargetModel, score_kind: str, eta: float) -> list[Ce
     kernel against the closed-form rate; stationary-error certificates
     compare the exact Wasserstein distance of the kernel's stationary law to
     the target against the closed-form error. A claim whose bound entry does
-    not apply, or whose dimension is above the certificate's cap, is
+    not apply, or whose observable is above its cap (`dimension_skip`), is
     reported as a skip with the entry's reason or the cap. Each kernel and
     each observable is computed once, the stationary law and its W1 on the
     orbits of the kernel's symmetries.
@@ -1008,10 +1015,9 @@ def run_certificates(model: TargetModel, score_kind: str, eta: float) -> list[Ce
     observed: dict[tuple[str, str], float] = {}
     results = []
     for claim in (c for c in _CLAIMS if c.certificate):
-        (name, sampler, dim_cap), observable = claim.certificate, claim.observable
+        (name, sampler), observable = claim.certificate, claim.observable
         entry = report.entries[claim.column]
-        reason = entry.reason or (f"dimension {report.dim} above cap {dim_cap}"
-                                  if report.dim > dim_cap else "")
+        reason = entry.reason or dimension_skip(observable, report.dim)
         if reason:
             results.append(CertResult(name, sampler, score_kind, eta, "skip",
                                       bound=entry.value, reason=reason))

@@ -148,7 +148,7 @@ def analyze_row(model: TargetModel, sampler: str, score_kind: str | None,
         "t_rel": spectrum.t_rel,
         "db_residual": analysis.detailed_balance_residual(kernel, target),
         "kappa": (analysis._sampler_certificate(model, kernel).kappa
-                  if with_kappa and model.dim <= analysis.CONTRACTION_DIM_CAP
+                  if with_kappa and not analysis.dimension_skip("kappa", model.dim)
                   else ""),
         "stationary_residual": float(np.abs(pi @ kernel.probs - pi).sum()),
     }

@@ -58,8 +58,8 @@ from scipy.special import expit, log_expit
 from .errors import CapabilityError, NumericalError, ParameterError
 from .models import TargetModel, _require_finite_rows, log_weight_table
 from .scores import ScoreField, _definition
-from .statespace import (BitState, all_signs, cube_orbits, flip_neighbors, pack_words,
-                         unpack_words)
+from .statespace import (BitState, _bit_axes, _moved_view, all_signs, cube_orbits,
+                         flip_neighbors, pack_words, unpack_words)
 
 # dense kernels hold 4^d doubles: d = 12 is ~134 MB and the practical top
 MAX_MATRIX_DIM = 12
@@ -382,35 +382,6 @@ _PHI_SPAN = 700.0
 _FLUX_TILE_BYTES = 1 << 18
 
 
-def _moved_view(a: np.ndarray, axes: str, dim: int, sigma, mask: int) -> np.ndarray:
-    """`a` moved by the isometry g = (sigma, mask) as `statespace.isometry_images`
-    moves states: entry k of a state axis "x" reads a at g(k), and entry i
-    of a coordinate axis "i" reads a at sigma[i]. The result is shaped like
-    `_bit_axes(a, axes, dim)`. Bit sigma[i] of g(k) is bit i of k XORed with
-    bit sigma[i] of the mask, so moving a state axis transposes its bit
-    axes and reverses the masked ones: the result is a strided view of `a`,
-    or of a copy permuted by sigma where there is an "i" axis."""
-    order, reverse, at = [], [], 0
-    for k, ax in enumerate(axes):
-        if ax == "i":
-            a = a.take(sigma, axis=k)
-            order.append(at)
-            at += 1
-            continue
-        # bit axis p holds bit dim - 1 - p
-        order += [at + dim - 1 - sigma[dim - 1 - p] for p in range(dim)]
-        reverse += [at + p for p in range(dim) if mask >> (dim - 1 - p) & 1]
-        at += dim
-    return np.flip(_bit_axes(a, axes, dim), reverse).transpose(order)
-
-
-def _bit_axes(a: np.ndarray, axes: str, dim: int) -> np.ndarray:
-    """`a` with each state axis "x" split into `dim` bit axes of length 2,
-    the most significant bit first."""
-    return a.reshape([m for ax, size in zip(axes, a.shape)
-                      for m in ([2] * dim if ax == "x" else [size])])
-
-
 def _checked_images(owner: str, dim: int, symmetries, parts) -> None:
     """Check each isometry g = (sigma, flip_mask) in `symmetries` on each
     (name, a, axes) of `parts`: moving every state axis "x" of a by g and
@@ -590,6 +561,32 @@ def kernel_matrix(model: TargetModel, sampler: str, score: ScoreField | None,
 # batched steps
 
 
+STEPPER_FORMS = ("vectors", "table", "words", "levels")
+
+
+def _form_refusal(model: TargetModel, form: str) -> str:
+    """Why a `Stepper` of `form` cannot step `model`, "" when it can (the
+    ranges are in the `Stepper` docstring); exchangeability is read only
+    within the level cap."""
+    if form not in STEPPER_FORMS:
+        raise ValueError(f"unknown stepper form {form!r}, expected one of {STEPPER_FORMS}")
+    if form in ("table", "words") and model.dim > MAX_MATRIX_DIM:
+        return f"state tables stop at d = {MAX_MATRIX_DIM}, got d = {model.dim}"
+    if form == "levels" and model.dim > LEVEL_DIM_CAP:
+        return f"level tables stop at d = {LEVEL_DIM_CAP}, got d = {model.dim}"
+    if form == "levels" and not model.exchangeable:
+        return (f"level tables need a target that declares every coordinate "
+                f"permutation, {model!r} does not")
+    return ""
+
+
+def chain_form(model: TargetModel) -> str:
+    """The `Stepper` form in which `simulate.run_chain` steps the chains of
+    `model`: the first of "words", "levels" and "vectors" that can step it."""
+    return next(form for form in ("words", "levels", "vectors")
+                if not _form_refusal(model, form))
+
+
 class Stepper:
     """One sampler's transition, on a batch of states or on a single state.
 
@@ -597,9 +594,12 @@ class Stepper:
     glauber score), and the stepper builds its one `ScoreField` of `model`.
     A step reads m = `uniforms_per_step` uniforms on [0, 1), fixed per
     sampler: gibbs 1, dula d, dmala d + 1, dups 2d, dmaps 2d + 1. The state
-    representation is fixed at construction:
+    representation is the named `form`, fixed at construction and refused
+    outside its range (CapabilityError); a chain run takes the first of
+    "words", "levels" and "vectors" whose range holds its model
+    (`chain_form`).
 
-    * `tables=False`: states are float arrays of +-1 coordinates, shaped
+    * "vectors": states are float arrays of +-1 coordinates, shaped
       (..., d), and every per-state quantity comes from the model's closed
       forms, at any dimension. `start(states)` checks what a step reads at
       its own (n, d) states and returns the carry of a first step from
@@ -608,38 +608,39 @@ class Stepper:
       ParameterError from `_raising_step_faults`, the context in which
       `run_chain` runs each block of steps and a `*_step` function its one
       step; no `isfinite` runs per step.
-    * `tables=True`: states are packed int64 words of any batch shape, and
-      every per-state quantity is read from a table over all 2^d states.
-      `simulate.sample_transitions` draws with it, one batched step from a
-      fixed state per block of draws, in the same context.
-    * `tables=True, scalar=True`: one state, a Python int word, whose table
-      row is a tuple of Python lists and floats; a step makes no numpy
-      call. `simulate.run_chain` steps every table-mode chain this way, one
-      chain after another, at a cost linear in the chain count.
-    * `tables=False, scalar=True`: one state, a Python int word, of an
-      exchangeable target (`TargetModel.exchangeable`) with d at most
-      `LEVEL_DIM_CAP`. Every feature then depends only on x_i and on the
-      state's +1 count, so `__init__` evaluates the closed forms once, on
-      the d + 1 states "first k coordinates +1", and checks them on "last
-      k coordinates +1" (`NumericalError` if any value differs). A step
-      reads row `x.bit_count()` of that level table and makes no numpy
-      call. The features equal the closed forms bit for bit, except
-      dmala's per-state base, a sum whose order differs by a few ulps.
+    * "table": states are packed int64 words of any batch shape, and
+      every per-state quantity is read from a table over all 2^d states,
+      up to d = `MAX_MATRIX_DIM`, the dense cap that chain estimators are
+      checked against. `simulate.sample_transitions` draws with it, one
+      batched step from a fixed state per block of draws, in the same
+      context.
+    * "words": one state, a Python int word, in the range of "table",
+      whose table row is a tuple of Python lists and floats; a step makes
+      no numpy call, so chains step alone, at a cost linear in their count.
+    * "levels": one state, a Python int word, of an exchangeable target
+      (`TargetModel.exchangeable`) with d at most `LEVEL_DIM_CAP`. Every
+      feature then depends only on x_i and on the state's +1 count, so
+      `__init__` evaluates the closed forms once, on the d + 1 states
+      "first k coordinates +1", and checks them on "last k coordinates +1"
+      (`NumericalError` if any value differs). A step reads row
+      `x.bit_count()` of that level table and makes no numpy call. The
+      features equal the closed forms bit for bit, except dmala's
+      per-state base, a sum whose order differs by a few ulps.
 
     In the batched representations a step reads a `(..., m)` block of
     uniforms whose leading shape broadcasts with the states', so one state
     with n rows of uniforms makes n draws. Each sampler's step is defined
     once, in `_<sampler>_step`, against primitives that `__init__` binds
-    per representation: the flips where `u < q` (a mask, or in scalar form
-    a packed word), gibbs's pick from a cumulative row, flipping a state by
+    per form: the flips where `u < q` (a mask, or in the word forms a
+    packed word), gibbs's pick from a cumulative row, flipping a state by
     a packed word or by those flips, the two Metropolis dot products and
     the accept step, which compares the log acceptance uniform with the log
     ratio and selects the next states and carry. The flips, the pick and
     the dot products also take the state their features belong to, which
     only the level primitives read: they split the flips by the sign they
-    leave. The scalar table dot products add the terms of the flipped
+    leave. The "words" dot products add the terms of the flipped
     coordinates in ascending order, which is how `np.vecdot` sums vectors
-    this short, so both table representations give the same floats; the
+    this short, so both table forms give the same floats; the
     level dot products are a count times a level difference per sign.
     Python floats overflow without a word, so the word forms' accept
     raises FloatingPointError on a log ratio that is not finite, which
@@ -652,8 +653,8 @@ class Stepper:
     `prepare(u)` turns a block of uniforms into those operands, doing the
     path-independent work (stage-one flips, logs of acceptance uniforms)
     for the whole block at once: `zip(*prepare(u))` gives each step's
-    tuple, and a one-shot batched step takes `prepare(u)` itself. A scalar
-    stepper's block is `(n, m)`, handed out as Python lists.
+    tuple, and a one-shot batched step takes `prepare(u)` itself. A word
+    form's block is `(n, m)`, handed out as Python lists.
 
     The carry holds what the Metropolis-adjusted samplers already know about
     the next states: dmala's features and dmaps's log weight, taken from the
@@ -674,30 +675,30 @@ class Stepper:
     """
 
     def __init__(self, model: TargetModel, sampler: str, score: str | None,
-                 eta: float, tables: bool, scalar: bool = False):
+                 eta: float, form: str):
+        if refusal := _form_refusal(model, form):
+            raise CapabilityError(refusal)
         self.h = _check_step(model, sampler, score, eta)
         d = model.dim
         score = ScoreField(model, "glauber" if sampler == "gibbs" else score)
         self.uniforms_per_step = {"gibbs": 1, "dula": d, "dmala": d + 1,
                                   "dups": 2 * d, "dmaps": 2 * d + 1}[sampler]
+        self.form = form
         self.sampler = sampler
         self.dim = d
         self.eta = eta
         self.model = model
         features = getattr(self, f"_{sampler}_features")
-        if not tables:
-            if scalar:
-                self._bind_levels(score, self._gibbs_probs if sampler == "gibbs" else features)
-            else:
-                self._bind_vectors(score, features)
+        if form == "vectors":
+            self._bind_vectors(score, features)
+        elif form == "levels":
+            self._bind_levels(score, self._gibbs_probs if sampler == "gibbs" else features)
         else:
             signs = all_signs(d).astype(np.float64)
             log_weight, table_features = _require_finite_features(
                 model, score, features, signs, range(1 << d))
-            if scalar:
-                self._bind_scalar(table_features, log_weight)
-            else:
-                self._bind_table(table_features, log_weight)
+            bind = self._bind_table if form == "table" else self._bind_words
+            bind(table_features, log_weight)
         self.step = getattr(self, f"_{sampler}_step")()
 
     def _bind_arrays(self) -> None:
@@ -757,8 +758,8 @@ class Stepper:
 
         self._accept = accept
 
-    def _bind_words(self) -> None:
-        """The primitives both Python int word representations share."""
+    def _bind_ints(self) -> None:
+        """The primitives both Python int word forms, "words" and "levels", share."""
         self._flip = self._move = operator.xor
         self._list = np.ndarray.tolist
         self._stage_one = lambda flips: (words := pack_words(flips), words)
@@ -774,9 +775,9 @@ class Stepper:
 
         self._accept = accept
 
-    def _bind_scalar(self, features: tuple, log_weight: np.ndarray) -> None:
+    def _bind_words(self, features: tuple, log_weight: np.ndarray) -> None:
         """Primitives on one Python int word against its table rows."""
-        self._bind_words()
+        self._bind_ints()
         d = self.dim
         bits = [1 << i for i in range(d)]
         # members[w]: the coordinates set in word w, ascending
@@ -831,15 +832,9 @@ class Stepper:
         dot product groups its flips by sign, so it costs two bit counts
         instead of one term per flip.
         """
-        self._bind_words()
-        d, model = self.dim, self.model
-        if not model.exchangeable:
-            raise CapabilityError(
-                f"level tables need a target that declares every coordinate "
-                f"permutation, {model!r} does not")
-        if d > LEVEL_DIM_CAP:
-            raise CapabilityError(f"level tables stop at d = {LEVEL_DIM_CAP}, got d = {d}")
-        rows, log_weight = _level_rows(model, score, features)
+        self._bind_ints()
+        d = self.dim
+        rows, log_weight = _level_rows(self.model, score, features)
         # no state flips a coordinate where u >= the largest flip probability
         # (every row leads with the flip probabilities), so a step's
         # candidates are its uniforms below it
@@ -1133,7 +1128,7 @@ def _step_once(model: TargetModel, sampler: str, score: ScoreField | None, x: Bi
     model._check_state(x)
     if score is not None:
         _check_score(model, score)
-    st = Stepper(model, sampler, None if score is None else score.kind, eta, tables=False)
+    st = Stepper(model, sampler, None if score is None else score.kind, eta, "vectors")
     signs = x.signs().astype(np.float64)
     st.start(signs[None])
     u = rng.random(st.uniforms_per_step)

@@ -13,7 +13,8 @@ A score assigns each state a vector s(x) in R^d:
 
 Each kind is defined once, in pointwise and sign-array forms; a table is the
 sign-array form on all 2^d states. Tables and their tilts x_i s(x)_i back the
-dense builders and the constant evaluators, built once per (model, kind).
+dense builders and the constant evaluators, built once per (model, kind), as
+are the smoothness constants that every bound report reads.
 """
 
 from __future__ import annotations
@@ -171,9 +172,17 @@ def smooth_beta_constants(score: ScoreField) -> BetaConstants:
     `beta_constants` for those fields. The gibbs transform carries an x_i
     sign factor that jumps by at least log 4 at the flipped coordinate even
     for a constant target, which is a convention artifact rather than
-    target roughness; dropping that coordinate removes it.
+    target roughness; dropping that coordinate removes it. Computed once
+    per (model, kind), beside the score table.
     """
-    tab = score.table()
+    return _memo_smooth_beta(score.model, score.kind)
+
+
+# the constants of each memoized table, under the same bound: an O(d^2 2^d)
+# scan that every bound report of the pair reads, whatever its step size
+@functools.lru_cache(maxsize=16)
+def _memo_smooth_beta(model: TargetModel, kind: str) -> BetaConstants:
+    tab = _memo_table(model, kind)
     return BetaConstants(float(np.abs(tab).max()), _adjacent_beta2(tab, flipped=False))
 
 

@@ -1,38 +1,23 @@
 """Seeded Monte Carlo chain runner with streaming estimators.
 
 Chains step through one `kernels.Stepper`, built from the config's score
-kind, in one loop over blocks of whole steps. Every loop calls the
-stepper's one bound step, `step(x, operands)` or `step(x, operands,
-carry)`, with a step's operands as one tuple, so a step pays no per-step
-attribute lookup or argument unpacking. Dimensions up to `TABLE_DIM_CAP`
-run on packed integer states against precomputed per-state tables (the
-hot path for the simulation/matrix consistency checks). There every chain
-steps alone, one after another in each block, on a Python int with its
-table rows as Python lists, so a step makes no numpy call and a run costs
-time linear in its chain count.
+kind in the form that `kernels.chain_form` picks for the model (the rule
+and its dimension limits are stated once, in the `Stepper` docstring), in
+one loop over blocks of whole steps. Every loop calls the stepper's one
+bound step with a step's operands as one tuple, so a step pays no per-step
+attribute lookup or argument unpacking.
 
-Beyond the table cap, a target whose `symmetries()` declare every
-coordinate permutation (bits, mixture, curieweiss; read through
-`TargetModel.exchangeable`) has features that depend on a state only
-through x_i and its +1 count. Up to `kernels.LEVEL_DIM_CAP`, its chains
-step alone in the same way, on a Python int word against a table of the
-d + 1 levels, built once from the closed forms; a step makes no numpy
-call. Other targets (Ising grids above the table cap), and exchangeable
-ones above the level cap, keep +-1 coordinate vectors that advance in
-lockstep, and each step evaluates the model's closed forms once, on the
-proposals. The accepted states' features (dmala's score and log
-weight, dmaps's log weight) are carried to the next step in the stepper's
-carry, not evaluated again; the carry always equals the returned states'
-features evaluated afresh, bit for bit. The closed forms at the starting
-states are evaluated once, checked for finiteness (`Stepper.start`) and
-carried into the first step. Each block of lockstep steps runs with
-floating-point overflow raised, so a proposal whose closed forms overflow
-stops the run with a ParameterError naming the step. The word steps of
-the table and level paths add their Metropolis terms in Python floats,
-which overflow without a word; a log acceptance ratio that is not finite
-stops the run with the same ParameterError, naming the step and the
-chain. A step in which every chain accepts returns the proposals and
-their features as they stand, with no accept select. The paths of both
+On the word forms every chain steps alone, one after another in each
+block, on a Python int with no numpy call, so a run costs time linear in
+its chain count. On "vectors" the chains advance in lockstep, and each
+step evaluates the model's closed forms once, on the proposals: the
+accepted states' features are carried to the next step, and those at the
+starting states are checked finite (`Stepper.start`). Each block of
+lockstep steps runs with floating-point overflow raised, so a proposal
+whose closed forms overflow stops the run with a ParameterError naming the
+step. The word steps add their Metropolis terms in Python floats; a log
+acceptance ratio that is not finite stops the run with the same
+ParameterError, naming the step and the chain. The paths of the level and
 vector forms are tallied as masks of the +1 coordinates.
 
 Chains are reproducible: the 64-bit config seed feeds a numpy SeedSequence
@@ -51,12 +36,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapabilityError, ParameterError
-from .kernels import LEVEL_DIM_CAP, Stepper, _check_step, _raising_step_faults
+from .errors import ParameterError
+from .kernels import Stepper, _check_step, _raising_step_faults, chain_form
 from .models import TargetModel
 from .statespace import BitState, all_signs, pack_words, unpack_words
-
-TABLE_DIM_CAP = 12
 
 
 @dataclass(frozen=True)
@@ -111,34 +94,25 @@ class SimResult:
 _UNIFORM_BLOCK = 1 << 14
 
 
-def _level_path(model: TargetModel) -> bool:
-    """Whether chains of the model step alone against a table of its d + 1
-    levels: on every exchangeable target above the table cap and up to the
-    level cap."""
-    return TABLE_DIM_CAP < model.dim <= LEVEL_DIM_CAP and model.exchangeable
-
-
 def run_chain(cfg: ChainConfig, dump_path: str | None = None) -> SimResult:
     """Run every chain of the config and return streaming estimators.
 
     Each block draws every chain's uniforms from its own substream and
     steps the chains into one buffer of paths and accept flags; the same
-    code then counts, tallies and dumps from it. The model alone picks how
-    chains step: alone on table words up to `TABLE_DIM_CAP`, alone on level
-    words for exchangeable targets up to `kernels.LEVEL_DIM_CAP`, and in
-    lockstep on +-1 vectors otherwise. The level path gives the estimators
-    of the +-1 lockstep step, except where an accept test falls within a
-    few ulps of its threshold: dmala's base and the grouped dot products
-    round differently.
+    code then counts, tallies and dumps from it. The model alone picks the
+    stepper's form, by `kernels.chain_form`. The level form gives the
+    estimators of the +-1 lockstep step, except where an accept test falls
+    within a few ulps of its threshold: dmala's base and the grouped dot
+    products round differently.
 
     With `dump_path`, each retained sample is also written as a CSV row
     (chain, step, packed state as hex, magnetization); meant for small runs.
     """
     d = cfg.model.dim
     chains = cfg.chains
-    table_mode = d <= TABLE_DIM_CAP
-    alone = table_mode or _level_path(cfg.model)
-    st = Stepper(cfg.model, cfg.sampler, cfg.score, cfg.eta, table_mode, alone)
+    form = chain_form(cfg.model)
+    st = Stepper(cfg.model, cfg.sampler, cfg.score, cfg.eta, form)
+    table_mode, alone = form == "words", form != "vectors"
     m = st.uniforms_per_step
     block = max(1, _UNIFORM_BLOCK // m)
     blocks = [(t0, min(block, cfg.steps - t0)) for t0 in range(0, cfg.steps, block)]
@@ -251,15 +225,12 @@ def sample_transitions(model: TargetModel, sampler: str, score: str | None,
     All draws are one batched step from x (there is no sequential
     dependence), which is what makes million-sample kernel-row checks
     affordable. Draws are made in blocks of `_DRAW_BLOCK`, so memory stays
-    flat in n. Table dimensions only.
+    flat in n. The "table" form of `kernels.Stepper` draws, in its range.
     """
-    d = model.dim
-    if d > TABLE_DIM_CAP:
-        raise CapabilityError(f"transition sampling capped at d <= {TABLE_DIM_CAP}, got {d}")
+    st = Stepper(model, sampler, score, eta, "table")
     model._check_state(x)
     if n < 0:
         raise ParameterError(f"draw count must be >= 0, got {n}")
-    st = Stepper(model, sampler, score, eta, tables=True)
     out = []
     with _raising_step_faults(model, sampler, lambda: f"from state {x.bits:#x}"):
         for start in range(0, max(n, 1), _DRAW_BLOCK):

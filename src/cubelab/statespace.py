@@ -140,8 +140,8 @@ def flip_neighbors(dim: int) -> np.ndarray:
 
 def isometry_images(dim: int, sigma, flip_mask: int) -> np.ndarray:
     """Image g(k) of every state word k under the cube isometry (sigma, flip_mask):
-    bit sigma[i] of g(k) is bit i of k, XORed with `flip_mask`. The array is
-    read-only and built once per (dim, sigma, flip_mask).
+    `_moved_view` of the words, made contiguous; read-only and built once
+    per (dim, sigma, flip_mask).
 
     Raises ParameterError unless sigma permutes range(dim) and flip_mask is
     a dim-bit word.
@@ -157,10 +157,38 @@ def _isometry_images(dim: int, sigma: tuple, flip_mask: int) -> np.ndarray:
     if sorted(sigma) != list(range(dim)) or not 0 <= flip_mask < n:
         raise ParameterError(
             f"({sigma}, {flip_mask}) is not an isometry of the {dim}-cube")
-    bits = unpack_words(np.arange(n), dim)
-    images = (bits << np.asarray(sigma, dtype=np.int64)).sum(axis=1) ^ flip_mask
+    images = np.ascontiguousarray(_moved_view(np.arange(n), "x", dim, sigma, flip_mask).reshape(n))
     images.setflags(write=False)
     return images
+
+
+def _moved_view(a: np.ndarray, axes: str, dim: int, sigma, mask: int) -> np.ndarray:
+    """`a` moved by the cube isometry g = (sigma, mask), the one statement of
+    its action: entry k of a state axis "x" reads a at g(k), and entry i of
+    a coordinate axis "i" reads a at sigma[i], shaped like `_bit_axes(a,
+    axes, dim)`. Bit sigma[i] of g(k) is bit i of k XORed with bit sigma[i]
+    of the mask, so moving a state axis transposes its bit axes and
+    reverses the masked ones: a strided view of `a`, or of a copy permuted
+    by sigma where there is an "i" axis."""
+    order, reverse, at = [], [], 0
+    for k, ax in enumerate(axes):
+        if ax == "i":
+            a = a.take(sigma, axis=k)
+            order.append(at)
+            at += 1
+            continue
+        # bit axis p holds bit dim - 1 - p
+        order += [at + dim - 1 - sigma[dim - 1 - p] for p in range(dim)]
+        reverse += [at + p for p in range(dim) if mask >> (dim - 1 - p) & 1]
+        at += dim
+    return np.flip(_bit_axes(a, axes, dim), reverse).transpose(order)
+
+
+def _bit_axes(a: np.ndarray, axes: str, dim: int) -> np.ndarray:
+    """`a` with each state axis "x" split into `dim` bit axes of length 2,
+    the most significant bit first."""
+    return a.reshape([m for ax, size in zip(axes, a.shape)
+                      for m in ([2] * dim if ax == "x" else [size])])
 
 
 def adjacent_pairs(dim: int) -> np.ndarray:

@@ -1383,15 +1383,19 @@ _README_OBSERVABLES = {"kappa": "kappa", "stationary_w1": "stationary W1",
 def test_readme_claim_table_matches_the_claims():
     """The table under "Claims and certificates" in README.md lists every
     claim of `analysis._CLAIMS` in order: its column, its observable, and
-    its `check` certificate with sampler and cap, or "reported only"."""
+    its `check` certificate with sampler and the cap of its observable
+    (the largest d that `dimension_skip` keeps), or "reported only"."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     section = readme.split("\n### Claims and certificates\n", 1)[1].split("\n#", 1)[0]
     header, _, *rows = ([cell.strip() for cell in line.strip("|").split("|")]
                         for line in section.splitlines() if line.startswith("|"))
     assert header == ["Column", "Observable", "`check` certificate (sampler, cap)"]
+    def cap(observable):
+        return next(d for d in range(1, 100) if analysis.dimension_skip(observable, d + 1))
+
     expected = [[f"`{c.column}`", _README_OBSERVABLES[c.observable],
-                 "`{}` ({}, d <= {})".format(*c.certificate) if c.certificate
-                 else "reported only"] for c in analysis._CLAIMS]
+                 "`{}` ({}, d <= {})".format(*c.certificate, cap(c.observable))
+                 if c.certificate else "reported only"] for c in analysis._CLAIMS]
     assert rows == expected
 
 

@@ -816,6 +816,36 @@ def test_seeded_simulate_outputs_keep_their_bytes(capsys, tmp_path, case):
     assert hashlib.sha256(data).hexdigest() == _SIMULATE_DIGESTS[case]
 
 
+# SHA-256 of `check` stdout and of its --out CSV where claims skip for their
+# dimension: at d = 9 the kappa claims (cap 8), at d = 13 also the
+# stationary-error and rejection claims (cap 12)
+_CHECK_DIGESTS = {
+    "mixture-d9": (["--model", "mixture", "--beta", "0.01", "--dim", "9"], 11,
+                   "134d56e41ed4d2354c3923f3ae089b46940accdc332deaea3d88e166e9afb84b",
+                   "2c0dc43d2b2cf63a78c1acc5edd73eae8b8d7724ad047216c200da8302933941"),
+    "bits-d13": (["--model", "bits", "--beta", "0.05", "--dim", "13"], 14,
+                 "e4fd64122ff9980e1a39af1ad9d68bf7868ec3efe60696900971d1d1d4d8d131",
+                 "450b0176a91b94eeda7284e1aa80654b96b009dea7aefeead8bf0bd2a610fdc1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_CHECK_DIGESTS))
+def test_check_skips_above_each_cap_keep_their_bytes(capsys, tmp_path, case):
+    """The skip reasons name the dimension and the cap of the observable
+    ("dimension 9 above cap 8"), and the lines and the CSV keep the bytes
+    they had when the digests were taken."""
+    flags, skips, lines, table = _CHECK_DIGESTS[case]
+    dim = int(flags[flags.index("--dim") + 1])
+    out = tmp_path / "check.csv"
+    code, text, err = run_cli(capsys, "check", *flags, "--eta", "0.5", "--out", str(out))
+    assert code == 0 and err == ""
+    reasons = re.findall(r"\((dimension .*)\)$", text, re.MULTILINE)
+    assert len(reasons) == skips
+    assert set(reasons) == {f"dimension {dim} above cap {cap}" for cap in (8, 12) if dim > cap}
+    assert hashlib.sha256(text.encode()).hexdigest() == lines
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == table
+
+
 def test_every_target_family_is_a_model_choice_built_from_its_fields():
     """Each `TargetModel` subclass of `cubelab.models` is a `--model` choice
     under its `name`, built from the flags named after its dataclass

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.special import expit, log_expit
 
-from cubelab import kernels, scores
+from cubelab import kernels, scores, statespace
 from cubelab.errors import CapabilityError, NumericalError, ParameterError
 from cubelab.kernels import (
     GeneratorMatrix,
@@ -318,7 +318,7 @@ def test_vector_carry_is_the_next_states_features(model, eta, sampler):
     states, evaluated afresh, bit for bit: on batches where every chain
     accepts (the select is skipped), on batches where some reject, and on an
     unbatched one-shot step."""
-    st = kernels.Stepper(model, sampler, "glauber", eta, tables=False)
+    st = kernels.Stepper(model, sampler, "glauber", eta, "vectors")
 
     def fresh(x):
         return st._at(x) if sampler == "dmala" else (st._log_weight(x),)
@@ -556,24 +556,26 @@ def test_destination_order_flip_log_kernel_is_the_gathered_one(dim):
 
 
 def _gathered_images(a, axes, dim, sigma, mask):
-    """`a` moved by the isometry as one gather per axis."""
-    img = isometry_images(dim, sigma, mask)
+    """`a` moved by the isometry as one gather per axis, the state images
+    by the bit-shift formula: bit sigma[i] of g(k) is bit i of k, XORed
+    with the mask."""
+    img = (unpack_words(np.arange(1 << dim), dim) << np.asarray(sigma)).sum(axis=1) ^ mask
     return a[np.ix_(*(img if ax == "x" else list(sigma) for ax in axes))]
 
 
 @pytest.mark.parametrize("dim", range(1, 10))
 def test_view_based_symmetry_check_is_the_gathered_one(dim):
-    """`_moved_view` reads every entry where the gathers of `isometry_images`
-    do, for random isometries; a part made invariant under one passes its
-    check, and a 2 SYMMETRY_TOL change at an entry it moves raises the
-    NumericalError that the gathered difference names."""
+    """`statespace._moved_view` reads every entry where the gathers of the
+    bit-shift images do, for random isometries; a part made invariant under
+    one passes its check, and a 2 SYMMETRY_TOL change at an entry it moves
+    raises the NumericalError that the gathered difference names."""
     rng = np.random.default_rng(100 + dim)
     n = 1 << dim
     for _ in range(4):
         sigma, mask = tuple(rng.permutation(dim).tolist()), int(rng.integers(n))
         for axes, shape in (("xx", (n, n)), ("x", (n,)), ("xi", (n, dim))):
             a = rng.uniform(0.5, 1.5, shape)
-            moved = kernels._moved_view(a, axes, dim, sigma, mask)
+            moved = statespace._moved_view(a, axes, dim, sigma, mask)
             assert np.array_equal(moved.reshape(shape), _gathered_images(a, axes, dim, sigma, mask))
             # constant on each orbit of the entries under the isometry
             index = np.arange(a.size).reshape(shape)
@@ -767,12 +769,12 @@ def test_one_shot_step_at_the_largest_dimension():
 
 @pytest.mark.parametrize("dim", [3, 6, 10, 12])
 def test_scalar_dot_products_sum_like_vecdot(dim):
-    """The scalar steps' Metropolis dot products add the terms of the set
+    """The "words" steps' Metropolis dot products add the terms of the set
     bits in ascending coordinate order, which is how `np.vecdot` sums
     vectors this short. Values spread over six decades make the order of
     the additions show in the last bits; both give the same floats."""
     model = IndependentBits(0.3, dim)
-    st = kernels.Stepper(model, "dmaps", "glauber", 0.5, tables=True, scalar=True)
+    st = kernels.Stepper(model, "dmaps", "glauber", 0.5, "words")
     rng = np.random.default_rng(dim)
     n = 5000
     a, b = rng.normal(size=(2, n, dim)) * 10.0 ** rng.uniform(-3, 3, (2, n, dim))
@@ -814,8 +816,8 @@ def test_level_tables_equal_the_closed_forms(family, dim):
     for kind in SCORE_KINDS:
         for sampler, eta in (("gibbs", 0.45), ("dula", 1.0), ("dmala", 1.0), ("dups", 1.0),
                              ("dmaps", 1.0)):
-            level = kernels.Stepper(model, sampler, kind, eta, tables=False, scalar=True)
-            closed = kernels.Stepper(model, sampler, kind, eta, tables=False)
+            level = kernels.Stepper(model, sampler, kind, eta, "levels")
+            closed = kernels.Stepper(model, sampler, kind, eta, "vectors")
             want = (closed._gibbs_probs(signs, model.glauber_score_signs(signs))
                     if sampler == "gibbs" else closed._at(signs))
             got = list(zip(*(level._at(w) for w in words)))
@@ -839,8 +841,8 @@ def test_gibbs_level_pick_at_the_full_flip_mass(family):
     flips the last coordinate."""
     d, eta = 24, 0.45
     model = _LEVEL_FAMILIES[family](d)
-    level = kernels.Stepper(model, "gibbs", None, eta, tables=False, scalar=True)
-    closed = kernels.Stepper(model, "gibbs", None, eta, tables=False)
+    level = kernels.Stepper(model, "gibbs", None, eta, "levels")
+    closed = kernels.Stepper(model, "gibbs", None, eta, "vectors")
     rng = np.random.default_rng(d)
     signs = np.where(rng.random((d + 1, d)) < np.linspace(0, 1, d + 1)[:, None], 1.0, -1.0)
     for x, s in zip(pack_words(signs > 0), signs):
@@ -862,7 +864,7 @@ def test_level_tables_of_a_false_exchangeability_raise(model, kind):
 
     for sampler in ("dula", "dmala", "dmaps"):
         with pytest.raises(NumericalError, match="declares every coordinate permutation") as err:
-            kernels.Stepper(model, sampler, kind, 0.8, tables=False, scalar=True)
+            kernels.Stepper(model, sampler, kind, 0.8, "levels")
         assert repr(model) in str(err.value)
     with pytest.raises(NumericalError, match=re.escape(repr(model))):
         run_chain(ChainConfig("dmala", model, kind, 0.8, steps=10))
@@ -871,7 +873,7 @@ def test_level_tables_of_a_false_exchangeability_raise(model, kind):
 def test_level_tables_need_declared_exchangeability():
     model = IsingGrid(4, 4, 0.3, 0.1)
     with pytest.raises(CapabilityError, match="declares every coordinate permutation"):
-        kernels.Stepper(model, "dula", "glauber", 0.8, tables=False, scalar=True)
+        kernels.Stepper(model, "dula", "glauber", 0.8, "levels")
 
 
 def test_level_tables_stop_at_the_level_cap():
@@ -879,10 +881,10 @@ def test_level_tables_stop_at_the_level_cap():
     built above `LEVEL_DIM_CAP`."""
     cap = kernels.LEVEL_DIM_CAP
     model = CurieWeiss(0.3 / cap, 0.0, cap)
-    kernels.Stepper(model, "dula", "glauber", 0.8, tables=False, scalar=True)
+    kernels.Stepper(model, "dula", "glauber", 0.8, "levels")
     model = CurieWeiss(0.3 / cap, 0.0, cap + 1)
     with pytest.raises(CapabilityError, match=f"level tables stop at d = {cap}"):
-        kernels.Stepper(model, "dula", "glauber", 0.8, tables=False, scalar=True)
+        kernels.Stepper(model, "dula", "glauber", 0.8, "levels")
 
 
 @pytest.mark.parametrize("sampler", kernels.STEP_SAMPLERS)
@@ -911,7 +913,7 @@ def test_level_tables_name_the_state_of_a_non_finite_level():
 
     model = Spiked(0.01, 0.0, 16)
     with pytest.raises(ParameterError, match=re.escape("non-finite log weight at state 0x7")):
-        kernels.Stepper(model, "dula", "stein", 0.8, tables=False, scalar=True)
+        kernels.Stepper(model, "dula", "stein", 0.8, "levels")
 
 
 @pytest.mark.parametrize("sampler", kernels.STEP_SAMPLERS)
@@ -963,11 +965,10 @@ def test_dmala_steppers_evaluate_the_log_weights_once(monkeypatch):
     evaluate = CurieWeiss.log_weight_signs
     monkeypatch.setattr(CurieWeiss, "log_weight_signs",
                         lambda self, signs: calls.append(np.shape(signs)) or evaluate(self, signs))
-    kernels.Stepper(CurieWeiss(0.2, 0.0, 10), "dmala", "glauber", 0.8, tables=True)
+    kernels.Stepper(CurieWeiss(0.2, 0.0, 10), "dmala", "glauber", 0.8, "table")
     assert calls == [(1024, 10)]
     calls.clear()
-    kernels.Stepper(CurieWeiss(0.02, 0.0, 16), "dmala", "glauber", 0.8, tables=False,
-                    scalar=True)
+    kernels.Stepper(CurieWeiss(0.02, 0.0, 16), "dmala", "glauber", 0.8, "levels")
     assert calls == [(17, 16), (17, 16)]
 
 

@@ -274,3 +274,26 @@ def test_score_tables_reject_scores_that_overflow():
         with pytest.raises(ParameterError, match=re.escape(
                 f"{model!r} has a non-finite gibbs score at state 0x1: [inf]")):
             tabulate_scores(model, "gibbs")
+
+
+def test_bound_reports_scan_the_smoothness_constants_once_per_kind(monkeypatch, capsys):
+    """`smooth_beta_constants` depends on the model and the score kind alone:
+    a `bounds` run over seven step sizes and every kind scans each kind's
+    table once, and its CSV is that of a run that scans afresh per row."""
+    argv = ["bounds", "--model", "curieweiss", "--beta", "0.01", "--b", "0", "--dim", "8",
+            "--eta-grid", "0.2:2:7", "--score", "all"]
+    scans = []
+    scan = scores._adjacent_beta2
+    monkeypatch.setattr(scores, "_adjacent_beta2",
+                        lambda tab, flipped: scans.append(tab) or scan(tab, flipped))
+    assert cli.main(argv) == 0
+    memoized = capsys.readouterr().out
+    model = CurieWeiss(0.01, 0.0, 8)
+    assert len(scans) == len(SCORE_KINDS)
+    assert all(any(tab is ScoreField(model, kind).table() for tab in scans)
+               for kind in SCORE_KINDS)
+    # the scan per row, as the bound reports took it without the memo
+    monkeypatch.setattr(cli.analysis, "smooth_beta_constants", lambda field: scores.BetaConstants(
+        float(np.abs(field.table()).max()), scan(field.table(), flipped=False)))
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == memoized

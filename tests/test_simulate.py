@@ -76,7 +76,7 @@ def test_lockstep_vector_chains_are_separate_substreams(sampler, score):
     table cap take: the first chains of a 5-chain run reproduce 2- and
     1-chain runs bit for bit."""
     model = IsingGrid(4, 4, 0.3, 0.1, periodic=True)
-    assert not simulate._level_path(model)
+    assert kernels.chain_form(model) == "vectors"
     runs = {c: run_chain(ChainConfig(sampler, model, score, 0.6, steps=1500, burn_in=100,
                                      chains=c, seed=42)) for c in (5, 2, 1)}
     for c in (2, 1):
@@ -90,8 +90,8 @@ def test_exchangeable_targets_above_the_level_cap_step_in_lockstep(monkeypatch):
     step on +-1 vectors in lockstep and build no level table, whose O(d^2)
     set-up would dominate a short run at large d."""
     cap = kernels.LEVEL_DIM_CAP
-    assert simulate._level_path(IndependentBits(0.01, cap))
-    assert not simulate._level_path(IndependentBits(0.01, cap + 1))
+    assert kernels.chain_form(IndependentBits(0.01, cap)) == "levels"
+    assert kernels.chain_form(IndependentBits(0.01, cap + 1)) == "vectors"
 
     def no_table(*args):
         raise AssertionError("a level table was built above the level cap")
@@ -119,8 +119,8 @@ def test_a_target_that_declares_no_permutation_steps_in_lockstep(monkeypatch, sa
     in lockstep, to the estimators of the plain target made to step so,
     while the plain target builds its level table."""
     plain, undeclared = CurieWeiss(0.02, 0.3, 20), _Undeclared(0.02, 0.3, 20)
-    assert plain.exchangeable and simulate._level_path(plain)
-    assert not undeclared.exchangeable and not simulate._level_path(undeclared)
+    assert plain.exchangeable and kernels.chain_form(plain) == "levels"
+    assert not undeclared.exchangeable and kernels.chain_form(undeclared) == "vectors"
     built = []
     level_rows = kernels._level_rows
     monkeypatch.setattr(kernels, "_level_rows",
@@ -134,12 +134,57 @@ def test_a_target_that_declares_no_permutation_steps_in_lockstep(monkeypatch, sa
     assert built == [plain]
     lockstep = run(undeclared)
     assert built == [plain]
-    monkeypatch.setattr(simulate, "_level_path", lambda model: False)
+    steppers = _plus_minus_path(monkeypatch)
     forced = run(plain)
-    assert built == [plain]
+    assert built == [plain] and [st.form for st in steppers] == ["vectors"]
     for field in _FIELDS:
         np.testing.assert_array_equal(getattr(lockstep, field), getattr(forced, field),
                                       err_msg=field)
+
+
+# per dimension, an Ising grid of that many sites
+_GRIDS = {1: (1, 1), 12: (3, 4), 13: (1, 13), 64: (8, 8), 65: (5, 13)}
+# per (family, d): the form `chain_form` picks, and whether "levels" can step
+# it; at d = 1 every target is exchangeable, with no generator to declare
+_CHAIN_FORMS = {
+    ("bits", 1): ("words", True), ("bits", 12): ("words", True),
+    ("bits", 13): ("levels", True), ("bits", 64): ("levels", True),
+    ("bits", 65): ("vectors", False),
+    ("ising", 1): ("words", True), ("ising", 12): ("words", False),
+    ("ising", 13): ("vectors", False), ("ising", 64): ("vectors", False),
+    ("ising", 65): ("vectors", False),
+    ("undeclared", 1): ("words", True), ("undeclared", 12): ("words", False),
+    ("undeclared", 13): ("vectors", False), ("undeclared", 64): ("vectors", False),
+    ("undeclared", 65): ("vectors", False),
+}
+
+
+@pytest.mark.parametrize("family, dim", sorted(_CHAIN_FORMS))
+def test_the_chain_form_of_each_family_and_dimension(family, dim, monkeypatch):
+    """Chains step on table words up to `MAX_MATRIX_DIM` = 12, on level
+    words for exchangeable targets up to `LEVEL_DIM_CAP` = 64, and on +-1
+    vectors otherwise: for an exchangeable family, an Ising grid and a
+    Curie-Weiss target that declares no symmetry. Each form builds within
+    its range; outside it, the table forms and the level form raise
+    CapabilityError before any table is built. A run steps in the form
+    picked."""
+    model = {"bits": lambda: IndependentBits(0.3, dim),
+             "ising": lambda: IsingGrid(*_GRIDS[dim], 0.3, 0.1),
+             "undeclared": lambda: _Undeclared(0.3 / dim, 0.2, dim)}[family]()
+    form, levels = _CHAIN_FORMS[family, dim]
+    assert kernels.chain_form(model) == form
+    steps = {"vectors": True, "table": dim <= 12, "words": dim <= 12, "levels": levels}
+    assert set(steps) == set(kernels.STEPPER_FORMS)
+    for name, ok in steps.items():
+        if ok:
+            assert Stepper(model, "dula", "glauber", 0.8, name).form == name
+            continue
+        with pytest.raises(CapabilityError, match="state tables stop at d = 12|level tables"):
+            Stepper(model, "dula", "glauber", 0.8, name)
+    built = _steppers_built(monkeypatch)
+    result = run_chain(ChainConfig("dula", model, "glauber", 0.8, steps=20, chains=2))
+    assert [st.form for st in built] == [form]
+    assert (result.state_counts is None) == (form != "words")
 
 
 @pytest.mark.parametrize("dim,eta", [(3, 1.5), (6, 1.0), (10, 0.7), (12, 0.8)])
@@ -147,15 +192,15 @@ def test_a_target_that_declares_no_permutation_steps_in_lockstep(monkeypatch, sa
     (sampler, score) for sampler in ("dula", "dmala", "dups", "dmaps")
     for score in ("glauber", "gibbs", "stein")])
 def test_chains_alone_reproduce_the_lockstep_table_step(sampler, score, dim, eta):
-    """The scalar table step, which `run_chain` takes one chain at a time
-    on Python ints, and the batched table step, which `sample_transitions`
+    """The "words" step, which `run_chain` takes one chain at a time on
+    Python ints, and the batched "table" step, which `sample_transitions`
     takes, give the same next states and accept flags bit for bit from the
     same states and uniforms, over many steps of three chains in lockstep;
     the adjusted samplers take both branches of the accept test on every
     chain."""
     model = CurieWeiss(0.4 / dim, 0.5, dim)
-    alone = Stepper(model, sampler, score, eta, tables=True, scalar=True)
-    lockstep = Stepper(model, sampler, score, eta, tables=True)
+    alone = Stepper(model, sampler, score, eta, "words")
+    lockstep = Stepper(model, sampler, score, eta, "table")
     rng = np.random.default_rng(23)
     steps, chains = 1500, 3
     u = rng.random((steps, chains, lockstep.uniforms_per_step))
@@ -167,7 +212,7 @@ def test_chains_alone_reproduce_the_lockstep_table_step(sampler, score, dim, eta
         x, ok, _, _, _ = lockstep.step(x, operands)
         paths[t], flags[t] = x, ok
     for c in range(chains):
-        # each scalar step starts from the state the batched step left
+        # each word step starts from the state the batched step left
         before = [int(start[c])] + paths[:-1, c].tolist()
         steps_alone = [alone.step(x, operands)[:2]
                        for x, operands in zip(before, zip(*alone.prepare(u[:, c])))]
@@ -218,10 +263,25 @@ def _counting(calls, name, fn):
     return wrapped
 
 
-def _plus_minus_path(mp):
-    """Make `run_chain` step every vector-mode target on +-1 vectors in
-    lockstep, as it does targets without level structure."""
-    mp.setattr(simulate, "_level_path", lambda model: False)
+def _steppers_built(mp, make=Stepper):
+    """The list of every stepper that `run_chain` builds from here on,
+    each made by `make`, so a test can tell which form ran."""
+    built = []
+
+    def record(*args, **kwargs):
+        built.append(make(*args, **kwargs))
+        return built[-1]
+
+    mp.setattr(simulate, "Stepper", record)
+    return built
+
+
+def _plus_minus_path(mp, make=Stepper):
+    """Make `run_chain` step every target on +-1 vectors in lockstep, as it
+    does targets without level structure, through steppers made by `make`;
+    returns the list of those built (`_steppers_built`)."""
+    mp.setattr(simulate, "chain_form", lambda model: "vectors")
+    return _steppers_built(mp, make)
 
 
 class _ReferenceStepper(Stepper):
@@ -267,15 +327,9 @@ def _reference_run(mp, cfg: ChainConfig):
     """`run_chain(cfg)` on +-1 vectors in lockstep through `_ReferenceStepper`,
     which takes every dmala and dmaps step of the run (one per step of the
     config, all chains at once) and no other sampler's."""
-    built = []
-
-    def reference(*args, **kwargs):
-        built.append(_ReferenceStepper(*args, **kwargs))
-        return built[-1]
-
-    _plus_minus_path(mp)
-    mp.setattr(simulate, "Stepper", reference)
+    built = _plus_minus_path(mp, _ReferenceStepper)
     result = run_chain(cfg)
+    assert [st.form for st in built] == ["vectors"]
     assert [st.taken for st in built] == [cfg.steps if cfg.sampler in ("dmala", "dmaps") else 0]
     return result
 
@@ -295,9 +349,9 @@ def _reproduces_the_reference_stepper(levels: bool):
         accept test are taken on every chain."""
         cfg = ChainConfig(sampler, model, score, 1.0, steps=1200, burn_in=100, thinning=3,
                           chains=chains, seed=5)
-        if not levels:
-            _plus_minus_path(monkeypatch)
+        built = _steppers_built(monkeypatch) if levels else _plus_minus_path(monkeypatch)
         stepped = run_chain(cfg)
+        assert [st.form for st in built] == ["levels" if levels else "vectors"]
         reference = _reference_run(monkeypatch, cfg)
         for field in _FIELDS:
             np.testing.assert_array_equal(getattr(stepped, field), getattr(reference, field),
@@ -341,8 +395,9 @@ def test_vector_runs_reproduce_the_reference_stepper_property():
         cfg = ChainConfig(sampler, model, score, eta, steps=600, burn_in=50, thinning=2,
                           chains=chains, seed=seed)
         with pytest.MonkeyPatch.context() as mp:
-            _plus_minus_path(mp)
+            built = _plus_minus_path(mp)
             carried = run_chain(cfg)
+            assert [st.form for st in built] == ["vectors"]
             reference = _reference_run(mp, cfg)
         for field in _FIELDS:
             np.testing.assert_array_equal(getattr(carried, field),
@@ -363,9 +418,10 @@ def test_vector_steps_evaluate_each_state_once(sampler, chains, monkeypatch):
     monkeypatch.setattr(CurieWeiss, "log_weight_signs",
                         _counting(calls, "log_weight", CurieWeiss.log_weight_signs))
     steps = 1500
-    _plus_minus_path(monkeypatch)
+    built = _plus_minus_path(monkeypatch)
     run_chain(ChainConfig(sampler, CurieWeiss(0.02, 0.3, 20), "glauber", 0.5, steps=steps,
                           chains=chains, seed=1))
+    assert [st.form for st in built] == ["vectors"]
     assert calls == {"score": steps + (sampler == "dmala"), "log_weight": steps + 1}
 
 
@@ -396,8 +452,10 @@ def test_level_runs_reproduce_the_reference_stepper_property():
             eta, score = min(eta, 1.9 / math.log(model.dim)), None
         cfg = ChainConfig(sampler, model, score, eta, steps=600, burn_in=50, thinning=2,
                           chains=chains, seed=seed)
-        levels = run_chain(cfg)
         with pytest.MonkeyPatch.context() as mp:
+            built = _steppers_built(mp)
+            levels = run_chain(cfg)
+            assert [st.form for st in built] == ["levels"]
             reference = _reference_run(mp, cfg)
         for field in _FIELDS:
             np.testing.assert_array_equal(getattr(levels, field),
@@ -523,7 +581,7 @@ def test_grid_chains_match_the_transfer_law(sampler):
     proposal-ratio term of dmala's accept test (0.95) or the tilt term of
     dmaps's (0.92)."""
     model = IsingGrid(3, 8, 0.25, 0.1)
-    assert not simulate._level_path(model) and model.dim > simulate.TABLE_DIM_CAP
+    assert kernels.chain_form(model) == "vectors"
     law = np.exp(ising_plus_count_log_law(3, 8, 0.25, 0.1))
     eta = 1.8 / math.log(model.dim) if sampler == "gibbs" else 0.8
     steps = 100_000 if sampler == "gibbs" else 20_000
@@ -548,7 +606,7 @@ def test_bits_chains_match_the_binomial_magnetization_law(score, sampler, dim, c
     flip probabilities (in the level flips, or the tilt's sign in the +-1
     features) reads 0.51 or more, since it sends p to 1 - p."""
     model = IndependentBits(0.3, dim)
-    assert simulate._level_path(model) == (dim <= kernels.LEVEL_DIM_CAP)
+    assert kernels.chain_form(model) == ("levels" if dim <= kernels.LEVEL_DIM_CAP else "vectors")
     p = math.exp(product_laws.log_plus_probability(sampler, score, 0.3, 2.0))
     law = binom.pmf(np.arange(dim + 1), dim, p)
     res = run_chain(ChainConfig(sampler, model, score, 2.0, steps=steps, burn_in=50,
@@ -641,7 +699,7 @@ def test_closed_form_step_matches_kernel_row(sampler, score):
     kernel = (gibbs_matrix(model, eta) if sampler == "gibbs" else
               getattr(kernels, f"{sampler}_matrix")(model, field, eta))
     row = kernel.probs[9]
-    st = Stepper(model, sampler, score, eta, tables=False)
+    st = Stepper(model, sampler, score, eta, "vectors")
     n = 40_000
     start = np.tile(state_of(9, 4).signs().astype(np.float64), (n, 1))
     u = np.random.default_rng(17).random((n, st.uniforms_per_step))
@@ -705,7 +763,7 @@ def test_dump_file(dim, tmp_path, monkeypatch):
         hist[c, word.bit_count()] += 1
         counts[c, word] += 1
     np.testing.assert_array_equal(hist, res.magnetization_histogram)
-    if dim <= simulate.TABLE_DIM_CAP:
+    if kernels.chain_form(cfg.model) == "words":
         np.testing.assert_array_equal(counts, res.state_counts)
     else:
         assert res.state_counts is None
@@ -745,7 +803,7 @@ def test_gibbs_config_checks_the_score_kind():
     with pytest.raises(ParameterError, match="unknown score kind 'hamming'"):
         ChainConfig("gibbs", model, "hamming", 0.4, steps=10)
     with pytest.raises(ParameterError, match="unknown score kind 'hamming'"):
-        Stepper(model, "gibbs", "hamming", 0.4, tables=True)
+        Stepper(model, "gibbs", "hamming", 0.4, "table")
     for kind in (None, *SCORE_KINDS):
         assert ChainConfig("gibbs", model, kind, 0.4, steps=10).score == kind
 
@@ -764,8 +822,8 @@ def test_samplers_without_a_step_are_parameter_errors(sampler):
 
 
 def test_sample_transitions_above_the_table_cap_is_a_capability_error():
-    model = IndependentBits(0.3, simulate.TABLE_DIM_CAP + 1)
-    with pytest.raises(CapabilityError, match="transition sampling capped"):
+    model = IndependentBits(0.3, kernels.MAX_MATRIX_DIM + 1)
+    with pytest.raises(CapabilityError, match="state tables stop at d = 12, got d = 13"):
         sample_transitions(model, "dula", "glauber", 0.5, state_of(0, model.dim), 10,
                            np.random.default_rng(0))
 

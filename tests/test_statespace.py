@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from cubelab.errors import CapabilityError
+from cubelab.errors import CapabilityError, ParameterError
 from cubelab.models import BitsMixture, CurieWeiss, IndependentBits, IsingGrid
 from cubelab.statespace import (MAX_SIM_DIM, BitState, adjacent_pairs, all_signs, cube_orbits,
                                 flip_neighbors, hamming, index_of, isometry_images, pack_words,
@@ -113,20 +113,38 @@ def test_all_signs_matches_state_signs():
         np.testing.assert_array_equal(table[k], state_of(k, 5).signs())
 
 
-@pytest.mark.parametrize("dim", [1, 4, 7])
+def _bit_shift_images(dim, sigma, mask):
+    """The oracle for `isometry_images`: bit sigma[i] of g(k) is bit i of k,
+    XORed with the flip mask, shifted into place word by word."""
+    bits = unpack_words(np.arange(1 << dim), dim)
+    return (bits << np.asarray(sigma, dtype=np.int64)).sum(axis=1) ^ mask
+
+
+@pytest.mark.parametrize("dim", range(1, 13))
 def test_isometry_images_move_bits(dim):
-    """Bit sigma[i] of g(k) is bit i of k, XORed with the flip mask."""
+    """The images of random isometries, read off the strided view that
+    moves arrays, are those of the bit-shift formula; each is built once
+    per isometry, contiguous and read-only."""
     rng = np.random.default_rng(dim)
-    for _ in range(4):
+    for _ in range(17):
         sigma = rng.permutation(dim).tolist()
         mask = int(rng.integers(0, 1 << dim))
-        want = [sum(((k >> i) & 1) << sigma[i] for i in range(dim)) ^ mask
-                for k in range(1 << dim)]
         images = isometry_images(dim, sigma, mask)
-        assert images.tolist() == want
+        want = _bit_shift_images(dim, sigma, mask)
+        assert images.dtype == want.dtype and images.tolist() == want.tolist()
+        if dim <= 7:
+            assert images.tolist() == [sum(((k >> i) & 1) << sigma[i] for i in range(dim)) ^ mask
+                                       for k in range(1 << dim)]
         # built once per isometry and shared, so read-only
         assert isometry_images(dim, tuple(sigma), mask) is images
-        assert not images.flags.writeable
+        assert images.flags.c_contiguous and not images.flags.writeable
+
+
+@pytest.mark.parametrize("sigma, mask", [((0, 0, 2), 0), ((0, 1), 0), ((0, 1, 3), 0),
+                                         ((2, 0, 1), 8), ((2, 0, 1), -1)])
+def test_a_malformed_isometry_is_a_parameter_error(sigma, mask):
+    with pytest.raises(ParameterError, match="is not an isometry of the 3-cube"):
+        isometry_images(3, sigma, mask)
 
 
 def _closure(start, maps):
