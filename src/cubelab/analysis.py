@@ -32,11 +32,15 @@ from .statespace import (adjacent_pairs, all_signs, cube_orbits, flip_neighbors,
 # edges under the target's declared symmetries: every edge when it declares
 # none, about d orbits on the exchangeable models
 CONTRACTION_DIM_CAP = 8
-# the full-sum Metropolis reference enumerates 2^d auxiliary states per pair
-MH_ORACLE_DIM_CAP = 6
-DIRECT_SOLVE_DIM_CAP = 6
+# the exponential references, which anchor the fast paths at small d: the
+# dense direct stationary solve, the 4^d-entry coupling LP and the full-sum
+# Metropolis oracle, which enumerates 2^d auxiliary states per pair
+ORACLE_DIM_CAP = 6
 # `stationary` eliminates states in blocks of this many, one matrix product each
 _GTH_BLOCK = 32
+# an entry of the law being rebuilt above this rescales its block, which
+# leaves the next entry a factor 1e58 of headroom below the float range
+_GTH_RESCALE = 1e250
 # detailed-balance residual below which `spectral_summary` treats a kernel
 # as reversible
 REVERSIBILITY_TOL = 1e-10
@@ -72,38 +76,49 @@ def _gth_law(a: np.ndarray, owner: str, unit: str = "state") -> np.ndarray:
     or periodic the chain is. A zero pivot means the chain is reducible in
     double precision and raises NumericalError naming `owner`, and the
     `unit` its indices count.
+
+    The rebuilt law is renormalized after each block, and rescaled within
+    one whenever an entry passes `_GTH_RESCALE`, so that a law whose masses
+    span more than the float range comes back with its lightest entries
+    underflowed to 0. An overflow or an invalid operation left over, in
+    the elimination or in the rebuild, raises one NumericalError naming
+    `owner` and the overflow; underflow is silent.
     """
     n = a.shape[0]
-    for hi in range(n, 0, -_GTH_BLOCK):
-        lo = max(hi - _GTH_BLOCK, 0)
-        for k in range(hi - 1, max(lo - 1, 0), -1):
-            pivot = a[k, :k].sum()
-            if not pivot > 0.0:
-                raise NumericalError(
-                    f"{owner} is reducible in double precision: {unit} {k} has no path "
-                    f"to {unit}s 0..{k - 1}")
-            a[:k, k] /= pivot
-            a[lo:k, :k] += a[lo:k, k, None] * a[k, :k]
-            a[:lo, lo:k] += a[:lo, k, None] * a[k, lo:k]
-        a[:lo, :lo] += a[:lo, lo:hi] @ a[lo:hi, :lo]
     pi = np.zeros(n)
     pi[0] = 1.0
-    for lo in range(0, n, _GTH_BLOCK):
-        hi = min(lo + _GTH_BLOCK, n)
-        pi[lo:hi] += pi[:lo] @ a[:lo, lo:hi]
-        for k in range(max(lo, 1), hi):
-            pi[k] += pi[lo:k] @ a[lo:k, k]
-        pi[:hi] /= pi[:hi].sum()  # keeps the unnormalized law in range
-    if not np.isfinite(pi).all():
-        raise NumericalError("stationary law overflowed in GTH back-substitution")
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            for hi in range(n, 0, -_GTH_BLOCK):
+                lo = max(hi - _GTH_BLOCK, 0)
+                for k in range(hi - 1, max(lo - 1, 0), -1):
+                    pivot = a[k, :k].sum()
+                    if not pivot > 0.0:
+                        raise NumericalError(
+                            f"{owner} is reducible in double precision: {unit} {k} has no "
+                            f"path to {unit}s 0..{k - 1}")
+                    a[:k, k] /= pivot
+                    a[lo:k, :k] += a[lo:k, k, None] * a[k, :k]
+                    a[:lo, lo:k] += a[:lo, k, None] * a[k, lo:k]
+                a[:lo, :lo] += a[:lo, lo:hi] @ a[lo:hi, :lo]
+            for lo in range(0, n, _GTH_BLOCK):
+                hi = min(lo + _GTH_BLOCK, n)
+                pi[lo:hi] += pi[:lo] @ a[:lo, lo:hi]
+                for k in range(max(lo, 1), hi):
+                    pi[k] += pi[lo:k] @ a[lo:k, k]
+                    if pi[k] > _GTH_RESCALE:
+                        pi[:hi] /= pi[k]
+                pi[:hi] /= pi[:hi].sum()
+    except FloatingPointError as exc:
+        raise NumericalError(f"{owner} overflowed in GTH state reduction: {exc}") from exc
     return pi
 
 
 def stationary(kernel: KernelMatrix) -> np.ndarray:
     """Stationary law by Grassmann-Taksar-Heyman state reduction (see
     `_gth_law`), on the kernel lumped onto the orbits of its `symmetries`.
-    A zero pivot means the kernel is reducible in double precision and
-    raises NumericalError.
+    A zero pivot, which means the kernel is reducible in double precision,
+    or an overflow in the reduction raises NumericalError.
 
     A kernel that commutes with a group is lumpable onto its orbits
     (Kemeny-Snell): every state of an orbit o sends the same mass
@@ -127,9 +142,8 @@ def stationary_direct(kernel: KernelMatrix) -> np.ndarray:
     solve subtracts, so near-singular systems can lose every digit; a
     non-finite entry or one below -1e-12 raises NumericalError.
     """
-    if kernel.dim > DIRECT_SOLVE_DIM_CAP:
-        raise CapabilityError(
-            f"direct stationary solve capped at d <= {DIRECT_SOLVE_DIM_CAP}")
+    if kernel.dim > ORACLE_DIM_CAP:
+        raise CapabilityError(f"direct stationary solve capped at d <= {ORACLE_DIM_CAP}")
     n = kernel.probs.shape[0]
     a = kernel.probs.T - np.eye(n)
     a[-1, :] = 1.0
@@ -406,10 +420,10 @@ def _next_bit_conditionals(rows: np.ndarray, j: int) -> np.ndarray:
     return np.divide(law[:, 1], mass, out=np.zeros_like(mass), where=mass > 0.0)
 
 
-def _sequential_coupling_costs(p: np.ndarray, q: np.ndarray, orders=(0, 1)) -> np.ndarray:
+def _sequential_coupling_costs(p: np.ndarray, q: np.ndarray, order: int) -> np.ndarray:
     """Expected Hamming cost of the sequential (Knothe-Rosenblatt) coupling
-    of each pair of rows of two (m, 2^d) laws, one row per entry of
-    `orders`: order 0 takes coordinate 0 first, order 1 coordinate d - 1.
+    of each pair of rows of two (m, 2^d) laws, in one `order`: order 0
+    takes coordinate 0 first, order 1 coordinate d - 1.
 
     Coordinate by coordinate, the next bits x_j of p and y_j of q are
     coupled maximally given the coupled prefixes a and b: with
@@ -422,29 +436,27 @@ def _sequential_coupling_costs(p: np.ndarray, q: np.ndarray, orders=(0, 1)) -> n
     """
     m, n = p.shape
     d = n.bit_length() - 1
-    costs = np.zeros((len(orders), m))
-    for row, order in enumerate(orders):
-        a, b = p, q
-        if order:
-            # the state map of the isometry that reverses the coordinates
-            reversal = isometry_images(d, range(d - 1, -1, -1), 0)
-            a, b = p[:, reversal], q[:, reversal]
-        joint = np.ones((m, 1, 1))
-        for j in range(d):
-            alpha = _next_bit_conditionals(a, j)[:, :, None]
-            beta = _next_bit_conditionals(b, j)[:, None, :]
-            costs[row] += (joint * np.abs(alpha - beta)).sum(axis=(1, 2))
-            if j == d - 1:
-                break
-            # the prefixes grow by bit j, the high bit of the new prefix index
-            both = np.minimum(alpha, beta)
-            grown = np.empty((m, 2, 1 << j, 2, 1 << j))
-            grown[:, 0, :, 0] = joint * (1.0 - np.maximum(alpha, beta))
-            grown[:, 1, :, 0] = joint * (alpha - both)
-            grown[:, 0, :, 1] = joint * (beta - both)
-            grown[:, 1, :, 1] = joint * both
-            joint = grown.reshape(m, 2 << j, 2 << j)
-    return costs
+    if order:
+        # the state map of the isometry that reverses the coordinates
+        reversal = isometry_images(d, range(d - 1, -1, -1), 0)
+        p, q = p[:, reversal], q[:, reversal]
+    cost = np.zeros(m)
+    joint = np.ones((m, 1, 1))
+    for j in range(d):
+        alpha = _next_bit_conditionals(p, j)[:, :, None]
+        beta = _next_bit_conditionals(q, j)[:, None, :]
+        cost += (joint * np.abs(alpha - beta)).sum(axis=(1, 2))
+        if j == d - 1:
+            break
+        # the prefixes grow by bit j, the high bit of the new prefix index
+        both = np.minimum(alpha, beta)
+        grown = np.empty((m, 2, 1 << j, 2, 1 << j))
+        grown[:, 0, :, 0] = joint * (1.0 - np.maximum(alpha, beta))
+        grown[:, 1, :, 0] = joint * (alpha - both)
+        grown[:, 0, :, 1] = joint * (beta - both)
+        grown[:, 1, :, 1] = joint * both
+        joint = grown.reshape(m, 2 << j, 2 << j)
+    return cost
 
 
 def _transport_values(p: np.ndarray, q: np.ndarray, upper: np.ndarray | None = None,
@@ -505,7 +517,7 @@ def _transport_values(p: np.ndarray, q: np.ndarray, upper: np.ndarray | None = N
             for order in (0, 1):
                 if (bound < floor).all():
                     break
-                bound = np.minimum(bound, _sequential_coupling_costs(p[idx], q[idx], (order,))[0])
+                bound = np.minimum(bound, _sequential_coupling_costs(p[idx], q[idx], order))
             if (bound < floor).all():
                 values[idx] = bound
                 bracketed[idx] = True
@@ -525,8 +537,8 @@ def wasserstein_hamming_lp(p: np.ndarray, q: np.ndarray) -> float:
     p, q = _require_laws(p, q)
     n = p.shape[0]
     d = n.bit_length() - 1
-    if d > MH_ORACLE_DIM_CAP:
-        raise CapabilityError(f"coupling LP capped at d <= {MH_ORACLE_DIM_CAP}")
+    if d > ORACLE_DIM_CAP:
+        raise CapabilityError(f"coupling LP capped at d <= {ORACLE_DIM_CAP}")
     cost = np.bitwise_count(np.arange(n)[:, None] ^ np.arange(n)).astype(np.float64).ravel()
     row_marginals = np.kron(np.eye(n), np.ones(n))
     col_marginals = np.kron(np.ones(n), np.eye(n))
@@ -559,11 +571,12 @@ def detailed_balance_residual(kernel: KernelMatrix, p: np.ndarray) -> float:
     if p.shape[0] != t.shape[0]:
         raise ValueError(f"p has {p.shape[0]} entries for a kernel on {t.shape[0]} states")
     orbits = cube_orbits(kernel.dim, kernel.symmetries)
-    if len(orbits.reps) < len(p) and all(np.array_equal(p[img], p) for img in orbits.images):
-        reps = orbits.reps
-        return float(np.abs(p[reps, None] * t[reps] - (p[:, None] * t[:, reps]).T).max())
-    flux = p[:, None] * t
-    return float(np.abs(flux - flux.T).max())
+    invariant = (len(orbits.reps) < len(p)
+                 and all(np.array_equal(p[img], p) for img in orbits.images))
+    rows = orbits.reps if invariant else slice(None)
+    residual = p[rows, None] * t[rows]
+    residual -= (p[:, None] * t[:, rows]).T
+    return float(np.abs(residual, out=residual).max())
 
 
 # ---------------------------------------------------------------------------
@@ -618,9 +631,9 @@ def contraction_certificate(kernel: KernelMatrix, *,
     floats as with `upper=None`, which solves every orbit and is the oracle.
     """
     d = kernel.dim
-    if d > CONTRACTION_DIM_CAP:
-        raise CapabilityError(
-            f"contraction certificates capped at d <= {CONTRACTION_DIM_CAP}, got {d}")
+    skip = dimension_skip("kappa", d)
+    if skip:
+        raise CapabilityError(f"contraction certificate: {skip}")
     t = kernel.probs
     pairs = adjacent_pairs(d)
     if upper is not None:
@@ -796,11 +809,11 @@ def dmaps_contraction_bound(epsilon: float, dim: int, eta: float, beta1: float,
 # bound report
 
 
-# a row of the claim table: the bound column; its key in `BoundReport.rates`
-# (kappa) or `.errors` (stationary W1); the observable it bounds, None for a
-# constant; the gating flags and score; the bound as a function of (d, eta,
-# beta1, beta2); and the `check` certificate (name, sampler)
-_Claim = namedtuple("_Claim", "column key observable conditions score bound certificate")
+# a row of the claim table: the bound column, whose name less its `rate_` or
+# `err_` prefix keys it in `BoundReport.rates` or `.errors`; the observable it
+# bounds, None for a constant; the gating flags and score; the bound as a
+# function of (d, eta, beta1, beta2); and the `check` certificate (name, sampler)
+_Claim = namedtuple("_Claim", "column observable conditions score bound certificate")
 
 # a value says nothing past these: rate > 1, error >= the diameter d, rejection >= 1
 _VACUOUS = {"kappa": lambda v, d: v > 1.0, "stationary_w1": lambda v, d: v >= d,
@@ -809,40 +822,39 @@ _VACUOUS = {"kappa": lambda v, d: v > 1.0, "stationary_w1": lambda v, d: v >= d,
 # the claims, in the order of the bound columns and of the `check` rows; a
 # claim without a certificate is only reported
 _CLAIMS = (
-    _Claim("rate_gibbs", "gibbs", "kappa", ("d_beta2_le_1", "step_le_inv_d"), "glauber",
+    _Claim("rate_gibbs", "kappa", ("d_beta2_le_1", "step_le_inv_d"), "glauber",
            lambda d, eta, b1, b2: gibbs_contraction_bound(d, eta, b2),
            ("gibbs_contraction", "gibbs")),
-    _Claim("rate_dula", "dula", "kappa", ("2d_beta2_le_exp_neg_beta1",), None,
+    _Claim("rate_dula", "kappa", ("2d_beta2_le_exp_neg_beta1",), None,
            lambda d, eta, b1, b2: dula_contraction_bound(eta, b1),
            ("dula_contraction", "dula")),
-    _Claim("rate_dula_small_step", "dula_small_step", "kappa", ("4d_beta2_le_1",), "gibbs",
+    _Claim("rate_dula_small_step", "kappa", ("4d_beta2_le_1",), "gibbs",
            lambda d, eta, b1, b2: dula_small_step_contraction_bound(eta),
            ("dula_contraction_small_step", "dula")),
-    _Claim("rate_dups", "dups", "kappa", ("4d_beta2_exp4beta1_le_1",), None,
+    _Claim("rate_dups", "kappa", ("4d_beta2_exp4beta1_le_1",), None,
            lambda d, eta, b1, b2: dups_contraction_bound(eta),
            ("dups_contraction", "dups")),
-    _Claim("rate_dups_small_step", "dups_small_step", "kappa",
+    _Claim("rate_dups_small_step", "kappa",
            ("8d_beta2_le_1", "alignment_ge_neg_half_inv_eta"), None,
            lambda d, eta, b1, b2: dups_small_step_contraction_bound(eta),
            ("dups_contraction_small_step", "dups")),
-    _Claim("err_dula_small_step", "dula_small_step", "stationary_w1",
-           ("4d_beta2_le_1", "step_le_inv_d"), "gibbs",
+    _Claim("err_dula_small_step", "stationary_w1", ("4d_beta2_le_1", "step_le_inv_d"), "gibbs",
            lambda d, eta, b1, b2: dula_stationary_error_bound(d, eta),
            ("dula_stationary_error", "dula")),
-    _Claim("err_dups_small_step", "dups_small_step", "stationary_w1",
+    _Claim("err_dups_small_step", "stationary_w1",
            ("8d_beta2_le_1", "alignment_ge_neg_half_inv_eta"), "glauber",
            lambda d, eta, b1, b2: dups_stationary_error_bound(d, eta),
            ("dups_stationary_error", "dups")),
-    _Claim("err_dula_static", "dula_static", "stationary_w1", ("2d_beta2_le_exp_neg_beta1",),
-           None, lambda d, eta, b1, b2: dula_static_error_bound(d, b1), None),
-    _Claim("err_dups_static", "dups_static", "stationary_w1",
+    _Claim("err_dula_static", "stationary_w1", ("2d_beta2_le_exp_neg_beta1",), None,
+           lambda d, eta, b1, b2: dula_static_error_bound(d, b1), None),
+    _Claim("err_dups_static", "stationary_w1",
            ("4d_beta2_exp4beta1_le_1", "shifted_step_le_inv_d"), None,
            lambda d, eta, b1, b2: dups_static_error_bound(d, b2), None),
-    _Claim("dmaps_lipschitz", None, None, (), None, dmaps_acceptance_lipschitz, None),
-    _Claim("dmaps_rejection", None, "rejection", (), "stein", dmaps_rejection_bound,
+    _Claim("dmaps_lipschitz", None, (), None, dmaps_acceptance_lipschitz, None),
+    _Claim("dmaps_rejection", "rejection", (), "stein", dmaps_rejection_bound,
            ("dmaps_acceptance_mass", "dmaps")),
     # epsilon for the adjusted rate comes from the unadjusted proximal margin
-    _Claim("dmaps_rate", None, "kappa", ("4d_beta2_exp4beta1_le_1",), "stein",
+    _Claim("dmaps_rate", "kappa", ("4d_beta2_exp4beta1_le_1",), "stein",
            lambda d, eta, b1, b2: dmaps_contraction_bound(2.0 * float(expit(-2.0 / eta)),
                                                           d, eta, b1, b2), None),
 )
@@ -871,8 +883,9 @@ class BoundReport:
     Values are reported as-is even when vacuous; flags are computed, never
     assumed. An entry applies (its `reason` is empty) when the report's
     score kind is the one the bound was proven for and every gating flag
-    holds. `entries` holds every bound column's entry in CSV order, `rates`
-    and `errors` some of them under short keys.
+    holds. `entries` holds every bound column's entry in CSV order; `rates`
+    and `errors` hold those of the `rate_` and `err_` columns, keyed by the
+    column name less that prefix.
     """
 
     model: TargetModel
@@ -927,8 +940,8 @@ def bounds_report(model: TargetModel, score_kind: str, eta: float) -> BoundRepor
     return BoundReport(
         model=model, score_kind=score_kind, eta=eta, dim=d,
         beta1=beta1, beta2=beta2, min_alignment=min_alignment, flags=flags, entries=entries,
-        rates={c.key: entries[c.column] for c in _CLAIMS if c.key and c.observable == "kappa"},
-        errors={c.key: entries[c.column] for c in _CLAIMS if c.observable == "stationary_w1"})
+        rates={c.removeprefix("rate_"): e for c, e in entries.items() if c.startswith("rate_")},
+        errors={c.removeprefix("err_"): e for c, e in entries.items() if c.startswith("err_")})
 
 
 # ---------------------------------------------------------------------------
@@ -953,9 +966,8 @@ def naive_mh_oracle(model: TargetModel, score: ScoreField, eta: float) -> Kernel
     auxiliary states, which is exactly what the stagewise rule avoids
     computing; exponential cost keeps this a small-d reference.
     """
-    if model.dim > MH_ORACLE_DIM_CAP:
-        raise CapabilityError(
-            f"full-sum Metropolis reference capped at d <= {MH_ORACLE_DIM_CAP}")
+    if model.dim > ORACLE_DIM_CAP:
+        raise CapabilityError(f"full-sum Metropolis reference capped at d <= {ORACLE_DIM_CAP}")
     _k._check_eta(eta)
     # an entry that underflowed to 0 is a move never proposed: log -inf
     with np.errstate(divide="ignore"):

@@ -171,8 +171,8 @@ def _versions() -> dict:
 def _emit(args, rows, columns, payload: dict):
     """CSV of `rows` by `columns`, or JSON of the manifest, the `payload`
     entries and the versions, to `--out` or stdout. `rows` may be any
-    iterable, of dicts or of CSV text already formatted: the CSV writes
-    each as it comes."""
+    iterable, of dicts, whose cells `csv.writer` quotes where they need it,
+    or of CSV text already formatted: the CSV writes each as it comes."""
     out = getattr(args, "out", None)
     with open(out, "w") if out else contextlib.nullcontext(sys.stdout) as fh:
         if getattr(args, "format", "csv") == "json":
@@ -181,9 +181,13 @@ def _emit(args, rows, columns, payload: dict):
                    "versions": _versions()}
             fh.write(json.dumps(doc, indent=2) + "\n")
             return
-        fh.write(",".join(columns) + "\n")
-        fh.writelines(r if isinstance(r, str) else ",".join(_fmt(r.get(c, "")) for c in columns)
-                      + "\n" for r in rows)
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(columns)
+        for r in rows:
+            if isinstance(r, str):
+                fh.write(r)
+            else:
+                writer.writerow([_fmt(r.get(c, "")) for c in columns])
 
 
 def _sweep_task(task):
@@ -253,10 +257,7 @@ def cmd_check(args) -> int:
         print(f"[{row['status']}] {row['certificate']} sampler={row['sampler']}"
               f" score={row['score']} eta={row['eta']:g}{obs}{bnd}{why}")
     if args.out:
-        with open(args.out, "w") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(CHECK_COLUMNS)
-            writer.writerows([_fmt(row[c]) for c in CHECK_COLUMNS] for row in rows)
+        _emit(args, rows, CHECK_COLUMNS, {})
     return 1 if any(row["status"] == "FAIL" for row in rows) else 0
 
 

@@ -964,13 +964,15 @@ class Stepper:
             return (self._list(u[..., 0]),)
         if self.sampler == "dula":
             return (self._uniforms(u),)
+        if self.sampler != "dmala":
+            word1, flips1 = self._stage_one(u[..., :d] < expit(-2.0 / self.eta))
+            if self.sampler == "dups":
+                return word1, self._uniforms(u[..., d:])
+        # the last uniform of a Metropolis step is its acceptance draw
         with np.errstate(divide="ignore"):
             log_accept = self._list(np.log(u[..., -1]))
         if self.sampler == "dmala":
             return self._uniforms(u[..., :d]), log_accept
-        word1, flips1 = self._stage_one(u[..., :d] < expit(-2.0 / self.eta))
-        if self.sampler == "dups":
-            return word1, self._uniforms(u[..., d:])
         return word1, flips1, self._uniforms(u[..., d:2 * d]), log_accept
 
     # Each sampler's one step, bound by `__init__` over the primitives of the

@@ -99,6 +99,31 @@ def test_stationary_sticky_kernel():
     assert tv_distance(pi, exact_target(model)) <= 1e-12
 
 
+def test_stationary_of_a_steep_target_is_rescaled_not_overflowed():
+    """At beta = -50 the Curie-Weiss law spans far more than the float
+    range, which rebuilding it from state 0 up passes; the law comes back
+    with its lightest states underflowed to 0 and equal to the target to
+    1.3e-16 relative everywhere else, at W1 0."""
+    model = CurieWeiss(-50.0, 0.0, 4)
+    kernel = gibbs_matrix(model, 0.3)
+    pi, target = stationary(kernel), exact_target(model)
+    heavy = target > 1e-300
+    assert (np.abs(pi[heavy] / target[heavy] - 1.0) <= 1.3e-16).all()
+    assert (pi[~heavy] <= 1e-300).all() and (~heavy).any()
+    assert wasserstein_hamming(pi, target, kernel.symmetries) == 0.0
+
+
+def test_an_overflow_in_state_reduction_is_one_numerical_error():
+    """Eliminating a state whose outflow is below the float range overflows;
+    that is one NumericalError naming it, not a warning and not a NaN pivot
+    read as reducibility."""
+    model = CurieWeiss(40.0, 0.5, 6)
+    kernel = kernel_matrix(model, "dmala", ScoreField(model, "glauber"), 0.1)
+    with pytest.raises(NumericalError, match="dmala kernel at eta=0.1 overflowed in GTH state "
+                                             "reduction: overflow encountered in divide"):
+        stationary(kernel)
+
+
 # ---------------------------------------------------------------------------
 # spectra
 
@@ -712,8 +737,9 @@ def test_detailed_balance_on_orbit_representatives_is_the_full_pass(model):
     bit, the residual read on the orbit representatives' rows and columns
     equals the one over every pair, on each sampler and score: up to the
     roundoff by which a kernel commutes with its symmetries, and never
-    above it (it is a max over fewer pairs). A law moved off its orbits
-    takes the full pass."""
+    above it (it is a max over fewer pairs). A law moved off its orbits,
+    and a kernel without symmetries, take the full pass: max |flux -
+    flux^T| over every pair, bit for bit."""
     orbits = cube_orbits(model.dim, model.symmetries())
     target = exact_target(model)
     for sampler in kernels.SAMPLER_IDS:
@@ -726,7 +752,9 @@ def test_detailed_balance_on_orbit_representatives_is_the_full_pass(model):
                 assert full - 1e-16 <= detailed_balance_residual(kernel, p) <= full, (sampler, kind)
     tilted = target.copy()
     tilted[[1, 2]] += [1e-9, -1e-9]
-    assert detailed_balance_residual(kernel, tilted) == detailed_balance_residual(plain, tilted)
+    for k, p in ((plain, target), (kernel, tilted)):
+        flux = p[:, None] * k.probs
+        assert detailed_balance_residual(k, p) == float(np.abs(flux - flux.T).max())
 
 
 def _assert_flip_path_bound(t, kappa):
@@ -816,8 +844,12 @@ def test_each_kernel_is_checked_against_its_symmetries_once(model, symmetry_chec
 
 
 def test_contraction_certificate_dimension_cap(solves):
+    """Above the kappa cap the certificate refuses with the reason that
+    `dimension_skip` gives `check`, before any solve."""
     model = IsingGrid(3, 3, 0.4, 0.1)
-    with pytest.raises(CapabilityError):
+    reason = analysis.dimension_skip("kappa", 9)
+    assert reason == "dimension 9 above cap 8"
+    with pytest.raises(CapabilityError, match=f"^contraction certificate: {reason}$"):
         contraction_certificate(gibbs_matrix(model, 0.5))
     assert solves == []
 
@@ -1086,9 +1118,15 @@ def test_coupling_bounds_bracket_the_exact_certificate(seed):
 _sequential_coupling_costs = analysis._sequential_coupling_costs
 
 
-def _both_orders_at_once(p, q, orders=(0, 1)):
-    """The smaller cost of both sequential couplings, for every order asked."""
-    return np.broadcast_to(_sequential_coupling_costs(p, q).min(axis=0), (len(orders), len(p)))
+def _both_orders(p, q):
+    """The costs of the sequential couplings in order 0 and in order 1, as
+    rows [0] and [1]."""
+    return np.stack([_sequential_coupling_costs(p, q, order) for order in (0, 1)])
+
+
+def _both_orders_at_once(p, q, order):
+    """The smaller cost of both sequential couplings, whichever order is asked."""
+    return _both_orders(p, q).min(axis=0)
 
 
 @pytest.mark.parametrize("sampler", ["gibbs", "prox", "dula"])
@@ -1119,7 +1157,7 @@ def test_sequential_couplings_bound_the_coupling_lp(d):
     laws = rng.dirichlet(np.full(1 << d, 0.3), size=(40, 2))
     laws[::4, 0, : 1 << (d - 1)] = 0.0
     laws /= laws.sum(axis=2, keepdims=True)
-    costs = analysis._sequential_coupling_costs(laws[:, 0], laws[:, 1])
+    costs = _both_orders(laws[:, 0], laws[:, 1])
     assert costs.shape == (2, 40)
     w1 = np.array([wasserstein_hamming_lp(p, q) for p, q in laws])
     assert (costs >= w1 - 1e-12).all()
@@ -1135,7 +1173,7 @@ def test_sequential_couplings_of_product_laws_are_the_closed_form(d):
     plus = all_signs(d) > 0
     marginals = rng.random((2, 8, d))
     laws = np.where(plus, marginals[:, :, None, :], 1.0 - marginals[:, :, None, :]).prod(axis=3)
-    costs = analysis._sequential_coupling_costs(laws[0], laws[1])
+    costs = _both_orders(laws[0], laws[1])
     closed = np.abs(marginals[0] - marginals[1]).sum(axis=1)
     np.testing.assert_allclose(costs, np.broadcast_to(closed, costs.shape), rtol=0, atol=1e-14)
 
@@ -1177,8 +1215,8 @@ def test_sequential_coupling_orders_read_the_hand_built_reversal():
         d = probs.shape[0].bit_length() - 1
         pairs, rev = adjacent_pairs(d), _hand_reversal(d)
         p, q = probs[pairs[:, 0]], probs[pairs[:, 1]]
-        costs = analysis._sequential_coupling_costs(p, q)
-        flipped = analysis._sequential_coupling_costs(p[:, rev], q[:, rev])
+        costs = _both_orders(p, q)
+        flipped = _both_orders(p[:, rev], q[:, rev])
         assert np.array_equal(costs[1], flipped[0])
         np.testing.assert_allclose(costs[0], flipped[1], rtol=0, atol=1e-14)
 
@@ -1356,6 +1394,13 @@ def test_bounds_report_flags_and_vacuity():
     for entry in weak.errors.values():
         if not entry.vacuous:
             assert entry.value <= 6
+    # `rates` and `errors` hold the `rate_` and `err_` columns, in column
+    # order, under the column name less that prefix
+    assert list(weak.rates) == ["gibbs", "dula", "dula_small_step", "dups", "dups_small_step"]
+    assert list(weak.errors) == ["dula_small_step", "dups_small_step", "dula_static",
+                                 "dups_static"]
+    for prefix, entries in (("rate_", weak.rates), ("err_", weak.errors)):
+        assert all(entry is weak.entries[prefix + key] for key, entry in entries.items())
 
     # an error is vacuous from the diameter d = 4 on, a rejection mass from one on
     stein = bounds_report(IsingGrid(2, 2, 2.0, 0.0), "stein", 0.5)
@@ -1681,3 +1726,48 @@ def test_exact_diagnostics_agree_with_each_other_property():
                                    f"balance {row['db_residual']!r}: {config}")
 
     check()
+
+
+def test_exact_diagnostics_raise_typed_errors_and_never_warn_property():
+    """Over drawn families at d <= 6 with every strength up to 400 in
+    magnitude, step sizes log-uniform in [0.02, 50], and every sampler and
+    score, each exact diagnostic (the kernel, its stationary law, spectrum
+    and W1 to the target, and the certificates) returns or raises one of
+    the typed errors; the RuntimeWarning filter makes a leaked warning a
+    failure. Derandomized."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    typed = (NumericalError, ParameterError, CapabilityError)
+    strength = st.floats(-400.0, 400.0)
+    dims = st.integers(1, 6)
+    families = st.one_of(
+        st.tuples(st.just(IndependentBits), strength, dims),
+        st.tuples(st.just(BitsMixture), strength, dims),
+        st.tuples(st.just(CurieWeiss), strength, st.floats(-6.0, 6.0), dims),
+        st.builds(lambda rc, *rest: (IsingGrid, *rc, *rest),
+                  st.sampled_from([(1, 2), (1, 3), (2, 2), (1, 4), (1, 5), (2, 3), (1, 6)]),
+                  strength, strength, st.booleans()))
+
+    @hypothesis.settings(max_examples=400, derandomize=True, deadline=None, database=None)
+    @hypothesis.given(family=families, sampler=st.sampled_from(kernels.SAMPLER_IDS),
+                      score=st.sampled_from(SCORE_KINDS),
+                      eta=st.floats(math.log(0.02), math.log(50.0)).map(math.exp))
+    def check(family, sampler, score, eta):
+        try:
+            model = family[0](*family[1:])
+        except typed:
+            return
+        try:
+            kernel = kernel_matrix(model, sampler, ScoreField(model, score), eta)
+            pi = stationary(kernel)
+            spectral_summary(kernel, pi)
+            wasserstein_hamming(pi, exact_target(model), kernel.symmetries)
+        except typed:
+            pass
+        try:
+            run_certificates(model, score, eta)
+        except typed:
+            pass
+
+    check()
+

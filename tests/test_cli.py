@@ -172,6 +172,60 @@ def test_check_over_eta_grid(capsys):
     assert out.count("eta=0.7") > 0 and out.count("eta=0.9") > 0
 
 
+def test_check_csv_quotes_its_reasons_and_keeps_its_bytes(tmp_path, capsys):
+    """`check --out` writes through `_emit`, whose `csv.writer` quotes each
+    reason that names two unmet preconditions, so every row reads back as
+    its 8 cells; the file keeps the bytes it had when the digest was taken."""
+    out = tmp_path / "check.csv"
+    code, _, err = run_cli(capsys, "check", "--model", "curieweiss", "--beta", "0.5", "--b", "0",
+                           "--dim", "5", "--eta", "0.3", "--score", "glauber", "--out", str(out))
+    assert code == 0 and err == ""
+    text = out.read_text()
+    assert text.count('"precondition unmet: 8d_beta2_le_1, alignment_ge_neg_half_inv_eta"') == 2
+    rows = list(csv.reader(text.splitlines()))
+    assert rows[0] == cli.CHECK_COLUMNS and len(rows) == 9
+    assert all(len(row) == 8 for row in rows)
+    assert (hashlib.sha256(out.read_bytes()).hexdigest()
+            == "b3b147d85d121555b1d583aea31f0655ecbc833db2ba9ab5f6fedf2eae40fb54")
+
+
+def test_emit_quotes_the_cells_of_dict_rows_and_writes_text_rows_as_they_are(tmp_path):
+    out = tmp_path / "rows.csv"
+    rows = [{"a": "x,y", "b": 1.5}, 'text,"as is"\n', {"a": 'say "hi"'}]
+    cli._emit(SimpleNamespace(out=str(out)), rows, ["a", "b"], {})
+    assert out.read_text() == 'a,b\n"x,y",1.5\ntext,"as is"\n"say ""hi""",\n'
+
+
+# targets whose stationary laws span more than the float range: beta 300
+# on 3 bits, one the GTH rebuild now rescales; the rest stop in one line
+_STEEP_RUNS = {
+    "bits-check": (["check", "--model", "bits", "--beta", "300", "--dim", "3", "--eta", "0.8"],
+                   0, ""),
+    "curieweiss-gibbs": (["analyze", "--model", "curieweiss", "--beta", "-50", "--b", "0",
+                          "--dim", "4", "--sampler", "gibbs", "--eta", "0.3"],
+                         1, "stationary law underflows to 0 at 2 states"),
+    "ising-dula": (["analyze", "--model", "ising", "--rows", "2", "--cols", "3", "--J", "-20",
+                    "--h", "300", "--periodic", "--sampler", "dula", "--score", "gibbs",
+                    "--eta", "3"], 1, "dula kernel at eta=3 overflowed in GTH state reduction"),
+    "curieweiss-dmala": (["analyze", "--model", "curieweiss", "--beta", "40", "--b", "0.5",
+                          "--dim", "6", "--sampler", "dmala", "--eta", "0.1"],
+                         1, "dmala kernel at eta=0.1 overflowed in GTH state reduction"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_STEEP_RUNS))
+def test_steep_targets_warn_nothing_and_fail_in_one_line(capsys, case):
+    argv, expected, message = _STEEP_RUNS[case]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(capsys, *argv)
+    assert caught == [] and code == expected
+    if not expected:
+        assert err == "" and "[PASS]" in out
+        return
+    assert err.count("\n") == 1 and err.startswith(f"numerical error: {message}")
+
+
 def test_analyze_rejects_eta_grid(capsys):
     code, _, err = run_cli(capsys, "analyze", "--model", "bits", "--beta", "0.5",
                            "--dim", "3", "--sampler", "gibbs",
